@@ -69,6 +69,7 @@ from .geodesic import (
     taylor_vector_check,
 )
 from .zeroset import (
+    OffZeroSetError,
     PatchError,
     SubmanifoldPatch,
     second_fundamental_form,

@@ -38,6 +38,7 @@ from .geodesic import (
 from .geometry import Chart, ChartError, FieldSpec, MetricError, sample_interior
 from .models import CHART_BUILDERS, FIELD_BUILDERS, make_chart, make_field
 from .zeroset import (
+    OffZeroSetError,
     PatchError,
     trace_component,
     umbilicity_report,
@@ -330,11 +331,14 @@ class _Session:
                     steps_per_unit=float(self.cfg["geo_steps"]),
                     rng=self.rng,
                 )
-            except PatchError as exc:
-                errors.append({"zero": z, "reason": str(exc)})
-                continue
-            except DomainExitError as exc:
-                errors.append({"zero": z, "reason": str(exc)})
+            except (PatchError, DomainExitError) as exc:
+                # Refused zeros (not Killing-type, geodesics leaving the
+                # chart) are skips; a patch off the zero set is a failure.
+                errors.append({
+                    "zero": z,
+                    "reason": str(exc),
+                    "failed": isinstance(exc, OffZeroSetError),
+                })
                 continue
             built.append(patch)
         self._patches = (built, errors)
@@ -485,7 +489,7 @@ def _run_trace(session: _Session) -> dict:
         {"zero": e["zero"], "reason": e["reason"]} for e in errors
     ]
     return {
-        "passed": True,
+        "passed": not any(e["failed"] for e in errors),
         "patches": patches,
         "skipped": skipped,
         "zeros_considered": int(len(built) + len(errors)),
@@ -493,10 +497,11 @@ def _run_trace(session: _Session) -> dict:
 
 
 def _run_umbilicity(session: _Session) -> dict:
-    built, _ = session.patches()
+    built, errors = session.patches()
     tol = session.cfg["tolerances"]["umbilicity"]
     entries = []
-    passed = True
+    # A zero whose traced patch left the zero set has no verdict here.
+    passed = not any(e["failed"] for e in errors)
     for patch in built:
         report = umbilicity_report(session.chart, patch, tol=tol)
         ok = report.verdict in ("totally_umbilical", "point")

@@ -73,6 +73,59 @@ def _numerical_rank(sigma: np.ndarray) -> int:
     return int(np.sum(sigma > cut))
 
 
+@dataclass(frozen=True, eq=False)
+class FrameSVD:
+    """SVD of a tensor at a point, taken in a g-orthonormal frame.
+
+    The frame is u_a = L^{-T} e_a from g = L L^T.  Vectors map into it by
+    L^T, covectors by L^{-1}, endomorphisms by conjugation and 2-forms by
+    congruence.  ``rank`` counts the singular values above the cut of
+    ``_numerical_rank``.
+    """
+
+    L: np.ndarray
+    Linv: np.ndarray
+    U: np.ndarray
+    sigma: np.ndarray
+    Vt: np.ndarray
+    rank: int
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """g-orthonormal basis of the numerical kernel, one row per vector."""
+        return self.Vt[self.rank:] @ self.Linv
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares x with A x = rhs, for an endomorphism A.
+
+        ``rhs`` holds chart vectors in its last axis; the pseudo-inverse
+        drops the singular values below the rank cut, so x is g-orthogonal
+        to the kernel.
+        """
+        r = self.rank
+        frame_x = ((rhs @ self.L) @ self.U[:, :r]) / self.sigma[:r] @ self.Vt[:r]
+        return frame_x @ self.Linv
+
+
+def frame_svd(g: np.ndarray, tensor: np.ndarray, kind: str) -> FrameSVD:
+    """SVD of an ``"endomorphism"`` or a ``"skew_form"`` in a g-orthonormal frame.
+
+    A skew form is skew-symmetrized after the change of frame, so its
+    singular values come in honest pairs.
+    """
+    L = np.linalg.cholesky(0.5 * (g + g.T))
+    Linv = np.linalg.inv(L)
+    if kind == "endomorphism":
+        A = L.T @ tensor @ Linv.T
+    elif kind == "skew_form":
+        A = Linv @ tensor @ Linv.T
+        A = 0.5 * (A - A.T)
+    else:
+        raise ValueError(f"unknown tensor kind {kind!r}")
+    U, sigma, Vt = np.linalg.svd(A)
+    return FrameSVD(L, Linv, U, sigma, Vt, _numerical_rank(sigma))
+
+
 def _grid_points(chart: Chart, resolution: int) -> np.ndarray:
     axes = []
     for lo, hi in zip(chart.lower, chart.upper):
@@ -263,30 +316,17 @@ def classify_zero(
     dphi = conformal_factor_gradient(chart, xi, x)
     grad_phi = ginv @ dphi
 
-    # Orthonormal frame u_a = L^{-T} e_a from g = L L^T.  Vectors map by
-    # L^T, covectors by L^{-1}, endomorphisms by conjugation, forms by
-    # congruence; skewness of the form is preserved exactly.
-    L = np.linalg.cholesky(0.5 * (g + g.T))
-    Linv = np.linalg.inv(L)
-    N_frame = L.T @ N @ Linv.T
-    M_frame = Linv @ M @ Linv.T
-    M_frame = 0.5 * (M_frame - M_frame.T)
-    b_frame = Linv @ dphi
-
-    U, sigma, _ = np.linalg.svd(N_frame)
-    rank_n = _numerical_rank(sigma)
-    if rank_n == 0:
-        proj = np.zeros_like(b_frame)
-    else:
-        Ur = U[:, :rank_n]
-        proj = Ur @ (Ur.T @ b_frame)
+    nabla_svd = frame_svd(g, N, "endomorphism")
+    b_frame = nabla_svd.Linv @ dphi
+    Ur = nabla_svd.U[:, : nabla_svd.rank]
+    proj = Ur @ (Ur.T @ b_frame)
     image_residual = float(np.linalg.norm(b_frame - proj))
     b_scale = float(np.linalg.norm(b_frame))
 
-    _, sigma_m, Vt = np.linalg.svd(M_frame)
-    rank_dxi = _numerical_rank(sigma_m)
+    dxi_svd = frame_svd(g, M, "skew_form")
+    rank_dxi = dxi_svd.rank
     kernel_dim = chart.dim - rank_dxi
-    kernel_basis = Vt[rank_dxi:] @ Linv if kernel_dim > 0 else np.empty((0, chart.dim))
+    kernel_basis = dxi_svd.kernel
 
     samples = _ball_sample(chart, x, neighborhood_radius, neighborhood_samples, rng)
     report = is_conformal(chart, xi, samples, conformal_tol)

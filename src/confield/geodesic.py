@@ -6,7 +6,7 @@ top of the integrator sit two Taylor checks used at zeros of a conformal
 field xi, both differentiating along the unit-speed geodesic c(t) = exp_x(tv):
 
 * scalar: f(t) = g(xi(c(t)), c'(t)) satisfies f'(0) = phi(x),
-* vector: in a parallel frame, xi'(0) = (1/2) d(xi^flat)(v) and
+* vector: in a parallel frame, xi'(0) = phi(x) v + (1/2) d(xi^flat)(v) and
   xi''(0) = 2 dphi_x(v) v - grad phi_x.
 
 ``dxi_identity_residual`` checks the pointwise curvature identity
@@ -287,9 +287,10 @@ def taylor_vector_check(
 ) -> TaylorVectorResult:
     """Frame-component derivatives of xi along a geodesic from a zero.
 
-    Compares the finite-differenced xi'(0) with (1/2) d(xi^flat)(v) raised
-    by the metric, and xi''(0) with 2 dphi(v) v - grad phi, both expressed
-    in the parallel orthonormal frame at x.
+    Compares the finite-differenced xi'(0) = nabla_v xi with
+    phi(x) v + (1/2) d(xi^flat)(v) raised by the metric, and xi''(0) with
+    2 dphi(v) v - grad phi, both expressed in the parallel orthonormal
+    frame at x.
     """
     if field_norm(chart, xi, x) >= zero_tol:
         raise ValueError("taylor_vector_check requires a zero of the field")
@@ -313,8 +314,10 @@ def taylor_vector_check(
     d2 = _richardson_second(a0, a[-h / 2], a[-h], a[h], a[h / 2], h)
 
     M = dxi_form_matrix(chart, xi, x)
-    # (v -| d xi)_j = v^i M[i, j]; raise and take frame components
-    first_target = frame0 @ (0.5 * (M.T @ v))
+    # (v -| d xi)_j = v^i M[i, j] and (phi v)_j = phi g_jk v^k; raise the
+    # covector and take frame components
+    phi = conformal_factor(chart, xi, x)
+    first_target = frame0 @ (phi * (g @ v) + 0.5 * (M.T @ v))
     dphi = conformal_factor_gradient(chart, xi, x)
     grad_phi = ginv @ dphi
     second_vec = 2.0 * float(dphi @ v) * v - grad_phi

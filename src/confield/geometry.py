@@ -348,6 +348,33 @@ def covariant_derivative_matrix(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
     return jac + np.einsum("ijk,k->ij", Gam, val)
 
 
+def covariant_hessian_matrix(chart: Chart, xi: FieldSpec, p):
+    """First and second covariant derivatives of a vector field at p.
+
+    Returns ``(N, H)`` with ``N`` as in :func:`covariant_derivative_matrix`
+    and ``H[i, j, k] = ((nabla_{e_j} nabla xi)(e_k))^i``, the covariant
+    Hessian with the derivative direction first, as in ``field_jets``:
+
+        H[i, j, k] = d_j N[i, k] + Gamma^i_jl N[l, k] - Gamma^l_jk N[i, l].
+    """
+    cd = connection_data(chart, p)
+    val, jac, hess = field_jets(xi, p, 2)
+    Gam = cd.Gam
+    N = jac + np.einsum("ijk,k->ij", Gam, val)
+    # d_j N[i, k] = d_j d_k xi^i + d_j Gamma^i_kl xi^l + Gamma^i_kl d_j xi^l
+    dN = (
+        hess
+        + np.einsum("iklj,l->ijk", cd.dGam, val)
+        + np.einsum("ikl,lj->ijk", Gam, jac)
+    )
+    H = (
+        dN
+        + np.einsum("ijl,lk->ijk", Gam, N)
+        - np.einsum("ljk,il->ijk", Gam, N)
+    )
+    return N, H
+
+
 def covariant_derivative_field(chart: Chart, xi: FieldSpec, p) -> TensorValue:
     chart.require_interior(p)
     return TensorValue(

@@ -3,10 +3,21 @@
 Near a zero x where a conformal field is Killing for some rescaled metric,
 the zero set is the image under the exponential map of the kernel of the
 derivative 2-form at x.  ``trace_component`` builds that patch on a
-parameter grid; ``second_fundamental_form`` measures its extrinsic
-curvature; ``umbilicity_report`` decides whether the patch is totally
-umbilical (all second fundamental form values proportional to the induced
-metric with a common mean curvature vector).
+parameter grid and records the field on it; ``second_fundamental_form``
+measures its extrinsic curvature; ``umbilicity_report`` decides whether the
+patch is totally umbilical (all second fundamental form values
+proportional to the induced metric with a common mean curvature vector).
+
+On a traced patch the second fundamental form comes from exact jets of the
+field at the node.  On the zero set N, nabla xi vanishes on TN and is
+invertible on the normal space, and one more derivative along N gives
+
+    B(X, Y) = -(nabla xi|_{TN^perp})^{-1} (nabla^2 xi)(X, Y).
+
+A patch built from an explicit map (``SubmanifoldPatch.from_map``) has no
+field, so its second fundamental form comes from Richardson finite
+differences of the map; that path serves any submanifold and is the
+reference the jet formula is tested against.
 
 Total umbilicity is a conformally invariant property, so
 ``umbilicity_conformal_invariance_check`` reruns the report under a
@@ -26,13 +37,14 @@ from .conformal import conformal_factor, is_conformal, rescale_metric
 from .essential import (
     VERDICT_KILLING,
     _ball_sample,
-    _numerical_rank,
     classify_zero,
+    frame_svd,
 )
 from .geometry import (
     Chart,
     FieldSpec,
     christoffel_matrix,
+    covariant_hessian_matrix,
     dxi_form_matrix,
     field_norm,
     metric_jets,
@@ -44,6 +56,7 @@ from .geodesic import exp_map
 
 __all__ = [
     "PatchError",
+    "OffZeroSetError",
     "SubmanifoldPatch",
     "trace_component",
     "SecondFundamentalData",
@@ -63,14 +76,21 @@ class PatchError(RuntimeError):
     """A zero set patch could not be built or queried as requested."""
 
 
+class OffZeroSetError(PatchError):
+    """A traced patch failed verification: a sample is not a zero."""
+
+
 @dataclass(frozen=True, eq=False)
 class SubmanifoldPatch:
     """Parametrized piece of a submanifold, sampled on a grid.
 
     ``mapping`` sends a parameter vector of length k to chart coordinates
-    and must be smooth; the curvature routines finite-difference it with
-    internal steps, so it is evaluated off the grid as well.  For k = 0
-    the patch is a single point and ``samples`` has shape (dim,).
+    and must be smooth; without a ``field`` the curvature routines
+    finite-difference it with internal steps, so it is evaluated off the
+    grid as well.  ``field`` is the vector field whose zero set the patch
+    traces (set by ``trace_component``); with it the curvature comes from
+    exact jets at the grid nodes.  For k = 0 the patch is a single point
+    and ``samples`` has shape (dim,).
     """
 
     chart: Chart
@@ -82,6 +102,7 @@ class SubmanifoldPatch:
     max_field_norm: float
     codim: int
     mapping: Callable[[np.ndarray], np.ndarray]
+    field: FieldSpec | None = None
 
     @property
     def k(self) -> int:
@@ -102,7 +123,11 @@ class SubmanifoldPatch:
         param_axes,
         xi: FieldSpec | None = None,
     ) -> "SubmanifoldPatch":
-        """Wrap an explicit parametrization; field norms only if xi given."""
+        """Wrap an explicit parametrization; field norms only if xi given.
+
+        The patch carries no ``field`` even when xi is given, so its second
+        fundamental form always comes from differences of ``mapping``.
+        """
         param_axes = tuple(np.asarray(a, dtype=float) for a in param_axes)
         k = len(param_axes)
         shape = tuple(len(a) for a in param_axes)
@@ -144,20 +169,6 @@ def _map_tangent_frame(chart, mapping, t0, k):
     return mgs_orthonormalize(g, np.asarray(rows))
 
 
-def _dxi_kernel(chart: Chart, xi: FieldSpec, x: np.ndarray):
-    """g-orthonormal kernel basis (rows) and rank of the derivative 2-form."""
-    g, _, _ = metric_jets(chart, x, 0)
-    M = dxi_form_matrix(chart, xi, x)
-    L = np.linalg.cholesky(0.5 * (g + g.T))
-    Linv = np.linalg.inv(L)
-    M_frame = Linv @ M @ Linv.T
-    M_frame = 0.5 * (M_frame - M_frame.T)
-    _, sigma, Vt = np.linalg.svd(M_frame)
-    rank = _numerical_rank(sigma)
-    kernel = Vt[rank:] @ Linv if rank < chart.dim else np.empty((0, chart.dim))
-    return kernel, rank
-
-
 def trace_component(
     chart: Chart,
     xi: FieldSpec,
@@ -177,7 +188,8 @@ def trace_component(
     three and up the zero must classify as Killing after rescaling; in
     dimension two (where that classification is unavailable) conformality
     and phi(x) = 0 are checked directly.  Every sampled point is verified
-    to be a zero within ``verify_tol``.
+    to be a zero within ``verify_tol``; :class:`OffZeroSetError` reports
+    a patch that leaves the zero set.
     """
     if grid < 3 or grid % 2 == 0:
         raise ValueError("grid must be an odd integer >= 3 so the base is a node")
@@ -206,7 +218,8 @@ def trace_component(
             raise PatchError("field is not conformal near the zero")
         if abs(conformal_factor(chart, xi, x)) >= class_tol:
             raise PatchError("tracing in dimension two needs phi = 0 at the zero")
-        kernel, _ = _dxi_kernel(chart, xi, x)
+        g, _, _ = metric_jets(chart, x, 0)
+        kernel = frame_svd(g, dxi_form_matrix(chart, xi, x), "skew_form").kernel
 
     k = kernel.shape[0]
     n = chart.dim
@@ -223,10 +236,12 @@ def trace_component(
             max_field_norm=norm_at,
             codim=n,
             mapping=lambda t, _p=point: _p.copy(),
+            field=xi,
         )
 
-    # Fixed integrator step count across the whole patch keeps the mapping
-    # smooth in the parameters, which matters when it is differenced later.
+    # One integrator step count for the whole patch keeps the mapping a
+    # smooth function of the parameters, so point_at between the grid nodes
+    # agrees with the samples to integration accuracy.
     max_len = radius * math.sqrt(k)
     steps = max(32, int(math.ceil(steps_per_unit * max_len)))
 
@@ -245,7 +260,7 @@ def trace_component(
         norms[idx] = field_norm(chart, xi, p)
     worst = float(norms.max())
     if worst >= verify_tol:
-        raise PatchError(
+        raise OffZeroSetError(
             f"traced patch leaves the zero set: max |xi|_g = {worst:.3e} "
             f"exceeds {verify_tol:.1e}"
         )
@@ -259,6 +274,7 @@ def trace_component(
         max_field_norm=worst,
         codim=n - k,
         mapping=mapping,
+        field=xi,
     )
 
 
@@ -315,11 +331,23 @@ def second_fundamental_form(
     """B and the mean curvature vector at an interior grid node.
 
     ``chart`` supplies the ambient metric and may differ from
-    ``patch.chart`` (rescaled metrics reuse the same patch).  Derivatives
-    come from Richardson-extrapolated central differences of the patch
-    mapping with an internal step independent of the grid spacing, so
-    cells stay out of the truncation error.  Boundary nodes are refused:
-    one-sided differencing would degrade the result silently.
+    ``patch.chart`` (rescaled metrics reuse the same patch).
+
+    A patch that carries its field (a traced zero set) is handled from
+    exact jets at the node point ``patch.samples[index]``, with no further
+    evaluation of the mapping: the tangent frame is the g-orthonormal
+    kernel of nabla xi there, and B solves nabla xi B(X, Y) =
+    -(nabla^2 xi)(X, Y) on the normal space through the pseudo-inverse.
+    ``tangents`` and ``tangent_frame`` are then that frame and
+    ``induced_metric`` is the identity.
+
+    A patch without a field is differentiated instead: derivatives come
+    from Richardson-extrapolated central differences of the patch mapping
+    with an internal step independent of the grid spacing (``fd_step``), so
+    cells stay out of the truncation error, and ``tangents`` are the
+    parameter derivatives.  Boundary nodes are refused on both paths, so
+    both accept the same nodes: one-sided differencing would degrade the
+    difference path silently.
     """
     k = patch.k
     if k == 0:
@@ -333,6 +361,8 @@ def second_fundamental_form(
                 "second fundamental form needs an interior grid node; "
                 f"axis {a} index {i} touches the boundary"
             )
+    if patch.field is not None:
+        return _jet_second_fundamental_form(chart, patch, index)
     t0 = np.array([patch.param_axes[a][index[a]] for a in range(k)])
     spacing = min(
         float(np.min(np.diff(axis))) for axis in patch.param_axes
@@ -365,6 +395,33 @@ def second_fundamental_form(
         induced_metric=induced,
         normal_form=B,
         mean_curvature=H,
+        tangent_frame=frame,
+    )
+
+
+def _jet_second_fundamental_form(chart, patch, index) -> SecondFundamentalData:
+    k = patch.k
+    p = np.array(patch.samples[index], dtype=float)
+    g, _, _ = metric_jets(chart, p, 0)
+    N, H = covariant_hessian_matrix(chart, patch.field, p)
+    nabla_svd = frame_svd(g, N, "endomorphism")
+    frame = nabla_svd.kernel
+    if frame.shape[0] != k:
+        raise PatchError(
+            f"nabla xi has a {frame.shape[0]}-dimensional kernel at this node "
+            f"of a {k}-dimensional patch"
+        )
+    hess = np.einsum("ijk,aj,bk->abi", H, frame, frame)
+    B = -nabla_svd.solve(hess)
+    # Symmetric up to the curvature term R(X, Y) xi, which vanishes on the
+    # zero set; keep B exactly symmetric as the finite-difference path does.
+    B = 0.5 * (B + B.transpose(1, 0, 2))
+    return SecondFundamentalData(
+        point=p,
+        tangents=frame,
+        induced_metric=np.eye(k),
+        normal_form=B,
+        mean_curvature=np.einsum("aak->k", B) / k,
         tangent_frame=frame,
     )
 

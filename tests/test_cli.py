@@ -247,6 +247,25 @@ def test_circle_zero_scenario_via_manifest(tmp_path):
     assert all(r["codim_even"] for r in umb["patches"])
 
 
+def test_trace_off_the_zero_set_fails(tmp_path):
+    """sphere_killing(1, 4) vanishes on the unit circle in x1 = 0, which
+    exp_map of the flat metric leaves: the zeros are Killing-type, so the
+    traces are attempted, and a patch off the zero set is a failure."""
+    manifest = {
+        "chart": {"name": "euclidean", "dim": 3},
+        "field": {"name": "sphere_killing", "params": {"axis_i": 1, "axis_j": 4}},
+        "analyses": ["zeros", "trace", "umbilicity"],
+    }
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 1
+    trace = report["analyses"]["trace"]
+    assert trace["passed"] is False
+    assert trace["patches"] == []
+    assert all("leaves the zero set" in s["reason"] for s in trace["skipped"])
+    assert report["analyses"]["umbilicity"]["passed"] is False
+    assert report["analyses"]["zeros"]["passed"] is True
+
+
 def test_analysis_list_is_deduplicated_in_request_order(tmp_path):
     manifest = {
         "chart": {"name": "euclidean", "dim": 3},

@@ -183,6 +183,15 @@ def test_vector_expansion_rotation_first_order():
     assert res.second_residual < 1e-7
 
 
+def test_vector_expansion_at_homothetic_zero():
+    """At the zero of the scaling field phi = 1, so xi'(0) = phi v = v: the
+    phi v term of the first-order target is not zero here."""
+    eu = models.euler(FLAT3)
+    res = taylor_vector_check(FLAT3, eu, np.zeros(3), np.array([0.3, -1.0, 0.5]))
+    assert res.first_residual < 1e-9
+    assert np.linalg.norm(res.first_fd) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_vector_expansion_on_curved_chart():
     K = models.sphere_translation(SPHERE, 1)
     res = taylor_vector_check(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))

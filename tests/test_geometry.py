@@ -17,6 +17,7 @@ from confield.geometry import (
     complete_orthonormal_frame,
     covariant_derivative_field,
     covariant_derivative_matrix,
+    covariant_hessian_matrix,
     divergence,
     dxi_form_matrix,
     exterior_derivative_dual,
@@ -286,6 +287,45 @@ def test_killing_fields_have_vanishing_lie_derivative():
     eu = models.euler(FLAT3)
     L = lie_derivative_matrix(FLAT3, eu, p)
     assert np.abs(L - 2.0 * np.eye(3)).max() < 1e-14
+
+
+def test_covariant_hessian_against_differenced_derivative():
+    """H[i, j, k] = d_j N[i, k] + Gamma^i_jl N[l, k] - Gamma^l_jk N[i, l],
+    with d_j N taken by finite differences of covariant_derivative_matrix."""
+    cases = [
+        (SPHERE, models.sphere_killing(SPHERE, 1, 4), np.array([0.4, -0.7, 0.2])),
+        (HYPER, models.special_conformal(HYPER, 2), np.array([0.1, 0.3, -0.2])),
+    ]
+    for chart, xi, p in cases:
+        N, H = covariant_hessian_matrix(chart, xi, p)
+        assert np.array_equal(N, covariant_derivative_matrix(chart, xi, p))
+        Gam = christoffel_matrix(chart, p)
+        dN = np.empty((3, 3, 3))
+        for i in range(3):
+            for k in range(3):
+                f = lambda q, i=i, k=k: covariant_derivative_matrix(chart, xi, q)[i, k]
+                for j in range(3):
+                    dN[i, j, k] = fd_partial(f, p, j)
+        expected = (
+            dN + np.einsum("ijl,lk->ijk", Gam, N) - np.einsum("ljk,il->ijk", Gam, N)
+        )
+        assert np.abs(H - expected).max() < 1e-8
+
+
+def test_covariant_hessian_of_killing_fields_is_curvature():
+    """For a Killing field nabla^2_{X, Y} xi = R(X, xi) Y, an identity that
+    shares no code path with the Hessian assembly."""
+    cases = [
+        (SPHERE, models.sphere_killing(SPHERE, 1, 4), np.array([0.4, -0.7, 0.2])),
+        (HYPER, models.rotation(HYPER, 1, 2), np.array([0.1, 0.3, -0.2])),
+    ]
+    for chart, xi, p in cases:
+        _, H = covariant_hessian_matrix(chart, xi, p)
+        R = riemann_matrix(chart, p)
+        # R(e_j, xi) e_k = R[i, k, j, l] xi^l e_i
+        curv = np.einsum("ikjl,l->ijk", R, field_jets(xi, p, 0)[0])
+        assert np.abs(H).max() > 0.1
+        assert np.abs(H - curv).max() < 1e-12
 
 
 def test_field_jets_hessian_symmetry():

@@ -1,13 +1,16 @@
 """Zero set tracing, second fundamental form, and umbilicity reports."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import confield.geodesic as geodesic
 import confield.models as models
 from confield.expr import parse
 from confield.geometry import FieldSpec, metric_value, norm_vector
 from confield.zeroset import (
+    OffZeroSetError,
     PatchError,
     SubmanifoldPatch,
     second_fundamental_form,
@@ -17,7 +20,9 @@ from confield.zeroset import (
 )
 
 FLAT3 = models.euclidean(3)
+FLAT4 = models.euclidean(4)
 SPHERE = models.sphere_stereographic(3)
+HYP4 = models.hyperbolic_ball(4)
 
 
 # -- tracing ------------------------------------------------------------------
@@ -99,6 +104,22 @@ def test_two_dimensional_scaling_zero_refused():
     flat2 = models.euclidean(2)
     with pytest.raises(PatchError):
         trace_component(flat2, models.euler(flat2), np.zeros(2))
+
+
+def test_traced_patch_records_its_field():
+    xi = models.rotation(FLAT3, 1, 2)
+    assert trace_component(FLAT3, xi, np.zeros(3), radius=0.2, grid=5).field is xi
+    flat2 = models.euclidean(2)
+    rot2 = models.rotation(flat2, 1, 2)
+    assert trace_component(flat2, rot2, np.zeros(2)).field is rot2
+
+
+def test_patch_off_the_zero_set_is_its_own_error():
+    """exp_map of the flat metric leaves the unit circle that
+    sphere_killing(1, 4) vanishes on, so the verification refuses it."""
+    xi = models.sphere_killing(FLAT3, 1, 4)
+    with pytest.raises(OffZeroSetError, match="leaves the zero set"):
+        trace_component(FLAT3, xi, np.array([0.0, 1.0, 0.0]), radius=0.3, grid=5)
 
 
 def test_point_at_matches_samples():
@@ -185,6 +206,113 @@ def test_great_subsphere_is_minimal_in_round_metric():
     assert np.abs(report.mean_curvature_norms).max() < 1e-5
 
 
+# -- jet path against the finite-difference reference ----------------------------
+
+
+def _assert_jet_path_matches_fd(chart, patch, xi):
+    """Compare the jet path (patch given its field) with the FD path.
+
+    B is compared in the parameter basis: the FD tangents are
+    dP_a = C[a, c] e_c in the jet path's orthonormal frame e.
+    """
+    assert patch.field is None
+    jet_patch = dataclasses.replace(patch, field=xi)
+    fd_report = umbilicity_report(chart, patch)
+    jet_report = umbilicity_report(chart, jet_patch)
+    assert jet_report.verdict == fd_report.verdict
+    assert np.abs(
+        jet_report.mean_curvature_norms - fd_report.mean_curvature_norms
+    ).max() < 1e-8
+    for idx in fd_report.indices:
+        fd = second_fundamental_form(chart, patch, idx)
+        jet = second_fundamental_form(chart, jet_patch, idx)
+        assert np.array_equal(jet.point, fd.point)
+        g = metric_value(chart, jet.point)
+        e = jet.tangent_frame
+        assert np.abs(e @ g @ e.T - np.eye(patch.k)).max() < 1e-12
+        C = fd.tangents @ g @ e.T
+        B_param = np.einsum("ac,bd,cdk->abk", C, C, jet.normal_form)
+        assert np.abs(B_param - fd.normal_form).max() < 1e-8
+        assert np.abs(jet.mean_curvature - fd.mean_curvature).max() < 1e-8
+    return jet_report
+
+
+def test_jet_path_on_unit_circle_zero_set():
+    """sphere_killing(1, 4) vanishes on the unit circle in the plane x1 = 0,
+    which has |H| = 1 in flat space."""
+    xi = models.sphere_killing(FLAT3, 1, 4)
+    patch = SubmanifoldPatch.from_map(
+        FLAT3,
+        lambda t: np.array([0.0, math.cos(t[0]), math.sin(t[0])]),
+        (_linspace(-0.6, 0.6, 7),),
+        xi=xi,
+    )
+    assert patch.max_field_norm < 1e-14
+    report = _assert_jet_path_matches_fd(FLAT3, patch, xi)
+    assert report.verdict == "totally_umbilical"
+    assert np.abs(report.mean_curvature_norms - 1.0).max() < 1e-12
+    assert report.codim_even
+
+
+def test_jet_path_on_unit_two_sphere_zero_set():
+    """sphere_killing(1, 5) vanishes on the unit 2-sphere in x1 = 0."""
+    xi = models.sphere_killing(FLAT4, 1, 5)
+
+    def emb(t):
+        th, ph = t
+        return np.array(
+            [0.0, math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
+        )
+
+    patch = SubmanifoldPatch.from_map(
+        FLAT4, emb, (_linspace(1.0, 2.0, 5), _linspace(-0.5, 0.5, 5)), xi=xi
+    )
+    report = _assert_jet_path_matches_fd(FLAT4, patch, xi)
+    assert report.verdict == "totally_umbilical"
+    assert np.abs(report.mean_curvature_norms - 1.0).max() < 1e-12
+    assert report.codim_even
+
+
+@pytest.mark.parametrize(
+    "base", [np.zeros(4), np.array([0.0, 0.0, 0.15, -0.1])], ids=["origin", "off_origin"]
+)
+def test_jet_path_on_traced_hyperbolic_patches(base):
+    """The FD reference runs on the 3 x 3 sub-grid around traced node (1, 1),
+    through the traced mapping, to keep the number of exp_map calls small."""
+    xi = models.rotation(HYP4, 1, 2)
+    traced = trace_component(HYP4, xi, base, radius=0.2, grid=5)
+    assert traced.k == 2
+    sub = SubmanifoldPatch.from_map(
+        HYP4, traced.mapping, tuple(axis[0:3] for axis in traced.param_axes)
+    )
+    assert np.array_equal(sub.samples[1, 1], traced.samples[1, 1])
+    _assert_jet_path_matches_fd(HYP4, sub, xi)
+    report = umbilicity_report(HYP4, traced)
+    assert report.verdict == "totally_umbilical"
+    assert report.max_residual < 1e-9
+    assert np.abs(report.mean_curvature_norms).max() < 1e-9
+
+
+def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
+    """The jet path reads the traced samples only; exp_map is not called."""
+    xi = models.sphere_killing(SPHERE, 3, 4)
+    patch = trace_component(SPHERE, xi, np.array([1.0, 0.0, 0.0]), radius=0.4, grid=7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("geodesic integration in a traced umbilicity report")
+
+    monkeypatch.setattr(geodesic, "integrate_geodesic", refuse)
+    report = umbilicity_report(SPHERE, patch)
+    assert report.verdict == "totally_umbilical"
+    result = umbilicity_conformal_invariance_check(
+        SPHERE, patch, FieldSpec.scalar(SPHERE, parse("0.3*sin(x1)", 3))
+    )
+    assert result.verdicts_agree
+    # the guard is live: the finite-difference path does integrate
+    with pytest.raises(AssertionError, match="geodesic integration"):
+        second_fundamental_form(SPHERE, dataclasses.replace(patch, field=None), (3,))
+
+
 def test_from_map_records_field_norms_when_field_given():
     xi = models.rotation(FLAT3, 1, 2)
     patch = SubmanifoldPatch.from_map(
@@ -196,6 +324,7 @@ def test_from_map_records_field_norms_when_field_given():
     assert patch.field_norms is not None
     assert patch.field_norms.shape == (5,)
     assert patch.max_field_norm < 1e-12
+    assert patch.field is None
 
 
 def test_second_fundamental_form_refusals():
