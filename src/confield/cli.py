@@ -13,9 +13,11 @@ raised, 2 for malformed manifests or unusable charts/fields.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from . import __version__
 from .conformal import is_conformal
 from .essential import (
     VERDICT_INVALID,
-    VERDICT_KILLING,
     classify_zero,
     find_zeros,
     limit_point_audit,
@@ -36,7 +37,7 @@ from .geodesic import (
     taylor_vector_check,
 )
 from .geometry import Chart, ChartError, FieldSpec, MetricError, sample_interior
-from .models import CHART_BUILDERS, FIELD_BUILDERS, make_chart, make_field
+from .models import CHART_BUILDERS, FIELD_BUILDERS, field_params, make_chart, make_field
 from .zeroset import (
     OffZeroSetError,
     PatchError,
@@ -46,38 +47,57 @@ from .zeroset import (
 
 __all__ = ["main", "ManifestError", "run_manifest", "render_report"]
 
-ANALYSES = (
-    "check-conformal",
-    "zeros",
-    "classify",
-    "verify-identities",
-    "trace",
-    "umbilicity",
+
+class Setting(NamedTuple):
+    """One row of the settings table: a manifest key and how it is checked.
+
+    Nested keys are dotted (``tolerances.zero``).  An ``int`` setting must
+    be a JSON integer ``>= low``; a ``float`` setting a finite number
+    ``> low``.  ``flag`` is the ``confield run`` option that overrides the
+    manifest value, if there is one.
+    """
+
+    key: str
+    type: type
+    default: int | float
+    low: int | float
+    flag: str | None
+    help: str
+
+
+# In report order: the 'config' section lists the settings in this order.
+SETTINGS = (
+    Setting("seed", int, 0, 0, "--seed",
+            "seed of every random draw of the analyses"),
+    Setting("grid_resolution", int, 12, 3, "--grid-resolution",
+            "grid points per axis of the zero search"),
+    Setting("isolation_radius", float, 0.05, 0, "--isolation-radius",
+            "a zero with another zero this close is not isolated"),
+    Setting("trace_radius", float, 0.3, 0, "--trace-radius",
+            "half-width of the parameter grid of a traced patch"),
+    Setting("trace_grid", int, 5, 3, "--trace-grid",
+            "nodes per axis of a traced patch; odd, so the zero is a node"),
+    Setting("trace_max_patches", int, 2, 1, None,
+            "number of zero-set patches traced"),
+    Setting("fd_step", float, 1e-3, 0, "--fd-step",
+            "finite-difference step of the Taylor checks at zeros"),
+    Setting("geo_steps", int, 96, 1, "--geo-steps",
+            "RK4 steps per unit parameter length of traced geodesics"),
+    Setting("tolerances.zero", float, 1e-10, 0, "--zero-tol",
+            "field norm below which a polished point is a zero"),
+    Setting("tolerances.classification", float, 1e-6, 0, "--class-tol",
+            "tolerance of the zero classification and of tracing"),
+    Setting("tolerances.conformal", float, 1e-7, 0, "--conformal-tol",
+            "largest conformal-equation residual accepted"),
+    Setting("tolerances.umbilicity", float, 1e-4, 0, "--umbilicity-tol",
+            "largest umbilicity residual accepted"),
+    Setting("tolerances.identity", float, 1e-7, 0, "--identity-tol",
+            "largest derivative-identity residual accepted"),
+    Setting("samples.conformal_points", int, 100, 1, None,
+            "sample points of check-conformal"),
+    Setting("samples.identity_pairs", int, 50, 1, None,
+            "point and direction pairs of verify-identities"),
 )
-
-DEFAULT_TOLERANCES = {
-    "zero": 1e-10,
-    "classification": 1e-6,
-    "conformal": 1e-7,
-    "umbilicity": 1e-4,
-    "identity": 1e-7,
-}
-
-DEFAULT_SAMPLES = {
-    "conformal_points": 100,
-    "identity_pairs": 50,
-}
-
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "grid_resolution": 12,
-    "isolation_radius": 0.05,
-    "trace_radius": 0.3,
-    "trace_grid": 5,
-    "trace_max_patches": 2,
-    "fd_step": 1e-3,
-    "geo_steps": 96,
-}
 
 
 class ManifestError(ValueError):
@@ -195,8 +215,6 @@ def _build_chart(spec) -> Chart:
 def _build_field(chart: Chart, spec) -> FieldSpec:
     _require(isinstance(spec, dict), "manifest 'field' must be an object")
     if "name" in spec and "components" not in spec:
-        _require(spec["name"] in FIELD_BUILDERS,
-                 f"unknown field {spec['name']!r}; see 'confield catalog'")
         params = spec.get("params", {})
         _require(isinstance(params, dict), "'params' must be an object")
         try:
@@ -215,55 +233,31 @@ def _build_field(chart: Chart, spec) -> FieldSpec:
 
 
 def _resolve_config(manifest: dict, args) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
-    tolerances = dict(DEFAULT_TOLERANCES)
-    samples = dict(DEFAULT_SAMPLES)
-    for key in cfg:
-        if key in manifest:
-            cfg[key] = manifest[key]
-    if "tolerances" in manifest:
-        _require(isinstance(manifest["tolerances"], dict),
-                 "'tolerances' must be an object")
-        for key, value in manifest["tolerances"].items():
-            _require(key in tolerances,
-                     f"unknown tolerance {key!r}; known: {sorted(tolerances)}")
-            tolerances[key] = float(value)
-    if "samples" in manifest:
-        _require(isinstance(manifest["samples"], dict), "'samples' must be an object")
-        for key, value in manifest["samples"].items():
-            _require(key in samples,
-                     f"unknown sample count {key!r}; known: {sorted(samples)}")
-            samples[key] = int(value)
-
-    overrides = {
-        "seed": args.seed,
-        "grid_resolution": args.grid_resolution,
-        "isolation_radius": args.isolation_radius,
-        "trace_radius": args.trace_radius,
-        "trace_grid": args.trace_grid,
-        "fd_step": args.fd_step,
-        "geo_steps": args.geo_steps,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    if args.zero_tol is not None:
-        tolerances["zero"] = args.zero_tol
-    if args.class_tol is not None:
-        tolerances["classification"] = args.class_tol
-    if args.conformal_tol is not None:
-        tolerances["conformal"] = args.conformal_tol
-    if args.umbilicity_tol is not None:
-        tolerances["umbilicity"] = args.umbilicity_tol
-    if args.identity_tol is not None:
-        tolerances["identity"] = args.identity_tol
-
-    cfg["tolerances"] = tolerances
-    cfg["samples"] = samples
-    _require(isinstance(cfg["seed"], int), "'seed' must be an integer")
-    _require(int(cfg["grid_resolution"]) >= 3, "'grid_resolution' must be >= 3")
-    _require(int(cfg["trace_grid"]) >= 3 and int(cfg["trace_grid"]) % 2 == 1,
-             "'trace_grid' must be an odd integer >= 3")
+    """Table defaults, then manifest values, then flags; every value checked."""
+    cfg: dict = {}
+    for s in SETTINGS:
+        section, _, leaf = s.key.rpartition(".")
+        given = manifest.get(section, {}) if section else manifest
+        _require(isinstance(given, dict), f"{section!r} must be an object")
+        value = getattr(args, s.key, None)
+        if value is None:
+            value = given.get(leaf, s.default)
+        is_int = s.type is int
+        _require(isinstance(value, int if is_int else (int, float))
+                 and not isinstance(value, bool) and abs(value) <= sys.float_info.max,
+                 f"{s.key!r} must be {'an integer' if is_int else 'a finite number'}, "
+                 f"got {json.dumps(value)}")
+        value = s.type(value)
+        _require(value >= s.low if is_int else value > s.low,
+                 f"{s.key!r} must be {'>=' if is_int else '>'} {s.low}, got {value}")
+        node = cfg.setdefault(section, {}) if section else cfg
+        node[leaf] = value
+    for section, values in cfg.items():
+        if isinstance(values, dict):
+            for key in manifest.get(section, {}):
+                _require(key in values, f"unknown setting '{section}.{key}'; "
+                                        f"known: {list(values)}")
+    _require(cfg["trace_grid"] % 2 == 1, "'trace_grid' must be an odd integer >= 3")
     return cfg
 
 
@@ -535,6 +529,7 @@ _RUNNERS = {
     "trace": _run_trace,
     "umbilicity": _run_umbilicity,
 }
+ANALYSES = tuple(_RUNNERS)
 
 
 def run_manifest(manifest: dict, args) -> tuple[dict, int]:
@@ -586,6 +581,20 @@ def run_manifest(manifest: dict, args) -> tuple[dict, int]:
 
 
 def _schema() -> dict:
+    settings: dict = {}
+    for s in SETTINGS:
+        section, _, leaf = s.key.rpartition(".")
+        node = settings
+        if section:
+            node = settings.setdefault(section, {
+                "type": "object", "properties": {}, "additionalProperties": False,
+            })["properties"]
+        node[leaf] = {
+            "type": "integer" if s.type is int else "number",
+            "minimum" if s.type is int else "exclusiveMinimum": s.low,
+            "default": s.default,
+            "description": s.help,
+        }
     return {
         "type": "object",
         "required": ["chart", "field"],
@@ -639,44 +648,27 @@ def _schema() -> dict:
                 "type": "array",
                 "items": {"enum": list(ANALYSES) + ["all"]},
             },
-            "tolerances": {
-                "type": "object",
-                "properties": {k: {"type": "number"} for k in DEFAULT_TOLERANCES},
-                "additionalProperties": False,
-            },
-            "samples": {
-                "type": "object",
-                "properties": {k: {"type": "integer"} for k in DEFAULT_SAMPLES},
-                "additionalProperties": False,
-            },
-            **{
-                key: {"type": "integer" if isinstance(val, int) else "number"}
-                for key, val in DEFAULT_CONFIG.items()
-                if key not in ("tolerances", "samples")
-            },
+            **settings,
         },
     }
 
 
 def _catalog() -> dict:
+    def about(builder):
+        return inspect.getdoc(builder).splitlines()[0]
+
     return {
         "charts": [
-            {"name": "euclidean", "params": ["dim"],
-             "about": "flat metric on the box [-2, 2]^dim"},
-            {"name": "sphere_stereographic", "params": ["dim"],
-             "about": "round sphere, curvature +1, stereographic box [-3, 3]^dim"},
-            {"name": "hyperbolic_ball", "params": ["dim"],
-             "about": "Poincare ball, curvature -1, box of half-width 0.9/sqrt(dim)"},
+            {"name": name, "params": list(inspect.signature(builder).parameters),
+             "about": about(builder)}
+            for name, builder in CHART_BUILDERS.items()
         ],
         "fields": [
-            {"name": "translation", "params": {"axis": "int, default 1"}},
-            {"name": "rotation", "params": {"axis_i": "int, default 1",
-                                            "axis_j": "int, default 2"}},
-            {"name": "euler", "params": {}},
-            {"name": "special_conformal", "params": {"axis": "int, default 1"}},
-            {"name": "sphere_killing", "params": {"axis_i": "int, default 1",
-                                                  "axis_j": "int, default 2"}},
-            {"name": "sphere_translation", "params": {"axis": "int, default 1"}},
+            {"name": name,
+             "params": {key: {"type": type(default).__name__, "default": default}
+                        for key, default in field_params(name).items()},
+             "about": about(builder)}
+            for name, builder in FIELD_BUILDERS.items()
         ],
         "analyses": list(ANALYSES),
     }
@@ -692,18 +684,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an analysis manifest")
     run.add_argument("manifest", help="path to a JSON manifest")
     run.add_argument("--out", help="write the report to this file instead of stdout")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--zero-tol", type=float, default=None)
-    run.add_argument("--class-tol", type=float, default=None)
-    run.add_argument("--conformal-tol", type=float, default=None)
-    run.add_argument("--umbilicity-tol", type=float, default=None)
-    run.add_argument("--identity-tol", type=float, default=None)
-    run.add_argument("--isolation-radius", type=float, default=None)
-    run.add_argument("--grid-resolution", type=int, default=None)
-    run.add_argument("--trace-radius", type=float, default=None)
-    run.add_argument("--trace-grid", type=int, default=None)
-    run.add_argument("--fd-step", type=float, default=None)
-    run.add_argument("--geo-steps", type=int, default=None)
+    for s in SETTINGS:
+        if s.flag:
+            run.add_argument(s.flag, dest=s.key, type=s.type, metavar=s.type.__name__.upper(),
+                             help=f"{s.help} (manifest '{s.key}', default {s.default})")
 
     sub.add_parser("schema", help="print the manifest schema as JSON")
     sub.add_parser("catalog", help="print builtin charts, fields, analyses")

@@ -13,6 +13,7 @@ into a field with a single, essential zero.
 """
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "FIELD_BUILDERS",
     "make_chart",
     "make_field",
+    "field_params",
     "standard_pairs",
 ]
 
@@ -266,15 +268,28 @@ def make_chart(name: str, dim: int) -> Chart:
     return CHART_BUILDERS[name](dim)
 
 
+def field_params(name: str) -> dict:
+    """Keyword parameters of a catalog field, name -> default, from its builder."""
+    params = list(inspect.signature(FIELD_BUILDERS[name]).parameters.values())
+    return {p.name: p.default for p in params[1:]}  # params[0] is the chart
+
+
 def make_field(chart: Chart, name: str, params: dict | None = None) -> FieldSpec:
-    """Catalog field by name with keyword parameters from a manifest."""
+    """Catalog field by name with keyword parameters from a manifest.
+
+    Each parameter must be one of the builder's, of the type of its default.
+    """
     if name not in FIELD_BUILDERS:
         known = ", ".join(sorted(FIELD_BUILDERS))
         raise ValueError(f"unknown field {name!r}; available: {known}")
-    try:
-        return FIELD_BUILDERS[name](chart, **(params or {}))
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for field {name!r}: {exc}") from exc
+    params = params or {}
+    known = field_params(name)
+    for key, value in params.items():
+        if key not in known or type(value) is not type(known[key]):
+            takes = ", ".join(f"{k}: {type(d).__name__} = {d!r}" for k, d in known.items())
+            raise ValueError(f"bad parameters for field {name!r}: got {key}={value!r}, "
+                             f"takes ({takes})")
+    return FIELD_BUILDERS[name](chart, **params)
 
 
 def standard_pairs(dim: int) -> list:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from confield.cli import main, render_report
+from confield.cli import SETTINGS, main, render_report
 
 
 def _write_manifest(tmp_path, payload, name="manifest.json"):
@@ -20,6 +20,12 @@ def _run_to_report(tmp_path, manifest, extra_args=(), name="m.json"):
     code = main(["run", mpath, "--out", str(out), *extra_args])
     return code, json.loads(out.read_text())
 
+
+ZEROS_MANIFEST = {
+    "chart": {"name": "euclidean", "dim": 3},
+    "field": {"name": "rotation"},
+    "analyses": ["zeros"],
+}
 
 ROTATION_MANIFEST = {
     "chart": {"name": "euclidean", "dim": 3},
@@ -82,7 +88,13 @@ def test_schema_and_catalog_commands(capsys):
     assert {c["name"] for c in catalog["charts"]} == {
         "euclidean", "sphere_stereographic", "hyperbolic_ball",
     }
-    assert "rotation" in {f["name"] for f in catalog["fields"]}
+    fields = {f["name"]: f for f in catalog["fields"]}
+    assert fields["rotation"]["params"] == {
+        "axis_i": {"type": "int", "default": 1},
+        "axis_j": {"type": "int", "default": 2},
+    }
+    assert fields["euler"]["params"] == {}
+    assert all(entry["about"] for entry in catalog["charts"] + catalog["fields"])
     assert set(catalog["analyses"]) == {
         "check-conformal", "zeros", "classify",
         "verify-identities", "trace", "umbilicity",
@@ -123,6 +135,21 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
          "metric"),
         ({"chart": {"name": "euclidean", "dim": 1},
           "field": {"name": "rotation"}, "analyses": ["zeros"]}, "dim"),
+        *[({**ZEROS_MANIFEST, **bad}, needle) for bad, needle in [
+            ({"tolerances": {"zero": "abc"}}, "tolerances.zero"),
+            ({"grid_resolution": "x"}, "grid_resolution"),
+            ({"seed": -1}, "seed"),
+            ({"trace_radius": "big"}, "trace_radius"),
+            ({"samples": {"conformal_points": 0}}, "samples.conformal_points"),
+            ({"seed": True}, "seed"),
+            ({"isolation_radius": -1}, "isolation_radius"),
+            ({"fd_step": None}, "fd_step"),
+            ({"grid_resolution": 2.5}, "grid_resolution"),
+        ]],
+        ({**ZEROS_MANIFEST, "field": {"name": "rotation", "params": {"axis_i": 1.0}}},
+         "axis_i"),
+        ({**ZEROS_MANIFEST, "field": {"name": "rotation", "params": {"axis_i": True}}},
+         "axis_i"),
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
@@ -130,6 +157,58 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
     err = capsys.readouterr().err
     assert code == 2
     assert needle in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--seed", "-1"], "seed"),
+    (["--grid-resolution", "2"], "grid_resolution"),
+])
+def test_malformed_flags_exit_two(tmp_path, capsys, flags, needle):
+    code = main(["run", _write_manifest(tmp_path, ZEROS_MANIFEST), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert needle in err
+
+
+def _with_setting(manifest, key, value):
+    section, _, leaf = key.rpartition(".")
+    out = {**manifest}
+    if section:
+        out[section] = {leaf: value}
+    else:
+        out[leaf] = value
+    return out
+
+
+def _lookup(tree, key):
+    for part in key.split("."):
+        tree = tree[part]
+    return tree
+
+
+@pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.key)
+def test_every_setting_is_typed_ranged_and_defaulted(tmp_path, capsys, setting):
+    """Each row of the settings table: a wrong type and a value just out of
+    range exit 2 naming the key; the default is reported and in the schema."""
+    out_of_range = setting.low - 1 if setting.type is int else setting.low
+    wrong_type = 2.5 if setting.type is int else "x"
+    for bad in (wrong_type, True, out_of_range):
+        path = _write_manifest(tmp_path, _with_setting(ZEROS_MANIFEST, setting.key, bad))
+        assert main(["run", path]) == 2
+        assert setting.key in capsys.readouterr().err
+
+    code, report = _run_to_report(tmp_path, ZEROS_MANIFEST)
+    assert code == 0
+    assert _lookup(report["config"], setting.key) == setting.default
+
+    assert main(["schema"]) == 0
+    props = json.loads(capsys.readouterr().out)["properties"]
+    section, _, leaf = setting.key.rpartition(".")
+    entry = (props[section]["properties"] if section else props)[leaf]
+    assert entry["default"] == setting.default
+    bound = "minimum" if setting.type is int else "exclusiveMinimum"
+    assert entry[bound] == setting.low
 
 
 # -- full runs ---------------------------------------------------------------------
