@@ -1,8 +1,8 @@
 """Command line front end: run analysis manifests, print catalog and schema.
 
 ``confield run manifest.json`` reads a JSON manifest describing a chart, a
-field, and a list of analyses, executes them in the declared order with a
-single seeded generator, and emits a JSON report.  Reports are
+field, and a list of analyses, executes them in the declared order, each
+with its own seeded random stream, and emits a JSON report.  Reports are
 byte-identical across runs for the same manifest and seed: floats are
 written with 17 significant digits through a deterministic writer rather
 than the default repr, and non-finite values become strings.
@@ -68,7 +68,7 @@ class Setting(NamedTuple):
 # In report order: the 'config' section lists the settings in this order.
 SETTINGS = (
     Setting("seed", int, 0, 0, "--seed",
-            "seed of every random draw of the analyses"),
+            "seed of the random draws; each analysis has its own stream"),
     Setting("grid_resolution", int, 12, 3, "--grid-resolution",
             "grid points per axis of the zero search"),
     Setting("isolation_radius", float, 0.05, 0, "--isolation-radius",
@@ -284,13 +284,17 @@ def _resolve_analyses(manifest: dict) -> list:
 class _Session:
     """Shared lazily-computed state threaded through the analyses."""
 
-    def __init__(self, chart, xi, cfg, rng):
+    def __init__(self, chart, xi, cfg):
         self.chart = chart
         self.xi = xi
         self.cfg = cfg
-        self.rng = rng
         self._zeros = None
         self._patches = None
+
+    def stream(self, analysis: str) -> np.random.Generator:
+        """A fresh generator of the analysis' own stream: its numbers do not
+        depend on which other analyses run."""
+        return np.random.default_rng([self.cfg["seed"], ANALYSES.index(analysis)])
 
     @property
     def zeros(self):
@@ -298,7 +302,7 @@ class _Session:
             self._zeros = find_zeros(
                 self.chart,
                 self.xi,
-                grid_resolution=int(self.cfg["grid_resolution"]),
+                grid_resolution=self.cfg["grid_resolution"],
                 tol=self.cfg["tolerances"]["zero"],
             )
         return self._zeros
@@ -309,9 +313,10 @@ class _Session:
         tol = self.cfg["tolerances"]
         built = []
         errors = []
-        limit = int(self.cfg["trace_max_patches"])
+        # The patches serve trace and umbilicity alike: one stream for both.
+        rng = self.stream("trace")
         for z in self.zeros:
-            if len(built) >= limit:
+            if len(built) >= self.cfg["trace_max_patches"]:
                 break
             try:
                 patch = trace_component(
@@ -319,11 +324,11 @@ class _Session:
                     self.xi,
                     z,
                     radius=self.cfg["trace_radius"],
-                    grid=int(self.cfg["trace_grid"]),
+                    grid=self.cfg["trace_grid"],
                     class_tol=tol["classification"],
                     conformal_tol=tol["conformal"],
-                    steps_per_unit=float(self.cfg["geo_steps"]),
-                    rng=self.rng,
+                    steps_per_unit=self.cfg["geo_steps"],
+                    rng=rng,
                 )
             except (PatchError, DomainExitError) as exc:
                 # Refused zeros (not Killing-type, geodesics leaving the
@@ -341,7 +346,8 @@ class _Session:
 
 def _run_check_conformal(session: _Session) -> dict:
     cfg = session.cfg
-    pts = sample_interior(session.chart, cfg["samples"]["conformal_points"], session.rng)
+    pts = sample_interior(session.chart, cfg["samples"]["conformal_points"],
+                          session.stream("check-conformal"))
     report = is_conformal(session.chart, session.xi, pts, cfg["tolerances"]["conformal"])
     return {
         "passed": bool(report.conformal),
@@ -359,7 +365,7 @@ def _run_zeros(session: _Session) -> dict:
         "count": int(len(zeros)),
         "points": zeros,
         "tolerance": session.cfg["tolerances"]["zero"],
-        "grid_resolution": int(session.cfg["grid_resolution"]),
+        "grid_resolution": session.cfg["grid_resolution"],
     }
 
 
@@ -367,6 +373,7 @@ def _run_classify(session: _Session) -> dict:
     cfg = session.cfg
     tol = cfg["tolerances"]
     zeros = session.zeros
+    rng = session.stream("classify")
     entries = []
     verdicts_ok = True
     for z in zeros:
@@ -376,7 +383,7 @@ def _run_classify(session: _Session) -> dict:
             z,
             tol=tol["classification"],
             conformal_tol=tol["conformal"],
-            rng=session.rng,
+            rng=rng,
         )
         verdicts_ok = verdicts_ok and cls.verdict != VERDICT_INVALID
         entries.append(
@@ -399,7 +406,7 @@ def _run_classify(session: _Session) -> dict:
             radius=cfg["isolation_radius"],
             tol=tol["classification"],
             conformal_tol=tol["conformal"],
-            rng=session.rng,
+            rng=rng,
         )
         audit = {
             "radius": audit_result.radius,
@@ -419,21 +426,22 @@ def _run_verify_identities(session: _Session) -> dict:
     cfg = session.cfg
     tol = cfg["tolerances"]["identity"]
     pairs = cfg["samples"]["identity_pairs"]
-    pts = sample_interior(session.chart, pairs, session.rng)
-    dirs = session.rng.normal(size=(pairs, session.chart.dim))
-    worst = 0.0
-    for p, X in zip(pts, dirs):
-        worst = max(worst, dxi_identity_residual(session.chart, session.xi, p, X))
+    rng = session.stream("verify-identities")
+    pts = sample_interior(session.chart, pairs, rng)
+    dirs = rng.normal(size=(pairs, session.chart.dim))
+    # np.max, unlike max(), propagates a NaN residual to the gate.
+    worst = float(np.max([dxi_identity_residual(session.chart, session.xi, p, X)
+                          for p, X in zip(pts, dirs)]))
     result = {
-        "pairs": int(pairs),
+        "pairs": pairs,
         "max_identity_residual": worst,
         "identity_tolerance": tol,
     }
-    passed = worst < tol
+    passed = bool(np.isfinite(worst) and worst < tol)
 
     taylor = []
     for z in session.zeros[:4]:
-        v = session.rng.normal(size=session.chart.dim)
+        v = rng.normal(size=session.chart.dim)
         try:
             scalar = taylor_scalar_check(
                 session.chart, session.xi, z, v, fd_step=cfg["fd_step"]
@@ -476,7 +484,7 @@ def _run_trace(session: _Session) -> dict:
                 "codim": patch.codim,
                 "max_field_norm": patch.max_field_norm,
                 "radius": session.cfg["trace_radius"],
-                "grid": int(session.cfg["trace_grid"]),
+                "grid": session.cfg["trace_grid"],
             }
         )
     skipped = [
@@ -541,21 +549,16 @@ def run_manifest(manifest: dict, args) -> tuple[dict, int]:
     xi = _build_field(chart, manifest["field"])
     analyses = _resolve_analyses(manifest)
     cfg = _resolve_config(manifest, args)
-    rng = np.random.default_rng(cfg["seed"])
-    session = _Session(chart, xi, cfg, rng)
+    session = _Session(chart, xi, cfg)
 
     results = {}
-    overall = True
-    exit_code = 0
     for name in analyses:
         try:
             outcome = _RUNNERS[name](session)
         except Exception as exc:  # analysis-level failure, not a usage error
             outcome = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
-        if not outcome.get("passed", False):
-            overall = False
-            exit_code = 1
         results[name] = outcome
+    passed = all(outcome.get("passed", False) for outcome in results.values())
 
     report = {
         "version": __version__,
@@ -571,9 +574,9 @@ def run_manifest(manifest: dict, args) -> tuple[dict, int]:
         },
         "config": cfg,
         "analyses": results,
-        "passed": bool(overall),
+        "passed": passed,
     }
-    return report, exit_code
+    return report, 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

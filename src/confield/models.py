@@ -275,10 +275,7 @@ def field_params(name: str) -> dict:
 
 
 def make_field(chart: Chart, name: str, params: dict | None = None) -> FieldSpec:
-    """Catalog field by name with keyword parameters from a manifest.
-
-    Each parameter must be one of the builder's, of the type of its default.
-    """
+    """Catalog field by name; params must be the builder's, typed as their defaults."""
     if name not in FIELD_BUILDERS:
         known = ", ".join(sorted(FIELD_BUILDERS))
         raise ValueError(f"unknown field {name!r}; available: {known}")
@@ -286,9 +283,8 @@ def make_field(chart: Chart, name: str, params: dict | None = None) -> FieldSpec
     known = field_params(name)
     for key, value in params.items():
         if key not in known or type(value) is not type(known[key]):
-            takes = ", ".join(f"{k}: {type(d).__name__} = {d!r}" for k, d in known.items())
             raise ValueError(f"bad parameters for field {name!r}: got {key}={value!r}, "
-                             f"takes ({takes})")
+                             f"defaults are {known}")
     return FIELD_BUILDERS[name](chart, **params)
 
 

@@ -188,8 +188,8 @@ def trace_component(
     three and up the zero must classify as Killing after rescaling; in
     dimension two (where that classification is unavailable) conformality
     and phi(x) = 0 are checked directly.  Every sampled point is verified
-    to be a zero within ``verify_tol``; :class:`OffZeroSetError` reports
-    a patch that leaves the zero set.
+    to be a zero within ``verify_tol`` as soon as it is mapped;
+    :class:`OffZeroSetError` reports the first sample off the zero set.
     """
     if grid < 3 or grid % 2 == 0:
         raise ValueError("grid must be an odd integer >= 3 so the base is a node")
@@ -255,15 +255,13 @@ def trace_component(
     norms = np.empty(shape)
     for idx in np.ndindex(*shape):
         t = np.array([param_axes[a][idx[a]] for a in range(k)])
-        p = mapping(t)
-        samples[idx] = p
-        norms[idx] = field_norm(chart, xi, p)
-    worst = float(norms.max())
-    if worst >= verify_tol:
-        raise OffZeroSetError(
-            f"traced patch leaves the zero set: max |xi|_g = {worst:.3e} "
-            f"exceeds {verify_tol:.1e}"
-        )
+        samples[idx] = mapping(t)
+        norms[idx] = field_norm(chart, xi, samples[idx])
+        if not norms[idx] < verify_tol:
+            raise OffZeroSetError(
+                f"traced patch leaves the zero set: |xi|_g = {norms[idx]:.3e} "
+                f"at t = {t} exceeds {verify_tol:.1e}"
+            )
     return SubmanifoldPatch(
         chart=chart,
         base=x.copy(),
@@ -271,7 +269,7 @@ def trace_component(
         param_axes=param_axes,
         samples=samples,
         field_norms=norms,
-        max_field_norm=worst,
+        max_field_norm=float(norms.max()),
         codim=n - k,
         mapping=mapping,
         field=xi,

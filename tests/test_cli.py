@@ -354,3 +354,33 @@ def test_analysis_list_is_deduplicated_in_request_order(tmp_path):
     code, report = _run_to_report(tmp_path, manifest)
     assert code == 0
     assert list(report["analyses"]) == ["zeros", "check-conformal"]
+
+
+def test_nan_identity_residual_fails_the_gate(tmp_path):
+    """1e200*1e200 overflows to inf, so the identity residuals are NaN;
+    they must fail verify-identities, not vanish from its maximum."""
+    manifest = {
+        "chart": {"name": "euclidean", "dim": 3},
+        "field": {"components": ["1e200*1e200*x1", "0", "0"]},
+        "analyses": ["verify-identities"],
+    }
+    with np.errstate(all="ignore"):
+        code, report = _run_to_report(tmp_path, manifest)
+    assert code == 1
+    identities = report["analyses"]["verify-identities"]
+    assert identities["max_identity_residual"] == "nan"
+    assert identities["passed"] is False
+
+
+def test_classify_numbers_do_not_depend_on_other_analyses(tmp_path):
+    """Each analysis draws from its own random stream."""
+    base = {
+        "chart": {"name": "sphere_stereographic", "dim": 3},
+        "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
+        "seed": 1,
+    }
+    _, alone = _run_to_report(tmp_path, {**base, "analyses": ["classify"]}, name="a.json")
+    _, after = _run_to_report(
+        tmp_path, {**base, "analyses": ["check-conformal", "classify"]}, name="b.json"
+    )
+    assert alone["analyses"]["classify"] == after["analyses"]["classify"]

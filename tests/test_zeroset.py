@@ -7,6 +7,7 @@ import pytest
 
 import confield.geodesic as geodesic
 import confield.models as models
+import confield.zeroset as zeroset
 from confield.expr import parse
 from confield.geometry import FieldSpec, metric_value, norm_vector
 from confield.zeroset import (
@@ -114,12 +115,22 @@ def test_traced_patch_records_its_field():
     assert trace_component(flat2, rot2, np.zeros(2)).field is rot2
 
 
-def test_patch_off_the_zero_set_is_its_own_error():
+def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
     """exp_map of the flat metric leaves the unit circle that
-    sphere_killing(1, 4) vanishes on, so the verification refuses it."""
+    sphere_killing(1, 4) vanishes on, so the verification refuses it at
+    the first sample, the corner of the grid, without mapping the rest."""
+    mapped = []
+    exp_map = zeroset.exp_map
+
+    def counting(*args, **kwargs):
+        mapped.append(1)
+        return exp_map(*args, **kwargs)
+
+    monkeypatch.setattr(zeroset, "exp_map", counting)
     xi = models.sphere_killing(FLAT3, 1, 4)
     with pytest.raises(OffZeroSetError, match="leaves the zero set"):
         trace_component(FLAT3, xi, np.array([0.0, 1.0, 0.0]), radius=0.3, grid=5)
+    assert len(mapped) == 1
 
 
 def test_point_at_matches_samples():
