@@ -169,6 +169,7 @@ def test_malformed_flags_exit_two(tmp_path, capsys, flags, needle):
     err = capsys.readouterr().err
     assert code == 2
     assert needle in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def _with_setting(manifest, key, value):
