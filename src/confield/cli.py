@@ -81,8 +81,6 @@ SETTINGS = (
             "number of zero-set patches traced"),
     Setting("fd_step", float, 1e-3, 0, "--fd-step",
             "finite-difference step of the Taylor checks at zeros"),
-    Setting("geo_steps", int, 96, 1, "--geo-steps",
-            "RK4 steps per unit parameter length of traced geodesics"),
     Setting("tolerances.zero", float, 1e-10, 0, "--zero-tol",
             "field norm below which a polished point is a zero"),
     Setting("tolerances.classification", float, 1e-6, 0, "--class-tol",
@@ -252,11 +250,13 @@ def _resolve_config(manifest: dict, args) -> dict:
                  f"{s.key!r} must be {'>=' if is_int else '>'} {s.low}, got {value}")
         node = cfg.setdefault(section, {}) if section else cfg
         node[leaf] = value
-    for section, values in cfg.items():
-        if isinstance(values, dict):
-            for key in manifest.get(section, {}):
-                _require(key in values, f"unknown setting '{section}.{key}'; "
-                                        f"known: {list(values)}")
+    known = ["chart", "field", "analyses", *cfg]
+    for key in manifest:
+        _require(key in known, f"unknown setting {key!r}; known: {known}")
+        if isinstance(cfg.get(key), dict):
+            for leaf in manifest[key]:
+                _require(leaf in cfg[key], f"unknown setting '{key}.{leaf}'; "
+                                           f"known: {list(cfg[key])}")
     _require(cfg["trace_grid"] % 2 == 1, "'trace_grid' must be an odd integer >= 3")
     return cfg
 
@@ -327,11 +327,10 @@ class _Session:
                     grid=self.cfg["trace_grid"],
                     class_tol=tol["classification"],
                     conformal_tol=tol["conformal"],
-                    steps_per_unit=self.cfg["geo_steps"],
                     rng=rng,
                 )
-            except (PatchError, DomainExitError) as exc:
-                # Refused zeros (not Killing-type, geodesics leaving the
+            except PatchError as exc:
+                # Refused zeros (not Killing-type, a correction leaving the
                 # chart) are skips; a patch off the zero set is a failure.
                 errors.append({
                     "zero": z,
@@ -374,8 +373,8 @@ def _run_classify(session: _Session) -> dict:
     tol = cfg["tolerances"]
     zeros = session.zeros
     rng = session.stream("classify")
+    classifications = []
     entries = []
-    verdicts_ok = True
     for z in zeros:
         cls = classify_zero(
             session.chart,
@@ -385,7 +384,7 @@ def _run_classify(session: _Session) -> dict:
             conformal_tol=tol["conformal"],
             rng=rng,
         )
-        verdicts_ok = verdicts_ok and cls.verdict != VERDICT_INVALID
+        classifications.append(cls)
         entries.append(
             {
                 "point": cls.point,
@@ -398,21 +397,14 @@ def _run_classify(session: _Session) -> dict:
             }
         )
     audit = None
-    if len(zeros):
-        audit_result = limit_point_audit(
-            session.chart,
-            session.xi,
-            zeros,
-            radius=cfg["isolation_radius"],
-            tol=tol["classification"],
-            conformal_tol=tol["conformal"],
-            rng=rng,
-        )
+    if classifications:
+        audit_result = limit_point_audit(classifications, radius=cfg["isolation_radius"])
         audit = {
             "radius": audit_result.radius,
             "assertions": audit_result.assertions,
             "passed": audit_result.passed,
         }
+    verdicts_ok = all(cls.verdict != VERDICT_INVALID for cls in classifications)
     passed = verdicts_ok and (audit is None or audit["passed"])
     return {
         "passed": bool(passed),
@@ -601,6 +593,7 @@ def _schema() -> dict:
     return {
         "type": "object",
         "required": ["chart", "field"],
+        "additionalProperties": False,
         "properties": {
             "chart": {
                 "oneOf": [

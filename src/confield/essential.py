@@ -15,8 +15,8 @@ dimension at least three; two-dimensional charts raise
 :class:`ClassificationDimensionError`.
 
 ``find_zeros`` locates zeros by a grid scan followed by damped Newton
-polishing, and ``limit_point_audit`` cross-checks the found zeros against
-the structure theory: non-isolated zeros must classify as Killing for a
+polishing, and ``limit_point_audit`` cross-checks the classified zeros
+against the structure theory: non-isolated zeros must classify as Killing for a
 rescaled metric, and essential zeros must be isolated.
 """
 from __future__ import annotations
@@ -373,33 +373,23 @@ class LimitPointAudit:
     radius: float
 
 
-def limit_point_audit(
-    chart: Chart,
-    xi: FieldSpec,
-    zeros,
-    radius: float = 0.05,
-    tol: float = 1e-6,
-    conformal_tol: float = 1e-7,
-    rng=None,
-) -> LimitPointAudit:
-    """Check isolation/verdict consistency over a set of zeros.
+def limit_point_audit(classifications, radius: float = 0.05) -> LimitPointAudit:
+    """Check isolation/verdict consistency over a set of classified zeros.
 
-    A zero with another zero closer than ``radius`` is treated as
+    ``classifications`` are the :class:`ZeroClassification` of the found
+    zeros.  A zero with another zero closer than ``radius`` is treated as
     non-isolated.  Non-isolated zeros must classify as Killing after a
     rescaling (limit points of the zero set force phi = 0 and the gradient
     condition), and essential zeros must be isolated.
     """
-    zeros = np.atleast_2d(np.asarray(zeros, dtype=float))
-    if rng is None:
-        rng = np.random.default_rng(0)
+    zeros = np.array([cls.point for cls in classifications], dtype=float)
     entries = []
     non_isolated_ok = True
     essential_ok = True
-    for i, z in enumerate(zeros):
+    for i, (z, cls) in enumerate(zip(zeros, classifications)):
         others = np.delete(zeros, i, axis=0)
         nearest = float(np.min(np.linalg.norm(others - z, axis=1))) if len(others) else np.inf
         isolated = nearest >= radius
-        cls = classify_zero(chart, xi, z, tol=tol, conformal_tol=conformal_tol, rng=rng)
         if not isolated and cls.verdict != VERDICT_KILLING:
             non_isolated_ok = False
         if cls.verdict == VERDICT_ESSENTIAL and not isolated:

@@ -1,12 +1,16 @@
 """Zero set components as patches, with umbilicity diagnostics.
 
 Near a zero x where a conformal field is Killing for some rescaled metric,
-the zero set is the image under the exponential map of the kernel of the
-derivative 2-form at x.  ``trace_component`` builds that patch on a
-parameter grid and records the field on it; ``second_fundamental_form``
-measures its extrinsic curvature; ``umbilicity_report`` decides whether the
-patch is totally umbilical (all second fundamental form values
-proportional to the induced metric with a common mean curvature vector).
+the zero set is a submanifold tangent at x to the kernel of the derivative
+2-form.  ``trace_component`` builds a patch of it as a graph over that
+tangent space: a parameter t, a coordinate in the g-orthonormal kernel
+frame at x, is moved from x + t.kernel onto xi = 0 along the normal space
+by Gauss-Newton steps, the corrector step of Allgower & Georg, *Numerical
+Continuation Methods* (1990), ch. 3.  The patch records the field on its
+parameter grid; ``second_fundamental_form`` measures its extrinsic
+curvature; ``umbilicity_report`` decides whether the patch is totally
+umbilical (all second fundamental form values proportional to the induced
+metric with a common mean curvature vector).
 
 On a traced patch the second fundamental form comes from exact jets of the
 field at the node.  On the zero set N, nabla xi vanishes on TN and is
@@ -46,13 +50,13 @@ from .geometry import (
     christoffel_matrix,
     covariant_hessian_matrix,
     dxi_form_matrix,
+    field_jets,
     field_norm,
     metric_jets,
     mgs_orthonormalize,
     norm_vector,
     spd_inverse,
 )
-from .geodesic import exp_map
 
 __all__ = [
     "PatchError",
@@ -70,6 +74,12 @@ __all__ = [
 VERDICT_UMBILICAL = "totally_umbilical"
 VERDICT_NOT_UMBILICAL = "not_umbilical"
 VERDICT_POINT = "point"
+
+# The corrector onto xi = 0 stops at a step below rounding, or after
+# _CORRECTOR_STEPS Gauss-Newton steps; a sample it leaves off the zero set
+# is refused by the verification.
+_ROUNDING = 8.0 * np.finfo(float).eps
+_CORRECTOR_STEPS = 20
 
 
 class PatchError(RuntimeError):
@@ -178,18 +188,25 @@ def trace_component(
     class_tol: float = 1e-6,
     conformal_tol: float = 1e-7,
     verify_tol: float = 1e-5,
-    steps_per_unit: float = 96.0,
     rng=None,
 ) -> SubmanifoldPatch:
     """Patch of the zero set component through the zero x.
 
-    The patch is exp_x applied to the kernel of the derivative 2-form,
-    sampled on a k-dimensional grid of side ``2 radius``.  In dimension
-    three and up the zero must classify as Killing after rescaling; in
-    dimension two (where that classification is unavailable) conformality
-    and phi(x) = 0 are checked directly.  Every sampled point is verified
-    to be a zero within ``verify_tol`` as soon as it is mapped;
-    :class:`OffZeroSetError` reports the first sample off the zero set.
+    The parameter t is a coordinate in the g-orthonormal frame of the
+    kernel of the derivative 2-form at x; the grid has side ``2 radius``.
+    The point for t is x + t.kernel corrected onto xi = 0 along the normal
+    space at x (the rows g-orthogonal to the kernel) by Gauss-Newton, so
+    the patch is the zero set as a graph over its tangent space at x and,
+    by the implicit function theorem, smooth in t.  A correction that
+    leaves the chart raises :class:`PatchError`.  For a zero with a trivial
+    kernel the patch is that one point.
+
+    In dimension three and up the zero must classify as Killing after
+    rescaling; in dimension two (where that classification is unavailable)
+    conformality and phi(x) = 0 are checked directly.  Every sampled point
+    is verified to be a zero within ``verify_tol`` as soon as it is
+    mapped; :class:`OffZeroSetError` reports the first sample off the zero
+    set.
     """
     if grid < 3 or grid % 2 == 0:
         raise ValueError("grid must be an odd integer >= 3 so the base is a node")
@@ -198,6 +215,7 @@ def trace_component(
     if rng is None:
         rng = np.random.default_rng(0)
 
+    g, _, _ = metric_jets(chart, x, 0)
     if chart.dim >= 3:
         cls = classify_zero(
             chart, xi, x, tol=class_tol, conformal_tol=conformal_tol, rng=rng
@@ -218,36 +236,26 @@ def trace_component(
             raise PatchError("field is not conformal near the zero")
         if abs(conformal_factor(chart, xi, x)) >= class_tol:
             raise PatchError("tracing in dimension two needs phi = 0 at the zero")
-        g, _, _ = metric_jets(chart, x, 0)
         kernel = frame_svd(g, dxi_form_matrix(chart, xi, x), "skew_form").kernel
 
     k = kernel.shape[0]
     n = chart.dim
-    if k == 0:
-        point = x.copy()
-        norm_at = field_norm(chart, xi, point)
-        return SubmanifoldPatch(
-            chart=chart,
-            base=point,
-            tangent_basis=np.empty((0, n)),
-            param_axes=(),
-            samples=point,
-            field_norms=np.asarray(norm_at),
-            max_field_norm=norm_at,
-            codim=n,
-            mapping=lambda t, _p=point: _p.copy(),
-            field=xi,
-        )
+    # Rows spanning the normal space at x, g-orthogonal to the kernel.
+    normals = np.linalg.svd(kernel @ g)[2][k:]
 
-    # One integrator step count for the whole patch keeps the mapping a
-    # smooth function of the parameters, so point_at between the grid nodes
-    # agrees with the samples to integration accuracy.
-    max_len = radius * math.sqrt(k)
-    steps = max(32, int(math.ceil(steps_per_unit * max_len)))
-
-    def mapping(t, _x=x, _kernel=kernel, _steps=steps):
-        v = np.asarray(t, dtype=float) @ _kernel
-        return exp_map(chart, _x, v, steps=_steps)
+    def mapping(t):
+        y0 = x + np.asarray(t, dtype=float) @ kernel
+        s = np.zeros(n - k)
+        for _ in range(_CORRECTOR_STEPS):
+            y = y0 + s @ normals
+            if not chart.contains(y):
+                raise PatchError(f"the corrector onto xi = 0 leaves the chart at t = {t}")
+            val, jac, _ = field_jets(xi, y, 1)
+            step = np.linalg.lstsq(jac @ normals.T, -val, rcond=None)[0]
+            if np.linalg.norm(step) <= _ROUNDING * (1.0 + np.linalg.norm(y)):
+                break
+            s = s + step
+        return y
 
     param_axes = tuple(np.linspace(-radius, radius, grid) for _ in range(k))
     shape = (grid,) * k

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import confield.cli as cli
 from confield.cli import SETTINGS, main, render_report
 
 
@@ -150,6 +151,8 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
          "axis_i"),
         ({**ZEROS_MANIFEST, "field": {"name": "rotation", "params": {"axis_i": True}}},
          "axis_i"),
+        ({**ZEROS_MANIFEST, "geo_steps": 96}, "unknown setting 'geo_steps'"),
+        ({**ZEROS_MANIFEST, "grid_resoluton": 12}, "unknown setting 'grid_resoluton'"),
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
@@ -327,23 +330,41 @@ def test_circle_zero_scenario_via_manifest(tmp_path):
     assert all(r["codim_even"] for r in umb["patches"])
 
 
-def test_trace_off_the_zero_set_fails(tmp_path):
-    """sphere_killing(1, 4) vanishes on the unit circle in x1 = 0, which
-    exp_map of the flat metric leaves: the zeros are Killing-type, so the
-    traces are attempted, and a patch off the zero set is a failure."""
+@pytest.mark.parametrize("dim,axis_j", [(3, 4), (4, 5)])
+def test_curved_zero_sets_trace_with_unit_mean_curvature(tmp_path, monkeypatch, dim, axis_j):
+    """sphere_killing(1, n + 1) on euclidean/n vanishes on the unit
+    (n - 2)-sphere in x1 = 0: not totally geodesic, totally umbilical with
+    |H| = 1.  Tracing follows it, and the umbilicity verdicts hold."""
+    patches = []
+    trace_component = cli.trace_component
+
+    def recording(*args, **kwargs):
+        patches.append(trace_component(*args, **kwargs))
+        return patches[-1]
+
+    monkeypatch.setattr(cli, "trace_component", recording)
     manifest = {
-        "chart": {"name": "euclidean", "dim": 3},
-        "field": {"name": "sphere_killing", "params": {"axis_i": 1, "axis_j": 4}},
-        "analyses": ["zeros", "trace", "umbilicity"],
+        "chart": {"name": "euclidean", "dim": dim},
+        "field": {"name": "sphere_killing", "params": {"axis_i": 1, "axis_j": axis_j}},
+        "analyses": ["zeros", "classify", "trace", "umbilicity"],
+        "seed": 1,
     }
     code, report = _run_to_report(tmp_path, manifest)
-    assert code == 1
+    assert code == 0
     trace = report["analyses"]["trace"]
-    assert trace["passed"] is False
-    assert trace["patches"] == []
-    assert all("leaves the zero set" in s["reason"] for s in trace["skipped"])
-    assert report["analyses"]["umbilicity"]["passed"] is False
-    assert report["analyses"]["zeros"]["passed"] is True
+    assert trace["passed"] is True and trace["skipped"] == []
+    assert trace["zeros_considered"] == 2
+    umb = report["analyses"]["umbilicity"]
+    assert umb["passed"] is True and len(umb["patches"]) == 2
+    for entry in umb["patches"]:
+        assert entry["verdict"] == "totally_umbilical"
+        assert entry["k"] == dim - 2 and entry["codim_even"]
+        assert np.abs(np.asarray(entry["mean_curvature_norms"]) - 1.0).max() < 1e-12
+    assert len(patches) == 2
+    for patch in patches:
+        pts = patch.samples.reshape(-1, dim)
+        assert np.abs(pts[:, 0]).max() < 1e-12
+        assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
 
 
 def test_analysis_list_is_deduplicated_in_request_order(tmp_path):

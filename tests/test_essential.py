@@ -195,7 +195,7 @@ def test_audit_of_circle_zeros_passes():
     thetas = np.array([0.0, 0.03, 0.06])
     cluster = np.stack([np.cos(thetas), np.sin(thetas), np.zeros(3)], axis=1)
     zeros = np.vstack([found, cluster])
-    audit = limit_point_audit(SPHERE, xi, zeros, radius=0.05)
+    audit = limit_point_audit([classify_zero(SPHERE, xi, z) for z in zeros], radius=0.05)
     assert audit.passed
     assert audit.radius == 0.05
     assert len(audit.entries) == len(zeros)
@@ -207,7 +207,7 @@ def test_audit_of_circle_zeros_passes():
 
 def test_audit_of_isolated_essential_zero_passes():
     xi = models.special_conformal(FLAT3, 1)
-    audit = limit_point_audit(FLAT3, xi, np.zeros((1, 3)), radius=0.5)
+    audit = limit_point_audit([classify_zero(FLAT3, xi, np.zeros(3))], radius=0.5)
     assert audit.passed
     assert audit.entries[0].isolated
     assert audit.entries[0].nearest_distance == np.inf
@@ -219,6 +219,6 @@ def test_audit_flags_clustered_non_killing_zeros():
     the rescaling condition, so the audit must fail."""
     bad = FieldSpec.vector(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     zeros = np.array([[0.0, 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]])
-    audit = limit_point_audit(FLAT3, bad, zeros, radius=0.05)
+    audit = limit_point_audit([classify_zero(FLAT3, bad, z) for z in zeros], radius=0.05)
     assert not audit.passed
     assert not audit.assertions["non_isolated_zeros_are_killing_inessential"]

@@ -116,21 +116,27 @@ def test_traced_patch_records_its_field():
 
 
 def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
-    """exp_map of the flat metric leaves the unit circle that
-    sphere_killing(1, 4) vanishes on, so the verification refuses it at
-    the first sample, the corner of the grid, without mapping the rest."""
-    mapped = []
-    exp_map = zeroset.exp_map
+    """With verify_tol = 0 no sample passes, so the verification refuses the
+    first one, the corner of the grid, without mapping the rest: the failed
+    trace makes exactly the corrector evaluations of that one sample."""
+    calls = []
+    field_jets = zeroset.field_jets
 
     def counting(*args, **kwargs):
-        mapped.append(1)
-        return exp_map(*args, **kwargs)
+        calls.append(1)
+        return field_jets(*args, **kwargs)
 
-    monkeypatch.setattr(zeroset, "exp_map", counting)
+    monkeypatch.setattr(zeroset, "field_jets", counting)
     xi = models.sphere_killing(FLAT3, 1, 4)
+    base = np.array([0.0, 1.0, 0.0])
+    patch = trace_component(FLAT3, xi, base, radius=0.3, grid=5)
+    calls.clear()
+    patch.mapping(patch.param_axes[0][:1])
+    one_sample = len(calls)
+    calls.clear()
     with pytest.raises(OffZeroSetError, match="leaves the zero set"):
-        trace_component(FLAT3, xi, np.array([0.0, 1.0, 0.0]), radius=0.3, grid=5)
-    assert len(mapped) == 1
+        trace_component(FLAT3, xi, base, radius=0.3, grid=5, verify_tol=0.0)
+    assert len(calls) == one_sample > 1
 
 
 def test_point_at_matches_samples():
@@ -289,7 +295,7 @@ def test_jet_path_on_unit_two_sphere_zero_set():
 )
 def test_jet_path_on_traced_hyperbolic_patches(base):
     """The FD reference runs on the 3 x 3 sub-grid around traced node (1, 1),
-    through the traced mapping, to keep the number of exp_map calls small."""
+    through the traced mapping, to keep the number of corrector runs small."""
     xi = models.rotation(HYP4, 1, 2)
     traced = trace_component(HYP4, xi, base, radius=0.2, grid=5)
     assert traced.k == 2
@@ -305,23 +311,24 @@ def test_jet_path_on_traced_hyperbolic_patches(base):
 
 
 def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
-    """The jet path reads the traced samples only; exp_map is not called."""
-    xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, np.array([1.0, 0.0, 0.0]), radius=0.4, grid=7)
+    """Neither the corrector of the traced mapping nor the jet path, which
+    reads the traced samples only, integrates a geodesic."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("geodesic integration in a traced umbilicity report")
+        raise AssertionError("geodesic integration in tracing or a traced umbilicity report")
 
     monkeypatch.setattr(geodesic, "integrate_geodesic", refuse)
+    xi = models.sphere_killing(SPHERE, 3, 4)
+    patch = trace_component(SPHERE, xi, np.array([1.0, 0.0, 0.0]), radius=0.4, grid=7)
     report = umbilicity_report(SPHERE, patch)
     assert report.verdict == "totally_umbilical"
     result = umbilicity_conformal_invariance_check(
         SPHERE, patch, FieldSpec.scalar(SPHERE, parse("0.3*sin(x1)", 3))
     )
     assert result.verdicts_agree
-    # the guard is live: the finite-difference path does integrate
+    # the guard is live: exp_map does integrate
     with pytest.raises(AssertionError, match="geodesic integration"):
-        second_fundamental_form(SPHERE, dataclasses.replace(patch, field=None), (3,))
+        geodesic.exp_map(SPHERE, np.zeros(3), np.array([0.1, 0.0, 0.0]))
 
 
 def test_from_map_records_field_norms_when_field_given():
