@@ -17,7 +17,6 @@ from .expr import (
     Jet,
     eval_jet,
     eval_jets,
-    eval_values,
     parse,
     substitute,
 )
@@ -27,16 +26,12 @@ from .geometry import (
     FieldSpec,
     MetricError,
     TensorValue,
-    christoffel,
     covariant_derivative_field,
     divergence,
     exterior_derivative_dual,
     flat,
     gradient,
-    lie_derivative_metric,
     metric_at,
-    riemann,
-    riemann_lowered,
     sample_interior,
     sharp,
 )

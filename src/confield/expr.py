@@ -6,6 +6,11 @@ obtained by propagating truncated Taylor data (a :class:`Jet`) through the
 tree, so first, second and third partials are exact up to rounding.
 Finite differences appear only in the test suite, as an independent oracle.
 
+One evaluator walks the trees: per point it propagates jets of any order;
+over a batch of points (:func:`eval_values_many`) it runs at order 0 with
+each coordinate a column array; and the parser folds constant exponents
+through it with no coordinates at all.
+
 Grammar accepted by :func:`parse`::
 
     expr   := term (('+' | '-') term)*
@@ -15,7 +20,8 @@ Grammar accepted by :func:`parse`::
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Identifiers are the coordinates ``x1 .. xn`` and the functions
-``sin cos exp log sqrt``.  Numbers use decimal or scientific notation.
+``sin cos exp log sqrt``.  Numbers use decimal or scientific notation
+and must be finite.
 Implicit multiplication is not supported.
 """
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Div", "Pow", "Neg", "Fun",
     "Jet", "ExprSyntaxError", "EvalDomainError",
-    "parse", "eval_jet", "eval_jets", "eval_values", "substitute",
+    "parse", "eval_jet", "eval_jets", "eval_values_many", "substitute",
 ]
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt")
@@ -70,9 +76,6 @@ class Expr:
 class Const(Expr):
     value: float
 
-    def __str__(self) -> str:
-        return _to_str(self, 0)
-
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
@@ -80,17 +83,11 @@ class Var(Expr):
 
     index: int
 
-    def __str__(self) -> str:
-        return _to_str(self, 0)
-
 
 @dataclass(frozen=True, slots=True)
 class Add(Expr):
     left: Expr
     right: Expr
-
-    def __str__(self) -> str:
-        return _to_str(self, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,17 +95,11 @@ class Mul(Expr):
     left: Expr
     right: Expr
 
-    def __str__(self) -> str:
-        return _to_str(self, 0)
-
 
 @dataclass(frozen=True, slots=True)
 class Div(Expr):
     left: Expr
     right: Expr
-
-    def __str__(self) -> str:
-        return _to_str(self, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,16 +107,10 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
-    def __str__(self) -> str:
-        return _to_str(self, 0)
-
 
 @dataclass(frozen=True, slots=True)
 class Neg(Expr):
     arg: Expr
-
-    def __str__(self) -> str:
-        return _to_str(self, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,9 +121,6 @@ class Fun(Expr):
     def __post_init__(self):
         if self.name not in FUNCTION_NAMES:
             raise ValueError(f"unknown function '{self.name}'")
-
-    def __str__(self) -> str:
-        return _to_str(self, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +174,9 @@ def _to_str(node: Expr, context: int) -> str:
 # jets
 
 class Jet:
-    """Scalar value plus symmetric partial derivative tensors.
+    """Value plus symmetric partial derivative tensors.
+
+    The value is a float, or at order 0 an array over a batch of points.
 
     ``d1`` has shape (n,), ``d2`` shape (n, n) and ``d3`` shape (n, n, n);
     entries above ``order`` are ``None``.  The derivative tensors are exactly
@@ -213,7 +197,7 @@ class Jet:
         d1 = np.zeros(n) if order >= 1 else None
         d2 = np.zeros((n, n)) if order >= 2 else None
         d3 = np.zeros((n, n, n)) if order >= 3 else None
-        return cls(order, float(value), d1, d2, d3)
+        return cls(order, value, d1, d2, d3)
 
     @classmethod
     def coordinate(cls, index: int, value: float, n: int, order: int) -> "Jet":
@@ -269,77 +253,89 @@ def _jmul(a: Jet, b: Jet) -> Jet:
     return out
 
 
-def _jcompose(w: Jet, f0: float, f1: float, f2: float, f3: float) -> Jet:
-    """Jet of f(w) given scalar derivatives of f at w.value (Faa di Bruno)."""
+def _jcompose(w: Jet, f) -> Jet:
+    """Jet of F(w) from ``f[k]``, the k-th derivative of F at w.value, for
+    k up to ``w.order`` (Faa di Bruno)."""
     order = w.order
-    out = Jet(order, f0)
+    out = Jet(order, f[0])
     if order >= 1:
-        out.d1 = f1 * w.d1
+        out.d1 = f[1] * w.d1
     if order >= 2:
-        out.d2 = f2 * np.outer(w.d1, w.d1) + f1 * w.d2
+        out.d2 = f[2] * np.outer(w.d1, w.d1) + f[1] * w.d2
     if order >= 3:
         out.d3 = (
-            f3 * np.einsum("i,j,k->ijk", w.d1, w.d1, w.d1)
-            + f2 * _sym3(w.d2, w.d1)
-            + f1 * w.d3
+            f[3] * np.einsum("i,j,k->ijk", w.d1, w.d1, w.d1)
+            + f[2] * _sym3(w.d2, w.d1)
+            + f[1] * w.d3
         )
     return out
 
 
-def _reciprocal_coeffs(v: float, order: int, node: Expr):
-    if v == 0.0:
+# The domain checks below take a Python float or an order-0 batch column.
+# np.count_nonzero is the cheapest test that accepts both.
+
+def _reciprocal_coeffs(v, order: int, node: Expr):
+    if np.count_nonzero(v == 0.0):
         raise EvalDomainError("division by zero", node)
     inv = 1.0 / v
+    if order == 0:
+        return (inv,)
     return inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4
 
 
-def _pow_coeffs(v: float, m: int, order: int, node: Expr):
+def _pow_coeffs(v, m: int, order: int, node: Expr):
     coeffs = []
     c = 1.0
     for k in range(order + 1):
+        e = m - k
         if c == 0.0:
             coeffs.append(0.0)
+        elif e < 0 and np.count_nonzero(v == 0.0):
+            raise EvalDomainError("zero raised to a negative power", node)
         else:
-            e = m - k
-            if v == 0.0 and e < 0:
-                raise EvalDomainError("zero raised to a negative power", node)
             coeffs.append(c * v ** e)
-        c *= m - k
-    while len(coeffs) < 4:
-        coeffs.append(0.0)
-    return tuple(coeffs)
+        c *= e
+    return coeffs
 
 
-def _fun_coeffs(name: str, v: float, order: int, node: Expr):
+def _fun_coeffs(name: str, v, order: int, node: Expr):
     if name == "sin":
-        s, c = math.sin(v), math.cos(v)
+        s, c = np.sin(v), np.cos(v)
         return s, c, -s, -c
     if name == "cos":
-        s, c = math.sin(v), math.cos(v)
+        s, c = np.sin(v), np.cos(v)
         return c, -s, -c, s
     if name == "exp":
-        e = math.exp(v)
+        e = np.exp(v)
         return e, e, e, e
     if name == "log":
-        if v <= 0.0:
+        if np.count_nonzero(v <= 0.0):
             raise EvalDomainError("log of a non-positive value", node)
-        inv = 1.0 / v
-        return math.log(v), inv, -inv * inv, 2.0 * inv ** 3
-    if name == "sqrt":
-        if v < 0.0 or (v == 0.0 and order >= 1):
-            raise EvalDomainError("sqrt outside its domain", node)
-        s = math.sqrt(v)
         if order == 0:
-            return s, 0.0, 0.0, 0.0
+            return (np.log(v),)
+        inv = 1.0 / v
+        return np.log(v), inv, -inv * inv, 2.0 * inv ** 3
+    if name == "sqrt":
+        if np.count_nonzero(v < 0.0 if order == 0 else v <= 0.0):
+            raise EvalDomainError("sqrt outside its domain", node)
+        s = np.sqrt(v)
+        if order == 0:
+            return (s,)
         return s, 0.5 / s, -0.25 / s ** 3, 0.375 / s ** 5
     raise ValueError(f"unknown function '{name}'")  # pragma: no cover
 
 
-def _jet_of(node: Expr, point: np.ndarray, order: int, memo: dict) -> Jet:
+def _jet_of(node: Expr, point: list, order: int, memo: dict) -> Jet:
+    """The one tree evaluator.
+
+    ``point`` lists the n coordinates: Python floats for one point, or
+    equal-length arrays for a batch of points (order 0 only).  ``memo``
+    maps node identity to its jet, so shared subtrees are evaluated once.
+    """
     cached = memo.get(id(node))
     if cached is not None:
         return cached
-    n = point.shape[0]
+    n = len(point)
     if isinstance(node, Const):
         j = Jet.constant(node.value, n, order)
     elif isinstance(node, Var):
@@ -347,7 +343,7 @@ def _jet_of(node: Expr, point: np.ndarray, order: int, memo: dict) -> Jet:
             raise EvalDomainError(
                 f"variable x{node.index + 1} exceeds point dimension {n}", node
             )
-        j = Jet.coordinate(node.index, float(point[node.index]), n, order)
+        j = Jet.coordinate(node.index, point[node.index], n, order)
     elif isinstance(node, Add):
         j = _jadd(_jet_of(node.left, point, order, memo),
                   _jet_of(node.right, point, order, memo))
@@ -357,15 +353,15 @@ def _jet_of(node: Expr, point: np.ndarray, order: int, memo: dict) -> Jet:
     elif isinstance(node, Div):
         num = _jet_of(node.left, point, order, memo)
         den = _jet_of(node.right, point, order, memo)
-        j = _jmul(num, _jcompose(den, *_reciprocal_coeffs(den.value, order, node)))
+        j = _jmul(num, _jcompose(den, _reciprocal_coeffs(den.value, order, node)))
     elif isinstance(node, Neg):
         j = _jneg(_jet_of(node.arg, point, order, memo))
     elif isinstance(node, Pow):
         base = _jet_of(node.base, point, order, memo)
-        j = _jcompose(base, *_pow_coeffs(base.value, node.exponent, order, node))
+        j = _jcompose(base, _pow_coeffs(base.value, node.exponent, order, node))
     elif isinstance(node, Fun):
         arg = _jet_of(node.arg, point, order, memo)
-        j = _jcompose(arg, *_fun_coeffs(node.name, arg.value, order, node))
+        j = _jcompose(arg, _fun_coeffs(node.name, arg.value, order, node))
     else:  # pragma: no cover
         raise TypeError(f"not an Expr node: {node!r}")
     memo[id(node)] = j
@@ -379,7 +375,7 @@ def eval_jet(expr: Expr, point, order: int = 0) -> Jet:
     p = np.asarray(point, dtype=float)
     if p.ndim != 1:
         raise ValueError("point must be a 1-d coordinate array")
-    return _jet_of(expr, p, order, {})
+    return _jet_of(expr, p.tolist(), order, {})
 
 
 def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
@@ -391,81 +387,30 @@ def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
     """
     if not 0 <= order <= 3:
         raise ValueError("order must be between 0 and 3")
-    p = np.asarray(point, dtype=float)
+    p = np.asarray(point, dtype=float).tolist()
     memo: dict = {}
     return [_jet_of(e, p, order, memo) for e in exprs]
-
-
-def _values_of(node: Expr, pts: np.ndarray, memo: dict) -> np.ndarray:
-    cached = memo.get(id(node))
-    if cached is not None:
-        return cached
-    if isinstance(node, Const):
-        v = np.full(pts.shape[0], float(node.value))
-    elif isinstance(node, Var):
-        if node.index >= pts.shape[1]:
-            raise EvalDomainError(
-                f"variable x{node.index + 1} exceeds point dimension {pts.shape[1]}",
-                node,
-            )
-        v = pts[:, node.index].copy()
-    elif isinstance(node, Add):
-        v = _values_of(node.left, pts, memo) + _values_of(node.right, pts, memo)
-    elif isinstance(node, Mul):
-        v = _values_of(node.left, pts, memo) * _values_of(node.right, pts, memo)
-    elif isinstance(node, Div):
-        den = _values_of(node.right, pts, memo)
-        if np.any(den == 0.0):
-            raise EvalDomainError("division by zero", node)
-        v = _values_of(node.left, pts, memo) / den
-    elif isinstance(node, Neg):
-        v = -_values_of(node.arg, pts, memo)
-    elif isinstance(node, Pow):
-        base = _values_of(node.base, pts, memo)
-        if node.exponent < 0 and np.any(base == 0.0):
-            raise EvalDomainError("zero raised to a negative power", node)
-        v = base ** float(node.exponent)
-    elif isinstance(node, Fun):
-        arg = _values_of(node.arg, pts, memo)
-        if node.name == "log":
-            if np.any(arg <= 0.0):
-                raise EvalDomainError("log of a non-positive value", node)
-            v = np.log(arg)
-        elif node.name == "sqrt":
-            if np.any(arg < 0.0):
-                raise EvalDomainError("sqrt outside its domain", node)
-            v = np.sqrt(arg)
-        elif node.name == "sin":
-            v = np.sin(arg)
-        elif node.name == "cos":
-            v = np.cos(arg)
-        else:
-            v = np.exp(arg)
-    else:  # pragma: no cover
-        raise TypeError(f"not an Expr node: {node!r}")
-    memo[id(node)] = v
-    return v
-
-
-def eval_values(expr: Expr, points) -> np.ndarray:
-    """Vectorized order-0 evaluation over an (m, n) array of points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (m, n) array")
-    return _values_of(expr, pts, {})
 
 
 def eval_values_many(exprs, points) -> np.ndarray:
     """Stacked order-0 evaluation of several expressions, (k, m) result.
 
-    One memo spans all trees, so expression objects shared between them
-    (metric factors, repeated field components) are evaluated once.
+    The jet evaluator runs once over the m points, with each coordinate a
+    column of ``points``; a tree without coordinates stays a scalar until
+    the final stacking.  One memo spans all trees, so expression objects
+    shared between them (metric factors, repeated field components) are
+    evaluated once.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be an (m, n) array")
     memo: dict = {}
-    return np.stack([_values_of(e, pts, memo) for e in exprs])
+    columns = list(pts.T)
+    values = [_jet_of(e, columns, 0, memo).value for e in exprs]
+    out = np.empty((len(values), pts.shape[0]))
+    for row, value in zip(out, values):
+        row[...] = value  # broadcasts a scalar constant to the m points
+    return out
 
 
 def substitute(expr: Expr, replacements: dict[int, Expr]) -> Expr:
@@ -529,35 +474,6 @@ def _tokenize(src: str):
         pos = m.end()
     tokens.append(("end", "", len(src)))
     return tokens
-
-
-def _const_fold(node: Expr):
-    """Value of a variable-free subtree, or None if it contains coordinates."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return None
-    if isinstance(node, Neg):
-        v = _const_fold(node.arg)
-        return None if v is None else -v
-    if isinstance(node, (Add, Mul, Div)):
-        a, b = _const_fold(node.left), _const_fold(node.right)
-        if a is None or b is None:
-            return None
-        if isinstance(node, Add):
-            return a + b
-        if isinstance(node, Mul):
-            return a * b
-        return a / b if b != 0 else None
-    if isinstance(node, Pow):
-        a = _const_fold(node.base)
-        return None if a is None else a ** node.exponent
-    if isinstance(node, Fun):
-        a = _const_fold(node.arg)
-        if a is None:
-            return None
-        return _fun_coeffs(node.name, a, 0, node)[0]
-    return None  # pragma: no cover
 
 
 class _Parser:
@@ -624,8 +540,12 @@ class _Parser:
             self.take()
             exp_pos = self.peek()[2]
             exponent = self.parse_unary()
-            folded = _const_fold(exponent)
-            if folded is None:
+            try:  # a coordinate raises here, as does a value outside a domain
+                with np.errstate(all="ignore"):
+                    folded = _jet_of(exponent, [], 0, {}).value
+            except ArithmeticError:
+                folded = math.nan
+            if not math.isfinite(folded):
                 raise ExprSyntaxError("exponent must be a constant integer", exp_pos)
             rounded = round(folded)
             if abs(folded - rounded) > 1e-12 or abs(rounded) > 1000:
@@ -636,7 +556,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, value, pos = self.take()
         if kind == "num":
-            return Const(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ExprSyntaxError(f"number '{value}' is out of range", pos)
+            return Const(number)
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":

@@ -8,10 +8,11 @@ Index conventions used throughout (and relied on by the test oracles):
   ``N[i, j] = (nabla_{e_j} xi)^i``, value index first, direction second.
 * The curvature convention is ``R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X
   - nabla_[X, Y]``, under which round spheres have sectional curvature +1.
-  ``riemann`` returns ``R[i, j, k, l]`` with ``R(e_k, e_l) e_j = R[i,j,k,l]
-  e_i`` while ``riemann_lowered`` uses the argument-first layout
-  ``Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)``, which makes the classical
-  pair symmetries read off the first and last index pairs.
+  ``riemann_matrix`` returns ``R[i, j, k, l]`` with ``R(e_k, e_l) e_j =
+  R[i,j,k,l] e_i`` while ``riemann_lowered_matrix`` uses the
+  argument-first layout ``Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)``, which
+  makes the classical pair symmetries read off the first and last index
+  pairs.
 * ``exterior_derivative_dual`` returns the 2-form matrix
   ``M[i, j] = (d xi^flat)(e_i, e_j) = d_i (g_jk xi^k) - d_j (g_ik xi^k)``.
 
@@ -24,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, eval_jet, eval_jets, eval_values
+from .expr import Expr, eval_jet, eval_jets
 
 __all__ = [
     "Chart", "FieldSpec", "TensorValue",
     "ChartError", "ChartDomainError", "MetricError",
-    "metric_at", "christoffel", "riemann", "riemann_lowered",
-    "covariant_derivative_field", "exterior_derivative_dual",
-    "lie_derivative_metric", "divergence", "gradient", "sharp", "flat",
+    "metric_at", "covariant_derivative_field", "exterior_derivative_dual",
+    "divergence", "gradient", "sharp", "flat",
     "sample_interior",
 ]
 
@@ -283,12 +283,6 @@ def connection_data(chart: Chart, p) -> ConnectionData:
     return ConnectionData(g, ginv, dg, d2g, Gam, dGam)
 
 
-def christoffel(chart: Chart, p) -> TensorValue:
-    """Christoffel symbols Gamma^k_ij at an interior point."""
-    chart.require_interior(p)
-    return TensorValue(np.asarray(p, float), "udd", christoffel_matrix(chart, p))
-
-
 def riemann_matrix(chart: Chart, p) -> np.ndarray:
     """R[i, j, k, l] with R(e_k, e_l) e_j = R[i, j, k, l] e_i."""
     cd = connection_data(chart, p)
@@ -300,22 +294,12 @@ def riemann_matrix(chart: Chart, p) -> np.ndarray:
     return R
 
 
-def riemann(chart: Chart, p) -> TensorValue:
-    chart.require_interior(p)
-    return TensorValue(np.asarray(p, float), "uddd", riemann_matrix(chart, p))
-
-
 def riemann_lowered_matrix(chart: Chart, p) -> np.ndarray:
     """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)."""
     g, _, _ = metric_jets(chart, p, 0)
     R = riemann_matrix(chart, p)
     # R(e_a, e_b) e_c = R[m, c, a, b] e_m
     return np.einsum("dm,mcab->abcd", 0.5 * (g + g.T), R)
-
-
-def riemann_lowered(chart: Chart, p) -> TensorValue:
-    chart.require_interior(p)
-    return TensorValue(np.asarray(p, float), "dddd", riemann_lowered_matrix(chart, p))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +386,6 @@ def lie_derivative_matrix(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
     N = covariant_derivative_matrix(chart, xi, p)
     A = g @ N  # A[i, j] = g(nabla_{e_j} xi, e_i)
     return A + A.T
-
-
-def lie_derivative_metric(chart: Chart, xi: FieldSpec, p) -> TensorValue:
-    chart.require_interior(p)
-    return TensorValue(np.asarray(p, float), "dd", lie_derivative_matrix(chart, xi, p))
 
 
 def divergence(chart: Chart, xi: FieldSpec, p) -> float:

@@ -153,6 +153,15 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
          "axis_i"),
         ({**ZEROS_MANIFEST, "geo_steps": 96}, "unknown setting 'geo_steps'"),
         ({**ZEROS_MANIFEST, "grid_resoluton": 12}, "unknown setting 'grid_resoluton'"),
+        *[({"chart": {"name": "euclidean", "dim": 2},
+            "field": {"components": [component, "x2"]}, "analyses": ["zeros"]},
+           needle) for component, needle in [
+            ("x1^(0^(-1))", "exponent"),
+            ("x1^log(0)", "exponent"),
+            ("x1^exp(1000)", "exponent"),
+            ("x1^(10^400)", "exponent"),
+            ("1e400*x1", "out of range"),
+        ]],
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confield import models
 from confield.expr import (
     Add,
     Const,
@@ -21,11 +22,11 @@ from confield.expr import (
     Var,
     eval_jet,
     eval_jets,
-    eval_values,
     eval_values_many,
     parse,
     substitute,
 )
+from confield.geometry import sample_interior
 from helpers import fd_partial, fd_partial2
 
 SAMPLE_SOURCES = [
@@ -50,15 +51,18 @@ def test_parse_evaluates_known_values():
 
 def test_exponent_must_const_fold_to_integer():
     assert isinstance(parse("x1^(1+1)", 2), Pow)
-    with pytest.raises(ExprSyntaxError):
-        parse("x1^2.5", 2)
-    with pytest.raises(ExprSyntaxError):
-        parse("x1^x2", 2)
+    assert parse("x1^(4*exp(0)/sqrt(4))", 2) == Pow(Var(0), 2)
+    for source in ["x1^2.5", "x1^x2", "x1^sin(x2)", "x1^(0^(-1))", "x1^(1/0)",
+                   "x1^log(0)", "x1^sqrt(-1)", "x1^exp(1000)", "x1^(10^400)",
+                   "x1^(1e300*1e300)", "x1^(0*exp(1000))"]:
+        with pytest.raises(ExprSyntaxError, match="exponent"):
+            parse(source, 2)
 
 
 @pytest.mark.parametrize(
     "source",
-    ["sin x1", "2 x1", "tan(x1)", "x0", "x3", "(x1", "x1 +", "", "x1 @ x2"],
+    ["sin x1", "2 x1", "tan(x1)", "x0", "x3", "(x1", "x1 +", "", "x1 @ x2",
+     "1e400*x1"],
 )
 def test_syntax_errors_carry_positions(source):
     with pytest.raises(ExprSyntaxError) as info:
@@ -136,11 +140,17 @@ def test_shared_subtrees_reuse_results():
         ("1/x1", [0.0, 0.0]),
         ("sqrt(x1)", [-0.5, 0.0]),
         ("x1^(-1)", [0.0, 0.0]),
+        ("log(x1)", [0.0, 0.0]),
+        ("x3", [0.0, 0.0]),
     ],
 )
 def test_domain_errors(source, point):
+    """Per point and in a batch (where the bad point is the second of three)."""
+    e = parse(source, 3)
     with pytest.raises(EvalDomainError):
-        eval_jet(parse(source, 2), point, 1)
+        eval_jet(e, point, 1)
+    with pytest.raises(EvalDomainError):
+        eval_values_many([e], [[0.5, 0.5], point, [2.0, 1.0]])
 
 
 def test_sqrt_at_zero_needs_no_derivatives():
@@ -163,11 +173,24 @@ def test_substitute_replaces_and_preserves_identity():
 
 
 def test_eval_values_matches_eval_jet():
-    e = parse("sin(x1) + x2^2", 2)
-    pts = np.array([[0.1, 0.2], [0.5, -0.3], [1.0, 2.0]])
-    vals = eval_values(e, pts)
-    for k, p in enumerate(pts):
-        assert vals[k] == eval_jet(e, p).value
+    """One evaluator: a batch value and a per-point value have equal bits,
+    for every catalog metric and field tree and for Div, a negative Pow,
+    sqrt/log/exp and constant entries."""
+    rng = np.random.default_rng(3)
+    cases = [(chart.metric_entries() + field.components, sample_interior(chart, 7, rng))
+             for chart, field in models.standard_pairs(3)]
+    extra = tuple(parse(s, 3) for s in [
+        "x1/(2 - x2) + x3", "(1 + x1^2)^(-2)", "sqrt(2 + x1)*log(3 + x2)",
+        "exp(-x3^2)/x1", "sin(x1) + x2^2", "2.5", "-(4 - 1)",
+    ])
+    cases.append((extra, rng.uniform(0.1, 1.0, size=(7, 3))))
+    for trees, pts in cases:
+        vals = eval_values_many(trees, pts)
+        assert vals.shape == (len(trees), len(pts))
+        for k, p in enumerate(pts):
+            jets = eval_jets(trees, p)
+            for i, e in enumerate(trees):
+                assert vals[i, k] == jets[i].value == eval_jet(e, p).value
 
 
 def test_eval_values_many_shares_work_and_stacks():
@@ -184,7 +207,7 @@ def test_eval_values_many_shares_work_and_stacks():
 def test_eval_values_domain_error_on_batch():
     e = parse("1/x1", 2)
     with pytest.raises(EvalDomainError):
-        eval_values(e, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        eval_values_many([e], np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_jet_constructors():
@@ -222,6 +245,7 @@ def test_random_tree_round_trip_and_symmetry(expr, x, y):
     jet = eval_jet(expr, p, 3)
     assert np.array_equal(jet.d2, jet.d2.T)
     assert np.array_equal(jet.d3, jet.d3.transpose(1, 0, 2))
+    assert eval_values_many([expr], [p])[0, 0] == jet.value
     reparsed = parse(str(expr), 2)
     again = eval_jet(reparsed, p, 3)
     assert again.value == pytest.approx(jet.value, rel=1e-12, abs=1e-12)
