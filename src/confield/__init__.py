@@ -25,15 +25,7 @@ from .geometry import (
     ChartDomainError,
     FieldSpec,
     MetricError,
-    TensorValue,
-    covariant_derivative_field,
-    divergence,
-    exterior_derivative_dual,
-    flat,
-    gradient,
-    metric_at,
     sample_interior,
-    sharp,
 )
 from .conformal import (
     ConformalReport,
@@ -69,7 +61,6 @@ from .zeroset import (
     SubmanifoldPatch,
     second_fundamental_form,
     trace_component,
-    umbilicity_conformal_invariance_check,
     umbilicity_report,
 )
 from . import models

@@ -53,9 +53,10 @@ class EvalDomainError(ArithmeticError):
     """Raised when evaluation leaves the domain of a subexpression.
 
     Covers division by zero, log of a non-positive value, sqrt of a
-    negative value (or of zero when derivatives are requested) and zero
-    raised to a negative power.  The offending subexpression is kept on
-    the exception for error reporting.
+    negative value (or of zero when derivatives are requested), zero
+    raised to a negative power, and a per-point value or derivative
+    beyond the floating-point range.  The offending subexpression is kept
+    on the exception for error reporting.
     """
 
     def __init__(self, message: str, subexpression: "Expr"):
@@ -336,34 +337,37 @@ def _jet_of(node: Expr, point: list, order: int, memo: dict) -> Jet:
     if cached is not None:
         return cached
     n = len(point)
-    if isinstance(node, Const):
-        j = Jet.constant(node.value, n, order)
-    elif isinstance(node, Var):
-        if node.index >= n:
-            raise EvalDomainError(
-                f"variable x{node.index + 1} exceeds point dimension {n}", node
-            )
-        j = Jet.coordinate(node.index, point[node.index], n, order)
-    elif isinstance(node, Add):
-        j = _jadd(_jet_of(node.left, point, order, memo),
-                  _jet_of(node.right, point, order, memo))
-    elif isinstance(node, Mul):
-        j = _jmul(_jet_of(node.left, point, order, memo),
-                  _jet_of(node.right, point, order, memo))
-    elif isinstance(node, Div):
-        num = _jet_of(node.left, point, order, memo)
-        den = _jet_of(node.right, point, order, memo)
-        j = _jmul(num, _jcompose(den, _reciprocal_coeffs(den.value, order, node)))
-    elif isinstance(node, Neg):
-        j = _jneg(_jet_of(node.arg, point, order, memo))
-    elif isinstance(node, Pow):
-        base = _jet_of(node.base, point, order, memo)
-        j = _jcompose(base, _pow_coeffs(base.value, node.exponent, order, node))
-    elif isinstance(node, Fun):
-        arg = _jet_of(node.arg, point, order, memo)
-        j = _jcompose(arg, _fun_coeffs(node.name, arg.value, order, node))
-    else:  # pragma: no cover
-        raise TypeError(f"not an Expr node: {node!r}")
+    try:  # per point, a power of a Python float can overflow
+        if isinstance(node, Const):
+            j = Jet.constant(node.value, n, order)
+        elif isinstance(node, Var):
+            if node.index >= n:
+                raise EvalDomainError(
+                    f"variable x{node.index + 1} exceeds point dimension {n}", node
+                )
+            j = Jet.coordinate(node.index, point[node.index], n, order)
+        elif isinstance(node, Add):
+            j = _jadd(_jet_of(node.left, point, order, memo),
+                      _jet_of(node.right, point, order, memo))
+        elif isinstance(node, Mul):
+            j = _jmul(_jet_of(node.left, point, order, memo),
+                      _jet_of(node.right, point, order, memo))
+        elif isinstance(node, Div):
+            num = _jet_of(node.left, point, order, memo)
+            den = _jet_of(node.right, point, order, memo)
+            j = _jmul(num, _jcompose(den, _reciprocal_coeffs(den.value, order, node)))
+        elif isinstance(node, Neg):
+            j = _jneg(_jet_of(node.arg, point, order, memo))
+        elif isinstance(node, Pow):
+            base = _jet_of(node.base, point, order, memo)
+            j = _jcompose(base, _pow_coeffs(base.value, node.exponent, order, node))
+        elif isinstance(node, Fun):
+            arg = _jet_of(node.arg, point, order, memo)
+            j = _jcompose(arg, _fun_coeffs(node.name, arg.value, order, node))
+        else:  # pragma: no cover
+            raise TypeError(f"not an Expr node: {node!r}")
+    except OverflowError:
+        raise EvalDomainError("value beyond the floating-point range", node) from None
     memo[id(node)] = j
     return j
 

@@ -4,7 +4,7 @@ Index conventions used throughout (and relied on by the test oracles):
 
 * ``Gam[k, i, j]`` is the Christoffel symbol Gamma^k_ij of the Levi-Civita
   connection, symmetric in (i, j).
-* ``covariant_derivative_field`` returns the endomorphism
+* ``covariant_derivative_matrix`` returns the endomorphism
   ``N[i, j] = (nabla_{e_j} xi)^i``, value index first, direction second.
 * The curvature convention is ``R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X
   - nabla_[X, Y]``, under which round spheres have sectional curvature +1.
@@ -13,7 +13,7 @@ Index conventions used throughout (and relied on by the test oracles):
   argument-first layout ``Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)``, which
   makes the classical pair symmetries read off the first and last index
   pairs.
-* ``exterior_derivative_dual`` returns the 2-form matrix
+* ``dxi_form_matrix`` returns the 2-form matrix
   ``M[i, j] = (d xi^flat)(e_i, e_j) = d_i (g_jk xi^k) - d_j (g_ik xi^k)``.
 
 Metric inverses go through a Cholesky factorization; non-positive-definite
@@ -25,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, eval_jet, eval_jets
+from .expr import Expr, eval_jets
 
 __all__ = [
-    "Chart", "FieldSpec", "TensorValue",
+    "Chart", "FieldSpec",
     "ChartError", "ChartDomainError", "MetricError",
-    "metric_at", "covariant_derivative_field", "exterior_derivative_dual",
-    "divergence", "gradient", "sharp", "flat",
     "sample_interior",
 ]
 
@@ -149,32 +147,6 @@ class FieldSpec:
         return self.components[0]
 
 
-@dataclass(frozen=True, eq=False)
-class TensorValue:
-    """Tensor components at a point, one valence character per slot.
-
-    ``valence`` is a string of ``'u'`` (contravariant) and ``'d'``
-    (covariant) characters; ``components`` must have shape ``(n,) * slots``.
-    """
-
-    point: np.ndarray
-    valence: str
-    components: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.point, dtype=float)
-        c = np.asarray(self.components, dtype=float)
-        if any(ch not in "ud" for ch in self.valence):
-            raise ValueError("valence must consist of 'u' and 'd' characters")
-        n = p.shape[0]
-        if c.shape != (n,) * len(self.valence):
-            raise ValueError(
-                f"components shape {c.shape} does not match valence '{self.valence}'"
-            )
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "components", c)
-
-
 # ---------------------------------------------------------------------------
 # metric evaluation
 
@@ -239,15 +211,11 @@ def metric_value(chart: Chart, p) -> np.ndarray:
     return g
 
 
-def metric_at(chart: Chart, p) -> TensorValue:
-    return TensorValue(np.asarray(p, float), "dd", metric_value(chart, p))
-
-
 # ---------------------------------------------------------------------------
 # connection and curvature
 
 def christoffel_matrix(chart: Chart, p) -> np.ndarray:
-    """Gamma^k_ij as an (n, n, n) array, no TensorValue wrapper (hot path)."""
+    """Gamma^k_ij as an (n, n, n) array."""
     g, dg, _ = metric_jets(chart, p, 1)
     ginv = spd_inverse(g)
     # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
@@ -359,13 +327,6 @@ def covariant_hessian_matrix(chart: Chart, xi: FieldSpec, p):
     return N, H
 
 
-def covariant_derivative_field(chart: Chart, xi: FieldSpec, p) -> TensorValue:
-    chart.require_interior(p)
-    return TensorValue(
-        np.asarray(p, float), "ud", covariant_derivative_matrix(chart, xi, p)
-    )
-
-
 def dxi_form_matrix(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
     """Matrix of d(xi^flat): M[i, j] = d_i (g_jk xi^k) - d_j (g_ik xi^k)."""
     g, dg, _ = metric_jets(chart, p, 1)
@@ -375,53 +336,12 @@ def dxi_form_matrix(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
     return P - P.T
 
 
-def exterior_derivative_dual(chart: Chart, xi: FieldSpec, p) -> TensorValue:
-    chart.require_interior(p)
-    return TensorValue(np.asarray(p, float), "dd", dxi_form_matrix(chart, xi, p))
-
-
 def lie_derivative_matrix(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
     """(L_xi g)_ij = g(nabla_{e_i} xi, e_j) + g(nabla_{e_j} xi, e_i)."""
     g, _, _ = metric_jets(chart, p, 0)
     N = covariant_derivative_matrix(chart, xi, p)
     A = g @ N  # A[i, j] = g(nabla_{e_j} xi, e_i)
     return A + A.T
-
-
-def divergence(chart: Chart, xi: FieldSpec, p) -> float:
-    """Codifferential-sign divergence: returns -trace(nabla xi).
-
-    The sign is chosen so that the conformal factor of a conformal field
-    equals minus this value divided by the dimension.
-    """
-    chart.require_interior(p)
-    return -float(np.trace(covariant_derivative_matrix(chart, xi, p)))
-
-
-def gradient(chart: Chart, f: FieldSpec, p) -> TensorValue:
-    """Metric gradient of a scalar field: (grad f)^i = g^{ij} d_j f."""
-    chart.require_interior(p)
-    if f.kind != "scalar":
-        raise ChartError("gradient expects a scalar field")
-    g, _, _ = metric_jets(chart, p, 0)
-    df = eval_jet(f.expr, p, 1).d1
-    return TensorValue(np.asarray(p, float), "u", spd_inverse(g) @ df)
-
-
-def sharp(chart: Chart, w, p) -> TensorValue:
-    """Raise a covector with the inverse metric."""
-    chart.require_interior(p)
-    g, _, _ = metric_jets(chart, p, 0)
-    w = np.asarray(getattr(w, "components", w), dtype=float)
-    return TensorValue(np.asarray(p, float), "u", spd_inverse(g) @ w)
-
-
-def flat(chart: Chart, v, p) -> TensorValue:
-    """Lower a vector with the metric."""
-    chart.require_interior(p)
-    g, _, _ = metric_jets(chart, p, 0)
-    v = np.asarray(getattr(v, "components", v), dtype=float)
-    return TensorValue(np.asarray(p, float), "d", g @ v)
 
 
 # ---------------------------------------------------------------------------

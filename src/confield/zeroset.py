@@ -12,21 +12,17 @@ curvature; ``umbilicity_report`` decides whether the patch is totally
 umbilical (all second fundamental form values proportional to the induced
 metric with a common mean curvature vector).
 
-On a traced patch the second fundamental form comes from exact jets of the
-field at the node.  On the zero set N, nabla xi vanishes on TN and is
-invertible on the normal space, and one more derivative along N gives
+The second fundamental form comes from exact jets of the field at a grid
+node.  On the zero set N, nabla xi vanishes on TN and is invertible on the
+normal space, and one more derivative along N gives
 
     B(X, Y) = -(nabla xi|_{TN^perp})^{-1} (nabla^2 xi)(X, Y).
 
-A patch built from an explicit map (``SubmanifoldPatch.from_map``) has no
-field, so its second fundamental form comes from Richardson finite
-differences of the map; that path serves any submanifold and is the
-reference the jet formula is tested against.
-
-Total umbilicity is a conformally invariant property, so
-``umbilicity_conformal_invariance_check`` reruns the report under a
-rescaled metric on the same patch.  The metric is therefore an explicit
-argument of the curvature routines rather than being read off the patch.
+At a zero, nabla xi is the same for every metric in a conformal class, so a
+patch traced under g serves a rescaled chart as well: the metric is an
+explicit argument of the curvature routines rather than being read off the
+patch, and ``umbilicity_report(rescale_metric(chart, f), patch)`` checks the
+conformal invariance of total umbilicity.
 """
 from __future__ import annotations
 
@@ -37,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conformal import conformal_factor, is_conformal, rescale_metric
+from .conformal import conformal_factor, is_conformal
 from .essential import (
     VERDICT_KILLING,
     _ball_sample,
@@ -47,15 +43,12 @@ from .essential import (
 from .geometry import (
     Chart,
     FieldSpec,
-    christoffel_matrix,
     covariant_hessian_matrix,
     dxi_form_matrix,
     field_jets,
     field_norm,
     metric_jets,
-    mgs_orthonormalize,
     norm_vector,
-    spd_inverse,
 )
 
 __all__ = [
@@ -67,8 +60,6 @@ __all__ = [
     "second_fundamental_form",
     "UmbilicityReport",
     "umbilicity_report",
-    "ConformalInvarianceResult",
-    "umbilicity_conformal_invariance_check",
 ]
 
 VERDICT_UMBILICAL = "totally_umbilical"
@@ -92,14 +83,11 @@ class OffZeroSetError(PatchError):
 
 @dataclass(frozen=True, eq=False)
 class SubmanifoldPatch:
-    """Parametrized piece of a submanifold, sampled on a grid.
+    """Piece of the zero set of ``field``, sampled on a parameter grid.
 
     ``mapping`` sends a parameter vector of length k to chart coordinates
-    and must be smooth; without a ``field`` the curvature routines
-    finite-difference it with internal steps, so it is evaluated off the
-    grid as well.  ``field`` is the vector field whose zero set the patch
-    traces (set by ``trace_component``); with it the curvature comes from
-    exact jets at the grid nodes.  For k = 0 the patch is a single point
+    on the zero set and is smooth; ``samples`` and ``field_norms`` hold it
+    and |field|_g at the grid nodes.  For k = 0 the patch is a single point
     and ``samples`` has shape (dim,).
     """
 
@@ -108,11 +96,10 @@ class SubmanifoldPatch:
     tangent_basis: np.ndarray
     param_axes: tuple
     samples: np.ndarray
-    field_norms: np.ndarray | None
-    max_field_norm: float
+    field_norms: np.ndarray
     codim: int
     mapping: Callable[[np.ndarray], np.ndarray]
-    field: FieldSpec | None = None
+    field: FieldSpec
 
     @property
     def k(self) -> int:
@@ -122,61 +109,9 @@ class SubmanifoldPatch:
     def grid_shape(self) -> tuple:
         return tuple(len(a) for a in self.param_axes)
 
-    def point_at(self, tvec) -> np.ndarray:
-        return np.asarray(self.mapping(np.asarray(tvec, dtype=float)), dtype=float)
-
-    @classmethod
-    def from_map(
-        cls,
-        chart: Chart,
-        mapping: Callable[[np.ndarray], np.ndarray],
-        param_axes,
-        xi: FieldSpec | None = None,
-    ) -> "SubmanifoldPatch":
-        """Wrap an explicit parametrization; field norms only if xi given.
-
-        The patch carries no ``field`` even when xi is given, so its second
-        fundamental form always comes from differences of ``mapping``.
-        """
-        param_axes = tuple(np.asarray(a, dtype=float) for a in param_axes)
-        k = len(param_axes)
-        shape = tuple(len(a) for a in param_axes)
-        n = chart.dim
-        samples = np.empty(shape + (n,))
-        norms = np.empty(shape) if xi is not None else None
-        for idx in np.ndindex(*shape) if k else [()]:
-            t = np.array([param_axes[a][idx[a]] for a in range(k)])
-            p = np.asarray(mapping(t), dtype=float)
-            samples[idx] = p
-            if norms is not None:
-                norms[idx] = field_norm(chart, xi, p)
-        center = np.array([a[len(a) // 2] for a in param_axes])
-        base = np.asarray(mapping(center), dtype=float)
-        tangent = _map_tangent_frame(chart, mapping, center, k)
-        return cls(
-            chart=chart,
-            base=base,
-            tangent_basis=tangent,
-            param_axes=param_axes,
-            samples=samples,
-            field_norms=norms,
-            max_field_norm=float(norms.max()) if norms is not None and norms.size else math.nan,
-            codim=n - k,
-            mapping=mapping,
-        )
-
-
-def _map_tangent_frame(chart, mapping, t0, k):
-    if k == 0:
-        return np.empty((0, chart.dim))
-    h = 1e-4
-    rows = []
-    for a in range(k):
-        e = np.zeros(k)
-        e[a] = 1.0
-        rows.append((np.asarray(mapping(t0 + h * e)) - np.asarray(mapping(t0 - h * e))) / (2 * h))
-    g, _, _ = metric_jets(chart, np.asarray(mapping(t0), dtype=float), 0)
-    return mgs_orthonormalize(g, np.asarray(rows))
+    @property
+    def max_field_norm(self) -> float:
+        return float(self.field_norms.max())
 
 
 def trace_component(
@@ -277,7 +212,6 @@ def trace_component(
         param_axes=param_axes,
         samples=samples,
         field_norms=norms,
-        max_field_norm=float(norms.max()),
         codim=n - k,
         mapping=mapping,
         field=xi,
@@ -286,74 +220,34 @@ def trace_component(
 
 @dataclass(frozen=True, eq=False)
 class SecondFundamentalData:
-    """Second fundamental form of a patch at one parameter value."""
+    """Second fundamental form of a patch at one grid node.
+
+    ``normal_form[a, b]`` is B(e_a, e_b) for the g-orthonormal frame
+    ``tangent_frame`` (rows e_a) of the patch at ``point``.
+    """
 
     point: np.ndarray
-    tangents: np.ndarray
-    induced_metric: np.ndarray
     normal_form: np.ndarray
     mean_curvature: np.ndarray
     tangent_frame: np.ndarray
-
-
-def _stencil(mapping, t0, a, b, h):
-    """Richardson-extrapolated mixed second partial of the mapping."""
-
-    def at(da, db):
-        t = t0.copy()
-        t[a] += da
-        t[b] += db
-        return np.asarray(mapping(t), dtype=float)
-
-    def mixed(step):
-        if a == b:
-            return (at(step, 0) - 2.0 * at(0, 0) + at(-step, 0)) / (step * step)
-        return (
-            at(step, step) - at(step, -step) - at(-step, step) + at(-step, -step)
-        ) / (4.0 * step * step)
-
-    d_h = mixed(h)
-    d_h2 = mixed(h / 2)
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def _first_derivative(mapping, t0, a, h):
-    def at(da):
-        t = t0.copy()
-        t[a] += da
-        return np.asarray(mapping(t), dtype=float)
-
-    d_h = (at(h) - at(-h)) / (2.0 * h)
-    d_h2 = (at(h / 2) - at(-h / 2)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
 
 
 def second_fundamental_form(
     chart: Chart,
     patch: SubmanifoldPatch,
     index,
-    fd_step: float | None = None,
 ) -> SecondFundamentalData:
     """B and the mean curvature vector at an interior grid node.
 
     ``chart`` supplies the ambient metric and may differ from
     ``patch.chart`` (rescaled metrics reuse the same patch).
 
-    A patch that carries its field (a traced zero set) is handled from
-    exact jets at the node point ``patch.samples[index]``, with no further
-    evaluation of the mapping: the tangent frame is the g-orthonormal
-    kernel of nabla xi there, and B solves nabla xi B(X, Y) =
-    -(nabla^2 xi)(X, Y) on the normal space through the pseudo-inverse.
-    ``tangents`` and ``tangent_frame`` are then that frame and
-    ``induced_metric`` is the identity.
-
-    A patch without a field is differentiated instead: derivatives come
-    from Richardson-extrapolated central differences of the patch mapping
-    with an internal step independent of the grid spacing (``fd_step``), so
-    cells stay out of the truncation error, and ``tangents`` are the
-    parameter derivatives.  Boundary nodes are refused on both paths, so
-    both accept the same nodes: one-sided differencing would degrade the
-    difference path silently.
+    Everything comes from exact jets of the field at the node point
+    ``patch.samples[index]``, with no further evaluation of the mapping:
+    the tangent frame is the g-orthonormal kernel of nabla xi there, and B
+    solves nabla xi B(X, Y) = -(nabla^2 xi)(X, Y) on the normal space
+    through the pseudo-inverse.  Only interior grid nodes, the ones
+    ``umbilicity_report`` visits, are accepted.
     """
     k = patch.k
     if k == 0:
@@ -367,46 +261,6 @@ def second_fundamental_form(
                 "second fundamental form needs an interior grid node; "
                 f"axis {a} index {i} touches the boundary"
             )
-    if patch.field is not None:
-        return _jet_second_fundamental_form(chart, patch, index)
-    t0 = np.array([patch.param_axes[a][index[a]] for a in range(k)])
-    spacing = min(
-        float(np.min(np.diff(axis))) for axis in patch.param_axes
-    )
-    h = fd_step if fd_step is not None else min(0.01, spacing / 2.0)
-
-    p = patch.point_at(t0)
-    g, _, _ = metric_jets(chart, p, 0)
-    Gam = christoffel_matrix(chart, p)
-
-    dP = np.stack([_first_derivative(patch.mapping, t0, a, h) for a in range(k)])
-    induced = dP @ g @ dP.T
-    frame = mgs_orthonormalize(g, dP)
-    if frame.shape[0] != k:
-        raise PatchError("patch tangents are degenerate at this node")
-
-    B = np.empty((k, k, chart.dim))
-    for a in range(k):
-        for b in range(a, k):
-            d2 = _stencil(patch.mapping, t0, a, b, h)
-            C = d2 + np.einsum("kij,i,j->k", Gam, dP[a], dP[b])
-            tang = sum(float(C @ g @ frame[c]) * frame[c] for c in range(k))
-            B[a, b] = C - tang
-            B[b, a] = B[a, b]
-    hinv = spd_inverse(induced, context="induced metric")
-    H = np.einsum("ab,abk->k", hinv, B) / k
-    return SecondFundamentalData(
-        point=p,
-        tangents=dP,
-        induced_metric=induced,
-        normal_form=B,
-        mean_curvature=H,
-        tangent_frame=frame,
-    )
-
-
-def _jet_second_fundamental_form(chart, patch, index) -> SecondFundamentalData:
-    k = patch.k
     p = np.array(patch.samples[index], dtype=float)
     g, _, _ = metric_jets(chart, p, 0)
     N, H = covariant_hessian_matrix(chart, patch.field, p)
@@ -420,12 +274,10 @@ def _jet_second_fundamental_form(chart, patch, index) -> SecondFundamentalData:
     hess = np.einsum("ijk,aj,bk->abi", H, frame, frame)
     B = -nabla_svd.solve(hess)
     # Symmetric up to the curvature term R(X, Y) xi, which vanishes on the
-    # zero set; keep B exactly symmetric as the finite-difference path does.
+    # zero set; keep B exactly symmetric.
     B = 0.5 * (B + B.transpose(1, 0, 2))
     return SecondFundamentalData(
         point=p,
-        tangents=frame,
-        induced_metric=np.eye(k),
         normal_form=B,
         mean_curvature=np.einsum("aak->k", B) / k,
         tangent_frame=frame,
@@ -485,7 +337,7 @@ def umbilicity_report(
         data = second_fundamental_form(chart, patch, idx)
         g, _, _ = metric_jets(chart, data.point, 0)
         diff = data.normal_form - np.einsum(
-            "ab,k->abk", data.induced_metric, data.mean_curvature
+            "ab,k->abk", np.eye(patch.k), data.mean_curvature
         )
         residuals[m] = math.sqrt(
             sum(
@@ -507,28 +359,4 @@ def umbilicity_report(
         tolerance=float(tol),
         indices=tuple(indices),
         points=points,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ConformalInvarianceResult:
-    original: UmbilicityReport
-    rescaled: UmbilicityReport
-    verdicts_agree: bool
-
-
-def umbilicity_conformal_invariance_check(
-    chart: Chart,
-    patch: SubmanifoldPatch,
-    f: FieldSpec,
-    tol: float = 1e-4,
-) -> ConformalInvarianceResult:
-    """Umbilicity verdicts for the same patch under g and e^{2f} g."""
-    original = umbilicity_report(chart, patch, tol)
-    rescaled_chart = rescale_metric(chart, f)
-    rescaled = umbilicity_report(rescaled_chart, patch, tol)
-    return ConformalInvarianceResult(
-        original=original,
-        rescaled=rescaled,
-        verdicts_agree=original.verdict == rescaled.verdict,
     )

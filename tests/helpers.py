@@ -4,7 +4,9 @@ Richardson-extrapolated central differences give independent derivative
 values to compare against the exact jet propagation.  Step sizes are tuned
 so truncation and rounding error balance near the stated tolerances:
 1e-5 for first derivatives (accurate to ~1e-10 relative) and 2e-4 for
-second derivatives (accurate to ~1e-7 relative).
+second derivatives (accurate to ~1e-7 relative).  The second fundamental
+form of a parametrized submanifold takes both from a step of 0.01 in the
+parameters, whose derivatives are of order one.
 """
 from __future__ import annotations
 
@@ -84,3 +86,66 @@ def fd_lie_derivative(chart, xi, p, t=1e-3):
     G_m2 = flow_pullback_metric(chart, xi, p, -t / 2)
     d_h2 = (G_p2 - G_m2) / t
     return (4.0 * d_h2 - d_h) / 3.0
+
+
+def fd_second_fundamental_form(chart, mapping, t, h=0.01):
+    """Second fundamental form of a parametrized submanifold at parameter t,
+    from Richardson-extrapolated differences of the map.
+
+    Returns ``(point, dP, B, H)``: the point, the parameter derivatives
+    ``dP[a]``, ``B[a, b] = B(dP_a, dP_b)`` (the normal part of the covariant
+    second derivative) and the mean curvature vector.
+    """
+    from confield.geometry import (
+        christoffel_matrix, metric_value, mgs_orthonormalize, spd_inverse,
+    )
+
+    t = np.asarray(t, dtype=float)
+    k = len(t)
+    p = np.asarray(mapping(t), dtype=float)
+    g = metric_value(chart, p)
+    Gam = christoffel_matrix(chart, p)
+    dP = np.stack([fd_partial(mapping, t, a, h) for a in range(k)])
+    frame = mgs_orthonormalize(g, dP)
+    B = np.empty((k, k, chart.dim))
+    for a in range(k):
+        for b in range(a, k):
+            C = fd_partial2(mapping, t, a, b, h)
+            C = C + np.einsum("kij,i,j->k", Gam, dP[a], dP[b])
+            B[a, b] = B[b, a] = C - frame.T @ (frame @ g @ C)
+    H = np.einsum("ab,abk->k", spd_inverse(dP @ g @ dP.T), B) / k
+    return p, dP, B, H
+
+
+def map_patch(chart, xi, mapping, param_axes):
+    """Patch of a known zero set of xi, built from its parametrization.
+
+    The tangent basis is the g-orthonormalized parameter derivatives at the
+    centre node.
+    """
+    from confield.geometry import field_norm, metric_value, mgs_orthonormalize
+    from confield.zeroset import SubmanifoldPatch
+
+    param_axes = tuple(np.asarray(a, dtype=float) for a in param_axes)
+    k = len(param_axes)
+    shape = tuple(len(a) for a in param_axes)
+    samples = np.empty(shape + (chart.dim,))
+    norms = np.empty(shape)
+    for idx in np.ndindex(*shape):
+        t = np.array([axis[i] for axis, i in zip(param_axes, idx)])
+        samples[idx] = mapping(t)
+        norms[idx] = field_norm(chart, xi, samples[idx])
+    centre = np.array([axis[len(axis) // 2] for axis in param_axes])
+    base = np.asarray(mapping(centre), dtype=float)
+    dP = np.stack([fd_partial(mapping, centre, a) for a in range(k)])
+    return SubmanifoldPatch(
+        chart=chart,
+        base=base,
+        tangent_basis=mgs_orthonormalize(metric_value(chart, base), dP),
+        param_axes=param_axes,
+        samples=samples,
+        field_norms=norms,
+        codim=chart.dim - k,
+        mapping=mapping,
+        field=xi,
+    )

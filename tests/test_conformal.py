@@ -14,10 +14,8 @@ from confield.conformal import (
 )
 from confield.expr import eval_jet, parse
 from confield.geometry import (
-    ChartError,
     FieldSpec,
     field_value,
-    gradient,
     metric_value,
     sample_interior,
 )
@@ -86,11 +84,6 @@ def test_is_conformal_rejects_empty_samples():
     xi = models.translation(FLAT2)
     with pytest.raises(ValueError):
         is_conformal(FLAT2, xi, np.zeros((0, 2)))
-
-
-def test_gradient_requires_scalar_field():
-    with pytest.raises(ChartError):
-        gradient(FLAT2, models.translation(FLAT2), np.zeros(2))
 
 
 # -- rescaling ----------------------------------------------------------------

@@ -133,6 +133,10 @@ def test_shared_subtrees_reuse_results():
     assert jets[1].value == pytest.approx(base.value + 1.0)
 
 
+# 1/x^3, and so x^(-3), overflows a float at x = TINY.
+TINY = 1e-110
+
+
 @pytest.mark.parametrize(
     "source,point",
     [
@@ -142,13 +146,27 @@ def test_shared_subtrees_reuse_results():
         ("x1^(-1)", [0.0, 0.0]),
         ("log(x1)", [0.0, 0.0]),
         ("x3", [0.0, 0.0]),
+        ("1/x1", [TINY, 0.0]),
+        ("x1^(-3)", [TINY, 0.0]),
+        ("log(x1)", [TINY, 0.0]),
     ],
 )
 def test_domain_errors(source, point):
-    """Per point and in a batch (where the bad point is the second of three)."""
+    """Per point and in a batch (where the bad point is the second of three).
+
+    At x1 = TINY the point is in the domain, but a Taylor coefficient the
+    evaluator forms is beyond the float range: the per-point jet raises
+    (for x1^(-3) at order 0 too), while an order-0 batch keeps numpy's inf.
+    """
     e = parse(source, 3)
-    with pytest.raises(EvalDomainError):
+    with pytest.raises(EvalDomainError) as err:
         eval_jet(e, point, 1)
+    assert err.value.subexpression is e
+    if point[0] == TINY:
+        if source == "x1^(-3)":
+            with pytest.raises(EvalDomainError):
+                eval_jet(e, point, 0)
+        return
     with pytest.raises(EvalDomainError):
         eval_values_many([e], [[0.5, 0.5], point, [2.0, 1.0]])
 

@@ -12,21 +12,14 @@ from confield.geometry import (
     ChartError,
     FieldSpec,
     MetricError,
-    TensorValue,
     christoffel_matrix,
     complete_orthonormal_frame,
-    covariant_derivative_field,
     covariant_derivative_matrix,
     covariant_hessian_matrix,
-    divergence,
     dxi_form_matrix,
-    exterior_derivative_dual,
     field_jets,
     field_norm,
-    flat,
-    gradient,
     lie_derivative_matrix,
-    metric_at,
     metric_jets,
     metric_value,
     mgs_orthonormalize,
@@ -36,7 +29,6 @@ from confield.geometry import (
     riemann_lowered_matrix,
     riemann_matrix,
     sample_interior,
-    sharp,
     spd_inverse,
 )
 from helpers import fd_lie_derivative, fd_partial, fd_partial2
@@ -82,15 +74,6 @@ def test_field_spec_validation():
         FieldSpec(FLAT2, (parse("x1", 2),), kind="tensor")
     scalar = FieldSpec.scalar(FLAT2, parse("x1*x2", 2))
     assert scalar.expr is scalar.components[0]
-
-
-def test_tensor_value_validates_shapes():
-    with pytest.raises(ValueError):
-        TensorValue(np.zeros(2), "ud", np.zeros(3))
-    with pytest.raises(ValueError):
-        TensorValue(np.zeros(2), "ux", np.zeros((2, 2)))
-    tv = TensorValue(np.zeros(2), "dd", np.eye(2))
-    assert tv.components.shape == (2, 2)
 
 
 def test_non_spd_metric_raises():
@@ -227,24 +210,22 @@ def test_covariant_derivative_of_plane_rotation():
 
 def test_covariant_derivative_of_quadratic_field_on_axis():
     K = models.special_conformal(FLAT3, 1)
-    N = covariant_derivative_field(FLAT3, K, np.array([0.3, 0.0, 0.0]))
-    assert np.abs(N.components + 0.6 * np.eye(3)).max() < 1e-15
-    assert N.valence == "ud"
+    N = covariant_derivative_matrix(FLAT3, K, np.array([0.3, 0.0, 0.0]))
+    assert np.abs(N + 0.6 * np.eye(3)).max() < 1e-15
 
 
 def test_euler_identity_map_everywhere():
     eu = models.euler(FLAT3)
     N = covariant_derivative_matrix(FLAT3, eu, np.array([0.9, -1.1, 0.2]))
     assert np.abs(N - np.eye(3)).max() == 0.0
-    assert divergence(FLAT2, models.euler(FLAT2), np.array([0.3, 0.4])) == -2.0
+    N2 = covariant_derivative_matrix(FLAT2, models.euler(FLAT2), np.array([0.3, 0.4]))
+    assert np.trace(N2) == 2.0
 
 
 def test_derivative_two_form_of_rotation():
     rot = models.rotation(FLAT2)
     M = dxi_form_matrix(FLAT2, rot, np.array([0.2, 0.5]))
     assert np.abs(M - np.array([[0.0, 2.0], [-2.0, 0.0]])).max() == 0.0
-    tv = exterior_derivative_dual(FLAT2, rot, np.array([0.2, 0.5]))
-    assert tv.valence == "dd"
 
 
 def test_two_form_is_twice_skew_part_of_lowered_derivative():
@@ -342,16 +323,13 @@ def test_norms_and_musical_isomorphisms():
     g = metric_value(SPHERE, p)
     ginv = spd_inverse(g)
     v = np.array([0.4, -1.0, 0.3])
-    w = flat(SPHERE, v, p)
-    assert w.valence == "d"
-    back = sharp(SPHERE, w, p)
-    assert np.abs(back.components - v).max() < 1e-14
-    assert norm_vector(g, v) == pytest.approx(norm_covector(ginv, w.components), rel=1e-14)
+    w = g @ v
+    assert np.abs(ginv @ w - v).max() < 1e-14
+    assert norm_vector(g, v) == pytest.approx(norm_covector(ginv, w), rel=1e-14)
 
     scalar = FieldSpec.scalar(SPHERE, parse("x1*x2 - x3^2", 3))
-    grad = gradient(SPHERE, scalar, p)
     df = eval_jet(scalar.expr, p, 1).d1
-    assert np.abs(g @ grad.components - df).max() < 1e-14
+    assert np.abs(g @ (ginv @ df) - df).max() < 1e-14
 
 
 def test_two_form_norm_is_frame_frobenius():
@@ -391,13 +369,6 @@ def test_sample_interior_respects_margin():
     width = FLAT2.upper - FLAT2.lower
     assert np.all(pts >= FLAT2.lower + 0.1 * width - 1e-12)
     assert np.all(pts <= FLAT2.upper - 0.1 * width + 1e-12)
-
-
-def test_metric_at_wrapper():
-    tv = metric_at(SPHERE, np.array([0.1, 0.0, 0.0]))
-    assert tv.valence == "dd"
-    factor = 4.0 / (1.0 + 0.01) ** 2
-    assert np.abs(tv.components - factor * np.eye(3)).max() < 1e-14
 
 
 def test_field_norm_of_quadratic_field_is_r_squared_flat():

@@ -1,5 +1,4 @@
 """Zero set tracing, second fundamental form, and umbilicity reports."""
-import dataclasses
 import math
 
 import numpy as np
@@ -8,17 +7,17 @@ import pytest
 import confield.geodesic as geodesic
 import confield.models as models
 import confield.zeroset as zeroset
-from confield.expr import parse
+from confield.conformal import rescale_metric
+from confield.expr import eval_jet, parse
 from confield.geometry import FieldSpec, metric_value, norm_vector
 from confield.zeroset import (
     OffZeroSetError,
     PatchError,
-    SubmanifoldPatch,
     second_fundamental_form,
     trace_component,
-    umbilicity_conformal_invariance_check,
     umbilicity_report,
 )
+from helpers import fd_second_fundamental_form, map_patch
 
 FLAT3 = models.euclidean(3)
 FLAT4 = models.euclidean(4)
@@ -139,48 +138,104 @@ def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
     assert len(calls) == one_sample > 1
 
 
-def test_point_at_matches_samples():
-    xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, np.zeros(3), radius=0.2, grid=5)
-    t = np.array([patch.param_axes[0][3]])
-    assert np.array_equal(patch.point_at(t), patch.mapping(t))
-
-
-# -- second fundamental form on synthetic patches -------------------------------
+# -- second fundamental form on explicitly parametrized zero sets ---------------
+#
+# Each patch below is the zero set of a field xi whose derivative is
+# invertible on the normal space there, built from a parametrization of
+# that zero set; the jet path reads only the node points and xi.
 
 
 def _linspace(lo, hi, num):
     return np.linspace(lo, hi, num)
 
 
-def test_hyperplane_has_zero_second_fundamental_form():
-    patch = SubmanifoldPatch.from_map(
+def _field(chart, *components):
+    return FieldSpec.vector(chart, tuple(parse(c, chart.dim) for c in components))
+
+
+def _assert_jet_path_matches_fd(chart, patch):
+    """Compare the jet path with the Richardson reference of the patch map
+    at every node the umbilicity report visits.
+
+    B is compared in the parameter basis: the FD tangents are
+    dP_a = C[a, c] e_c in the jet path's orthonormal frame e.
+    """
+    report = umbilicity_report(chart, patch)
+    for m, idx in enumerate(report.indices):
+        t = np.array([axis[i] for axis, i in zip(patch.param_axes, idx)])
+        point, dP, B_fd, H_fd = fd_second_fundamental_form(chart, patch.mapping, t)
+        jet = second_fundamental_form(chart, patch, idx)
+        assert np.array_equal(jet.point, point)
+        g = metric_value(chart, jet.point)
+        e = jet.tangent_frame
+        assert np.abs(e @ g @ e.T - np.eye(patch.k)).max() < 1e-12
+        C = dP @ g @ e.T
+        B_param = np.einsum("ac,bd,cdk->abk", C, C, jet.normal_form)
+        assert np.abs(B_param - B_fd).max() < 1e-8
+        assert np.abs(jet.mean_curvature - H_fd).max() < 1e-8
+        assert abs(report.mean_curvature_norms[m] - norm_vector(g, H_fd)) < 1e-8
+    return report
+
+
+def _sphere_patch():
+    """The sphere of radius 0.5 about the origin, zero set of (|x|^2 - 1/4) x."""
+    r2 = "(x1^2 + x2^2 + x3^2 - 0.25)"
+    xi = _field(FLAT3, f"{r2}*x1", f"{r2}*x2", f"{r2}*x3")
+
+    def emb(t):
+        th, ph = t
+        return 0.5 * np.array(
+            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
+        )
+
+    return map_patch(FLAT3, xi, emb, (_linspace(0.6, 2.5, 9), _linspace(-2.8, 2.8, 9)))
+
+
+def _cylinder_patch():
+    """The cylinder of radius 0.8 about the x3 axis, zero set of
+    (x1^2 + x2^2 - 0.64) (x1, x2, 0)."""
+    r2 = "(x1^2 + x2^2 - 0.64)"
+    xi = _field(FLAT3, f"{r2}*x1", f"{r2}*x2", "0")
+
+    def emb(t):
+        th, z = t
+        return np.array([0.8 * math.cos(th), 0.8 * math.sin(th), z])
+
+    return map_patch(FLAT3, xi, emb, (_linspace(-2.5, 2.5, 9), _linspace(-1.0, 1.0, 9)))
+
+
+def _unit_circle_patch():
+    """sphere_killing(1, 4) vanishes on the unit circle in the plane x1 = 0,
+    which has |H| = 1 in flat space."""
+    xi = models.sphere_killing(FLAT3, 1, 4)
+    return map_patch(
         FLAT3,
+        xi,
+        lambda t: np.array([0.0, math.cos(t[0]), math.sin(t[0])]),
+        (_linspace(-0.6, 0.6, 7),),
+    )
+
+
+def test_hyperplane_has_zero_second_fundamental_form():
+    patch = map_patch(
+        FLAT3,
+        _field(FLAT3, "0", "0", "x3 - 0.25"),
         lambda t: np.array([t[0], t[1], 0.25]),
         (_linspace(-0.5, 0.5, 7), _linspace(-0.5, 0.5, 7)),
     )
-    assert math.isnan(patch.max_field_norm)
-    assert patch.field_norms is None
+    assert patch.field_norms.shape == (7, 7)
+    assert patch.max_field_norm == 0.0
     data = second_fundamental_form(FLAT3, patch, (3, 3))
     assert np.abs(data.normal_form).max() < 1e-9
     assert np.abs(data.mean_curvature).max() < 1e-9
-    report = umbilicity_report(FLAT3, patch)
+    report = _assert_jet_path_matches_fd(FLAT3, patch)
     assert report.verdict == "totally_umbilical"
     assert report.max_residual < 1e-8
 
 
 def test_round_two_sphere_is_umbilical_with_mean_curvature_two():
-    r = 0.5
-
-    def emb(t):
-        th, ph = t
-        return r * np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
-
-    patch = SubmanifoldPatch.from_map(
-        FLAT3, emb, (_linspace(0.6, 2.5, 9), _linspace(-2.8, 2.8, 9))
-    )
+    patch = _sphere_patch()
+    assert patch.max_field_norm < 1e-15
     data = second_fundamental_form(FLAT3, patch, (4, 4))
     p = data.point
     # B must be proportional to the induced metric with normal of length 1/r
@@ -188,21 +243,14 @@ def test_round_two_sphere_is_umbilical_with_mean_curvature_two():
     # mean curvature points radially
     cross = np.cross(data.mean_curvature, p)
     assert np.linalg.norm(cross) < 1e-5
-    report = umbilicity_report(FLAT3, patch)
+    report = _assert_jet_path_matches_fd(FLAT3, patch)
     assert report.verdict == "totally_umbilical"
     assert report.max_residual < 1e-4
-    assert not report.codim_even  # codim 1 synthetic patch, reported honestly
+    assert not report.codim_even  # codim 1, reported honestly
 
 
 def test_cylinder_is_not_umbilical():
-    def emb(t):
-        th, z = t
-        return np.array([0.8 * math.cos(th), 0.8 * math.sin(th), z])
-
-    patch = SubmanifoldPatch.from_map(
-        FLAT3, emb, (_linspace(-2.5, 2.5, 9), _linspace(-1.0, 1.0, 9))
-    )
-    report = umbilicity_report(FLAT3, patch)
+    report = _assert_jet_path_matches_fd(FLAT3, _cylinder_patch())
     assert report.verdict == "not_umbilical"
     assert report.max_residual > 0.5
 
@@ -211,61 +259,26 @@ def test_great_subsphere_is_minimal_in_round_metric():
     """The coordinate unit circle in the x1-x2 plane is a closed geodesic
     circle of the round metric; as the fixed set of an isometry it is
     totally geodesic: B = 0, H = 0."""
-
-    def emb(t):
-        return np.array([math.cos(t[0]), math.sin(t[0]), 0.0])
-
-    patch = SubmanifoldPatch.from_map(SPHERE, emb, (_linspace(-3.0, 3.0, 13),))
+    patch = map_patch(
+        SPHERE,
+        models.sphere_killing(SPHERE, 3, 4),
+        lambda t: np.array([math.cos(t[0]), math.sin(t[0]), 0.0]),
+        (_linspace(-3.0, 3.0, 13),),
+    )
     data = second_fundamental_form(SPHERE, patch, (6,))
     assert np.abs(data.normal_form).max() < 1e-6
-    report = umbilicity_report(SPHERE, patch)
+    report = _assert_jet_path_matches_fd(SPHERE, patch)
     assert report.verdict == "totally_umbilical"
     assert np.abs(report.mean_curvature_norms).max() < 1e-5
 
 
-# -- jet path against the finite-difference reference ----------------------------
-
-
-def _assert_jet_path_matches_fd(chart, patch, xi):
-    """Compare the jet path (patch given its field) with the FD path.
-
-    B is compared in the parameter basis: the FD tangents are
-    dP_a = C[a, c] e_c in the jet path's orthonormal frame e.
-    """
-    assert patch.field is None
-    jet_patch = dataclasses.replace(patch, field=xi)
-    fd_report = umbilicity_report(chart, patch)
-    jet_report = umbilicity_report(chart, jet_patch)
-    assert jet_report.verdict == fd_report.verdict
-    assert np.abs(
-        jet_report.mean_curvature_norms - fd_report.mean_curvature_norms
-    ).max() < 1e-8
-    for idx in fd_report.indices:
-        fd = second_fundamental_form(chart, patch, idx)
-        jet = second_fundamental_form(chart, jet_patch, idx)
-        assert np.array_equal(jet.point, fd.point)
-        g = metric_value(chart, jet.point)
-        e = jet.tangent_frame
-        assert np.abs(e @ g @ e.T - np.eye(patch.k)).max() < 1e-12
-        C = fd.tangents @ g @ e.T
-        B_param = np.einsum("ac,bd,cdk->abk", C, C, jet.normal_form)
-        assert np.abs(B_param - fd.normal_form).max() < 1e-8
-        assert np.abs(jet.mean_curvature - fd.mean_curvature).max() < 1e-8
-    return jet_report
+# -- jet path on the zero sets of catalog fields ---------------------------------
 
 
 def test_jet_path_on_unit_circle_zero_set():
-    """sphere_killing(1, 4) vanishes on the unit circle in the plane x1 = 0,
-    which has |H| = 1 in flat space."""
-    xi = models.sphere_killing(FLAT3, 1, 4)
-    patch = SubmanifoldPatch.from_map(
-        FLAT3,
-        lambda t: np.array([0.0, math.cos(t[0]), math.sin(t[0])]),
-        (_linspace(-0.6, 0.6, 7),),
-        xi=xi,
-    )
+    patch = _unit_circle_patch()
     assert patch.max_field_norm < 1e-14
-    report = _assert_jet_path_matches_fd(FLAT3, patch, xi)
+    report = _assert_jet_path_matches_fd(FLAT3, patch)
     assert report.verdict == "totally_umbilical"
     assert np.abs(report.mean_curvature_norms - 1.0).max() < 1e-12
     assert report.codim_even
@@ -281,10 +294,8 @@ def test_jet_path_on_unit_two_sphere_zero_set():
             [0.0, math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
         )
 
-    patch = SubmanifoldPatch.from_map(
-        FLAT4, emb, (_linspace(1.0, 2.0, 5), _linspace(-0.5, 0.5, 5)), xi=xi
-    )
-    report = _assert_jet_path_matches_fd(FLAT4, patch, xi)
+    patch = map_patch(FLAT4, xi, emb, (_linspace(1.0, 2.0, 5), _linspace(-0.5, 0.5, 5)))
+    report = _assert_jet_path_matches_fd(FLAT4, patch)
     assert report.verdict == "totally_umbilical"
     assert np.abs(report.mean_curvature_norms - 1.0).max() < 1e-12
     assert report.codim_even
@@ -299,11 +310,9 @@ def test_jet_path_on_traced_hyperbolic_patches(base):
     xi = models.rotation(HYP4, 1, 2)
     traced = trace_component(HYP4, xi, base, radius=0.2, grid=5)
     assert traced.k == 2
-    sub = SubmanifoldPatch.from_map(
-        HYP4, traced.mapping, tuple(axis[0:3] for axis in traced.param_axes)
-    )
+    sub = map_patch(HYP4, xi, traced.mapping, tuple(axis[0:3] for axis in traced.param_axes))
     assert np.array_equal(sub.samples[1, 1], traced.samples[1, 1])
-    _assert_jet_path_matches_fd(HYP4, sub, xi)
+    _assert_jet_path_matches_fd(HYP4, sub)
     report = umbilicity_report(HYP4, traced)
     assert report.verdict == "totally_umbilical"
     assert report.max_residual < 1e-9
@@ -322,27 +331,11 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
     patch = trace_component(SPHERE, xi, np.array([1.0, 0.0, 0.0]), radius=0.4, grid=7)
     report = umbilicity_report(SPHERE, patch)
     assert report.verdict == "totally_umbilical"
-    result = umbilicity_conformal_invariance_check(
-        SPHERE, patch, FieldSpec.scalar(SPHERE, parse("0.3*sin(x1)", 3))
-    )
-    assert result.verdicts_agree
+    rescaled = rescale_metric(SPHERE, FieldSpec.scalar(SPHERE, parse("0.3*sin(x1)", 3)))
+    assert umbilicity_report(rescaled, patch).verdict == "totally_umbilical"
     # the guard is live: exp_map does integrate
     with pytest.raises(AssertionError, match="geodesic integration"):
         geodesic.exp_map(SPHERE, np.zeros(3), np.array([0.1, 0.0, 0.0]))
-
-
-def test_from_map_records_field_norms_when_field_given():
-    xi = models.rotation(FLAT3, 1, 2)
-    patch = SubmanifoldPatch.from_map(
-        FLAT3,
-        lambda t: np.array([0.0, 0.0, t[0]]),
-        (_linspace(-0.5, 0.5, 5),),
-        xi=xi,
-    )
-    assert patch.field_norms is not None
-    assert patch.field_norms.shape == (5,)
-    assert patch.max_field_norm < 1e-12
-    assert patch.field is None
 
 
 def test_second_fundamental_form_refusals():
@@ -381,41 +374,42 @@ def test_circle_component_report_on_round_chart():
     assert np.abs(report.mean_curvature_norms).max() < 1e-3
 
 
+# -- conformal rescaling ----------------------------------------------------------
+
+
 def test_umbilicity_verdicts_stable_under_rescaling():
-    f = FieldSpec.scalar(FLAT3, parse("0.3*sin(x1)", 3))
+    """A patch traced under g serves e^{2f} g: at a zero nabla xi is the same
+    for every metric in the conformal class."""
+    rescaled = rescale_metric(FLAT3, FieldSpec.scalar(FLAT3, parse("0.3*sin(x1)", 3)))
     xi = models.rotation(FLAT3, 1, 2)
     traced = trace_component(FLAT3, xi, np.zeros(3), radius=0.3, grid=5)
-    result = umbilicity_conformal_invariance_check(FLAT3, traced, f)
-    assert result.verdicts_agree
-    assert result.original.verdict == "totally_umbilical"
-    assert result.rescaled.verdict == "totally_umbilical"
-
-    def emb(t):
-        th, z = t
-        return np.array([0.8 * math.cos(th), 0.8 * math.sin(th), z])
-
-    cylinder = SubmanifoldPatch.from_map(
-        FLAT3, emb, (_linspace(-2.5, 2.5, 9), _linspace(-1.0, 1.0, 9))
-    )
-    result = umbilicity_conformal_invariance_check(FLAT3, cylinder, f)
-    assert result.verdicts_agree
-    assert result.original.verdict == "not_umbilical"
+    for patch, verdict in ((traced, "totally_umbilical"), (_cylinder_patch(), "not_umbilical")):
+        assert umbilicity_report(FLAT3, patch).verdict == verdict
+        assert umbilicity_report(rescaled, patch).verdict == verdict
 
 
 def test_rescaled_synthetic_sphere_stays_umbilical():
     """Umbilical points are conformally invariant even though the mean
     curvature itself is not."""
+    patch = _sphere_patch()
+    rescaled = rescale_metric(FLAT3, FieldSpec.scalar(FLAT3, parse("x1/4 + x3/5", 3)))
+    assert umbilicity_report(FLAT3, patch).verdict == "totally_umbilical"
+    assert umbilicity_report(rescaled, patch).verdict == "totally_umbilical"
 
-    def emb(t):
-        th, ph = t
-        return 0.5 * np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
 
-    patch = SubmanifoldPatch.from_map(
-        FLAT3, emb, (_linspace(0.6, 2.5, 9), _linspace(-2.8, 2.8, 9))
-    )
-    f = FieldSpec.scalar(FLAT3, parse("x1/4 + x3/5", 3))
-    result = umbilicity_conformal_invariance_check(FLAT3, patch, f)
-    assert result.verdicts_agree
-    assert result.rescaled.verdict == "totally_umbilical"
+def test_mean_curvature_under_rescaling():
+    """Under e^{2f} g the mean curvature vector is e^{-2f} (H - (grad f)^perp),
+    so its norm is |H'| = e^{-f} |H - (grad f)^perp| with the norms and the
+    gradient of the flat metric."""
+    f = FieldSpec.scalar(FLAT3, parse("0.3*sin(x2) + x3/5", 3))
+    rescaled = rescale_metric(FLAT3, f)
+    patch = _unit_circle_patch()
+    report = _assert_jet_path_matches_fd(rescaled, patch)
+    assert report.verdict == "totally_umbilical"
+    for m, idx in enumerate(report.indices):
+        data = second_fundamental_form(FLAT3, patch, idx)
+        jet = eval_jet(f.expr, data.point, 1)
+        e = data.tangent_frame
+        normal_grad = jet.d1 - e.T @ (e @ jet.d1)
+        expected = math.exp(-jet.value) * np.linalg.norm(data.mean_curvature - normal_grad)
+        assert abs(report.mean_curvature_norms[m] - expected) < 1e-12
