@@ -20,14 +20,9 @@ from .expr import Const, Expr, Fun, Mul, eval_jet
 from .geometry import (
     Chart,
     FieldSpec,
-    christoffel_matrix,
     connection_data,
-    covariant_derivative_matrix,
-    field_jets,
-    lie_derivative_matrix,
-    metric_jets,
+    field_data,
     norm_2form,
-    spd_inverse,
 )
 
 __all__ = [
@@ -56,35 +51,25 @@ class ConformalReport:
 def conformal_factor(chart: Chart, xi: FieldSpec, p) -> float:
     """phi(p) = trace(nabla xi) / n."""
     chart.require_interior(p)
-    N = covariant_derivative_matrix(chart, xi, p)
-    return float(np.trace(N)) / chart.dim
+    return field_data(chart, xi, p, 1).phi
 
 
 def conformal_factor_gradient(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
-    """Exact covector d(phi) at p, via second-order jets.
-
-    n phi = d_i xi^i + Gamma^i_{ik} xi^k, so
-    n d_j phi = d_j d_i xi^i + (d_j Gamma^i_{ik}) xi^k + Gamma^i_{ik} d_j xi^k.
-    """
+    """Exact covector d(phi) at p, via second-order jets."""
     chart.require_interior(p)
-    cd = connection_data(chart, p)
-    val, jac, hess = field_jets(xi, p, 2)
-    term1 = np.einsum("iij->j", hess)
-    term2 = np.einsum("iikj,k->j", cd.dGam, val)
-    term3 = np.einsum("iik,kj->j", cd.Gam, jac)
-    return (term1 + term2 + term3) / chart.dim
+    return field_data(chart, xi, p, 2).dphi
 
 
 def conformal_residual(chart: Chart, xi: FieldSpec, p) -> float:
-    """Metric norm of L_xi g - 2 phi g at p."""
+    """Metric norm of the trace-free part of L_xi g at p.
+
+    The g-trace of L_xi g is 2 n phi, so this is |L_xi g - 2 phi g|, with
+    the trace taken of L_xi g itself so that the part is trace-free.
+    """
     chart.require_interior(p)
-    g, _, _ = metric_jets(chart, p, 0)
-    ginv = spd_inverse(g)
-    L = lie_derivative_matrix(chart, xi, p)
-    # trace(g^{-1} L) / 2n equals trace(nabla xi) / n
-    phi = float(np.trace(ginv @ L)) / (2.0 * chart.dim)
-    T = L - 2.0 * phi * g
-    return norm_2form(ginv, T)
+    fd = field_data(chart, xi, p, 1)
+    g, ginv, L = fd.conn.g, fd.conn.ginv, fd.lie
+    return norm_2form(ginv, L - float(np.trace(ginv @ L)) / chart.dim * g)
 
 
 def is_conformal(chart: Chart, xi: FieldSpec, samples, tol: float = 1e-7) -> ConformalReport:
@@ -138,16 +123,14 @@ def connection_change_residual(chart: Chart, f: FieldSpec, p) -> float:
     """
     chart.require_interior(p)
     n = chart.dim
-    g, _, _ = metric_jets(chart, p, 0)
-    ginv = spd_inverse(g)
+    cd = connection_data(chart, p, 1)
     df = eval_jet(f.expr, p, 1).d1
-    gradf = ginv @ df
-    Gam = christoffel_matrix(chart, p)
-    Gam_rescaled = christoffel_matrix(rescale_metric(chart, f), p)
+    gradf = cd.ginv @ df
+    Gam_rescaled = connection_data(rescale_metric(chart, f), p, 1).Gam
     eye = np.eye(n)
     corr = (
         np.einsum("ki,j->kij", eye, df)
         + np.einsum("kj,i->kij", eye, df)
-        - np.einsum("ij,k->kij", g, gradf)
+        - np.einsum("ij,k->kij", cd.g, gradf)
     )
-    return float(np.sqrt(np.sum((Gam_rescaled - Gam - corr) ** 2)))
+    return float(np.sqrt(np.sum((Gam_rescaled - cd.Gam - corr) ** 2)))

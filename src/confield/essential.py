@@ -25,18 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import conformal_factor_gradient, is_conformal
+from .conformal import is_conformal
 from .expr import eval_values_many
 from .geometry import (
     Chart,
     FieldSpec,
-    covariant_derivative_matrix,
-    dxi_form_matrix,
+    field_data,
     field_jets,
     field_norm,
     field_value,
-    metric_jets,
-    spd_inverse,
+    norm_vector,
 )
 
 __all__ = [
@@ -303,18 +301,12 @@ def classify_zero(
         )
     x = np.asarray(x, dtype=float)
     chart.require_interior(x)
-    if field_norm(chart, xi, x) >= tol:
+    fd = field_data(chart, xi, x, 2)
+    g, N, M, phi, dphi = fd.conn.g, fd.N, fd.M, fd.phi, fd.dphi
+    if norm_vector(g, fd.value) >= tol:
         raise ValueError("classify_zero expects a zero of the field")
     if rng is None:
         rng = np.random.default_rng(0)
-
-    g, _, _ = metric_jets(chart, x, 0)
-    ginv = spd_inverse(g)
-    N = covariant_derivative_matrix(chart, xi, x)
-    M = dxi_form_matrix(chart, xi, x)
-    phi = float(np.trace(N)) / chart.dim
-    dphi = conformal_factor_gradient(chart, xi, x)
-    grad_phi = ginv @ dphi
 
     nabla_svd = frame_svd(g, N, "endomorphism")
     b_frame = nabla_svd.Linv @ dphi
@@ -343,7 +335,7 @@ def classify_zero(
         verdict=verdict,
         phi=phi,
         dphi=dphi,
-        grad_phi=grad_phi,
+        grad_phi=fd.conn.ginv @ dphi,
         nabla_xi=N,
         dxi=M,
         image_residual=image_residual,

@@ -26,22 +26,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conformal import conformal_factor, conformal_factor_gradient
 from .geometry import (
     Chart,
     FieldSpec,
     christoffel_matrix,
     complete_orthonormal_frame,
-    connection_data,
-    dxi_form_matrix,
-    field_jets,
-    field_norm,
+    field_data,
     field_value,
     metric_jets,
     norm_2form,
     norm_vector,
-    riemann_lowered_matrix,
-    spd_inverse,
 )
 
 __all__ = [
@@ -241,9 +235,10 @@ def taylor_scalar_check(
     empirical order of the remainder f(t) - t f'(0) - t^2/2 f''(0) over
     ``slope_ts``; when the remainder is at noise level the order is inf.
     """
-    if field_norm(chart, xi, x) >= zero_tol:
+    fd = field_data(chart, xi, x, 1)
+    g = fd.conn.g
+    if norm_vector(g, fd.value) >= zero_tol:
         raise ValueError("taylor_scalar_check requires a zero of the field")
-    g, _, _ = metric_jets(chart, x, 0)
     v = np.asarray(v, dtype=float)
     v = v / norm_vector(g, v)
     frame0 = complete_orthonormal_frame(g, v)
@@ -256,10 +251,9 @@ def taylor_scalar_check(
 
     states = _states_at(chart, x, v, frame0, ts)
     fvals = {t: f_of(s) for t, s in states.items()}
-    f0 = float(field_value(xi, x) @ g @ v)
+    f0 = float(fd.value @ g @ v)
     d1 = _richardson_first(fvals[-h / 2], fvals[-h], fvals[h], fvals[h / 2], h)
     d2 = _richardson_second(f0, fvals[-h / 2], fvals[-h], fvals[h], fvals[h / 2], h)
-    phi = conformal_factor(chart, xi, x)
 
     remainders = []
     scale = 1.0
@@ -274,7 +268,7 @@ def taylor_scalar_check(
         logs_t = np.log(np.asarray(slope_ts, dtype=float))
         logs_r = np.log(np.maximum(remainders, 1e-300))
         order = float(np.polyfit(logs_t, logs_r, 1)[0])
-    return TaylorScalarResult(abs(d1 - phi), order, float(d1), float(d2))
+    return TaylorScalarResult(abs(d1 - fd.phi), order, float(d1), float(d2))
 
 
 def taylor_vector_check(
@@ -292,11 +286,11 @@ def taylor_vector_check(
     2 dphi(v) v - grad phi, both expressed in the parallel orthonormal
     frame at x.
     """
-    if field_norm(chart, xi, x) >= zero_tol:
-        raise ValueError("taylor_vector_check requires a zero of the field")
     x = np.asarray(x, dtype=float)
-    g, _, _ = metric_jets(chart, x, 0)
-    ginv = spd_inverse(g)
+    fd = field_data(chart, xi, x, 2)
+    g = fd.conn.g
+    if norm_vector(g, fd.value) >= zero_tol:
+        raise ValueError("taylor_vector_check requires a zero of the field")
     v = np.asarray(v, dtype=float)
     v = v / norm_vector(g, v)
     frame0 = complete_orthonormal_frame(g, v)
@@ -309,18 +303,14 @@ def taylor_vector_check(
 
     states = _states_at(chart, x, v, frame0, ts)
     a = {t: comps(s) for t, s in states.items()}
-    a0 = frame0 @ g @ field_value(xi, x)
+    a0 = frame0 @ g @ fd.value
     d1 = _richardson_first(a[-h / 2], a[-h], a[h], a[h / 2], h)
     d2 = _richardson_second(a0, a[-h / 2], a[-h], a[h], a[h / 2], h)
 
-    M = dxi_form_matrix(chart, xi, x)
     # (v -| d xi)_j = v^i M[i, j] and (phi v)_j = phi g_jk v^k; raise the
     # covector and take frame components
-    phi = conformal_factor(chart, xi, x)
-    first_target = frame0 @ (phi * (g @ v) + 0.5 * (M.T @ v))
-    dphi = conformal_factor_gradient(chart, xi, x)
-    grad_phi = ginv @ dphi
-    second_vec = 2.0 * float(dphi @ v) * v - grad_phi
+    first_target = frame0 @ (fd.phi * (g @ v) + 0.5 * (fd.M.T @ v))
+    second_vec = 2.0 * float(fd.dphi @ v) * v - fd.conn.ginv @ fd.dphi
     second_target = frame0 @ g @ second_vec
     return TaylorVectorResult(
         float(np.linalg.norm(d1 - first_target)),
@@ -339,29 +329,28 @@ def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X) -> float:
     """
     chart.require_interior(p)
     X = np.asarray(X, dtype=float)
-    cd = connection_data(chart, p)
-    val, jac, hess = field_jets(xi, p, 2)
+    fd = field_data(chart, xi, p, 2)
+    cd = fd.conn
+    val, jac, hess = fd.value, fd.jac, fd.hess
     g, dg, d2g = cd.g, cd.dg, cd.d2g
 
-    # omega_j = g_jk xi^k; P[i, j] = d_i omega_j; PP[k, i, j] = d_k d_i omega_j
-    P = np.einsum("jki,k->ij", dg, val) + np.einsum("jk,ki->ij", g, jac)
+    # d_k of M[i, j] from d_k d_i omega_j with omega_j = g_jl xi^l, not from
+    # the covariant Hessian: PP[k, i, j] = d_k d_i omega_j
     PP = (
         np.einsum("jlik,l->kij", d2g, val)
         + np.einsum("jli,lk->kij", dg, jac)
         + np.einsum("jlk,li->kij", dg, jac)
         + np.einsum("jl,lik->kij", g, hess)
     )
-    M = P - P.T
+    M = fd.M
     dM = PP - PP.transpose(0, 2, 1)  # dM[k, i, j] = d_k M_ij
     nabla_M = np.einsum("k,kij->ij", X, dM)
     nabla_M -= np.einsum("k,lki,lj->ij", X, cd.Gam, M)
     nabla_M -= np.einsum("k,lkj,il->ij", X, cd.Gam, M)
 
-    Rl = riemann_lowered_matrix(chart, p)
-    curv = 2.0 * np.einsum("a,b,abij->ij", X, val, Rl)
+    curv = 2.0 * np.einsum("a,b,abij->ij", X, val, cd.riemann_lowered)
 
-    dphi = conformal_factor_gradient(chart, xi, p)
     Xflat = g @ X
-    wedge = 2.0 * (np.outer(dphi, Xflat) - np.outer(Xflat, dphi))
+    wedge = 2.0 * (np.outer(fd.dphi, Xflat) - np.outer(Xflat, fd.dphi))
 
     return norm_2form(cd.ginv, nabla_M - curv - wedge)

@@ -2,19 +2,26 @@
 
 Index conventions used throughout (and relied on by the test oracles):
 
-* ``Gam[k, i, j]`` is the Christoffel symbol Gamma^k_ij of the Levi-Civita
-  connection, symmetric in (i, j).
-* ``covariant_derivative_matrix`` returns the endomorphism
-  ``N[i, j] = (nabla_{e_j} xi)^i``, value index first, direction second.
+* :class:`ConnectionData` (from :func:`connection_data`) holds the metric
+  jets ``g``, ``dg[i, j, k] = d_k g_ij``, ``d2g``, the inverse ``ginv``,
+  ``Gam[k, i, j]``, the Christoffel symbol Gamma^k_ij of the Levi-Civita
+  connection, symmetric in (i, j), and ``dGam[k, i, j, m] = d_m
+  Gamma^k_ij``.
+* :class:`FieldData` (from :func:`field_data`) holds the jets of a field at
+  one point and the tensors they give: ``N[i, j] = (nabla_{e_j} xi)^i``, the
+  endomorphism nabla xi with the value index first and the direction
+  second; ``H[i, j, k] = ((nabla_{e_j} nabla xi)(e_k))^i``, the covariant
+  Hessian with the derivative direction first; the 2-form matrix
+  ``M[i, j] = (d xi^flat)(e_i, e_j) = d_i (g_jk xi^k) - d_j (g_ik xi^k)``;
+  ``phi = trace(N) / n`` and its differential ``dphi``; and the property
+  ``lie``, ``(L_xi g)_ij = g(nabla_{e_i} xi, e_j) + g(nabla_{e_j} xi, e_i)``.
 * The curvature convention is ``R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X
   - nabla_[X, Y]``, under which round spheres have sectional curvature +1.
-  ``riemann_matrix`` returns ``R[i, j, k, l]`` with ``R(e_k, e_l) e_j =
-  R[i,j,k,l] e_i`` while ``riemann_lowered_matrix`` uses the
+  ``ConnectionData.riemann`` is ``R[i, j, k, l]`` with ``R(e_k, e_l) e_j =
+  R[i,j,k,l] e_i`` while ``ConnectionData.riemann_lowered`` uses the
   argument-first layout ``Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)``, which
   makes the classical pair symmetries read off the first and last index
   pairs.
-* ``dxi_form_matrix`` returns the 2-form matrix
-  ``M[i, j] = (d xi^flat)(e_i, e_j) = d_i (g_jk xi^k) - d_j (g_ik xi^k)``.
 
 Metric inverses go through a Cholesky factorization; non-positive-definite
 or badly conditioned (above 1e12) metrics raise :class:`MetricError`.
@@ -214,60 +221,62 @@ def metric_value(chart: Chart, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # connection and curvature
 
-def christoffel_matrix(chart: Chart, p) -> np.ndarray:
-    """Gamma^k_ij as an (n, n, n) array."""
-    g, dg, _ = metric_jets(chart, p, 1)
-    ginv = spd_inverse(g)
-    # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    T = dg.transpose(2, 0, 1) + dg.transpose(0, 2, 1) - dg
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
-
-
 @dataclass(frozen=True, eq=False)
 class ConnectionData:
-    """Metric jets, connection and its first derivatives at one point."""
+    """Metric jets and the connection at one point, to jet order 1 or 2.
+
+    At order 1, ``d2g`` and ``dGam`` are ``None`` and there is no curvature.
+    """
 
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
-    d2g: np.ndarray
+    d2g: np.ndarray | None
     Gam: np.ndarray      # Gam[k, i, j] = Gamma^k_ij
-    dGam: np.ndarray     # dGam[k, i, j, m] = d_m Gamma^k_ij
+    dGam: np.ndarray | None  # dGam[k, i, j, m] = d_m Gamma^k_ij
+
+    @property
+    def riemann(self) -> np.ndarray:
+        """R[i, j, k, l] with R(e_k, e_l) e_j = R[i, j, k, l] e_i."""
+        if self.dGam is None:
+            raise ValueError("curvature needs connection data of order 2")
+        Gam, dGam = self.Gam, self.dGam
+        # d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
+        #                                    - Gamma^i_{lm} Gamma^m_{kj}
+        R = np.einsum("iljk->ijkl", dGam) - np.einsum("ikjl->ijkl", dGam)
+        R += np.einsum("ikm,mlj->ijkl", Gam, Gam) - np.einsum("ilm,mkj->ijkl", Gam, Gam)
+        return R
+
+    @property
+    def riemann_lowered(self) -> np.ndarray:
+        """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)."""
+        # R(e_a, e_b) e_c = R[m, c, a, b] e_m
+        return np.einsum("dm,mcab->abcd", self.g, self.riemann)
 
 
-def connection_data(chart: Chart, p) -> ConnectionData:
-    g, dg, d2g = metric_jets(chart, p, 2)
+def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
+    """Metric jets to ``order`` (1 or 2), Gamma and, at order 2, its derivatives."""
+    g, dg, d2g = metric_jets(chart, p, order)
     ginv = spd_inverse(g)
+    # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     T = dg.transpose(2, 0, 1) + dg.transpose(0, 2, 1) - dg
     Gam = 0.5 * np.einsum("kl,ijl->kij", ginv, T)
-    # dT[i, j, l, m] = d_m T_ijl
-    dT = d2g.transpose(2, 0, 1, 3) + d2g.transpose(0, 2, 1, 3) - d2g
-    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
-    dginv = -np.einsum("ka,abm,bl->klm", ginv, dg, ginv)
-    dGam = 0.5 * (
-        np.einsum("klm,ijl->kijm", dginv, T)
-        + np.einsum("kl,ijlm->kijm", ginv, dT)
-    )
+    dGam = None
+    if order >= 2:
+        # dT[i, j, l, m] = d_m T_ijl
+        dT = d2g.transpose(2, 0, 1, 3) + d2g.transpose(0, 2, 1, 3) - d2g
+        # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
+        dginv = -np.einsum("ka,abm,bl->klm", ginv, dg, ginv)
+        dGam = 0.5 * (
+            np.einsum("klm,ijl->kijm", dginv, T)
+            + np.einsum("kl,ijlm->kijm", ginv, dT)
+        )
     return ConnectionData(g, ginv, dg, d2g, Gam, dGam)
 
 
-def riemann_matrix(chart: Chart, p) -> np.ndarray:
-    """R[i, j, k, l] with R(e_k, e_l) e_j = R[i, j, k, l] e_i."""
-    cd = connection_data(chart, p)
-    Gam, dGam = cd.Gam, cd.dGam
-    # d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
-    #                                    - Gamma^i_{lm} Gamma^m_{kj}
-    R = np.einsum("iljk->ijkl", dGam) - np.einsum("ikjl->ijkl", dGam)
-    R += np.einsum("ikm,mlj->ijkl", Gam, Gam) - np.einsum("ilm,mkj->ijkl", Gam, Gam)
-    return R
-
-
-def riemann_lowered_matrix(chart: Chart, p) -> np.ndarray:
-    """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)."""
-    g, _, _ = metric_jets(chart, p, 0)
-    R = riemann_matrix(chart, p)
-    # R(e_a, e_b) e_c = R[m, c, a, b] e_m
-    return np.einsum("dm,mcab->abcd", 0.5 * (g + g.T), R)
+def christoffel_matrix(chart: Chart, p) -> np.ndarray:
+    """Gamma^k_ij as an (n, n, n) array."""
+    return connection_data(chart, p, 1).Gam
 
 
 # ---------------------------------------------------------------------------
@@ -293,55 +302,64 @@ def field_value(xi: FieldSpec, p) -> np.ndarray:
     return field_jets(xi, p, 0)[0]
 
 
-def covariant_derivative_matrix(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
-    """N[i, j] = (nabla_{e_j} xi)^i = d_j xi^i + Gamma^i_jk xi^k."""
-    val, jac, _ = field_jets(xi, p, 1)
-    Gam = christoffel_matrix(chart, p)
-    return jac + np.einsum("ijk,k->ij", Gam, val)
+@dataclass(frozen=True, eq=False)
+class FieldData:
+    """The 2-jet of a vector field at one point and the tensors it gives.
 
-
-def covariant_hessian_matrix(chart: Chart, xi: FieldSpec, p):
-    """First and second covariant derivatives of a vector field at p.
-
-    Returns ``(N, H)`` with ``N`` as in :func:`covariant_derivative_matrix`
-    and ``H[i, j, k] = ((nabla_{e_j} nabla xi)(e_k))^i``, the covariant
-    Hessian with the derivative direction first, as in ``field_jets``:
-
-        H[i, j, k] = d_j N[i, k] + Gamma^i_jl N[l, k] - Gamma^l_jk N[i, l].
+    ``value``, ``jac`` and ``hess`` are the component jets of
+    :func:`field_jets`; ``N``, ``M``, ``phi``, ``H`` and ``dphi`` follow
+    the conventions in the module docstring.  At order 1, ``hess``, ``H``
+    and ``dphi`` are ``None``.
     """
-    cd = connection_data(chart, p)
-    val, jac, hess = field_jets(xi, p, 2)
-    Gam = cd.Gam
+
+    conn: ConnectionData
+    value: np.ndarray
+    jac: np.ndarray
+    hess: np.ndarray | None
+    N: np.ndarray
+    M: np.ndarray
+    phi: float
+    H: np.ndarray | None
+    dphi: np.ndarray | None
+
+    @property
+    def lie(self) -> np.ndarray:
+        """(L_xi g)_ij = g(nabla_{e_i} xi, e_j) + g(nabla_{e_j} xi, e_i)."""
+        A = self.conn.g @ self.N  # A[i, j] = g(nabla_{e_j} xi, e_i)
+        return A + A.T
+
+
+def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
+    """One evaluation of the metric and field jets to ``order`` (1 or 2) at p."""
+    conn = connection_data(chart, p, order)
+    val, jac, hess = field_jets(xi, p, order)
+    g, dg, Gam = conn.g, conn.dg, conn.Gam
+    # N[i, j] = d_j xi^i + Gamma^i_jk xi^k
     N = jac + np.einsum("ijk,k->ij", Gam, val)
-    # d_j N[i, k] = d_j d_k xi^i + d_j Gamma^i_kl xi^l + Gamma^i_kl d_j xi^l
-    dN = (
-        hess
-        + np.einsum("iklj,l->ijk", cd.dGam, val)
-        + np.einsum("ikl,lj->ijk", Gam, jac)
-    )
-    H = (
-        dN
-        + np.einsum("ijl,lk->ijk", Gam, N)
-        - np.einsum("ljk,il->ijk", Gam, N)
-    )
-    return N, H
-
-
-def dxi_form_matrix(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
-    """Matrix of d(xi^flat): M[i, j] = d_i (g_jk xi^k) - d_j (g_ik xi^k)."""
-    g, dg, _ = metric_jets(chart, p, 1)
-    val, jac, _ = field_jets(xi, p, 1)
     # P[i, j] = d_i omega_j with omega_j = g_jk xi^k
     P = np.einsum("jki,k->ij", dg, val) + np.einsum("jk,ki->ij", g, jac)
-    return P - P.T
-
-
-def lie_derivative_matrix(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
-    """(L_xi g)_ij = g(nabla_{e_i} xi, e_j) + g(nabla_{e_j} xi, e_i)."""
-    g, _, _ = metric_jets(chart, p, 0)
-    N = covariant_derivative_matrix(chart, xi, p)
-    A = g @ N  # A[i, j] = g(nabla_{e_j} xi, e_i)
-    return A + A.T
+    H = dphi = None
+    if order >= 2:
+        # d_j N[i, k] = d_j d_k xi^i + d_j Gamma^i_kl xi^l + Gamma^i_kl d_j xi^l
+        dN = (
+            hess
+            + np.einsum("iklj,l->ijk", conn.dGam, val)
+            + np.einsum("ikl,lj->ijk", Gam, jac)
+        )
+        H = (
+            dN
+            + np.einsum("ijl,lk->ijk", Gam, N)
+            - np.einsum("ljk,il->ijk", Gam, N)
+        )
+        # n phi = d_i xi^i + Gamma^i_{ik} xi^k, so n d_j phi =
+        # d_j d_i xi^i + (d_j Gamma^i_{ik}) xi^k + Gamma^i_{ik} d_j xi^k
+        dphi = (
+            np.einsum("iij->j", hess)
+            + np.einsum("iikj,k->j", conn.dGam, val)
+            + np.einsum("iik,kj->j", Gam, jac)
+        ) / chart.dim
+    return FieldData(conn, val, jac, hess, N, P - P.T,
+                     float(np.trace(N)) / chart.dim, H, dphi)
 
 
 # ---------------------------------------------------------------------------

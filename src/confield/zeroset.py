@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conformal import conformal_factor, is_conformal
+from .conformal import is_conformal
 from .essential import (
     VERDICT_KILLING,
     _ball_sample,
@@ -43,8 +43,7 @@ from .essential import (
 from .geometry import (
     Chart,
     FieldSpec,
-    covariant_hessian_matrix,
-    dxi_form_matrix,
+    field_data,
     field_jets,
     field_norm,
     metric_jets,
@@ -150,7 +149,6 @@ def trace_component(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    g, _, _ = metric_jets(chart, x, 0)
     if chart.dim >= 3:
         cls = classify_zero(
             chart, xi, x, tol=class_tol, conformal_tol=conformal_tol, rng=rng
@@ -161,17 +159,20 @@ def trace_component(
                 f"rescaled metric, got verdict {cls.verdict!r}"
             )
         kernel = cls.kernel_basis
+        g, _, _ = metric_jets(chart, x, 0)
     else:
-        if field_norm(chart, xi, x) >= class_tol:
+        fd = field_data(chart, xi, x, 1)
+        g = fd.conn.g
+        if norm_vector(g, fd.value) >= class_tol:
             raise PatchError("trace_component expects a zero of the field")
         report = is_conformal(
             chart, xi, _ball_sample(chart, x, 0.05, 20, rng), conformal_tol
         )
         if not report.conformal:
             raise PatchError("field is not conformal near the zero")
-        if abs(conformal_factor(chart, xi, x)) >= class_tol:
+        if abs(fd.phi) >= class_tol:
             raise PatchError("tracing in dimension two needs phi = 0 at the zero")
-        kernel = frame_svd(g, dxi_form_matrix(chart, xi, x), "skew_form").kernel
+        kernel = frame_svd(g, fd.M, "skew_form").kernel
 
     k = kernel.shape[0]
     n = chart.dim
@@ -262,16 +263,15 @@ def second_fundamental_form(
                 f"axis {a} index {i} touches the boundary"
             )
     p = np.array(patch.samples[index], dtype=float)
-    g, _, _ = metric_jets(chart, p, 0)
-    N, H = covariant_hessian_matrix(chart, patch.field, p)
-    nabla_svd = frame_svd(g, N, "endomorphism")
+    fd = field_data(chart, patch.field, p, 2)
+    nabla_svd = frame_svd(fd.conn.g, fd.N, "endomorphism")
     frame = nabla_svd.kernel
     if frame.shape[0] != k:
         raise PatchError(
             f"nabla xi has a {frame.shape[0]}-dimensional kernel at this node "
             f"of a {k}-dimensional patch"
         )
-    hess = np.einsum("ijk,aj,bk->abi", H, frame, frame)
+    hess = np.einsum("ijk,aj,bk->abi", fd.H, frame, frame)
     B = -nabla_svd.solve(hess)
     # Symmetric up to the curvature term R(X, Y) xi, which vanishes on the
     # zero set; keep B exactly symmetric.

@@ -32,7 +32,7 @@ from confield.geodesic import (
 )
 from confield.geometry import (
     FieldSpec,
-    dxi_form_matrix,
+    field_data,
     field_norm,
     metric_value,
     norm_2form,
@@ -63,7 +63,7 @@ def test_essential_zero_example_is_reproduced(capsys):
     ginv = spd_inverse(g)
 
     n_xi = field_norm(SPHERE, xi, P)
-    n_dxi = norm_2form(ginv, dxi_form_matrix(SPHERE, xi, P))
+    n_dxi = norm_2form(ginv, field_data(SPHERE, xi, P, 1).M)
     phi = conformal_factor(SPHERE, xi, P)
     n_dphi = norm_covector(ginv, conformal_factor_gradient(SPHERE, xi, P))
     verdict = classify_zero(SPHERE, xi, P).verdict

@@ -14,20 +14,16 @@ from confield.geometry import (
     MetricError,
     christoffel_matrix,
     complete_orthonormal_frame,
-    covariant_derivative_matrix,
-    covariant_hessian_matrix,
-    dxi_form_matrix,
+    connection_data,
+    field_data,
     field_jets,
     field_norm,
-    lie_derivative_matrix,
     metric_jets,
     metric_value,
     mgs_orthonormalize,
     norm_2form,
     norm_covector,
     norm_vector,
-    riemann_lowered_matrix,
-    riemann_matrix,
     sample_interior,
     spd_inverse,
 )
@@ -160,7 +156,7 @@ def test_metric_compatibility():
 def test_sectional_curvature_of_space_forms(chart, expected):
     for raw in SPHERE_PTS:
         p = raw * (0.4 if chart is HYPER else 1.0)
-        Rl = riemann_lowered_matrix(chart, p)
+        Rl = connection_data(chart, p).riemann_lowered
         g = metric_value(chart, p)
         for a, b in [(0, 1), (0, 2), (1, 2)]:
             denom = g[a, a] * g[b, b] - g[a, b] ** 2
@@ -181,7 +177,7 @@ def test_curvature_tensor_symmetries_on_random_metric():
         name="bumpy",
     )
     p = np.array([0.3, -0.2, 0.4])
-    Rl = riemann_lowered_matrix(chart, p)
+    Rl = connection_data(chart, p).riemann_lowered
     assert np.abs(Rl + Rl.transpose(1, 0, 2, 3)).max() < 1e-12
     assert np.abs(Rl + Rl.transpose(0, 1, 3, 2)).max() < 1e-12
     assert np.abs(Rl - Rl.transpose(2, 3, 0, 1)).max() < 1e-12
@@ -196,13 +192,13 @@ def test_curvature_tensor_symmetries_on_random_metric():
 
 def test_covariant_derivative_of_plane_rotation():
     rot = models.rotation(FLAT2)
-    N = covariant_derivative_matrix(FLAT2, rot, np.array([0.7, -0.3]))
+    N = field_data(FLAT2, rot, np.array([0.7, -0.3]), 1).N
     assert np.abs(N - np.array([[0.0, -1.0], [1.0, 0.0]])).max() == 0.0
     # Killing for the sphere metric too: g N must be skew
     sph2 = models.sphere_stereographic(2)
     rot3 = models.rotation(sph2, 1, 2)
     p = np.array([0.5, 0.8])
-    N = covariant_derivative_matrix(sph2, rot3, p)
+    N = field_data(sph2, rot3, p, 1).N
     g = metric_value(sph2, p)
     A = g @ N
     assert np.abs(A + A.T).max() < 1e-13
@@ -210,21 +206,21 @@ def test_covariant_derivative_of_plane_rotation():
 
 def test_covariant_derivative_of_quadratic_field_on_axis():
     K = models.special_conformal(FLAT3, 1)
-    N = covariant_derivative_matrix(FLAT3, K, np.array([0.3, 0.0, 0.0]))
+    N = field_data(FLAT3, K, np.array([0.3, 0.0, 0.0]), 1).N
     assert np.abs(N + 0.6 * np.eye(3)).max() < 1e-15
 
 
 def test_euler_identity_map_everywhere():
     eu = models.euler(FLAT3)
-    N = covariant_derivative_matrix(FLAT3, eu, np.array([0.9, -1.1, 0.2]))
+    N = field_data(FLAT3, eu, np.array([0.9, -1.1, 0.2]), 1).N
     assert np.abs(N - np.eye(3)).max() == 0.0
-    N2 = covariant_derivative_matrix(FLAT2, models.euler(FLAT2), np.array([0.3, 0.4]))
+    N2 = field_data(FLAT2, models.euler(FLAT2), np.array([0.3, 0.4]), 1).N
     assert np.trace(N2) == 2.0
 
 
 def test_derivative_two_form_of_rotation():
     rot = models.rotation(FLAT2)
-    M = dxi_form_matrix(FLAT2, rot, np.array([0.2, 0.5]))
+    M = field_data(FLAT2, rot, np.array([0.2, 0.5]), 1).M
     assert np.abs(M - np.array([[0.0, 2.0], [-2.0, 0.0]])).max() == 0.0
 
 
@@ -239,9 +235,9 @@ def test_two_form_is_twice_skew_part_of_lowered_derivative():
     )
     p = np.array([0.4, -0.7, 0.2])
     g = metric_value(chart, p)
-    N = covariant_derivative_matrix(chart, xi, p)
+    N = field_data(chart, xi, p, 1).N
     A = (g @ N).T  # A[i, j] = g(nabla_{e_i} xi, e_j)
-    M = dxi_form_matrix(chart, xi, p)
+    M = field_data(chart, xi, p, 1).M
     assert np.abs(M - (A - A.T)).max() < 1e-12
 
 
@@ -254,7 +250,7 @@ def test_lie_derivative_against_flow_pullback():
         (FLAT3, models.special_conformal(FLAT3, 2), np.array([0.4, 0.3, -0.1])),
     ]
     for chart, xi, p in cases:
-        exact = lie_derivative_matrix(chart, xi, p)
+        exact = field_data(chart, xi, p, 1).lie
         approx = fd_lie_derivative(chart, xi, p)
         assert np.abs(exact - approx).max() < 1e-8
 
@@ -262,29 +258,30 @@ def test_lie_derivative_against_flow_pullback():
 def test_killing_fields_have_vanishing_lie_derivative():
     p = np.array([0.6, -0.3, 0.2])
     rot = models.rotation(SPHERE, 2, 3)
-    assert np.abs(lie_derivative_matrix(SPHERE, rot, p)).max() < 1e-14
+    assert np.abs(field_data(SPHERE, rot, p, 1).lie).max() < 1e-14
     sk = models.sphere_killing(SPHERE, 1, 4)
-    assert np.abs(lie_derivative_matrix(SPHERE, sk, p)).max() < 1e-13
+    assert np.abs(field_data(SPHERE, sk, p, 1).lie).max() < 1e-13
     eu = models.euler(FLAT3)
-    L = lie_derivative_matrix(FLAT3, eu, p)
+    L = field_data(FLAT3, eu, p, 1).lie
     assert np.abs(L - 2.0 * np.eye(3)).max() < 1e-14
 
 
 def test_covariant_hessian_against_differenced_derivative():
     """H[i, j, k] = d_j N[i, k] + Gamma^i_jl N[l, k] - Gamma^l_jk N[i, l],
-    with d_j N taken by finite differences of covariant_derivative_matrix."""
+    with d_j N taken by finite differences of FieldData.N."""
     cases = [
         (SPHERE, models.sphere_killing(SPHERE, 1, 4), np.array([0.4, -0.7, 0.2])),
         (HYPER, models.special_conformal(HYPER, 2), np.array([0.1, 0.3, -0.2])),
     ]
     for chart, xi, p in cases:
-        N, H = covariant_hessian_matrix(chart, xi, p)
-        assert np.array_equal(N, covariant_derivative_matrix(chart, xi, p))
+        fd = field_data(chart, xi, p)
+        N, H = fd.N, fd.H
+        assert np.array_equal(N, field_data(chart, xi, p, 1).N)
         Gam = christoffel_matrix(chart, p)
         dN = np.empty((3, 3, 3))
         for i in range(3):
             for k in range(3):
-                f = lambda q, i=i, k=k: covariant_derivative_matrix(chart, xi, q)[i, k]
+                f = lambda q, i=i, k=k: field_data(chart, xi, q, 1).N[i, k]
                 for j in range(3):
                     dN[i, j, k] = fd_partial(f, p, j)
         expected = (
@@ -301,8 +298,8 @@ def test_covariant_hessian_of_killing_fields_is_curvature():
         (HYPER, models.rotation(HYPER, 1, 2), np.array([0.1, 0.3, -0.2])),
     ]
     for chart, xi, p in cases:
-        _, H = covariant_hessian_matrix(chart, xi, p)
-        R = riemann_matrix(chart, p)
+        H = field_data(chart, xi, p).H
+        R = connection_data(chart, p).riemann
         # R(e_j, xi) e_k = R[i, k, j, l] xi^l e_i
         curv = np.einsum("ikjl,l->ijk", R, field_jets(xi, p, 0)[0])
         assert np.abs(H).max() > 0.1
