@@ -79,8 +79,6 @@ SETTINGS = (
             "nodes per axis of a traced patch; odd, so the zero is a node"),
     Setting("trace_max_patches", int, 2, 1, None,
             "number of zero-set patches traced"),
-    Setting("fd_step", float, 1e-3, 0, "--fd-step",
-            "finite-difference step of the Taylor checks at zeros"),
     Setting("tolerances.zero", float, 1e-10, 0, "--zero-tol",
             "field norm below which a polished point is a zero"),
     Setting("tolerances.classification", float, 1e-6, 0, "--class-tol",
@@ -435,12 +433,8 @@ def _run_verify_identities(session: _Session) -> dict:
     for z in session.zeros[:4]:
         v = rng.normal(size=session.chart.dim)
         try:
-            scalar = taylor_scalar_check(
-                session.chart, session.xi, z, v, fd_step=cfg["fd_step"]
-            )
-            vector = taylor_vector_check(
-                session.chart, session.xi, z, v, fd_step=cfg["fd_step"]
-            )
+            scalar = taylor_scalar_check(session.chart, session.xi, z, v)
+            vector = taylor_vector_check(session.chart, session.xi, z, v)
         except DomainExitError as exc:
             taylor.append({"zero": z, "skipped": str(exc)})
             continue

@@ -279,9 +279,14 @@ def _reciprocal_coeffs(v, order: int, node: Expr):
     if np.count_nonzero(v == 0.0):
         raise EvalDomainError("division by zero", node)
     inv = 1.0 / v
-    if order == 0:
-        return (inv,)
-    return inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4
+    coeffs = [inv]
+    if order >= 1:
+        coeffs.append(-inv * inv)
+    if order >= 2:
+        coeffs.append(2.0 * inv ** 3)
+    if order >= 3:
+        coeffs.append(-6.0 * inv ** 4)
+    return coeffs
 
 
 def _pow_coeffs(v, m: int, order: int, node: Expr):
@@ -312,17 +317,23 @@ def _fun_coeffs(name: str, v, order: int, node: Expr):
     if name == "log":
         if np.count_nonzero(v <= 0.0):
             raise EvalDomainError("log of a non-positive value", node)
-        if order == 0:
-            return (np.log(v),)
-        inv = 1.0 / v
-        return np.log(v), inv, -inv * inv, 2.0 * inv ** 3
+        # (log v)' = 1/v
+        coeffs = [np.log(v)]
+        if order >= 1:
+            coeffs += _reciprocal_coeffs(v, order - 1, node)
+        return coeffs
     if name == "sqrt":
         if np.count_nonzero(v < 0.0 if order == 0 else v <= 0.0):
             raise EvalDomainError("sqrt outside its domain", node)
         s = np.sqrt(v)
-        if order == 0:
-            return (s,)
-        return s, 0.5 / s, -0.25 / s ** 3, 0.375 / s ** 5
+        coeffs = [s]
+        if order >= 1:
+            coeffs.append(0.5 / s)
+        if order >= 2:
+            coeffs.append(-0.25 / s ** 3)
+        if order >= 3:
+            coeffs.append(0.375 / s ** 5)
+        return coeffs
     raise ValueError(f"unknown function '{name}'")  # pragma: no cover
 
 

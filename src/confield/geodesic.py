@@ -64,15 +64,13 @@ class GeodesicState:
     t: float
     position: np.ndarray
     velocity: np.ndarray
-    frame: np.ndarray | None = None
+    frame: np.ndarray
 
 
 def _rhs(chart: Chart, x, v, frame):
     Gam = christoffel_matrix(chart, x)
     acc = -np.einsum("kij,i,j->k", Gam, v, v)
-    dframe = None
-    if frame is not None:
-        dframe = -np.einsum("kij,i,aj->ak", Gam, v, frame)
+    dframe = -np.einsum("kij,i,aj->ak", Gam, v, frame)
     return v, acc, dframe
 
 
@@ -82,15 +80,15 @@ def integrate_geodesic(
     v,
     length: float,
     steps: int,
-    with_frame: bool = True,
     initial_frame: np.ndarray | None = None,
 ) -> list[GeodesicState]:
     """Unit-speed geodesic from x in direction v, integrated to ``length``.
 
-    The initial velocity is normalized in the metric at x.  The returned
-    list holds every RK4 step, starting with the initial state.  If the
-    trajectory exits the chart box the list is truncated at the last
-    interior state.
+    The initial velocity is normalized in the metric at x.  A parallel frame
+    is carried along, starting from ``initial_frame`` or, by default, from
+    an orthonormal frame completing v.  The returned list holds every RK4
+    step, starting with the initial state.  If the trajectory exits the
+    chart box the list is truncated at the last interior state.
     """
     chart.require_interior(x)
     if steps < 1:
@@ -102,40 +100,33 @@ def integrate_geodesic(
     if speed == 0.0:
         raise ValueError("initial velocity must be nonzero")
     v = v / speed
-    frame = None
-    if with_frame:
-        frame = (
-            np.asarray(initial_frame, dtype=float).copy()
-            if initial_frame is not None
-            else complete_orthonormal_frame(g, v)
-        )
+    frame = (
+        np.asarray(initial_frame, dtype=float).copy()
+        if initial_frame is not None
+        else complete_orthonormal_frame(g, v)
+    )
     h = length / steps
-    states = [GeodesicState(0.0, x.copy(), v.copy(), None if frame is None else frame.copy())]
+    states = [GeodesicState(0.0, x.copy(), v.copy(), frame.copy())]
     for k in range(steps):
         k1 = _rhs(chart, x, v, frame)
         x2 = x + 0.5 * h * k1[0]
         if not chart.contains(x2, _BOUNDARY_EPS):
             break
-        k2 = _rhs(chart, x2, v + 0.5 * h * k1[1],
-                  None if frame is None else frame + 0.5 * h * k1[2])
+        k2 = _rhs(chart, x2, v + 0.5 * h * k1[1], frame + 0.5 * h * k1[2])
         x3 = x + 0.5 * h * k2[0]
         if not chart.contains(x3, _BOUNDARY_EPS):
             break
-        k3 = _rhs(chart, x3, v + 0.5 * h * k2[1],
-                  None if frame is None else frame + 0.5 * h * k2[2])
+        k3 = _rhs(chart, x3, v + 0.5 * h * k2[1], frame + 0.5 * h * k2[2])
         x4 = x + h * k3[0]
         if not chart.contains(x4, _BOUNDARY_EPS):
             break
-        k4 = _rhs(chart, x4, v + h * k3[1],
-                  None if frame is None else frame + h * k3[2])
+        k4 = _rhs(chart, x4, v + h * k3[1], frame + h * k3[2])
         x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         v = v + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if frame is not None:
-            frame = frame + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        frame = frame + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         if not chart.contains(x, _BOUNDARY_EPS):
             break
-        states.append(GeodesicState((k + 1) * h, x.copy(), v.copy(),
-                                    None if frame is None else frame.copy()))
+        states.append(GeodesicState((k + 1) * h, x.copy(), v.copy(), frame.copy()))
     return states
 
 
@@ -157,7 +148,7 @@ def exp_map(chart: Chart, x, v, steps: int | None = None) -> np.ndarray:
     if length < 1e-16:
         return x.copy()
     nsteps = steps if steps is not None else _steps_for(length)
-    states = integrate_geodesic(chart, x, v, length, nsteps, with_frame=False)
+    states = integrate_geodesic(chart, x, v, length, nsteps)
     if len(states) != nsteps + 1:
         raise DomainExitError(
             f"geodesic from {x.tolist()} exits the chart after t={states[-1].t:.3g}"
@@ -182,7 +173,7 @@ def _states_at(chart: Chart, x, v, frame0, ts, steps_per_unit=256.0):
         sign = 1.0 if t > 0 else -1.0
         nsteps = _steps_for(t, steps_per_unit)
         states = integrate_geodesic(chart, x, sign * v, abs(t), nsteps,
-                                    with_frame=True, initial_frame=frame0)
+                                    initial_frame=frame0)
         if len(states) < nsteps + 1:
             raise DomainExitError("geodesic exits the chart inside the stencil")
         last = states[-1]

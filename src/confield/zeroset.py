@@ -238,7 +238,7 @@ def second_fundamental_form(
     patch: SubmanifoldPatch,
     index,
 ) -> SecondFundamentalData:
-    """B and the mean curvature vector at an interior grid node.
+    """B and the mean curvature vector at a grid node.
 
     ``chart`` supplies the ambient metric and may differ from
     ``patch.chart`` (rescaled metrics reuse the same patch).
@@ -247,8 +247,8 @@ def second_fundamental_form(
     ``patch.samples[index]``, with no further evaluation of the mapping:
     the tangent frame is the g-orthonormal kernel of nabla xi there, and B
     solves nabla xi B(X, Y) = -(nabla^2 xi)(X, Y) on the normal space
-    through the pseudo-inverse.  Only interior grid nodes, the ones
-    ``umbilicity_report`` visits, are accepted.
+    through the pseudo-inverse.  No neighbouring node is used, so boundary
+    nodes are as good as interior ones.
     """
     k = patch.k
     if k == 0:
@@ -256,12 +256,6 @@ def second_fundamental_form(
     index = tuple(int(i) for i in np.atleast_1d(np.asarray(index, dtype=int)))
     if len(index) != k:
         raise PatchError(f"index must have {k} entries")
-    for a, i in enumerate(index):
-        if not 0 < i < len(patch.param_axes[a]) - 1:
-            raise PatchError(
-                "second fundamental form needs an interior grid node; "
-                f"axis {a} index {i} touches the boundary"
-            )
     p = np.array(patch.samples[index], dtype=float)
     fd = field_data(chart, patch.field, p, 2)
     nabla_svd = frame_svd(fd.conn.g, fd.N, "endomorphism")

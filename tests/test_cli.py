@@ -144,7 +144,7 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
             ({"samples": {"conformal_points": 0}}, "samples.conformal_points"),
             ({"seed": True}, "seed"),
             ({"isolation_radius": -1}, "isolation_radius"),
-            ({"fd_step": None}, "fd_step"),
+            ({"tolerances": {"umbilicity": None}}, "tolerances.umbilicity"),
             ({"grid_resolution": 2.5}, "grid_resolution"),
         ]],
         ({**ZEROS_MANIFEST, "field": {"name": "rotation", "params": {"axis_i": 1.0}}},
@@ -162,6 +162,7 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
             ("x1^(10^400)", "exponent"),
             ("1e400*x1", "out of range"),
         ]],
+        ({**ZEROS_MANIFEST, "fd_step": 0.001}, "unknown setting 'fd_step'"),
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):

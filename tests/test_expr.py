@@ -133,8 +133,11 @@ def test_shared_subtrees_reuse_results():
     assert jets[1].value == pytest.approx(base.value + 1.0)
 
 
-# 1/x^3, and so x^(-3), overflows a float at x = TINY.
+# 1/x^3 overflows a float at x = TINY.  It is the order-0 coefficient of
+# x^(-3), the order-2 coefficient of 1/x (2/x^3) and the order-3
+# coefficient of log x (2/x^3), so those are the orders that raise there.
 TINY = 1e-110
+TINY_ORDER = {"x1^(-3)": 0, "1/x1": 2, "log(x1)": 3}
 
 
 @pytest.mark.parametrize(
@@ -154,18 +157,24 @@ TINY = 1e-110
 def test_domain_errors(source, point):
     """Per point and in a batch (where the bad point is the second of three).
 
-    At x1 = TINY the point is in the domain, but a Taylor coefficient the
-    evaluator forms is beyond the float range: the per-point jet raises
-    (for x1^(-3) at order 0 too), while an order-0 batch keeps numpy's inf.
+    At x1 = TINY the point is in the domain, but a Taylor coefficient is
+    beyond the float range: the per-point jet raises from the order of that
+    coefficient on, and is finite below it, while an order-0 batch keeps
+    numpy's inf.
     """
     e = parse(source, 3)
+    order = TINY_ORDER[source] if point[0] == TINY else 1
     with pytest.raises(EvalDomainError) as err:
-        eval_jet(e, point, 1)
+        eval_jet(e, point, max(order, 1))
     assert err.value.subexpression is e
     if point[0] == TINY:
-        if source == "x1^(-3)":
+        if order == 0:
             with pytest.raises(EvalDomainError):
                 eval_jet(e, point, 0)
+        for lower in range(order):
+            jet = eval_jet(e, point, lower)
+            for part in (jet.value, jet.d1, jet.d2)[: lower + 1]:
+                assert np.all(np.isfinite(part))
         return
     with pytest.raises(EvalDomainError):
         eval_values_many([e], [[0.5, 0.5], point, [2.0, 1.0]])
@@ -176,6 +185,11 @@ def test_sqrt_at_zero_needs_no_derivatives():
     assert eval_jet(e, [0.0, 0.0], 0).value == 0.0
     with pytest.raises(EvalDomainError):
         eval_jet(e, [0.0, 0.0], 1)
+    # Near zero an order-1 jet forms no higher coefficient, so no power of
+    # the root underflows to a division by zero (a RuntimeWarning fails).
+    near = eval_jet(e, [1e-130, 0.0], 1)
+    assert near.value == pytest.approx(1e-65)
+    assert near.d1[0] == pytest.approx(0.5e65)
 
 
 def test_zero_to_zeroth_power_is_one():

@@ -142,6 +142,25 @@ def test_christoffel_symmetric_and_flat_zero():
     assert np.abs(christoffel_matrix(FLAT3, np.array([0.3, 0.1, -0.5]))).max() == 0.0
 
 
+def test_field_data_orders_agree_bitwise():
+    """Order 1 and order 2 give the same g, g^-1, Gamma, N, M and phi, and
+    christoffel_matrix is the order-2 Gamma, bit for bit."""
+    rng = np.random.default_rng(31)
+    for chart, xi in models.standard_pairs(3):
+        for p in sample_interior(chart, 5, rng):
+            one, two = field_data(chart, xi, p, 1), field_data(chart, xi, p, 2)
+            for name in ("g", "ginv", "Gam"):
+                assert np.array_equal(getattr(one.conn, name), getattr(two.conn, name))
+            assert np.array_equal(one.N, two.N)
+            assert np.array_equal(one.M, two.M)
+            assert one.phi == two.phi
+            assert one.H is None and one.dphi is None
+            assert np.array_equal(christoffel_matrix(chart, p),
+                                  connection_data(chart, p, 2).Gam)
+    with pytest.raises(ValueError):
+        connection_data(FLAT3, np.zeros(3), 1).riemann
+
+
 def test_metric_compatibility():
     p = np.array([0.2, -0.1, 0.3])
     g, dg, _ = metric_jets(SPHERE, p, 1)

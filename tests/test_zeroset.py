@@ -347,9 +347,20 @@ def test_second_fundamental_form_refusals():
     xi = models.rotation(FLAT3, 1, 2)
     patch = trace_component(FLAT3, xi, np.zeros(3), radius=0.2, grid=5)
     with pytest.raises(PatchError):
-        second_fundamental_form(FLAT3, patch, (0,))
-    with pytest.raises(PatchError):
-        second_fundamental_form(FLAT3, patch, (4,))
+        second_fundamental_form(FLAT3, patch, (2, 2))
+
+    # The jet formula needs no neighbouring node, so boundary nodes are not
+    # refused: the end nodes of the unit circle get |H| = 1 and the
+    # Richardson reference's B.
+    patch = _unit_circle_patch()
+    for i in (0, len(patch.param_axes[0]) - 1):
+        t = np.array([patch.param_axes[0][i]])
+        _, dP, B_fd, _ = fd_second_fundamental_form(FLAT3, patch.mapping, t)
+        data = second_fundamental_form(FLAT3, patch, (i,))
+        assert abs(np.linalg.norm(data.mean_curvature) - 1.0) < 1e-12
+        C = dP @ data.tangent_frame.T
+        B_param = np.einsum("ac,bd,cdk->abk", C, C, data.normal_form)
+        assert np.abs(B_param - B_fd).max() < 1e-8
 
 
 def test_traced_axis_report_is_umbilical_with_even_codim():
