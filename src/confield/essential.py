@@ -230,7 +230,7 @@ def find_zeros(
         if not chart.contains(x, boundary_margin):
             continue
         r = field_norm(chart, xi, x)
-        if r >= tol:
+        if not r < tol:
             continue
         accepted.append(x)
         residuals.append(r)
@@ -249,9 +249,13 @@ def find_zeros(
 
 @dataclass(frozen=True, eq=False)
 class ZeroClassification:
-    """First-order data and verdict at a zero of a conformal field."""
+    """First-order data and verdict at a zero of a conformal field.
+
+    ``metric`` is g at the zero, from the same jets as the tensors.
+    """
 
     point: np.ndarray
+    metric: np.ndarray
     verdict: str
     phi: float
     dphi: np.ndarray
@@ -303,7 +307,7 @@ def classify_zero(
     chart.require_interior(x)
     fd = field_data(chart, xi, x, 2)
     g, N, M, phi, dphi = fd.conn.g, fd.N, fd.M, fd.phi, fd.dphi
-    if norm_vector(g, fd.value) >= tol:
+    if not norm_vector(g, fd.value) < tol:
         raise ValueError("classify_zero expects a zero of the field")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -332,6 +336,7 @@ def classify_zero(
 
     return ZeroClassification(
         point=x,
+        metric=g,
         verdict=verdict,
         phi=phi,
         dphi=dphi,

@@ -46,7 +46,6 @@ from .geometry import (
     field_data,
     field_jets,
     field_norm,
-    metric_jets,
     norm_vector,
 )
 
@@ -159,18 +158,18 @@ def trace_component(
                 f"rescaled metric, got verdict {cls.verdict!r}"
             )
         kernel = cls.kernel_basis
-        g, _, _ = metric_jets(chart, x, 0)
+        g = cls.metric
     else:
         fd = field_data(chart, xi, x, 1)
         g = fd.conn.g
-        if norm_vector(g, fd.value) >= class_tol:
+        if not norm_vector(g, fd.value) < class_tol:
             raise PatchError("trace_component expects a zero of the field")
         report = is_conformal(
             chart, xi, _ball_sample(chart, x, 0.05, 20, rng), conformal_tol
         )
         if not report.conformal:
             raise PatchError("field is not conformal near the zero")
-        if abs(fd.phi) >= class_tol:
+        if not abs(fd.phi) < class_tol:
             raise PatchError("tracing in dimension two needs phi = 0 at the zero")
         kernel = frame_svd(g, fd.M, "skew_form").kernel
 
@@ -224,10 +223,12 @@ class SecondFundamentalData:
     """Second fundamental form of a patch at one grid node.
 
     ``normal_form[a, b]`` is B(e_a, e_b) for the g-orthonormal frame
-    ``tangent_frame`` (rows e_a) of the patch at ``point``.
+    ``tangent_frame`` (rows e_a) of the patch at ``point``; ``metric`` is g
+    at ``point``.
     """
 
     point: np.ndarray
+    metric: np.ndarray
     normal_form: np.ndarray
     mean_curvature: np.ndarray
     tangent_frame: np.ndarray
@@ -272,6 +273,7 @@ def second_fundamental_form(
     B = 0.5 * (B + B.transpose(1, 0, 2))
     return SecondFundamentalData(
         point=p,
+        metric=fd.conn.g,
         normal_form=B,
         mean_curvature=np.einsum("aak->k", B) / k,
         tangent_frame=frame,
@@ -329,7 +331,7 @@ def umbilicity_report(
     points = np.empty((len(indices), chart.dim))
     for m, idx in enumerate(indices):
         data = second_fundamental_form(chart, patch, idx)
-        g, _, _ = metric_jets(chart, data.point, 0)
+        g = data.metric
         diff = data.normal_form - np.einsum(
             "ab,k->abk", np.eye(patch.k), data.mean_curvature
         )

@@ -1,7 +1,10 @@
 """Zero finding, zero classification, and isolation audits."""
+import math
+
 import numpy as np
 import pytest
 
+import confield.essential as essential
 import confield.models as models
 from confield.conformal import rescale_metric
 from confield.essential import (
@@ -97,6 +100,30 @@ def test_classify_requires_dimension_three():
 def test_classify_requires_an_actual_zero():
     with pytest.raises(ValueError, match="expects a zero"):
         classify_zero(FLAT3, models.rotation(FLAT3), np.array([0.5, 0.5, 0.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_classify_refuses_a_nan_zero():
+    """1e200*1e200 overflows to inf and inf * 0 is NaN: |xi|_g is NaN at
+    the origin, which is no zero."""
+    xi = FieldSpec.vector(
+        FLAT3, tuple(parse(s, 3) for s in ("1e200*1e200*x1", "x2", "x3"))
+    )
+    with pytest.raises(ValueError, match="expects a zero"):
+        classify_zero(FLAT3, xi, np.zeros(3))
+
+
+def test_find_zeros_refuses_a_nan_residual(monkeypatch):
+    xi = models.rotation(FLAT3, 1, 2)
+    assert len(find_zeros(FLAT3, xi)) > 0
+    monkeypatch.setattr(essential, "field_norm", lambda *args: math.nan)
+    assert find_zeros(FLAT3, xi).shape == (0, 3)
+
+
+def test_classification_carries_the_metric_at_the_zero():
+    z = np.array([0.0, 0.0, 0.4])
+    cls = classify_zero(SPHERE, models.sphere_killing(SPHERE, 1, 2), z)
+    assert np.array_equal(cls.metric, metric_value(SPHERE, z))
 
 
 def test_rotation_zero_is_killing_type():

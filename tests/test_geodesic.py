@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import confield.geodesic as geodesic
 import confield.models as models
 from confield.expr import parse
 from confield.geodesic import (
@@ -16,6 +17,7 @@ from confield.geodesic import (
 )
 from confield.geometry import (
     FieldSpec,
+    complete_orthonormal_frame,
     metric_value,
     norm_vector,
     sample_interior,
@@ -197,6 +199,92 @@ def test_vector_expansion_on_curved_chart():
     res = taylor_vector_check(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     assert res.first_residual < 1e-8
     assert res.second_residual < 1e-4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_taylor_checks_refuse_a_nan_zero():
+    """1e200*1e200 overflows to inf and inf * 0 is NaN: |xi|_g is NaN at
+    the origin, which is no zero."""
+    xi = FieldSpec.vector(
+        FLAT3, tuple(parse(s, 3) for s in ("1e200*1e200*x1", "x2", "x3"))
+    )
+    with pytest.raises(ValueError, match="requires a zero"):
+        taylor_scalar_check(FLAT3, xi, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="requires a zero"):
+        taylor_vector_check(FLAT3, xi, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+
+
+# -- one geodesic run per sign and step grid -------------------------------------
+
+
+def _counting_runs(monkeypatch):
+    runs = []
+    integrate = geodesic.integrate_geodesic
+
+    def counting(*args, **kwargs):
+        states = integrate(*args, **kwargs)
+        runs.append(len(states) - 1)
+        return states
+
+    monkeypatch.setattr(geodesic, "integrate_geodesic", counting)
+    return runs
+
+
+def test_scalar_stencil_shares_runs(monkeypatch):
+    """+0.1 (with 0.05, 0.025, 0.0125 and nothing else on its grid), +h
+    (with h/2) and -h (with -h/2): three runs of 32 steps."""
+    runs = _counting_runs(monkeypatch)
+    K = models.sphere_translation(SPHERE, 1)
+    taylor_scalar_check(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))
+    assert runs == [32, 32, 32]
+
+
+def test_vector_stencil_shares_runs(monkeypatch):
+    runs = _counting_runs(monkeypatch)
+    K = models.sphere_translation(SPHERE, 1)
+    taylor_vector_check(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    assert runs == [32, 32]
+
+
+def test_states_read_off_the_grid_match_fresh_runs():
+    """A stencil state read off a longer run agrees with a run of its own,
+    which takes 32 steps of a different length."""
+    x = np.array([0.2, -0.1, 0.3])
+    g = metric_value(SPHERE, x)
+    v = np.array([0.5, -0.1, 0.8])
+    v = v / norm_vector(g, v)
+    frame0 = complete_orthonormal_frame(g, v)
+    h = 1e-3
+    states = geodesic._states_at(SPHERE, x, v, frame0, [0.1, 0.05, h, -h, -h / 2])
+    assert sorted(states) == [-h, -h / 2, h, 0.05, 0.1]
+    for t in (0.05, -h / 2):
+        sign = 1.0 if t > 0 else -1.0
+        fresh = integrate_geodesic(SPHERE, x, sign * v, abs(t), 32, initial_frame=frame0)[-1]
+        read = states[t]
+        assert read.t == t
+        assert np.abs(read.position - fresh.position).max() < 1e-10
+        assert np.abs(read.velocity - sign * fresh.velocity).max() < 1e-10
+        assert np.abs(read.frame - fresh.frame).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "height, scalar_exits, vector_exits",
+    [(1.95, True, False), (1.9995, True, True)],
+)
+def test_stencil_near_the_box_edge(height, scalar_exits, vector_exits):
+    """The x3 axis is the zero set of rotation(1, 2); going up it from
+    x3 = 1.95 the scalar check's 0.1 run leaves the box at x3 = 2 while the
+    vector check's runs of 1e-3 stay inside; from 1.9995 both leave."""
+    rot = models.rotation(FLAT3, 1, 2)
+    x = np.array([0.0, 0.0, height])
+    v = np.array([0.0, 0.0, 1.0])
+    for check, exits in ((taylor_scalar_check, scalar_exits),
+                         (taylor_vector_check, vector_exits)):
+        if exits:
+            with pytest.raises(DomainExitError, match="inside the stencil"):
+                check(FLAT3, rot, x, v)
+        else:
+            check(FLAT3, rot, x, v)
 
 
 # -- pointwise two-form derivative identity --------------------------------------

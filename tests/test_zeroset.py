@@ -106,6 +106,16 @@ def test_two_dimensional_scaling_zero_refused():
         trace_component(flat2, models.euler(flat2), np.zeros(2))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_two_dimensional_nan_zero_refused():
+    """1e200*1e200 overflows to inf and inf * 0 is NaN: |xi|_g is NaN at
+    the origin, which is no zero."""
+    flat2 = models.euclidean(2)
+    xi = FieldSpec.vector(flat2, tuple(parse(s, 2) for s in ("1e200*1e200*x1", "x2")))
+    with pytest.raises(PatchError, match="expects a zero"):
+        trace_component(flat2, xi, np.zeros(2))
+
+
 def test_traced_patch_records_its_field():
     xi = models.rotation(FLAT3, 1, 2)
     assert trace_component(FLAT3, xi, np.zeros(3), radius=0.2, grid=5).field is xi
@@ -336,6 +346,14 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
     # the guard is live: exp_map does integrate
     with pytest.raises(AssertionError, match="geodesic integration"):
         geodesic.exp_map(SPHERE, np.zeros(3), np.array([0.1, 0.0, 0.0]))
+
+
+def test_second_fundamental_form_carries_the_metric_at_its_node():
+    xi = models.sphere_killing(SPHERE, 3, 4)
+    patch = trace_component(SPHERE, xi, np.array([1.0, 0.0, 0.0]), radius=0.3, grid=5)
+    data = second_fundamental_form(SPHERE, patch, (1,))
+    assert np.array_equal(data.point, patch.samples[1])
+    assert np.array_equal(data.metric, metric_value(SPHERE, data.point))
 
 
 def test_second_fundamental_form_refusals():
