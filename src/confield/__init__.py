@@ -18,7 +18,6 @@ from .expr import (
     eval_jet,
     eval_jets,
     parse,
-    substitute,
 )
 from .geometry import (
     Chart,
@@ -29,10 +28,8 @@ from .geometry import (
 )
 from .conformal import (
     ConformalReport,
-    conformal_factor,
     conformal_factor_gradient,
     conformal_residual,
-    connection_change_residual,
     is_conformal,
     rescale_metric,
 )

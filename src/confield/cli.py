@@ -173,6 +173,7 @@ def _require(cond: bool, message: str):
 def _build_chart(spec) -> Chart:
     _require(isinstance(spec, dict), "manifest 'chart' must be an object")
     if "name" in spec and "metric" not in spec:
+        _require(isinstance(spec["name"], str), "chart 'name' must be a string")
         _require(spec["name"] in CHART_BUILDERS,
                  f"unknown chart {spec['name']!r}; see 'confield catalog'")
         dim = spec.get("dim")
@@ -211,6 +212,7 @@ def _build_chart(spec) -> Chart:
 def _build_field(chart: Chart, spec) -> FieldSpec:
     _require(isinstance(spec, dict), "manifest 'field' must be an object")
     if "name" in spec and "components" not in spec:
+        _require(isinstance(spec["name"], str), "field 'name' must be a string")
         params = spec.get("params", {})
         _require(isinstance(params, dict), "'params' must be an object")
         try:

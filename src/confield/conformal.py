@@ -3,12 +3,8 @@
 A field xi is conformal when L_xi g = 2 phi g with phi = trace(nabla xi)/n.
 ``conformal_residual`` measures the defect of that equation in the metric
 norm; ``is_conformal`` aggregates it over a point sample.  ``rescale_metric``
-builds the chart with metric e^{2f} g as new expression trees, and
-``connection_change_residual`` checks the induced connection change
-
-    nabla' = nabla + df (x) Id + Id (x) df - g . grad f
-
-against Christoffel symbols computed independently from the rescaled trees.
+builds the chart with metric e^{2f} g as new expression trees.  The factor
+phi itself is ``FieldData.phi`` of :func:`~confield.geometry.field_data`.
 """
 from __future__ import annotations
 
@@ -16,23 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, Expr, Fun, Mul, eval_jet
-from .geometry import (
-    Chart,
-    FieldSpec,
-    connection_data,
-    field_data,
-    norm_2form,
-)
+from .expr import Const, Fun, Mul
+from .geometry import Chart, FieldSpec, field_data, norm_2form
 
 __all__ = [
     "ConformalReport",
-    "conformal_factor",
     "conformal_factor_gradient",
     "conformal_residual",
     "is_conformal",
     "rescale_metric",
-    "connection_change_residual",
 ]
 
 
@@ -46,12 +34,6 @@ class ConformalReport:
     worst_point: np.ndarray
     tolerance: float
     conformal: bool
-
-
-def conformal_factor(chart: Chart, xi: FieldSpec, p) -> float:
-    """phi(p) = trace(nabla xi) / n."""
-    chart.require_interior(p)
-    return field_data(chart, xi, p, 1).phi
 
 
 def conformal_factor_gradient(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
@@ -108,29 +90,3 @@ def rescale_metric(chart: Chart, f: FieldSpec) -> Chart:
         metric=new_metric,
         name=f"{chart.name}~rescaled",
     )
-
-
-def connection_change_residual(chart: Chart, f: FieldSpec, p) -> float:
-    """Defect of the conformal connection-change identity at p.
-
-    Compares Christoffel symbols of e^{2f} g, computed from the rescaled
-    expression trees, with Gamma + correction where
-
-        corr^k_ij = delta^k_i d_j f + delta^k_j d_i f - g_ij (grad f)^k.
-
-    The two sides come from independent code paths, so this doubles as a
-    self-check of the differentiation engine.
-    """
-    chart.require_interior(p)
-    n = chart.dim
-    cd = connection_data(chart, p, 1)
-    df = eval_jet(f.expr, p, 1).d1
-    gradf = cd.ginv @ df
-    Gam_rescaled = connection_data(rescale_metric(chart, f), p, 1).Gam
-    eye = np.eye(n)
-    corr = (
-        np.einsum("ki,j->kij", eye, df)
-        + np.einsum("kj,i->kij", eye, df)
-        - np.einsum("ij,k->kij", cd.g, gradf)
-    )
-    return float(np.sqrt(np.sum((Gam_rescaled - cd.Gam - corr) ** 2)))

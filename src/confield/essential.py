@@ -8,11 +8,11 @@ criterion implemented here works entirely from first-order data at x:
   image of the endomorphism nabla xi at x,
 * it is Killing for some rescaled metric iff additionally phi(x) = 0.
 
-Both conditions are evaluated in a g-orthonormal frame obtained from the
-Cholesky factor of the metric, so the singular value analysis is done on
-honestly symmetric/skew matrices.  The criterion is only available in
-dimension at least three; two-dimensional charts raise
-:class:`ClassificationDimensionError`.
+Both conditions are evaluated in the g-orthonormal frame of
+:func:`~confield.geometry.frame_svd`, from the Cholesky factor of the
+metric, so the singular value analysis is done on honestly symmetric/skew
+matrices.  The criterion is only available in dimension at least three;
+two-dimensional charts raise :class:`ClassificationDimensionError`.
 
 ``find_zeros`` locates zeros by a grid scan followed by damped Newton
 polishing, and ``limit_point_audit`` cross-checks the classified zeros
@@ -34,7 +34,9 @@ from .geometry import (
     field_jets,
     field_norm,
     field_value,
+    frame_svd,
     norm_vector,
+    sample_ball,
 )
 
 __all__ = [
@@ -56,72 +58,8 @@ VERDICT_HOMOTHETIC = "homothetic_nonkilling"
 VERDICT_ESSENTIAL = "essential"
 VERDICT_INVALID = "invalid_not_conformal"
 
-_RANK_REL = 1e-8
-_RANK_ABS = 1e-12
-
-
 class ClassificationDimensionError(ValueError):
     """The image criterion is only stated for dimension three and up."""
-
-
-def _numerical_rank(sigma: np.ndarray) -> int:
-    if sigma.size == 0:
-        return 0
-    cut = max(_RANK_REL * float(sigma[0]), _RANK_ABS)
-    return int(np.sum(sigma > cut))
-
-
-@dataclass(frozen=True, eq=False)
-class FrameSVD:
-    """SVD of a tensor at a point, taken in a g-orthonormal frame.
-
-    The frame is u_a = L^{-T} e_a from g = L L^T.  Vectors map into it by
-    L^T, covectors by L^{-1}, endomorphisms by conjugation and 2-forms by
-    congruence.  ``rank`` counts the singular values above the cut of
-    ``_numerical_rank``.
-    """
-
-    L: np.ndarray
-    Linv: np.ndarray
-    U: np.ndarray
-    sigma: np.ndarray
-    Vt: np.ndarray
-    rank: int
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """g-orthonormal basis of the numerical kernel, one row per vector."""
-        return self.Vt[self.rank:] @ self.Linv
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares x with A x = rhs, for an endomorphism A.
-
-        ``rhs`` holds chart vectors in its last axis; the pseudo-inverse
-        drops the singular values below the rank cut, so x is g-orthogonal
-        to the kernel.
-        """
-        r = self.rank
-        frame_x = ((rhs @ self.L) @ self.U[:, :r]) / self.sigma[:r] @ self.Vt[:r]
-        return frame_x @ self.Linv
-
-
-def frame_svd(g: np.ndarray, tensor: np.ndarray, kind: str) -> FrameSVD:
-    """SVD of an ``"endomorphism"`` or a ``"skew_form"`` in a g-orthonormal frame.
-
-    A skew form is skew-symmetrized after the change of frame, so its
-    singular values come in honest pairs.
-    """
-    L = np.linalg.cholesky(0.5 * (g + g.T))
-    Linv = np.linalg.inv(L)
-    if kind == "endomorphism":
-        A = L.T @ tensor @ Linv.T
-    elif kind == "skew_form":
-        A = Linv @ tensor @ Linv.T
-        A = 0.5 * (A - A.T)
-    else:
-        raise ValueError(f"unknown tensor kind {kind!r}")
-    U, sigma, Vt = np.linalg.svd(A)
-    return FrameSVD(L, Linv, U, sigma, Vt, _numerical_rank(sigma))
 
 
 def _grid_points(chart: Chart, resolution: int) -> np.ndarray:
@@ -269,17 +207,6 @@ class ZeroClassification:
     neighborhood_residual: float
 
 
-def _ball_sample(chart: Chart, x: np.ndarray, radius: float, count: int, rng) -> np.ndarray:
-    dist = float(min(np.min(x - chart.lower), np.min(chart.upper - x)))
-    r_eff = min(radius, 0.5 * dist)
-    pts = np.empty((count, chart.dim))
-    for k in range(count):
-        u = rng.normal(size=chart.dim)
-        u /= np.linalg.norm(u)
-        pts[k] = x + r_eff * rng.uniform(0.2, 1.0) * u
-    return pts
-
-
 def classify_zero(
     chart: Chart,
     xi: FieldSpec,
@@ -324,7 +251,7 @@ def classify_zero(
     kernel_dim = chart.dim - rank_dxi
     kernel_basis = dxi_svd.kernel
 
-    samples = _ball_sample(chart, x, neighborhood_radius, neighborhood_samples, rng)
+    samples = sample_ball(chart, x, neighborhood_radius, neighborhood_samples, rng)
     report = is_conformal(chart, xi, samples, conformal_tol)
 
     if not report.conformal:

@@ -35,7 +35,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Div", "Pow", "Neg", "Fun",
     "Jet", "ExprSyntaxError", "EvalDomainError",
-    "parse", "eval_jet", "eval_jets", "eval_values_many", "substitute",
+    "parse", "eval_jet", "eval_jets", "eval_values_many",
 ]
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt")
@@ -426,37 +426,6 @@ def eval_values_many(exprs, points) -> np.ndarray:
     for row, value in zip(out, values):
         row[...] = value  # broadcasts a scalar constant to the m points
     return out
-
-
-def substitute(expr: Expr, replacements: dict[int, Expr]) -> Expr:
-    """Replace coordinates by expressions (indices are zero based).
-
-    Unreplaced subtrees are returned as the same objects, so sharing is
-    preserved for the jet memoization.
-    """
-    if isinstance(expr, Var):
-        return replacements.get(expr.index, expr)
-    if isinstance(expr, (Const,)):
-        return expr
-    if isinstance(expr, Add):
-        left, right = substitute(expr.left, replacements), substitute(expr.right, replacements)
-        return expr if left is expr.left and right is expr.right else Add(left, right)
-    if isinstance(expr, Mul):
-        left, right = substitute(expr.left, replacements), substitute(expr.right, replacements)
-        return expr if left is expr.left and right is expr.right else Mul(left, right)
-    if isinstance(expr, Div):
-        left, right = substitute(expr.left, replacements), substitute(expr.right, replacements)
-        return expr if left is expr.left and right is expr.right else Div(left, right)
-    if isinstance(expr, Neg):
-        arg = substitute(expr.arg, replacements)
-        return expr if arg is expr.arg else Neg(arg)
-    if isinstance(expr, Pow):
-        base = substitute(expr.base, replacements)
-        return expr if base is expr.base else Pow(base, expr.exponent)
-    if isinstance(expr, Fun):
-        arg = substitute(expr.arg, replacements)
-        return expr if arg is expr.arg else Fun(expr.name, arg)
-    raise TypeError(f"not an Expr node: {expr!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

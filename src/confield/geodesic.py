@@ -97,8 +97,8 @@ def integrate_geodesic(
     v = np.asarray(v, dtype=float).copy()
     g, _, _ = metric_jets(chart, x, 0)
     speed = norm_vector(g, v)
-    if speed == 0.0:
-        raise ValueError("initial velocity must be nonzero")
+    if not (math.isfinite(speed) and speed > 0):
+        raise ValueError(f"initial velocity must be finite and nonzero, got speed {speed}")
     v = v / speed
     frame = (
         np.asarray(initial_frame, dtype=float).copy()
@@ -145,6 +145,8 @@ def exp_map(chart: Chart, x, v, steps: int | None = None) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     g, _, _ = metric_jets(chart, x, 0)
     length = norm_vector(g, v)
+    if not math.isfinite(length):
+        raise ValueError(f"exp_map needs a finite vector, got length {length}")
     if length < 1e-16:
         return x.copy()
     nsteps = steps if steps is not None else _steps_for(length)

@@ -25,9 +25,14 @@ Index conventions used throughout (and relied on by the test oracles):
 
 Metric inverses go through a Cholesky factorization; non-positive-definite
 or badly conditioned (above 1e12) metrics raise :class:`MetricError`.
+
+Every g-orthonormal frame comes from :func:`frame_svd`: the kernel of nabla
+xi or of d(xi^flat), the completion of a direction to a frame, and the
+normal space of a zero set patch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,11 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
+
+# Singular values at or below max(_RANK_REL * sigma_0, _RANK_ABS) count as
+# zero in frame_svd.
+_RANK_REL = 1e-8
+_RANK_ABS = 1e-12
 
 
 class ChartError(ValueError):
@@ -369,10 +379,6 @@ def norm_vector(g: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(max(v @ g @ v, 0.0)))
 
 
-def norm_covector(ginv: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sqrt(max(w @ ginv @ w, 0.0)))
-
-
 def norm_2form(ginv: np.ndarray, T: np.ndarray) -> float:
     val = np.einsum("ik,jl,ij,kl->", ginv, ginv, T, T)
     return float(np.sqrt(max(val, 0.0)))
@@ -383,36 +389,99 @@ def field_norm(chart: Chart, xi: FieldSpec, p) -> float:
     return norm_vector(g, field_value(xi, p))
 
 
-def mgs_orthonormalize(g: np.ndarray, vectors, tol: float = 1e-10):
-    """Modified Gram-Schmidt in the inner product ``g``, rows in, rows out.
+def _numerical_rank(sigma: np.ndarray) -> int:
+    if sigma.size == 0:
+        return 0
+    cut = max(_RANK_REL * float(sigma[0]), _RANK_ABS)
+    return int(np.sum(sigma > cut))
 
-    Vectors that become numerically dependent are dropped.
+
+@dataclass(frozen=True, eq=False)
+class FrameSVD:
+    """SVD of a tensor at a point, taken in a g-orthonormal frame.
+
+    The frame is u_a = L^{-T} e_a from g = L L^T.  Vectors map into it by
+    L^T, covectors by L^{-1}, endomorphisms by conjugation and 2-forms by
+    congruence.  ``rank`` counts the singular values above the cut of
+    ``_numerical_rank``.
     """
-    basis = []
-    for v in np.atleast_2d(np.asarray(vectors, dtype=float)):
-        w = v.copy()
-        for b in basis:
-            w = w - (w @ g @ b) * b
-        # second pass improves orthogonality at little cost
-        for b in basis:
-            w = w - (w @ g @ b) * b
-        nrm = norm_vector(g, w)
-        if nrm > tol * (1.0 + norm_vector(g, v)):
-            basis.append(w / nrm)
-    return np.array(basis) if basis else np.zeros((0, g.shape[0]))
+
+    L: np.ndarray
+    Linv: np.ndarray
+    U: np.ndarray
+    sigma: np.ndarray
+    Vt: np.ndarray
+    rank: int
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """g-orthonormal basis of the numerical kernel, one row per vector."""
+        return self.Vt[self.rank:] @ self.Linv
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares x with A x = rhs, for an endomorphism A.
+
+        ``rhs`` holds chart vectors in its last axis; the pseudo-inverse
+        drops the singular values below the rank cut, so x is g-orthogonal
+        to the kernel.
+        """
+        r = self.rank
+        frame_x = ((rhs @ self.L) @ self.U[:, :r]) / self.sigma[:r] @ self.Vt[:r]
+        return frame_x @ self.Linv
+
+
+def frame_svd(g: np.ndarray, tensor: np.ndarray, kind: str) -> FrameSVD:
+    """SVD of an ``"endomorphism"`` or a ``"skew_form"`` in a g-orthonormal frame.
+
+    A skew form is skew-symmetrized after the change of frame, so its
+    singular values come in honest pairs.  This is the one place that
+    builds g-orthonormal frames: every other frame is the ``kernel`` of
+    some tensor here.
+    """
+    L = np.linalg.cholesky(0.5 * (g + g.T))
+    Linv = np.linalg.inv(L)
+    if kind == "endomorphism":
+        A = L.T @ tensor @ Linv.T
+    elif kind == "skew_form":
+        A = Linv @ tensor @ Linv.T
+        A = 0.5 * (A - A.T)
+    else:
+        raise ValueError(f"unknown tensor kind {kind!r}")
+    U, sigma, Vt = np.linalg.svd(A)
+    return FrameSVD(L, Linv, U, sigma, Vt, _numerical_rank(sigma))
 
 
 def complete_orthonormal_frame(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """g-orthonormal frame (rows) whose first vector is v normalized."""
-    n = g.shape[0]
-    candidates = [v] + [np.eye(n)[i] for i in range(n)]
-    frame = mgs_orthonormalize(g, candidates)
-    if frame.shape[0] != n:
+    """g-orthonormal frame (rows) whose first vector is v normalized.
+
+    The other rows are the kernel of w -> g(u, w) u for u = v / |v|_g, i.e.
+    a g-orthonormal basis of the complement of v.  A zero or non-finite v
+    raises :class:`MetricError`.
+    """
+    v = np.asarray(v, dtype=float)
+    length = norm_vector(g, v) if np.isfinite(v).all() else math.nan
+    if not (math.isfinite(length) and length > 0):
+        raise MetricError(f"cannot complete a frame from the vector {v.tolist()}")
+    u = v / length
+    rest = frame_svd(g, np.outer(u, g @ u), "endomorphism").kernel
+    if rest.shape[0] != g.shape[0] - 1:
         raise MetricError("failed to complete an orthonormal frame")
-    return frame
+    return np.vstack([u, rest])
 
 
 def sample_interior(chart: Chart, count: int, rng, margin: float = 0.05) -> np.ndarray:
     """Seeded uniform samples in the domain box, shrunk by a relative margin."""
     u = rng.uniform(margin, 1.0 - margin, size=(count, chart.dim))
     return chart.lower + u * (chart.upper - chart.lower)
+
+
+def sample_ball(chart: Chart, x: np.ndarray, radius: float, count: int, rng) -> np.ndarray:
+    """Seeded samples around x, within ``radius`` and half the distance to the box."""
+    dist = float(min(np.min(x - chart.lower), np.min(chart.upper - x)))
+    r_eff = min(radius, 0.5 * dist)
+    pts = np.empty((count, chart.dim))
+    for k in range(count):
+        u = rng.normal(size=chart.dim)
+        u /= np.linalg.norm(u)
+        pts[k] = x + r_eff * rng.uniform(0.2, 1.0) * u
+    return pts

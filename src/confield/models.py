@@ -4,12 +4,10 @@ Three conformally flat charts (flat box, stereographic sphere chart,
 Poincare ball) share the coordinate identity map, so the same coordinate
 field is conformal on all of them.  The field catalog covers translations,
 rotations, the radial scaling field, the quadratic field obtained by
-conjugating a translation with the unit inversion, and the sphere
-generators that mix a translation with that quadratic field.
-
-``pushforward_under_inversion`` performs the conjugation symbolically for
-any field: it is the construction that turns the zero-free translation
-into a field with a single, essential zero.
+conjugating a translation with the unit inversion (the construction that
+turns the zero-free translation into a field with a single, essential
+zero), and the sphere generators that mix a translation with that
+quadratic field.
 """
 from __future__ import annotations
 
@@ -18,7 +16,7 @@ import math
 
 import numpy as np
 
-from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Var, parse, substitute
+from .expr import Add, Const, Div, Expr, Neg, Pow, Var, parse
 from .geometry import Chart, FieldSpec
 
 __all__ = [
@@ -31,8 +29,6 @@ __all__ = [
     "special_conformal",
     "sphere_killing",
     "sphere_translation",
-    "inversion_transition",
-    "pushforward_under_inversion",
     "CHART_BUILDERS",
     "FIELD_BUILDERS",
     "make_chart",
@@ -200,47 +196,6 @@ def sphere_translation(chart: Chart, axis: int = 1) -> FieldSpec:
     spec = special_conformal(chart, axis)
     return FieldSpec.vector(
         chart, spec.components, name=f"sphere_translation_{axis}"
-    )
-
-
-def inversion_transition(dim: int) -> tuple:
-    """Component expressions of the unit inversion x -> x / |x|^2."""
-    r2 = _sum_of_squares(dim)
-    return tuple(Div(Var(k), r2) for k in range(dim))
-
-
-def pushforward_under_inversion(xi: FieldSpec) -> FieldSpec:
-    """Conjugate a coordinate field by the unit inversion, symbolically.
-
-    With s(x) = x / |x|^2 (its own inverse), the result at y is
-    J_s(s(y)) xi(s(y)), where J_s(x) = (|x|^2 I - 2 x x^T) / |x|^4.  The
-    returned components are exact expression trees; they may be singular
-    at the origin even when the input is not, and vice versa.
-    """
-    if xi.kind != "vector":
-        raise ValueError("pushforward_under_inversion expects a vector field")
-    chart = xi.chart
-    n = chart.dim
-    r2 = _sum_of_squares(n)
-    r4 = Pow(_sum_of_squares(n), 2)
-    subs = {k: Div(Var(k), r2) for k in range(n)}
-    comps = []
-    for i in range(n):
-        total: Expr | None = None
-        for j, comp_j in enumerate(xi.components):
-            cross = Mul(Const(2.0), Mul(Var(i), Var(j)))
-            if i == j:
-                numerator: Expr = Add(_sum_of_squares(n), Neg(cross))
-            else:
-                numerator = Neg(cross)
-            term = Mul(Div(numerator, r4), comp_j)
-            total = term if total is None else Add(total, term)
-        comps.append(substitute(total, subs))
-    return FieldSpec(
-        chart=chart,
-        components=tuple(comps),
-        kind="vector",
-        name=f"inverted_{xi.name}" if xi.name else "inverted_field",
     )
 
 

@@ -34,19 +34,16 @@ from typing import Callable
 import numpy as np
 
 from .conformal import is_conformal
-from .essential import (
-    VERDICT_KILLING,
-    _ball_sample,
-    classify_zero,
-    frame_svd,
-)
+from .essential import VERDICT_KILLING, classify_zero
 from .geometry import (
     Chart,
     FieldSpec,
     field_data,
     field_jets,
     field_norm,
+    frame_svd,
     norm_vector,
+    sample_ball,
 )
 
 __all__ = [
@@ -165,7 +162,7 @@ def trace_component(
         if not norm_vector(g, fd.value) < class_tol:
             raise PatchError("trace_component expects a zero of the field")
         report = is_conformal(
-            chart, xi, _ball_sample(chart, x, 0.05, 20, rng), conformal_tol
+            chart, xi, sample_ball(chart, x, 0.05, 20, rng), conformal_tol
         )
         if not report.conformal:
             raise PatchError("field is not conformal near the zero")
@@ -175,8 +172,9 @@ def trace_component(
 
     k = kernel.shape[0]
     n = chart.dim
-    # Rows spanning the normal space at x, g-orthogonal to the kernel.
-    normals = np.linalg.svd(kernel @ g)[2][k:]
+    # g-orthonormal rows spanning the normal space at x: the kernel of the
+    # g-orthogonal projector kernel.T @ kernel @ g onto the tangent space.
+    normals = frame_svd(g, kernel.T @ kernel @ g, "endomorphism").kernel
 
     def mapping(t):
         y0 = x + np.asarray(t, dtype=float) @ kernel

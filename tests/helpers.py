@@ -1,4 +1,4 @@
-"""Finite-difference oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
 Richardson-extrapolated central differences give independent derivative
 values to compare against the exact jet propagation.  Step sizes are tuned
@@ -7,6 +7,9 @@ so truncation and rounding error balance near the stated tolerances:
 second derivatives (accurate to ~1e-7 relative).  The second fundamental
 form of a parametrized submanifold takes both from a step of 0.01 in the
 parameters, whose derivatives are of order one.
+
+Besides these: a Gram-Schmidt frame, the conformal connection-change
+identity, and the symbolic pushforward of a field under the unit inversion.
 """
 from __future__ import annotations
 
@@ -88,6 +91,21 @@ def fd_lie_derivative(chart, xi, p, t=1e-3):
     return (4.0 * d_h2 - d_h) / 3.0
 
 
+def gram_schmidt(g, vectors):
+    """g-orthonormal rows from independent rows, by Gram-Schmidt in g.
+
+    Each vector is orthogonalized twice against the rows before it, so row
+    a spans the same flag as the first a + 1 inputs.
+    """
+    basis = []
+    for v in np.asarray(vectors, dtype=float):
+        for _ in range(2):
+            for b in basis:
+                v = v - (v @ g @ b) * b
+        basis.append(v / np.sqrt(v @ g @ v))
+    return np.array(basis)
+
+
 def fd_second_fundamental_form(chart, mapping, t, h=0.01):
     """Second fundamental form of a parametrized submanifold at parameter t,
     from Richardson-extrapolated differences of the map.
@@ -96,9 +114,7 @@ def fd_second_fundamental_form(chart, mapping, t, h=0.01):
     ``dP[a]``, ``B[a, b] = B(dP_a, dP_b)`` (the normal part of the covariant
     second derivative) and the mean curvature vector.
     """
-    from confield.geometry import (
-        christoffel_matrix, metric_value, mgs_orthonormalize, spd_inverse,
-    )
+    from confield.geometry import christoffel_matrix, metric_value, spd_inverse
 
     t = np.asarray(t, dtype=float)
     k = len(t)
@@ -106,7 +122,7 @@ def fd_second_fundamental_form(chart, mapping, t, h=0.01):
     g = metric_value(chart, p)
     Gam = christoffel_matrix(chart, p)
     dP = np.stack([fd_partial(mapping, t, a, h) for a in range(k)])
-    frame = mgs_orthonormalize(g, dP)
+    frame = gram_schmidt(g, dP)
     B = np.empty((k, k, chart.dim))
     for a in range(k):
         for b in range(a, k):
@@ -123,7 +139,7 @@ def map_patch(chart, xi, mapping, param_axes):
     The tangent basis is the g-orthonormalized parameter derivatives at the
     centre node.
     """
-    from confield.geometry import field_norm, metric_value, mgs_orthonormalize
+    from confield.geometry import field_norm, metric_value
     from confield.zeroset import SubmanifoldPatch
 
     param_axes = tuple(np.asarray(a, dtype=float) for a in param_axes)
@@ -141,7 +157,7 @@ def map_patch(chart, xi, mapping, param_axes):
     return SubmanifoldPatch(
         chart=chart,
         base=base,
-        tangent_basis=mgs_orthonormalize(metric_value(chart, base), dP),
+        tangent_basis=gram_schmidt(metric_value(chart, base), dP),
         param_axes=param_axes,
         samples=samples,
         field_norms=norms,
@@ -149,3 +165,100 @@ def map_patch(chart, xi, mapping, param_axes):
         mapping=mapping,
         field=xi,
     )
+
+
+def connection_change_residual(chart, f, p):
+    """Defect of the conformal connection-change identity at p.
+
+    Compares Christoffel symbols of e^{2f} g, computed from the rescaled
+    expression trees, with Gamma + correction where
+
+        corr^k_ij = delta^k_i d_j f + delta^k_j d_i f - g_ij (grad f)^k.
+
+    The two sides come from independent code paths, so this doubles as a
+    self-check of the differentiation engine.
+    """
+    from confield.conformal import rescale_metric
+    from confield.expr import eval_jet
+    from confield.geometry import connection_data
+
+    cd = connection_data(chart, p, 1)
+    df = eval_jet(f.expr, p, 1).d1
+    gradf = cd.ginv @ df
+    Gam_rescaled = connection_data(rescale_metric(chart, f), p, 1).Gam
+    eye = np.eye(chart.dim)
+    corr = (
+        np.einsum("ki,j->kij", eye, df)
+        + np.einsum("kj,i->kij", eye, df)
+        - np.einsum("ij,k->kij", cd.g, gradf)
+    )
+    return float(np.sqrt(np.sum((Gam_rescaled - cd.Gam - corr) ** 2)))
+
+
+def substitute(expr, replacements):
+    """Replace coordinates by expressions (indices are zero based).
+
+    Unreplaced subtrees are returned as the same objects.
+    """
+    from confield.expr import Add, Const, Div, Fun, Mul, Neg, Pow, Var
+
+    if isinstance(expr, Var):
+        return replacements.get(expr.index, expr)
+    if isinstance(expr, Const):
+        return expr
+    if isinstance(expr, (Add, Mul, Div)):
+        left = substitute(expr.left, replacements)
+        right = substitute(expr.right, replacements)
+        if left is expr.left and right is expr.right:
+            return expr
+        return type(expr)(left, right)
+    if isinstance(expr, Neg):
+        arg = substitute(expr.arg, replacements)
+        return expr if arg is expr.arg else Neg(arg)
+    if isinstance(expr, Fun):
+        arg = substitute(expr.arg, replacements)
+        return expr if arg is expr.arg else Fun(expr.name, arg)
+    if isinstance(expr, Pow):
+        base = substitute(expr.base, replacements)
+        return expr if base is expr.base else Pow(base, expr.exponent)
+    raise TypeError(f"not an Expr node: {expr!r}")
+
+
+def _sum_of_squares(dim):
+    from confield.expr import parse
+
+    return parse(" + ".join(f"x{k}^2" for k in range(1, dim + 1)), dim)
+
+
+def inversion_transition(dim):
+    """Component expressions of the unit inversion x -> x / |x|^2."""
+    from confield.expr import Div, Var
+
+    r2 = _sum_of_squares(dim)
+    return tuple(Div(Var(k), r2) for k in range(dim))
+
+
+def pushforward_under_inversion(xi):
+    """Conjugate a coordinate field by the unit inversion, symbolically.
+
+    With s(x) = x / |x|^2 (its own inverse), the result at y is
+    J_s(s(y)) xi(s(y)), where J_s(x) = (|x|^2 I - 2 x x^T) / |x|^4.  The
+    returned components are exact expression trees; they may be singular
+    at the origin even when the input is not, and vice versa.
+    """
+    from confield.expr import Add, Const, Div, Mul, Neg, Pow, Var
+    from confield.geometry import FieldSpec
+
+    n = xi.chart.dim
+    r4 = Pow(_sum_of_squares(n), 2)
+    subs = dict(enumerate(inversion_transition(n)))
+    comps = []
+    for i in range(n):
+        total = None
+        for j, comp_j in enumerate(xi.components):
+            cross = Mul(Const(2.0), Mul(Var(i), Var(j)))
+            numerator = Add(_sum_of_squares(n), Neg(cross)) if i == j else Neg(cross)
+            term = Mul(Div(numerator, r4), comp_j)
+            total = term if total is None else Add(total, term)
+        comps.append(substitute(total, subs))
+    return FieldSpec.vector(xi.chart, comps, name=f"inverted_{xi.name}")

@@ -163,6 +163,8 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
             ("1e400*x1", "out of range"),
         ]],
         ({**ZEROS_MANIFEST, "fd_step": 0.001}, "unknown setting 'fd_step'"),
+        ({**ZEROS_MANIFEST, "chart": {"name": ["e"], "dim": 3}}, "chart 'name'"),
+        ({**ZEROS_MANIFEST, "field": {"name": ["x"]}}, "field 'name'"),
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):

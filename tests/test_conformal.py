@@ -5,21 +5,20 @@ import pytest
 import confield.models as models
 from confield.conformal import (
     ConformalReport,
-    conformal_factor,
     conformal_factor_gradient,
     conformal_residual,
-    connection_change_residual,
     is_conformal,
     rescale_metric,
 )
 from confield.expr import eval_jet, parse
 from confield.geometry import (
     FieldSpec,
+    field_data,
     field_value,
     metric_value,
     sample_interior,
 )
-from helpers import fd_gradient
+from helpers import connection_change_residual, fd_gradient
 
 FLAT2 = models.euclidean(2)
 FLAT3 = models.euclidean(3)
@@ -29,14 +28,14 @@ SPHERE = models.sphere_stereographic(3)
 def test_factor_of_scaling_field_is_one():
     eu = models.euler(FLAT3)
     for p in ([0.2, -0.7, 1.1], [0.0, 0.0, 0.0]):
-        assert conformal_factor(FLAT3, eu, np.asarray(p)) == pytest.approx(1.0, abs=1e-14)
+        assert field_data(FLAT3, eu, np.asarray(p), 1).phi == pytest.approx(1.0, abs=1e-14)
 
 
 def test_factor_of_quadratic_field_flat():
     K = models.special_conformal(FLAT3, 1)
     p = np.array([0.4, -0.2, 0.9])
     # div(K_e) = -2 n <x, e> so the factor is -2 x1 in dimension n
-    assert conformal_factor(FLAT3, K, p) == pytest.approx(-2.0 * p[0], rel=1e-13)
+    assert field_data(FLAT3, K, p, 1).phi == pytest.approx(-2.0 * p[0], rel=1e-13)
 
 
 def test_residual_of_non_conformal_field():
@@ -57,7 +56,7 @@ def test_factor_gradient_matches_finite_differences():
         for p in ([0.3, -0.2, 0.5], [0.9, 0.4, -0.7]):
             p = np.asarray(p)
             exact = conformal_factor_gradient(chart, xi, p)
-            approx = fd_gradient(lambda q: conformal_factor(chart, xi, q), p)
+            approx = fd_gradient(lambda q: field_data(chart, xi, q, 1).phi, p)
             assert np.abs(exact - approx).max() < 1e-7
 
 
@@ -126,8 +125,8 @@ def test_factor_shifts_by_derivative_along_field():
     xi = models.special_conformal(FLAT3, 1)
     for p in ([0.2, 0.5, -0.3], [0.8, -0.6, 0.4]):
         p = np.asarray(p)
-        phi = conformal_factor(FLAT3, xi, p)
-        phi_new = conformal_factor(rescaled, xi, p)
+        phi = field_data(FLAT3, xi, p, 1).phi
+        phi_new = field_data(rescaled, xi, p, 1).phi
         df = eval_jet(f.expr, p, 1).d1
         shift = float(df @ field_value(xi, p))
         assert phi_new == pytest.approx(phi + shift, rel=1e-12, abs=1e-13)

@@ -24,10 +24,9 @@ from confield.expr import (
     eval_jets,
     eval_values_many,
     parse,
-    substitute,
 )
 from confield.geometry import sample_interior
-from helpers import fd_partial, fd_partial2
+from helpers import fd_partial, fd_partial2, substitute
 
 SAMPLE_SOURCES = [
     "x1*x2 - x2^3/(1 + x1^2)",

@@ -108,6 +108,11 @@ def test_geodesic_input_validation():
         integrate_geodesic(FLAT3, np.zeros(3), np.zeros(3), 1.0, 64)
     with pytest.raises(ValueError):
         integrate_geodesic(FLAT3, np.zeros(3), np.ones(3), 1.0, 0)
+    nan = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        integrate_geodesic(FLAT3, np.zeros(3), nan, 1.0, 64)
+    with pytest.raises(ValueError, match="finite vector"):
+        exp_map(FLAT3, np.zeros(3), nan)
 
 
 # -- Taylor behavior at zeros ---------------------------------------------------

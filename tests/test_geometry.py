@@ -1,5 +1,7 @@
-"""Metric jets, connection, curvature, and field derivative operators."""
+"""Metric jets, connection, curvature, field derivative operators and frames."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +20,10 @@ from confield.geometry import (
     field_data,
     field_jets,
     field_norm,
+    frame_svd,
     metric_jets,
     metric_value,
-    mgs_orthonormalize,
     norm_2form,
-    norm_covector,
     norm_vector,
     sample_interior,
     spd_inverse,
@@ -341,7 +342,7 @@ def test_norms_and_musical_isomorphisms():
     v = np.array([0.4, -1.0, 0.3])
     w = g @ v
     assert np.abs(ginv @ w - v).max() < 1e-14
-    assert norm_vector(g, v) == pytest.approx(norm_covector(ginv, w), rel=1e-14)
+    assert norm_vector(g, v) == pytest.approx(math.sqrt(w @ ginv @ w), rel=1e-14)
 
     scalar = FieldSpec.scalar(SPHERE, parse("x1*x2 - x3^2", 3))
     df = eval_jet(scalar.expr, p, 1).d1
@@ -359,14 +360,38 @@ def test_two_form_norm_is_frame_frobenius():
     assert norm_2form(ginv, M) == pytest.approx(frame_frob, rel=1e-13)
 
 
-def test_mgs_orthonormalize_drops_dependent_vectors():
-    p = np.array([0.3, 0.3, -0.1])
-    g = metric_value(SPHERE, p)
-    vecs = np.array([[1.0, 0.0, 0.0], [1.0, 1e-14, 0.0], [0.0, 1.0, 1.0]])
-    basis = mgs_orthonormalize(g, vecs)
-    assert basis.shape == (2, 3)
-    G = basis @ g @ basis.T
-    assert np.abs(G - np.eye(2)).max() < 1e-12
+def _random_spd(rng, n):
+    A = rng.normal(size=(n, n))
+    return A @ A.T + 0.5 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_frame_svd_kernel_is_g_orthonormal_and_annihilated(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(10):
+        g = _random_spd(rng, n)
+        k = int(rng.integers(1, n))
+        # an endomorphism of rank n - k and a 2-form of rank 2 * ((n - k) // 2)
+        N = rng.normal(size=(n, n - k)) @ rng.normal(size=(n - k, n))
+        B = rng.normal(size=(n, 2 * ((n - k) // 2)))
+        M = B @ np.kron(np.eye(B.shape[1] // 2), [[0.0, 1.0], [-1.0, 0.0]]) @ B.T
+        for tensor, kind, dim in ((N, "endomorphism", k), (M, "skew_form", n - B.shape[1])):
+            kernel = frame_svd(g, tensor, kind).kernel
+            assert kernel.shape == (dim, n)
+            assert np.abs(kernel @ g @ kernel.T - np.eye(dim)).max() < 1e-12
+            assert np.abs(kernel @ tensor.T).max() < 1e-10 * (1 + np.abs(tensor).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_complete_orthonormal_frame_random_spd(n):
+    rng = np.random.default_rng(200 + n)
+    for scale in (1e-9, 1.0, 1e9):
+        g = _random_spd(rng, n)
+        v = scale * rng.normal(size=n)
+        frame = complete_orthonormal_frame(g, v)
+        assert frame.shape == (n, n)
+        assert np.abs(frame @ g @ frame.T - np.eye(n)).max() < 1e-12
+        assert np.abs(frame[0] - v / norm_vector(g, v)).max() < 1e-14 * (1 + np.abs(frame[0]).max())
 
 
 def test_complete_orthonormal_frame_starts_along_v():
@@ -378,6 +403,31 @@ def test_complete_orthonormal_frame_starts_along_v():
     assert np.abs(frame @ g @ frame.T - np.eye(3)).max() < 1e-12
     cross = np.cross(frame[0], v)
     assert np.linalg.norm(cross) < 1e-12
+
+
+@pytest.mark.parametrize("v", [np.zeros(3), [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]],
+                         ids=["zero", "nan", "inf"])
+def test_complete_orthonormal_frame_refuses_zero_and_non_finite(v):
+    with pytest.raises(MetricError):
+        complete_orthonormal_frame(np.eye(3), np.asarray(v))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "confield"
+
+
+def test_modules_share_one_frame_helper_and_no_private_names():
+    """No module imports a _-prefixed name (dunders aside) from a sibling,
+    and only geometry.frame_svd calls the SVD."""
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private = [a.name for a in node.names
+                           if a.name.startswith("_") and not a.name.endswith("__")]
+                assert not private, f"{path.name} imports {private} from .{node.module}"
+        if path.name != "geometry.py":
+            assert "np.linalg.svd" not in text, path.name
+    assert (SRC / "geometry.py").read_text().count("np.linalg.svd") == 1
 
 
 def test_sample_interior_respects_margin():

@@ -1,9 +1,10 @@
-"""Catalog charts and fields, and the inversion pushforward."""
+"""Catalog charts and fields, and the inversion pushforward that certifies
+``sphere_translation``."""
 import numpy as np
 import pytest
 
 import confield.models as models
-from confield.conformal import conformal_factor, conformal_residual, is_conformal
+from confield.conformal import conformal_residual, is_conformal
 from confield.expr import eval_values_many
 from confield.geometry import (
     field_data,
@@ -11,6 +12,7 @@ from confield.geometry import (
     metric_value,
     sample_interior,
 )
+from helpers import inversion_transition, pushforward_under_inversion
 
 RNG = np.random.default_rng(77)
 
@@ -73,7 +75,7 @@ def test_rotations_are_killing_for_all_catalog_metrics():
         xi = models.rotation(chart, 1, 2)
         for p in sample_interior(chart, 10, np.random.default_rng(9)):
             assert np.abs(field_data(chart, xi, p, 1).lie).max() < 1e-12
-            assert abs(conformal_factor(chart, xi, p)) < 1e-13
+            assert abs(field_data(chart, xi, p, 1).phi) < 1e-13
 
 
 def test_scaling_field_lie_derivative_flat():
@@ -89,7 +91,7 @@ def test_mixed_sphere_generator_is_killing_on_round_chart():
     xi = models.sphere_killing(chart, 2, 4)
     for p in sample_interior(chart, 15, np.random.default_rng(2)):
         assert np.abs(field_data(chart, xi, p, 1).lie).max() < 1e-12
-        assert abs(conformal_factor(chart, xi, p)) < 1e-13
+        assert abs(field_data(chart, xi, p, 1).phi) < 1e-13
 
 
 def test_mixed_sphere_generator_combination_identity():
@@ -128,7 +130,7 @@ def test_quadratic_generator_zero_and_values():
 
 
 def test_inversion_is_an_involution():
-    sigma = models.inversion_transition(3)
+    sigma = inversion_transition(3)
     pts = RNG.uniform(0.2, 1.8, size=(30, 3))
     imgs = eval_values_many(sigma, pts).T
     norms2 = np.einsum("ij,ij->i", pts, pts)
@@ -140,7 +142,7 @@ def test_inversion_is_an_involution():
 def test_pushforward_of_translation_is_quadratic_generator():
     chart = models.euclidean(3)
     tr = models.translation(chart, 1)
-    push = models.pushforward_under_inversion(tr)
+    push = pushforward_under_inversion(tr)
     K = models.special_conformal(chart, 1)
     pts = RNG.uniform(0.3, 1.5, size=(30, 3)) * RNG.choice([-1.0, 1.0], size=(30, 3))
     a = eval_values_many(push.components, pts)
@@ -153,7 +155,7 @@ def test_pushforward_against_jacobian_oracle():
     finite-difference Jacobian of the inversion."""
     chart = models.euclidean(3)
     xi = models.rotation(chart, 1, 3)
-    push = models.pushforward_under_inversion(xi)
+    push = pushforward_under_inversion(xi)
 
     def sigma(x):
         return x / (x @ x)
@@ -173,7 +175,7 @@ def test_pushforward_against_jacobian_oracle():
 def test_double_pushforward_returns_original():
     chart = models.euclidean(3)
     xi = models.translation(chart, 2)
-    twice = models.pushforward_under_inversion(models.pushforward_under_inversion(xi))
+    twice = pushforward_under_inversion(pushforward_under_inversion(xi))
     pts = RNG.uniform(0.3, 1.4, size=(20, 3))
     a = eval_values_many(twice.components, pts)
     b = eval_values_many(xi.components, pts)
@@ -182,7 +184,7 @@ def test_double_pushforward_returns_original():
 
 def test_pushforward_preserves_conformality():
     chart = models.euclidean(3)
-    push = models.pushforward_under_inversion(models.translation(chart, 1))
+    push = pushforward_under_inversion(models.translation(chart, 1))
     pts = RNG.uniform(0.25, 1.5, size=(25, 3))
     for p in pts:
         assert conformal_residual(chart, push, p) < 1e-10

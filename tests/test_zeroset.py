@@ -148,6 +148,36 @@ def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
     assert len(calls) == one_sample > 1
 
 
+def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
+    """The corrector's normals are g-orthonormal and g-orthogonal to
+    tangent_basis.  Under g = e^{2f} flat with e^{2f} != 1 at the base
+    (so Euclidean-orthonormal rows would fail), every sample of the
+    unit-circle zero set lies on x + t.kernel plus a g-normal displacement."""
+    chart = rescale_metric(FLAT3, FieldSpec.scalar(FLAT3, parse("0.3*x2 + 0.2", 3)))
+    xi = models.sphere_killing(chart, 1, 4)
+    frames = []
+    frame_svd = zeroset.frame_svd
+
+    def recording(g, tensor, kind):
+        out = frame_svd(g, tensor, kind)
+        frames.append((g, out.kernel))
+        return out
+
+    monkeypatch.setattr(zeroset, "frame_svd", recording)
+    base = np.array([0.0, 0.6, 0.8])
+    patch = trace_component(chart, xi, base, radius=0.3, grid=5)
+    (g, normals), = frames
+    tangent = patch.tangent_basis
+    assert abs(g[0, 0] - 1.0) > 0.1
+    assert normals.shape == (2, 3)
+    assert np.abs(normals @ g @ normals.T - np.eye(2)).max() < 1e-12
+    assert np.abs(normals @ g @ tangent.T).max() < 1e-12
+    moves = patch.samples - base - np.outer(patch.param_axes[0], tangent[0])
+    assert np.abs(moves @ g @ tangent[0]).max() < 1e-12
+    assert np.abs(moves).max() > 1e-3  # the circle curves away from its tangent
+    assert patch.max_field_norm < 1e-12
+
+
 # -- second fundamental form on explicitly parametrized zero sets ---------------
 #
 # Each patch below is the zero set of a field xi whose derivative is
