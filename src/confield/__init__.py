@@ -49,8 +49,7 @@ from .geodesic import (
     dxi_identity_residual,
     exp_map,
     integrate_geodesic,
-    taylor_scalar_check,
-    taylor_vector_check,
+    taylor_checks,
 )
 from .zeroset import (
     OffZeroSetError,

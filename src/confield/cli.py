@@ -30,12 +30,7 @@ from .essential import (
     limit_point_audit,
 )
 from .expr import ExprSyntaxError, parse
-from .geodesic import (
-    DomainExitError,
-    dxi_identity_residual,
-    taylor_scalar_check,
-    taylor_vector_check,
-)
+from .geodesic import DomainExitError, dxi_identity_residual, taylor_checks
 from .geometry import Chart, ChartError, FieldSpec, MetricError, sample_interior
 from .models import CHART_BUILDERS, FIELD_BUILDERS, field_params, make_chart, make_field
 from .zeroset import (
@@ -170,6 +165,12 @@ def _require(cond: bool, message: str):
         raise ManifestError(message)
 
 
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _build_chart(spec) -> Chart:
     _require(isinstance(spec, dict), "manifest 'chart' must be an object")
     if "name" in spec and "metric" not in spec:
@@ -191,8 +192,9 @@ def _build_chart(spec) -> Chart:
              "inline charts need 'lower' and 'upper' bounds")
     lower, upper = spec["lower"], spec["upper"]
     _require(isinstance(lower, list) and isinstance(upper, list)
-             and len(lower) == dim and len(upper) == dim,
-             "'lower'/'upper' must be lists matching the metric dimension")
+             and len(lower) == dim and len(upper) == dim
+             and all(map(_finite_number, lower + upper)),
+             "'lower'/'upper' must be lists of finite numbers matching the metric dimension")
     try:
         rows = tuple(
             tuple(parse(str(entry), dim) for entry in row) for row in metric
@@ -241,8 +243,7 @@ def _resolve_config(manifest: dict, args) -> dict:
         if value is None:
             value = given.get(leaf, s.default)
         is_int = s.type is int
-        _require(isinstance(value, int if is_int else (int, float))
-                 and not isinstance(value, bool) and abs(value) <= sys.float_info.max,
+        _require(_finite_number(value) and (isinstance(value, int) or not is_int),
                  f"{s.key!r} must be {'an integer' if is_int else 'a finite number'}, "
                  f"got {json.dumps(value)}")
         value = s.type(value)
@@ -435,8 +436,7 @@ def _run_verify_identities(session: _Session) -> dict:
     for z in session.zeros[:4]:
         v = rng.normal(size=session.chart.dim)
         try:
-            scalar = taylor_scalar_check(session.chart, session.xi, z, v)
-            vector = taylor_vector_check(session.chart, session.xi, z, v)
+            scalar, vector = taylor_checks(session.chart, session.xi, z, v)
         except DomainExitError as exc:
             taylor.append({"zero": z, "skipped": str(exc)})
             continue

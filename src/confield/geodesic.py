@@ -2,12 +2,17 @@
 
 Geodesics are integrated with a fixed-step classical RK4 scheme on the
 first-order system (x, v) together with a parallel orthonormal frame.  On
-top of the integrator sit two Taylor checks used at zeros of a conformal
-field xi, both differentiating along the unit-speed geodesic c(t) = exp_x(tv):
+top of the integrator sits ``taylor_checks``, which differentiates along the
+unit-speed geodesic c(t) = exp_x(tv) from a zero x of a conformal field xi:
 
 * scalar: f(t) = g(xi(c(t)), c'(t)) satisfies f'(0) = phi(x),
 * vector: in a parallel frame, xi'(0) = phi(x) v + (1/2) d(xi^flat)(v) and
   xi''(0) = 2 dphi_x(v) v - grad phi_x.
+
+Both are read off one pass: one order-2 jet at x, and the states at
+t = +-h, +-h/2 (h = 1e-3, for Richardson derivatives) and at the slope times
+0.1, 0.05, 0.025, 0.0125 (for the remainder order), taken from 3 RK4 runs of
+32 steps, to 0.1, h and -h.  Each state gives f(t) and xi's frame components.
 
 ``dxi_identity_residual`` checks the pointwise curvature identity
 
@@ -43,14 +48,18 @@ __all__ = [
     "GeodesicState",
     "integrate_geodesic",
     "exp_map",
-    "taylor_scalar_check",
-    "taylor_vector_check",
+    "taylor_checks",
     "TaylorScalarResult",
     "TaylorVectorResult",
     "dxi_identity_residual",
 ]
 
 _BOUNDARY_EPS = 1e-9
+# The Taylor stencil: the Richardson step and the times the remainder order
+# is fitted over; and how small |xi|_g must be at a zero.
+_FD_STEP = 1e-3
+_SLOPE_TS = (0.1, 0.05, 0.025, 0.0125)
+_ZERO_TOL = 1e-6
 
 
 class DomainExitError(RuntimeError):
@@ -65,6 +74,11 @@ class GeodesicState:
     position: np.ndarray
     velocity: np.ndarray
     frame: np.ndarray
+
+
+def _speed(g: np.ndarray, v: np.ndarray) -> float:
+    """|v|_g, or NaN for a non-finite v, which then enters no product."""
+    return norm_vector(g, v) if np.isfinite(v).all() else math.nan
 
 
 def _rhs(chart: Chart, x, v, frame):
@@ -96,7 +110,7 @@ def integrate_geodesic(
     x = np.asarray(x, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
     g, _, _ = metric_jets(chart, x, 0)
-    speed = norm_vector(g, v)
+    speed = _speed(g, v)
     if not (math.isfinite(speed) and speed > 0):
         raise ValueError(f"initial velocity must be finite and nonzero, got speed {speed}")
     v = v / speed
@@ -144,7 +158,7 @@ def exp_map(chart: Chart, x, v, steps: int | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     g, _, _ = metric_jets(chart, x, 0)
-    length = norm_vector(g, v)
+    length = _speed(g, v)
     if not math.isfinite(length):
         raise ValueError(f"exp_map needs a finite vector, got length {length}")
     if length < 1e-16:
@@ -221,104 +235,69 @@ def _richardson_second(f0, fm2, fm1, fp1, fp2, h):
     return (4.0 * s_h2 - s_h) / 3.0
 
 
-def taylor_scalar_check(
-    chart: Chart,
-    xi: FieldSpec,
-    x,
-    v,
-    fd_step: float = 1e-3,
-    slope_ts=(0.1, 0.05, 0.025, 0.0125),
-    zero_tol: float = 1e-6,
-) -> TaylorScalarResult:
-    """First-derivative and remainder structure of f(t) = g(xi, c'(t)).
+def taylor_checks(
+    chart: Chart, xi: FieldSpec, x, v
+) -> tuple[TaylorScalarResult, TaylorVectorResult]:
+    """The scalar and vector Taylor checks at a zero x of xi, in one pass.
 
-    x must be a zero of xi.  Returns |f'(0) - phi(x)| together with the
-    empirical order of the remainder f(t) - t f'(0) - t^2/2 f''(0) over
-    ``slope_ts``; when the remainder is at noise level the order is inf.
-    """
-    fd = field_data(chart, xi, x, 1)
-    g = fd.conn.g
-    if not norm_vector(g, fd.value) < zero_tol:
-        raise ValueError("taylor_scalar_check requires a zero of the field")
-    v = np.asarray(v, dtype=float)
-    v = v / norm_vector(g, v)
-    frame0 = complete_orthonormal_frame(g, v)
-    h = fd_step
-    ts = sorted({h, -h, h / 2, -h / 2, *slope_ts})
-
-    def f_of(state: GeodesicState) -> float:
-        gp, _, _ = metric_jets(chart, state.position, 0)
-        return float(field_value(xi, state.position) @ gp @ state.velocity)
-
-    states = _states_at(chart, x, v, frame0, ts)
-    fvals = {t: f_of(s) for t, s in states.items()}
-    f0 = float(fd.value @ g @ v)
-    d1 = _richardson_first(fvals[-h / 2], fvals[-h], fvals[h], fvals[h / 2], h)
-    d2 = _richardson_second(f0, fvals[-h / 2], fvals[-h], fvals[h], fvals[h / 2], h)
-
-    remainders = []
-    scale = 1.0
-    for t in slope_ts:
-        ft = fvals[t]
-        scale = max(scale, abs(ft))
-        remainders.append(abs(ft - t * d1 - 0.5 * t * t * d2))
-    remainders = np.asarray(remainders)
-    if remainders.max() < 1e-10 * scale:
-        order = math.inf
-    else:
-        logs_t = np.log(np.asarray(slope_ts, dtype=float))
-        logs_r = np.log(np.maximum(remainders, 1e-300))
-        order = float(np.polyfit(logs_t, logs_r, 1)[0])
-    return TaylorScalarResult(abs(d1 - fd.phi), order, float(d1), float(d2))
-
-
-def taylor_vector_check(
-    chart: Chart,
-    xi: FieldSpec,
-    x,
-    v,
-    fd_step: float = 1e-3,
-    zero_tol: float = 1e-6,
-) -> TaylorVectorResult:
-    """Frame-component derivatives of xi along a geodesic from a zero.
-
-    Compares the finite-differenced xi'(0) = nabla_v xi with
-    phi(x) v + (1/2) d(xi^flat)(v) raised by the metric, and xi''(0) with
-    2 dphi(v) v - grad phi, both expressed in the parallel orthonormal
-    frame at x.
+    Scalar: |f'(0) - phi(x)| for f(t) = g(xi, c'(t)), and the empirical
+    order of the remainder f(t) - t f'(0) - t^2/2 f''(0) over the slope
+    times; when the remainder is at noise level the order is inf.  Vector:
+    the finite-differenced xi'(0) = nabla_v xi against
+    phi(x) v + (1/2) d(xi^flat)(v) raised by the metric, and xi''(0) against
+    2 dphi(v) v - grad phi, both in the parallel orthonormal frame at x.
     """
     x = np.asarray(x, dtype=float)
     fd = field_data(chart, xi, x, 2)
     g = fd.conn.g
-    if not norm_vector(g, fd.value) < zero_tol:
-        raise ValueError("taylor_vector_check requires a zero of the field")
+    if not norm_vector(g, fd.value) < _ZERO_TOL:
+        raise ValueError("taylor_checks requires a zero of the field")
     v = np.asarray(v, dtype=float)
-    v = v / norm_vector(g, v)
+    speed = _speed(g, v)
+    if not (math.isfinite(speed) and speed > 0):
+        raise ValueError(f"taylor_checks needs a finite nonzero direction, got speed {speed}")
+    v = v / speed
     frame0 = complete_orthonormal_frame(g, v)
-    h = fd_step
-    ts = [h, -h, h / 2, -h / 2]
-
-    def comps(state: GeodesicState) -> np.ndarray:
+    h = _FD_STEP
+    states = _states_at(chart, x, v, frame0, sorted({h, -h, h / 2, -h / 2, *_SLOPE_TS}))
+    f, a = {}, {}
+    for t, state in states.items():
         gp, _, _ = metric_jets(chart, state.position, 0)
-        return state.frame @ gp @ field_value(xi, state.position)
+        xi_t = field_value(xi, state.position)
+        f[t] = float(xi_t @ gp @ state.velocity)
+        a[t] = state.frame @ gp @ xi_t
 
-    states = _states_at(chart, x, v, frame0, ts)
-    a = {t: comps(s) for t, s in states.items()}
+    f0 = float(fd.value @ g @ v)
+    f1 = _richardson_first(f[-h / 2], f[-h], f[h], f[h / 2], h)
+    f2 = _richardson_second(f0, f[-h / 2], f[-h], f[h], f[h / 2], h)
+    remainders = np.array([abs(f[t] - t * f1 - 0.5 * t * t * f2) for t in _SLOPE_TS])
+    if remainders.max() < 1e-10 * max(1.0, *(abs(f[t]) for t in _SLOPE_TS)):
+        order = math.inf
+    else:
+        logs_r = np.log(np.maximum(remainders, 1e-300))
+        order = float(np.polyfit(np.log(_SLOPE_TS), logs_r, 1)[0])
+    scalar = TaylorScalarResult(abs(f1 - fd.phi), order, float(f1), float(f2))
+
     a0 = frame0 @ g @ fd.value
     d1 = _richardson_first(a[-h / 2], a[-h], a[h], a[h / 2], h)
     d2 = _richardson_second(a0, a[-h / 2], a[-h], a[h], a[h / 2], h)
-
     # (v -| d xi)_j = v^i M[i, j] and (phi v)_j = phi g_jk v^k; raise the
     # covector and take frame components
     first_target = frame0 @ (fd.phi * (g @ v) + 0.5 * (fd.M.T @ v))
-    second_vec = 2.0 * float(fd.dphi @ v) * v - fd.conn.ginv @ fd.dphi
-    second_target = frame0 @ g @ second_vec
-    return TaylorVectorResult(
-        float(np.linalg.norm(d1 - first_target)),
-        float(np.linalg.norm(d2 - second_target)),
-        d1,
-        d2,
-    )
+    second_target = frame0 @ g @ (2.0 * float(fd.dphi @ v) * v - fd.conn.ginv @ fd.dphi)
+    vector = TaylorVectorResult(float(np.linalg.norm(d1 - first_target)),
+                                float(np.linalg.norm(d2 - second_target)), d1, d2)
+    return scalar, vector
+
+
+def taylor_scalar_check(chart: Chart, xi: FieldSpec, x, v) -> TaylorScalarResult:
+    """The scalar result of :func:`taylor_checks`; bench/tracer.py wraps this name."""
+    return taylor_checks(chart, xi, x, v)[0]
+
+
+def taylor_vector_check(chart: Chart, xi: FieldSpec, x, v) -> TaylorVectorResult:
+    """The vector result of :func:`taylor_checks`; bench/tracer.py wraps this name."""
+    return taylor_checks(chart, xi, x, v)[1]
 
 
 def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import confield.cli as cli
+import confield.geodesic as geodesic
 from confield.cli import SETTINGS, main, render_report
 
 
@@ -165,6 +166,12 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
         ({**ZEROS_MANIFEST, "fd_step": 0.001}, "unknown setting 'fd_step'"),
         ({**ZEROS_MANIFEST, "chart": {"name": ["e"], "dim": 3}}, "chart 'name'"),
         ({**ZEROS_MANIFEST, "field": {"name": ["x"]}}, "field 'name'"),
+        *[({"chart": {"metric": [["1", "0"], ["0", "1"]], **bounds},
+            "field": {"components": ["x2", "-x1"]}, "analyses": ["zeros"]},
+           "'lower'/'upper'") for bounds in [
+            {"lower": [-1, -1], "upper": ["1", 1]},
+            {"lower": [False, -1], "upper": [True, 1]},
+        ]],
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
@@ -243,6 +250,33 @@ def test_rotation_manifest_runs_green(tmp_path):
     ]
     assert all(a["passed"] for a in report["analyses"].values())
     assert report["analyses"]["zeros"]["count"] >= 8
+
+
+def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch):
+    """Each checked zero costs 3 geodesic runs of 32 steps and one order-2
+    field_data; the other field_data calls are the identity pairs'."""
+    runs, orders = [], []
+    integrate, field_data = geodesic.integrate_geodesic, geodesic.field_data
+
+    def counting_integrate(*args, **kwargs):
+        states = integrate(*args, **kwargs)
+        runs.append(len(states) - 1)
+        return states
+
+    def counting_field_data(chart, xi, p, order):
+        orders.append(order)
+        return field_data(chart, xi, p, order)
+
+    monkeypatch.setattr(geodesic, "integrate_geodesic", counting_integrate)
+    monkeypatch.setattr(geodesic, "field_data", counting_field_data)
+    manifest = {**ROTATION_MANIFEST, "analyses": ["verify-identities"], "seed": 1}
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0
+    taylor = report["analyses"]["verify-identities"]["taylor_at_zeros"]
+    assert len(taylor) == 4 and all("skipped" not in entry for entry in taylor)
+    assert runs == [32, 32, 32] * 4
+    pairs = report["config"]["samples"]["identity_pairs"]
+    assert orders == [2] * (pairs + 4)
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):
