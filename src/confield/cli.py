@@ -195,6 +195,8 @@ def _build_chart(spec) -> Chart:
              and len(lower) == dim and len(upper) == dim
              and all(map(_finite_number, lower + upper)),
              "'lower'/'upper' must be lists of finite numbers matching the metric dimension")
+    _require(all(math.isfinite(float(u) - float(lo)) for lo, u in zip(lower, upper)),
+             "'lower'/'upper' span a box whose extent upper - lower overflows a float")
     try:
         rows = tuple(
             tuple(parse(str(entry), dim) for entry in row) for row in metric
@@ -423,8 +425,7 @@ def _run_verify_identities(session: _Session) -> dict:
     pts = sample_interior(session.chart, pairs, rng)
     dirs = rng.normal(size=(pairs, session.chart.dim))
     # np.max, unlike max(), propagates a NaN residual to the gate.
-    worst = float(np.max([dxi_identity_residual(session.chart, session.xi, p, X)
-                          for p, X in zip(pts, dirs)]))
+    worst = float(np.max(dxi_identity_residual(session.chart, session.xi, pts, dirs)))
     result = {
         "pairs": pairs,
         "max_identity_residual": worst,

@@ -2,7 +2,8 @@
 
 A field xi is conformal when L_xi g = 2 phi g with phi = trace(nabla xi)/n.
 ``conformal_residual`` measures the defect of that equation in the metric
-norm; ``is_conformal`` aggregates it over a point sample.  ``rescale_metric``
+norm, at one point or over an (m, n) array of points; ``is_conformal``
+aggregates it over a point sample in one call.  ``rescale_metric``
 builds the chart with metric e^{2f} g as new expression trees.  The factor
 phi itself is ``FieldData.phi`` of :func:`~confield.geometry.field_data`.
 """
@@ -42,8 +43,9 @@ def conformal_factor_gradient(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
     return field_data(chart, xi, p, 2).dphi
 
 
-def conformal_residual(chart: Chart, xi: FieldSpec, p) -> float:
-    """Metric norm of the trace-free part of L_xi g at p.
+def conformal_residual(chart: Chart, xi: FieldSpec, p) -> float | np.ndarray:
+    """Metric norm of the trace-free part of L_xi g at p, or per point of an
+    (m, n) array p.
 
     The g-trace of L_xi g is 2 n phi, so this is |L_xi g - 2 phi g|, with
     the trace taken of L_xi g itself so that the part is trace-free.
@@ -51,7 +53,8 @@ def conformal_residual(chart: Chart, xi: FieldSpec, p) -> float:
     chart.require_interior(p)
     fd = field_data(chart, xi, p, 1)
     g, ginv, L = fd.conn.g, fd.conn.ginv, fd.lie
-    return norm_2form(ginv, L - float(np.trace(ginv @ L)) / chart.dim * g)
+    trace = np.trace(ginv @ L, axis1=-2, axis2=-1)[..., None, None]
+    return norm_2form(ginv, L - trace / chart.dim * g)
 
 
 def is_conformal(chart: Chart, xi: FieldSpec, samples, tol: float = 1e-7) -> ConformalReport:
@@ -59,7 +62,7 @@ def is_conformal(chart: Chart, xi: FieldSpec, samples, tol: float = 1e-7) -> Con
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if pts.size == 0:
         raise ValueError("is_conformal requires a non-empty sample set")
-    residuals = np.array([conformal_residual(chart, xi, p) for p in pts])
+    residuals = conformal_residual(chart, xi, pts)
     worst = int(np.argmax(residuals))
     return ConformalReport(
         points=pts,

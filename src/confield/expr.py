@@ -6,10 +6,13 @@ obtained by propagating truncated Taylor data (a :class:`Jet`) through the
 tree, so first, second and third partials are exact up to rounding.
 Finite differences appear only in the test suite, as an independent oracle.
 
-One evaluator walks the trees: per point it propagates jets of any order;
-over a batch of points (:func:`eval_values_many`) it runs at order 0 with
-each coordinate a column array; and the parser folds constant exponents
-through it with no coordinates at all.
+One evaluator walks the trees.  Per point it propagates jets of any order
+in Python floats.  Over a batch of m points each coordinate is a column
+array, and every jet part carries a trailing batch axis, so one walk gives
+the jets of all m points (the vector mode of forward differentiation);
+:func:`eval_jets` does this at any order and :func:`eval_values_many` at
+order 0.  The parser folds constant exponents through the same evaluator
+with no coordinates at all.
 
 Grammar accepted by :func:`parse`::
 
@@ -54,9 +57,11 @@ class EvalDomainError(ArithmeticError):
 
     Covers division by zero, log of a non-positive value, sqrt of a
     negative value (or of zero when derivatives are requested), zero
-    raised to a negative power, and a per-point value or derivative
-    beyond the floating-point range.  The offending subexpression is kept
-    on the exception for error reporting.
+    raised to a negative power, and a value or derivative beyond the
+    floating-point range, at one point or at any point of a batch of
+    :func:`eval_jets` (the order-0 values of :func:`eval_values_many` keep
+    numpy's inf instead).  The offending subexpression is kept on the
+    exception for error reporting.
     """
 
     def __init__(self, message: str, subexpression: "Expr"):
@@ -177,10 +182,12 @@ def _to_str(node: Expr, context: int) -> str:
 class Jet:
     """Value plus symmetric partial derivative tensors.
 
-    The value is a float, or at order 0 an array over a batch of points.
-
-    ``d1`` has shape (n,), ``d2`` shape (n, n) and ``d3`` shape (n, n, n);
-    entries above ``order`` are ``None``.  The derivative tensors are exactly
+    Per point the value is a float, ``d1`` has shape (n,), ``d2`` shape
+    (n, n) and ``d3`` shape (n, n, n).  Over a batch of m points every part
+    gains a trailing batch axis: the value has shape (m,), ``d1`` (n, m) and
+    so on, where a part that is the same at every point (a constant, or the
+    derivative of a coordinate) keeps length 1 on that axis and broadcasts.
+    Entries above ``order`` are ``None``.  The derivative tensors are exactly
     symmetric by construction, not merely up to rounding.
     """
 
@@ -194,24 +201,28 @@ class Jet:
         self.d3 = d3
 
     @classmethod
-    def constant(cls, value: float, n: int, order: int) -> "Jet":
-        d1 = np.zeros(n) if order >= 1 else None
-        d2 = np.zeros((n, n)) if order >= 2 else None
-        d3 = np.zeros((n, n, n)) if order >= 3 else None
+    def constant(cls, value, n: int, order: int, tail: tuple = ()) -> "Jet":
+        """``tail`` is () per point and (1,) in a batch."""
+        d1 = np.zeros((n,) + tail) if order >= 1 else None
+        d2 = np.zeros((n, n) + tail) if order >= 2 else None
+        d3 = np.zeros((n, n, n) + tail) if order >= 3 else None
         return cls(order, value, d1, d2, d3)
 
     @classmethod
-    def coordinate(cls, index: int, value: float, n: int, order: int) -> "Jet":
-        j = cls.constant(value, n, order)
+    def coordinate(cls, index: int, value, n: int, order: int, tail: tuple = ()) -> "Jet":
+        j = cls.constant(value, n, order, tail)
         if order >= 1:
             j.d1[index] = 1.0
         return j
 
 
+# The products below index derivative slots from the front, so the trailing
+# batch axis of a batch rides along in the broadcasting.
+
 def _sym3(a2: np.ndarray, b1: np.ndarray) -> np.ndarray:
     # sum of a2 x b1 over the three slot assignments, keeps exact symmetry
-    t = np.einsum("ij,k->ijk", a2, b1)
-    return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
+    t = a2[:, :, None] * b1[None, None, :]
+    return t + t.swapaxes(1, 2) + np.moveaxis(t, 2, 0)
 
 
 def _jadd(a: Jet, b: Jet) -> Jet:
@@ -242,8 +253,8 @@ def _jmul(a: Jet, b: Jet) -> Jet:
     if order >= 1:
         out.d1 = a.d1 * b.value + b.d1 * a.value
     if order >= 2:
-        cross = np.outer(a.d1, b.d1)
-        out.d2 = a.d2 * b.value + cross + cross.T + b.d2 * a.value
+        cross = a.d1[:, None] * b.d1[None, :]
+        out.d2 = a.d2 * b.value + cross + cross.swapaxes(0, 1) + b.d2 * a.value
     if order >= 3:
         out.d3 = (
             a.d3 * b.value
@@ -262,17 +273,17 @@ def _jcompose(w: Jet, f) -> Jet:
     if order >= 1:
         out.d1 = f[1] * w.d1
     if order >= 2:
-        out.d2 = f[2] * np.outer(w.d1, w.d1) + f[1] * w.d2
+        out.d2 = f[2] * (w.d1[:, None] * w.d1[None, :]) + f[1] * w.d2
     if order >= 3:
         out.d3 = (
-            f[3] * np.einsum("i,j,k->ijk", w.d1, w.d1, w.d1)
+            f[3] * (w.d1[:, None, None] * w.d1[None, :, None] * w.d1[None, None, :])
             + f[2] * _sym3(w.d2, w.d1)
             + f[1] * w.d3
         )
     return out
 
 
-# The domain checks below take a Python float or an order-0 batch column.
+# The domain checks below take a Python float or a batch column.
 # np.count_nonzero is the cheapest test that accepts both.
 
 def _reciprocal_coeffs(v, order: int, node: Expr):
@@ -337,26 +348,34 @@ def _fun_coeffs(name: str, v, order: int, node: Expr):
     raise ValueError(f"unknown function '{name}'")  # pragma: no cover
 
 
+def _tail(point: list) -> tuple:
+    """The batch axis of a leaf's derivative parts: none for one point of
+    Python floats, length 1 (broadcasting) for a batch of columns."""
+    return () if not point or isinstance(point[0], float) else (1,)
+
+
 def _jet_of(node: Expr, point: list, order: int, memo: dict) -> Jet:
     """The one tree evaluator.
 
     ``point`` lists the n coordinates: Python floats for one point, or
-    equal-length arrays for a batch of points (order 0 only).  ``memo``
+    equal-length arrays for a batch of points, at any order.  ``memo``
     maps node identity to its jet, so shared subtrees are evaluated once.
     """
     cached = memo.get(id(node))
     if cached is not None:
         return cached
     n = len(point)
-    try:  # per point, a power of a Python float can overflow
+    # A power of a Python float can overflow; so can any batch product under
+    # the np.errstate of eval_jets.
+    try:
         if isinstance(node, Const):
-            j = Jet.constant(node.value, n, order)
+            j = Jet.constant(node.value, n, order, _tail(point))
         elif isinstance(node, Var):
             if node.index >= n:
                 raise EvalDomainError(
                     f"variable x{node.index + 1} exceeds point dimension {n}", node
                 )
-            j = Jet.coordinate(node.index, point[node.index], n, order)
+            j = Jet.coordinate(node.index, point[node.index], n, order, _tail(point))
         elif isinstance(node, Add):
             j = _jadd(_jet_of(node.left, point, order, memo),
                       _jet_of(node.right, point, order, memo))
@@ -377,7 +396,7 @@ def _jet_of(node: Expr, point: list, order: int, memo: dict) -> Jet:
             j = _jcompose(arg, _fun_coeffs(node.name, arg.value, order, node))
         else:  # pragma: no cover
             raise TypeError(f"not an Expr node: {node!r}")
-    except OverflowError:
+    except (OverflowError, FloatingPointError):
         raise EvalDomainError("value beyond the floating-point range", node) from None
     memo[id(node)] = j
     return j
@@ -394,17 +413,27 @@ def eval_jet(expr: Expr, point, order: int = 0) -> Jet:
 
 
 def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
-    """Evaluate several expressions at one point, sharing subtree work.
+    """Evaluate several expressions at one point or an (m, n) batch of points.
 
     Subtrees shared between the given trees (same object identity) are
     evaluated once, which matters for metrics whose entries reuse a common
-    conformal factor.
+    conformal factor.  A batch gives jets with a trailing batch axis (see
+    :class:`Jet`), and raises :class:`EvalDomainError` wherever a value or
+    derivative at one of its points leaves the floating-point range, as the
+    per-point call does, rather than returning inf.
     """
     if not 0 <= order <= 3:
         raise ValueError("order must be between 0 and 3")
-    p = np.asarray(point, dtype=float).tolist()
+    p = np.asarray(point, dtype=float)
     memo: dict = {}
-    return [_jet_of(e, p, order, memo) for e in exprs]
+    if p.ndim == 1:
+        coords = p.tolist()
+        return [_jet_of(e, coords, order, memo) for e in exprs]
+    if p.ndim != 2:
+        raise ValueError("points must be an (n,) or an (m, n) array")
+    columns = list(p.T.copy())
+    with np.errstate(over="raise"):
+        return [_jet_of(e, columns, order, memo) for e in exprs]
 
 
 def eval_values_many(exprs, points) -> np.ndarray:
@@ -414,7 +443,8 @@ def eval_values_many(exprs, points) -> np.ndarray:
     column of ``points``; a tree without coordinates stays a scalar until
     the final stacking.  One memo spans all trees, so expression objects
     shared between them (metric factors, repeated field components) are
-    evaluated once.
+    evaluated once.  A value beyond the floating-point range is numpy's inf
+    here, with its RuntimeWarning.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:

@@ -1,9 +1,12 @@
 """Geodesics, parallel frames, and derivative identities along geodesics.
 
 Geodesics are integrated with a fixed-step classical RK4 scheme on the
-first-order system (x, v) together with a parallel orthonormal frame.  On
-top of the integrator sits ``taylor_checks``, which differentiates along the
-unit-speed geodesic c(t) = exp_x(tv) from a zero x of a conformal field xi:
+first-order system (x, v) together with a parallel orthonormal frame.  The
+integrator runs one geodesic, or several lanes in lockstep: x, v and the
+frame then carry a leading lane axis, and every step evaluates the
+connection of all lanes in one batched call.  On top of it sits
+``taylor_checks``, which differentiates along the unit-speed geodesic
+c(t) = exp_x(tv) from a zero x of a conformal field xi:
 
 * scalar: f(t) = g(xi(c(t)), c'(t)) satisfies f'(0) = phi(x),
 * vector: in a parallel frame, xi'(0) = phi(x) v + (1/2) d(xi^flat)(v) and
@@ -12,16 +15,18 @@ unit-speed geodesic c(t) = exp_x(tv) from a zero x of a conformal field xi:
 Both are read off one pass: one order-2 jet at x, and the states at
 t = +-h, +-h/2 (h = 1e-3, for Richardson derivatives) and at the slope times
 0.1, 0.05, 0.025, 0.0125 (for the remainder order), taken from 3 RK4 runs of
-32 steps, to 0.1, h and -h.  Each state gives f(t) and xi's frame components.
+32 steps, to 0.1, h and -h, integrated as 3 lanes of one call.  One batched
+evaluation of g and xi at the states gives f(t) and xi's frame components.
 
 ``dxi_identity_residual`` checks the pointwise curvature identity
 
     nabla_X d(xi^flat) = 2 R_{X, xi} + 2 dphi ^ X
 
 where R_{X, xi} is the 2-form (Y, Z) -> g(R(X, xi)Y, Z) and
-(dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y).  This identity pins
-down every sign convention in the package at once, so it is exercised over
-the whole model catalog in the tests.
+(dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), at one point or over
+(m, n) arrays of points and directions.  This identity pins down every sign
+convention in the package at once, so it is exercised over the whole model
+catalog in the tests.
 """
 from __future__ import annotations
 
@@ -68,7 +73,10 @@ class DomainExitError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GeodesicState:
-    """Snapshot along a geodesic; frame rows are parallel unit vectors."""
+    """Snapshot along a geodesic; frame rows are parallel unit vectors.
+
+    For lanes, every field carries the leading lane axis.
+    """
 
     t: float
     position: np.ndarray
@@ -76,15 +84,19 @@ class GeodesicState:
     frame: np.ndarray
 
 
-def _speed(g: np.ndarray, v: np.ndarray) -> float:
-    """|v|_g, or NaN for a non-finite v, which then enters no product."""
-    return norm_vector(g, v) if np.isfinite(v).all() else math.nan
+def _speed(g: np.ndarray, v: np.ndarray):
+    """|v|_g per lane, or NaN for a lane whose v is not finite, which then
+    enters no product; a float for one vector."""
+    n = v.shape[-1]
+    speeds = [norm_vector(gl, vl) if np.isfinite(vl).all() else math.nan
+              for gl, vl in zip(g.reshape(-1, n, n), v.reshape(-1, n))]
+    return np.reshape(speeds, v.shape[:-1])[()]
 
 
 def _rhs(chart: Chart, x, v, frame):
     Gam = christoffel_matrix(chart, x)
-    acc = -np.einsum("kij,i,j->k", Gam, v, v)
-    dframe = -np.einsum("kij,i,aj->ak", Gam, v, frame)
+    acc = -np.einsum("...kij,...i,...j->...k", Gam, v, v)
+    dframe = -np.einsum("...kij,...i,...aj->...ak", Gam, v, frame)
     return v, acc, dframe
 
 
@@ -92,17 +104,21 @@ def integrate_geodesic(
     chart: Chart,
     x,
     v,
-    length: float,
+    length,
     steps: int,
     initial_frame: np.ndarray | None = None,
 ) -> list[GeodesicState]:
     """Unit-speed geodesic from x in direction v, integrated to ``length``.
 
-    The initial velocity is normalized in the metric at x.  A parallel frame
-    is carried along, starting from ``initial_frame`` or, by default, from
-    an orthonormal frame completing v.  The returned list holds every RK4
-    step, starting with the initial state.  If the trajectory exits the
-    chart box the list is truncated at the last interior state.
+    x and v are one point and vector, or (L, n) arrays of L lanes stepped in
+    lockstep; ``length`` is a scalar or one length per lane, so each lane
+    has its own step size.  The initial velocity is normalized in the
+    metric at x.  A parallel frame is carried along, starting from
+    ``initial_frame`` (shared by the lanes, or one per lane) or, by default,
+    from an orthonormal frame completing v.  The returned list holds every
+    RK4 step, starting with the initial state.  If a trajectory exits the
+    chart box the list is truncated at the last state at which every lane
+    is interior.
     """
     chart.require_interior(x)
     if steps < 1:
@@ -111,36 +127,38 @@ def integrate_geodesic(
     v = np.asarray(v, dtype=float).copy()
     g, _, _ = metric_jets(chart, x, 0)
     speed = _speed(g, v)
-    if not (math.isfinite(speed) and speed > 0):
+    if not np.all(np.isfinite(speed) & (speed > 0)):
         raise ValueError(f"initial velocity must be finite and nonzero, got speed {speed}")
-    v = v / speed
-    frame = (
-        np.asarray(initial_frame, dtype=float).copy()
-        if initial_frame is not None
-        else complete_orthonormal_frame(g, v)
-    )
-    h = length / steps
-    states = [GeodesicState(0.0, x.copy(), v.copy(), frame.copy())]
+    v = v / np.asarray(speed)[..., None]
+    n = chart.dim
+    if initial_frame is not None:
+        frame = np.broadcast_to(np.asarray(initial_frame, dtype=float), v.shape + (n,)).copy()
+    else:
+        frame = np.reshape([complete_orthonormal_frame(gl, vl) for gl, vl in
+                            zip(g.reshape(-1, n, n), v.reshape(-1, n))], v.shape + (n,))
+    step = np.asarray(length, dtype=float) / steps
+    h, hf = step[..., None], step[..., None, None]  # for vectors and frames
+    states = [GeodesicState((0.0 * step)[()], x.copy(), v.copy(), frame.copy())]
     for k in range(steps):
         k1 = _rhs(chart, x, v, frame)
         x2 = x + 0.5 * h * k1[0]
         if not chart.contains(x2, _BOUNDARY_EPS):
             break
-        k2 = _rhs(chart, x2, v + 0.5 * h * k1[1], frame + 0.5 * h * k1[2])
+        k2 = _rhs(chart, x2, v + 0.5 * h * k1[1], frame + 0.5 * hf * k1[2])
         x3 = x + 0.5 * h * k2[0]
         if not chart.contains(x3, _BOUNDARY_EPS):
             break
-        k3 = _rhs(chart, x3, v + 0.5 * h * k2[1], frame + 0.5 * h * k2[2])
+        k3 = _rhs(chart, x3, v + 0.5 * h * k2[1], frame + 0.5 * hf * k2[2])
         x4 = x + h * k3[0]
         if not chart.contains(x4, _BOUNDARY_EPS):
             break
-        k4 = _rhs(chart, x4, v + h * k3[1], frame + h * k3[2])
+        k4 = _rhs(chart, x4, v + h * k3[1], frame + hf * k3[2])
         x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         v = v + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        frame = frame + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        frame = frame + (hf / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         if not chart.contains(x, _BOUNDARY_EPS):
             break
-        states.append(GeodesicState((k + 1) * h, x.copy(), v.copy(), frame.copy()))
+        states.append(GeodesicState(((k + 1) * step)[()], x.copy(), v.copy(), frame.copy()))
     return states
 
 
@@ -175,36 +193,45 @@ def exp_map(chart: Chart, x, v, steps: int | None = None) -> np.ndarray:
 def _states_at(chart: Chart, x, v, frame0, ts, steps_per_unit=256.0):
     """Geodesic states at signed nonzero times ts, sharing one initial frame.
 
-    Each sign is integrated once to its longest pending time T, with
-    ``_steps_for(T, steps_per_unit)`` steps; every pending time of that sign
-    on the run's step grid (a whole multiple of its step) is read off the
-    run, and a new run starts only for a time on no earlier grid.  A run cut
-    short by the chart box raises :class:`DomainExitError`.
+    The runs are planned first.  Each sign is integrated to its longest
+    pending time T, with ``_steps_for(T, steps_per_unit)`` steps; every
+    pending time of that sign on the run's step grid (a whole multiple of
+    its step) is read off the run, and a new run is planned only for a time
+    on no earlier grid.  The runs with the same number of steps are then
+    integrated as lanes of one call.  A run cut short by the chart box
+    raises :class:`DomainExitError`.
 
     Negative times are reached by integrating the reversed geodesic; the
     parallel frame along the reversal coincides with the frame of c(-t), so
     frame components of tensors along c are smooth through t = 0.  A state
     at t < 0 carries t and the negated velocity, and the frame as integrated.
     """
-    out = {}
+    runs = []  # (sign, length, steps, {time read off the run: its step})
     for sign in (1.0, -1.0):
         pending = sorted((t for t in ts if sign * t > 0), key=abs, reverse=True)
         while pending:
             length = abs(pending[0])
             nsteps = _steps_for(length, steps_per_unit)
-            states = integrate_geodesic(chart, x, sign * v, length, nsteps,
-                                        initial_frame=frame0)
-            if len(states) < nsteps + 1:
-                raise DomainExitError("geodesic exits the chart inside the stencil")
-            missed = []
+            read = {}
             for t in pending:
                 k = round(abs(t) * nsteps / length)
-                if abs(k * length / nsteps - abs(t)) > 1e-12 * length:
-                    missed.append(t)
-                    continue
+                if abs(k * length / nsteps - abs(t)) <= 1e-12 * length:
+                    read[t] = k
+            runs.append((sign, length, nsteps, read))
+            pending = [t for t in pending if t not in read]
+    out = {}
+    for nsteps in sorted({run[2] for run in runs}):
+        lanes = [run for run in runs if run[2] == nsteps]
+        signs = np.array([[run[0]] for run in lanes])
+        states = integrate_geodesic(chart, np.tile(x, (len(lanes), 1)), signs * v,
+                                    [run[1] for run in lanes], nsteps, initial_frame=frame0)
+        if len(states) < nsteps + 1:
+            raise DomainExitError("geodesic exits the chart inside the stencil")
+        for lane, (sign, _, _, read) in enumerate(lanes):
+            for t, k in read.items():
                 s = states[k]
-                out[t] = GeodesicState(t, s.position, sign * s.velocity, s.frame)
-            pending = missed
+                out[t] = GeodesicState(t, s.position[lane], sign * s.velocity[lane],
+                                       s.frame[lane])
     return out
 
 
@@ -260,10 +287,10 @@ def taylor_checks(
     frame0 = complete_orthonormal_frame(g, v)
     h = _FD_STEP
     states = _states_at(chart, x, v, frame0, sorted({h, -h, h / 2, -h / 2, *_SLOPE_TS}))
+    points = np.array([state.position for state in states.values()])
+    gs, _, _ = metric_jets(chart, points, 0)
     f, a = {}, {}
-    for t, state in states.items():
-        gp, _, _ = metric_jets(chart, state.position, 0)
-        xi_t = field_value(xi, state.position)
+    for (t, state), gp, xi_t in zip(states.items(), gs, field_value(xi, points)):
         f[t] = float(xi_t @ gp @ state.velocity)
         a[t] = state.frame @ gp @ xi_t
 
@@ -300,12 +327,14 @@ def taylor_vector_check(chart: Chart, xi: FieldSpec, x, v) -> TaylorVectorResult
     return taylor_checks(chart, xi, x, v)[1]
 
 
-def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X) -> float:
+def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
     """Residual of nabla_X d(xi^flat) = 2 R_{X,xi} + 2 dphi ^ X at p.
 
-    All three terms are evaluated from exact jets; for a conformal field
-    the residual is at rounding level, and this is the main consistency
-    check tying the curvature sign convention to the rest of the package.
+    ``p`` and ``X`` are one point and direction, giving a float, or (m, n)
+    arrays of them, giving m residuals from one batched evaluation.  All
+    three terms are evaluated from exact jets; for a conformal field the
+    residual is at rounding level, and this is the main consistency check
+    tying the curvature sign convention to the rest of the package.
     """
     chart.require_interior(p)
     X = np.asarray(X, dtype=float)
@@ -317,20 +346,21 @@ def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X) -> float:
     # d_k of M[i, j] from d_k d_i omega_j with omega_j = g_jl xi^l, not from
     # the covariant Hessian: PP[k, i, j] = d_k d_i omega_j
     PP = (
-        np.einsum("jlik,l->kij", d2g, val)
-        + np.einsum("jli,lk->kij", dg, jac)
-        + np.einsum("jlk,li->kij", dg, jac)
-        + np.einsum("jl,lik->kij", g, hess)
+        np.einsum("...jlik,...l->...kij", d2g, val)
+        + np.einsum("...jli,...lk->...kij", dg, jac)
+        + np.einsum("...jlk,...li->...kij", dg, jac)
+        + np.einsum("...jl,...lik->...kij", g, hess)
     )
     M = fd.M
-    dM = PP - PP.transpose(0, 2, 1)  # dM[k, i, j] = d_k M_ij
-    nabla_M = np.einsum("k,kij->ij", X, dM)
-    nabla_M -= np.einsum("k,lki,lj->ij", X, cd.Gam, M)
-    nabla_M -= np.einsum("k,lkj,il->ij", X, cd.Gam, M)
+    dM = PP - PP.swapaxes(-1, -2)  # dM[k, i, j] = d_k M_ij
+    nabla_M = np.einsum("...k,...kij->...ij", X, dM)
+    nabla_M -= np.einsum("...k,...lki,...lj->...ij", X, cd.Gam, M)
+    nabla_M -= np.einsum("...k,...lkj,...il->...ij", X, cd.Gam, M)
 
-    curv = 2.0 * np.einsum("a,b,abij->ij", X, val, cd.riemann_lowered)
+    curv = 2.0 * np.einsum("...a,...b,...abij->...ij", X, val, cd.riemann_lowered)
 
-    Xflat = g @ X
-    wedge = 2.0 * (np.outer(fd.dphi, Xflat) - np.outer(Xflat, fd.dphi))
+    Xflat = np.einsum("...ij,...j->...i", g, X)
+    outer = fd.dphi[..., :, None] * Xflat[..., None, :]
+    wedge = 2.0 * (outer - outer.swapaxes(-1, -2))
 
     return norm_2form(cd.ginv, nabla_M - curv - wedge)

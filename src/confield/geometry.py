@@ -23,8 +23,16 @@ Index conventions used throughout (and relied on by the test oracles):
   makes the classical pair symmetries read off the first and last index
   pairs.
 
+Batches: every evaluation here (``metric_jets``, ``connection_data``,
+``field_jets``, ``field_data``, ``spd_inverse``, ``norm_2form`` and the
+curvature and ``lie`` properties) takes one point or an (m, n) array of
+points.  A batch adds a leading axis of length m to every array, with the
+index layout above after it, and the jets of all m points come from one
+walk of each expression tree.
+
 Metric inverses go through a Cholesky factorization; non-positive-definite
-or badly conditioned (above 1e12) metrics raise :class:`MetricError`.
+or badly conditioned (above 1e12) metrics raise :class:`MetricError`, for a
+batch if any of its matrices is.
 
 Every g-orthonormal frame comes from :func:`frame_svd`: the kernel of nabla
 xi or of d(xi^flat), the completion of a direction to a frame, and the
@@ -101,16 +109,23 @@ class Chart:
                     raise ChartError("metric entries must be Expr nodes")
         object.__setattr__(self, "metric", rows)
 
-    def contains(self, p, margin: float = 0.0) -> bool:
+    def _inside(self, p, margin: float) -> np.ndarray:
         q = np.asarray(p, dtype=float)
-        return bool(
-            np.all(q >= self.lower + margin) and np.all(q <= self.upper - margin)
-        )
+        return np.all((q >= self.lower + margin) & (q <= self.upper - margin), axis=-1)
+
+    def contains(self, p, margin: float = 0.0) -> bool:
+        """Whether the point, or every row of an (m, n) array, is in the box."""
+        return bool(np.all(self._inside(p, margin)))
 
     def require_interior(self, p, margin: float = 0.0):
-        if not self.contains(p, margin):
+        """Raise naming the point, or the first row of an (m, n) array,
+        outside the box."""
+        inside = self._inside(p, margin)
+        if not np.all(inside):
+            q = np.asarray(p)
+            bad = q if q.ndim == 1 else q[np.argmin(inside)]
             raise ChartDomainError(
-                f"point {np.asarray(p).tolist()} outside chart domain of {self.name}"
+                f"point {bad.tolist()} outside chart domain of {self.name}"
             )
 
     def metric_entries(self):
@@ -167,53 +182,64 @@ class FieldSpec:
 # ---------------------------------------------------------------------------
 # metric evaluation
 
+def _gather(jets, part: str, shape: tuple, batch: tuple) -> np.ndarray:
+    """One part of several jets as one array of shape ``batch + shape``.
+
+    The jets fill the leading axes of ``shape`` in row-major order.  Their
+    parts have one axis per derivative order plus a trailing batch axis, or
+    a broadcastable one of length 1; the batch axis moves to the front.
+    """
+    order = ("value", "d1", "d2").index(part)
+    out = np.empty((len(jets),) + shape[len(shape) - order:] + batch)
+    for k, jet in enumerate(jets):
+        out[k] = getattr(jet, part)
+    if batch:
+        out = np.moveaxis(out, -1, 0)
+    return out.reshape(batch + shape)
+
+
 def metric_jets(chart: Chart, p, order: int):
     """Metric component jets assembled into arrays.
 
     Returns ``(g, dg, d2g)`` truncated to ``order``:
     ``dg[i, j, k] = d_k g_ij`` and ``d2g[i, j, k, l] = d_k d_l g_ij``.
     Arrays beyond the requested order are ``None``.  Components are
-    symmetrized in (i, j) so downstream symmetries hold exactly.
+    symmetrized in (i, j) so downstream symmetries hold exactly.  For an
+    (m, n) array of points every array gains a leading axis of length m.
     """
     n = chart.dim
+    p = np.asarray(p, dtype=float)
+    batch = p.shape[:-1]
     jets = eval_jets(chart.metric_entries(), p, order)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = jets[i * n + j].value
-    g = 0.5 * (g + g.T)
+    g = _gather(jets, "value", (n, n), batch)
+    g = 0.5 * (g + g.swapaxes(-1, -2))
     dg = d2g = None
     if order >= 1:
-        dg = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                dg[i, j] = jets[i * n + j].d1
-        dg = 0.5 * (dg + dg.transpose(1, 0, 2))
+        dg = _gather(jets, "d1", (n, n, n), batch)
+        dg = 0.5 * (dg + dg.swapaxes(-3, -2))
     if order >= 2:
-        d2g = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                d2g[i, j] = jets[i * n + j].d2
-        d2g = 0.5 * (d2g + d2g.transpose(1, 0, 2, 3))
+        d2g = _gather(jets, "d2", (n, n, n, n), batch)
+        d2g = 0.5 * (d2g + d2g.swapaxes(-4, -3))
     return g, dg, d2g
 
 
 def spd_inverse(g: np.ndarray, context: str = "metric") -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky.
 
-    Uses the Cholesky diagonal as a cheap conditioning probe and only falls
-    back to an eigenvalue check when the probe is suspicious, since this
-    sits inside the geodesic integration hot loop.
+    Takes one matrix or a stack of them.  Uses the Cholesky diagonal as a
+    cheap conditioning probe of every matrix and only falls back to an
+    eigenvalue check when a probe is suspicious, since this sits inside the
+    geodesic integration hot loop.
     """
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise MetricError(f"{context} is not positive definite") from exc
-    diag = np.diagonal(L)
-    ratio = (diag.max() / diag.min()) ** 2
-    if ratio > CONDITION_LIMIT / 100.0:
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    ratio = (diag.max(axis=-1) / diag.min(axis=-1)) ** 2
+    if (ratio > CONDITION_LIMIT / 100.0).any():
         w = np.linalg.eigvalsh(g)
-        if w[0] <= 0 or w[-1] / w[0] > CONDITION_LIMIT:
+        if np.any(w[..., 0] <= 0) or np.any(w[..., -1] / w[..., 0] > CONDITION_LIMIT):
             raise MetricError(
                 f"{context} conditioning exceeds {CONDITION_LIMIT:g}"
             )
@@ -236,6 +262,8 @@ class ConnectionData:
     """Metric jets and the connection at one point, to jet order 1 or 2.
 
     At order 1, ``d2g`` and ``dGam`` are ``None`` and there is no curvature.
+    Built from an (m, n) array of points, every array (and the curvature)
+    has a leading axis of length m.
     """
 
     g: np.ndarray
@@ -253,39 +281,43 @@ class ConnectionData:
         Gam, dGam = self.Gam, self.dGam
         # d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
         #                                    - Gamma^i_{lm} Gamma^m_{kj}
-        R = np.einsum("iljk->ijkl", dGam) - np.einsum("ikjl->ijkl", dGam)
-        R += np.einsum("ikm,mlj->ijkl", Gam, Gam) - np.einsum("ilm,mkj->ijkl", Gam, Gam)
+        R = np.einsum("...iljk->...ijkl", dGam) - np.einsum("...ikjl->...ijkl", dGam)
+        R += (np.einsum("...ikm,...mlj->...ijkl", Gam, Gam)
+              - np.einsum("...ilm,...mkj->...ijkl", Gam, Gam))
         return R
 
     @property
     def riemann_lowered(self) -> np.ndarray:
         """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)."""
         # R(e_a, e_b) e_c = R[m, c, a, b] e_m
-        return np.einsum("dm,mcab->abcd", self.g, self.riemann)
+        return np.einsum("...dm,...mcab->...abcd", self.g, self.riemann)
 
 
 def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
-    """Metric jets to ``order`` (1 or 2), Gamma and, at order 2, its derivatives."""
+    """Metric jets to ``order`` (1 or 2), Gamma and, at order 2, its derivatives.
+
+    ``p`` is one point or an (m, n) array of points.
+    """
     g, dg, d2g = metric_jets(chart, p, order)
     ginv = spd_inverse(g)
     # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    T = dg.transpose(2, 0, 1) + dg.transpose(0, 2, 1) - dg
-    Gam = 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+    T = dg.swapaxes(-3, -1).swapaxes(-2, -1) + dg.swapaxes(-1, -2) - dg
+    Gam = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, T)
     dGam = None
     if order >= 2:
         # dT[i, j, l, m] = d_m T_ijl
-        dT = d2g.transpose(2, 0, 1, 3) + d2g.transpose(0, 2, 1, 3) - d2g
+        dT = d2g.swapaxes(-4, -2).swapaxes(-3, -2) + d2g.swapaxes(-2, -3) - d2g
         # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
-        dginv = -np.einsum("ka,abm,bl->klm", ginv, dg, ginv)
+        dginv = -np.einsum("...ka,...abm,...bl->...klm", ginv, dg, ginv)
         dGam = 0.5 * (
-            np.einsum("klm,ijl->kijm", dginv, T)
-            + np.einsum("kl,ijlm->kijm", ginv, dT)
+            np.einsum("...klm,...ijl->...kijm", dginv, T)
+            + np.einsum("...kl,...ijlm->...kijm", ginv, dT)
         )
     return ConnectionData(g, ginv, dg, d2g, Gam, dGam)
 
 
 def christoffel_matrix(chart: Chart, p) -> np.ndarray:
-    """Gamma^k_ij as an (n, n, n) array."""
+    """Gamma^k_ij as an (n, n, n) array, or (m, n, n, n) over m points."""
     return connection_data(chart, p, 1).Gam
 
 
@@ -296,15 +328,18 @@ def field_jets(xi: FieldSpec, p, order: int):
     """Component jets of a vector field.
 
     Returns ``(value, jac, hess)`` truncated to ``order`` where
-    ``jac[i, j] = d_j xi^i`` and ``hess[i, j, k] = d_j d_k xi^i``.
+    ``jac[i, j] = d_j xi^i`` and ``hess[i, j, k] = d_j d_k xi^i``, each with
+    a leading axis of length m for an (m, n) array of points.
     """
     if xi.kind != "vector":
         raise ChartError("field_jets expects a vector field")
     n = xi.chart.dim
+    p = np.asarray(p, dtype=float)
+    batch = p.shape[:-1]
     jets = eval_jets(xi.components, p, order)
-    val = np.array([j.value for j in jets])
-    jac = np.array([j.d1 for j in jets]) if order >= 1 else None
-    hess = np.array([j.d2 for j in jets]) if order >= 2 else None
+    val = _gather(jets, "value", (n,), batch)
+    jac = _gather(jets, "d1", (n, n), batch) if order >= 1 else None
+    hess = _gather(jets, "d2", (n, n, n), batch) if order >= 2 else None
     return val, jac, hess
 
 
@@ -319,7 +354,8 @@ class FieldData:
     ``value``, ``jac`` and ``hess`` are the component jets of
     :func:`field_jets`; ``N``, ``M``, ``phi``, ``H`` and ``dphi`` follow
     the conventions in the module docstring.  At order 1, ``hess``, ``H``
-    and ``dphi`` are ``None``.
+    and ``dphi`` are ``None``.  Built from an (m, n) array of points, every
+    array and ``phi`` have a leading axis of length m.
     """
 
     conn: ConnectionData
@@ -328,7 +364,7 @@ class FieldData:
     hess: np.ndarray | None
     N: np.ndarray
     M: np.ndarray
-    phi: float
+    phi: float | np.ndarray
     H: np.ndarray | None
     dphi: np.ndarray | None
 
@@ -336,40 +372,42 @@ class FieldData:
     def lie(self) -> np.ndarray:
         """(L_xi g)_ij = g(nabla_{e_i} xi, e_j) + g(nabla_{e_j} xi, e_i)."""
         A = self.conn.g @ self.N  # A[i, j] = g(nabla_{e_j} xi, e_i)
-        return A + A.T
+        return A + A.swapaxes(-1, -2)
 
 
 def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
-    """One evaluation of the metric and field jets to ``order`` (1 or 2) at p."""
+    """One evaluation of the metric and field jets to ``order`` (1 or 2) at p,
+    one point or an (m, n) array of points."""
     conn = connection_data(chart, p, order)
     val, jac, hess = field_jets(xi, p, order)
     g, dg, Gam = conn.g, conn.dg, conn.Gam
     # N[i, j] = d_j xi^i + Gamma^i_jk xi^k
-    N = jac + np.einsum("ijk,k->ij", Gam, val)
+    N = jac + np.einsum("...ijk,...k->...ij", Gam, val)
     # P[i, j] = d_i omega_j with omega_j = g_jk xi^k
-    P = np.einsum("jki,k->ij", dg, val) + np.einsum("jk,ki->ij", g, jac)
+    P = np.einsum("...jki,...k->...ij", dg, val) + np.einsum("...jk,...ki->...ij", g, jac)
     H = dphi = None
     if order >= 2:
         # d_j N[i, k] = d_j d_k xi^i + d_j Gamma^i_kl xi^l + Gamma^i_kl d_j xi^l
         dN = (
             hess
-            + np.einsum("iklj,l->ijk", conn.dGam, val)
-            + np.einsum("ikl,lj->ijk", Gam, jac)
+            + np.einsum("...iklj,...l->...ijk", conn.dGam, val)
+            + np.einsum("...ikl,...lj->...ijk", Gam, jac)
         )
         H = (
             dN
-            + np.einsum("ijl,lk->ijk", Gam, N)
-            - np.einsum("ljk,il->ijk", Gam, N)
+            + np.einsum("...ijl,...lk->...ijk", Gam, N)
+            - np.einsum("...ljk,...il->...ijk", Gam, N)
         )
         # n phi = d_i xi^i + Gamma^i_{ik} xi^k, so n d_j phi =
         # d_j d_i xi^i + (d_j Gamma^i_{ik}) xi^k + Gamma^i_{ik} d_j xi^k
         dphi = (
-            np.einsum("iij->j", hess)
-            + np.einsum("iikj,k->j", conn.dGam, val)
-            + np.einsum("iik,kj->j", Gam, jac)
+            np.einsum("...iij->...j", hess)
+            + np.einsum("...iikj,...k->...j", conn.dGam, val)
+            + np.einsum("...iik,...kj->...j", Gam, jac)
         ) / chart.dim
-    return FieldData(conn, val, jac, hess, N, P - P.T,
-                     float(np.trace(N)) / chart.dim, H, dphi)
+    phi = np.trace(N, axis1=-2, axis2=-1) / chart.dim
+    return FieldData(conn, val, jac, hess, N, P - P.swapaxes(-1, -2),
+                     float(phi) if phi.ndim == 0 else phi, H, dphi)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +417,10 @@ def norm_vector(g: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(max(v @ g @ v, 0.0)))
 
 
-def norm_2form(ginv: np.ndarray, T: np.ndarray) -> float:
-    val = np.einsum("ik,jl,ij,kl->", ginv, ginv, T, T)
-    return float(np.sqrt(max(val, 0.0)))
+def norm_2form(ginv: np.ndarray, T: np.ndarray) -> float | np.ndarray:
+    """|T| in the metric with inverse ginv; per point over stacked inputs."""
+    val = np.sqrt(np.maximum(np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, T, T), 0.0))
+    return float(val) if val.ndim == 0 else val
 
 
 def field_norm(chart: Chart, xi: FieldSpec, p) -> float:

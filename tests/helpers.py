@@ -9,7 +9,8 @@ form of a parametrized submanifold takes both from a step of 0.01 in the
 parameters, whose derivatives are of order one.
 
 Besides these: a Gram-Schmidt frame, the conformal connection-change
-identity, and the symbolic pushforward of a field under the unit inversion.
+identity, the symbolic pushforward of a field under the unit inversion,
+and a counter of the lanes and steps of each geodesic integration.
 """
 from __future__ import annotations
 
@@ -262,3 +263,21 @@ def pushforward_under_inversion(xi):
             total = term if total is None else Add(total, term)
         comps.append(substitute(total, subs))
     return FieldSpec.vector(xi.chart, comps, name=f"inverted_{xi.name}")
+
+
+def counting_lanes(monkeypatch):
+    """Patch ``geodesic.integrate_geodesic`` to record, per call, the steps
+    of each lane; returns the list the calls are appended to."""
+    import confield.geodesic as geodesic
+
+    calls = []
+    integrate = geodesic.integrate_geodesic
+
+    def counting(*args, **kwargs):
+        states = integrate(*args, **kwargs)
+        lanes = states[0].position.shape[:-1]
+        calls.append([len(states) - 1] * (lanes[0] if lanes else 1))
+        return states
+
+    monkeypatch.setattr(geodesic, "integrate_geodesic", counting)
+    return calls

@@ -8,6 +8,7 @@ import pytest
 import confield.cli as cli
 import confield.geodesic as geodesic
 from confield.cli import SETTINGS, main, render_report
+from helpers import counting_lanes
 
 
 def _write_manifest(tmp_path, payload, name="manifest.json"):
@@ -171,6 +172,7 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
            "'lower'/'upper'") for bounds in [
             {"lower": [-1, -1], "upper": ["1", 1]},
             {"lower": [False, -1], "upper": [True, 1]},
+            {"lower": [-1e308, -1], "upper": [1e308, 1]},
         ]],
     ],
 )
@@ -253,30 +255,39 @@ def test_rotation_manifest_runs_green(tmp_path):
 
 
 def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch):
-    """Each checked zero costs 3 geodesic runs of 32 steps and one order-2
-    field_data; the other field_data calls are the identity pairs'."""
-    runs, orders = [], []
-    integrate, field_data = geodesic.integrate_geodesic, geodesic.field_data
-
-    def counting_integrate(*args, **kwargs):
-        states = integrate(*args, **kwargs)
-        runs.append(len(states) - 1)
-        return states
+    """Each checked zero costs 3 geodesic runs of 32 steps, as 3 lanes of one
+    call, and one order-2 field_data; all identity pairs share one more."""
+    orders = []
+    field_data = geodesic.field_data
 
     def counting_field_data(chart, xi, p, order):
         orders.append(order)
         return field_data(chart, xi, p, order)
 
-    monkeypatch.setattr(geodesic, "integrate_geodesic", counting_integrate)
+    runs = counting_lanes(monkeypatch)
     monkeypatch.setattr(geodesic, "field_data", counting_field_data)
     manifest = {**ROTATION_MANIFEST, "analyses": ["verify-identities"], "seed": 1}
     code, report = _run_to_report(tmp_path, manifest)
     assert code == 0
     taylor = report["analyses"]["verify-identities"]["taylor_at_zeros"]
     assert len(taylor) == 4 and all("skipped" not in entry for entry in taylor)
-    assert runs == [32, 32, 32] * 4
-    pairs = report["config"]["samples"]["identity_pairs"]
-    assert orders == [2] * (pairs + 4)
+    assert runs == [[32, 32, 32]] * 4
+    assert orders == [2] * (1 + 4)
+
+
+def test_check_conformal_reports_a_batch_overflow_as_a_domain_error(tmp_path):
+    """x1^300 overflows on most of the box: the one batched residual call
+    reports the per-point domain error, not a warning and an inf residual."""
+    manifest = {"chart": {"metric": [["1", "0"], ["0", "1"]],
+                          "lower": [-1e3, -1], "upper": [1e3, 1]},
+                "field": {"components": ["x1^300", "0"]},
+                "analyses": ["check-conformal"]}
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 1
+    outcome = report["analyses"]["check-conformal"]
+    assert outcome["passed"] is False
+    assert outcome["error"] == ("EvalDomainError: value beyond the floating-point "
+                                "range in subexpression 'x1^300'")
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):

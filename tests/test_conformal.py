@@ -10,8 +10,9 @@ from confield.conformal import (
     is_conformal,
     rescale_metric,
 )
-from confield.expr import eval_jet, parse
+from confield.expr import EvalDomainError, eval_jet, parse
 from confield.geometry import (
+    Chart,
     FieldSpec,
     field_data,
     field_value,
@@ -77,6 +78,21 @@ def test_report_structure_and_conformal_flag():
     rep2 = is_conformal(FLAT3, bad, sample_interior(FLAT3, 25, rng))
     assert not rep2.conformal
     assert rep2.max_residual > 1e-3
+
+
+def test_overflowing_sample_raises_as_the_per_point_loop_did():
+    """One sample where x1^300 overflows: the per-point residual raises a
+    domain error there, and the batched sample set raises the same error."""
+    big = Chart(dim=2, lower=[-1e3, -1.0], upper=[1e3, 1.0],
+                metric=tuple(tuple(parse(e, 2) for e in row) for row in [["1", "0"], ["0", "1"]]))
+    xi = FieldSpec.vector(big, (parse("x1^300", 2), parse("0", 2)))
+    samples = np.array([[0.5, 0.5], [900.0, 0.0], [1.0, -0.5]])
+    conformal_residual(big, xi, samples[0])
+    with pytest.raises(EvalDomainError) as per_point:
+        conformal_residual(big, xi, samples[1])
+    with pytest.raises(EvalDomainError) as batched:
+        is_conformal(big, xi, samples)
+    assert str(batched.value) == str(per_point.value)
 
 
 def test_is_conformal_rejects_empty_samples():

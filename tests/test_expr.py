@@ -179,6 +179,30 @@ def test_domain_errors(source, point):
         eval_values_many([e], [[0.5, 0.5], point, [2.0, 1.0]])
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("source", sorted(TINY_ORDER))
+def test_batched_jets_raise_where_the_per_point_loop_raises(source, order):
+    """A batch with x1 = TINY as its second point raises EvalDomainError at
+    exactly the orders where the per-point loop it replaces raises, and
+    otherwise gives the per-point jets; a RuntimeWarning with an inf in
+    place of the error fails under the suite's warning filter."""
+    e = parse(source, 3)
+    points = np.array([[0.5, 0.5, 0.0], [TINY, 0.0, 0.0], [2.0, 1.0, 0.0]])
+    if order >= TINY_ORDER[source]:
+        with pytest.raises(EvalDomainError):
+            eval_jet(e, points[1], order)
+        with pytest.raises(EvalDomainError) as err:
+            eval_jets([e], points, order)
+        assert err.value.subexpression is e
+        return
+    (batch,) = eval_jets([e], points, order)
+    for k, p in enumerate(points):
+        jet = eval_jet(e, p, order)
+        for part in ("value", "d1", "d2", "d3")[: order + 1]:
+            np.testing.assert_allclose(np.asarray(getattr(batch, part))[..., k],
+                                       getattr(jet, part), rtol=1e-15, atol=0)
+
+
 def test_sqrt_at_zero_needs_no_derivatives():
     e = parse("sqrt(x1)", 2)
     assert eval_jet(e, [0.0, 0.0], 0).value == 0.0

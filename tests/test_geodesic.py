@@ -16,11 +16,13 @@ from confield.geodesic import (
 )
 from confield.geometry import (
     FieldSpec,
+    christoffel_matrix,
     complete_orthonormal_frame,
     metric_value,
     norm_vector,
     sample_interior,
 )
+from helpers import counting_lanes
 
 SPHERE = models.sphere_stereographic(3)
 HYPER = models.hyperbolic_ball(3)
@@ -240,39 +242,96 @@ def test_taylor_checks_refuse_a_nan_zero():
         taylor_checks(FLAT3, xi, np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 
-# -- one geodesic run per sign and step grid -------------------------------------
-
-
-def _counting_runs(monkeypatch):
-    runs = []
-    integrate = geodesic.integrate_geodesic
-
-    def counting(*args, **kwargs):
-        states = integrate(*args, **kwargs)
-        runs.append(len(states) - 1)
-        return states
-
-    monkeypatch.setattr(geodesic, "integrate_geodesic", counting)
-    return runs
+# -- one geodesic run per sign and step grid, all runs as lanes of one call ------
 
 
 def test_scalar_stencil_shares_runs(monkeypatch):
     """+0.1 (with 0.05, 0.025, 0.0125 and nothing else on its grid), +h
-    (with h/2) and -h (with -h/2): three runs of 32 steps."""
-    runs = _counting_runs(monkeypatch)
+    (with h/2) and -h (with -h/2): three runs of 32 steps, as three lanes of
+    one call."""
+    calls = counting_lanes(monkeypatch)
     K = models.sphere_translation(SPHERE, 1)
     taylor_checks(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))
-    assert runs == [32, 32, 32]
+    assert calls == [[32, 32, 32]]
 
 
 def test_vector_stencil_shares_runs(monkeypatch):
     """The vector stencil +-h, +-h/2 lies inside the scalar one, so the
     vector results add no run to the pass."""
-    runs = _counting_runs(monkeypatch)
+    calls = counting_lanes(monkeypatch)
     K = models.sphere_translation(SPHERE, 1)
     _, vector = taylor_checks(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     assert vector.second_residual < 1e-4
-    assert runs == [32, 32, 32]
+    assert calls == [[32, 32, 32]]
+
+
+def _per_point_rk4(chart, x, v, length, steps):
+    """The per-point RK4 loop that the lanes replaced, for a run that stays
+    inside the box: (t, position, velocity, frame) per step."""
+    g = metric_value(chart, x)
+    v = v / norm_vector(g, v)
+    frame = complete_orthonormal_frame(g, v)
+
+    def rhs(x, v, frame):
+        Gam = christoffel_matrix(chart, x)
+        return v, -np.einsum("kij,i,j->k", Gam, v, v), -np.einsum("kij,i,aj->ak", Gam, v, frame)
+
+    h = length / steps
+    y = (x, v, frame)
+    out = [(0.0, *y)]
+    for k in range(steps):
+        k1 = rhs(*y)
+        k2 = rhs(*(a + 0.5 * h * b for a, b in zip(y, k1)))
+        k3 = rhs(*(a + 0.5 * h * b for a, b in zip(y, k2)))
+        k4 = rhs(*(a + h * b for a, b in zip(y, k3)))
+        y = tuple(a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+        out.append(((k + 1) * h, *y))
+    return out
+
+
+@pytest.mark.parametrize("chart", [SPHERE, HYPER, models.hyperbolic_ball(4)],
+                         ids=lambda c: c.name)
+def test_one_lane_equals_the_per_point_loop(chart):
+    """Without a lane axis the integrator is the per-point loop, bit for bit."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-0.4, 0.4, chart.dim)
+    v = rng.standard_normal(chart.dim)
+    states = integrate_geodesic(chart, x, v, 0.7, 48)
+    reference = _per_point_rk4(chart, x, v, 0.7, 48)
+    assert len(states) == len(reference)
+    for s, (t, position, velocity, frame) in zip(states, reference):
+        assert s.t == t and np.ndim(s.t) == 0
+        assert np.array_equal(s.position, position)
+        assert np.array_equal(s.velocity, velocity)
+        assert np.array_equal(s.frame, frame)
+
+
+def test_lanes_match_single_runs():
+    """Three lanes with their own starts, directions and lengths, stepped in
+    lockstep, agree with three single runs to rounding."""
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(-0.4, 0.4, (3, 3))
+    vs = rng.standard_normal((3, 3))
+    lengths = [0.3, 0.5, 0.7]
+    states = integrate_geodesic(SPHERE, xs, vs, lengths, 40)
+    assert len(states) == 41 and states[-1].frame.shape == (3, 3, 3)
+    for lane in range(3):
+        single = integrate_geodesic(SPHERE, xs[lane], vs[lane], lengths[lane], 40)
+        for s, one in zip(states, single):
+            assert s.t[lane] == one.t
+            for a, b in ((s.position[lane], one.position), (s.velocity[lane], one.velocity),
+                         (s.frame[lane], one.frame)):
+                assert np.abs(a - b).max() < 1e-14
+
+
+def test_lanes_stop_where_the_first_lane_leaves_the_box():
+    """The list ends at the last state at which every lane is inside."""
+    e1 = np.array([1.0, 0.0, 0.0])
+    states = integrate_geodesic(FLAT3, np.zeros((2, 3)), np.array([e1, e1]), [1.0, 5.0], 50)
+    alone = integrate_geodesic(FLAT3, np.zeros(3), e1, 5.0, 50)
+    assert len(states) == len(alone) < 51
+    assert np.array_equal(states[-1].position[1], alone[-1].position)
 
 
 def test_states_read_off_the_grid_match_fresh_runs():
@@ -323,6 +382,21 @@ def test_derivative_identity_on_catalog_fields():
             X = rng.standard_normal(3)
             worst = max(worst, dxi_identity_residual(chart, xi, p, X))
     assert worst < 1e-9
+
+
+def test_batched_identity_residuals_match_per_point():
+    """One call over (m, n) points and directions gives the per-point
+    residuals, for a conformal field (rounding level) and a field that is
+    not conformal (order one)."""
+    rng = np.random.default_rng(9)
+    bad = FieldSpec.vector(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
+    for chart, xi in [(SPHERE, models.sphere_translation(SPHERE, 1)), (FLAT3, bad)]:
+        pts = sample_interior(chart, 12, rng)
+        dirs = rng.standard_normal((12, 3))
+        batched = dxi_identity_residual(chart, xi, pts, dirs)
+        per_point = np.array([dxi_identity_residual(chart, xi, p, X) for p, X in zip(pts, dirs)])
+        assert batched.shape == (12,)
+        assert np.abs(batched - per_point).max() <= 1e-14 * max(1.0, per_point.max())
 
 
 def test_derivative_identity_fails_for_non_conformal_field():

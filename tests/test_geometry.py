@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import confield.models as models
-from confield.expr import eval_jet, parse
+from confield.expr import eval_jet, eval_jets, parse
 from confield.geometry import (
     Chart,
     ChartDomainError,
@@ -141,6 +141,63 @@ def test_christoffel_symmetric_and_flat_zero():
     Gam = christoffel_matrix(SPHERE, np.array([0.4, -0.2, 0.1]))
     assert np.abs(Gam - Gam.transpose(0, 2, 1)).max() == 0.0
     assert np.abs(christoffel_matrix(FLAT3, np.array([0.3, 0.1, -0.5]))).max() == 0.0
+
+
+def _bundle(fd):
+    """Every field of a FieldData and its ConnectionData, by name."""
+    c = fd.conn
+    return {"g": c.g, "ginv": c.ginv, "Gam": c.Gam, "dGam": c.dGam, "R": c.riemann,
+            "N": fd.N, "M": fd.M, "phi": np.asarray(fd.phi), "H": fd.H,
+            "dphi": fd.dphi, "lie": fd.lie}
+
+
+def test_batched_jets_and_bundles_match_per_point():
+    """One call over 64 points against 64 per-point calls, for every catalog
+    pair: the order-2 jets agree to 1e-15 of each part's largest entry, and
+    every bundle field to 1e-15 of the pair's largest bundle entry (phi,
+    dphi and L_xi g of a Killing field are themselves rounding noise, so
+    they are measured on the bundle's scale).  Only the einsum summation
+    order and numpy's array fast paths for integer powers differ, so the
+    flat chart agrees bit for bit."""
+    rng = np.random.default_rng(13)
+    for chart, xi in models.standard_pairs(3):
+        pts = sample_interior(chart, 64, rng)
+        exact = chart.name.startswith("euclidean")
+        trees = chart.metric_entries() + xi.components
+        for tree, batch in zip(trees, eval_jets(trees, pts, 2)):
+            jets = [eval_jet(tree, p, 2) for p in pts]
+            for part in ("value", "d1", "d2"):
+                one = np.stack([np.asarray(getattr(j, part)) for j in jets])
+                many = np.moveaxis(np.broadcast_to(getattr(batch, part),
+                                                   one.shape[1:] + (len(pts),)), -1, 0)
+                err = np.abs(many - one).max()
+                assert err == 0.0 if exact else err <= 1e-15 * np.abs(one).max()
+        batched = _bundle(field_data(chart, xi, pts, 2))
+        per_point = [_bundle(field_data(chart, xi, p, 2)) for p in pts]
+        stacked = {k: np.stack([b[k] for b in per_point]) for k in batched}
+        scale = max(np.abs(v).max() for v in stacked.values())
+        for name, one in stacked.items():
+            assert batched[name].shape == one.shape, name
+            err = np.abs(batched[name] - one).max()
+            assert err == 0.0 if exact else err <= 1e-15 * scale, (chart.name, xi.name, name)
+
+
+def test_batched_spd_inverse_checks_every_matrix():
+    good = metric_value(SPHERE, np.array([0.1, 0.2, 0.3]))
+    stack = np.array([good, np.diag([1.0, 1.0, 1e-13]), good])
+    with pytest.raises(MetricError, match="conditioning"):
+        spd_inverse(stack)
+    stack[1] = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(MetricError, match="positive definite"):
+        spd_inverse(stack)
+    assert np.array_equal(spd_inverse(stack[[0, 2]])[1], spd_inverse(good))
+
+
+def test_require_interior_names_the_first_point_outside():
+    pts = np.array([[0.0, 0.0, 0.0], [0.1, 9.0, 0.0], [9.0, 0.0, 0.0]])
+    assert not FLAT3.contains(pts) and FLAT3.contains(pts[:1])
+    with pytest.raises(ChartDomainError, match=r"\[0\.1, 9\.0, 0\.0\]"):
+        FLAT3.require_interior(pts)
 
 
 def test_field_data_orders_agree_bitwise():
