@@ -58,6 +58,16 @@ VERDICT_HOMOTHETIC = "homothetic_nonkilling"
 VERDICT_ESSENTIAL = "essential"
 VERDICT_INVALID = "invalid_not_conformal"
 
+# find_zeros settings, described in its docstring
+_MAX_SEEDS = 64
+_NEWTON_ITERATIONS = 50
+_BOUNDARY_MARGIN = 1e-3
+_DEDUPE_DISTANCE = 1e-6
+# radius and sample count of the ball on which conformality is checked
+# around a zero
+NEIGHBORHOOD = (0.05, 20)
+
+
 class ClassificationDimensionError(ValueError):
     """The image criterion is only stated for dimension three and up."""
 
@@ -97,19 +107,21 @@ def _local_minima_mask(norms: np.ndarray, shape) -> np.ndarray:
     return mask.ravel()
 
 
-def _newton_polish(chart: Chart, xi: FieldSpec, seed: np.ndarray, iterations: int):
+def _newton_polish(chart: Chart, xi: FieldSpec, seed: np.ndarray):
     """Damped least-squares Newton on xi(x) = 0, keeping the best iterate.
 
     The least-squares step handles singular Jacobians (zeros along curves,
     quadratic zeros) where plain Newton would blow up; damping halves the
     step until the Euclidean residual decreases.  The loop runs to machine
     precision rather than to the acceptance tolerance because quadratic
-    zeros only gain one bit of accuracy per iteration.
+    zeros only gain one bit of accuracy per iteration.  It stops on an
+    all-zero step, which no damping turns into a descent (a constant field
+    gives one at every point).
     """
     x = np.asarray(seed, dtype=float).copy()
     best_x = x.copy()
     best_r = float(np.linalg.norm(field_value(xi, x)))
-    for _ in range(iterations):
+    for _ in range(_NEWTON_ITERATIONS):
         val, jac, _ = field_jets(xi, x, 1)
         r = float(np.linalg.norm(val))
         if r < best_r:
@@ -118,6 +130,8 @@ def _newton_polish(chart: Chart, xi: FieldSpec, seed: np.ndarray, iterations: in
         if r == 0.0:
             break
         step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
+        if not step.any():
+            break
         lam = 1.0
         moved = False
         for _ in range(30):
@@ -139,18 +153,15 @@ def find_zeros(
     xi: FieldSpec,
     grid_resolution: int = 12,
     tol: float = 1e-10,
-    boundary_margin: float = 1e-3,
-    newton_iterations: int = 50,
-    dedupe_distance: float = 1e-6,
-    max_seeds: int = 64,
 ) -> np.ndarray:
     """Zeros of xi inside the chart box, one row per zero.
 
     Grid points that are axis-direction local minima of |xi|_g seed a
-    damped Newton iteration; polished points are kept when their metric
-    norm is below ``tol`` and they sit at least ``boundary_margin``
-    inside the box.  Nearby duplicates collapse to the best residual and
-    the result is sorted lexicographically.
+    damped Newton iteration of ``_NEWTON_ITERATIONS`` steps, the lowest
+    ``_MAX_SEEDS`` of them; polished points are kept when their metric norm
+    is below ``tol`` and they sit at least ``_BOUNDARY_MARGIN`` inside the
+    box.  Duplicates closer than ``_DEDUPE_DISTANCE`` collapse to the best
+    residual and the result is sorted lexicographically.
     """
     if grid_resolution < 3:
         raise ValueError("grid_resolution must be at least 3")
@@ -159,13 +170,13 @@ def find_zeros(
     mask = _local_minima_mask(norms, (grid_resolution,) * chart.dim)
     seeds = points[mask]
     order = np.argsort(norms[mask], kind="stable")
-    seeds = seeds[order[:max_seeds]]
+    seeds = seeds[order[:_MAX_SEEDS]]
 
     accepted: list[np.ndarray] = []
     residuals: list[float] = []
     for seed in seeds:
-        x, _ = _newton_polish(chart, xi, seed, newton_iterations)
-        if not chart.contains(x, boundary_margin):
+        x, _ = _newton_polish(chart, xi, seed)
+        if not chart.contains(x, _BOUNDARY_MARGIN):
             continue
         r = field_norm(chart, xi, x)
         if not r < tol:
@@ -179,7 +190,7 @@ def find_zeros(
     kept: list[np.ndarray] = []
     for idx in by_quality:
         x = accepted[idx]
-        if all(np.linalg.norm(x - y) > dedupe_distance for y in kept):
+        if all(np.linalg.norm(x - y) > _DEDUPE_DISTANCE for y in kept):
             kept.append(x)
     kept.sort(key=lambda p: tuple(p))
     return np.asarray(kept)
@@ -213,8 +224,6 @@ def classify_zero(
     x,
     tol: float = 1e-6,
     conformal_tol: float = 1e-7,
-    neighborhood_radius: float = 0.05,
-    neighborhood_samples: int = 20,
     rng=None,
 ) -> ZeroClassification:
     """Classify a zero as essential, homothetic, or Killing after rescaling.
@@ -222,8 +231,8 @@ def classify_zero(
     x must satisfy |xi(x)|_g < tol.  The verdict is derived from whether
     grad phi lies in the image of nabla xi (within ``tol`` relative to the
     gradient size) and whether phi vanishes; conformality of xi is first
-    verified on a point sample near x, and a failure short-circuits to the
-    ``invalid_not_conformal`` verdict.
+    verified on a ``NEIGHBORHOOD`` sample ball around x, and a failure
+    short-circuits to the ``invalid_not_conformal`` verdict.
     """
     if chart.dim < 3:
         raise ClassificationDimensionError(
@@ -251,7 +260,7 @@ def classify_zero(
     kernel_dim = chart.dim - rank_dxi
     kernel_basis = dxi_svd.kernel
 
-    samples = sample_ball(chart, x, neighborhood_radius, neighborhood_samples, rng)
+    samples = sample_ball(chart, x, *NEIGHBORHOOD, rng)
     report = is_conformal(chart, xi, samples, conformal_tol)
 
     if not report.conformal:

@@ -220,9 +220,17 @@ class Jet:
 # batch axis of a batch rides along in the broadcasting.
 
 def _sym3(a2: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    # sum of a2 x b1 over the three slot assignments, keeps exact symmetry
+    # sum of a2 x b1 over the three slot assignments
     t = a2[:, :, None] * b1[None, None, :]
     return t + t.swapaxes(1, 2) + np.moveaxis(t, 2, 0)
+
+
+def _symmetric3(t: np.ndarray) -> np.ndarray:
+    """t[i, j, k] replaced by t at the sorted index triple.  A sum of three
+    products rounds differently under a permutation of its slots; reading
+    every permutation from one entry makes the result exactly symmetric."""
+    i, j, k = np.sort(np.indices(t.shape[:3]), axis=0)
+    return t[i, j, k]
 
 
 def _jadd(a: Jet, b: Jet) -> Jet:
@@ -253,10 +261,11 @@ def _jmul(a: Jet, b: Jet) -> Jet:
     if order >= 1:
         out.d1 = a.d1 * b.value + b.d1 * a.value
     if order >= 2:
+        # cross + cross.T first, so that d2 is exactly symmetric
         cross = a.d1[:, None] * b.d1[None, :]
-        out.d2 = a.d2 * b.value + cross + cross.swapaxes(0, 1) + b.d2 * a.value
+        out.d2 = a.d2 * b.value + (cross + cross.swapaxes(0, 1)) + b.d2 * a.value
     if order >= 3:
-        out.d3 = (
+        out.d3 = _symmetric3(
             a.d3 * b.value
             + _sym3(a.d2, b.d1)
             + _sym3(b.d2, a.d1)
@@ -275,7 +284,7 @@ def _jcompose(w: Jet, f) -> Jet:
     if order >= 2:
         out.d2 = f[2] * (w.d1[:, None] * w.d1[None, :]) + f[1] * w.d2
     if order >= 3:
-        out.d3 = (
+        out.d3 = _symmetric3(
             f[3] * (w.d1[:, None, None] * w.d1[None, :, None] * w.d1[None, None, :])
             + f[2] * _sym3(w.d2, w.d1)
             + f[1] * w.d3

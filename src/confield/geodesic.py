@@ -65,6 +65,15 @@ _BOUNDARY_EPS = 1e-9
 _FD_STEP = 1e-3
 _SLOPE_TS = (0.1, 0.05, 0.025, 0.0125)
 _ZERO_TOL = 1e-6
+# The stencil's runs: lanes of _STENCIL_STEPS RK4 steps, each (sign, length,
+# ((stencil time, the step it is read at), ...)).  Every time is a whole
+# multiple of its lane's step.
+_STENCIL_STEPS = 32
+_STENCIL_LANES = (
+    (1.0, 0.1, ((0.1, 32), (0.05, 16), (0.025, 8), (0.0125, 4))),
+    (1.0, _FD_STEP, ((_FD_STEP, 32), (_FD_STEP / 2, 16))),
+    (-1.0, _FD_STEP, ((-_FD_STEP, 32), (-_FD_STEP / 2, 16))),
+)
 
 
 class DomainExitError(RuntimeError):
@@ -162,15 +171,12 @@ def integrate_geodesic(
     return states
 
 
-def _steps_for(length: float, steps_per_unit: float = 96.0) -> int:
-    return max(32, int(math.ceil(abs(length) * steps_per_unit)))
-
-
-def exp_map(chart: Chart, x, v, steps: int | None = None) -> np.ndarray:
+def exp_map(chart: Chart, x, v) -> np.ndarray:
     """Riemannian exponential: endpoint of the geodesic with initial v.
 
-    The integration time is the metric length of v.  Raises
-    :class:`DomainExitError` when the geodesic leaves the chart box.
+    The integration time is the metric length of v, in 96 RK4 steps per
+    unit of length and at least 32.  Raises :class:`DomainExitError` when
+    the geodesic leaves the chart box.
     """
     chart.require_interior(x)
     x = np.asarray(x, dtype=float)
@@ -181,7 +187,7 @@ def exp_map(chart: Chart, x, v, steps: int | None = None) -> np.ndarray:
         raise ValueError(f"exp_map needs a finite vector, got length {length}")
     if length < 1e-16:
         return x.copy()
-    nsteps = steps if steps is not None else _steps_for(length)
+    nsteps = max(32, math.ceil(length * 96.0))
     states = integrate_geodesic(chart, x, v, length, nsteps)
     if len(states) != nsteps + 1:
         raise DomainExitError(
@@ -190,48 +196,28 @@ def exp_map(chart: Chart, x, v, steps: int | None = None) -> np.ndarray:
     return states[-1].position
 
 
-def _states_at(chart: Chart, x, v, frame0, ts, steps_per_unit=256.0):
-    """Geodesic states at signed nonzero times ts, sharing one initial frame.
-
-    The runs are planned first.  Each sign is integrated to its longest
-    pending time T, with ``_steps_for(T, steps_per_unit)`` steps; every
-    pending time of that sign on the run's step grid (a whole multiple of
-    its step) is read off the run, and a new run is planned only for a time
-    on no earlier grid.  The runs with the same number of steps are then
-    integrated as lanes of one call.  A run cut short by the chart box
-    raises :class:`DomainExitError`.
+def _stencil_states(chart: Chart, x, v, frame0) -> dict:
+    """The geodesic states of the Taylor stencil, by time, sharing one initial
+    frame: the lanes of ``_STENCIL_LANES`` integrated in one call.  A lane
+    cut short by the chart box raises :class:`DomainExitError`.
 
     Negative times are reached by integrating the reversed geodesic; the
     parallel frame along the reversal coincides with the frame of c(-t), so
     frame components of tensors along c are smooth through t = 0.  A state
     at t < 0 carries t and the negated velocity, and the frame as integrated.
     """
-    runs = []  # (sign, length, steps, {time read off the run: its step})
-    for sign in (1.0, -1.0):
-        pending = sorted((t for t in ts if sign * t > 0), key=abs, reverse=True)
-        while pending:
-            length = abs(pending[0])
-            nsteps = _steps_for(length, steps_per_unit)
-            read = {}
-            for t in pending:
-                k = round(abs(t) * nsteps / length)
-                if abs(k * length / nsteps - abs(t)) <= 1e-12 * length:
-                    read[t] = k
-            runs.append((sign, length, nsteps, read))
-            pending = [t for t in pending if t not in read]
+    signs = np.array([[sign] for sign, _, _ in _STENCIL_LANES])
+    states = integrate_geodesic(chart, np.tile(x, (len(signs), 1)), signs * v,
+                                [length for _, length, _ in _STENCIL_LANES],
+                                _STENCIL_STEPS, initial_frame=frame0)
+    if len(states) < _STENCIL_STEPS + 1:
+        raise DomainExitError("geodesic exits the chart inside the stencil")
     out = {}
-    for nsteps in sorted({run[2] for run in runs}):
-        lanes = [run for run in runs if run[2] == nsteps]
-        signs = np.array([[run[0]] for run in lanes])
-        states = integrate_geodesic(chart, np.tile(x, (len(lanes), 1)), signs * v,
-                                    [run[1] for run in lanes], nsteps, initial_frame=frame0)
-        if len(states) < nsteps + 1:
-            raise DomainExitError("geodesic exits the chart inside the stencil")
-        for lane, (sign, _, _, read) in enumerate(lanes):
-            for t, k in read.items():
-                s = states[k]
-                out[t] = GeodesicState(t, s.position[lane], sign * s.velocity[lane],
-                                       s.frame[lane])
+    for lane, (sign, _, reads) in enumerate(_STENCIL_LANES):
+        for t, k in reads:
+            s = states[k]
+            out[t] = GeodesicState(t, s.position[lane], sign * s.velocity[lane],
+                                   s.frame[lane])
     return out
 
 
@@ -286,7 +272,7 @@ def taylor_checks(
     v = v / speed
     frame0 = complete_orthonormal_frame(g, v)
     h = _FD_STEP
-    states = _states_at(chart, x, v, frame0, sorted({h, -h, h / 2, -h / 2, *_SLOPE_TS}))
+    states = _stencil_states(chart, x, v, frame0)
     points = np.array([state.position for state in states.values()])
     gs, _, _ = metric_jets(chart, points, 0)
     f, a = {}, {}

@@ -223,7 +223,7 @@ def metric_jets(chart: Chart, p, order: int):
     return g, dg, d2g
 
 
-def spd_inverse(g: np.ndarray, context: str = "metric") -> np.ndarray:
+def spd_inverse(g: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky.
 
     Takes one matrix or a stack of them.  Uses the Cholesky diagonal as a
@@ -234,15 +234,13 @@ def spd_inverse(g: np.ndarray, context: str = "metric") -> np.ndarray:
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
-        raise MetricError(f"{context} is not positive definite") from exc
+        raise MetricError("metric is not positive definite") from exc
     diag = np.diagonal(L, axis1=-2, axis2=-1)
     ratio = (diag.max(axis=-1) / diag.min(axis=-1)) ** 2
     if (ratio > CONDITION_LIMIT / 100.0).any():
         w = np.linalg.eigvalsh(g)
         if np.any(w[..., 0] <= 0) or np.any(w[..., -1] / w[..., 0] > CONDITION_LIMIT):
-            raise MetricError(
-                f"{context} conditioning exceeds {CONDITION_LIMIT:g}"
-            )
+            raise MetricError(f"metric conditioning exceeds {CONDITION_LIMIT:g}")
     return np.linalg.inv(g)
 
 

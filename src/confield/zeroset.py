@@ -7,14 +7,16 @@ tangent space: a parameter t, a coordinate in the g-orthonormal kernel
 frame at x, is moved from x + t.kernel onto xi = 0 along the normal space
 by Gauss-Newton steps, the corrector step of Allgower & Georg, *Numerical
 Continuation Methods* (1990), ch. 3.  The patch records the field on its
-parameter grid; ``second_fundamental_form`` measures its extrinsic
-curvature; ``umbilicity_report`` decides whether the patch is totally
-umbilical (all second fundamental form values proportional to the induced
-metric with a common mean curvature vector).
+parameter grid.  ``second_fundamental_form`` measures the extrinsic
+curvature of the zero set at an array of its points, in one batched
+evaluation; ``umbilicity_report`` runs it over the interior nodes of a
+patch and decides whether the patch is totally umbilical (all second
+fundamental form values proportional to the induced metric with a common
+mean curvature vector).
 
-The second fundamental form comes from exact jets of the field at a grid
-node.  On the zero set N, nabla xi vanishes on TN and is invertible on the
-normal space, and one more derivative along N gives
+The second fundamental form comes from exact jets of the field at a point
+of the zero set.  On the zero set N, nabla xi vanishes on TN and is
+invertible on the normal space, and one more derivative along N gives
 
     B(X, Y) = -(nabla xi|_{TN^perp})^{-1} (nabla^2 xi)(X, Y).
 
@@ -26,7 +28,6 @@ conformal invariance of total umbilicity.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .conformal import is_conformal
-from .essential import VERDICT_KILLING, classify_zero
+from .essential import NEIGHBORHOOD, VERDICT_KILLING, classify_zero
 from .geometry import (
     Chart,
     FieldSpec,
@@ -162,7 +163,7 @@ def trace_component(
         if not norm_vector(g, fd.value) < class_tol:
             raise PatchError("trace_component expects a zero of the field")
         report = is_conformal(
-            chart, xi, sample_ball(chart, x, 0.05, 20, rng), conformal_tol
+            chart, xi, sample_ball(chart, x, *NEIGHBORHOOD, rng), conformal_tol
         )
         if not report.conformal:
             raise PatchError("field is not conformal near the zero")
@@ -218,14 +219,14 @@ def trace_component(
 
 @dataclass(frozen=True, eq=False)
 class SecondFundamentalData:
-    """Second fundamental form of a patch at one grid node.
+    """Second fundamental form of a k-dimensional zero set at m points.
 
-    ``normal_form[a, b]`` is B(e_a, e_b) for the g-orthonormal frame
-    ``tangent_frame`` (rows e_a) of the patch at ``point``; ``metric`` is g
-    at ``point``.
+    Every array has a leading axis of length m.  ``normal_form[i, a, b]``
+    is B(e_a, e_b) for the g-orthonormal frame ``tangent_frame[i]`` (rows
+    e_a) of the zero set at ``points[i]``; ``metric[i]`` is g there.
     """
 
-    point: np.ndarray
+    points: np.ndarray
     metric: np.ndarray
     normal_form: np.ndarray
     mean_curvature: np.ndarray
@@ -234,47 +235,45 @@ class SecondFundamentalData:
 
 def second_fundamental_form(
     chart: Chart,
-    patch: SubmanifoldPatch,
-    index,
+    xi: FieldSpec,
+    points,
+    k: int,
 ) -> SecondFundamentalData:
-    """B and the mean curvature vector at a grid node.
+    """B and the mean curvature vector at an (m, n) array of zero set points.
 
-    ``chart`` supplies the ambient metric and may differ from
-    ``patch.chart`` (rescaled metrics reuse the same patch).
-
-    Everything comes from exact jets of the field at the node point
-    ``patch.samples[index]``, with no further evaluation of the mapping:
-    the tangent frame is the g-orthonormal kernel of nabla xi there, and B
-    solves nabla xi B(X, Y) = -(nabla^2 xi)(X, Y) on the normal space
-    through the pseudo-inverse.  No neighbouring node is used, so boundary
-    nodes are as good as interior ones.
+    ``chart`` supplies the ambient metric; a zero set traced under g serves
+    a rescaled chart as well.  Everything comes from one batched evaluation
+    of the 2-jets of the metric and of ``xi`` at the points: at each point
+    the tangent frame is the g-orthonormal kernel of nabla xi, which must
+    have dimension ``k``, and B solves nabla xi B(X, Y) = -(nabla^2 xi)(X, Y)
+    on the normal space through the pseudo-inverse.  No neighbouring point
+    is used, so the boundary nodes of a patch are as good as interior ones.
     """
-    k = patch.k
     if k == 0:
         raise PatchError("a point patch has no second fundamental form")
-    index = tuple(int(i) for i in np.atleast_1d(np.asarray(index, dtype=int)))
-    if len(index) != k:
-        raise PatchError(f"index must have {k} entries")
-    p = np.array(patch.samples[index], dtype=float)
-    fd = field_data(chart, patch.field, p, 2)
-    nabla_svd = frame_svd(fd.conn.g, fd.N, "endomorphism")
-    frame = nabla_svd.kernel
-    if frame.shape[0] != k:
-        raise PatchError(
-            f"nabla xi has a {frame.shape[0]}-dimensional kernel at this node "
-            f"of a {k}-dimensional patch"
-        )
-    hess = np.einsum("ijk,aj,bk->abi", fd.H, frame, frame)
-    B = -nabla_svd.solve(hess)
+    points = np.asarray(points, dtype=float)
+    fd = field_data(chart, xi, points, 2)
+    B = np.empty((len(points), k, k, chart.dim))
+    frames = np.empty((len(points), k, chart.dim))
+    for i, (g, N, H) in enumerate(zip(fd.conn.g, fd.N, fd.H)):
+        nabla_svd = frame_svd(g, N, "endomorphism")
+        frame = nabla_svd.kernel
+        if frame.shape[0] != k:
+            raise PatchError(
+                f"nabla xi has a {frame.shape[0]}-dimensional kernel at "
+                f"{points[i].tolist()}, on a {k}-dimensional zero set"
+            )
+        frames[i] = frame
+        B[i] = -nabla_svd.solve(np.einsum("ijk,aj,bk->abi", H, frame, frame))
     # Symmetric up to the curvature term R(X, Y) xi, which vanishes on the
     # zero set; keep B exactly symmetric.
-    B = 0.5 * (B + B.transpose(1, 0, 2))
+    B = 0.5 * (B + B.swapaxes(1, 2))
     return SecondFundamentalData(
-        point=p,
+        points=points,
         metric=fd.conn.g,
         normal_form=B,
-        mean_curvature=np.einsum("aak->k", B) / k,
-        tangent_frame=frame,
+        mean_curvature=np.einsum("...aak->...k", B) / k,
+        tangent_frame=frames,
     )
 
 
@@ -291,15 +290,6 @@ class UmbilicityReport:
     points: np.ndarray
 
 
-def _interior_indices(patch: SubmanifoldPatch, cap: int = 40):
-    ranges = [range(1, len(axis) - 1) for axis in patch.param_axes]
-    all_idx = list(product(*ranges))
-    if len(all_idx) <= cap:
-        return all_idx
-    stride = int(math.ceil(len(all_idx) / cap))
-    return all_idx[::stride]
-
-
 def umbilicity_report(
     chart: Chart,
     patch: SubmanifoldPatch,
@@ -307,9 +297,11 @@ def umbilicity_report(
 ) -> UmbilicityReport:
     """Umbilicity verdict over the interior grid nodes of a patch.
 
-    The residual at a node is sqrt(sum_ab |B_ab - h_ab H|_g^2); the patch
-    is reported totally umbilical when the worst node stays below ``tol``.
-    Point patches get the verdict "point" with zero residual.
+    Every interior node is visited, in ``itertools.product`` order, through
+    one :func:`second_fundamental_form` call.  The residual at a node is
+    sqrt(sum_ab |B_ab - h_ab H|_g^2); the patch is reported totally
+    umbilical when the worst node stays below ``tol``.  Point patches get
+    the verdict "point" with zero residual.
     """
     if patch.k == 0:
         return UmbilicityReport(
@@ -323,25 +315,15 @@ def umbilicity_report(
             indices=(),
             points=np.asarray(patch.samples)[None, :],
         )
-    indices = _interior_indices(patch)
-    residuals = np.empty(len(indices))
-    hnorms = np.empty(len(indices))
-    points = np.empty((len(indices), chart.dim))
-    for m, idx in enumerate(indices):
-        data = second_fundamental_form(chart, patch, idx)
-        g = data.metric
-        diff = data.normal_form - np.einsum(
-            "ab,k->abk", np.eye(patch.k), data.mean_curvature
-        )
-        residuals[m] = math.sqrt(
-            sum(
-                norm_vector(g, diff[a, b]) ** 2
-                for a in range(patch.k)
-                for b in range(patch.k)
-            )
-        )
-        hnorms[m] = norm_vector(g, data.mean_curvature)
-        points[m] = data.point
+    indices = tuple(product(*(range(1, len(axis) - 1) for axis in patch.param_axes)))
+    data = second_fundamental_form(
+        chart, patch.field, [patch.samples[idx] for idx in indices], patch.k
+    )
+    g = data.metric
+    diff = data.normal_form - np.einsum("ab,mk->mabk", np.eye(patch.k), data.mean_curvature)
+    residuals = np.sqrt(np.maximum(np.einsum("mabi,mij,mabj->m", diff, g, diff), 0.0))
+    H = data.mean_curvature
+    hnorms = np.sqrt(np.maximum(np.einsum("mi,mij,mj->m", H, g, H), 0.0))
     worst = float(residuals.max())
     return UmbilicityReport(
         verdict=VERDICT_UMBILICAL if worst < tol else VERDICT_NOT_UMBILICAL,
@@ -351,6 +333,6 @@ def umbilicity_report(
         codim=patch.codim,
         codim_even=patch.codim % 2 == 0,
         tolerance=float(tol),
-        indices=tuple(indices),
-        points=points,
+        indices=indices,
+        points=data.points,
     )

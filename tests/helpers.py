@@ -134,6 +134,19 @@ def fd_second_fundamental_form(chart, mapping, t, h=0.01):
     return p, dP, B, H
 
 
+def pointwise_second_fundamental_form(chart, xi, p, k):
+    """``(B, frame)`` at one zero set point p from a one-point ``field_data``,
+    the per-point path that ``zeroset.second_fundamental_form`` batches."""
+    from confield.geometry import field_data, frame_svd
+
+    fd = field_data(chart, xi, np.asarray(p, dtype=float), 2)
+    nabla_svd = frame_svd(fd.conn.g, fd.N, "endomorphism")
+    frame = nabla_svd.kernel
+    assert frame.shape[0] == k
+    B = -nabla_svd.solve(np.einsum("ijk,aj,bk->abi", fd.H, frame, frame))
+    return 0.5 * (B + B.transpose(1, 0, 2)), frame
+
+
 def map_patch(chart, xi, mapping, param_axes):
     """Patch of a known zero set of xi, built from its parametrization.
 

@@ -424,6 +424,24 @@ def test_curved_zero_sets_trace_with_unit_mean_curvature(tmp_path, monkeypatch, 
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
 
 
+def test_umbilicity_lists_every_interior_node(tmp_path):
+    """The x3-x4 plane, traced on a 9 x 9 grid, gets |H| at all 7 x 7
+    interior nodes."""
+    manifest = {
+        "chart": {"name": "euclidean", "dim": 4},
+        "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
+        "analyses": ["zeros", "trace", "umbilicity"],
+        "trace_grid": 9,
+    }
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0
+    patches = report["analyses"]["umbilicity"]["patches"]
+    assert patches and all(entry["k"] == 2 for entry in patches)
+    for entry in patches:
+        assert entry["verdict"] == "totally_umbilical"
+        assert len(entry["mean_curvature_norms"]) == 49
+
+
 def test_analysis_list_is_deduplicated_in_request_order(tmp_path):
     manifest = {
         "chart": {"name": "euclidean", "dim": 3},

@@ -69,14 +69,18 @@ def test_circle_zero_set_on_round_chart():
 
 
 def test_zero_near_boundary_is_filtered():
-    xi = FieldSpec.vector(
-        FLAT3, tuple(parse(s, 3) for s in ("x1 - 1.9995", "x2", "x3"))
-    )
-    zeros = find_zeros(FLAT3, xi, boundary_margin=1e-3)
-    assert zeros.shape == (0, 3)
-    # with a tiny margin the same zero is reported
-    zeros = find_zeros(FLAT3, xi, boundary_margin=1e-6)
-    assert zeros.shape == (1, 3)
+    """The box ends at x1 = 2: a zero 5e-4 from it is inside the 1e-3
+    boundary margin and dropped, a zero 1.5e-3 from it is kept."""
+    def zeros_at(height):
+        xi = FieldSpec.vector(
+            FLAT3, tuple(parse(s, 3) for s in (f"x1 - {height}", "x2", "x3"))
+        )
+        return find_zeros(FLAT3, xi)
+
+    assert zeros_at("1.9995").shape == (0, 3)
+    kept = zeros_at("1.9985")
+    assert kept.shape == (1, 3)
+    assert np.abs(kept[0] - [1.9985, 0.0, 0.0]).max() < 1e-12
 
 
 def test_found_zeros_are_machine_precision_zeros():

@@ -335,16 +335,16 @@ def test_lanes_stop_where_the_first_lane_leaves_the_box():
 
 
 def test_states_read_off_the_grid_match_fresh_runs():
-    """A stencil state read off a longer run agrees with a run of its own,
-    which takes 32 steps of a different length."""
+    """A stencil state read off a lane of the lane table agrees with a run of
+    its own, which takes 32 steps of a different length."""
     x = np.array([0.2, -0.1, 0.3])
     g = metric_value(SPHERE, x)
     v = np.array([0.5, -0.1, 0.8])
     v = v / norm_vector(g, v)
     frame0 = complete_orthonormal_frame(g, v)
     h = 1e-3
-    states = geodesic._states_at(SPHERE, x, v, frame0, [0.1, 0.05, h, -h, -h / 2])
-    assert sorted(states) == [-h, -h / 2, h, 0.05, 0.1]
+    states = geodesic._stencil_states(SPHERE, x, v, frame0)
+    assert sorted(states) == [-h, -h / 2, h / 2, h, 0.0125, 0.025, 0.05, 0.1]
     for t in (0.05, -h / 2):
         sign = 1.0 if t > 0 else -1.0
         fresh = integrate_geodesic(SPHERE, x, sign * v, abs(t), 32, initial_frame=frame0)[-1]

@@ -1,4 +1,5 @@
 """Zero set tracing, second fundamental form, and umbilicity reports."""
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from confield.zeroset import (
     trace_component,
     umbilicity_report,
 )
-from helpers import fd_second_fundamental_form, map_patch
+from helpers import fd_second_fundamental_form, map_patch, pointwise_second_fundamental_form
 
 FLAT3 = models.euclidean(3)
 FLAT4 = models.euclidean(4)
@@ -201,18 +202,18 @@ def _assert_jet_path_matches_fd(chart, patch):
     dP_a = C[a, c] e_c in the jet path's orthonormal frame e.
     """
     report = umbilicity_report(chart, patch)
+    jet = second_fundamental_form(chart, patch.field, report.points, patch.k)
     for m, idx in enumerate(report.indices):
         t = np.array([axis[i] for axis, i in zip(patch.param_axes, idx)])
         point, dP, B_fd, H_fd = fd_second_fundamental_form(chart, patch.mapping, t)
-        jet = second_fundamental_form(chart, patch, idx)
-        assert np.array_equal(jet.point, point)
-        g = metric_value(chart, jet.point)
-        e = jet.tangent_frame
+        assert np.array_equal(jet.points[m], point)
+        g = metric_value(chart, jet.points[m])
+        e = jet.tangent_frame[m]
         assert np.abs(e @ g @ e.T - np.eye(patch.k)).max() < 1e-12
         C = dP @ g @ e.T
-        B_param = np.einsum("ac,bd,cdk->abk", C, C, jet.normal_form)
+        B_param = np.einsum("ac,bd,cdk->abk", C, C, jet.normal_form[m])
         assert np.abs(B_param - B_fd).max() < 1e-8
-        assert np.abs(jet.mean_curvature - H_fd).max() < 1e-8
+        assert np.abs(jet.mean_curvature[m] - H_fd).max() < 1e-8
         assert abs(report.mean_curvature_norms[m] - norm_vector(g, H_fd)) < 1e-8
     return report
 
@@ -256,6 +257,19 @@ def _unit_circle_patch():
     )
 
 
+def _unit_two_sphere_patch():
+    """sphere_killing(1, 5) vanishes on the unit 2-sphere in x1 = 0."""
+    xi = models.sphere_killing(FLAT4, 1, 5)
+
+    def emb(t):
+        th, ph = t
+        return np.array(
+            [0.0, math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
+        )
+
+    return map_patch(FLAT4, xi, emb, (_linspace(1.0, 2.0, 5), _linspace(-0.5, 0.5, 5)))
+
+
 def test_hyperplane_has_zero_second_fundamental_form():
     patch = map_patch(
         FLAT3,
@@ -265,7 +279,7 @@ def test_hyperplane_has_zero_second_fundamental_form():
     )
     assert patch.field_norms.shape == (7, 7)
     assert patch.max_field_norm == 0.0
-    data = second_fundamental_form(FLAT3, patch, (3, 3))
+    data = second_fundamental_form(FLAT3, patch.field, patch.samples[3, 3][None], 2)
     assert np.abs(data.normal_form).max() < 1e-9
     assert np.abs(data.mean_curvature).max() < 1e-9
     report = _assert_jet_path_matches_fd(FLAT3, patch)
@@ -276,12 +290,12 @@ def test_hyperplane_has_zero_second_fundamental_form():
 def test_round_two_sphere_is_umbilical_with_mean_curvature_two():
     patch = _sphere_patch()
     assert patch.max_field_norm < 1e-15
-    data = second_fundamental_form(FLAT3, patch, (4, 4))
-    p = data.point
+    data = second_fundamental_form(FLAT3, patch.field, patch.samples[4, 4][None], 2)
+    p = data.points[0]
     # B must be proportional to the induced metric with normal of length 1/r
-    assert np.linalg.norm(data.mean_curvature) == pytest.approx(2.0, abs=1e-5)
+    assert np.linalg.norm(data.mean_curvature[0]) == pytest.approx(2.0, abs=1e-5)
     # mean curvature points radially
-    cross = np.cross(data.mean_curvature, p)
+    cross = np.cross(data.mean_curvature[0], p)
     assert np.linalg.norm(cross) < 1e-5
     report = _assert_jet_path_matches_fd(FLAT3, patch)
     assert report.verdict == "totally_umbilical"
@@ -305,7 +319,7 @@ def test_great_subsphere_is_minimal_in_round_metric():
         lambda t: np.array([math.cos(t[0]), math.sin(t[0]), 0.0]),
         (_linspace(-3.0, 3.0, 13),),
     )
-    data = second_fundamental_form(SPHERE, patch, (6,))
+    data = second_fundamental_form(SPHERE, patch.field, patch.samples[6][None], 1)
     assert np.abs(data.normal_form).max() < 1e-6
     report = _assert_jet_path_matches_fd(SPHERE, patch)
     assert report.verdict == "totally_umbilical"
@@ -325,17 +339,7 @@ def test_jet_path_on_unit_circle_zero_set():
 
 
 def test_jet_path_on_unit_two_sphere_zero_set():
-    """sphere_killing(1, 5) vanishes on the unit 2-sphere in x1 = 0."""
-    xi = models.sphere_killing(FLAT4, 1, 5)
-
-    def emb(t):
-        th, ph = t
-        return np.array(
-            [0.0, math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
-
-    patch = map_patch(FLAT4, xi, emb, (_linspace(1.0, 2.0, 5), _linspace(-0.5, 0.5, 5)))
-    report = _assert_jet_path_matches_fd(FLAT4, patch)
+    report = _assert_jet_path_matches_fd(FLAT4, _unit_two_sphere_patch())
     assert report.verdict == "totally_umbilical"
     assert np.abs(report.mean_curvature_norms - 1.0).max() < 1e-12
     assert report.codim_even
@@ -378,36 +382,85 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
         geodesic.exp_map(SPHERE, np.zeros(3), np.array([0.1, 0.0, 0.0]))
 
 
+def test_batched_second_fundamental_form_matches_per_point():
+    """One batched call at every node of a patch gives the per-point
+    field_data path's B and frame: bitwise on euclidean charts, within 1e-15
+    of the largest entry of B under a rescaled metric."""
+    rescaled = rescale_metric(FLAT3, FieldSpec.scalar(FLAT3, parse("0.3*sin(x2) + x3/5", 3)))
+    cases = [
+        (FLAT3, _sphere_patch(), True),
+        (FLAT3, _cylinder_patch(), True),
+        (FLAT3, _unit_circle_patch(), True),
+        (FLAT4, _unit_two_sphere_patch(), True),
+        (rescaled, _unit_circle_patch(), False),
+        (rescaled, _sphere_patch(), False),
+    ]
+    for chart, patch, bitwise in cases:
+        points = patch.samples.reshape(-1, chart.dim)
+        data = second_fundamental_form(chart, patch.field, points, patch.k)
+        assert data.normal_form.shape == (len(points), patch.k, patch.k, chart.dim)
+        assert np.array_equal(data.points, points)
+        for m, p in enumerate(points):
+            B, frame = pointwise_second_fundamental_form(chart, patch.field, p, patch.k)
+            if bitwise:
+                assert np.array_equal(data.normal_form[m], B)
+                assert np.array_equal(data.tangent_frame[m], frame)
+            else:
+                assert np.abs(data.normal_form[m] - B).max() <= 1e-15 * np.abs(B).max()
+
+
+def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
+    """All interior nodes of a patch, 7 x 7 here, go through one batched
+    field_data call."""
+    calls = []
+    field_data = zeroset.field_data
+
+    def counting(chart, xi, p, order=2):
+        calls.append(np.shape(p))
+        return field_data(chart, xi, p, order)
+
+    xi = models.rotation(FLAT4, 1, 2)
+    patch = trace_component(FLAT4, xi, np.zeros(4), radius=0.3, grid=9)
+    monkeypatch.setattr(zeroset, "field_data", counting)
+    report = umbilicity_report(FLAT4, patch)
+    assert calls == [(49, 4)]
+    assert report.indices == tuple(itertools.product(range(1, 8), repeat=2))
+    assert np.array_equal(report.points, [patch.samples[idx] for idx in report.indices])
+    assert len(report.mean_curvature_norms) == 49
+
+
 def test_second_fundamental_form_carries_the_metric_at_its_node():
     xi = models.sphere_killing(SPHERE, 3, 4)
     patch = trace_component(SPHERE, xi, np.array([1.0, 0.0, 0.0]), radius=0.3, grid=5)
-    data = second_fundamental_form(SPHERE, patch, (1,))
-    assert np.array_equal(data.point, patch.samples[1])
-    assert np.array_equal(data.metric, metric_value(SPHERE, data.point))
+    data = second_fundamental_form(SPHERE, patch.field, patch.samples[1][None], 1)
+    assert np.array_equal(data.points[0], patch.samples[1])
+    assert np.array_equal(data.metric[0], metric_value(SPHERE, data.points[0]))
 
 
 def test_second_fundamental_form_refusals():
     flat2 = models.euclidean(2)
     point_patch = trace_component(flat2, models.rotation(flat2, 1, 2), np.zeros(2))
     with pytest.raises(PatchError):
-        second_fundamental_form(flat2, point_patch, ())
+        second_fundamental_form(flat2, point_patch.field, point_patch.samples[None], 0)
 
+    # the x3 axis is a 1-dimensional zero set, not a 2-dimensional one
     xi = models.rotation(FLAT3, 1, 2)
     patch = trace_component(FLAT3, xi, np.zeros(3), radius=0.2, grid=5)
-    with pytest.raises(PatchError):
-        second_fundamental_form(FLAT3, patch, (2, 2))
+    with pytest.raises(PatchError, match="1-dimensional kernel"):
+        second_fundamental_form(FLAT3, xi, patch.samples[2][None], 2)
 
     # The jet formula needs no neighbouring node, so boundary nodes are not
     # refused: the end nodes of the unit circle get |H| = 1 and the
     # Richardson reference's B.
     patch = _unit_circle_patch()
-    for i in (0, len(patch.param_axes[0]) - 1):
+    ends = (0, len(patch.param_axes[0]) - 1)
+    data = second_fundamental_form(FLAT3, patch.field, patch.samples[list(ends)], 1)
+    for m, i in enumerate(ends):
         t = np.array([patch.param_axes[0][i]])
         _, dP, B_fd, _ = fd_second_fundamental_form(FLAT3, patch.mapping, t)
-        data = second_fundamental_form(FLAT3, patch, (i,))
-        assert abs(np.linalg.norm(data.mean_curvature) - 1.0) < 1e-12
-        C = dP @ data.tangent_frame.T
-        B_param = np.einsum("ac,bd,cdk->abk", C, C, data.normal_form)
+        assert abs(np.linalg.norm(data.mean_curvature[m]) - 1.0) < 1e-12
+        C = dP @ data.tangent_frame[m].T
+        B_param = np.einsum("ac,bd,cdk->abk", C, C, data.normal_form[m])
         assert np.abs(B_param - B_fd).max() < 1e-8
 
 
@@ -465,10 +518,10 @@ def test_mean_curvature_under_rescaling():
     patch = _unit_circle_patch()
     report = _assert_jet_path_matches_fd(rescaled, patch)
     assert report.verdict == "totally_umbilical"
-    for m, idx in enumerate(report.indices):
-        data = second_fundamental_form(FLAT3, patch, idx)
-        jet = eval_jet(f.expr, data.point, 1)
-        e = data.tangent_frame
+    data = second_fundamental_form(FLAT3, patch.field, report.points, patch.k)
+    for m in range(len(report.indices)):
+        jet = eval_jet(f.expr, data.points[m], 1)
+        e = data.tangent_frame[m]
         normal_grad = jet.d1 - e.T @ (e @ jet.d1)
-        expected = math.exp(-jet.value) * np.linalg.norm(data.mean_curvature - normal_grad)
+        expected = math.exp(-jet.value) * np.linalg.norm(data.mean_curvature[m] - normal_grad)
         assert abs(report.mean_curvature_norms[m] - expected) < 1e-12
