@@ -25,6 +25,7 @@ from . import __version__
 from .conformal import is_conformal
 from .essential import (
     VERDICT_INVALID,
+    ClassificationDimensionError,
     classify_zero,
     find_zeros,
     limit_point_audit,
@@ -292,6 +293,7 @@ class _Session:
         self.xi = xi
         self.cfg = cfg
         self._zeros = None
+        self._classifications = None
         self._patches = None
 
     def stream(self, analysis: str) -> np.random.Generator:
@@ -310,33 +312,41 @@ class _Session:
             )
         return self._zeros
 
+    @property
+    def classifications(self):
+        """One classification per zero, from the classify stream: classify
+        and tracing read the same verdicts whichever of them runs."""
+        if self._classifications is None:
+            tol = self.cfg["tolerances"]
+            rng = self.stream("classify")
+            self._classifications = [
+                classify_zero(self.chart, self.xi, z, tol=tol["classification"],
+                              conformal_tol=tol["conformal"], rng=rng)
+                for z in self.zeros
+            ]
+        return self._classifications
+
     def patches(self):
         if self._patches is not None:
             return self._patches
-        tol = self.cfg["tolerances"]
         built = []
         errors = []
-        # The patches serve trace and umbilicity alike: one stream for both.
-        rng = self.stream("trace")
-        for z in self.zeros:
+        for cls in self.classifications:
             if len(built) >= self.cfg["trace_max_patches"]:
                 break
             try:
                 patch = trace_component(
                     self.chart,
                     self.xi,
-                    z,
+                    cls,
                     radius=self.cfg["trace_radius"],
                     grid=self.cfg["trace_grid"],
-                    class_tol=tol["classification"],
-                    conformal_tol=tol["conformal"],
-                    rng=rng,
                 )
             except PatchError as exc:
                 # Refused zeros (not Killing-type, a correction leaving the
                 # chart) are skips; a patch off the zero set is a failure.
                 errors.append({
-                    "zero": z,
+                    "zero": cls.point,
                     "reason": str(exc),
                     "failed": isinstance(exc, OffZeroSetError),
                 })
@@ -373,32 +383,24 @@ def _run_zeros(session: _Session) -> dict:
 
 def _run_classify(session: _Session) -> dict:
     cfg = session.cfg
-    tol = cfg["tolerances"]
-    zeros = session.zeros
-    rng = session.stream("classify")
-    classifications = []
-    entries = []
-    for z in zeros:
-        cls = classify_zero(
-            session.chart,
-            session.xi,
-            z,
-            tol=tol["classification"],
-            conformal_tol=tol["conformal"],
-            rng=rng,
+    if session.chart.dim < 3 and len(session.zeros):
+        raise ClassificationDimensionError(
+            "zero classification needs dimension >= 3; the image criterion "
+            "does not apply to surfaces"
         )
-        classifications.append(cls)
-        entries.append(
-            {
-                "point": cls.point,
-                "verdict": cls.verdict,
-                "phi": cls.phi,
-                "image_residual": cls.image_residual,
-                "kernel_dim": cls.kernel_dim,
-                "rank_dxi": cls.rank_dxi,
-                "neighborhood_residual": cls.neighborhood_residual,
-            }
-        )
+    classifications = session.classifications
+    entries = [
+        {
+            "point": cls.point,
+            "verdict": cls.verdict,
+            "phi": cls.phi,
+            "image_residual": cls.image_residual,
+            "kernel_dim": cls.kernel_dim,
+            "rank_dxi": cls.rank_dxi,
+            "neighborhood_residual": cls.neighborhood_residual,
+        }
+        for cls in classifications
+    ]
     audit = None
     if classifications:
         audit_result = limit_point_audit(classifications, radius=cfg["isolation_radius"])
@@ -413,7 +415,7 @@ def _run_classify(session: _Session) -> dict:
         "passed": bool(passed),
         "entries": entries,
         "audit": audit,
-        "tolerance": tol["classification"],
+        "tolerance": cfg["tolerances"]["classification"],
     }
 
 

@@ -11,8 +11,12 @@ criterion implemented here works entirely from first-order data at x:
 Both conditions are evaluated in the g-orthonormal frame of
 :func:`~confield.geometry.frame_svd`, from the Cholesky factor of the
 metric, so the singular value analysis is done on honestly symmetric/skew
-matrices.  The criterion is only available in dimension at least three;
-two-dimensional charts raise :class:`ClassificationDimensionError`.
+matrices.  The criterion is stated for dimension at least three.  On a
+surface a conformal field is holomorphic and its zeros are isolated;
+``classify_zero`` reports a simple zero with skew invertible nabla xi as
+Killing (it is holomorphically linearizable to a rotation, so xi is Killing
+for a rescaled metric and the zero is its own component) and gives no
+verdict for any other zero.
 
 ``find_zeros`` locates zeros by a grid scan followed by damped Newton
 polishing, and ``limit_point_audit`` cross-checks the classified zeros
@@ -65,7 +69,7 @@ _BOUNDARY_MARGIN = 1e-3
 _DEDUPE_DISTANCE = 1e-6
 # radius and sample count of the ball on which conformality is checked
 # around a zero
-NEIGHBORHOOD = (0.05, 20)
+_NEIGHBORHOOD = (0.05, 20)
 
 
 class ClassificationDimensionError(ValueError):
@@ -200,16 +204,15 @@ def find_zeros(
 class ZeroClassification:
     """First-order data and verdict at a zero of a conformal field.
 
-    ``metric`` is g at the zero, from the same jets as the tensors.
+    ``metric`` is g at the zero, from the same jets as the tensors.  On a
+    surface ``verdict`` is ``None`` for a zero that no verdict covers.
     """
 
     point: np.ndarray
     metric: np.ndarray
-    verdict: str
+    verdict: str | None
     phi: float
     dphi: np.ndarray
-    grad_phi: np.ndarray
-    nabla_xi: np.ndarray
     dxi: np.ndarray
     image_residual: float
     kernel_dim: int
@@ -231,14 +234,14 @@ def classify_zero(
     x must satisfy |xi(x)|_g < tol.  The verdict is derived from whether
     grad phi lies in the image of nabla xi (within ``tol`` relative to the
     gradient size) and whether phi vanishes; conformality of xi is first
-    verified on a ``NEIGHBORHOOD`` sample ball around x, and a failure
+    verified on a ``_NEIGHBORHOOD`` sample ball around x, and a failure
     short-circuits to the ``invalid_not_conformal`` verdict.
+
+    On a surface the image criterion does not apply.  A zero with
+    |phi| < ``tol`` and a trivial kernel of d(xi^flat) is a simple zero
+    with skew invertible nabla xi and gets ``killing_inessential``; every
+    other zero of a conformal field gets the verdict ``None``.
     """
-    if chart.dim < 3:
-        raise ClassificationDimensionError(
-            "zero classification needs dimension >= 3; the image criterion "
-            "does not apply to surfaces"
-        )
     x = np.asarray(x, dtype=float)
     chart.require_interior(x)
     fd = field_data(chart, xi, x, 2)
@@ -260,11 +263,13 @@ def classify_zero(
     kernel_dim = chart.dim - rank_dxi
     kernel_basis = dxi_svd.kernel
 
-    samples = sample_ball(chart, x, *NEIGHBORHOOD, rng)
+    samples = sample_ball(chart, x, *_NEIGHBORHOOD, rng)
     report = is_conformal(chart, xi, samples, conformal_tol)
 
     if not report.conformal:
         verdict = VERDICT_INVALID
+    elif chart.dim < 3:
+        verdict = VERDICT_KILLING if abs(phi) < tol and kernel_dim == 0 else None
     elif image_residual < tol * (1.0 + b_scale):
         verdict = VERDICT_KILLING if abs(phi) < tol else VERDICT_HOMOTHETIC
     else:
@@ -276,8 +281,6 @@ def classify_zero(
         verdict=verdict,
         phi=phi,
         dphi=dphi,
-        grad_phi=fd.conn.ginv @ dphi,
-        nabla_xi=N,
         dxi=M,
         image_residual=image_residual,
         kernel_dim=kernel_dim,

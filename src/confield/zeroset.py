@@ -2,7 +2,9 @@
 
 Near a zero x where a conformal field is Killing for some rescaled metric,
 the zero set is a submanifold tangent at x to the kernel of the derivative
-2-form.  ``trace_component`` builds a patch of it as a graph over that
+2-form; on a surface such a zero is isolated.  ``trace_component`` takes
+the ``classify_zero`` result at x, which carries that verdict, the kernel
+and the metric, and builds a patch of the zero set as a graph over the
 tangent space: a parameter t, a coordinate in the g-orthonormal kernel
 frame at x, is moved from x + t.kernel onto xi = 0 along the normal space
 by Gauss-Newton steps, the corrector step of Allgower & Georg, *Numerical
@@ -34,8 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conformal import is_conformal
-from .essential import NEIGHBORHOOD, VERDICT_KILLING, classify_zero
+from .essential import VERDICT_KILLING, ZeroClassification
 from .geometry import (
     Chart,
     FieldSpec,
@@ -43,8 +44,6 @@ from .geometry import (
     field_jets,
     field_norm,
     frame_svd,
-    norm_vector,
-    sample_ball,
 )
 
 __all__ = [
@@ -64,9 +63,10 @@ VERDICT_POINT = "point"
 
 # The corrector onto xi = 0 stops at a step below rounding, or after
 # _CORRECTOR_STEPS Gauss-Newton steps; a sample it leaves off the zero set
-# is refused by the verification.
+# is refused by the verification, which accepts |xi|_g below _VERIFY_TOL.
 _ROUNDING = 8.0 * np.finfo(float).eps
 _CORRECTOR_STEPS = 20
+_VERIFY_TOL = 1e-5
 
 
 class PatchError(RuntimeError):
@@ -113,63 +113,36 @@ class SubmanifoldPatch:
 def trace_component(
     chart: Chart,
     xi: FieldSpec,
-    x,
+    zero: ZeroClassification,
     radius: float = 0.3,
     grid: int = 5,
-    class_tol: float = 1e-6,
-    conformal_tol: float = 1e-7,
-    verify_tol: float = 1e-5,
-    rng=None,
 ) -> SubmanifoldPatch:
-    """Patch of the zero set component through the zero x.
+    """Patch of the zero set component through a classified zero.
 
-    The parameter t is a coordinate in the g-orthonormal frame of the
-    kernel of the derivative 2-form at x; the grid has side ``2 radius``.
-    The point for t is x + t.kernel corrected onto xi = 0 along the normal
-    space at x (the rows g-orthogonal to the kernel) by Gauss-Newton, so
-    the patch is the zero set as a graph over its tangent space at x and,
-    by the implicit function theorem, smooth in t.  A correction that
-    leaves the chart raises :class:`PatchError`.  For a zero with a trivial
-    kernel the patch is that one point.
+    ``zero`` is the :func:`~confield.essential.classify_zero` result at
+    the zero x; tracing needs its verdict to be Killing after rescaling
+    and reads x, g and the kernel of the derivative 2-form from it.  The
+    parameter t is a coordinate in the g-orthonormal frame of that kernel;
+    the grid has side ``2 radius``.  The point for t is x + t.kernel
+    corrected onto xi = 0 along the normal space at x (the rows
+    g-orthogonal to the kernel) by Gauss-Newton, so the patch is the zero
+    set as a graph over its tangent space at x and, by the implicit
+    function theorem, smooth in t.  A correction that leaves the chart
+    raises :class:`PatchError`.  For a zero with a trivial kernel (every
+    Killing-type zero on a surface) the patch is that one point.
 
-    In dimension three and up the zero must classify as Killing after
-    rescaling; in dimension two (where that classification is unavailable)
-    conformality and phi(x) = 0 are checked directly.  Every sampled point
-    is verified to be a zero within ``verify_tol`` as soon as it is
-    mapped; :class:`OffZeroSetError` reports the first sample off the zero
-    set.
+    Every sampled point is verified to be a zero within ``_VERIFY_TOL`` as
+    soon as it is mapped; :class:`OffZeroSetError` reports the first
+    sample off the zero set.
     """
     if grid < 3 or grid % 2 == 0:
         raise ValueError("grid must be an odd integer >= 3 so the base is a node")
-    x = np.asarray(x, dtype=float)
-    chart.require_interior(x)
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    if chart.dim >= 3:
-        cls = classify_zero(
-            chart, xi, x, tol=class_tol, conformal_tol=conformal_tol, rng=rng
+    if zero.verdict != VERDICT_KILLING:
+        raise PatchError(
+            "zero set tracing requires a zero that is Killing for a "
+            f"rescaled metric, got verdict {zero.verdict!r}"
         )
-        if cls.verdict != VERDICT_KILLING:
-            raise PatchError(
-                "zero set tracing requires a zero that is Killing for a "
-                f"rescaled metric, got verdict {cls.verdict!r}"
-            )
-        kernel = cls.kernel_basis
-        g = cls.metric
-    else:
-        fd = field_data(chart, xi, x, 1)
-        g = fd.conn.g
-        if not norm_vector(g, fd.value) < class_tol:
-            raise PatchError("trace_component expects a zero of the field")
-        report = is_conformal(
-            chart, xi, sample_ball(chart, x, *NEIGHBORHOOD, rng), conformal_tol
-        )
-        if not report.conformal:
-            raise PatchError("field is not conformal near the zero")
-        if not abs(fd.phi) < class_tol:
-            raise PatchError("tracing in dimension two needs phi = 0 at the zero")
-        kernel = frame_svd(g, fd.M, "skew_form").kernel
+    x, kernel, g = zero.point, zero.kernel_basis, zero.metric
 
     k = kernel.shape[0]
     n = chart.dim
@@ -199,10 +172,10 @@ def trace_component(
         t = np.array([param_axes[a][idx[a]] for a in range(k)])
         samples[idx] = mapping(t)
         norms[idx] = field_norm(chart, xi, samples[idx])
-        if not norms[idx] < verify_tol:
+        if not norms[idx] < _VERIFY_TOL:
             raise OffZeroSetError(
                 f"traced patch leaves the zero set: |xi|_g = {norms[idx]:.3e} "
-                f"at t = {t} exceeds {verify_tol:.1e}"
+                f"at t = {t} exceeds {_VERIFY_TOL:.1e}"
             )
     return SubmanifoldPatch(
         chart=chart,

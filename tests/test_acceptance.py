@@ -196,7 +196,7 @@ def test_traced_components_are_umbilical_with_even_codim(capsys):
     ok = True
     lines = []
     for chart, xi, base in scenarios:
-        patch = trace_component(chart, xi, base, radius=0.3, grid=5)
+        patch = trace_component(chart, xi, classify_zero(chart, xi, base), radius=0.3, grid=5)
         report = umbilicity_report(chart, patch)
         good = (
             report.max_residual < 1e-4
@@ -270,7 +270,8 @@ def test_conformal_rescaling_invariance(capsys):
         verdict_pairs.append((before, after))
         ok = ok and before == after
 
-    patch = trace_component(FLAT3, models.rotation(FLAT3, 1, 2), np.zeros(3))
+    rotation = models.rotation(FLAT3, 1, 2)
+    patch = trace_component(FLAT3, rotation, classify_zero(FLAT3, rotation, np.zeros(3)))
     v_before = umbilicity_report(FLAT3, patch).verdict
     v_after = umbilicity_report(rescaled, patch).verdict
     ok = ok and v_before == v_after == "totally_umbilical"

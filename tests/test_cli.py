@@ -1,11 +1,13 @@
 """Manifest runner: report rendering, determinism, exit codes."""
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import confield.cli as cli
+import confield.essential as essential
 import confield.geodesic as geodesic
 from confield.cli import SETTINGS, main, render_report
 from helpers import counting_lanes
@@ -369,6 +371,50 @@ def test_inline_chart_round_trip(tmp_path):
     assert umb["patches"][0]["verdict"] == "point"
 
 
+def test_surface_zero_where_nabla_xi_vanishes_is_skipped(tmp_path):
+    """z^2 d/dz has a double zero at the origin: no rotation, so no
+    Killing-type verdict, and tracing skips it rather than failing."""
+    manifest = {
+        "chart": {"name": "euclidean", "dim": 2},
+        "field": {"components": ["x1^2 - x2^2", "2*x1*x2"]},
+        "analyses": ["check-conformal", "zeros", "trace", "umbilicity"],
+        "seed": 1,
+    }
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0
+    trace = report["analyses"]["trace"]
+    assert trace["patches"] == []
+    (skipped,) = trace["skipped"]
+    assert np.abs(skipped["zero"]).max() < 1e-5
+    assert "got verdict None" in skipped["reason"]
+
+
+def test_each_zero_is_classified_once(tmp_path, monkeypatch):
+    """classify, trace and umbilicity read one classification per zero;
+    calls are counted in every confield module that binds classify_zero."""
+    calls = []
+    classify_zero = essential.classify_zero
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return classify_zero(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("confield") and vars(module).get("classify_zero") is classify_zero:
+            monkeypatch.setattr(module, "classify_zero", counting)
+    manifest = {
+        "chart": {"name": "sphere_stereographic", "dim": 3},
+        "field": {"name": "sphere_killing", "params": {"axis_i": 3, "axis_j": 4}},
+        "analyses": ["classify", "trace", "umbilicity"],
+        "grid_resolution": 15,
+    }
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0
+    zeros = len(report["analyses"]["classify"]["entries"])
+    assert len(report["analyses"]["umbilicity"]["patches"]) == 2
+    assert zeros > 2 and len(calls) == zeros
+
+
 def test_circle_zero_scenario_via_manifest(tmp_path):
     manifest = {
         "chart": {"name": "sphere_stereographic", "dim": 3},
@@ -481,3 +527,16 @@ def test_classify_numbers_do_not_depend_on_other_analyses(tmp_path):
         tmp_path, {**base, "analyses": ["check-conformal", "classify"]}, name="b.json"
     )
     assert alone["analyses"]["classify"] == after["analyses"]["classify"]
+    # Tracing reads the classify stream's verdicts whether or not classify
+    # runs.  The two zeros lie 0.12 inside the box, where a g-unit is 4.6
+    # coordinate units long: trace within that.
+    traced = ["trace", "umbilicity"]
+    base = {**base, "trace_radius": 0.02}
+    _, without = _run_to_report(tmp_path, {**base, "analyses": traced}, name="c.json")
+    _, with_classify = _run_to_report(
+        tmp_path, {**base, "analyses": ["classify", *traced]}, name="d.json"
+    )
+    assert without["analyses"]["trace"]["patches"]
+    for name in traced:
+        assert (render_report(without["analyses"][name])
+                == render_report(with_classify["analyses"][name]))

@@ -12,7 +12,6 @@ from confield.essential import (
     VERDICT_HOMOTHETIC,
     VERDICT_INVALID,
     VERDICT_KILLING,
-    ClassificationDimensionError,
     classify_zero,
     find_zeros,
     limit_point_audit,
@@ -95,10 +94,17 @@ def test_found_zeros_are_machine_precision_zeros():
 # -- classification ---------------------------------------------------------------
 
 
-def test_classify_requires_dimension_three():
+def test_classify_on_surfaces():
+    """On a surface only a simple zero with skew nabla xi, a rotation, is
+    Killing-type; a homothetic zero and the double zero of z^2 d/dz, where
+    nabla xi vanishes, get no verdict."""
     flat2 = models.euclidean(2)
-    with pytest.raises(ClassificationDimensionError):
-        classify_zero(flat2, models.rotation(flat2), np.zeros(2))
+    cls = classify_zero(flat2, models.rotation(flat2), np.zeros(2))
+    assert cls.verdict == VERDICT_KILLING
+    assert cls.kernel_dim == 0
+    z_squared = FieldSpec.vector(flat2, (parse("x1^2 - x2^2", 2), parse("2*x1*x2", 2)))
+    for xi in (models.euler(flat2), z_squared):
+        assert classify_zero(flat2, xi, np.zeros(2)).verdict is None
 
 
 def test_classify_requires_an_actual_zero():

@@ -9,6 +9,7 @@ import confield.geodesic as geodesic
 import confield.models as models
 import confield.zeroset as zeroset
 from confield.conformal import rescale_metric
+from confield.essential import classify_zero
 from confield.expr import eval_jet, parse
 from confield.geometry import FieldSpec, metric_value, norm_vector
 from confield.zeroset import (
@@ -24,6 +25,8 @@ FLAT3 = models.euclidean(3)
 FLAT4 = models.euclidean(4)
 SPHERE = models.sphere_stereographic(3)
 HYP4 = models.hyperbolic_ball(4)
+# a zero of sphere_killing(SPHERE, 3, 4), on the unit circle in x3 = 0
+SPHERE_ZERO = np.array([1.0, 0.0, 0.0])
 
 
 # -- tracing ------------------------------------------------------------------
@@ -31,7 +34,7 @@ HYP4 = models.hyperbolic_ball(4)
 
 def test_rotation_axis_patch():
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, np.zeros(3), radius=0.3, grid=5)
+    patch = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
     assert patch.k == 1
     assert patch.codim == 2
     assert patch.grid_shape == (5,)
@@ -48,7 +51,7 @@ def test_rotation_axis_patch():
 def test_circle_component_patch_on_round_chart():
     xi = models.sphere_killing(SPHERE, 3, 4)
     base = np.array([1.0, 0.0, 0.0])
-    patch = trace_component(SPHERE, xi, base, radius=0.4, grid=7)
+    patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, base), radius=0.4, grid=7)
     assert patch.k == 1
     assert patch.codim == 2
     flat = patch.samples.reshape(-1, 3)
@@ -60,7 +63,7 @@ def test_circle_component_patch_on_round_chart():
 def test_plane_component_in_four_dimensions():
     flat4 = models.euclidean(4)
     xi = models.rotation(flat4, 1, 2)
-    patch = trace_component(flat4, xi, np.zeros(4), radius=0.25, grid=5)
+    patch = trace_component(flat4, xi, classify_zero(flat4, xi, np.zeros(4)), radius=0.25, grid=5)
     assert patch.k == 2
     assert patch.codim == 2
     assert patch.grid_shape == (5, 5)
@@ -73,26 +76,27 @@ def test_plane_component_in_four_dimensions():
 def test_tracing_refuses_essential_zero():
     xi = models.special_conformal(FLAT3, 1)
     with pytest.raises(PatchError):
-        trace_component(FLAT3, xi, np.zeros(3))
+        trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)))
 
 
 def test_tracing_refuses_homothetic_zero():
+    xi = models.euler(FLAT3)
     with pytest.raises(PatchError):
-        trace_component(FLAT3, models.euler(FLAT3), np.zeros(3))
+        trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)))
 
 
 def test_tracing_requires_odd_grid():
     xi = models.rotation(FLAT3, 1, 2)
     with pytest.raises(ValueError):
-        trace_component(FLAT3, xi, np.zeros(3), grid=4)
+        trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), grid=4)
     with pytest.raises(ValueError):
-        trace_component(FLAT3, xi, np.zeros(3), grid=1)
+        trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), grid=1)
 
 
 def test_two_dimensional_point_component():
     flat2 = models.euclidean(2)
     xi = models.rotation(flat2, 1, 2)
-    patch = trace_component(flat2, xi, np.zeros(2))
+    patch = trace_component(flat2, xi, classify_zero(flat2, xi, np.zeros(2)))
     assert patch.k == 0
     assert patch.codim == 2
     assert patch.samples.shape == (2,)
@@ -103,30 +107,32 @@ def test_two_dimensional_point_component():
 
 def test_two_dimensional_scaling_zero_refused():
     flat2 = models.euclidean(2)
+    xi = models.euler(flat2)
     with pytest.raises(PatchError):
-        trace_component(flat2, models.euler(flat2), np.zeros(2))
+        trace_component(flat2, xi, classify_zero(flat2, xi, np.zeros(2)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_two_dimensional_nan_zero_refused():
     """1e200*1e200 overflows to inf and inf * 0 is NaN: |xi|_g is NaN at
-    the origin, which is no zero."""
+    the origin, which is no zero, so there is no classification to trace."""
     flat2 = models.euclidean(2)
     xi = FieldSpec.vector(flat2, tuple(parse(s, 2) for s in ("1e200*1e200*x1", "x2")))
-    with pytest.raises(PatchError, match="expects a zero"):
-        trace_component(flat2, xi, np.zeros(2))
+    with pytest.raises(ValueError, match="expects a zero"):
+        trace_component(flat2, xi, classify_zero(flat2, xi, np.zeros(2)))
 
 
 def test_traced_patch_records_its_field():
     xi = models.rotation(FLAT3, 1, 2)
-    assert trace_component(FLAT3, xi, np.zeros(3), radius=0.2, grid=5).field is xi
+    patch = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.2, grid=5)
+    assert patch.field is xi
     flat2 = models.euclidean(2)
     rot2 = models.rotation(flat2, 1, 2)
-    assert trace_component(flat2, rot2, np.zeros(2)).field is rot2
+    assert trace_component(flat2, rot2, classify_zero(flat2, rot2, np.zeros(2))).field is rot2
 
 
 def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
-    """With verify_tol = 0 no sample passes, so the verification refuses the
+    """With _VERIFY_TOL = 0 no sample passes, so the verification refuses the
     first one, the corner of the grid, without mapping the rest: the failed
     trace makes exactly the corrector evaluations of that one sample."""
     calls = []
@@ -138,14 +144,15 @@ def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
 
     monkeypatch.setattr(zeroset, "field_jets", counting)
     xi = models.sphere_killing(FLAT3, 1, 4)
-    base = np.array([0.0, 1.0, 0.0])
-    patch = trace_component(FLAT3, xi, base, radius=0.3, grid=5)
+    zero = classify_zero(FLAT3, xi, np.array([0.0, 1.0, 0.0]))
+    patch = trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
     calls.clear()
     patch.mapping(patch.param_axes[0][:1])
     one_sample = len(calls)
     calls.clear()
+    monkeypatch.setattr(zeroset, "_VERIFY_TOL", 0.0)
     with pytest.raises(OffZeroSetError, match="leaves the zero set"):
-        trace_component(FLAT3, xi, base, radius=0.3, grid=5, verify_tol=0.0)
+        trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
     assert len(calls) == one_sample > 1
 
 
@@ -166,7 +173,7 @@ def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
 
     monkeypatch.setattr(zeroset, "frame_svd", recording)
     base = np.array([0.0, 0.6, 0.8])
-    patch = trace_component(chart, xi, base, radius=0.3, grid=5)
+    patch = trace_component(chart, xi, classify_zero(chart, xi, base), radius=0.3, grid=5)
     (g, normals), = frames
     tangent = patch.tangent_basis
     assert abs(g[0, 0] - 1.0) > 0.1
@@ -352,7 +359,7 @@ def test_jet_path_on_traced_hyperbolic_patches(base):
     """The FD reference runs on the 3 x 3 sub-grid around traced node (1, 1),
     through the traced mapping, to keep the number of corrector runs small."""
     xi = models.rotation(HYP4, 1, 2)
-    traced = trace_component(HYP4, xi, base, radius=0.2, grid=5)
+    traced = trace_component(HYP4, xi, classify_zero(HYP4, xi, base), radius=0.2, grid=5)
     assert traced.k == 2
     sub = map_patch(HYP4, xi, traced.mapping, tuple(axis[0:3] for axis in traced.param_axes))
     assert np.array_equal(sub.samples[1, 1], traced.samples[1, 1])
@@ -372,7 +379,7 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
 
     monkeypatch.setattr(geodesic, "integrate_geodesic", refuse)
     xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, np.array([1.0, 0.0, 0.0]), radius=0.4, grid=7)
+    patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
     report = umbilicity_report(SPHERE, patch)
     assert report.verdict == "totally_umbilical"
     rescaled = rescale_metric(SPHERE, FieldSpec.scalar(SPHERE, parse("0.3*sin(x1)", 3)))
@@ -420,7 +427,7 @@ def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
         return field_data(chart, xi, p, order)
 
     xi = models.rotation(FLAT4, 1, 2)
-    patch = trace_component(FLAT4, xi, np.zeros(4), radius=0.3, grid=9)
+    patch = trace_component(FLAT4, xi, classify_zero(FLAT4, xi, np.zeros(4)), radius=0.3, grid=9)
     monkeypatch.setattr(zeroset, "field_data", counting)
     report = umbilicity_report(FLAT4, patch)
     assert calls == [(49, 4)]
@@ -431,7 +438,7 @@ def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
 
 def test_second_fundamental_form_carries_the_metric_at_its_node():
     xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, np.array([1.0, 0.0, 0.0]), radius=0.3, grid=5)
+    patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, SPHERE_ZERO), radius=0.3, grid=5)
     data = second_fundamental_form(SPHERE, patch.field, patch.samples[1][None], 1)
     assert np.array_equal(data.points[0], patch.samples[1])
     assert np.array_equal(data.metric[0], metric_value(SPHERE, data.points[0]))
@@ -439,13 +446,14 @@ def test_second_fundamental_form_carries_the_metric_at_its_node():
 
 def test_second_fundamental_form_refusals():
     flat2 = models.euclidean(2)
-    point_patch = trace_component(flat2, models.rotation(flat2, 1, 2), np.zeros(2))
+    rot2 = models.rotation(flat2, 1, 2)
+    point_patch = trace_component(flat2, rot2, classify_zero(flat2, rot2, np.zeros(2)))
     with pytest.raises(PatchError):
         second_fundamental_form(flat2, point_patch.field, point_patch.samples[None], 0)
 
     # the x3 axis is a 1-dimensional zero set, not a 2-dimensional one
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, np.zeros(3), radius=0.2, grid=5)
+    patch = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.2, grid=5)
     with pytest.raises(PatchError, match="1-dimensional kernel"):
         second_fundamental_form(FLAT3, xi, patch.samples[2][None], 2)
 
@@ -466,7 +474,7 @@ def test_second_fundamental_form_refusals():
 
 def test_traced_axis_report_is_umbilical_with_even_codim():
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, np.zeros(3), radius=0.3, grid=5)
+    patch = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
     report = umbilicity_report(FLAT3, patch)
     assert report.verdict == "totally_umbilical"
     assert report.codim == 2
@@ -478,7 +486,7 @@ def test_traced_axis_report_is_umbilical_with_even_codim():
 
 def test_circle_component_report_on_round_chart():
     xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, np.array([1.0, 0.0, 0.0]), radius=0.4, grid=7)
+    patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
     report = umbilicity_report(SPHERE, patch)
     assert report.verdict == "totally_umbilical"
     assert report.codim_even
@@ -494,7 +502,7 @@ def test_umbilicity_verdicts_stable_under_rescaling():
     for every metric in the conformal class."""
     rescaled = rescale_metric(FLAT3, FieldSpec.scalar(FLAT3, parse("0.3*sin(x1)", 3)))
     xi = models.rotation(FLAT3, 1, 2)
-    traced = trace_component(FLAT3, xi, np.zeros(3), radius=0.3, grid=5)
+    traced = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
     for patch, verdict in ((traced, "totally_umbilical"), (_cylinder_patch(), "not_umbilical")):
         assert umbilicity_report(FLAT3, patch).verdict == verdict
         assert umbilicity_report(rescaled, patch).verdict == verdict
