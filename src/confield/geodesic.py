@@ -1,22 +1,32 @@
 """Geodesics, parallel frames, and derivative identities along geodesics.
 
-Geodesics are integrated with a fixed-step classical RK4 scheme on the
-first-order system (x, v) together with a parallel orthonormal frame.  The
-integrator runs one geodesic, or several lanes in lockstep: x, v and the
-frame then carry a leading lane axis, and every step evaluates the
-connection of all lanes in one batched call.  On top of it sits
-``taylor_checks``, which differentiates along the unit-speed geodesic
-c(t) = exp_x(tv) from a zero x of a conformal field xi:
+``taylor_checks`` tests the expansion of a conformal field xi along the
+unit-speed geodesic c(t) = exp_x(tv) from a zero x:
 
 * scalar: f(t) = g(xi(c(t)), c'(t)) satisfies f'(0) = phi(x),
 * vector: in a parallel frame, xi'(0) = phi(x) v + (1/2) d(xi^flat)(v) and
   xi''(0) = 2 dphi_x(v) v - grad phi_x.
 
-Both are read off one pass: one order-2 jet at x, and the states at
-t = +-h, +-h/2 (h = 1e-3, for Richardson derivatives) and at the slope times
-0.1, 0.05, 0.025, 0.0125 (for the remainder order), taken from 3 RK4 runs of
-32 steps, to 0.1, h and -h, integrated as 3 lanes of one call.  One batched
-evaluation of g and xi at the states gives f(t) and xi's frame components.
+Every derivative at t = 0 is an exact formula in the 2-jet at x (Taylor-mode
+differentiation of the geodesic equation).  With X = xi o c, which vanishes
+at t = 0, J = d xi, E the parallel frame (rows) and d_v g the derivative of
+the metric along v:
+
+* c'' = -Gamma(v, v) and E' = -Gamma(v, E);
+* X' = J v and X'' = d^2 xi(v, v) + J c'';
+* f' = g(X', v) and f'' = g(X'', v) + 2 (d_v g)(X', v) + 2 g(X', c'');
+* the frame components a = E g X have a' = E g X' and
+  a'' = 2 E' g X' + 2 E (d_v g) X' + E g X''.
+
+The targets keep their own covariant formulas in phi, dphi and d(xi^flat),
+so a wrong target is still caught.
+
+Geodesics themselves are integrated by ``integrate_geodesic``, a fixed-step
+classical RK4 scheme on the first-order system (x, v) together with a
+parallel orthonormal frame, for one geodesic or several lanes in lockstep;
+``exp_map`` sits on top of it.  No analysis calls them.  They stay as the
+independent reference that the tests hold the jet formulas against, and as
+layer boundaries of the benchmark's tracer.
 
 ``dxi_identity_residual`` checks the pointwise curvature identity
 
@@ -42,7 +52,6 @@ from .geometry import (
     christoffel_matrix,
     complete_orthonormal_frame,
     field_data,
-    field_value,
     metric_jets,
     norm_2form,
     norm_vector,
@@ -60,20 +69,8 @@ __all__ = [
 ]
 
 _BOUNDARY_EPS = 1e-9
-# The Taylor stencil: the Richardson step and the times the remainder order
-# is fitted over; and how small |xi|_g must be at a zero.
-_FD_STEP = 1e-3
-_SLOPE_TS = (0.1, 0.05, 0.025, 0.0125)
+# How small |xi|_g must be at a zero for the Taylor checks.
 _ZERO_TOL = 1e-6
-# The stencil's runs: lanes of _STENCIL_STEPS RK4 steps, each (sign, length,
-# ((stencil time, the step it is read at), ...)).  Every time is a whole
-# multiple of its lane's step.
-_STENCIL_STEPS = 32
-_STENCIL_LANES = (
-    (1.0, 0.1, ((0.1, 32), (0.05, 16), (0.025, 8), (0.0125, 4))),
-    (1.0, _FD_STEP, ((_FD_STEP, 32), (_FD_STEP / 2, 16))),
-    (-1.0, _FD_STEP, ((-_FD_STEP, 32), (-_FD_STEP / 2, 16))),
-)
 
 
 class DomainExitError(RuntimeError):
@@ -196,34 +193,8 @@ def exp_map(chart: Chart, x, v) -> np.ndarray:
     return states[-1].position
 
 
-def _stencil_states(chart: Chart, x, v, frame0) -> dict:
-    """The geodesic states of the Taylor stencil, by time, sharing one initial
-    frame: the lanes of ``_STENCIL_LANES`` integrated in one call.  A lane
-    cut short by the chart box raises :class:`DomainExitError`.
-
-    Negative times are reached by integrating the reversed geodesic; the
-    parallel frame along the reversal coincides with the frame of c(-t), so
-    frame components of tensors along c are smooth through t = 0.  A state
-    at t < 0 carries t and the negated velocity, and the frame as integrated.
-    """
-    signs = np.array([[sign] for sign, _, _ in _STENCIL_LANES])
-    states = integrate_geodesic(chart, np.tile(x, (len(signs), 1)), signs * v,
-                                [length for _, length, _ in _STENCIL_LANES],
-                                _STENCIL_STEPS, initial_frame=frame0)
-    if len(states) < _STENCIL_STEPS + 1:
-        raise DomainExitError("geodesic exits the chart inside the stencil")
-    out = {}
-    for lane, (sign, _, reads) in enumerate(_STENCIL_LANES):
-        for t, k in reads:
-            s = states[k]
-            out[t] = GeodesicState(t, s.position[lane], sign * s.velocity[lane],
-                                   s.frame[lane])
-    return out
-
-
 class TaylorScalarResult(NamedTuple):
     derivative_residual: float
-    remainder_order: float
     f_prime: float
     f_second: float
 
@@ -231,35 +202,22 @@ class TaylorScalarResult(NamedTuple):
 class TaylorVectorResult(NamedTuple):
     first_residual: float
     second_residual: float
-    first_fd: np.ndarray
-    second_fd: np.ndarray
-
-
-def _richardson_first(fm2, fm1, fp1, fp2, h):
-    # fp1 = f(h), fp2 = f(h/2), fm1 = f(-h), fm2 = f(-h/2)
-    d_h = (fp1 - fm1) / (2.0 * h)
-    d_h2 = (fp2 - fm2) / h
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def _richardson_second(f0, fm2, fm1, fp1, fp2, h):
-    s_h = (fp1 - 2.0 * f0 + fm1) / (h * h)
-    s_h2 = (fp2 - 2.0 * f0 + fm2) / (0.25 * h * h)
-    return (4.0 * s_h2 - s_h) / 3.0
+    first: np.ndarray
+    second: np.ndarray
 
 
 def taylor_checks(
     chart: Chart, xi: FieldSpec, x, v
 ) -> tuple[TaylorScalarResult, TaylorVectorResult]:
-    """The scalar and vector Taylor checks at a zero x of xi, in one pass.
+    """The scalar and vector Taylor checks at a zero x of xi, from its 2-jet.
 
-    Scalar: |f'(0) - phi(x)| for f(t) = g(xi, c'(t)), and the empirical
-    order of the remainder f(t) - t f'(0) - t^2/2 f''(0) over the slope
-    times; when the remainder is at noise level the order is inf.  Vector:
-    the finite-differenced xi'(0) = nabla_v xi against
-    phi(x) v + (1/2) d(xi^flat)(v) raised by the metric, and xi''(0) against
-    2 dphi(v) v - grad phi, both in the parallel orthonormal frame at x.
+    Scalar: |f'(0) - phi(x)| for f(t) = g(xi, c'(t)).  Vector: xi'(0) =
+    nabla_v xi against phi(x) v + (1/2) d(xi^flat)(v) raised by the metric,
+    and xi''(0) against 2 dphi(v) v - grad phi, both in the parallel
+    orthonormal frame at x.  The derivatives are exact jet formulas, which
+    take xi(x) = 0.
     """
+    chart.require_interior(x)
     x = np.asarray(x, dtype=float)
     fd = field_data(chart, xi, x, 2)
     g = fd.conn.g
@@ -271,29 +229,19 @@ def taylor_checks(
         raise ValueError(f"taylor_checks needs a finite nonzero direction, got speed {speed}")
     v = v / speed
     frame0 = complete_orthonormal_frame(g, v)
-    h = _FD_STEP
-    states = _stencil_states(chart, x, v, frame0)
-    points = np.array([state.position for state in states.values()])
-    gs, _, _ = metric_jets(chart, points, 0)
-    f, a = {}, {}
-    for (t, state), gp, xi_t in zip(states.items(), gs, field_value(xi, points)):
-        f[t] = float(xi_t @ gp @ state.velocity)
-        a[t] = state.frame @ gp @ xi_t
+    Gam = fd.conn.Gam
+    dg_v = fd.conn.dg @ v  # (d_v g)_ij
+    acc = -np.einsum("kij,i,j->k", Gam, v, v)  # c''(0)
+    dframe = -np.einsum("kij,i,aj->ak", Gam, v, frame0)  # E'(0)
+    X1 = fd.jac @ v
+    X2 = np.einsum("kij,i,j->k", fd.hess, v, v) + fd.jac @ acc
 
-    f0 = float(fd.value @ g @ v)
-    f1 = _richardson_first(f[-h / 2], f[-h], f[h], f[h / 2], h)
-    f2 = _richardson_second(f0, f[-h / 2], f[-h], f[h], f[h / 2], h)
-    remainders = np.array([abs(f[t] - t * f1 - 0.5 * t * t * f2) for t in _SLOPE_TS])
-    if remainders.max() < 1e-10 * max(1.0, *(abs(f[t]) for t in _SLOPE_TS)):
-        order = math.inf
-    else:
-        logs_r = np.log(np.maximum(remainders, 1e-300))
-        order = float(np.polyfit(np.log(_SLOPE_TS), logs_r, 1)[0])
-    scalar = TaylorScalarResult(abs(f1 - fd.phi), order, float(f1), float(f2))
+    f1 = float(X1 @ g @ v)
+    f2 = float(X2 @ g @ v + 2.0 * X1 @ dg_v @ v + 2.0 * X1 @ g @ acc)
+    scalar = TaylorScalarResult(abs(f1 - fd.phi), f1, f2)
 
-    a0 = frame0 @ g @ fd.value
-    d1 = _richardson_first(a[-h / 2], a[-h], a[h], a[h / 2], h)
-    d2 = _richardson_second(a0, a[-h / 2], a[-h], a[h], a[h / 2], h)
+    d1 = frame0 @ g @ X1
+    d2 = 2.0 * dframe @ g @ X1 + 2.0 * frame0 @ dg_v @ X1 + frame0 @ g @ X2
     # (v -| d xi)_j = v^i M[i, j] and (phi v)_j = phi g_jk v^k; raise the
     # covector and take frame components
     first_target = frame0 @ (fd.phi * (g @ v) + 0.5 * (fd.M.T @ v))

@@ -235,7 +235,7 @@ def test_taylor_expansions_at_zeros(capsys):
         ok = ok and sres.derivative_residual < 1e-6
         ok = ok and vres.second_residual < 1e-4
     _, hand = taylor_checks(FLAT3, K, np.zeros(3), e1)
-    hand_err = float(np.abs(hand.second_fd - np.array([-2.0, 0.0, 0.0])).max())
+    hand_err = float(np.abs(hand.second - np.array([-2.0, 0.0, 0.0])).max())
     ok = ok and hand_err < 1e-4
     _report(
         capsys,

@@ -257,8 +257,8 @@ def test_rotation_manifest_runs_green(tmp_path):
 
 
 def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch):
-    """Each checked zero costs 3 geodesic runs of 32 steps, as 3 lanes of one
-    call, and one order-2 field_data; all identity pairs share one more."""
+    """Each checked zero costs one order-2 field_data and no geodesic run;
+    all identity pairs share one more field_data."""
     orders = []
     field_data = geodesic.field_data
 
@@ -273,8 +273,21 @@ def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch)
     assert code == 0
     taylor = report["analyses"]["verify-identities"]["taylor_at_zeros"]
     assert len(taylor) == 4 and all("skipped" not in entry for entry in taylor)
-    assert runs == [[32, 32, 32]] * 4
+    assert runs == []
     assert orders == [2] * (1 + 4)
+
+
+def test_verify_identities_checks_edge_zeros_on_every_seed(tmp_path):
+    """The first zeros of rotation(1, 2) on the 3-sphere chart lie on the x3
+    axis next to the box face; every seed checks all of them, none skipped."""
+    manifest = {"chart": {"name": "sphere_stereographic", "dim": 3},
+                "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
+                "analyses": ["verify-identities"]}
+    for seed in range(1, 41):
+        code, report = _run_to_report(tmp_path, {**manifest, "seed": seed})
+        assert code == 0, seed
+        taylor = report["analyses"]["verify-identities"]["taylor_at_zeros"]
+        assert taylor and all("skipped" not in entry for entry in taylor), seed
 
 
 def test_check_conformal_reports_a_batch_overflow_as_a_domain_error(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 import confield.geodesic as geodesic
 import confield.models as models
+from confield.essential import find_zeros
 from confield.expr import parse
 from confield.geodesic import (
     DomainExitError,
@@ -22,7 +23,7 @@ from confield.geometry import (
     norm_vector,
     sample_interior,
 )
-from helpers import counting_lanes
+from helpers import rk4_taylor_derivatives
 
 SPHERE = models.sphere_stereographic(3)
 HYPER = models.hyperbolic_ball(3)
@@ -151,7 +152,6 @@ def test_scalar_expansion_at_quadratic_zero_flat():
     assert res.derivative_residual < 1e-9
     assert res.f_prime == pytest.approx(0.0, abs=1e-9)
     assert res.f_second == pytest.approx(-2.0, abs=1e-6)
-    assert res.remainder_order == math.inf
 
 
 def test_scalar_expansion_generic_direction():
@@ -168,14 +168,12 @@ def test_scalar_expansion_rotation_zero_is_flat_function():
     res = taylor_checks(FLAT3, rot, np.zeros(3), np.array([0.0, 1.0, 0.0]))[0]
     assert res.derivative_residual < 1e-10
     assert res.f_second == pytest.approx(0.0, abs=1e-8)
-    assert res.remainder_order == math.inf
 
 
 def test_scalar_expansion_on_curved_chart():
     K = models.sphere_translation(SPHERE, 1)
     res = taylor_checks(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))[0]
     assert res.derivative_residual < 1e-8
-    assert res.remainder_order > 2.5
 
 
 def test_scalar_check_requires_a_zero():
@@ -191,8 +189,8 @@ def test_vector_expansion_at_quadratic_zero():
     res = taylor_checks(FLAT3, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
     assert res.first_residual < 1e-9
     assert res.second_residual < 1e-6
-    assert np.abs(res.second_fd - np.array([-2.0, 0.0, 0.0])).max() < 1e-6
-    assert np.abs(res.first_fd).max() < 1e-9
+    assert np.abs(res.second - np.array([-2.0, 0.0, 0.0])).max() < 1e-6
+    assert np.abs(res.first).max() < 1e-9
 
 
 def test_vector_expansion_transverse_direction():
@@ -202,7 +200,7 @@ def test_vector_expansion_transverse_direction():
     res = taylor_checks(FLAT3, K, np.zeros(3), np.array([0.0, 1.0, 0.0]))[1]
     assert res.second_residual < 1e-6
     # frame rows: e2 completed to an orthonormal frame; components of 2 e1
-    norm = np.linalg.norm(res.second_fd)
+    norm = np.linalg.norm(res.second)
     assert norm == pytest.approx(2.0, abs=1e-6)
 
 
@@ -211,7 +209,7 @@ def test_vector_expansion_rotation_first_order():
     res = taylor_checks(FLAT3, rot, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
     # xi'(0) = dxi(v)/2 = e2 direction with magnitude 1
     assert res.first_residual < 1e-9
-    assert np.linalg.norm(res.first_fd) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(res.first) == pytest.approx(1.0, abs=1e-9)
     assert res.second_residual < 1e-7
 
 
@@ -221,7 +219,7 @@ def test_vector_expansion_at_homothetic_zero():
     eu = models.euler(FLAT3)
     res = taylor_checks(FLAT3, eu, np.zeros(3), np.array([0.3, -1.0, 0.5]))[1]
     assert res.first_residual < 1e-9
-    assert np.linalg.norm(res.first_fd) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(res.first) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_vector_expansion_on_curved_chart():
@@ -242,27 +240,55 @@ def test_taylor_checks_refuse_a_nan_zero():
         taylor_checks(FLAT3, xi, np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 
-# -- one geodesic run per sign and step grid, all runs as lanes of one call ------
+# -- the checks read the 2-jet at the zero, and integrate no geodesic -------------
+
+
+def _refuse_integration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("taylor_checks integrated a geodesic")
+
+    monkeypatch.setattr(geodesic, "integrate_geodesic", refuse)
 
 
 def test_scalar_stencil_shares_runs(monkeypatch):
-    """+0.1 (with 0.05, 0.025, 0.0125 and nothing else on its grid), +h
-    (with h/2) and -h (with -h/2): three runs of 32 steps, as three lanes of
-    one call."""
-    calls = counting_lanes(monkeypatch)
+    """The scalar result on a curved chart, to rounding, with the integrator
+    refusing every call: the check runs no geodesic at all."""
+    _refuse_integration(monkeypatch)
     K = models.sphere_translation(SPHERE, 1)
-    taylor_checks(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))
-    assert calls == [[32, 32, 32]]
+    scalar, vector = taylor_checks(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))
+    assert scalar.derivative_residual < 1e-12
+    assert vector.first_residual < 1e-12
+    assert vector.second_residual < 1e-12
 
 
 def test_vector_stencil_shares_runs(monkeypatch):
-    """The vector stencil +-h, +-h/2 lies inside the scalar one, so the
-    vector results add no run to the pass."""
-    calls = counting_lanes(monkeypatch)
+    """The vector results from the transverse direction, to rounding, with
+    the integrator refusing every call."""
+    _refuse_integration(monkeypatch)
     K = models.sphere_translation(SPHERE, 1)
-    _, vector = taylor_checks(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    assert vector.second_residual < 1e-4
-    assert calls == [[32, 32, 32]]
+    scalar, vector = taylor_checks(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    assert vector.first_residual < 1e-12
+    assert vector.second_residual < 1e-12
+    assert scalar.derivative_residual < 1e-12
+
+
+def test_jet_derivatives_match_rk4_differences():
+    """f', f'', a' and a'' from the 2-jet agree with Richardson differences
+    of RK4 runs at every checked zero of the catalog in dimensions 3 and 4."""
+    rng = np.random.default_rng(16)
+    # the first 4 zeros of each pair, the ones verify-identities checks
+    cases = [(chart, xi, z) for dim in (3, 4) for chart, xi in models.standard_pairs(dim)
+             for z in find_zeros(chart, xi)[:4]]
+    assert len(cases) == 54
+    for chart, xi, z in cases:
+        v = rng.standard_normal(chart.dim)
+        scalar, vector = taylor_checks(chart, xi, z, v)
+        f1, f2, a1, a2 = rk4_taylor_derivatives(chart, xi, z, v)
+        label = f"{chart.name} {xi.name} {z.tolist()}"
+        assert abs(scalar.f_prime - f1) < 1e-10, label
+        assert np.abs(vector.first - a1).max() < 1e-10, label
+        assert abs(scalar.f_second - f2) < 1e-7, label
+        assert np.abs(vector.second - a2).max() < 1e-7, label
 
 
 def _per_point_rk4(chart, x, v, length, steps):
@@ -334,40 +360,18 @@ def test_lanes_stop_where_the_first_lane_leaves_the_box():
     assert np.array_equal(states[-1].position[1], alone[-1].position)
 
 
-def test_states_read_off_the_grid_match_fresh_runs():
-    """A stencil state read off a lane of the lane table agrees with a run of
-    its own, which takes 32 steps of a different length."""
-    x = np.array([0.2, -0.1, 0.3])
-    g = metric_value(SPHERE, x)
-    v = np.array([0.5, -0.1, 0.8])
-    v = v / norm_vector(g, v)
-    frame0 = complete_orthonormal_frame(g, v)
-    h = 1e-3
-    states = geodesic._stencil_states(SPHERE, x, v, frame0)
-    assert sorted(states) == [-h, -h / 2, h / 2, h, 0.0125, 0.025, 0.05, 0.1]
-    for t in (0.05, -h / 2):
-        sign = 1.0 if t > 0 else -1.0
-        fresh = integrate_geodesic(SPHERE, x, sign * v, abs(t), 32, initial_frame=frame0)[-1]
-        read = states[t]
-        assert read.t == t
-        assert np.abs(read.position - fresh.position).max() < 1e-10
-        assert np.abs(read.velocity - sign * fresh.velocity).max() < 1e-10
-        assert np.abs(read.frame - fresh.frame).max() < 1e-10
-
-
-@pytest.mark.parametrize("height, exits", [(1.95, True), (1.9995, True), (1.85, False)])
-def test_stencil_near_the_box_edge(height, exits):
-    """The x3 axis is the zero set of rotation(1, 2); going up it, the
-    pass's 0.1 run leaves the box at x3 = 2 from 1.95 (and its runs of 1e-3
-    too from 1.9995), and stays inside from 1.85."""
+@pytest.mark.parametrize("height", [1.95, 1.9995, 1.85])
+def test_checks_next_to_the_box_edge(height, monkeypatch):
+    """The x3 axis is the zero set of rotation(1, 2); going up it towards the
+    box face x3 = 2, the checks still run and pass, with no geodesic to
+    leave the box."""
+    _refuse_integration(monkeypatch)
     rot = models.rotation(FLAT3, 1, 2)
     x = np.array([0.0, 0.0, height])
-    v = np.array([0.0, 0.0, 1.0])
-    if exits:
-        with pytest.raises(DomainExitError, match="inside the stencil"):
-            taylor_checks(FLAT3, rot, x, v)
-    else:
-        taylor_checks(FLAT3, rot, x, v)
+    scalar, vector = taylor_checks(FLAT3, rot, x, np.array([0.0, 0.0, 1.0]))
+    assert scalar.derivative_residual < 1e-12
+    assert vector.first_residual < 1e-12
+    assert vector.second_residual < 1e-12
 
 
 # -- pointwise two-form derivative identity --------------------------------------
