@@ -343,7 +343,7 @@ class _Session:
                     grid=self.cfg["trace_grid"],
                 )
             except PatchError as exc:
-                # Refused zeros (not Killing-type, a correction leaving the
+                # Refused zeros (not Killing-type, a predictor leaving the
                 # chart) are skips; a patch off the zero set is a failure.
                 errors.append({
                     "zero": cls.point,

@@ -18,10 +18,12 @@ Killing (it is holomorphically linearizable to a rotation, so xi is Killing
 for a rescaled metric and the zero is its own component) and gives no
 verdict for any other zero.
 
-``find_zeros`` locates zeros by a grid scan followed by damped Newton
-polishing, and ``limit_point_audit`` cross-checks the classified zeros
-against the structure theory: non-isolated zeros must classify as Killing for a
-rescaled metric, and essential zeros must be isolated.
+``find_zeros`` locates zeros by a grid scan whose seeds ``polish_zeros``
+moves onto xi = 0 all at once, as the lanes of one damped Gauss-Newton
+iteration; tracing in :mod:`confield.zeroset` corrects its patch nodes with
+the same routine.  ``limit_point_audit`` cross-checks the classified zeros
+against the structure theory: non-isolated zeros must classify as Killing
+for a rescaled metric, and essential zeros must be isolated.
 """
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ __all__ = [
     "ZeroClassification",
     "classify_zero",
     "find_zeros",
+    "polish_zeros",
     "ZeroAuditEntry",
     "LimitPointAudit",
     "limit_point_audit",
@@ -111,45 +114,47 @@ def _local_minima_mask(norms: np.ndarray, shape) -> np.ndarray:
     return mask.ravel()
 
 
-def _newton_polish(chart: Chart, xi: FieldSpec, seed: np.ndarray):
-    """Damped least-squares Newton on xi(x) = 0, keeping the best iterate.
+def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarray:
+    """Damped least-squares Gauss-Newton onto xi = 0 from every row of ``points``.
 
-    The least-squares step handles singular Jacobians (zeros along curves,
-    quadratic zeros) where plain Newton would blow up; damping halves the
-    step until the Euclidean residual decreases.  The loop runs to machine
-    precision rather than to the acceptance tolerance because quadratic
-    zeros only gain one bit of accuracy per iteration.  It stops on an
-    all-zero step, which no damping turns into a descent (a constant field
-    gives one at every point).
+    The rows are the lanes of one iteration, which evaluates the 1-jets of
+    xi at all live lanes in one batch.  A lane steps by -J^+ xi, which
+    handles singular Jacobians (zeros along curves, quadratic zeros); with
+    ``normals``, rows spanning a subspace, J is taken on that span.  The
+    step is halved, at most 30 times, while the candidate is outside the
+    chart or does not lower |xi|, so a lane's last iterate is its best.  A
+    lane stops at a zero residual, at an all-zero step (a constant field
+    gives one everywhere) or when no halving descends, and lanes never mix.
+    The iteration runs to machine precision, not to an acceptance
+    tolerance, because quadratic zeros gain one bit per iteration.
     """
-    x = np.asarray(seed, dtype=float).copy()
-    best_x = x.copy()
-    best_r = float(np.linalg.norm(field_value(xi, x)))
+    x = np.array(points, dtype=float)
+    basis = np.eye(chart.dim) if normals is None else normals
+    live = np.ones(len(x), dtype=bool)
     for _ in range(_NEWTON_ITERATIONS):
-        val, jac, _ = field_jets(xi, x, 1)
-        r = float(np.linalg.norm(val))
-        if r < best_r:
-            best_r = r
-            best_x = x.copy()
-        if r == 0.0:
+        lanes = np.flatnonzero(live)
+        if not lanes.size:
             break
-        step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
-        if not step.any():
-            break
+        val, jac, _ = field_jets(xi, x[lanes], 1)
+        step = -(np.linalg.pinv(jac @ basis.T) @ val[..., None])[..., 0] @ basis
+        r = np.linalg.norm(val, axis=-1)
+        go = (r > 0.0) & step.any(axis=-1)
+        pending = go.copy()
         lam = 1.0
-        moved = False
         for _ in range(30):
-            cand = x + lam * step
-            if chart.contains(cand):
-                cr = float(np.linalg.norm(field_value(xi, cand)))
-                if cr < r:
-                    x = cand
-                    moved = True
-                    break
+            todo = np.flatnonzero(pending)
+            if not todo.size:
+                break
+            cand = x[lanes[todo]] + lam * step[todo]
+            inside = chart._inside(cand)
+            cand_r = np.full(len(todo), np.inf)
+            cand_r[inside] = np.linalg.norm(field_value(xi, cand[inside]), axis=-1)
+            down = cand_r < r[todo]
+            x[lanes[todo[down]]] = cand[down]
+            pending[todo[down]] = False
             lam *= 0.5
-        if not moved:
-            break
-    return best_x, best_r
+        live[lanes] = go & ~pending
+    return x
 
 
 def find_zeros(
@@ -160,12 +165,14 @@ def find_zeros(
 ) -> np.ndarray:
     """Zeros of xi inside the chart box, one row per zero.
 
-    Grid points that are axis-direction local minima of |xi|_g seed a
-    damped Newton iteration of ``_NEWTON_ITERATIONS`` steps, the lowest
-    ``_MAX_SEEDS`` of them; polished points are kept when their metric norm
-    is below ``tol`` and they sit at least ``_BOUNDARY_MARGIN`` inside the
-    box.  Duplicates closer than ``_DEDUPE_DISTANCE`` collapse to the best
-    residual and the result is sorted lexicographically.
+    Grid points that are axis-direction local minima of |xi|_g, the lowest
+    ``_MAX_SEEDS`` of them, are polished together as the lanes of one
+    :func:`polish_zeros` call.  Polished points are kept when they sit at
+    least ``_BOUNDARY_MARGIN`` inside the box and their metric norm, from
+    one batched evaluation, is below ``tol``.  Duplicates closer than
+    ``_DEDUPE_DISTANCE`` collapse to the best residual.  The result is
+    sorted lexicographically on coordinates rounded to 12 decimals, so
+    rounding noise (a coordinate of -1e-30 against 0) does not reorder it.
     """
     if grid_resolution < 3:
         raise ValueError("grid_resolution must be at least 3")
@@ -176,28 +183,22 @@ def find_zeros(
     order = np.argsort(norms[mask], kind="stable")
     seeds = seeds[order[:_MAX_SEEDS]]
 
-    accepted: list[np.ndarray] = []
-    residuals: list[float] = []
-    for seed in seeds:
-        x, _ = _newton_polish(chart, xi, seed)
-        if not chart.contains(x, _BOUNDARY_MARGIN):
-            continue
-        r = field_norm(chart, xi, x)
-        if not r < tol:
-            continue
-        accepted.append(x)
-        residuals.append(r)
-    if not accepted:
+    polished = polish_zeros(chart, xi, seeds)
+    polished = polished[chart._inside(polished, _BOUNDARY_MARGIN)]
+    residuals = field_norm(chart, xi, polished)
+    accepted = residuals < tol
+    polished, residuals = polished[accepted], residuals[accepted]
+    if not len(polished):
         return np.empty((0, chart.dim))
 
-    by_quality = np.argsort(np.asarray(residuals), kind="stable")
     kept: list[np.ndarray] = []
-    for idx in by_quality:
-        x = accepted[idx]
+    for idx in np.argsort(residuals, kind="stable"):
+        x = polished[idx]
         if all(np.linalg.norm(x - y) > _DEDUPE_DISTANCE for y in kept):
             kept.append(x)
-    kept.sort(key=lambda p: tuple(p))
-    return np.asarray(kept)
+    kept = np.asarray(kept)
+    key = np.round(kept, 12) + 0.0  # + 0.0 folds -0.0 to 0.0
+    return kept[np.lexsort(key.T[::-1])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,9 +323,12 @@ def limit_point_audit(classifications, radius: float = 0.05) -> LimitPointAudit:
     entries = []
     non_isolated_ok = True
     essential_ok = True
-    for i, (z, cls) in enumerate(zip(zeros, classifications)):
-        others = np.delete(zeros, i, axis=0)
-        nearest = float(np.min(np.linalg.norm(others - z, axis=1))) if len(others) else np.inf
+    # distances[i, j] = |zeros[j] - zeros[i]|, a zero's own distance infinite
+    distances = (np.linalg.norm(zeros[None, :, :] - zeros[:, None, :], axis=-1)
+                 if len(zeros) else np.empty((0, 0)))
+    np.fill_diagonal(distances, np.inf)
+    for z, cls, row in zip(zeros, classifications, distances):
+        nearest = float(row.min())
         isolated = nearest >= radius
         if not isolated and cls.verdict != VERDICT_KILLING:
             non_isolated_ok = False

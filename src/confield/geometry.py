@@ -24,11 +24,11 @@ Index conventions used throughout (and relied on by the test oracles):
   pairs.
 
 Batches: every evaluation here (``metric_jets``, ``connection_data``,
-``field_jets``, ``field_data``, ``spd_inverse``, ``norm_2form`` and the
-curvature and ``lie`` properties) takes one point or an (m, n) array of
-points.  A batch adds a leading axis of length m to every array, with the
-index layout above after it, and the jets of all m points come from one
-walk of each expression tree.
+``field_jets``, ``field_data``, ``spd_inverse``, ``norm_vector``,
+``norm_2form``, ``field_norm`` and the curvature and ``lie`` properties)
+takes one point or an (m, n) array of points.  A batch adds a leading axis of length m to
+every array, with the index layout above after it, and the jets of all m
+points come from one walk of each expression tree.
 
 Metric inverses go through a Cholesky factorization; non-positive-definite
 or badly conditioned (above 1e12) metrics raise :class:`MetricError`, for a
@@ -109,7 +109,7 @@ class Chart:
                     raise ChartError("metric entries must be Expr nodes")
         object.__setattr__(self, "metric", rows)
 
-    def _inside(self, p, margin: float) -> np.ndarray:
+    def _inside(self, p, margin: float = 0.0) -> np.ndarray:
         q = np.asarray(p, dtype=float)
         return np.all((q >= self.lower + margin) & (q <= self.upper - margin), axis=-1)
 
@@ -228,8 +228,7 @@ def spd_inverse(g: np.ndarray) -> np.ndarray:
 
     Takes one matrix or a stack of them.  Uses the Cholesky diagonal as a
     cheap conditioning probe of every matrix and only falls back to an
-    eigenvalue check when a probe is suspicious, since this sits inside the
-    geodesic integration hot loop.
+    eigenvalue check when a probe is suspicious.
     """
     try:
         L = np.linalg.cholesky(g)
@@ -411,8 +410,10 @@ def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
 # ---------------------------------------------------------------------------
 # norms, frames, sampling
 
-def norm_vector(g: np.ndarray, v: np.ndarray) -> float:
-    return float(np.sqrt(max(v @ g @ v, 0.0)))
+def norm_vector(g: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """|v|_g; per point over stacked inputs."""
+    val = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", v, g, v), 0.0))
+    return float(val) if val.ndim == 0 else val
 
 
 def norm_2form(ginv: np.ndarray, T: np.ndarray) -> float | np.ndarray:
@@ -421,7 +422,7 @@ def norm_2form(ginv: np.ndarray, T: np.ndarray) -> float | np.ndarray:
     return float(val) if val.ndim == 0 else val
 
 
-def field_norm(chart: Chart, xi: FieldSpec, p) -> float:
+def field_norm(chart: Chart, xi: FieldSpec, p) -> float | np.ndarray:
     g, _, _ = metric_jets(chart, p, 0)
     return norm_vector(g, field_value(xi, p))
 

@@ -8,13 +8,14 @@ and the metric, and builds a patch of the zero set as a graph over the
 tangent space: a parameter t, a coordinate in the g-orthonormal kernel
 frame at x, is moved from x + t.kernel onto xi = 0 along the normal space
 by Gauss-Newton steps, the corrector step of Allgower & Georg, *Numerical
-Continuation Methods* (1990), ch. 3.  The patch records the field on its
-parameter grid.  ``second_fundamental_form`` measures the extrinsic
-curvature of the zero set at an array of its points, in one batched
-evaluation; ``umbilicity_report`` runs it over the interior nodes of a
-patch and decides whether the patch is totally umbilical (all second
-fundamental form values proportional to the induced metric with a common
-mean curvature vector).
+Continuation Methods* (1990), ch. 3, run by ``find_zeros``' solver
+:func:`~confield.essential.polish_zeros` with every grid node a lane.  The
+patch records the field on its parameter grid.  ``second_fundamental_form``
+measures the extrinsic curvature of the zero set at an array of its
+points, in one batched evaluation; ``umbilicity_report`` runs it over the
+interior nodes of a patch and decides whether the patch is totally
+umbilical (all second fundamental form values proportional to the induced
+metric with a common mean curvature vector).
 
 The second fundamental form comes from exact jets of the field at a point
 of the zero set.  On the zero set N, nabla xi vanishes on TN and is
@@ -36,15 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .essential import VERDICT_KILLING, ZeroClassification
-from .geometry import (
-    Chart,
-    FieldSpec,
-    field_data,
-    field_jets,
-    field_norm,
-    frame_svd,
-)
+from .essential import VERDICT_KILLING, ZeroClassification, polish_zeros
+from .geometry import Chart, FieldSpec, field_data, field_norm, frame_svd
 
 __all__ = [
     "PatchError",
@@ -61,11 +55,8 @@ VERDICT_UMBILICAL = "totally_umbilical"
 VERDICT_NOT_UMBILICAL = "not_umbilical"
 VERDICT_POINT = "point"
 
-# The corrector onto xi = 0 stops at a step below rounding, or after
-# _CORRECTOR_STEPS Gauss-Newton steps; a sample it leaves off the zero set
-# is refused by the verification, which accepts |xi|_g below _VERIFY_TOL.
-_ROUNDING = 8.0 * np.finfo(float).eps
-_CORRECTOR_STEPS = 20
+# A sample that the corrector leaves off the zero set is refused by the
+# verification, which accepts |xi|_g below _VERIFY_TOL.
 _VERIFY_TOL = 1e-5
 
 
@@ -123,17 +114,18 @@ def trace_component(
     the zero x; tracing needs its verdict to be Killing after rescaling
     and reads x, g and the kernel of the derivative 2-form from it.  The
     parameter t is a coordinate in the g-orthonormal frame of that kernel;
-    the grid has side ``2 radius``.  The point for t is x + t.kernel
-    corrected onto xi = 0 along the normal space at x (the rows
-    g-orthogonal to the kernel) by Gauss-Newton, so the patch is the zero
-    set as a graph over its tangent space at x and, by the implicit
-    function theorem, smooth in t.  A correction that leaves the chart
-    raises :class:`PatchError`.  For a zero with a trivial kernel (every
-    Killing-type zero on a surface) the patch is that one point.
+    the grid has side ``2 radius``.  The point for t is the predictor
+    x + t.kernel corrected onto xi = 0 along the normal space at x (the
+    rows g-orthogonal to the kernel) by :func:`polish_zeros`, so the patch
+    is the zero set as a graph over its tangent space at x and, by the
+    implicit function theorem, smooth in t.  ``mapping`` takes one t or an
+    (m, k) array of them; the grid is one call.  A predictor outside the
+    chart raises :class:`PatchError`.  For a zero with a trivial kernel
+    (every Killing-type zero on a surface) the patch is that one point.
 
-    Every sampled point is verified to be a zero within ``_VERIFY_TOL`` as
-    soon as it is mapped; :class:`OffZeroSetError` reports the first
-    sample off the zero set.
+    Every sample is verified to be a zero within ``_VERIFY_TOL``;
+    :class:`OffZeroSetError` reports the first one off the zero set in
+    ``np.ndindex`` order.
     """
     if grid < 3 or grid % 2 == 0:
         raise ValueError("grid must be an odd integer >= 3 so the base is a node")
@@ -151,32 +143,28 @@ def trace_component(
     normals = frame_svd(g, kernel.T @ kernel @ g, "endomorphism").kernel
 
     def mapping(t):
-        y0 = x + np.asarray(t, dtype=float) @ kernel
-        s = np.zeros(n - k)
-        for _ in range(_CORRECTOR_STEPS):
-            y = y0 + s @ normals
-            if not chart.contains(y):
-                raise PatchError(f"the corrector onto xi = 0 leaves the chart at t = {t}")
-            val, jac, _ = field_jets(xi, y, 1)
-            step = np.linalg.lstsq(jac @ normals.T, -val, rcond=None)[0]
-            if np.linalg.norm(step) <= _ROUNDING * (1.0 + np.linalg.norm(y)):
-                break
-            s = s + step
-        return y
+        t = np.asarray(t, dtype=float)
+        predicted = x + t @ kernel
+        inside = chart._inside(predicted)
+        if not np.all(inside):
+            bad = t if t.ndim == 1 else t[np.argmin(inside)]
+            raise PatchError(f"the predictor x + t.kernel leaves the chart at t = {bad}")
+        corrected = polish_zeros(chart, xi, predicted.reshape(-1, n), normals)
+        return corrected.reshape(predicted.shape)
 
     param_axes = tuple(np.linspace(-radius, radius, grid) for _ in range(k))
     shape = (grid,) * k
-    samples = np.empty(shape + (n,))
-    norms = np.empty(shape)
-    for idx in np.ndindex(*shape):
-        t = np.array([param_axes[a][idx[a]] for a in range(k)])
-        samples[idx] = mapping(t)
-        norms[idx] = field_norm(chart, xi, samples[idx])
-        if not norms[idx] < _VERIFY_TOL:
-            raise OffZeroSetError(
-                f"traced patch leaves the zero set: |xi|_g = {norms[idx]:.3e} "
-                f"at t = {t} exceeds {_VERIFY_TOL:.1e}"
-            )
+    params = np.array(list(product(*param_axes))).reshape(grid**k, k)
+    samples = mapping(params)
+    norms = field_norm(chart, xi, samples)
+    off = np.flatnonzero(~(norms < _VERIFY_TOL))
+    if off.size:
+        raise OffZeroSetError(
+            f"traced patch leaves the zero set: |xi|_g = {norms[off[0]]:.3e} "
+            f"at t = {params[off[0]]} exceeds {_VERIFY_TOL:.1e}"
+        )
+    samples = samples.reshape(shape + (n,))
+    norms = norms.reshape(shape)
     return SubmanifoldPatch(
         chart=chart,
         base=x.copy(),

@@ -12,8 +12,9 @@ The Taylor derivatives along a geodesic through a zero come from
 Richardson differences of RK4 runs of the geodesic, at the step 1e-3.
 
 Besides these: a Gram-Schmidt frame, the conformal connection-change
-identity, the symbolic pushforward of a field under the unit inversion,
-and a counter of the lanes and steps of each geodesic integration.
+identity, the symbolic pushforward of a field under the unit inversion, a
+recorder of the calls of a function through every confield binding, and a
+counter of the lanes and steps of each geodesic integration.
 """
 from __future__ import annotations
 
@@ -281,22 +282,41 @@ def pushforward_under_inversion(xi):
     return FieldSpec.vector(xi.chart, comps, name=f"inverted_{xi.name}")
 
 
-def counting_lanes(monkeypatch):
-    """Patch ``geodesic.integrate_geodesic`` to record, per call, the steps
-    of each lane; returns the list the calls are appended to."""
-    import confield.geodesic as geodesic
+def recording_calls(monkeypatch, fn, record):
+    """Patch every binding of ``fn`` in the confield modules, as the
+    benchmark's tracer does, so that a call through any module's name is
+    seen; each call appends ``record(result)`` to the returned list."""
+    import importlib
+    import pkgutil
+
+    import confield
 
     calls = []
-    integrate = geodesic.integrate_geodesic
 
-    def counting(*args, **kwargs):
-        states = integrate(*args, **kwargs)
-        lanes = states[0].position.shape[:-1]
-        calls.append([len(states) - 1] * (lanes[0] if lanes else 1))
-        return states
+    def recording(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append(record(result))
+        return result
 
-    monkeypatch.setattr(geodesic, "integrate_geodesic", counting)
+    modules = [confield] + [importlib.import_module(f"confield.{info.name}")
+                            for info in pkgutil.iter_modules(confield.__path__)]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, recording)
     return calls
+
+
+def counting_lanes(monkeypatch):
+    """Record, per ``integrate_geodesic`` call made through any confield
+    binding, the steps of each lane; returns the list of records."""
+    from confield.geodesic import integrate_geodesic
+
+    def lane_steps(states):
+        lanes = states[0].position.shape[:-1]
+        return [len(states) - 1] * (lanes[0] if lanes else 1)
+
+    return recording_calls(monkeypatch, integrate_geodesic, lane_steps)
 
 
 def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):

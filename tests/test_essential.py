@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import confield.essential as essential
+import confield.geometry as geometry
 import confield.models as models
 from confield.conformal import rescale_metric
 from confield.essential import (
@@ -18,6 +19,7 @@ from confield.essential import (
 )
 from confield.expr import parse
 from confield.geometry import FieldSpec, field_norm, metric_value
+from helpers import recording_calls
 
 FLAT3 = models.euclidean(3)
 SPHERE = models.sphere_stereographic(3)
@@ -126,8 +128,59 @@ def test_classify_refuses_a_nan_zero():
 def test_find_zeros_refuses_a_nan_residual(monkeypatch):
     xi = models.rotation(FLAT3, 1, 2)
     assert len(find_zeros(FLAT3, xi)) > 0
-    monkeypatch.setattr(essential, "field_norm", lambda *args: math.nan)
+    monkeypatch.setattr(essential, "field_norm",
+                        lambda chart, xi, points: np.full(len(points), math.nan))
     assert find_zeros(FLAT3, xi).shape == (0, 3)
+
+
+def test_zero_order_ignores_rounding_noise(monkeypatch):
+    """Zeros on the x3 axis whose x1 is +-1e-30 instead of 0 come out in
+    the same order, by x3, whichever sign each one carries."""
+    xi = models.rotation(FLAT3, 1, 2)
+    polish = essential.polish_zeros
+
+    def zeros_with_noise(sign):
+        def noisy(chart, xi, points, normals=None):
+            out = polish(chart, xi, points, normals)
+            out[:, 0] = sign * 1e-30 * (-1.0) ** np.arange(len(out))
+            return out
+
+        monkeypatch.setattr(essential, "polish_zeros", noisy)
+        return find_zeros(FLAT3, xi)
+
+    plus, minus = zeros_with_noise(1.0), zeros_with_noise(-1.0)
+    assert len(plus) >= 8
+    assert np.array_equal(plus[:, 1:], minus[:, 1:])
+    assert np.all(np.diff(plus[:, 2]) > 1e-3)
+
+
+def test_polished_lanes_do_not_mix(monkeypatch):
+    """The seeds of find_zeros, polished as the lanes of one call, end
+    exactly where each one ends polished alone."""
+    xi = models.special_conformal(HYPER, 1)
+    runs = []
+    polish = essential.polish_zeros
+
+    def recording(chart, xi, points, normals=None):
+        out = polish(chart, xi, points, normals)
+        runs.append((np.array(points), out))
+        return out
+
+    monkeypatch.setattr(essential, "polish_zeros", recording)
+    assert len(find_zeros(HYPER, xi)) == 1
+    (seeds, stacked), = runs
+    assert len(seeds) > 1
+    for seed, row in zip(seeds, stacked):
+        assert np.array_equal(polish(HYPER, xi, seed[None])[0], row)
+
+
+def test_find_zeros_polishes_seeds_together(monkeypatch):
+    """The 47 zeros of sphere_killing(1, 5) on flat R^4 cost a few dozen
+    field_jets calls in all; polishing seed by seed makes 1129 here."""
+    calls = recording_calls(monkeypatch, geometry.field_jets, lambda result: 1)
+    flat4 = models.euclidean(4)
+    assert len(find_zeros(flat4, models.sphere_killing(flat4, 1, 5))) == 47
+    assert len(calls) < 100
 
 
 def test_classification_carries_the_metric_at_the_zero():
@@ -240,6 +293,10 @@ def test_audit_of_circle_zeros_passes():
     assert audit.assertions["essential_zeros_isolated"]
     assert any(not e.isolated for e in audit.entries)
     assert all(abs(e.phi) < 1e-10 for e in audit.entries)
+    # the per-zero loop over the other zeros, as the reference
+    for i, entry in enumerate(audit.entries):
+        others = np.delete(zeros, i, axis=0)
+        assert entry.nearest_distance == np.min(np.linalg.norm(others - zeros[i], axis=1))
 
 
 def test_audit_of_isolated_essential_zero_passes():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import confield.geodesic as geodesic
+import confield.geometry as geometry
 import confield.models as models
 import confield.zeroset as zeroset
 from confield.conformal import rescale_metric
@@ -19,7 +20,12 @@ from confield.zeroset import (
     trace_component,
     umbilicity_report,
 )
-from helpers import fd_second_fundamental_form, map_patch, pointwise_second_fundamental_form
+from helpers import (
+    fd_second_fundamental_form,
+    map_patch,
+    pointwise_second_fundamental_form,
+    recording_calls,
+)
 
 FLAT3 = models.euclidean(3)
 FLAT4 = models.euclidean(4)
@@ -133,27 +139,32 @@ def test_traced_patch_records_its_field():
 
 def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
     """With _VERIFY_TOL = 0 no sample passes, so the verification refuses the
-    first one, the corner of the grid, without mapping the rest: the failed
-    trace makes exactly the corrector evaluations of that one sample."""
-    calls = []
-    field_jets = zeroset.field_jets
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return field_jets(*args, **kwargs)
-
-    monkeypatch.setattr(zeroset, "field_jets", counting)
+    first one in np.ndindex order, the corner of the grid.  The grid is
+    corrected in one call before it is verified, so the failing trace makes
+    the same field evaluations as the passing one."""
+    calls = recording_calls(monkeypatch, geometry.field_jets, lambda result: 1)
     xi = models.sphere_killing(FLAT3, 1, 4)
     zero = classify_zero(FLAT3, xi, np.array([0.0, 1.0, 0.0]))
-    patch = trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
     calls.clear()
-    patch.mapping(patch.param_axes[0][:1])
-    one_sample = len(calls)
+    trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
+    passing = len(calls)
     calls.clear()
     monkeypatch.setattr(zeroset, "_VERIFY_TOL", 0.0)
-    with pytest.raises(OffZeroSetError, match="leaves the zero set"):
+    with pytest.raises(OffZeroSetError, match=r"leaves the zero set: .* at t = \[-0\.3\]"):
         trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
-    assert len(calls) == one_sample > 1
+    assert len(calls) == passing > 1
+
+
+def test_predictor_outside_the_chart_is_a_skip_not_a_failure():
+    """The axis of rotation(1, 2) runs to the box face x3 = 2: from the zero
+    at x3 = 1.9 the predictor x + t.kernel reaches x3 = 2.2 and the trace is
+    refused with a plain PatchError, not as a patch off the zero set."""
+    xi = models.rotation(FLAT3, 1, 2)
+    zero = classify_zero(FLAT3, xi, np.array([0.0, 0.0, 1.9]))
+    with pytest.raises(PatchError, match="predictor") as refused:
+        trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
+    assert not isinstance(refused.value, OffZeroSetError)
+    assert trace_component(FLAT3, xi, zero, radius=0.05, grid=5).max_field_norm == 0.0
 
 
 def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
