@@ -314,16 +314,14 @@ class _Session:
 
     @property
     def classifications(self):
-        """One classification per zero, from the classify stream: classify
-        and tracing read the same verdicts whichever of them runs."""
+        """One classification per zero, from one call on the classify
+        stream: classify and tracing read the same verdicts whichever of
+        them runs."""
         if self._classifications is None:
             tol = self.cfg["tolerances"]
-            rng = self.stream("classify")
-            self._classifications = [
-                classify_zero(self.chart, self.xi, z, tol=tol["classification"],
-                              conformal_tol=tol["conformal"], rng=rng)
-                for z in self.zeros
-            ]
+            self._classifications = classify_zero(
+                self.chart, self.xi, self.zeros, tol=tol["classification"],
+                conformal_tol=tol["conformal"], rng=self.stream("classify"))
         return self._classifications
 
     def patches(self):

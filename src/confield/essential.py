@@ -18,12 +18,17 @@ Killing (it is holomorphically linearizable to a rotation, so xi is Killing
 for a rescaled metric and the zero is its own component) and gives no
 verdict for any other zero.
 
-``find_zeros`` locates zeros by a grid scan whose seeds ``polish_zeros``
-moves onto xi = 0 all at once, as the lanes of one damped Gauss-Newton
-iteration; tracing in :mod:`confield.zeroset` corrects its patch nodes with
-the same routine.  ``limit_point_audit`` cross-checks the classified zeros
-against the structure theory: non-isolated zeros must classify as Killing
-for a rescaled metric, and essential zeros must be isolated.
+``classify_zero`` takes one zero or a stack of them; a stack is classified
+from one batched evaluation of the 2-jets and one conformality check over
+all the neighbourhood samples.
+
+``find_zeros`` locates zeros by a grid scan, in blocks of bounded size,
+whose seeds ``polish_zeros`` moves onto xi = 0 all at once, as the lanes of
+one damped Gauss-Newton iteration; tracing in :mod:`confield.zeroset`
+corrects its patch nodes with the same routine.  ``limit_point_audit``
+cross-checks the classified zeros against the structure theory:
+non-isolated zeros must classify as Killing for a rescaled metric, and
+essential zeros must be isolated.
 """
 from __future__ import annotations
 
@@ -70,6 +75,8 @@ _MAX_SEEDS = 64
 _NEWTON_ITERATIONS = 50
 _BOUNDARY_MARGIN = 1e-3
 _DEDUPE_DISTANCE = 1e-6
+# grid points evaluated together in the scan of find_zeros
+_GRID_BLOCK = 2048
 # radius and sample count of the ball on which conformality is checked
 # around a zero
 _NEIGHBORHOOD = (0.05, 20)
@@ -89,13 +96,17 @@ def _grid_points(chart: Chart, resolution: int) -> np.ndarray:
 
 
 def _grid_norms(chart: Chart, xi: FieldSpec, points: np.ndarray) -> np.ndarray:
-    """Squared metric norm of xi over the grid, in one batched evaluation."""
+    """Squared metric norm of xi over the grid, evaluated and reduced in
+    blocks of ``_GRID_BLOCK`` points, so only the norms outlive a block."""
     n = chart.dim
     exprs = list(chart.metric_entries()) + list(xi.components)
-    vals = eval_values_many(exprs, points)
-    gvals = vals[: n * n].reshape(n, n, -1)
-    fvals = vals[n * n :]
-    return np.einsum("ijm,im,jm->m", gvals, fvals, fvals)
+    norms = np.empty(len(points))
+    for start in range(0, len(points), _GRID_BLOCK):
+        vals = eval_values_many(exprs, points[start : start + _GRID_BLOCK])
+        gvals = vals[: n * n].reshape(n, n, -1)
+        fvals = vals[n * n :]
+        norms[start : start + _GRID_BLOCK] = np.einsum("ijm,im,jm->m", gvals, fvals, fvals)
+    return norms
 
 
 def _local_minima_mask(norms: np.ndarray, shape) -> np.ndarray:
@@ -124,7 +135,9 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarra
     step is halved, at most 30 times, while the candidate is outside the
     chart or does not lower |xi|, so a lane's last iterate is its best.  A
     lane stops at a zero residual, at an all-zero step (a constant field
-    gives one everywhere) or when no halving descends, and lanes never mix.
+    gives one everywhere), when no halving descends, or as soon as its
+    candidate rounds to its current point in every coordinate: fl(x + l s)
+    is monotone in l, so no smaller step could move it.  Lanes never mix.
     The iteration runs to machine precision, not to an acceptance
     tolerance, because quadratic zeros gain one bit per iteration.
     """
@@ -138,22 +151,26 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarra
         val, jac, _ = field_jets(xi, x[lanes], 1)
         step = -(np.linalg.pinv(jac @ basis.T) @ val[..., None])[..., 0] @ basis
         r = np.linalg.norm(val, axis=-1)
-        go = (r > 0.0) & step.any(axis=-1)
-        pending = go.copy()
+        pending = (r > 0.0) & step.any(axis=-1)
+        live[lanes] = False
         lam = 1.0
         for _ in range(30):
             todo = np.flatnonzero(pending)
             if not todo.size:
                 break
-            cand = x[lanes[todo]] + lam * step[todo]
+            base = x[lanes[todo]]
+            cand = base + lam * step[todo]
             inside = chart._inside(cand)
             cand_r = np.full(len(todo), np.inf)
             cand_r[inside] = np.linalg.norm(field_value(xi, cand[inside]), axis=-1)
             down = cand_r < r[todo]
-            x[lanes[todo[down]]] = cand[down]
-            pending[todo[down]] = False
+            moved = lanes[todo[down]]
+            x[moved] = cand[down]
+            live[moved] = True
+            # fl(base + lam * step) is monotone in lam, so a candidate that
+            # rounds to its lane's point does so at every smaller lam
+            pending[todo] = ~down & (cand != base).any(axis=-1)
             lam *= 0.5
-        live[lanes] = go & ~pending
     return x
 
 
@@ -165,12 +182,16 @@ def find_zeros(
 ) -> np.ndarray:
     """Zeros of xi inside the chart box, one row per zero.
 
+    The grid is scanned in blocks of ``_GRID_BLOCK`` points, each one
+    batched evaluation of the metric and field reduced to |xi|_g^2 before
+    the next, so the scan holds the grid's norms and one block of values.
     Grid points that are axis-direction local minima of |xi|_g, the lowest
     ``_MAX_SEEDS`` of them, are polished together as the lanes of one
     :func:`polish_zeros` call.  Polished points are kept when they sit at
     least ``_BOUNDARY_MARGIN`` inside the box and their metric norm, from
     one batched evaluation, is below ``tol``.  Duplicates closer than
-    ``_DEDUPE_DISTANCE`` collapse to the best residual.  The result is
+    ``_DEDUPE_DISTANCE`` collapse to the best residual: one pairwise
+    distance matrix, read greedily in residual order.  The result is
     sorted lexicographically on coordinates rounded to 12 decimals, so
     rounding noise (a coordinate of -1e-30 against 0) does not reorder it.
     """
@@ -191,12 +212,13 @@ def find_zeros(
     if not len(polished):
         return np.empty((0, chart.dim))
 
-    kept: list[np.ndarray] = []
-    for idx in np.argsort(residuals, kind="stable"):
-        x = polished[idx]
-        if all(np.linalg.norm(x - y) > _DEDUPE_DISTANCE for y in kept):
-            kept.append(x)
-    kept = np.asarray(kept)
+    polished = polished[np.argsort(residuals, kind="stable")]
+    distances = np.linalg.norm(polished[:, None, :] - polished[None, :, :], axis=-1)
+    keep: list[int] = []
+    for i, row in enumerate(distances):
+        if np.all(row[keep] > _DEDUPE_DISTANCE):
+            keep.append(i)
+    kept = polished[keep]
     key = np.round(kept, 12) + 0.0  # + 0.0 folds -0.0 to 0.0
     return kept[np.lexsort(key.T[::-1])]
 
@@ -229,13 +251,20 @@ def classify_zero(
     tol: float = 1e-6,
     conformal_tol: float = 1e-7,
     rng=None,
-) -> ZeroClassification:
-    """Classify a zero as essential, homothetic, or Killing after rescaling.
+) -> ZeroClassification | tuple:
+    """Classify zeros as essential, homothetic, or Killing after rescaling.
 
-    x must satisfy |xi(x)|_g < tol.  The verdict is derived from whether
-    grad phi lies in the image of nabla xi (within ``tol`` relative to the
-    gradient size) and whether phi vanishes; conformality of xi is first
-    verified on a ``_NEIGHBORHOOD`` sample ball around x, and a failure
+    ``x`` is one point, classified as a batch of one into one
+    :class:`ZeroClassification`, or an (m, n) array of points, classified
+    together into a tuple of m (an empty array gives ``()``).  Every point
+    must satisfy |xi|_g < tol; a row that does not, or is NaN, raises
+    ``ValueError`` naming it.  The 2-jets of all points come from one
+    :func:`~confield.geometry.field_data` call.  The verdict is derived from
+    whether grad phi lies in the image of nabla xi (within ``tol`` relative
+    to the gradient size) and whether phi vanishes; conformality of xi is
+    first verified on a ``_NEIGHBORHOOD`` sample ball around each zero, the
+    balls drawn zero by zero from ``rng`` and checked in one
+    :func:`~confield.conformal.is_conformal` call, and a failure
     short-circuits to the ``invalid_not_conformal`` verdict.
 
     On a surface the image criterion does not apply.  A zero with
@@ -244,51 +273,60 @@ def classify_zero(
     other zero of a conformal field gets the verdict ``None``.
     """
     x = np.asarray(x, dtype=float)
-    chart.require_interior(x)
-    fd = field_data(chart, xi, x, 2)
-    g, N, M, phi, dphi = fd.conn.g, fd.N, fd.M, fd.phi, fd.dphi
-    if not norm_vector(g, fd.value) < tol:
-        raise ValueError("classify_zero expects a zero of the field")
+    points = np.atleast_2d(x)
+    if not len(points):
+        return ()
+    chart.require_interior(points)
+    fd = field_data(chart, xi, points, 2)
+    norms = norm_vector(fd.conn.g, fd.value)
+    for row, norm in enumerate(norms):
+        if not norm < tol:
+            raise ValueError(
+                f"classify_zero expects a zero of the field: row {row} has |xi|_g = {norm}"
+            )
     if rng is None:
         rng = np.random.default_rng(0)
-
-    nabla_svd = frame_svd(g, N, "endomorphism")
-    b_frame = nabla_svd.Linv @ dphi
-    Ur = nabla_svd.U[:, : nabla_svd.rank]
-    proj = Ur @ (Ur.T @ b_frame)
-    image_residual = float(np.linalg.norm(b_frame - proj))
-    b_scale = float(np.linalg.norm(b_frame))
-
-    dxi_svd = frame_svd(g, M, "skew_form")
-    rank_dxi = dxi_svd.rank
-    kernel_dim = chart.dim - rank_dxi
-    kernel_basis = dxi_svd.kernel
-
-    samples = sample_ball(chart, x, *_NEIGHBORHOOD, rng)
+    samples = np.concatenate([sample_ball(chart, p, *_NEIGHBORHOOD, rng) for p in points])
     report = is_conformal(chart, xi, samples, conformal_tol)
+    # each zero's worst residual over its own ball; a NaN stays NaN
+    neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)
 
-    if not report.conformal:
-        verdict = VERDICT_INVALID
-    elif chart.dim < 3:
-        verdict = VERDICT_KILLING if abs(phi) < tol and kernel_dim == 0 else None
-    elif image_residual < tol * (1.0 + b_scale):
-        verdict = VERDICT_KILLING if abs(phi) < tol else VERDICT_HOMOTHETIC
-    else:
-        verdict = VERDICT_ESSENTIAL
+    classes = []
+    rows = zip(points, fd.conn.g, fd.N, fd.M, fd.phi, fd.dphi, neighborhood)
+    for p, g, N, M, phi, dphi, residual in rows:
+        nabla_svd = frame_svd(g, N, "endomorphism")
+        b_frame = nabla_svd.Linv @ dphi
+        Ur = nabla_svd.U[:, : nabla_svd.rank]
+        proj = Ur @ (Ur.T @ b_frame)
+        image_residual = float(np.linalg.norm(b_frame - proj))
+        b_scale = float(np.linalg.norm(b_frame))
 
-    return ZeroClassification(
-        point=x,
-        metric=g,
-        verdict=verdict,
-        phi=phi,
-        dphi=dphi,
-        dxi=M,
-        image_residual=image_residual,
-        kernel_dim=kernel_dim,
-        rank_dxi=rank_dxi,
-        kernel_basis=kernel_basis,
-        neighborhood_residual=report.max_residual,
-    )
+        dxi_svd = frame_svd(g, M, "skew_form")
+        kernel_dim = chart.dim - dxi_svd.rank
+
+        if not residual < conformal_tol:
+            verdict = VERDICT_INVALID
+        elif chart.dim < 3:
+            verdict = VERDICT_KILLING if abs(phi) < tol and kernel_dim == 0 else None
+        elif image_residual < tol * (1.0 + b_scale):
+            verdict = VERDICT_KILLING if abs(phi) < tol else VERDICT_HOMOTHETIC
+        else:
+            verdict = VERDICT_ESSENTIAL
+
+        classes.append(ZeroClassification(
+            point=p,
+            metric=g,
+            verdict=verdict,
+            phi=float(phi),
+            dphi=dphi,
+            dxi=M,
+            image_residual=image_residual,
+            kernel_dim=kernel_dim,
+            rank_dxi=dxi_svd.rank,
+            kernel_basis=dxi_svd.kernel,
+            neighborhood_residual=float(residual),
+        ))
+    return classes[0] if x.ndim == 1 else tuple(classes)
 
 
 @dataclass(frozen=True, eq=False)

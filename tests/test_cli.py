@@ -403,14 +403,15 @@ def test_surface_zero_where_nabla_xi_vanishes_is_skipped(tmp_path):
 
 
 def test_each_zero_is_classified_once(tmp_path, monkeypatch):
-    """classify, trace and umbilicity read one classification per zero;
-    calls are counted in every confield module that binds classify_zero."""
+    """classify, trace and umbilicity read the classifications of one
+    classify_zero call on all the zeros; calls are counted in every confield
+    module that binds classify_zero."""
     calls = []
     classify_zero = essential.classify_zero
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return classify_zero(*args, **kwargs)
+    def counting(chart, xi, x, *args, **kwargs):
+        calls.append(np.array(x))
+        return classify_zero(chart, xi, x, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("confield") and vars(module).get("classify_zero") is classify_zero:
@@ -423,9 +424,11 @@ def test_each_zero_is_classified_once(tmp_path, monkeypatch):
     }
     code, report = _run_to_report(tmp_path, manifest)
     assert code == 0
-    zeros = len(report["analyses"]["classify"]["entries"])
+    zeros = [entry["point"] for entry in report["analyses"]["classify"]["entries"]]
     assert len(report["analyses"]["umbilicity"]["patches"]) == 2
-    assert zeros > 2 and len(calls) == zeros
+    assert len(zeros) > 2
+    (points,) = calls
+    assert np.array_equal(points, zeros)
 
 
 def test_circle_zero_scenario_via_manifest(tmp_path):

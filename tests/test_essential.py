@@ -1,5 +1,6 @@
 """Zero finding, zero classification, and isolation audits."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from confield.essential import (
     VERDICT_HOMOTHETIC,
     VERDICT_INVALID,
     VERDICT_KILLING,
+    ZeroClassification,
     classify_zero,
     find_zeros,
     limit_point_audit,
 )
 from confield.expr import parse
 from confield.geometry import FieldSpec, field_norm, metric_value
+from confield.zeroset import trace_component
 from helpers import recording_calls
 
 FLAT3 = models.euclidean(3)
@@ -183,10 +186,130 @@ def test_find_zeros_polishes_seeds_together(monkeypatch):
     assert len(calls) < 100
 
 
+@pytest.mark.parametrize("chart,xi", [
+    (HYPER, models.special_conformal(HYPER, 1)),
+    (SPHERE, models.rotation(SPHERE, 1, 2)),
+], ids=["hyperbolic_ball_3-special_conformal_1", "sphere_stereographic_3-rotation_12"])
+def test_dedupe_keeps_what_the_pairwise_loop_keeps(monkeypatch, chart, xi):
+    """The distance matrix read greedily in residual order keeps the zeros
+    that comparing each polished seed with every kept zero keeps."""
+    polish = essential.polish_zeros
+    runs = []
+
+    def recording(chart, xi, points, normals=None):
+        runs.append(polish(chart, xi, points, normals))
+        return runs[-1]
+
+    monkeypatch.setattr(essential, "polish_zeros", recording)
+    zeros = find_zeros(chart, xi)
+    (polished,) = runs
+    polished = polished[chart._inside(polished, essential._BOUNDARY_MARGIN)]
+    residuals = field_norm(chart, xi, polished)
+    kept = []
+    for idx in np.argsort(residuals, kind="stable"):
+        x = polished[idx]
+        if residuals[idx] < 1e-10 and all(
+            np.linalg.norm(x - y) > essential._DEDUPE_DISTANCE for y in kept
+        ):
+            kept.append(x)
+    assert len(polished) > len(zeros) == len(kept)
+    key = np.round(kept, 12) + 0.0
+    assert np.array_equal(zeros, np.asarray(kept)[np.lexsort(key.T[::-1])])
+
+
+def test_trace_stops_lanes_at_rounding_level(monkeypatch):
+    """Corrector lanes whose candidate rounds back to their own point stop
+    halving: tracing the first zero of sphere_killing(1, 5) on flat R^4
+    makes 123 field_value calls when each stalled lane halves 30 times."""
+    flat4 = models.euclidean(4)
+    xi = models.sphere_killing(flat4, 1, 5)
+    zero = classify_zero(flat4, xi, find_zeros(flat4, xi)[0])
+    calls = recording_calls(monkeypatch, geometry.field_value, lambda result: 1)
+    trace_component(flat4, xi, zero, radius=0.3, grid=5)
+    assert 0 < len(calls) <= 30
+
+
+def test_grid_scan_holds_one_block():
+    """The scan of 20^4 grid points keeps the norms and one block of values,
+    not every value of the grid (about 45 MB)."""
+    flat4 = models.euclidean(4)
+    xi = models.sphere_killing(flat4, 1, 5)
+    points = essential._grid_points(flat4, 20)
+    tracemalloc.start()
+    try:
+        essential._grid_norms(flat4, xi, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_grid_blocks_match_one_evaluation(monkeypatch):
+    """13^3 = 2197 points, a block and a part: the blocked norms equal
+    those of one evaluation over the whole grid."""
+    xi = models.sphere_killing(SPHERE, 1, 4)
+    points = essential._grid_points(SPHERE, 13)
+    assert len(points) % essential._GRID_BLOCK
+    blocked = essential._grid_norms(SPHERE, xi, points)
+    monkeypatch.setattr(essential, "_GRID_BLOCK", len(points))
+    assert np.array_equal(blocked, essential._grid_norms(SPHERE, xi, points))
+
+
 def test_classification_carries_the_metric_at_the_zero():
     z = np.array([0.0, 0.0, 0.4])
     cls = classify_zero(SPHERE, models.sphere_killing(SPHERE, 1, 2), z)
     assert np.array_equal(cls.metric, metric_value(SPHERE, z))
+
+
+CLASSIFY_CASES = models.standard_pairs(3) + [
+    (models.euclidean(4), models.sphere_killing(models.euclidean(4), 1, 5)),
+]
+
+
+@pytest.mark.parametrize("chart,xi", CLASSIFY_CASES,
+                         ids=lambda case: getattr(case, "name", None))
+def test_stacked_classification_matches_per_zero_calls(chart, xi):
+    """One call on all zeros equals one call per zero, field by field, when
+    the per-zero calls draw their balls from one stream in the same order."""
+    zeros = find_zeros(chart, xi)
+    stacked = classify_zero(chart, xi, zeros, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    singles = [classify_zero(chart, xi, z, rng=rng) for z in zeros]
+    assert isinstance(stacked, tuple) and len(stacked) == len(zeros)
+    for a, b in zip(stacked, singles):
+        for name in ZeroClassification.__dataclass_fields__:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_surface_stack_keeps_surface_verdicts():
+    flat2 = models.euclidean(2)
+    stack = np.array([[0.0, 0.0], [0.0, 0.0]])
+    rotation = classify_zero(flat2, models.rotation(flat2), stack)
+    assert [cls.verdict for cls in rotation] == [VERDICT_KILLING] * 2
+    assert [cls.kernel_dim for cls in rotation] == [0, 0]
+    euler = classify_zero(flat2, models.euler(flat2), stack)
+    assert [cls.verdict for cls in euler] == [None, None]
+
+
+def test_stack_with_a_nonzero_row_names_it():
+    stack = np.array([[0.0, 0.0, 0.3], [0.5, 0.5, 0.0]])
+    with pytest.raises(ValueError, match="row 1 has"):
+        classify_zero(FLAT3, models.rotation(FLAT3), stack)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stack_with_a_nan_row_names_it():
+    """exp(-inf * x3^2) is 0 off the plane x3 = 0 and NaN on it."""
+    xi = FieldSpec.vector(
+        FLAT3, tuple(parse(s, 3) for s in ("x1", "x2", "exp(-1e200*1e200*x3^2)"))
+    )
+    stack = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="row 1 has .* nan"):
+        classify_zero(FLAT3, xi, stack)
+
+
+def test_empty_stack_classifies_to_nothing():
+    assert classify_zero(FLAT3, models.rotation(FLAT3), np.empty((0, 3))) == ()
 
 
 def test_rotation_zero_is_killing_type():
