@@ -3,12 +3,13 @@
 ``confield run manifest.json`` reads a JSON manifest describing a chart, a
 field, and a list of analyses, executes them in the declared order, each
 with its own seeded random stream, and emits a JSON report.  Reports are
-byte-identical across runs for the same manifest and seed: floats are
-written with 17 significant digits through a deterministic writer rather
-than the default repr, and non-finite values become strings.
+byte-identical across runs for the same manifest and seed: ``json.dumps``
+writes each float as its shortest round-trip repr, and non-finite values
+become strings.
 
 Exit codes: 0 when every analysis passed, 1 when an analysis failed or
-raised, 2 for malformed manifests or unusable charts/fields.
+raised, 2 for malformed manifests, unusable charts/fields or a report that
+cannot be written.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import inspect
 import json
 import math
 import sys
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -100,61 +102,23 @@ class ManifestError(ValueError):
 # deterministic JSON writing
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
-
-
-def _render(obj, indent: int, out: list):
-    pad = "  " * indent
-    child = "  " * (indent + 1)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, np.ndarray):
-        _render(obj.tolist(), indent, out)
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for k, (key, value) in enumerate(items):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {type(key)}")
-            out.append(child + json.dumps(key) + ": ")
-            _render(value, indent + 1, out)
-            out.append(",\n" if k + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, value in enumerate(obj):
-            out.append(child)
-            _render(value, indent + 1, out)
-            out.append(",\n" if k + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)} into a report")
+def _plain(obj):
+    """``obj`` as plain Python values for ``json.dumps``: arrays and numpy
+    scalars become lists and numbers, and a non-finite float the string
+    ``"nan"``, ``"inf"`` or ``"-inf"``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
 
 
 def render_report(report: dict) -> str:
-    out: list = []
-    _render(report, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(_plain(report), indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +173,8 @@ def _build_chart(spec) -> Chart:
                       upper=np.asarray(upper, dtype=float), metric=rows,
                       name=str(spec.get("name", "inline_chart")))
         chart.validate_spd(np.random.default_rng(0), samples=10)
+    except RecursionError:
+        raise ManifestError("bad metric expression: nested too deeply to evaluate") from None
     except (ChartError, MetricError, ValueError) as exc:
         raise ManifestError(f"unusable chart: {exc}") from exc
     return chart
@@ -292,41 +258,29 @@ class _Session:
         self.chart = chart
         self.xi = xi
         self.cfg = cfg
-        self._zeros = None
-        self._classifications = None
-        self._patches = None
 
     def stream(self, analysis: str) -> np.random.Generator:
         """A fresh generator of the analysis' own stream: its numbers do not
         depend on which other analyses run."""
         return np.random.default_rng([self.cfg["seed"], ANALYSES.index(analysis)])
 
-    @property
+    @cached_property
     def zeros(self):
-        if self._zeros is None:
-            self._zeros = find_zeros(
-                self.chart,
-                self.xi,
-                grid_resolution=self.cfg["grid_resolution"],
-                tol=self.cfg["tolerances"]["zero"],
-            )
-        return self._zeros
+        return find_zeros(self.chart, self.xi, grid_resolution=self.cfg["grid_resolution"],
+                          tol=self.cfg["tolerances"]["zero"])
 
-    @property
+    @cached_property
     def classifications(self):
         """One classification per zero, from one call on the classify
         stream: classify and tracing read the same verdicts whichever of
         them runs."""
-        if self._classifications is None:
-            tol = self.cfg["tolerances"]
-            self._classifications = classify_zero(
-                self.chart, self.xi, self.zeros, tol=tol["classification"],
-                conformal_tol=tol["conformal"], rng=self.stream("classify"))
-        return self._classifications
+        tol = self.cfg["tolerances"]
+        return classify_zero(
+            self.chart, self.xi, self.zeros, tol=tol["classification"],
+            conformal_tol=tol["conformal"], rng=self.stream("classify"))
 
+    @cached_property
     def patches(self):
-        if self._patches is not None:
-            return self._patches
         built = []
         errors = []
         for cls in self.classifications:
@@ -350,8 +304,7 @@ class _Session:
                 })
                 continue
             built.append(patch)
-        self._patches = (built, errors)
-        return self._patches
+        return built, errors
 
 
 def _run_check_conformal(session: _Session) -> dict:
@@ -458,7 +411,7 @@ def _run_verify_identities(session: _Session) -> dict:
 
 
 def _run_trace(session: _Session) -> dict:
-    built, errors = session.patches()
+    built, errors = session.patches
     patches = []
     for patch in built:
         patches.append(
@@ -483,7 +436,7 @@ def _run_trace(session: _Session) -> dict:
 
 
 def _run_umbilicity(session: _Session) -> dict:
-    built, errors = session.patches()
+    built, errors = session.patches
     tol = session.cfg["tolerances"]["umbilicity"]
     entries = []
     # A zero whose traced patch left the zero set has no verdict here.
@@ -531,6 +484,10 @@ def run_manifest(manifest: dict, args) -> tuple[dict, int]:
     _require("field" in manifest, "manifest needs a 'field' entry")
     chart = _build_chart(manifest["chart"])
     xi = _build_field(chart, manifest["field"])
+    try:  # a tree too deep to print is refused before any analysis runs
+        components = [str(c) for c in xi.components]
+    except RecursionError:
+        raise ManifestError("bad field expression: nested too deeply to print") from None
     analyses = _resolve_analyses(manifest)
     cfg = _resolve_config(manifest, args)
     session = _Session(chart, xi, cfg)
@@ -554,7 +511,7 @@ def run_manifest(manifest: dict, args) -> tuple[dict, int]:
         },
         "field": {
             "name": xi.name,
-            "components": [str(c) for c in xi.components],
+            "components": components,
         },
         "config": cfg,
         "analyses": results,
@@ -709,8 +666,12 @@ def main(argv=None) -> int:
 
     text = render_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return exit_code

@@ -612,8 +612,12 @@ def parse(source: str, dim: int) -> Expr:
     """Parse an expression in coordinates ``x1 .. x{dim}``.
 
     Raises :class:`ExprSyntaxError` with a character position on malformed
-    input, unknown identifiers, or coordinate indices beyond ``dim``.
+    input, unknown identifiers, or coordinate indices beyond ``dim``, and at
+    position 0 on nesting deeper than the recursive descent can follow.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    return _Parser(source, dim).parse()
+    try:
+        return _Parser(source, dim).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None

@@ -23,10 +23,10 @@ so a wrong target is still caught.
 
 Geodesics themselves are integrated by ``integrate_geodesic``, a fixed-step
 classical RK4 scheme on the first-order system (x, v) together with a
-parallel orthonormal frame, for one geodesic or several lanes in lockstep;
-``exp_map`` sits on top of it.  No analysis calls them.  They stay as the
-independent reference that the tests hold the jet formulas against, and as
-layer boundaries of the benchmark's tracer.
+parallel orthonormal frame, one geodesic per call; ``exp_map`` sits on top
+of it.  No analysis calls them.  They stay as the independent reference
+that the tests hold the jet formulas against, and as layer boundaries of
+the benchmark's tracer.
 
 ``dxi_identity_residual`` checks the pointwise curvature identity
 
@@ -79,10 +79,7 @@ class DomainExitError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GeodesicState:
-    """Snapshot along a geodesic; frame rows are parallel unit vectors.
-
-    For lanes, every field carries the leading lane axis.
-    """
+    """Snapshot along a geodesic; frame rows are parallel unit vectors."""
 
     t: float
     position: np.ndarray
@@ -90,19 +87,15 @@ class GeodesicState:
     frame: np.ndarray
 
 
-def _speed(g: np.ndarray, v: np.ndarray):
-    """|v|_g per lane, or NaN for a lane whose v is not finite, which then
-    enters no product; a float for one vector."""
-    n = v.shape[-1]
-    speeds = [norm_vector(gl, vl) if np.isfinite(vl).all() else math.nan
-              for gl, vl in zip(g.reshape(-1, n, n), v.reshape(-1, n))]
-    return np.reshape(speeds, v.shape[:-1])[()]
+def _speed(g: np.ndarray, v: np.ndarray) -> float:
+    """|v|_g, or NaN for a v that is not finite, which then enters no product."""
+    return norm_vector(g, v) if np.isfinite(v).all() else math.nan
 
 
 def _rhs(chart: Chart, x, v, frame):
     Gam = christoffel_matrix(chart, x)
-    acc = -np.einsum("...kij,...i,...j->...k", Gam, v, v)
-    dframe = -np.einsum("...kij,...i,...aj->...ak", Gam, v, frame)
+    acc = -np.einsum("kij,i,j->k", Gam, v, v)
+    dframe = -np.einsum("kij,i,aj->ak", Gam, v, frame)
     return v, acc, dframe
 
 
@@ -110,61 +103,54 @@ def integrate_geodesic(
     chart: Chart,
     x,
     v,
-    length,
+    length: float,
     steps: int,
     initial_frame: np.ndarray | None = None,
 ) -> list[GeodesicState]:
     """Unit-speed geodesic from x in direction v, integrated to ``length``.
 
-    x and v are one point and vector, or (L, n) arrays of L lanes stepped in
-    lockstep; ``length`` is a scalar or one length per lane, so each lane
-    has its own step size.  The initial velocity is normalized in the
-    metric at x.  A parallel frame is carried along, starting from
-    ``initial_frame`` (shared by the lanes, or one per lane) or, by default,
+    The initial velocity is normalized in the metric at x.  A parallel
+    frame is carried along, starting from ``initial_frame`` or, by default,
     from an orthonormal frame completing v.  The returned list holds every
-    RK4 step, starting with the initial state.  If a trajectory exits the
-    chart box the list is truncated at the last state at which every lane
-    is interior.
+    RK4 step, starting with the initial state.  If the trajectory exits the
+    chart box the list is truncated at the last interior state.
     """
     chart.require_interior(x)
     if steps < 1:
         raise ValueError("steps must be positive")
     x = np.asarray(x, dtype=float).copy()
-    v = np.asarray(v, dtype=float).copy()
+    v = np.asarray(v, dtype=float)
     g, _, _ = metric_jets(chart, x, 0)
     speed = _speed(g, v)
-    if not np.all(np.isfinite(speed) & (speed > 0)):
+    if not (math.isfinite(speed) and speed > 0):
         raise ValueError(f"initial velocity must be finite and nonzero, got speed {speed}")
-    v = v / np.asarray(speed)[..., None]
-    n = chart.dim
-    if initial_frame is not None:
-        frame = np.broadcast_to(np.asarray(initial_frame, dtype=float), v.shape + (n,)).copy()
+    v = v / speed
+    if initial_frame is None:
+        frame = complete_orthonormal_frame(g, v)
     else:
-        frame = np.reshape([complete_orthonormal_frame(gl, vl) for gl, vl in
-                            zip(g.reshape(-1, n, n), v.reshape(-1, n))], v.shape + (n,))
-    step = np.asarray(length, dtype=float) / steps
-    h, hf = step[..., None], step[..., None, None]  # for vectors and frames
-    states = [GeodesicState((0.0 * step)[()], x.copy(), v.copy(), frame.copy())]
+        frame = np.array(initial_frame, dtype=float)
+    h = length / steps
+    states = [GeodesicState(0.0, x.copy(), v.copy(), frame.copy())]
     for k in range(steps):
         k1 = _rhs(chart, x, v, frame)
         x2 = x + 0.5 * h * k1[0]
         if not chart.contains(x2, _BOUNDARY_EPS):
             break
-        k2 = _rhs(chart, x2, v + 0.5 * h * k1[1], frame + 0.5 * hf * k1[2])
+        k2 = _rhs(chart, x2, v + 0.5 * h * k1[1], frame + 0.5 * h * k1[2])
         x3 = x + 0.5 * h * k2[0]
         if not chart.contains(x3, _BOUNDARY_EPS):
             break
-        k3 = _rhs(chart, x3, v + 0.5 * h * k2[1], frame + 0.5 * hf * k2[2])
+        k3 = _rhs(chart, x3, v + 0.5 * h * k2[1], frame + 0.5 * h * k2[2])
         x4 = x + h * k3[0]
         if not chart.contains(x4, _BOUNDARY_EPS):
             break
-        k4 = _rhs(chart, x4, v + h * k3[1], frame + hf * k3[2])
+        k4 = _rhs(chart, x4, v + h * k3[1], frame + h * k3[2])
         x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         v = v + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        frame = frame + (hf / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        frame = frame + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         if not chart.contains(x, _BOUNDARY_EPS):
             break
-        states.append(GeodesicState(((k + 1) * step)[()], x.copy(), v.copy(), frame.copy()))
+        states.append(GeodesicState((k + 1) * h, x.copy(), v.copy(), frame.copy()))
     return states
 
 

@@ -14,7 +14,7 @@ Richardson differences of RK4 runs of the geodesic, at the step 1e-3.
 Besides these: a Gram-Schmidt frame, the conformal connection-change
 identity, the symbolic pushforward of a field under the unit inversion, a
 recorder of the calls of a function through every confield binding, and a
-counter of the lanes and steps of each geodesic integration.
+counter of the steps of each geodesic integration.
 """
 from __future__ import annotations
 
@@ -307,16 +307,12 @@ def recording_calls(monkeypatch, fn, record):
     return calls
 
 
-def counting_lanes(monkeypatch):
-    """Record, per ``integrate_geodesic`` call made through any confield
-    binding, the steps of each lane; returns the list of records."""
+def counting_steps(monkeypatch):
+    """Record the RK4 steps of each ``integrate_geodesic`` call made through
+    any confield binding; returns the list of step counts."""
     from confield.geodesic import integrate_geodesic
 
-    def lane_steps(states):
-        lanes = states[0].position.shape[:-1]
-        return [len(states) - 1] * (lanes[0] if lanes else 1)
-
-    return recording_calls(monkeypatch, integrate_geodesic, lane_steps)
+    return recording_calls(monkeypatch, integrate_geodesic, lambda states: len(states) - 1)
 
 
 def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
@@ -325,11 +321,11 @@ def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
     (lowered) in the parallel frame that starts at
     ``complete_orthonormal_frame(g, v)``.
 
-    The states at t = +-h and +-h/2 come from two RK4 lanes of ``steps``
-    steps, to h and to -h, integrated in one call; the derivatives are
-    Richardson limits of central differences.  A negative time is reached
-    along the reversed geodesic, whose parallel frame is the frame of c(-t),
-    so its velocity is negated and its frame kept.
+    The states at t = +-h and +-h/2 come from two RK4 runs of ``steps``
+    steps, to h and to -h; the derivatives are Richardson limits of central
+    differences.  A negative time is reached along the reversed geodesic,
+    whose parallel frame is the frame of c(-t), so its velocity is negated
+    and its frame kept.
     """
     from confield.geodesic import integrate_geodesic
     from confield.geometry import (complete_orthonormal_frame, field_value,
@@ -340,17 +336,15 @@ def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
     v = np.asarray(v, dtype=float)
     v = v / norm_vector(g, v)
     frame0 = complete_orthonormal_frame(g, v)
-    signs = np.array([[1.0], [-1.0]])
-    states = integrate_geodesic(chart, np.tile(x, (2, 1)), signs * v, h, steps,
-                                initial_frame=frame0)
-    assert len(states) == steps + 1, "the stencil leaves the chart"
     f, a = {}, {}
-    for t, state, lane in ((0.0, states[0], 0), (h, states[-1], 0), (-h, states[-1], 1),
-                           (h / 2, states[steps // 2], 0), (-h / 2, states[steps // 2], 1)):
-        p = state.position[lane]
-        gp, xi_t = metric_value(chart, p), field_value(xi, p)
-        f[t] = float(xi_t @ gp @ (signs[lane, 0] * state.velocity[lane]))
-        a[t] = state.frame[lane] @ gp @ xi_t
+    for sign in (1.0, -1.0):
+        states = integrate_geodesic(chart, x, sign * v, h, steps, initial_frame=frame0)
+        assert len(states) == steps + 1, "the stencil leaves the chart"
+        for t, state in ((0.0, states[0]), (sign * h, states[-1]),
+                         (sign * h / 2, states[steps // 2])):
+            gp, xi_t = metric_value(chart, state.position), field_value(xi, state.position)
+            f[t] = float(xi_t @ gp @ (sign * state.velocity))
+            a[t] = state.frame @ gp @ xi_t
 
     def first(d):
         return (4.0 * (d[h / 2] - d[-h / 2]) / h - (d[h] - d[-h]) / (2.0 * h)) / 3.0

@@ -93,13 +93,13 @@ def test_traced_run_matches_untraced(tmp_path):
     assert layers["geodesic.dxi_identity_residual"]["calls"] == 1
 
 
-def test_tracer_counts_lockstep_steps():
-    """A call of 3 lanes stepped in lockstep counts its 32 steps once."""
+def test_tracer_counts_the_steps_of_one_geodesic():
+    """A 32-step call counts the 32 steps it integrated."""
     tracer = _load_tracer()
     chart = confield.models.sphere_stereographic(3)
     with tracer.Tracer() as t:
         states = confield.geodesic.integrate_geodesic(
-            chart, np.zeros((3, 3)), np.eye(3), [0.1, 0.2, 0.3], 32)
-    assert len(states) == 33 and states[-1].position.shape == (3, 3)
+            chart, np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.3, 32)
+    assert len(states) == 33 and states[-1].position.shape == (3,)
     assert t.layer_table()["geodesic.integrate_geodesic"]["calls"] == 1
     assert t.counts["geodesic.rk4_steps"] == 32

@@ -1,6 +1,7 @@
 """Manifest runner: report rendering, determinism, exit codes."""
 import json
 import math
+import struct
 import sys
 
 import numpy as np
@@ -10,7 +11,7 @@ import confield.cli as cli
 import confield.essential as essential
 import confield.geodesic as geodesic
 from confield.cli import SETTINGS, main, render_report
-from helpers import counting_lanes
+from helpers import counting_steps
 
 
 def _write_manifest(tmp_path, payload, name="manifest.json"):
@@ -49,6 +50,7 @@ def test_render_report_numbers_round_trip():
         "b": 1.0 / 3.0,
         "nested": {"c": [1, 2.5, True], "d": "text"},
         "weird": [math.nan, math.inf, -math.inf],
+        "nested_weird": (1.5, (math.nan, -math.inf), np.array([[math.inf]])),
         "n": None,
     }
     text = render_report(report)
@@ -57,6 +59,7 @@ def test_render_report_numbers_round_trip():
     assert parsed["b"] == 1.0 / 3.0
     assert parsed["nested"]["c"] == [1, 2.5, True]
     assert parsed["weird"] == ["nan", "inf", "-inf"]
+    assert parsed["nested_weird"] == [1.5, ["nan", "-inf"], [["inf"]]]
     assert parsed["n"] is None
     assert text.endswith("\n")
 
@@ -75,6 +78,23 @@ def test_render_report_handles_numpy_scalars_and_arrays():
 def test_render_report_preserves_insertion_order():
     text = render_report({"z": 1, "a": 2})
     assert text.index('"z"') < text.index('"a"')
+
+
+@pytest.mark.parametrize("value", [-0.0, 2.0, 5e-324, 0.1 + 0.2, 1.7976931348623157e308])
+def test_render_report_floats_parse_back_bit_identical(value):
+    parsed = json.loads(render_report({"x": value, "arr": np.array([value]),
+                                       "scalar": np.float64(value)}))
+    for got in (parsed["x"], parsed["arr"][0], parsed["scalar"]):
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", value)
+
+
+def test_a_report_is_a_fixed_point_of_the_writer(tmp_path):
+    _run_to_report(tmp_path, ROTATION_MANIFEST)
+    texts = [(tmp_path / "m.json.report.json").read_text(),
+             render_report({"signed_zero": -0.0, "whole": [2.0, np.float64(-3.0)]})]
+    for text in texts:
+        assert render_report(json.loads(text)) == text
 
 
 # -- command surface -------------------------------------------------------------
@@ -112,11 +132,24 @@ def test_missing_manifest_file_is_usage_error(tmp_path, capsys):
     assert "cannot read manifest" in capsys.readouterr().err
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "r.json"
+    code = main(["run", _write_manifest(tmp_path, ZEROS_MANIFEST), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write report: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_invalid_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+DEEP_COMPONENTS = ["(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)]
 
 
 @pytest.mark.parametrize(
@@ -176,6 +209,13 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
             {"lower": [False, -1], "upper": [True, 1]},
             {"lower": [-1e308, -1], "upper": [1e308, 1]},
         ]],
+        # too deep for the recursive parser, printer or evaluator
+        *[({**ZEROS_MANIFEST, "field": {"components": [component, "x1", "0"]}},
+           "bad field expression") for component in DEEP_COMPONENTS],
+        *[({"chart": {"metric": [[entry, "0"], ["0", "1"]],
+                      "lower": [-1, -1], "upper": [1, 1]},
+            "field": {"components": ["x2", "-x1"]}, "analyses": ["zeros"]},
+           "bad metric expression") for entry in DEEP_COMPONENTS],
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
@@ -184,6 +224,16 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
     assert code == 2
     assert needle in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_an_800_term_sum_runs_and_prints(tmp_path):
+    """A deep tree that fits the evaluator is not refused: every analysis
+    evaluates it, at order 2 where they need it, and the report prints it."""
+    component = "+".join(["-x2"] + ["0"] * 799)
+    manifest = {**ROTATION_MANIFEST, "field": {"components": [component, "x1", "0"]}}
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0
+    assert report["field"]["components"][0] == " + ".join(["-x2"] + ["0"] * 799)
 
 
 @pytest.mark.parametrize("flags,needle", [
@@ -266,7 +316,7 @@ def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch)
         orders.append(order)
         return field_data(chart, xi, p, order)
 
-    runs = counting_lanes(monkeypatch)
+    runs = counting_steps(monkeypatch)
     monkeypatch.setattr(geodesic, "field_data", counting_field_data)
     manifest = {**ROTATION_MANIFEST, "analyses": ["verify-identities"], "seed": 1}
     code, report = _run_to_report(tmp_path, manifest)

@@ -75,6 +75,13 @@ def test_unknown_variable_mentions_dimension():
         parse("x5", 3)
 
 
+@pytest.mark.parametrize("source", ["(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"])
+def test_nesting_beyond_the_recursive_descent_is_a_syntax_error(source):
+    with pytest.raises(ExprSyntaxError, match="nested too deeply") as info:
+        parse(source, 2)
+    assert info.value.position == 0
+
+
 @pytest.mark.parametrize("source", SAMPLE_SOURCES)
 def test_print_parse_round_trip(source):
     e = parse(source, 2)

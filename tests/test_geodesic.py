@@ -292,8 +292,8 @@ def test_jet_derivatives_match_rk4_differences():
 
 
 def _per_point_rk4(chart, x, v, length, steps):
-    """The per-point RK4 loop that the lanes replaced, for a run that stays
-    inside the box: (t, position, velocity, frame) per step."""
+    """An independent per-point RK4 loop, for a run that stays inside the
+    box: (t, position, velocity, frame) per step."""
     g = metric_value(chart, x)
     v = v / norm_vector(g, v)
     frame = complete_orthonormal_frame(g, v)
@@ -331,33 +331,6 @@ def test_one_lane_equals_the_per_point_loop(chart):
         assert np.array_equal(s.position, position)
         assert np.array_equal(s.velocity, velocity)
         assert np.array_equal(s.frame, frame)
-
-
-def test_lanes_match_single_runs():
-    """Three lanes with their own starts, directions and lengths, stepped in
-    lockstep, agree with three single runs to rounding."""
-    rng = np.random.default_rng(6)
-    xs = rng.uniform(-0.4, 0.4, (3, 3))
-    vs = rng.standard_normal((3, 3))
-    lengths = [0.3, 0.5, 0.7]
-    states = integrate_geodesic(SPHERE, xs, vs, lengths, 40)
-    assert len(states) == 41 and states[-1].frame.shape == (3, 3, 3)
-    for lane in range(3):
-        single = integrate_geodesic(SPHERE, xs[lane], vs[lane], lengths[lane], 40)
-        for s, one in zip(states, single):
-            assert s.t[lane] == one.t
-            for a, b in ((s.position[lane], one.position), (s.velocity[lane], one.velocity),
-                         (s.frame[lane], one.frame)):
-                assert np.abs(a - b).max() < 1e-14
-
-
-def test_lanes_stop_where_the_first_lane_leaves_the_box():
-    """The list ends at the last state at which every lane is inside."""
-    e1 = np.array([1.0, 0.0, 0.0])
-    states = integrate_geodesic(FLAT3, np.zeros((2, 3)), np.array([e1, e1]), [1.0, 5.0], 50)
-    alone = integrate_geodesic(FLAT3, np.zeros(3), e1, 5.0, 50)
-    assert len(states) == len(alone) < 51
-    assert np.array_equal(states[-1].position[1], alone[-1].position)
 
 
 @pytest.mark.parametrize("height", [1.95, 1.9995, 1.85])
