@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, Fun, Mul
+from .expr import Const, Expr, Fun, Mul
 from .geometry import Chart, FieldSpec, field_data, norm_2form
 
 __all__ = [
@@ -74,15 +74,14 @@ def is_conformal(chart: Chart, xi: FieldSpec, samples, tol: float = 1e-7) -> Con
     )
 
 
-def rescale_metric(chart: Chart, f: FieldSpec) -> Chart:
-    """Chart carrying e^{2f} g, built as expression trees.
+def rescale_metric(chart: Chart, f: Expr) -> Chart:
+    """Chart carrying e^{2f} g for a scalar expression f, built as expression
+    trees.
 
     The factor node is shared across all entries so jet evaluation computes
     it once per point.
     """
-    if f.kind != "scalar":
-        raise ValueError("rescale_metric expects a scalar field")
-    factor = Fun("exp", Mul(Const(2.0), f.expr))
+    factor = Fun("exp", Mul(Const(2.0), f))
     new_metric = tuple(
         tuple(Mul(factor, entry) for entry in row) for row in chart.metric
     )

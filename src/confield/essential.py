@@ -2,16 +2,18 @@
 
 A zero x of a conformal field xi is called essential when no conformal
 rescaling of the metric turns xi into a homothety near x.  The linear
-criterion implemented here works entirely from first-order data at x:
+criterion is that grad phi at x lies in the image of nabla xi at x, and the
+zero is Killing for a rescaled metric iff moreover phi(x) = 0.  At a zero,
+nabla xi = A + phi(x) I in a g-orthonormal frame, with A skew and ker A the
+kernel of d(xi^flat).  So the verdict needs only the SVD of that one skew
+form, from :func:`~confield.geometry.frame_svd`:
 
-* xi is homothetic for some rescaled metric iff grad phi at x lies in the
-  image of the endomorphism nabla xi at x,
-* it is Killing for some rescaled metric iff additionally phi(x) = 0.
+* phi(x) != 0 makes nabla xi invertible: the zero is homothetic;
+* phi(x) = 0 leaves image nabla xi = (ker A)^perp: the zero is Killing for
+  a rescaled metric iff grad phi has no part along ker d(xi^flat), and
+  essential otherwise.
 
-Both conditions are evaluated in the g-orthonormal frame of
-:func:`~confield.geometry.frame_svd`, from the Cholesky factor of the
-metric, so the singular value analysis is done on honestly symmetric/skew
-matrices.  The criterion is stated for dimension at least three.  On a
+The criterion is stated for dimension at least three.  On a
 surface a conformal field is holomorphic and its zeros are isolated;
 ``classify_zero`` reports a simple zero with skew invertible nabla xi as
 Killing (it is holomorphically linearizable to a rotation, so xi is Killing
@@ -259,9 +261,13 @@ def classify_zero(
     together into a tuple of m (an empty array gives ``()``).  Every point
     must satisfy |xi|_g < tol; a row that does not, or is NaN, raises
     ``ValueError`` naming it.  The 2-jets of all points come from one
-    :func:`~confield.geometry.field_data` call.  The verdict is derived from
-    whether grad phi lies in the image of nabla xi (within ``tol`` relative
-    to the gradient size) and whether phi vanishes; conformality of xi is
+    :func:`~confield.geometry.field_data` call.  The verdict is read from
+    the SVD of d(xi^flat) in a g-orthonormal frame: |phi| >= ``tol`` gives
+    ``homothetic_nonkilling`` and an ``image_residual`` of 0, since nabla xi
+    is then invertible; otherwise ``image_residual`` is the length of the
+    part of grad phi along the kernel of d(xi^flat), and the zero is
+    ``essential`` when it reaches ``tol`` relative to the gradient size, and
+    ``killing_inessential`` when it does not.  Conformality of xi is
     first verified on a ``_NEIGHBORHOOD`` sample ball around each zero, the
     balls drawn zero by zero from ``rng`` and checked in one
     :func:`~confield.conformal.is_conformal` call, and a failure
@@ -292,17 +298,16 @@ def classify_zero(
     neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)
 
     classes = []
-    rows = zip(points, fd.conn.g, fd.N, fd.M, fd.phi, fd.dphi, neighborhood)
-    for p, g, N, M, phi, dphi, residual in rows:
-        nabla_svd = frame_svd(g, N, "endomorphism")
-        b_frame = nabla_svd.Linv @ dphi
-        Ur = nabla_svd.U[:, : nabla_svd.rank]
-        proj = Ur @ (Ur.T @ b_frame)
-        image_residual = float(np.linalg.norm(b_frame - proj))
-        b_scale = float(np.linalg.norm(b_frame))
-
+    rows = zip(points, fd.conn.g, fd.M, fd.phi, fd.dphi, neighborhood)
+    for p, g, M, phi, dphi, residual in rows:
         dxi_svd = frame_svd(g, M, "skew_form")
         kernel_dim = chart.dim - dxi_svd.rank
+        # in the frame nabla xi = A + phi I with A skew and ker A = ker M: it
+        # is invertible for phi != 0, else its image is the complement of ker M
+        b_frame = dxi_svd.Linv @ dphi
+        image_residual = (0.0 if abs(phi) >= tol
+                          else float(np.linalg.norm(dxi_svd.Vt[dxi_svd.rank:] @ b_frame)))
+        b_scale = float(np.linalg.norm(b_frame))
 
         if not residual < conformal_tol:
             verdict = VERDICT_INVALID

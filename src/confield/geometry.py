@@ -56,8 +56,10 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 
 # Singular values at or below max(_RANK_REL * sigma_0, _RANK_ABS) count as
-# zero in frame_svd.
-_RANK_REL = 1e-8
+# zero in frame_svd.  The relative cut sits well above sqrt(eps): Gauss-Newton
+# places a degenerate zero only to 2.5e-8 - 4e-8, and the tensors there carry
+# errors of that size.
+_RANK_REL = 1e-6
 _RANK_ABS = 1e-12
 
 
@@ -134,17 +136,15 @@ class Chart:
 
     def validate_spd(self, rng, samples: int = 25):
         """Evaluate the metric at random interior points, fail if not SPD."""
-        for p in sample_interior(self, samples, rng):
-            metric_value(self, p)
+        metric_value(self, sample_interior(self, samples, rng))
 
 
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """A vector field (dim components) or scalar function (one component)."""
+    """A vector field on a chart: one component expression per coordinate."""
 
     chart: Chart
     components: tuple
-    kind: str = "vector"
     name: str = ""
 
     def __post_init__(self):
@@ -152,31 +152,15 @@ class FieldSpec:
         for c in comps:
             if not isinstance(c, Expr):
                 raise ChartError("field components must be Expr nodes")
-        if self.kind == "vector":
-            if len(comps) != self.chart.dim:
-                raise ChartError(
-                    f"vector field needs {self.chart.dim} components, got {len(comps)}"
-                )
-        elif self.kind == "scalar":
-            if len(comps) != 1:
-                raise ChartError("scalar field takes exactly one component")
-        else:
-            raise ChartError(f"unknown field kind '{self.kind}'")
+        if len(comps) != self.chart.dim:
+            raise ChartError(
+                f"vector field needs {self.chart.dim} components, got {len(comps)}"
+            )
         object.__setattr__(self, "components", comps)
 
     @classmethod
     def vector(cls, chart: Chart, components, name: str = "") -> "FieldSpec":
-        return cls(chart, tuple(components), "vector", name)
-
-    @classmethod
-    def scalar(cls, chart: Chart, expression: Expr, name: str = "") -> "FieldSpec":
-        return cls(chart, (expression,), "scalar", name)
-
-    @property
-    def expr(self) -> Expr:
-        if self.kind != "scalar":
-            raise ChartError("expr is only defined for scalar fields")
-        return self.components[0]
+        return cls(chart, tuple(components), name)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +312,6 @@ def field_jets(xi: FieldSpec, p, order: int):
     ``jac[i, j] = d_j xi^i`` and ``hess[i, j, k] = d_j d_k xi^i``, each with
     a leading axis of length m for an (m, n) array of points.
     """
-    if xi.kind != "vector":
-        raise ChartError("field_jets expects a vector field")
     n = xi.chart.dim
     p = np.asarray(p, dtype=float)
     batch = p.shape[:-1]

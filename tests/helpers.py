@@ -13,8 +13,10 @@ Richardson differences of RK4 runs of the geodesic, at the step 1e-3.
 
 Besides these: a Gram-Schmidt frame, the conformal connection-change
 identity, the symbolic pushforward of a field under the unit inversion, a
-recorder of the calls of a function through every confield binding, and a
-counter of the steps of each geodesic integration.
+recorder of the calls of a function through every confield binding, a
+counter of the steps of each geodesic integration, and the conformal
+fields of a flat chart as elements of the Moebius algebra so(n+1, 1), with
+their zeros and verdicts read off the matrix.
 """
 from __future__ import annotations
 
@@ -201,7 +203,7 @@ def connection_change_residual(chart, f, p):
     from confield.geometry import connection_data
 
     cd = connection_data(chart, p, 1)
-    df = eval_jet(f.expr, p, 1).d1
+    df = eval_jet(f, p, 1).d1
     gradf = cd.ginv @ df
     Gam_rescaled = connection_data(rescale_metric(chart, f), p, 1).Gam
     eye = np.eye(chart.dim)
@@ -355,3 +357,95 @@ def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
         return (4.0 * s_h2 - s_h) / 3.0
 
     return first(f), second(f), first(a), second(a)
+
+
+# -- the Moebius algebra so(n+1, 1) -------------------------------------------
+#
+# By Liouville's theorem (n >= 3) every conformal field of a conformally flat
+# chart is xi(x) = a + Bx + lam x + 2<b, x> x - |x|^2 b with B skew.  It is
+# the action of one matrix X on the light cone of Q = |u|^2 - 2 u_0 u_inf in
+# the coordinates (u_0, u, u_inf): with nu(x) = (1, x, |x|^2 / 2),
+# xi(x) = (X nu)_u - x (X nu)_0 and phi(x) = -(X nu)_0.  So x is a zero
+# exactly when nu(x) is an eigenvector of X, with eigenvalue mu = -phi(x).
+# See Hertrich-Jeromin, Introduction to Moebius Differential Geometry (CUP
+# 2003), ch. 1.
+
+
+def mobius_matrix(a, B, lam, b):
+    """X in so(n+1, 1) with block rows [-lam, -2b^T, 0], [a, B, -2b],
+    [0, a^T, lam]."""
+    a, B, b = np.asarray(a, dtype=float), np.asarray(B, dtype=float), np.asarray(b, dtype=float)
+    n = len(a)
+    X = np.zeros((n + 2, n + 2))
+    X[0, 0], X[0, 1:-1] = -lam, -2.0 * b
+    X[1:-1, 0], X[1:-1, 1:-1], X[1:-1, -1] = a, B, -2.0 * b
+    X[-1, 1:-1], X[-1, -1] = a, lam
+    return X
+
+
+def mobius_parts(X):
+    """(a, B, lam, b) of X in so(n+1, 1), with B made skew."""
+    return X[1:-1, 0], 0.5 * (X[1:-1, 1:-1] - X[1:-1, 1:-1].T), X[-1, -1], -0.5 * X[0, 1:-1]
+
+
+def mobius_field(chart, a, B, lam, b):
+    """The field a + Bx + lam x + 2<b, x> x - |x|^2 b on a conformally flat
+    chart, parsed from the ``float`` reprs of the parameters, and its X.
+
+    The parse reads back the very floats that X is built from, so X is
+    exactly the matrix of the field.
+    """
+    from confield.expr import parse
+    from confield.geometry import FieldSpec
+
+    n = chart.dim
+    a, lam, b = [float(v) for v in a], float(lam), [float(v) for v in b]
+    B = [[float(v) for v in row] for row in B]
+    bx = " + ".join(f"({b[k]!r})*x{k + 1}" for k in range(n))
+    r2 = " + ".join(f"x{k + 1}^2" for k in range(n))
+    comps = []
+    for i in range(n):
+        terms = [f"({a[i]!r})", f"({lam!r})*x{i + 1}", f"2*({bx})*x{i + 1}"]
+        terms += [f"({B[i][j]!r})*x{j + 1}" for j in range(n)]
+        comps.append(" + ".join(terms) + f" - ({r2})*({b[i]!r})")
+    xi = FieldSpec.vector(chart, tuple(parse(c, n) for c in comps), name="mobius")
+    return xi, mobius_matrix(a, B, lam, b)
+
+
+def mobius_conjugate(X, t, s):
+    """``(P X P^-1, P)`` for P = exp(T) exp(S), T the translation by t and S
+    the special conformal generator of s.  Both are nilpotent of order 3,
+    so exp(Y) = I + Y + Y^2 / 2."""
+    n = len(t)
+
+    def exp(Y):
+        return np.eye(n + 2) + Y + 0.5 * Y @ Y
+
+    T = mobius_matrix(t, np.zeros((n, n)), 0.0, np.zeros(n))
+    S = mobius_matrix(np.zeros(n), np.zeros((n, n)), 0.0, s)
+    return exp(T) @ exp(S) @ X @ exp(-S) @ exp(-T), exp(T) @ exp(S)
+
+
+def mobius_zero_verdict(X, x, tol=1e-6):
+    """The oracle's verdict at a point x, or ``None`` when nu(x) is not an
+    eigenvector of X to 1e-8 relative.
+
+    mu != 0 is homothetic; mu = 0 with nu(x) in the image of X (a parabolic
+    Jordan chain) is essential; any other zero is Killing.  ``tol`` bounds
+    |mu| and the part of nu(x) off the image, relative to |nu(x)|, and
+    sits well above the 4e-8 to which a degenerate zero is located.
+    """
+    x = np.asarray(x, dtype=float)
+    nu = np.concatenate([[1.0], x, [0.5 * x @ x]])
+    w = X @ nu
+    mu = w[0]
+    scale = np.linalg.norm(X) * np.linalg.norm(nu)
+    if not np.linalg.norm(w - mu * nu) < 1e-8 * scale:
+        return None
+    if abs(mu) >= tol:
+        return "homothetic_nonkilling"
+    U, sigma, _ = np.linalg.svd(X)
+    off_image = U[:, sigma <= 1e-9 * sigma[0]].T @ nu
+    if np.linalg.norm(off_image) < tol * np.linalg.norm(nu):
+        return "essential"
+    return "killing_inessential"

@@ -25,7 +25,6 @@ from confield.essential import (
 from confield.expr import eval_jet, parse
 from confield.geodesic import dxi_identity_residual, taylor_checks
 from confield.geometry import (
-    FieldSpec,
     field_data,
     field_norm,
     metric_value,
@@ -251,8 +250,8 @@ def test_conformal_rescaling_invariance(capsys):
     classification and umbilicity verdicts survive g -> e^{2f} g with
     f = 0.3 sin(x1)."""
     pairs = [
-        (FLAT3, FieldSpec.scalar(FLAT3, parse("0.3*sin(x1)", 3))),
-        (SPHERE, FieldSpec.scalar(SPHERE, parse("x1*x2/4 - x3/2", 3))),
+        (FLAT3, parse("0.3*sin(x1)", 3)),
+        (SPHERE, parse("x1*x2/4 - x3/2", 3)),
     ]
     rng = np.random.default_rng(505)
     worst = 0.0
@@ -261,7 +260,7 @@ def test_conformal_rescaling_invariance(capsys):
             worst = max(worst, connection_change_residual(chart, f, p))
     ok = worst < 1e-8
 
-    f = FieldSpec.scalar(FLAT3, parse("0.3*sin(x1)", 3))
+    f = parse("0.3*sin(x1)", 3)
     rescaled = rescale_metric(FLAT3, f)
     verdict_pairs = []
     for xi in (models.rotation(FLAT3, 1, 2), models.special_conformal(FLAT3, 1)):

@@ -108,7 +108,7 @@ def _log_factor_to_sphere(dim):
     n = dim
     flat = models.euclidean(n)
     r2 = "+".join(f"x{k}^2" for k in range(1, n + 1))
-    return flat, FieldSpec.scalar(flat, parse(f"log(2/(1+({r2})))", n), name="u")
+    return flat, parse(f"log(2/(1+({r2})))", n)
 
 
 def test_rescaled_flat_chart_reproduces_round_metric():
@@ -124,10 +124,10 @@ def test_rescaled_flat_chart_reproduces_round_metric():
 
 
 def test_rescaling_composes():
-    f1 = FieldSpec.scalar(FLAT2, parse("x1/3", 2))
-    f2 = FieldSpec.scalar(FLAT2, parse("sin(x2)/5", 2))
+    f1 = parse("x1/3", 2)
+    f2 = parse("sin(x2)/5", 2)
     once = rescale_metric(rescale_metric(FLAT2, f1), f2)
-    both = FieldSpec.scalar(FLAT2, parse("x1/3 + sin(x2)/5", 2))
+    both = parse("x1/3 + sin(x2)/5", 2)
     combined = rescale_metric(FLAT2, both)
     p = np.array([0.7, -0.8])
     assert np.abs(metric_value(once, p) - metric_value(combined, p)).max() < 1e-14
@@ -136,14 +136,14 @@ def test_rescaling_composes():
 def test_factor_shifts_by_derivative_along_field():
     """Under g -> e^{2f} g the factor of a fixed conformal field becomes
     phi + df(xi)."""
-    f = FieldSpec.scalar(FLAT3, parse("0.3*sin(x1)", 3))
+    f = parse("0.3*sin(x1)", 3)
     rescaled = rescale_metric(FLAT3, f)
     xi = models.special_conformal(FLAT3, 1)
     for p in ([0.2, 0.5, -0.3], [0.8, -0.6, 0.4]):
         p = np.asarray(p)
         phi = field_data(FLAT3, xi, p, 1).phi
         phi_new = field_data(rescaled, xi, p, 1).phi
-        df = eval_jet(f.expr, p, 1).d1
+        df = eval_jet(f, p, 1).d1
         shift = float(df @ field_value(xi, p))
         assert phi_new == pytest.approx(phi + shift, rel=1e-12, abs=1e-13)
         # so the field stays conformal for the rescaled metric
@@ -152,8 +152,8 @@ def test_factor_shifts_by_derivative_along_field():
 
 def test_connection_change_identity():
     pairs = [
-        (FLAT3, FieldSpec.scalar(FLAT3, parse("0.3*sin(x1)", 3))),
-        (SPHERE, FieldSpec.scalar(SPHERE, parse("x1*x2/4 - x3/2", 3))),
+        (FLAT3, parse("0.3*sin(x1)", 3)),
+        (SPHERE, parse("x1*x2/4 - x3/2", 3)),
     ]
     rng = np.random.default_rng(5)
     for chart, f in pairs:

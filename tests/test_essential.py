@@ -22,7 +22,14 @@ from confield.essential import (
 from confield.expr import parse
 from confield.geometry import FieldSpec, field_norm, metric_value
 from confield.zeroset import trace_component
-from helpers import recording_calls
+from helpers import (
+    mobius_conjugate,
+    mobius_field,
+    mobius_matrix,
+    mobius_parts,
+    mobius_zero_verdict,
+    recording_calls,
+)
 
 FLAT3 = models.euclidean(3)
 SPHERE = models.sphere_stereographic(3)
@@ -340,6 +347,81 @@ def test_quadratic_generator_zero_is_essential(chart):
     assert np.linalg.norm(cls.dphi) > 0.1
 
 
+def test_classification_takes_one_frame_svd_per_zero(monkeypatch):
+    """The verdict, the kernel and the rank all come from the SVD of the skew
+    form d(xi^flat); nabla xi itself is never decomposed."""
+    calls = recording_calls(monkeypatch, geometry.frame_svd, lambda out: out.rank)
+    zeros = np.array([[0.0, 0.0, -0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    classes = classify_zero(FLAT3, models.rotation(FLAT3, 1, 2), zeros)
+    assert [cls.verdict for cls in classes] == [VERDICT_KILLING] * 3
+    assert calls == [2, 2, 2]
+
+
+# -- Moebius ground truth ------------------------------------------------------
+
+
+def _mobius_conjugates(kind, n, count):
+    """``(chart, xi, X, isolated zeros)`` for ``count`` seeded conjugates
+    P X P^-1 on each catalog chart of one element of so(n+1, 1): the
+    elliptic rotation(1,2), the loxodromic rotation(1,2) + 0.7 euler or the
+    parabolic rotation(1,2) + special_conformal(3).
+
+    P = exp(T) exp(S) moves the origin to t, inside the box, and infinity to
+    t - s / |s|^2; the isolated zeros are the images of the element's
+    isolated fixed points, e_0 (the origin) and e_inf (infinity).
+    """
+    kinds = ("elliptic", "loxodromic", "parabolic")
+    rng = np.random.default_rng([n, kinds.index(kind)])
+    B = np.zeros((n, n))
+    B[0, 1], B[1, 0] = -1.0, 1.0
+    lam = 0.7 if kind == "loxodromic" else 0.0
+    b = -np.eye(n)[2] if kind == "parabolic" else np.zeros(n)
+    fixed = {"elliptic": [], "loxodromic": [0, n + 1], "parabolic": [0]}[kind]
+    X0 = mobius_matrix(np.zeros(n), B, lam, b)
+    for name in ("euclidean", "sphere_stereographic", "hyperbolic_ball"):
+        chart = models.make_chart(name, n)
+        for _ in range(count):
+            t = 0.5 * rng.uniform(chart.lower, chart.upper)
+            X, P = mobius_conjugate(X0, t, 0.5 * rng.normal(size=n))
+            xi, X = mobius_field(chart, *mobius_parts(X))
+            yield chart, xi, X, [P[1:-1, k] / P[0, k] for k in fixed]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["elliptic", "loxodromic", "parabolic"])
+def test_verdicts_match_the_mobius_oracle(kind, n):
+    """Every found zero of two conjugates per catalog chart is a zero of the
+    oracle, with its verdict, and a Killing zero has kernel_dim n - 2 (the
+    zero set is a round (n-2)-sphere or plane), and every isolated oracle
+    zero 0.1 inside the box is found.
+    """
+    found = 0
+    for chart, xi, X, isolated in _mobius_conjugates(kind, n, 2):
+        zeros = find_zeros(chart, xi, 12)
+        for cls in classify_zero(chart, xi, zeros):
+            verdict = mobius_zero_verdict(X, cls.point)
+            assert cls.verdict == verdict, (chart.name, cls.point, cls.phi)
+            if verdict == VERDICT_KILLING:
+                assert cls.kernel_dim == n - 2, (chart.name, cls.point)
+        found += len(zeros)
+        for x in isolated:
+            if chart.contains(x, 0.1):
+                assert len(zeros) and np.linalg.norm(zeros - x, axis=1).min() < 1e-6, (chart.name, x)
+    assert found
+
+
+@pytest.mark.parametrize("rank_rel", [1e-10, 1e-4])
+def test_essential_verdict_holds_at_any_rank_cut_in_odd_dimension(monkeypatch, rank_rel):
+    """A skew form of odd dimension is exactly singular, so in dimension 3
+    the kernel of d(xi^flat) at a degenerate essential zero, placed only to
+    about 4e-8, does not depend on where the rank cut sits."""
+    monkeypatch.setattr(geometry, "_RANK_REL", rank_rel)
+    verdicts = []
+    for chart, xi, _, _ in _mobius_conjugates("parabolic", 3, 2):
+        verdicts += [cls.verdict for cls in classify_zero(chart, xi, find_zeros(chart, xi, 12))]
+    assert verdicts == [VERDICT_ESSENTIAL] * 6
+
+
 def test_non_conformal_field_is_flagged_invalid():
     bad = FieldSpec.vector(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     cls = classify_zero(FLAT3, bad, np.zeros(3))
@@ -374,7 +456,7 @@ def test_circle_zeros_on_round_chart_are_killing_type():
 def test_verdicts_survive_conformal_rescaling():
     """Zero classification is a conformal notion: rescaling the metric by a
     positive factor must not change any verdict."""
-    f = FieldSpec.scalar(FLAT3, parse("0.3*sin(x1)", 3))
+    f = parse("0.3*sin(x1)", 3)
     rescaled = rescale_metric(FLAT3, f)
     cases = [
         (models.rotation(FLAT3, 1, 2), VERDICT_KILLING),

@@ -68,9 +68,7 @@ def test_field_spec_validation():
     with pytest.raises(ChartError):
         FieldSpec.vector(FLAT2, (parse("x1", 2),))
     with pytest.raises(ChartError):
-        FieldSpec(FLAT2, (parse("x1", 2),), kind="tensor")
-    scalar = FieldSpec.scalar(FLAT2, parse("x1*x2", 2))
-    assert scalar.expr is scalar.components[0]
+        FieldSpec.vector(FLAT2, (parse("x1", 2), "x2"))
 
 
 def test_non_spd_metric_raises():
@@ -401,8 +399,7 @@ def test_norms_and_musical_isomorphisms():
     assert np.abs(ginv @ w - v).max() < 1e-14
     assert norm_vector(g, v) == pytest.approx(math.sqrt(w @ ginv @ w), rel=1e-14)
 
-    scalar = FieldSpec.scalar(SPHERE, parse("x1*x2 - x3^2", 3))
-    df = eval_jet(scalar.expr, p, 1).d1
+    df = eval_jet(parse("x1*x2 - x3^2", 3), p, 1).d1
     assert np.abs(g @ (ginv @ df) - df).max() < 1e-14
 
 

@@ -172,7 +172,7 @@ def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
     tangent_basis.  Under g = e^{2f} flat with e^{2f} != 1 at the base
     (so Euclidean-orthonormal rows would fail), every sample of the
     unit-circle zero set lies on x + t.kernel plus a g-normal displacement."""
-    chart = rescale_metric(FLAT3, FieldSpec.scalar(FLAT3, parse("0.3*x2 + 0.2", 3)))
+    chart = rescale_metric(FLAT3, parse("0.3*x2 + 0.2", 3))
     xi = models.sphere_killing(chart, 1, 4)
     frames = []
     frame_svd = zeroset.frame_svd
@@ -393,7 +393,7 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
     patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
     report = umbilicity_report(SPHERE, patch)
     assert report.verdict == "totally_umbilical"
-    rescaled = rescale_metric(SPHERE, FieldSpec.scalar(SPHERE, parse("0.3*sin(x1)", 3)))
+    rescaled = rescale_metric(SPHERE, parse("0.3*sin(x1)", 3))
     assert umbilicity_report(rescaled, patch).verdict == "totally_umbilical"
     # the guard is live: exp_map does integrate
     with pytest.raises(AssertionError, match="geodesic integration"):
@@ -404,7 +404,7 @@ def test_batched_second_fundamental_form_matches_per_point():
     """One batched call at every node of a patch gives the per-point
     field_data path's B and frame: bitwise on euclidean charts, within 1e-15
     of the largest entry of B under a rescaled metric."""
-    rescaled = rescale_metric(FLAT3, FieldSpec.scalar(FLAT3, parse("0.3*sin(x2) + x3/5", 3)))
+    rescaled = rescale_metric(FLAT3, parse("0.3*sin(x2) + x3/5", 3))
     cases = [
         (FLAT3, _sphere_patch(), True),
         (FLAT3, _cylinder_patch(), True),
@@ -511,7 +511,7 @@ def test_circle_component_report_on_round_chart():
 def test_umbilicity_verdicts_stable_under_rescaling():
     """A patch traced under g serves e^{2f} g: at a zero nabla xi is the same
     for every metric in the conformal class."""
-    rescaled = rescale_metric(FLAT3, FieldSpec.scalar(FLAT3, parse("0.3*sin(x1)", 3)))
+    rescaled = rescale_metric(FLAT3, parse("0.3*sin(x1)", 3))
     xi = models.rotation(FLAT3, 1, 2)
     traced = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
     for patch, verdict in ((traced, "totally_umbilical"), (_cylinder_patch(), "not_umbilical")):
@@ -523,7 +523,7 @@ def test_rescaled_synthetic_sphere_stays_umbilical():
     """Umbilical points are conformally invariant even though the mean
     curvature itself is not."""
     patch = _sphere_patch()
-    rescaled = rescale_metric(FLAT3, FieldSpec.scalar(FLAT3, parse("x1/4 + x3/5", 3)))
+    rescaled = rescale_metric(FLAT3, parse("x1/4 + x3/5", 3))
     assert umbilicity_report(FLAT3, patch).verdict == "totally_umbilical"
     assert umbilicity_report(rescaled, patch).verdict == "totally_umbilical"
 
@@ -532,14 +532,14 @@ def test_mean_curvature_under_rescaling():
     """Under e^{2f} g the mean curvature vector is e^{-2f} (H - (grad f)^perp),
     so its norm is |H'| = e^{-f} |H - (grad f)^perp| with the norms and the
     gradient of the flat metric."""
-    f = FieldSpec.scalar(FLAT3, parse("0.3*sin(x2) + x3/5", 3))
+    f = parse("0.3*sin(x2) + x3/5", 3)
     rescaled = rescale_metric(FLAT3, f)
     patch = _unit_circle_patch()
     report = _assert_jet_path_matches_fd(rescaled, patch)
     assert report.verdict == "totally_umbilical"
     data = second_fundamental_form(FLAT3, patch.field, report.points, patch.k)
     for m in range(len(report.indices)):
-        jet = eval_jet(f.expr, data.points[m], 1)
+        jet = eval_jet(f, data.points[m], 1)
         e = data.tangent_frame[m]
         normal_grad = jet.d1 - e.T @ (e @ jet.d1)
         expected = math.exp(-jet.value) * np.linalg.norm(data.mean_curvature[m] - normal_grad)
