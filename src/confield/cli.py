@@ -174,7 +174,7 @@ def _build_chart(spec) -> Chart:
                       name=str(spec.get("name", "inline_chart")))
         chart.validate_spd(np.random.default_rng(0), samples=10)
     except RecursionError:
-        raise ManifestError("bad metric expression: nested too deeply to evaluate") from None
+        raise ManifestError("bad metric expression: nested too deeply to compile") from None
     except (ChartError, MetricError, ValueError) as exc:
         raise ManifestError(f"unusable chart: {exc}") from exc
     return chart
@@ -198,7 +198,10 @@ def _build_field(chart: Chart, spec) -> FieldSpec:
         exprs = tuple(parse(str(c), chart.dim) for c in comps)
     except ExprSyntaxError as exc:
         raise ManifestError(f"bad field expression: {exc}") from exc
-    return FieldSpec.vector(chart, exprs, name=str(spec.get("name", "inline_field")))
+    try:
+        return FieldSpec.vector(chart, exprs, name=str(spec.get("name", "inline_field")))
+    except RecursionError:
+        raise ManifestError("bad field expression: nested too deeply to compile") from None
 
 
 def _resolve_config(manifest: dict, args) -> dict:

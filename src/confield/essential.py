@@ -46,7 +46,6 @@ from .geometry import (
     field_data,
     field_jets,
     field_norm,
-    field_value,
     frame_svd,
     norm_vector,
     sample_ball,
@@ -101,12 +100,11 @@ def _grid_norms(chart: Chart, xi: FieldSpec, points: np.ndarray) -> np.ndarray:
     """Squared metric norm of xi over the grid, evaluated and reduced in
     blocks of ``_GRID_BLOCK`` points, so only the norms outlive a block."""
     n = chart.dim
-    exprs = list(chart.metric_entries()) + list(xi.components)
     norms = np.empty(len(points))
     for start in range(0, len(points), _GRID_BLOCK):
-        vals = eval_values_many(exprs, points[start : start + _GRID_BLOCK])
-        gvals = vals[: n * n].reshape(n, n, -1)
-        fvals = vals[n * n :]
+        block = points[start : start + _GRID_BLOCK]
+        gvals = eval_values_many(chart.tape, block).reshape(n, n, -1)
+        fvals = eval_values_many(xi.tape, block)
         norms[start : start + _GRID_BLOCK] = np.einsum("ijm,im,jm->m", gvals, fvals, fvals)
     return norms
 
@@ -130,30 +128,35 @@ def _local_minima_mask(norms: np.ndarray, shape) -> np.ndarray:
 def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarray:
     """Damped least-squares Gauss-Newton onto xi = 0 from every row of ``points``.
 
-    The rows are the lanes of one iteration, which evaluates the 1-jets of
-    xi at all live lanes in one batch.  A lane steps by -J^+ xi, which
-    handles singular Jacobians (zeros along curves, quadratic zeros); with
+    The rows are the lanes of one iteration.  Each lane carries the 1-jet
+    of xi at its current point: one batched evaluation gives every lane's
+    jet before the first iteration, and afterwards a lane takes the jet of
+    the candidate it accepts, so the value that decided the step is also
+    the data of the next one.  A lane steps by -J^+ xi, which handles
+    singular Jacobians (zeros along curves, quadratic zeros); with
     ``normals``, rows spanning a subspace, J is taken on that span.  The
     step is halved, at most 30 times, while the candidate is outside the
-    chart or does not lower |xi|, so a lane's last iterate is its best.  A
-    lane stops at a zero residual, at an all-zero step (a constant field
-    gives one everywhere), when no halving descends, or as soon as its
-    candidate rounds to its current point in every coordinate: fl(x + l s)
-    is monotone in l, so no smaller step could move it.  Lanes never mix.
+    chart or does not lower |xi|; each halving evaluates the 1-jets of the
+    candidates inside the chart in one batch, and none when no candidate
+    is inside.  So a lane's last iterate is its best.  A lane stops at a
+    zero residual, at an all-zero step (a constant field gives one
+    everywhere), when no halving descends, or as soon as its candidate
+    rounds to its current point in every coordinate: fl(x + l s) is
+    monotone in l, so no smaller step could move it.  Lanes never mix.
     The iteration runs to machine precision, not to an acceptance
     tolerance, because quadratic zeros gain one bit per iteration.
     """
     x = np.array(points, dtype=float)
     basis = np.eye(chart.dim) if normals is None else normals
+    val, jac, _ = field_jets(xi, x, 1)
+    r = np.linalg.norm(val, axis=-1)
     live = np.ones(len(x), dtype=bool)
     for _ in range(_NEWTON_ITERATIONS):
         lanes = np.flatnonzero(live)
         if not lanes.size:
             break
-        val, jac, _ = field_jets(xi, x[lanes], 1)
-        step = -(np.linalg.pinv(jac @ basis.T) @ val[..., None])[..., 0] @ basis
-        r = np.linalg.norm(val, axis=-1)
-        pending = (r > 0.0) & step.any(axis=-1)
+        step = -(np.linalg.pinv(jac[lanes] @ basis.T) @ val[lanes][..., None])[..., 0] @ basis
+        pending = (r[lanes] > 0.0) & step.any(axis=-1)
         live[lanes] = False
         lam = 1.0
         for _ in range(30):
@@ -162,13 +165,17 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarra
                 break
             base = x[lanes[todo]]
             cand = base + lam * step[todo]
-            inside = chart._inside(cand)
-            cand_r = np.full(len(todo), np.inf)
-            cand_r[inside] = np.linalg.norm(field_value(xi, cand[inside]), axis=-1)
-            down = cand_r < r[todo]
-            moved = lanes[todo[down]]
-            x[moved] = cand[down]
-            live[moved] = True
+            inside = np.flatnonzero(chart._inside(cand))
+            down = np.zeros(len(todo), dtype=bool)
+            if inside.size:
+                cand_val, cand_jac, _ = field_jets(xi, cand[inside], 1)
+                cand_r = np.linalg.norm(cand_val, axis=-1)
+                better = cand_r < r[lanes[todo[inside]]]
+                down[inside[better]] = True
+                moved = lanes[todo[down]]
+                x[moved] = cand[down]
+                val[moved], jac[moved], r[moved] = cand_val[better], cand_jac[better], cand_r[better]
+                live[moved] = True
             # fl(base + lam * step) is monotone in lam, so a candidate that
             # rounds to its lane's point does so at every smaller lam
             pending[todo] = ~down & (cand != base).any(axis=-1)
@@ -208,7 +215,7 @@ def find_zeros(
 
     polished = polish_zeros(chart, xi, seeds)
     polished = polished[chart._inside(polished, _BOUNDARY_MARGIN)]
-    residuals = field_norm(chart, xi, polished)
+    residuals = field_norm(chart, xi, polished) if len(polished) else np.empty(0)
     accepted = residuals < tol
     polished, residuals = polished[accepted], residuals[accepted]
     if not len(polished):

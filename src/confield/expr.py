@@ -6,13 +6,16 @@ obtained by propagating truncated Taylor data (a :class:`Jet`) through the
 tree, so first, second and third partials are exact up to rounding.
 Finite differences appear only in the test suite, as an independent oracle.
 
-One evaluator walks the trees.  Per point it propagates jets of any order
-in Python floats.  Over a batch of m points each coordinate is a column
-array, and every jet part carries a trailing batch axis, so one walk gives
-the jets of all m points (the vector mode of forward differentiation);
+Trees are compiled into a :class:`Tape`, a post-order program in which
+structurally equal subtrees share one slot.  One evaluator runs the tape
+in a single loop.  Per point it propagates jets of any order in Python
+floats.  Over a batch of m points each coordinate is a column array, and
+every jet part carries a trailing batch axis, so one pass gives the jets
+of all m points (the vector mode of forward differentiation);
 :func:`eval_jets` does this at any order and :func:`eval_values_many` at
-order 0.  The parser folds constant exponents through the same evaluator
-with no coordinates at all.
+order 0.  Charts and fields compile their trees once, when they are built,
+and pass the tape to these functions.  The parser folds constant exponents
+through the same evaluator with no coordinates at all.
 
 Grammar accepted by :func:`parse`::
 
@@ -38,7 +41,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Div", "Pow", "Neg", "Fun",
     "Jet", "ExprSyntaxError", "EvalDomainError",
-    "parse", "eval_jet", "eval_jets", "eval_values_many",
+    "Tape", "parse", "eval_jet", "eval_jets", "eval_values_many",
 ]
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt")
@@ -188,7 +191,9 @@ class Jet:
     so on, where a part that is the same at every point (a constant, or the
     derivative of a coordinate) keeps length 1 on that axis and broadcasts.
     Entries above ``order`` are ``None``.  The derivative tensors are exactly
-    symmetric by construction, not merely up to rounding.
+    symmetric by construction, not merely up to rounding.  The jet of a
+    constant tree is shared between evaluations of its tape, and leaf parts
+    are read-only arrays: treat a jet as a value.
     """
 
     __slots__ = ("order", "value", "d1", "d2", "d3")
@@ -199,21 +204,6 @@ class Jet:
         self.d1 = d1
         self.d2 = d2
         self.d3 = d3
-
-    @classmethod
-    def constant(cls, value, n: int, order: int, tail: tuple = ()) -> "Jet":
-        """``tail`` is () per point and (1,) in a batch."""
-        d1 = np.zeros((n,) + tail) if order >= 1 else None
-        d2 = np.zeros((n, n) + tail) if order >= 2 else None
-        d3 = np.zeros((n, n, n) + tail) if order >= 3 else None
-        return cls(order, value, d1, d2, d3)
-
-    @classmethod
-    def coordinate(cls, index: int, value, n: int, order: int, tail: tuple = ()) -> "Jet":
-        j = cls.constant(value, n, order, tail)
-        if order >= 1:
-            j.d1[index] = 1.0
-        return j
 
 
 # The products below index derivative slots from the front, so the trailing
@@ -357,110 +347,188 @@ def _fun_coeffs(name: str, v, order: int, node: Expr):
     raise ValueError(f"unknown function '{name}'")  # pragma: no cover
 
 
-def _tail(point: list) -> tuple:
-    """The batch axis of a leaf's derivative parts: none for one point of
-    Python floats, length 1 (broadcasting) for a batch of columns."""
-    return () if not point or isinstance(point[0], float) else (1,)
+# ---------------------------------------------------------------------------
+# tapes
+
+_CONST, _VAR, _ADD, _MUL, _DIV, _NEG, _POW, _FUN = range(8)
+_BINARY = {Add: _ADD, Mul: _MUL, Div: _DIV}
 
 
-def _jet_of(node: Expr, point: list, order: int, memo: dict) -> Jet:
-    """The one tree evaluator.
+class Tape:
+    """Expression trees compiled into one post-order program.
+
+    ``program`` is a tuple of ``(op, argument slots, node)`` entries; an
+    entry's slot is its position and its arguments are earlier slots.
+    Structurally equal subtrees share one slot (hash-consing), whether or
+    not they are the same objects, so each is evaluated once per call.  A
+    constant is keyed by its type, its value and its sign, so ``-0.0`` and
+    ``0.0`` never share a slot.  ``outputs`` holds the slot of each tree, in
+    the order given.
+
+    Compiling follows the trees recursively, so a tree nested beyond the
+    recursion limit raises :class:`RecursionError` here; a tape that
+    compiled evaluates in one loop.
+    """
+
+    __slots__ = ("program", "outputs", "_starts")
+
+    def __init__(self, exprs):
+        program = []
+        slots = {}  # structural key -> slot
+        seen = {}  # id(node) -> slot; the trees keep every node alive meanwhile
+
+        def visit(node):
+            slot = seen.get(id(node))
+            if slot is not None:
+                return slot
+            if isinstance(node, Const):
+                v = node.value
+                op, args, key = _CONST, (), (type(v), v, math.copysign(1.0, v))
+            elif isinstance(node, Var):
+                op, args, key = _VAR, (), node.index
+            elif type(node) in _BINARY:
+                op, args, key = _BINARY[type(node)], (visit(node.left), visit(node.right)), None
+            elif isinstance(node, Neg):
+                op, args, key = _NEG, (visit(node.arg),), None
+            elif isinstance(node, Pow):
+                op, args, key = _POW, (visit(node.base),), node.exponent
+            elif isinstance(node, Fun):
+                op, args, key = _FUN, (visit(node.arg),), node.name
+            else:
+                raise TypeError(f"not an Expr node: {node!r}")
+            slot = slots.setdefault((op, args, key), len(program))
+            if slot == len(program):
+                program.append((op, args, node))
+            seen[id(node)] = slot
+            return slot
+
+        self.outputs = tuple(visit(e) for e in exprs)
+        self.program = tuple(program)
+        self._starts = {}
+
+    def _start(self, n: int, order: int, batched: bool):
+        """Slot list with every constant's jet in place, and the derivative
+        parts (d1, d2, d3) of each coordinate; built once per (n, order,
+        batched), with read-only arrays.  A batch gives the parts a
+        trailing axis of length 1, which broadcasts."""
+        key = (n, order, batched)
+        start = self._starts.get(key)
+        if start is None:
+            tail = (1,) if batched else ()
+            zeros = [_readonly(np.zeros((n,) * k + tail)) if k <= order else None
+                     for k in (1, 2, 3)]
+            eye = _readonly(np.eye(n).reshape((n, n) + tail))
+            units = [(eye[i] if order >= 1 else None, zeros[1], zeros[2]) for i in range(n)]
+            jets = [Jet(order, node.value, *zeros) if op == _CONST else None
+                    for op, _, node in self.program]
+            start = self._starts[key] = (jets, units)
+        return start
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _evaluate(tape: Tape, point: list, order: int) -> list[Jet]:
+    """The one evaluator: one pass over the tape, one jet per output.
 
     ``point`` lists the n coordinates: Python floats for one point, or
-    equal-length arrays for a batch of points, at any order.  ``memo``
-    maps node identity to its jet, so shared subtrees are evaluated once.
+    equal-length arrays for a batch of points, at any order.
     """
-    cached = memo.get(id(node))
-    if cached is not None:
-        return cached
     n = len(point)
+    start, units = tape._start(n, order, bool(point) and not isinstance(point[0], float))
+    jets = list(start)
     # A power of a Python float can overflow; so can any batch product under
     # the np.errstate of eval_jets.
     try:
-        if isinstance(node, Const):
-            j = Jet.constant(node.value, n, order, _tail(point))
-        elif isinstance(node, Var):
-            if node.index >= n:
-                raise EvalDomainError(
-                    f"variable x{node.index + 1} exceeds point dimension {n}", node
-                )
-            j = Jet.coordinate(node.index, point[node.index], n, order, _tail(point))
-        elif isinstance(node, Add):
-            j = _jadd(_jet_of(node.left, point, order, memo),
-                      _jet_of(node.right, point, order, memo))
-        elif isinstance(node, Mul):
-            j = _jmul(_jet_of(node.left, point, order, memo),
-                      _jet_of(node.right, point, order, memo))
-        elif isinstance(node, Div):
-            num = _jet_of(node.left, point, order, memo)
-            den = _jet_of(node.right, point, order, memo)
-            j = _jmul(num, _jcompose(den, _reciprocal_coeffs(den.value, order, node)))
-        elif isinstance(node, Neg):
-            j = _jneg(_jet_of(node.arg, point, order, memo))
-        elif isinstance(node, Pow):
-            base = _jet_of(node.base, point, order, memo)
-            j = _jcompose(base, _pow_coeffs(base.value, node.exponent, order, node))
-        elif isinstance(node, Fun):
-            arg = _jet_of(node.arg, point, order, memo)
-            j = _jcompose(arg, _fun_coeffs(node.name, arg.value, order, node))
-        else:  # pragma: no cover
-            raise TypeError(f"not an Expr node: {node!r}")
+        for slot, (op, args, node) in enumerate(tape.program):
+            if op == _MUL:
+                jets[slot] = _jmul(jets[args[0]], jets[args[1]])
+            elif op == _ADD:
+                jets[slot] = _jadd(jets[args[0]], jets[args[1]])
+            elif op == _CONST:
+                continue  # in place from the start
+            elif op == _VAR:
+                if node.index >= n:
+                    raise EvalDomainError(
+                        f"variable x{node.index + 1} exceeds point dimension {n}", node
+                    )
+                jets[slot] = Jet(order, point[node.index], *units[node.index])
+            elif op == _NEG:
+                jets[slot] = _jneg(jets[args[0]])
+            elif op == _POW:
+                base = jets[args[0]]
+                jets[slot] = _jcompose(base, _pow_coeffs(base.value, node.exponent, order, node))
+            elif op == _DIV:
+                den = jets[args[1]]
+                jets[slot] = _jmul(jets[args[0]],
+                                   _jcompose(den, _reciprocal_coeffs(den.value, order, node)))
+            else:
+                arg = jets[args[0]]
+                jets[slot] = _jcompose(arg, _fun_coeffs(node.name, arg.value, order, node))
     except (OverflowError, FloatingPointError):
         raise EvalDomainError("value beyond the floating-point range", node) from None
-    memo[id(node)] = j
-    return j
+    return [jets[slot] for slot in tape.outputs]
 
 
-def eval_jet(expr: Expr, point, order: int = 0) -> Jet:
-    """Evaluate ``expr`` at ``point`` with derivatives up to ``order`` (0..3)."""
+def _tape(exprs) -> Tape:
+    return exprs if isinstance(exprs, Tape) else Tape(exprs)
+
+
+def eval_jet(expr, point, order: int = 0) -> Jet:
+    """Evaluate ``expr`` (a tree, or a tape of one tree) at ``point`` with
+    derivatives up to ``order`` (0..3)."""
     if not 0 <= order <= 3:
         raise ValueError("order must be between 0 and 3")
+    tape = expr if isinstance(expr, Tape) else Tape((expr,))
+    if len(tape.outputs) != 1:
+        raise ValueError("eval_jet takes one expression")
     p = np.asarray(point, dtype=float)
     if p.ndim != 1:
         raise ValueError("point must be a 1-d coordinate array")
-    return _jet_of(expr, p.tolist(), order, {})
+    return _evaluate(tape, p.tolist(), order)[0]
 
 
 def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
-    """Evaluate several expressions at one point or an (m, n) batch of points.
+    """Evaluate several expressions, or a :class:`Tape`, at one point or an
+    (m, n) batch of points; one jet per expression.
 
-    Subtrees shared between the given trees (same object identity) are
-    evaluated once, which matters for metrics whose entries reuse a common
-    conformal factor.  A batch gives jets with a trailing batch axis (see
-    :class:`Jet`), and raises :class:`EvalDomainError` wherever a value or
-    derivative at one of its points leaves the floating-point range, as the
-    per-point call does, rather than returning inf.
+    Structurally equal subtrees are evaluated once, which matters for
+    metrics whose entries share a conformal factor; pass a tape compiled
+    once to skip compiling at every call.  A batch gives jets with a
+    trailing batch axis (see :class:`Jet`), and raises
+    :class:`EvalDomainError` wherever a value or derivative at one of its
+    points leaves the floating-point range, as the per-point call does,
+    rather than returning inf.
     """
     if not 0 <= order <= 3:
         raise ValueError("order must be between 0 and 3")
+    tape = _tape(exprs)
     p = np.asarray(point, dtype=float)
-    memo: dict = {}
     if p.ndim == 1:
-        coords = p.tolist()
-        return [_jet_of(e, coords, order, memo) for e in exprs]
+        return _evaluate(tape, p.tolist(), order)
     if p.ndim != 2:
         raise ValueError("points must be an (n,) or an (m, n) array")
     columns = list(p.T.copy())
     with np.errstate(over="raise"):
-        return [_jet_of(e, columns, order, memo) for e in exprs]
+        return _evaluate(tape, columns, order)
 
 
 def eval_values_many(exprs, points) -> np.ndarray:
-    """Stacked order-0 evaluation of several expressions, (k, m) result.
+    """Stacked order-0 evaluation of several expressions, or of a
+    :class:`Tape`, (k, m) result.
 
-    The jet evaluator runs once over the m points, with each coordinate a
+    The evaluator runs once over the m points, with each coordinate a
     column of ``points``; a tree without coordinates stays a scalar until
-    the final stacking.  One memo spans all trees, so expression objects
-    shared between them (metric factors, repeated field components) are
-    evaluated once.  A value beyond the floating-point range is numpy's inf
-    here, with its RuntimeWarning.
+    the final stacking.  A value beyond the floating-point range is numpy's
+    inf here, with its RuntimeWarning.
     """
+    tape = _tape(exprs)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be an (m, n) array")
-    memo: dict = {}
-    columns = list(pts.T)
-    values = [_jet_of(e, columns, 0, memo).value for e in exprs]
+    values = [jet.value for jet in _evaluate(tape, list(pts.T), 0)]
     out = np.empty((len(values), pts.shape[0]))
     for row, value in zip(out, values):
         row[...] = value  # broadcasts a scalar constant to the m points
@@ -565,7 +633,7 @@ class _Parser:
             exponent = self.parse_unary()
             try:  # a coordinate raises here, as does a value outside a domain
                 with np.errstate(all="ignore"):
-                    folded = _jet_of(exponent, [], 0, {}).value
+                    folded = _evaluate(Tape((exponent,)), [], 0)[0].value
             except ArithmeticError:
                 folded = math.nan
             if not math.isfinite(folded):

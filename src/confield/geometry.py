@@ -41,11 +41,11 @@ normal space of a zero set patch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, eval_jets
+from .expr import Expr, Tape, eval_jets
 
 __all__ = [
     "Chart", "FieldSpec",
@@ -82,7 +82,9 @@ class Chart:
     ``metric[i][j]`` is an :class:`~confield.expr.Expr` in the coordinates
     ``x1 .. x{dim}``.  All slots must be filled; symmetry is enforced
     numerically by symmetrizing evaluated components, and positivity is
-    checked wherever the metric is evaluated.
+    checked wherever the metric is evaluated.  ``tape`` holds the entries,
+    row-major, compiled once here; a tree too deep to compile raises
+    :class:`RecursionError`.
     """
 
     dim: int
@@ -90,6 +92,7 @@ class Chart:
     upper: np.ndarray
     metric: tuple
     name: str = "chart"
+    tape: Tape = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -110,6 +113,7 @@ class Chart:
                 if not isinstance(entry, Expr):
                     raise ChartError("metric entries must be Expr nodes")
         object.__setattr__(self, "metric", rows)
+        object.__setattr__(self, "tape", Tape(self.metric_entries()))
 
     def _inside(self, p, margin: float = 0.0) -> np.ndarray:
         q = np.asarray(p, dtype=float)
@@ -141,11 +145,15 @@ class Chart:
 
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """A vector field on a chart: one component expression per coordinate."""
+    """A vector field on a chart: one component expression per coordinate.
+
+    ``tape`` holds the components compiled once here, as in :class:`Chart`.
+    """
 
     chart: Chart
     components: tuple
     name: str = ""
+    tape: Tape = field(init=False, repr=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -157,6 +165,7 @@ class FieldSpec:
                 f"vector field needs {self.chart.dim} components, got {len(comps)}"
             )
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "tape", Tape(comps))
 
     @classmethod
     def vector(cls, chart: Chart, components, name: str = "") -> "FieldSpec":
@@ -177,8 +186,8 @@ def _gather(jets, part: str, shape: tuple, batch: tuple) -> np.ndarray:
     out = np.empty((len(jets),) + shape[len(shape) - order:] + batch)
     for k, jet in enumerate(jets):
         out[k] = getattr(jet, part)
-    if batch:
-        out = np.moveaxis(out, -1, 0)
+    if batch:  # np.moveaxis(out, -1, 0), without its argument checks
+        out = out.transpose(out.ndim - 1, *range(out.ndim - 1))
     return out.reshape(batch + shape)
 
 
@@ -194,7 +203,7 @@ def metric_jets(chart: Chart, p, order: int):
     n = chart.dim
     p = np.asarray(p, dtype=float)
     batch = p.shape[:-1]
-    jets = eval_jets(chart.metric_entries(), p, order)
+    jets = eval_jets(chart.tape, p, order)
     g = _gather(jets, "value", (n, n), batch)
     g = 0.5 * (g + g.swapaxes(-1, -2))
     dg = d2g = None
@@ -315,7 +324,7 @@ def field_jets(xi: FieldSpec, p, order: int):
     n = xi.chart.dim
     p = np.asarray(p, dtype=float)
     batch = p.shape[:-1]
-    jets = eval_jets(xi.components, p, order)
+    jets = eval_jets(xi.tape, p, order)
     val = _gather(jets, "value", (n,), batch)
     jac = _gather(jets, "d1", (n, n), batch) if order >= 1 else None
     hess = _gather(jets, "d2", (n, n, n), batch) if order >= 2 else None

@@ -11,6 +11,10 @@ parameters, whose derivatives are of order one.
 The Taylor derivatives along a geodesic through a zero come from
 Richardson differences of RK4 runs of the geodesic, at the step 1e-3.
 
+The recursive tree walk that evaluated jets before expressions were
+compiled to tapes is kept as the reference evaluator: the tape must give
+the same jets, bit for bit.
+
 Besides these: a Gram-Schmidt frame, the conformal connection-change
 identity, the symbolic pushforward of a field under the unit inversion, a
 recorder of the calls of a function through every confield binding, a
@@ -21,6 +25,94 @@ their zeros and verdicts read off the matrix.
 from __future__ import annotations
 
 import numpy as np
+
+from confield.expr import (
+    Add,
+    Const,
+    Div,
+    EvalDomainError,
+    Fun,
+    Jet,
+    Mul,
+    Neg,
+    Pow,
+    Var,
+    _fun_coeffs,
+    _jadd,
+    _jcompose,
+    _jmul,
+    _jneg,
+    _pow_coeffs,
+    _reciprocal_coeffs,
+)
+
+
+def _leaf(value, n, order, tail, index=None):
+    """A constant's jet, or with ``index`` a coordinate's, built afresh."""
+    d1 = np.zeros((n,) + tail) if order >= 1 else None
+    d2 = np.zeros((n, n) + tail) if order >= 2 else None
+    d3 = np.zeros((n, n, n) + tail) if order >= 3 else None
+    if index is not None and order >= 1:
+        d1[index] = 1.0
+    return Jet(order, value, d1, d2, d3)
+
+
+def _jet_of(node, point: list, order: int, memo: dict) -> Jet:
+    """The recursive tree evaluator.
+
+    ``point`` lists the n coordinates: Python floats for one point, or
+    equal-length arrays for a batch of points, at any order.  ``memo``
+    maps node identity to its jet, so shared subtrees are evaluated once.
+    """
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached
+    n = len(point)
+    tail = () if not point or isinstance(point[0], float) else (1,)
+    try:
+        if isinstance(node, Const):
+            j = _leaf(node.value, n, order, tail)
+        elif isinstance(node, Var):
+            if node.index >= n:
+                raise EvalDomainError(
+                    f"variable x{node.index + 1} exceeds point dimension {n}", node
+                )
+            j = _leaf(point[node.index], n, order, tail, node.index)
+        elif isinstance(node, Add):
+            j = _jadd(_jet_of(node.left, point, order, memo),
+                      _jet_of(node.right, point, order, memo))
+        elif isinstance(node, Mul):
+            j = _jmul(_jet_of(node.left, point, order, memo),
+                      _jet_of(node.right, point, order, memo))
+        elif isinstance(node, Div):
+            num = _jet_of(node.left, point, order, memo)
+            den = _jet_of(node.right, point, order, memo)
+            j = _jmul(num, _jcompose(den, _reciprocal_coeffs(den.value, order, node)))
+        elif isinstance(node, Neg):
+            j = _jneg(_jet_of(node.arg, point, order, memo))
+        elif isinstance(node, Pow):
+            base = _jet_of(node.base, point, order, memo)
+            j = _jcompose(base, _pow_coeffs(base.value, node.exponent, order, node))
+        elif isinstance(node, Fun):
+            arg = _jet_of(node.arg, point, order, memo)
+            j = _jcompose(arg, _fun_coeffs(node.name, arg.value, order, node))
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+    except (OverflowError, FloatingPointError):
+        raise EvalDomainError("value beyond the floating-point range", node) from None
+    memo[id(node)] = j
+    return j
+
+
+def reference_jets(exprs, point, order: int = 0) -> list:
+    """``eval_jets`` by the recursive walk: one point, or an (m, n) batch."""
+    p = np.asarray(point, dtype=float)
+    memo: dict = {}
+    if p.ndim == 1:
+        return [_jet_of(e, p.tolist(), order, memo) for e in exprs]
+    columns = list(p.T.copy())
+    with np.errstate(over="raise"):
+        return [_jet_of(e, columns, order, memo) for e in exprs]
 
 
 def fd_partial(f, x, i, h=1e-5):

@@ -103,3 +103,26 @@ def test_tracer_counts_the_steps_of_one_geodesic():
     assert len(states) == 33 and states[-1].position.shape == (3,)
     assert t.layer_table()["geodesic.integrate_geodesic"]["calls"] == 1
     assert t.counts["geodesic.rk4_steps"] == 32
+
+
+def test_field_and_grid_evaluations_pass_the_expr_boundaries():
+    """field_jets, field_data and the grid scan of find_zeros evaluate their
+    compiled tapes through the expr names the tracer wraps, so
+    expr.eval_jets.calls, expr.jets.order* and expr.eval_values_many.points
+    count them: one jet per metric entry or field component."""
+    tracer = _load_tracer()
+    chart = confield.models.sphere_stereographic(3)
+    xi = confield.models.rotation(chart, 1, 2)
+    p = np.array([0.1, 0.2, 0.3])
+    with tracer.Tracer() as t:
+        confield.geometry.field_jets(xi, p, 1)
+    assert t.layer_table()["expr.eval_jets"]["calls"] == 1
+    assert t.counts["expr.jets.order1"] == 3
+    with tracer.Tracer() as t:
+        confield.geometry.field_data(chart, xi, np.stack([p, -p]), 2)
+    assert t.layer_table()["expr.eval_jets"]["calls"] == 2
+    assert t.counts["expr.jets.order2"] == 9 + 3
+    with tracer.Tracer() as t:
+        confield.essential._grid_norms(chart, xi, np.stack([p, -p, 2 * p]))
+    assert t.layer_table()["expr.eval_values_many"]["calls"] == 2
+    assert t.counts["expr.eval_values_many.points"] == 2 * 3

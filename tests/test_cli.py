@@ -236,6 +236,45 @@ def test_an_800_term_sum_runs_and_prints(tmp_path):
     assert report["field"]["components"][0] == " + ".join(["-x2"] + ["0"] * 799)
 
 
+def _run_metric_sum(tmp_path, capsys, terms):
+    """Exit code of every analysis of a rotation on a flat chart whose g11
+    is a sum of ``terms`` terms, one tree level each; a refusal must be
+    the one-line compile message."""
+    entry = "+".join(["1"] + ["0*x1"] * (terms - 1))
+    manifest = {"chart": {"metric": [[entry, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                          "lower": [-1, -1, -1], "upper": [1, 1, 1]},
+                "field": {"components": ["x2", "-x1", "0"]}, "analyses": ["all"], "seed": 1}
+    code = main(["run", _write_manifest(tmp_path, manifest)])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.strip() == "error: bad metric expression: nested too deeply to compile"
+    return code
+
+
+@pytest.mark.parametrize("terms", range(978, 983))
+def test_deep_metric_sums_are_refused_at_build_or_run_everywhere(tmp_path, capsys, terms):
+    """Metric trees are compiled when the chart is built, and the compiled
+    tape is evaluated without recursion: near the recursion limit an entry
+    is refused as a manifest error or runs every analysis, never fails
+    inside one."""
+    assert _run_metric_sum(tmp_path, capsys, terms) in (0, 2)
+
+
+def test_metric_sums_just_below_the_compile_limit_run(tmp_path, capsys):
+    """Wherever the recursion limit falls under this test's stack, the sums
+    just short of the shortest refused one run every analysis."""
+    lo, hi = 500, 2000
+    assert _run_metric_sum(tmp_path, capsys, lo) == 0
+    assert _run_metric_sum(tmp_path, capsys, hi) == 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        code = _run_metric_sum(tmp_path, capsys, mid)
+        assert code in (0, 2)
+        lo, hi = (mid, hi) if code == 0 else (lo, mid)
+    for terms in range(lo - 8, lo):
+        assert _run_metric_sum(tmp_path, capsys, terms) == 0
+
+
 @pytest.mark.parametrize("flags,needle", [
     (["--seed", "-1"], "seed"),
     (["--grid-resolution", "2"], "grid_resolution"),

@@ -8,6 +8,7 @@ import pytest
 import confield.essential as essential
 import confield.geometry as geometry
 import confield.models as models
+import confield.zeroset as zeroset
 from confield.conformal import rescale_metric
 from confield.essential import (
     VERDICT_ESSENTIAL,
@@ -224,16 +225,69 @@ def test_dedupe_keeps_what_the_pairwise_loop_keeps(monkeypatch, chart, xi):
     assert np.array_equal(zeros, np.asarray(kept)[np.lexsort(key.T[::-1])])
 
 
+def _polish_evaluations(monkeypatch, module):
+    """Record the rows of every field_jets call; of those made inside
+    polish_zeros, called through ``module``; and one entry per solve (each
+    starts with one evaluation of every lane)."""
+    rows, solves = [], []
+    calls = recording_calls(monkeypatch, geometry.field_jets, lambda result: len(result[0]))
+    polish = essential.polish_zeros
+
+    def polishing(*args, **kwargs):
+        solves.append(len(calls))
+        out = polish(*args, **kwargs)
+        rows.extend(calls[solves[-1]:])
+        return out
+
+    monkeypatch.setattr(module, "polish_zeros", polishing)
+    return calls, rows, solves
+
+
 def test_trace_stops_lanes_at_rounding_level(monkeypatch):
     """Corrector lanes whose candidate rounds back to their own point stop
     halving: tracing the first zero of sphere_killing(1, 5) on flat R^4
-    makes 123 field_value calls when each stalled lane halves 30 times."""
+    makes 122 candidate evaluations when each stalled lane halves 30
+    times."""
     flat4 = models.euclidean(4)
     xi = models.sphere_killing(flat4, 1, 5)
     zero = classify_zero(flat4, xi, find_zeros(flat4, xi)[0])
-    calls = recording_calls(monkeypatch, geometry.field_value, lambda result: 1)
+    _, rows, solves = _polish_evaluations(monkeypatch, zeroset)
     trace_component(flat4, xi, zero, radius=0.3, grid=5)
-    assert 0 < len(calls) <= 30
+    assert len(solves) == 1
+    assert 0 < len(rows) - len(solves) <= 30
+
+
+def test_polish_carries_its_jets(monkeypatch):
+    """An accepted candidate's 1-jet is the next iteration's data, and a
+    halving with no candidate inside the chart evaluates nothing.  At the
+    quadratic zero of special_conformal(1) all 50 iterations run: one
+    evaluation per iteration and one at the start, where evaluating again
+    at the top of each iteration made 100.  On the hyperbolic ball, 134 of
+    the 153 solver evaluations of sphere_killing(1, 4) were of empty
+    batches; now find_zeros evaluates no empty batch at all."""
+    calls, rows, solves = _polish_evaluations(monkeypatch, essential)
+    find_zeros(FLAT3, models.special_conformal(FLAT3, 1))
+    assert len(solves) == 1 and 0 < len(rows) <= 51
+    calls.clear()
+    assert len(find_zeros(HYPER, models.sphere_killing(HYPER, 1, 4))) == 0
+    assert calls and 0 not in calls
+
+
+@pytest.mark.parametrize("field", ["special_conformal", "sphere_translation"])
+@pytest.mark.parametrize("chart", [FLAT3, SPHERE, HYPER], ids=lambda c: c.name)
+def test_polish_runs_the_essential_origin_zero_to_rounding_level(chart, field):
+    """The origin zero is quadratic, so Gauss-Newton gains one bit per
+    iteration.  A stop at a rounding-level residual would leave it near
+    |x| = 1e-7, where a point off the field's axis reads as Killing with a
+    one-dimensional kernel; running on places it within 1e-13, where it
+    reads as essential with kernel dimension 3."""
+    xi = getattr(models, field)(chart, 1)
+    zeros = find_zeros(chart, xi)
+    (origin,) = zeros[np.linalg.norm(zeros, axis=1) < 1e-13]
+    found = classify_zero(chart, xi, origin)
+    assert (found.verdict, found.kernel_dim) == (VERDICT_ESSENTIAL, 3)
+    stopped = classify_zero(chart, xi, np.full(3, 1e-7 / math.sqrt(3)))
+    assert (stopped.verdict, stopped.kernel_dim) == (VERDICT_KILLING, 1)
 
 
 def test_grid_scan_holds_one_block():

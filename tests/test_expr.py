@@ -20,6 +20,7 @@ from confield.expr import (
     Mul,
     Neg,
     Pow,
+    Tape,
     Var,
     eval_jet,
     eval_jets,
@@ -27,7 +28,7 @@ from confield.expr import (
     parse,
 )
 from confield.geometry import sample_interior
-from helpers import fd_partial, fd_partial2, substitute
+from helpers import fd_partial, fd_partial2, reference_jets, substitute
 
 SAMPLE_SOURCES = [
     "x1*x2 - x2^3/(1 + x1^2)",
@@ -274,10 +275,75 @@ def test_eval_values_domain_error_on_batch():
 
 
 def test_jet_constructors():
-    c = Jet.constant(2.5, n=3, order=2)
+    """Leaf jets come from parts built once per tape and made read-only."""
+    c = eval_jet(Const(2.5), np.zeros(3), 2)
     assert c.value == 2.5 and not c.d1.any() and not c.d2.any()
-    x = Jet.coordinate(index=0, value=1.5, n=2, order=1)
+    x = eval_jet(Var(0), [1.5, 0.0], 1)
     assert x.value == 1.5 and x.d1[0] == 1.0 and x.d1[1] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        x.d1[1] = 2.0
+
+
+# -- the tape against the recursive reference evaluator ---------------------
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_tape_matches_reference(exprs, point, order):
+    tape_jets = eval_jets(Tape(exprs), point, order)
+    ref_jets = reference_jets(exprs, point, order)
+    assert len(tape_jets) == len(ref_jets) == len(exprs)
+    for tj, rj in zip(tape_jets, ref_jets):
+        for part in ("value", "d1", "d2", "d3")[: order + 1]:
+            assert _same_bits(getattr(tj, part), getattr(rj, part)), part
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_tape_jets_are_the_reference_jets_bitwise(dim):
+    """Every catalog chart and field, at the origin (signed zeros) and at
+    seeded points, one point at a time and as one batch, orders 0-2."""
+    rng = np.random.default_rng(dim)
+    for chart, xi in models.standard_pairs(dim):
+        points = np.vstack([np.zeros(dim), sample_interior(chart, 4, rng)])
+        for exprs, tape in ((chart.metric_entries(), chart.tape), (xi.components, xi.tape)):
+            for order in range(3):
+                _assert_tape_matches_reference(exprs, points, order)
+                for p in points:
+                    _assert_tape_matches_reference(exprs, p, order)
+                    for tj, ej in zip(eval_jets(tape, p, order), eval_jets(exprs, p, order)):
+                        assert _same_bits(tj.value, ej.value)
+
+
+def test_tape_shares_structurally_equal_subtrees():
+    a = parse("sin(x1*x2)/(2 + x1^2)", 2)
+    b = parse("sin(x1*x2)/(2 + x1^2)", 2)
+    assert a is not b and a == b
+    trees = [Mul(a, b), Add(Div(a, b), Neg(b)), a]
+    tape = Tape(trees)
+    assert len(tape.program) == len(Tape([a]).program) + 4
+    assert tape.outputs[2] == tape.program[tape.outputs[0]][1][0]
+    for order in range(4):
+        _assert_tape_matches_reference(trees, [0.3, -0.7], order)
+    _assert_tape_matches_reference(trees, np.array([[0.3, -0.7], [1.1, 0.4]]), 2)
+
+
+def test_tape_keeps_signed_zero_constants_apart():
+    """-0.0 == 0.0, but the two constants give different sums: keyed by
+    value alone they would share a slot and one of the trees would change
+    sign."""
+    trees = [Const(0.0), Const(-0.0),
+             Add(Const(-0.0), Neg(Const(0.0))), Add(Const(-0.0), Mul(Var(0), Const(0.0)))]
+    tape = Tape(trees)
+    assert tape.outputs[0] != tape.outputs[1]
+    for point in ([-1.0, 2.0], np.array([[-1.0, 2.0], [3.0, 0.5]])):
+        for order in range(3):
+            _assert_tape_matches_reference(trees, point, order)
+    values = [j.value for j in eval_jets(tape, [-1.0, 2.0])]
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, -1.0, -1.0]
 
 
 # -- hypothesis: random trees stay consistent -------------------------------
