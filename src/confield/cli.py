@@ -18,7 +18,7 @@ import inspect
 import json
 import math
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -622,7 +622,10 @@ def _catalog() -> dict:
     }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, so
+    every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="confield",
         description="analyze conformal vector fields on coordinate charts",

@@ -27,10 +27,14 @@ all the neighbourhood samples.
 ``find_zeros`` locates zeros by a grid scan, in blocks of bounded size,
 whose seeds ``polish_zeros`` moves onto xi = 0 all at once, as the lanes of
 one damped Gauss-Newton iteration; tracing in :mod:`confield.zeroset`
-corrects its patch nodes with the same routine.  ``limit_point_audit``
-cross-checks the classified zeros against the structure theory:
-non-isolated zeros must classify as Killing for a rescaled metric, and
-essential zeros must be isolated.
+corrects its patch nodes with the same routine.  Essential zeros are
+singular, where Newton converges only linearly, with rate 1/2 (Decker,
+Keller & Kelley 1983), so a lane whose step is about half its last one
+first tries the doubled step, the Richardson limit of that tail (Griewank
+1985).  A lane stops once its step is below the rounding unit of the box.
+``limit_point_audit`` cross-checks the classified zeros against the
+structure theory: non-isolated zeros must classify as Killing for a
+rescaled metric, and essential zeros must be isolated.
 """
 from __future__ import annotations
 
@@ -138,33 +142,44 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarra
     step is halved, at most 30 times, while the candidate is outside the
     chart or does not lower |xi|; each halving evaluates the 1-jets of the
     candidates inside the chart in one batch, and none when no candidate
-    is inside.  So a lane's last iterate is its best.  A lane stops at a
-    zero residual, at an all-zero step (a constant field gives one
-    everywhere), when no halving descends, or as soon as its candidate
+    is inside.  So a lane's last iterate is its best.  Where the Jacobian
+    is singular at the zero, Newton's error halves each iteration, so a
+    step s with s.d / |d|^2 in (0.4, 0.6), d the lane's last accepted
+    displacement, starts its ladder at l = 2: the candidate x + 2s is the
+    extrapolated limit, and one that does not descend falls back to
+    l = 1, 1/2, ...  A lane stops at a step below the box's rounding unit
+    eps (upper - lower) in every coordinate (a zero residual gives a zero
+    step, and a coordinate converging to 0 never rounds its candidate to
+    its own point), when no halving descends, or as soon as its candidate
     rounds to its current point in every coordinate: fl(x + l s) is
     monotone in l, so no smaller step could move it.  Lanes never mix.
     The iteration runs to machine precision, not to an acceptance
-    tolerance, because quadratic zeros gain one bit per iteration.
+    tolerance: a singular zero stopped at a rounding-level residual can
+    sit near |x| = 1e-7.
     """
     x = np.array(points, dtype=float)
     basis = np.eye(chart.dim) if normals is None else normals
     val, jac, _ = field_jets(xi, x, 1)
     r = np.linalg.norm(val, axis=-1)
     live = np.ones(len(x), dtype=bool)
+    last = np.zeros_like(x)
+    unit = np.finfo(float).eps * (chart.upper - chart.lower)
     for _ in range(_NEWTON_ITERATIONS):
         lanes = np.flatnonzero(live)
         if not lanes.size:
             break
         step = -(np.linalg.pinv(jac[lanes] @ basis.T) @ val[lanes][..., None])[..., 0] @ basis
-        pending = (r[lanes] > 0.0) & step.any(axis=-1)
+        pending = (np.abs(step) > unit).any(axis=-1)
+        d = last[lanes]
+        sd, dd = np.einsum("ij,ij->i", step, d), np.einsum("ij,ij->i", d, d)
+        lam = np.where((0.4 * dd < sd) & (sd < 0.6 * dd), 2.0, 1.0)
         live[lanes] = False
-        lam = 1.0
         for _ in range(30):
             todo = np.flatnonzero(pending)
             if not todo.size:
                 break
             base = x[lanes[todo]]
-            cand = base + lam * step[todo]
+            cand = base + lam[todo, None] * step[todo]
             inside = np.flatnonzero(chart._inside(cand))
             down = np.zeros(len(todo), dtype=bool)
             if inside.size:
@@ -174,6 +189,7 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarra
                 down[inside[better]] = True
                 moved = lanes[todo[down]]
                 x[moved] = cand[down]
+                last[moved] = lam[todo[down], None] * step[todo[down]]
                 val[moved], jac[moved], r[moved] = cand_val[better], cand_jac[better], cand_r[better]
                 live[moved] = True
             # fl(base + lam * step) is monotone in lam, so a candidate that

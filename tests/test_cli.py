@@ -1,4 +1,5 @@
 """Manifest runner: report rendering, determinism, exit codes."""
+import argparse
 import json
 import math
 import struct
@@ -325,6 +326,39 @@ def test_every_setting_is_typed_ranged_and_defaulted(tmp_path, capsys, setting):
     assert entry["default"] == setting.default
     bound = "minimum" if setting.type is int else "exclusiveMinimum"
     assert entry[bound] == setting.low
+
+
+def test_flags_do_not_leak_into_the_next_call(tmp_path):
+    """The parser is shared by every main call: a flag given to one run
+    leaves the next run's settings at their defaults."""
+    code, flagged = _run_to_report(tmp_path, ZEROS_MANIFEST,
+                                   extra_args=["--seed", "99", "--grid-resolution", "10"])
+    assert code == 0
+    assert (flagged["config"]["seed"], flagged["config"]["grid_resolution"]) == (99, 10)
+    code, plain = _run_to_report(tmp_path, ZEROS_MANIFEST)
+    assert code == 0
+    defaults = {s.key: s.default for s in SETTINGS}
+    assert plain["config"]["seed"] == defaults["seed"]
+    assert plain["config"]["grid_resolution"] == defaults["grid_resolution"]
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    try:
+        mpath = _write_manifest(tmp_path, ZEROS_MANIFEST)
+        for argv in (["schema"], ["catalog"], ["run", mpath], ["run", mpath, "--seed", "3"]):
+            assert main(argv) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("confield") == 1
 
 
 # -- full runs ---------------------------------------------------------------------

@@ -260,14 +260,15 @@ def test_trace_stops_lanes_at_rounding_level(monkeypatch):
 def test_polish_carries_its_jets(monkeypatch):
     """An accepted candidate's 1-jet is the next iteration's data, and a
     halving with no candidate inside the chart evaluates nothing.  At the
-    quadratic zero of special_conformal(1) all 50 iterations run: one
-    evaluation per iteration and one at the start, where evaluating again
-    at the top of each iteration made 100.  On the hyperbolic ball, 134 of
-    the 153 solver evaluations of sphere_killing(1, 4) were of empty
-    batches; now find_zeros evaluates no empty batch at all."""
+    quadratic zero of special_conformal(1) the solve makes three
+    evaluations: one of every lane at the start and one per iteration,
+    where evaluating again at the top of each iteration doubles them.  On
+    the hyperbolic ball, 134 of the 153 solver evaluations of
+    sphere_killing(1, 4) were of empty batches; now find_zeros evaluates no
+    empty batch at all."""
     calls, rows, solves = _polish_evaluations(monkeypatch, essential)
     find_zeros(FLAT3, models.special_conformal(FLAT3, 1))
-    assert len(solves) == 1 and 0 < len(rows) <= 51
+    assert len(solves) == 1 and 0 < len(rows) <= 3
     calls.clear()
     assert len(find_zeros(HYPER, models.sphere_killing(HYPER, 1, 4))) == 0
     assert calls and 0 not in calls
@@ -276,8 +277,8 @@ def test_polish_carries_its_jets(monkeypatch):
 @pytest.mark.parametrize("field", ["special_conformal", "sphere_translation"])
 @pytest.mark.parametrize("chart", [FLAT3, SPHERE, HYPER], ids=lambda c: c.name)
 def test_polish_runs_the_essential_origin_zero_to_rounding_level(chart, field):
-    """The origin zero is quadratic, so Gauss-Newton gains one bit per
-    iteration.  A stop at a rounding-level residual would leave it near
+    """The origin zero is quadratic, so plain Newton only halves the error
+    per iteration.  A stop at a rounding-level residual would leave it near
     |x| = 1e-7, where a point off the field's axis reads as Killing with a
     one-dimensional kernel; running on places it within 1e-13, where it
     reads as essential with kernel dimension 3."""
@@ -288,6 +289,42 @@ def test_polish_runs_the_essential_origin_zero_to_rounding_level(chart, field):
     assert (found.verdict, found.kernel_dim) == (VERDICT_ESSENTIAL, 3)
     stopped = classify_zero(chart, xi, np.full(3, 1e-7 / math.sqrt(3)))
     assert (stopped.verdict, stopped.kernel_dim) == (VERDICT_KILLING, 1)
+
+
+@pytest.mark.parametrize("field", ["special_conformal", "sphere_translation"])
+@pytest.mark.parametrize("chart", [FLAT3, SPHERE, HYPER], ids=lambda c: c.name)
+def test_polish_extrapolates_at_quadratic_zeros(monkeypatch, chart, field):
+    """Near the quadratic origin zero each Newton step is half the last,
+    and the doubled step lands on the zero: the solve makes at most four
+    evaluations, where running Newton's linear tail took all 51."""
+    xi = getattr(models, field)(chart, 1)
+    _, rows, solves = _polish_evaluations(monkeypatch, essential)
+    zeros = find_zeros(chart, xi)
+    assert len(solves) == 1 and 0 < len(rows) <= 4
+    (origin,) = zeros[np.linalg.norm(zeros, axis=1) < 1e-13]
+    found = classify_zero(chart, xi, origin)
+    assert (found.verdict, found.kernel_dim) == (VERDICT_ESSENTIAL, 3)
+
+
+def test_polish_stops_steps_below_the_box_rounding_unit(monkeypatch):
+    """On the x1 = 0 zero sphere of sphere_killing(1, 5) on flat R^4, lanes
+    stop once every coordinate of their step is below the rounding unit of
+    the box; stopping only where a candidate rounds to its own point let 17
+    lanes chase x1 from 1e-17 down to 1e-177 over 44 evaluations."""
+    flat4 = models.euclidean(4)
+    _, rows, solves = _polish_evaluations(monkeypatch, essential)
+    assert len(find_zeros(flat4, models.sphere_killing(flat4, 1, 5))) == 47
+    assert len(solves) == 1 and 0 < len(rows) <= 6
+
+
+def test_find_zeros_evaluation_budget_over_the_catalog(monkeypatch):
+    """The 18 chart and field pairs of dimension 3 cost at most 70 solver
+    evaluations at grid 12 in all (345 without extrapolation and the
+    box-scale stop)."""
+    _, rows, solves = _polish_evaluations(monkeypatch, essential)
+    for chart, xi in models.standard_pairs(3):
+        find_zeros(chart, xi, 12)
+    assert len(solves) == 18 and len(rows) <= 70
 
 
 def test_grid_scan_holds_one_block():
