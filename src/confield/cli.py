@@ -7,9 +7,15 @@ byte-identical across runs for the same manifest and seed: ``json.dumps``
 writes each float as its shortest round-trip repr, and non-finite values
 become strings.
 
+A manifest sets only ``seed`` and ``grid_resolution`` (the ``SETTINGS``
+table); every other threshold, radius and sample count is fixed, either as
+the default of the library function that uses it or as a constant here,
+and ``run`` takes no option but ``--out``.  Each analysis reports the
+values it ran with.
+
 Exit codes: 0 when every analysis passed, 1 when an analysis failed or
-raised, 2 for malformed manifests, unusable charts/fields or a report that
-cannot be written.
+raised, 2 for malformed manifests or options, unusable charts/fields or a
+report that cannot be written.
 """
 from __future__ import annotations
 
@@ -26,7 +32,10 @@ import numpy as np
 from . import __version__
 from .conformal import is_conformal
 from .essential import (
+    CLASSIFICATION_TOL,
+    GRID_RESOLUTION,
     VERDICT_INVALID,
+    ZERO_TOL,
     ClassificationDimensionError,
     classify_zero,
     find_zeros,
@@ -37,6 +46,9 @@ from .geodesic import dxi_identity_residual, taylor_checks
 from .geometry import Chart, ChartError, FieldSpec, MetricError, sample_interior
 from .models import CHART_BUILDERS, FIELD_BUILDERS, field_params, make_chart, make_field
 from .zeroset import (
+    TRACE_GRID,
+    TRACE_RADIUS,
+    UMBILICITY_TOL,
     OffZeroSetError,
     PatchError,
     trace_component,
@@ -47,51 +59,31 @@ __all__ = ["main", "ManifestError", "run_manifest", "render_report"]
 
 
 class Setting(NamedTuple):
-    """One row of the settings table: a manifest key and how it is checked.
-
-    Nested keys are dotted (``tolerances.zero``).  An ``int`` setting must
-    be a JSON integer ``>= low``; a ``float`` setting a finite number
-    ``> low``.  ``flag`` is the ``confield run`` option that overrides the
-    manifest value, if there is one.
-    """
+    """One row of the settings table: a top-level manifest key that holds
+    a JSON integer ``>= low``."""
 
     key: str
-    type: type
-    default: int | float
-    low: int | float
-    flag: str | None
+    default: int
+    low: int
     help: str
 
 
 # In report order: the 'config' section lists the settings in this order.
 SETTINGS = (
-    Setting("seed", int, 0, 0, "--seed",
-            "seed of the random draws; each analysis has its own stream"),
-    Setting("grid_resolution", int, 12, 3, "--grid-resolution",
-            "grid points per axis of the zero search"),
-    Setting("isolation_radius", float, 0.05, 0, "--isolation-radius",
-            "a zero with another zero this close is not isolated"),
-    Setting("trace_radius", float, 0.3, 0, "--trace-radius",
-            "half-width of the parameter grid of a traced patch"),
-    Setting("trace_grid", int, 5, 3, "--trace-grid",
-            "nodes per axis of a traced patch; odd, so the zero is a node"),
-    Setting("trace_max_patches", int, 2, 1, None,
-            "number of zero-set patches traced"),
-    Setting("tolerances.zero", float, 1e-10, 0, "--zero-tol",
-            "field norm below which a polished point is a zero"),
-    Setting("tolerances.classification", float, 1e-6, 0, "--class-tol",
-            "tolerance of the zero classification and of tracing"),
-    Setting("tolerances.conformal", float, 1e-7, 0, "--conformal-tol",
-            "largest conformal-equation residual accepted"),
-    Setting("tolerances.umbilicity", float, 1e-4, 0, "--umbilicity-tol",
-            "largest umbilicity residual accepted"),
-    Setting("tolerances.identity", float, 1e-7, 0, "--identity-tol",
-            "largest derivative-identity residual accepted"),
-    Setting("samples.conformal_points", int, 100, 1, None,
-            "sample points of check-conformal"),
-    Setting("samples.identity_pairs", int, 50, 1, None,
-            "point and direction pairs of verify-identities"),
+    Setting("seed", 0, 0, "seed of the random draws; each analysis has its own stream"),
+    Setting("grid_resolution", GRID_RESOLUTION, 3, "grid points per axis of the zero search"),
 )
+
+# Fixed values of the analyses that no library default covers.
+_IDENTITY_TOL = 1e-7  # largest derivative-identity residual accepted
+_CONFORMAL_POINTS = 100  # sample points of check-conformal
+_IDENTITY_PAIRS = 50  # point and direction pairs of verify-identities
+_TRACE_MAX_PATCHES = 2  # zero-set patches traced
+# largest Taylor residuals accepted at a zero: scalar derivative, and the
+# first and second derivative of the vector identity
+_TAYLOR_SCALAR_TOL = 1e-6
+_TAYLOR_FIRST_TOL = 1e-6
+_TAYLOR_SECOND_TOL = 1e-4
 
 
 class ManifestError(ValueError):
@@ -204,33 +196,21 @@ def _build_field(chart: Chart, spec) -> FieldSpec:
         raise ManifestError("bad field expression: nested too deeply to compile") from None
 
 
-def _resolve_config(manifest: dict, args) -> dict:
-    """Table defaults, then manifest values, then flags; every value checked."""
-    cfg: dict = {}
+def _resolve_config(manifest: dict) -> dict:
+    """Table defaults, then manifest values; every value checked."""
+    known = ["chart", "field", "analyses", *(s.key for s in SETTINGS)]
+    for key, value in manifest.items():
+        if key not in known:
+            if isinstance(value, dict) and value:  # name the leaf: 'tolerances.zero'
+                key = f"{key}.{next(iter(value))}"
+            raise ManifestError(f"unknown setting {key!r}; known: {known}")
+    cfg = {}
     for s in SETTINGS:
-        section, _, leaf = s.key.rpartition(".")
-        given = manifest.get(section, {}) if section else manifest
-        _require(isinstance(given, dict), f"{section!r} must be an object")
-        value = getattr(args, s.key, None)
-        if value is None:
-            value = given.get(leaf, s.default)
-        is_int = s.type is int
-        _require(_finite_number(value) and (isinstance(value, int) or not is_int),
-                 f"{s.key!r} must be {'an integer' if is_int else 'a finite number'}, "
-                 f"got {json.dumps(value)}")
-        value = s.type(value)
-        _require(value >= s.low if is_int else value > s.low,
-                 f"{s.key!r} must be {'>=' if is_int else '>'} {s.low}, got {value}")
-        node = cfg.setdefault(section, {}) if section else cfg
-        node[leaf] = value
-    known = ["chart", "field", "analyses", *cfg]
-    for key in manifest:
-        _require(key in known, f"unknown setting {key!r}; known: {known}")
-        if isinstance(cfg.get(key), dict):
-            for leaf in manifest[key]:
-                _require(leaf in cfg[key], f"unknown setting '{key}.{leaf}'; "
-                                           f"known: {list(cfg[key])}")
-    _require(cfg["trace_grid"] % 2 == 1, "'trace_grid' must be an odd integer >= 3")
+        value = manifest.get(s.key, s.default)
+        _require(_finite_number(value) and isinstance(value, int),
+                 f"{s.key!r} must be an integer, got {json.dumps(value)}")
+        _require(value >= s.low, f"{s.key!r} must be >= {s.low}, got {value}")
+        cfg[s.key] = value
     return cfg
 
 
@@ -269,34 +249,24 @@ class _Session:
 
     @cached_property
     def zeros(self):
-        return find_zeros(self.chart, self.xi, grid_resolution=self.cfg["grid_resolution"],
-                          tol=self.cfg["tolerances"]["zero"])
+        return find_zeros(self.chart, self.xi, grid_resolution=self.cfg["grid_resolution"])
 
     @cached_property
     def classifications(self):
         """One classification per zero, from one call on the classify
         stream: classify and tracing read the same verdicts whichever of
         them runs."""
-        tol = self.cfg["tolerances"]
-        return classify_zero(
-            self.chart, self.xi, self.zeros, tol=tol["classification"],
-            conformal_tol=tol["conformal"], rng=self.stream("classify"))
+        return classify_zero(self.chart, self.xi, self.zeros, rng=self.stream("classify"))
 
     @cached_property
     def patches(self):
         built = []
         errors = []
         for cls in self.classifications:
-            if len(built) >= self.cfg["trace_max_patches"]:
+            if len(built) >= _TRACE_MAX_PATCHES:
                 break
             try:
-                patch = trace_component(
-                    self.chart,
-                    self.xi,
-                    cls,
-                    radius=self.cfg["trace_radius"],
-                    grid=self.cfg["trace_grid"],
-                )
+                patch = trace_component(self.chart, self.xi, cls)
             except PatchError as exc:
                 # Refused zeros (not Killing-type, a predictor leaving the
                 # chart) are skips; a patch off the zero set is a failure.
@@ -311,10 +281,8 @@ class _Session:
 
 
 def _run_check_conformal(session: _Session) -> dict:
-    cfg = session.cfg
-    pts = sample_interior(session.chart, cfg["samples"]["conformal_points"],
-                          session.stream("check-conformal"))
-    report = is_conformal(session.chart, session.xi, pts, cfg["tolerances"]["conformal"])
+    pts = sample_interior(session.chart, _CONFORMAL_POINTS, session.stream("check-conformal"))
+    report = is_conformal(session.chart, session.xi, pts)
     return {
         "passed": bool(report.conformal),
         "samples": int(len(report.points)),
@@ -330,13 +298,12 @@ def _run_zeros(session: _Session) -> dict:
         "passed": True,
         "count": int(len(zeros)),
         "points": zeros,
-        "tolerance": session.cfg["tolerances"]["zero"],
+        "tolerance": ZERO_TOL,
         "grid_resolution": session.cfg["grid_resolution"],
     }
 
 
 def _run_classify(session: _Session) -> dict:
-    cfg = session.cfg
     if session.chart.dim < 3 and len(session.zeros):
         raise ClassificationDimensionError(
             "zero classification needs dimension >= 3; the image criterion "
@@ -357,7 +324,7 @@ def _run_classify(session: _Session) -> dict:
     ]
     audit = None
     if classifications:
-        audit_result = limit_point_audit(classifications, radius=cfg["isolation_radius"])
+        audit_result = limit_point_audit(classifications)
         audit = {
             "radius": audit_result.radius,
             "assertions": audit_result.assertions,
@@ -369,34 +336,31 @@ def _run_classify(session: _Session) -> dict:
         "passed": bool(passed),
         "entries": entries,
         "audit": audit,
-        "tolerance": cfg["tolerances"]["classification"],
+        "tolerance": CLASSIFICATION_TOL,
     }
 
 
 def _run_verify_identities(session: _Session) -> dict:
-    cfg = session.cfg
-    tol = cfg["tolerances"]["identity"]
-    pairs = cfg["samples"]["identity_pairs"]
     rng = session.stream("verify-identities")
-    pts = sample_interior(session.chart, pairs, rng)
-    dirs = rng.normal(size=(pairs, session.chart.dim))
+    pts = sample_interior(session.chart, _IDENTITY_PAIRS, rng)
+    dirs = rng.normal(size=(_IDENTITY_PAIRS, session.chart.dim))
     # np.max, unlike max(), propagates a NaN residual to the gate.
     worst = float(np.max(dxi_identity_residual(session.chart, session.xi, pts, dirs)))
     result = {
-        "pairs": pairs,
+        "pairs": _IDENTITY_PAIRS,
         "max_identity_residual": worst,
-        "identity_tolerance": tol,
+        "identity_tolerance": _IDENTITY_TOL,
     }
-    passed = bool(np.isfinite(worst) and worst < tol)
+    passed = bool(np.isfinite(worst) and worst < _IDENTITY_TOL)
 
     taylor = []
     for z in session.zeros[:4]:
         v = rng.normal(size=session.chart.dim)
         scalar, vector = taylor_checks(session.chart, session.xi, z, v)
         entry_ok = (
-            scalar.derivative_residual < 1e-6
-            and vector.first_residual < 1e-6
-            and vector.second_residual < 1e-4
+            scalar.derivative_residual < _TAYLOR_SCALAR_TOL
+            and vector.first_residual < _TAYLOR_FIRST_TOL
+            and vector.second_residual < _TAYLOR_SECOND_TOL
         )
         passed = passed and entry_ok
         taylor.append(
@@ -423,8 +387,8 @@ def _run_trace(session: _Session) -> dict:
                 "k": patch.k,
                 "codim": patch.codim,
                 "max_field_norm": patch.max_field_norm,
-                "radius": session.cfg["trace_radius"],
-                "grid": session.cfg["trace_grid"],
+                "radius": TRACE_RADIUS,
+                "grid": TRACE_GRID,
             }
         )
     skipped = [
@@ -440,12 +404,11 @@ def _run_trace(session: _Session) -> dict:
 
 def _run_umbilicity(session: _Session) -> dict:
     built, errors = session.patches
-    tol = session.cfg["tolerances"]["umbilicity"]
     entries = []
     # A zero whose traced patch left the zero set has no verdict here.
     passed = not any(e["failed"] for e in errors)
     for patch in built:
-        report = umbilicity_report(session.chart, patch, tol=tol)
+        report = umbilicity_report(session.chart, patch)
         ok = report.verdict in ("totally_umbilical", "point")
         if patch.k > 0:
             ok = ok and report.codim_even
@@ -464,7 +427,7 @@ def _run_umbilicity(session: _Session) -> dict:
         )
     return {
         "passed": bool(passed),
-        "tolerance": tol,
+        "tolerance": UMBILICITY_TOL,
         "patches": entries,
     }
 
@@ -480,19 +443,15 @@ _RUNNERS = {
 ANALYSES = tuple(_RUNNERS)
 
 
-def run_manifest(manifest: dict, args) -> tuple[dict, int]:
+def run_manifest(manifest: dict) -> tuple[dict, int]:
     """Execute a parsed manifest; returns (report, exit_code)."""
     _require(isinstance(manifest, dict), "manifest root must be a JSON object")
     _require("chart" in manifest, "manifest needs a 'chart' entry")
     _require("field" in manifest, "manifest needs a 'field' entry")
     chart = _build_chart(manifest["chart"])
     xi = _build_field(chart, manifest["field"])
-    try:  # a tree too deep to print is refused before any analysis runs
-        components = [str(c) for c in xi.components]
-    except RecursionError:
-        raise ManifestError("bad field expression: nested too deeply to print") from None
     analyses = _resolve_analyses(manifest)
-    cfg = _resolve_config(manifest, args)
+    cfg = _resolve_config(manifest)
     session = _Session(chart, xi, cfg)
 
     results = {}
@@ -514,7 +473,7 @@ def run_manifest(manifest: dict, args) -> tuple[dict, int]:
         },
         "field": {
             "name": xi.name,
-            "components": components,
+            "components": [str(c) for c in xi.components],
         },
         "config": cfg,
         "analyses": results,
@@ -528,20 +487,11 @@ def run_manifest(manifest: dict, args) -> tuple[dict, int]:
 
 
 def _schema() -> dict:
-    settings: dict = {}
-    for s in SETTINGS:
-        section, _, leaf = s.key.rpartition(".")
-        node = settings
-        if section:
-            node = settings.setdefault(section, {
-                "type": "object", "properties": {}, "additionalProperties": False,
-            })["properties"]
-        node[leaf] = {
-            "type": "integer" if s.type is int else "number",
-            "minimum" if s.type is int else "exclusiveMinimum": s.low,
-            "default": s.default,
-            "description": s.help,
-        }
+    settings = {
+        s.key: {"type": "integer", "minimum": s.low, "default": s.default,
+                "description": s.help}
+        for s in SETTINGS
+    }
     return {
         "type": "object",
         "required": ["chart", "field"],
@@ -635,10 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an analysis manifest")
     run.add_argument("manifest", help="path to a JSON manifest")
     run.add_argument("--out", help="write the report to this file instead of stdout")
-    for s in SETTINGS:
-        if s.flag:
-            run.add_argument(s.flag, dest=s.key, type=s.type, metavar=s.type.__name__.upper(),
-                             help=f"{s.help} (manifest '{s.key}', default {s.default})")
 
     sub.add_parser("schema", help="print the manifest schema as JSON")
     sub.add_parser("catalog", help="print builtin charts, fields, analyses")
@@ -646,7 +592,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        key = extra[0].lstrip("-").partition("=")[0].replace("-", "_")
+        hint = f"; set {key!r} in the manifest" if key in (s.key for s in SETTINGS) else ""
+        print(f"error: unrecognized argument {extra[0]!r}{hint}", file=sys.stderr)
+        return 2
     if args.command == "schema":
         sys.stdout.write(render_report(_schema()))
         return 0
@@ -660,12 +611,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: manifest is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: manifest is nested too deeply to decode", file=sys.stderr)
         return 2
 
     try:
-        report, exit_code = run_manifest(manifest, args)
+        report, exit_code = run_manifest(manifest)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,12 +17,16 @@ from .expr import Const, Expr, Fun, Mul
 from .geometry import Chart, FieldSpec, field_data, norm_2form
 
 __all__ = [
+    "CONFORMAL_TOL",
     "ConformalReport",
     "conformal_factor_gradient",
     "conformal_residual",
     "is_conformal",
     "rescale_metric",
 ]
+
+# Largest conformal-equation residual accepted by default.
+CONFORMAL_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +61,8 @@ def conformal_residual(chart: Chart, xi: FieldSpec, p) -> float | np.ndarray:
     return norm_2form(ginv, L - trace / chart.dim * g)
 
 
-def is_conformal(chart: Chart, xi: FieldSpec, samples, tol: float = 1e-7) -> ConformalReport:
+def is_conformal(chart: Chart, xi: FieldSpec, samples,
+                 tol: float = CONFORMAL_TOL) -> ConformalReport:
     """Check conformality over explicit sample points (must be non-empty)."""
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if pts.size == 0:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import is_conformal
+from .conformal import CONFORMAL_TOL, is_conformal
 from .expr import eval_values_many
 from .geometry import (
     Chart,
@@ -60,6 +60,10 @@ __all__ = [
     "VERDICT_HOMOTHETIC",
     "VERDICT_ESSENTIAL",
     "VERDICT_INVALID",
+    "GRID_RESOLUTION",
+    "ZERO_TOL",
+    "CLASSIFICATION_TOL",
+    "ISOLATION_RADIUS",
     "ClassificationDimensionError",
     "ZeroClassification",
     "classify_zero",
@@ -74,6 +78,13 @@ VERDICT_KILLING = "killing_inessential"
 VERDICT_HOMOTHETIC = "homothetic_nonkilling"
 VERDICT_ESSENTIAL = "essential"
 VERDICT_INVALID = "invalid_not_conformal"
+
+# Defaults of find_zeros, classify_zero and limit_point_audit, which the
+# command line runs with and reports.
+GRID_RESOLUTION = 12
+ZERO_TOL = 1e-10
+CLASSIFICATION_TOL = 1e-6
+ISOLATION_RADIUS = 0.05
 
 # find_zeros settings, described in its docstring
 _MAX_SEEDS = 64
@@ -202,8 +213,8 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarra
 def find_zeros(
     chart: Chart,
     xi: FieldSpec,
-    grid_resolution: int = 12,
-    tol: float = 1e-10,
+    grid_resolution: int = GRID_RESOLUTION,
+    tol: float = ZERO_TOL,
 ) -> np.ndarray:
     """Zeros of xi inside the chart box, one row per zero.
 
@@ -273,8 +284,8 @@ def classify_zero(
     chart: Chart,
     xi: FieldSpec,
     x,
-    tol: float = 1e-6,
-    conformal_tol: float = 1e-7,
+    tol: float = CLASSIFICATION_TOL,
+    conformal_tol: float = CONFORMAL_TOL,
     rng=None,
 ) -> ZeroClassification | tuple:
     """Classify zeros as essential, homothetic, or Killing after rescaling.
@@ -376,7 +387,7 @@ class LimitPointAudit:
     radius: float
 
 
-def limit_point_audit(classifications, radius: float = 0.05) -> LimitPointAudit:
+def limit_point_audit(classifications, radius: float = ISOLATION_RADIUS) -> LimitPointAudit:
     """Check isolation/verdict consistency over a set of classified zeros.
 
     ``classifications`` are the :class:`ZeroClassification` of the found

@@ -78,7 +78,7 @@ class Expr:
     __slots__ = ()
 
     def __str__(self) -> str:
-        return _to_str(self, 0)
+        return _to_str(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,39 +144,48 @@ def _format_number(v: float) -> str:
     return repr(float(v))
 
 
-def _to_str(node: Expr, context: int) -> str:
-    if isinstance(node, Const):
-        text = _format_number(node.value)
-        prec = _PREC_UNARY if node.value < 0 else _PREC_ATOM
-    elif isinstance(node, Var):
-        text, prec = f"x{node.index + 1}", _PREC_ATOM
-    elif isinstance(node, Add):
-        if isinstance(node.right, Neg):
-            text = f"{_to_str(node.left, _PREC_ADD)} - {_to_str(node.right.arg, _PREC_ADD + 1)}"
-        else:
-            text = f"{_to_str(node.left, _PREC_ADD)} + {_to_str(node.right, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(node, Mul):
-        text = f"{_to_str(node.left, _PREC_MUL)}*{_to_str(node.right, _PREC_MUL + 1)}"
-        prec = _PREC_MUL
-    elif isinstance(node, Div):
-        text = f"{_to_str(node.left, _PREC_MUL)}/{_to_str(node.right, _PREC_MUL + 1)}"
-        prec = _PREC_MUL
-    elif isinstance(node, Neg):
-        text = f"-{_to_str(node.arg, _PREC_UNARY)}"
-        prec = _PREC_UNARY
-    elif isinstance(node, Pow):
-        exp = str(node.exponent) if node.exponent >= 0 else f"({node.exponent})"
-        text = f"{_to_str(node.base, _PREC_ATOM)}^{exp}"
-        prec = _PREC_POW
-    elif isinstance(node, Fun):
-        text = f"{node.name}({_to_str(node.arg, 0)})"
-        prec = _PREC_ATOM
-    else:  # pragma: no cover
-        raise TypeError(f"not an Expr node: {node!r}")
-    if prec < context:
-        return f"({text})"
-    return text
+def _to_str(root: Expr) -> str:
+    """Text of ``root``, written left to right from an explicit stack of
+    literal text and (node, context precedence) pairs, so a tree of any
+    depth prints."""
+    out: list[str] = []
+    todo: list = [(root, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, context = item
+        if isinstance(node, Const):
+            pieces = [_format_number(node.value)]
+            prec = _PREC_UNARY if node.value < 0 else _PREC_ATOM
+        elif isinstance(node, Var):
+            pieces, prec = [f"x{node.index + 1}"], _PREC_ATOM
+        elif isinstance(node, Add):
+            if isinstance(node.right, Neg):
+                pieces = [(node.left, _PREC_ADD), " - ", (node.right.arg, _PREC_ADD + 1)]
+            else:
+                pieces = [(node.left, _PREC_ADD), " + ", (node.right, _PREC_ADD + 1)]
+            prec = _PREC_ADD
+        elif isinstance(node, Mul):
+            pieces = [(node.left, _PREC_MUL), "*", (node.right, _PREC_MUL + 1)]
+            prec = _PREC_MUL
+        elif isinstance(node, Div):
+            pieces = [(node.left, _PREC_MUL), "/", (node.right, _PREC_MUL + 1)]
+            prec = _PREC_MUL
+        elif isinstance(node, Neg):
+            pieces, prec = ["-", (node.arg, _PREC_UNARY)], _PREC_UNARY
+        elif isinstance(node, Pow):
+            exp = str(node.exponent) if node.exponent >= 0 else f"({node.exponent})"
+            pieces, prec = [(node.base, _PREC_ATOM), f"^{exp}"], _PREC_POW
+        elif isinstance(node, Fun):
+            pieces, prec = [f"{node.name}(", (node.arg, 0), ")"], _PREC_ATOM
+        else:  # pragma: no cover
+            raise TypeError(f"not an Expr node: {node!r}")
+        if prec < context:
+            pieces = ["(", *pieces, ")"]
+        todo.extend(reversed(pieces))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

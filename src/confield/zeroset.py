@@ -55,6 +55,12 @@ VERDICT_UMBILICAL = "totally_umbilical"
 VERDICT_NOT_UMBILICAL = "not_umbilical"
 VERDICT_POINT = "point"
 
+# Defaults of trace_component and umbilicity_report, which the command line
+# runs with and reports.  The grid is odd, so the traced zero is a node.
+TRACE_RADIUS = 0.3
+TRACE_GRID = 5
+UMBILICITY_TOL = 1e-4
+
 # A sample that the corrector leaves off the zero set is refused by the
 # verification, which accepts |xi|_g below _VERIFY_TOL.
 _VERIFY_TOL = 1e-5
@@ -105,8 +111,8 @@ def trace_component(
     chart: Chart,
     xi: FieldSpec,
     zero: ZeroClassification,
-    radius: float = 0.3,
-    grid: int = 5,
+    radius: float = TRACE_RADIUS,
+    grid: int = TRACE_GRID,
 ) -> SubmanifoldPatch:
     """Patch of the zero set component through a classified zero.
 
@@ -254,7 +260,7 @@ class UmbilicityReport:
 def umbilicity_report(
     chart: Chart,
     patch: SubmanifoldPatch,
-    tol: float = 1e-4,
+    tol: float = UMBILICITY_TOL,
 ) -> UmbilicityReport:
     """Umbilicity verdict over the interior grid nodes of a patch.
 

@@ -21,10 +21,10 @@ def _write_manifest(tmp_path, payload, name="manifest.json"):
     return str(path)
 
 
-def _run_to_report(tmp_path, manifest, extra_args=(), name="m.json"):
+def _run_to_report(tmp_path, manifest, name="m.json"):
     mpath = _write_manifest(tmp_path, manifest, name)
     out = tmp_path / (name + ".report.json")
-    code = main(["run", mpath, "--out", str(out), *extra_args])
+    code = main(["run", mpath, "--out", str(out)])
     return code, json.loads(out.read_text())
 
 
@@ -107,7 +107,9 @@ def test_schema_and_catalog_commands(capsys):
     assert "properties" in schema
     assert "chart" in schema["properties"]
     assert "field" in schema["properties"]
-    assert "analyses" in schema["properties"]
+    assert list(schema["properties"]) == [
+        "chart", "field", "analyses", "seed", "grid_resolution",
+    ]
 
     assert main(["catalog"]) == 0
     catalog = json.loads(capsys.readouterr().out)
@@ -148,6 +150,23 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",
+    b"[" * 100000 + b"]" * 100000,
+    b'{"chart": ' + b"[" * 3000 + b"]" * 3000 + b"}",
+], ids=["not-utf8", "deep-root", "deep-chart"])
+def test_undecodable_manifest_files_exit_two(tmp_path, capsys, content):
+    """Bytes that are not UTF-8, or JSON nested past the decoder's
+    recursion limit, are a usage error with one line, not a traceback."""
+    path = tmp_path / "manifest.json"
+    path.write_bytes(content)
+    code = main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: manifest is ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 DEEP_COMPONENTS = ["(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)]
@@ -210,13 +229,26 @@ DEEP_COMPONENTS = ["(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)]
             {"lower": [False, -1], "upper": [True, 1]},
             {"lower": [-1e308, -1], "upper": [1e308, 1]},
         ]],
-        # too deep for the recursive parser, printer or evaluator
+        # too deep for the recursive parser or compiler
         *[({**ZEROS_MANIFEST, "field": {"components": [component, "x1", "0"]}},
            "bad field expression") for component in DEEP_COMPONENTS],
         *[({"chart": {"metric": [[entry, "0"], ["0", "1"]],
                       "lower": [-1, -1], "upper": [1, 1]},
             "field": {"components": ["x2", "-x1"]}, "analyses": ["zeros"]},
            "bad metric expression") for entry in DEEP_COMPONENTS],
+        # every value but the two settings is fixed, so no manifest can
+        # loosen a gate
+        *[({**ZEROS_MANIFEST, **removed}, f"unknown setting {needle!r}") for removed, needle in [
+            ({"tolerances": {"conformal": 1e300}}, "tolerances.conformal"),
+            ({"tolerances": {"classification": 1e-3}}, "tolerances.classification"),
+            ({"tolerances": {"identity": 1.0}}, "tolerances.identity"),
+            ({"tolerances": {}}, "tolerances"),
+            ({"samples": {"identity_pairs": 5}}, "samples.identity_pairs"),
+            ({"trace_grid": 9}, "trace_grid"),
+            ({"trace_max_patches": 1}, "trace_max_patches"),
+            ({"isolation_radius": 0.1}, "isolation_radius"),
+            ({"trace_radius": 0.02}, "trace_radius"),
+        ]],
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
@@ -276,9 +308,54 @@ def test_metric_sums_just_below_the_compile_limit_run(tmp_path, capsys):
         assert _run_metric_sum(tmp_path, capsys, terms) == 0
 
 
+def _run_zero_quotient(tmp_path, terms):
+    """Exit code and check-conformal outcome of a rotation whose third
+    component is 0*x3 over a vanishing sum of ``terms`` terms, one tree
+    level each."""
+    denominator = "+".join(["1"] * (terms - 1)) + f"-{terms - 1}"
+    manifest = {"chart": {"name": "euclidean", "dim": 3},
+                "field": {"components": ["x2", "-x1", f"0*x3/({denominator})"]},
+                "analyses": ["check-conformal"]}
+    out = tmp_path / "quotient.report.json"
+    code = main(["run", _write_manifest(tmp_path, manifest), "--out", str(out)])
+    return code, json.loads(out.read_text())["analyses"]["check-conformal"] if code != 2 else None
+
+
+def test_errors_print_trees_just_below_the_compile_limit(tmp_path, capsys):
+    """A domain error names its subexpression: the printer has no depth
+    limit of its own, so every tree that compiles prints in the error."""
+    lo, hi = 500, 2000
+    assert _run_zero_quotient(tmp_path, lo)[0] == 1
+    assert _run_zero_quotient(tmp_path, hi)[0] == 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        code, _ = _run_zero_quotient(tmp_path, mid)
+        assert code in (1, 2)
+        lo, hi = (mid, hi) if code == 1 else (lo, mid)
+    assert capsys.readouterr().err.strip().endswith(
+        "error: bad field expression: nested too deeply to compile")
+    for terms in range(lo - 7, lo + 1):
+        code, outcome = _run_zero_quotient(tmp_path, terms)
+        assert code == 1
+        assert outcome["error"].startswith(
+            "EvalDomainError: division by zero in subexpression '0*x3/(1 + 1 + ")
+
+
 @pytest.mark.parametrize("flags,needle", [
     (["--seed", "-1"], "seed"),
     (["--grid-resolution", "2"], "grid_resolution"),
+    # 'run' takes no option but --out: the settings live in the manifest
+    (["--grid-resolution=10"], "set 'grid_resolution' in the manifest"),
+    *[([flag, value], f"unrecognized argument '{flag}'") for flag, value in [
+        ("--zero-tol", "1e-9"),
+        ("--class-tol", "1e-3"),
+        ("--conformal-tol", "1e300"),
+        ("--umbilicity-tol", "1"),
+        ("--identity-tol", "1"),
+        ("--isolation-radius", "0.1"),
+        ("--trace-radius", "0.02"),
+        ("--trace-grid", "9"),
+    ]],
 ])
 def test_malformed_flags_exit_two(tmp_path, capsys, flags, needle):
     code = main(["run", _write_manifest(tmp_path, ZEROS_MANIFEST), *flags])
@@ -288,58 +365,31 @@ def test_malformed_flags_exit_two(tmp_path, capsys, flags, needle):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
-def _with_setting(manifest, key, value):
-    section, _, leaf = key.rpartition(".")
-    out = {**manifest}
-    if section:
-        out[section] = {leaf: value}
-    else:
-        out[leaf] = value
-    return out
-
-
-def _lookup(tree, key):
-    for part in key.split("."):
-        tree = tree[part]
-    return tree
-
-
 @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.key)
 def test_every_setting_is_typed_ranged_and_defaulted(tmp_path, capsys, setting):
     """Each row of the settings table: a wrong type and a value just out of
     range exit 2 naming the key; the default is reported and in the schema."""
-    out_of_range = setting.low - 1 if setting.type is int else setting.low
-    wrong_type = 2.5 if setting.type is int else "x"
-    for bad in (wrong_type, True, out_of_range):
-        path = _write_manifest(tmp_path, _with_setting(ZEROS_MANIFEST, setting.key, bad))
+    for bad in (2.5, True, setting.low - 1):
+        path = _write_manifest(tmp_path, {**ZEROS_MANIFEST, setting.key: bad})
         assert main(["run", path]) == 2
         assert setting.key in capsys.readouterr().err
 
     code, report = _run_to_report(tmp_path, ZEROS_MANIFEST)
     assert code == 0
-    assert _lookup(report["config"], setting.key) == setting.default
+    assert report["config"][setting.key] == setting.default
 
     assert main(["schema"]) == 0
-    props = json.loads(capsys.readouterr().out)["properties"]
-    section, _, leaf = setting.key.rpartition(".")
-    entry = (props[section]["properties"] if section else props)[leaf]
+    entry = json.loads(capsys.readouterr().out)["properties"][setting.key]
     assert entry["default"] == setting.default
-    bound = "minimum" if setting.type is int else "exclusiveMinimum"
-    assert entry[bound] == setting.low
+    assert entry["minimum"] == setting.low
 
 
-def test_flags_do_not_leak_into_the_next_call(tmp_path):
-    """The parser is shared by every main call: a flag given to one run
-    leaves the next run's settings at their defaults."""
-    code, flagged = _run_to_report(tmp_path, ZEROS_MANIFEST,
-                                   extra_args=["--seed", "99", "--grid-resolution", "10"])
-    assert code == 0
-    assert (flagged["config"]["seed"], flagged["config"]["grid_resolution"]) == (99, 10)
-    code, plain = _run_to_report(tmp_path, ZEROS_MANIFEST)
-    assert code == 0
-    defaults = {s.key: s.default for s in SETTINGS}
-    assert plain["config"]["seed"] == defaults["seed"]
-    assert plain["config"]["grid_resolution"] == defaults["grid_resolution"]
+def test_run_help_lists_only_out(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    options = [word for word in capsys.readouterr().out.split() if word.startswith("--")]
+    assert sorted(set(options)) == ["--help", "--out"]
 
 
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
@@ -354,7 +404,8 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     cli._build_parser.cache_clear()
     try:
         mpath = _write_manifest(tmp_path, ZEROS_MANIFEST)
-        for argv in (["schema"], ["catalog"], ["run", mpath], ["run", mpath, "--seed", "3"]):
+        for argv in (["schema"], ["catalog"], ["run", mpath],
+                     ["run", mpath, "--out", str(tmp_path / "r.json")]):
             assert main(argv) == 0
     finally:
         cli._build_parser.cache_clear()
@@ -438,26 +489,9 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
 
 
 def test_seed_override_changes_config_not_validity(tmp_path):
-    code, report = _run_to_report(
-        tmp_path, ROTATION_MANIFEST, extra_args=["--seed", "99"]
-    )
+    code, report = _run_to_report(tmp_path, {**ROTATION_MANIFEST, "seed": 99})
     assert code == 0
-    assert report["config"]["seed"] == 99
-
-
-def test_tolerance_overrides_recorded(tmp_path):
-    manifest = {
-        "chart": {"name": "euclidean", "dim": 3},
-        "field": {"name": "rotation"},
-        "analyses": ["zeros"],
-    }
-    code, report = _run_to_report(
-        tmp_path, manifest,
-        extra_args=["--zero-tol", "1e-9", "--grid-resolution", "10"],
-    )
-    assert code == 0
-    assert report["config"]["tolerances"]["zero"] == 1e-9
-    assert report["config"]["grid_resolution"] == 10
+    assert report["config"] == {"seed": 99, "grid_resolution": 12}
 
 
 def test_non_conformal_field_fails_check(tmp_path):
@@ -610,13 +644,12 @@ def test_curved_zero_sets_trace_with_unit_mean_curvature(tmp_path, monkeypatch, 
 
 
 def test_umbilicity_lists_every_interior_node(tmp_path):
-    """The x3-x4 plane, traced on a 9 x 9 grid, gets |H| at all 7 x 7
+    """The x3-x4 plane, traced on the 5 x 5 grid, gets |H| at all 3 x 3
     interior nodes."""
     manifest = {
         "chart": {"name": "euclidean", "dim": 4},
         "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
         "analyses": ["zeros", "trace", "umbilicity"],
-        "trace_grid": 9,
     }
     code, report = _run_to_report(tmp_path, manifest)
     assert code == 0
@@ -624,7 +657,7 @@ def test_umbilicity_lists_every_interior_node(tmp_path):
     assert patches and all(entry["k"] == 2 for entry in patches)
     for entry in patches:
         assert entry["verdict"] == "totally_umbilical"
-        assert len(entry["mean_curvature_norms"]) == 49
+        assert len(entry["mean_curvature_norms"]) == 9
 
 
 def test_analysis_list_is_deduplicated_in_request_order(tmp_path):
@@ -657,7 +690,7 @@ def test_nan_identity_residual_fails_the_gate(tmp_path):
 def test_classify_numbers_do_not_depend_on_other_analyses(tmp_path):
     """Each analysis draws from its own random stream."""
     base = {
-        "chart": {"name": "sphere_stereographic", "dim": 3},
+        "chart": {"name": "euclidean", "dim": 4},
         "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
         "seed": 1,
     }
@@ -667,10 +700,8 @@ def test_classify_numbers_do_not_depend_on_other_analyses(tmp_path):
     )
     assert alone["analyses"]["classify"] == after["analyses"]["classify"]
     # Tracing reads the classify stream's verdicts whether or not classify
-    # runs.  The two zeros lie 0.12 inside the box, where a g-unit is 4.6
-    # coordinate units long: trace within that.
+    # runs.
     traced = ["trace", "umbilicity"]
-    base = {**base, "trace_radius": 0.02}
     _, without = _run_to_report(tmp_path, {**base, "analyses": traced}, name="c.json")
     _, with_classify = _run_to_report(
         tmp_path, {**base, "analyses": ["classify", *traced]}, name="d.json"
