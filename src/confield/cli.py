@@ -49,6 +49,8 @@ from .zeroset import (
     TRACE_GRID,
     TRACE_RADIUS,
     UMBILICITY_TOL,
+    VERDICT_POINT,
+    VERDICT_UMBILICAL,
     OffZeroSetError,
     PatchError,
     trace_component,
@@ -191,7 +193,7 @@ def _build_field(chart: Chart, spec) -> FieldSpec:
     except ExprSyntaxError as exc:
         raise ManifestError(f"bad field expression: {exc}") from exc
     try:
-        return FieldSpec.vector(chart, exprs, name=str(spec.get("name", "inline_field")))
+        return FieldSpec(chart, exprs, name=str(spec.get("name", "inline_field")))
     except RecursionError:
         raise ManifestError("bad field expression: nested too deeply to compile") from None
 
@@ -409,7 +411,7 @@ def _run_umbilicity(session: _Session) -> dict:
     passed = not any(e["failed"] for e in errors)
     for patch in built:
         report = umbilicity_report(session.chart, patch)
-        ok = report.verdict in ("totally_umbilical", "point")
+        ok = report.verdict in (VERDICT_UMBILICAL, VERDICT_POINT)
         if patch.k > 0:
             ok = ok and report.codim_even
         passed = passed and ok
@@ -572,11 +574,23 @@ def _catalog() -> dict:
     }
 
 
+class _UsageError(Exception):
+    """A command line that does not parse; ``main`` prints it and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, where argparse would print usage and exit;
+    its subparsers are of this class too."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parsing leaves it unchanged, so
     every ``main`` call shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confield",
         description="analyze conformal vector fields on coordinate charts",
     )
@@ -592,11 +606,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extra = _build_parser().parse_known_args(argv)
-    if extra:
-        key = extra[0].lstrip("-").partition("=")[0].replace("-", "_")
-        hint = f"; set {key!r} in the manifest" if key in (s.key for s in SETTINGS) else ""
-        print(f"error: unrecognized argument {extra[0]!r}{hint}", file=sys.stderr)
+    try:
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:
+            key = extra[0].lstrip("-").partition("=")[0].replace("-", "_")
+            hint = f"; set {key!r} in the manifest" if key in (s.key for s in SETTINGS) else ""
+            raise _UsageError(f"unrecognized argument {extra[0]!r}{hint}")
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "schema":
         sys.stdout.write(render_report(_schema()))

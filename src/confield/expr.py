@@ -1,21 +1,22 @@
-"""Expression trees with exact forward-mode derivatives up to order 3.
+"""Expression trees with exact forward-mode derivatives up to order 2.
 
 Metric components, vector fields and scalar functions are all small
 expression trees in the chart coordinates ``x1 .. xn``.  Derivatives are
 obtained by propagating truncated Taylor data (a :class:`Jet`) through the
-tree, so first, second and third partials are exact up to rounding.
+tree, so first and second partials are exact up to rounding: every
+analysis reads at most the 2-jets of the metric and the field at a point.
 Finite differences appear only in the test suite, as an independent oracle.
 
 Trees are compiled into a :class:`Tape`, a post-order program in which
 structurally equal subtrees share one slot.  One evaluator runs the tape
-in a single loop.  Per point it propagates jets of any order in Python
-floats.  Over a batch of m points each coordinate is a column array, and
-every jet part carries a trailing batch axis, so one pass gives the jets
-of all m points (the vector mode of forward differentiation);
-:func:`eval_jets` does this at any order and :func:`eval_values_many` at
-order 0.  Charts and fields compile their trees once, when they are built,
-and pass the tape to these functions.  The parser folds constant exponents
-through the same evaluator with no coordinates at all.
+in a single loop.  Per point it propagates jets in Python floats.  Over a
+batch of m points each coordinate is a column array, and every jet part
+carries a trailing batch axis, so one pass gives the jets of all m points
+(the vector mode of forward differentiation); :func:`eval_jets` does this
+at orders 0..2 and :func:`eval_values_many` at order 0.  Charts and fields
+compile their trees once, when they are built, and pass the tape to these
+functions.  The parser folds constant exponents through the same evaluator
+with no coordinates at all.
 
 Grammar accepted by :func:`parse`::
 
@@ -192,45 +193,30 @@ def _to_str(root: Expr) -> str:
 # jets
 
 class Jet:
-    """Value plus symmetric partial derivative tensors.
+    """Value plus first and second partial derivatives, up to ``order``.
 
-    Per point the value is a float, ``d1`` has shape (n,), ``d2`` shape
-    (n, n) and ``d3`` shape (n, n, n).  Over a batch of m points every part
-    gains a trailing batch axis: the value has shape (m,), ``d1`` (n, m) and
-    so on, where a part that is the same at every point (a constant, or the
+    Per point the value is a float, ``d1`` has shape (n,) and ``d2`` shape
+    (n, n).  Over a batch of m points every part gains a trailing batch
+    axis: the value has shape (m,), ``d1`` (n, m) and ``d2`` (n, n, m),
+    where a part that is the same at every point (a constant, or the
     derivative of a coordinate) keeps length 1 on that axis and broadcasts.
-    Entries above ``order`` are ``None``.  The derivative tensors are exactly
+    Entries above ``order`` (0..2) are ``None``.  ``d2`` is exactly
     symmetric by construction, not merely up to rounding.  The jet of a
     constant tree is shared between evaluations of its tape, and leaf parts
     are read-only arrays: treat a jet as a value.
     """
 
-    __slots__ = ("order", "value", "d1", "d2", "d3")
+    __slots__ = ("order", "value", "d1", "d2")
 
-    def __init__(self, order, value, d1=None, d2=None, d3=None):
+    def __init__(self, order, value, d1=None, d2=None):
         self.order = order
         self.value = value
         self.d1 = d1
         self.d2 = d2
-        self.d3 = d3
 
 
 # The products below index derivative slots from the front, so the trailing
 # batch axis of a batch rides along in the broadcasting.
-
-def _sym3(a2: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    # sum of a2 x b1 over the three slot assignments
-    t = a2[:, :, None] * b1[None, None, :]
-    return t + t.swapaxes(1, 2) + np.moveaxis(t, 2, 0)
-
-
-def _symmetric3(t: np.ndarray) -> np.ndarray:
-    """t[i, j, k] replaced by t at the sorted index triple.  A sum of three
-    products rounds differently under a permutation of its slots; reading
-    every permutation from one entry makes the result exactly symmetric."""
-    i, j, k = np.sort(np.indices(t.shape[:3]), axis=0)
-    return t[i, j, k]
-
 
 def _jadd(a: Jet, b: Jet) -> Jet:
     order = a.order
@@ -239,7 +225,6 @@ def _jadd(a: Jet, b: Jet) -> Jet:
         a.value + b.value,
         a.d1 + b.d1 if order >= 1 else None,
         a.d2 + b.d2 if order >= 2 else None,
-        a.d3 + b.d3 if order >= 3 else None,
     )
 
 
@@ -250,7 +235,6 @@ def _jneg(a: Jet) -> Jet:
         -a.value,
         -a.d1 if order >= 1 else None,
         -a.d2 if order >= 2 else None,
-        -a.d3 if order >= 3 else None,
     )
 
 
@@ -263,13 +247,6 @@ def _jmul(a: Jet, b: Jet) -> Jet:
         # cross + cross.T first, so that d2 is exactly symmetric
         cross = a.d1[:, None] * b.d1[None, :]
         out.d2 = a.d2 * b.value + (cross + cross.swapaxes(0, 1)) + b.d2 * a.value
-    if order >= 3:
-        out.d3 = _symmetric3(
-            a.d3 * b.value
-            + _sym3(a.d2, b.d1)
-            + _sym3(b.d2, a.d1)
-            + b.d3 * a.value
-        )
     return out
 
 
@@ -282,12 +259,6 @@ def _jcompose(w: Jet, f) -> Jet:
         out.d1 = f[1] * w.d1
     if order >= 2:
         out.d2 = f[2] * (w.d1[:, None] * w.d1[None, :]) + f[1] * w.d2
-    if order >= 3:
-        out.d3 = _symmetric3(
-            f[3] * (w.d1[:, None, None] * w.d1[None, :, None] * w.d1[None, None, :])
-            + f[2] * _sym3(w.d2, w.d1)
-            + f[1] * w.d3
-        )
     return out
 
 
@@ -303,8 +274,6 @@ def _reciprocal_coeffs(v, order: int, node: Expr):
         coeffs.append(-inv * inv)
     if order >= 2:
         coeffs.append(2.0 * inv ** 3)
-    if order >= 3:
-        coeffs.append(-6.0 * inv ** 4)
     return coeffs
 
 
@@ -326,13 +295,13 @@ def _pow_coeffs(v, m: int, order: int, node: Expr):
 def _fun_coeffs(name: str, v, order: int, node: Expr):
     if name == "sin":
         s, c = np.sin(v), np.cos(v)
-        return s, c, -s, -c
+        return s, c, -s
     if name == "cos":
         s, c = np.sin(v), np.cos(v)
-        return c, -s, -c, s
+        return c, -s, -c
     if name == "exp":
         e = np.exp(v)
-        return e, e, e, e
+        return e, e, e
     if name == "log":
         if np.count_nonzero(v <= 0.0):
             raise EvalDomainError("log of a non-positive value", node)
@@ -350,8 +319,6 @@ def _fun_coeffs(name: str, v, order: int, node: Expr):
             coeffs.append(0.5 / s)
         if order >= 2:
             coeffs.append(-0.25 / s ** 3)
-        if order >= 3:
-            coeffs.append(0.375 / s ** 5)
         return coeffs
     raise ValueError(f"unknown function '{name}'")  # pragma: no cover
 
@@ -417,7 +384,7 @@ class Tape:
 
     def _start(self, n: int, order: int, batched: bool):
         """Slot list with every constant's jet in place, and the derivative
-        parts (d1, d2, d3) of each coordinate; built once per (n, order,
+        parts (d1, d2) of each coordinate; built once per (n, order,
         batched), with read-only arrays.  A batch gives the parts a
         trailing axis of length 1, which broadcasts."""
         key = (n, order, batched)
@@ -425,9 +392,9 @@ class Tape:
         if start is None:
             tail = (1,) if batched else ()
             zeros = [_readonly(np.zeros((n,) * k + tail)) if k <= order else None
-                     for k in (1, 2, 3)]
+                     for k in (1, 2)]
             eye = _readonly(np.eye(n).reshape((n, n) + tail))
-            units = [(eye[i] if order >= 1 else None, zeros[1], zeros[2]) for i in range(n)]
+            units = [(eye[i] if order >= 1 else None, zeros[1]) for i in range(n)]
             jets = [Jet(order, node.value, *zeros) if op == _CONST else None
                     for op, _, node in self.program]
             start = self._starts[key] = (jets, units)
@@ -443,7 +410,7 @@ def _evaluate(tape: Tape, point: list, order: int) -> list[Jet]:
     """The one evaluator: one pass over the tape, one jet per output.
 
     ``point`` lists the n coordinates: Python floats for one point, or
-    equal-length arrays for a batch of points, at any order.
+    equal-length arrays for a batch of points, at orders 0..2.
     """
     n = len(point)
     start, units = tape._start(n, order, bool(point) and not isinstance(point[0], float))
@@ -485,18 +452,15 @@ def _tape(exprs) -> Tape:
     return exprs if isinstance(exprs, Tape) else Tape(exprs)
 
 
-def eval_jet(expr, point, order: int = 0) -> Jet:
-    """Evaluate ``expr`` (a tree, or a tape of one tree) at ``point`` with
-    derivatives up to ``order`` (0..3)."""
-    if not 0 <= order <= 3:
-        raise ValueError("order must be between 0 and 3")
-    tape = expr if isinstance(expr, Tape) else Tape((expr,))
-    if len(tape.outputs) != 1:
-        raise ValueError("eval_jet takes one expression")
+def eval_jet(expr: Expr, point, order: int = 0) -> Jet:
+    """Evaluate the tree ``expr`` at ``point`` with derivatives up to
+    ``order`` (0..2)."""
+    if not 0 <= order <= 2:
+        raise ValueError("order must be between 0 and 2")
     p = np.asarray(point, dtype=float)
     if p.ndim != 1:
         raise ValueError("point must be a 1-d coordinate array")
-    return _evaluate(tape, p.tolist(), order)[0]
+    return _evaluate(Tape((expr,)), p.tolist(), order)[0]
 
 
 def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
@@ -511,8 +475,8 @@ def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
     points leaves the floating-point range, as the per-point call does,
     rather than returning inf.
     """
-    if not 0 <= order <= 3:
-        raise ValueError("order must be between 0 and 3")
+    if not 0 <= order <= 2:
+        raise ValueError("order must be between 0 and 2")
     tape = _tape(exprs)
     p = np.asarray(point, dtype=float)
     if p.ndim == 1:

@@ -167,10 +167,6 @@ class FieldSpec:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "tape", Tape(comps))
 
-    @classmethod
-    def vector(cls, chart: Chart, components, name: str = "") -> "FieldSpec":
-        return cls(chart, tuple(components), name)
-
 
 # ---------------------------------------------------------------------------
 # metric evaluation

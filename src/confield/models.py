@@ -95,7 +95,7 @@ def _check_axis(dim: int, axis: int, label: str = "axis"):
 
 def _vec(chart: Chart, sources, name: str) -> FieldSpec:
     comps = tuple(parse(s, chart.dim) for s in sources)
-    return FieldSpec.vector(chart, comps, name=name)
+    return FieldSpec(chart, comps, name=name)
 
 
 def _r2_string(dim: int) -> str:
@@ -171,9 +171,7 @@ def sphere_killing(chart: Chart, axis_i: int = 1, axis_j: int = 2) -> FieldSpec:
         axis_i, axis_j = axis_j, axis_i
     if axis_j <= dim:
         spec = rotation(chart, axis_i, axis_j)
-        return FieldSpec.vector(
-            chart, spec.components, name=f"sphere_killing_{axis_i}{axis_j}"
-        )
+        return FieldSpec(chart, spec.components, name=f"sphere_killing_{axis_i}{axis_j}")
     if axis_i == dim + 1:
         raise ValueError("axis_i must be a chart axis when axis_j = dim + 1")
     r2 = _r2_string(dim)
@@ -194,9 +192,7 @@ def sphere_translation(chart: Chart, axis: int = 1) -> FieldSpec:
     inversion, the standard example of a field with an essential point.
     """
     spec = special_conformal(chart, axis)
-    return FieldSpec.vector(
-        chart, spec.components, name=f"sphere_translation_{axis}"
-    )
+    return FieldSpec(chart, spec.components, name=f"sphere_translation_{axis}")
 
 
 CHART_BUILDERS = {

@@ -51,10 +51,9 @@ def _leaf(value, n, order, tail, index=None):
     """A constant's jet, or with ``index`` a coordinate's, built afresh."""
     d1 = np.zeros((n,) + tail) if order >= 1 else None
     d2 = np.zeros((n, n) + tail) if order >= 2 else None
-    d3 = np.zeros((n, n, n) + tail) if order >= 3 else None
     if index is not None and order >= 1:
         d1[index] = 1.0
-    return Jet(order, value, d1, d2, d3)
+    return Jet(order, value, d1, d2)
 
 
 def _jet_of(node, point: list, order: int, memo: dict) -> Jet:
@@ -373,7 +372,7 @@ def pushforward_under_inversion(xi):
             term = Mul(Div(numerator, r4), comp_j)
             total = term if total is None else Add(total, term)
         comps.append(substitute(total, subs))
-    return FieldSpec.vector(xi.chart, comps, name=f"inverted_{xi.name}")
+    return FieldSpec(xi.chart, comps, name=f"inverted_{xi.name}")
 
 
 def recording_calls(monkeypatch, fn, record):
@@ -500,7 +499,7 @@ def mobius_field(chart, a, B, lam, b):
         terms = [f"({a[i]!r})", f"({lam!r})*x{i + 1}", f"2*({bx})*x{i + 1}"]
         terms += [f"({B[i][j]!r})*x{j + 1}" for j in range(n)]
         comps.append(" + ".join(terms) + f" - ({r2})*({b[i]!r})")
-    xi = FieldSpec.vector(chart, tuple(parse(c, n) for c in comps), name="mobius")
+    xi = FieldSpec(chart, tuple(parse(c, n) for c in comps), name="mobius")
     return xi, mobius_matrix(a, B, lam, b)
 
 

@@ -13,8 +13,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import confield.cli
+import confield.expr
 import confield.geodesic
 import confield.models
 import confield.zeroset
@@ -126,3 +128,22 @@ def test_field_and_grid_evaluations_pass_the_expr_boundaries():
         confield.essential._grid_norms(chart, xi, np.stack([p, -p, 2 * p]))
     assert t.layer_table()["expr.eval_values_many"]["calls"] == 2
     assert t.counts["expr.eval_values_many.points"] == 2 * 3
+
+
+def test_every_accepted_jet_order_has_a_tracer_counter():
+    """The tracer counts jets per order under ``expr.jets.order{k}``.  Each
+    order that eval_jet and eval_jets accept has its counter, so a traced
+    call cannot fail in the count hook; the orders around them are refused."""
+    tracer = _load_tracer()
+    tree = confield.expr.parse("x1*x2", 2)
+    point = [0.5, 0.25]
+    for order in range(3):
+        with tracer.Tracer() as t:
+            confield.expr.eval_jets([tree], point, order)
+            confield.expr.eval_jet(tree, point, order)
+        assert t.counts[f"expr.jets.order{order}"] == 2
+    for order in (-1, 3):
+        with pytest.raises(ValueError, match="order"):
+            confield.expr.eval_jets([tree], point, order)
+        with pytest.raises(ValueError, match="order"):
+            confield.expr.eval_jet(tree, point, order)

@@ -365,6 +365,22 @@ def test_malformed_flags_exit_two(tmp_path, capsys, flags, needle):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["run"], "the following arguments are required: manifest"),
+    (["run", "m.json", "--out"], "argument --out: expected one argument"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_return_two_with_one_line(capsys, argv, needle):
+    """A command line argparse cannot parse returns 2 from main, with one
+    error line and no usage text, like every other usage error."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and needle in captured.err
+
+
 @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.key)
 def test_every_setting_is_typed_ranged_and_defaulted(tmp_path, capsys, setting):
     """Each row of the settings table: a wrong type and a value just out of

@@ -42,7 +42,7 @@ def test_factor_of_quadratic_field_flat():
 def test_residual_of_non_conformal_field():
     """xi = (x1^2, 0) flat: L_xi g = dxi^flat sym = diag(4x1, 0) minus trace
     part; at (1, 1) the invariant norm of L - 2 phi g is 2 sqrt(2)."""
-    xi = FieldSpec.vector(FLAT2, (parse("x1^2", 2), parse("0", 2)))
+    xi = FieldSpec(FLAT2, (parse("x1^2", 2), parse("0", 2)))
     res = conformal_residual(FLAT2, xi, np.array([1.0, 1.0]))
     assert res == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
 
@@ -74,7 +74,7 @@ def test_report_structure_and_conformal_flag():
     idx = int(np.argmax(rep.residuals))
     assert np.array_equal(rep.worst_point, pts[idx])
 
-    bad = FieldSpec.vector(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
+    bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     rep2 = is_conformal(FLAT3, bad, sample_interior(FLAT3, 25, rng))
     assert not rep2.conformal
     assert rep2.max_residual > 1e-3
@@ -85,7 +85,7 @@ def test_overflowing_sample_raises_as_the_per_point_loop_did():
     domain error there, and the batched sample set raises the same error."""
     big = Chart(dim=2, lower=[-1e3, -1.0], upper=[1e3, 1.0],
                 metric=tuple(tuple(parse(e, 2) for e in row) for row in [["1", "0"], ["0", "1"]]))
-    xi = FieldSpec.vector(big, (parse("x1^300", 2), parse("0", 2)))
+    xi = FieldSpec(big, (parse("x1^300", 2), parse("0", 2)))
     samples = np.array([[0.5, 0.5], [900.0, 0.0], [1.0, -0.5]])
     conformal_residual(big, xi, samples[0])
     with pytest.raises(EvalDomainError) as per_point:

@@ -84,7 +84,7 @@ def test_zero_near_boundary_is_filtered():
     """The box ends at x1 = 2: a zero 5e-4 from it is inside the 1e-3
     boundary margin and dropped, a zero 1.5e-3 from it is kept."""
     def zeros_at(height):
-        xi = FieldSpec.vector(
+        xi = FieldSpec(
             FLAT3, tuple(parse(s, 3) for s in (f"x1 - {height}", "x2", "x3"))
         )
         return find_zeros(FLAT3, xi)
@@ -115,7 +115,7 @@ def test_classify_on_surfaces():
     cls = classify_zero(flat2, models.rotation(flat2), np.zeros(2))
     assert cls.verdict == VERDICT_KILLING
     assert cls.kernel_dim == 0
-    z_squared = FieldSpec.vector(flat2, (parse("x1^2 - x2^2", 2), parse("2*x1*x2", 2)))
+    z_squared = FieldSpec(flat2, (parse("x1^2 - x2^2", 2), parse("2*x1*x2", 2)))
     for xi in (models.euler(flat2), z_squared):
         assert classify_zero(flat2, xi, np.zeros(2)).verdict is None
 
@@ -129,7 +129,7 @@ def test_classify_requires_an_actual_zero():
 def test_classify_refuses_a_nan_zero():
     """1e200*1e200 overflows to inf and inf * 0 is NaN: |xi|_g is NaN at
     the origin, which is no zero."""
-    xi = FieldSpec.vector(
+    xi = FieldSpec(
         FLAT3, tuple(parse(s, 3) for s in ("1e200*1e200*x1", "x2", "x3"))
     )
     with pytest.raises(ValueError, match="expects a zero"):
@@ -398,7 +398,7 @@ def test_stack_with_a_nonzero_row_names_it():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stack_with_a_nan_row_names_it():
     """exp(-inf * x3^2) is 0 off the plane x3 = 0 and NaN on it."""
-    xi = FieldSpec.vector(
+    xi = FieldSpec(
         FLAT3, tuple(parse(s, 3) for s in ("x1", "x2", "exp(-1e200*1e200*x3^2)"))
     )
     stack = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -514,7 +514,7 @@ def test_essential_verdict_holds_at_any_rank_cut_in_odd_dimension(monkeypatch, r
 
 
 def test_non_conformal_field_is_flagged_invalid():
-    bad = FieldSpec.vector(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
+    bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     cls = classify_zero(FLAT3, bad, np.zeros(3))
     assert cls.verdict == VERDICT_INVALID
     assert cls.neighborhood_residual > 1e-3
@@ -607,7 +607,7 @@ def test_audit_of_isolated_essential_zero_passes():
 def test_audit_flags_clustered_non_killing_zeros():
     """Negative control: a non-conformal field with a plane of zeros violates
     the rescaling condition, so the audit must fail."""
-    bad = FieldSpec.vector(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
+    bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     zeros = np.array([[0.0, 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]])
     audit = limit_point_audit([classify_zero(FLAT3, bad, z) for z in zeros], radius=0.05)
     assert not audit.passed

@@ -233,7 +233,7 @@ def test_vector_expansion_on_curved_chart():
 def test_taylor_checks_refuse_a_nan_zero():
     """1e200*1e200 overflows to inf and inf * 0 is NaN: |xi|_g is NaN at
     the origin, which is no zero."""
-    xi = FieldSpec.vector(
+    xi = FieldSpec(
         FLAT3, tuple(parse(s, 3) for s in ("1e200*1e200*x1", "x2", "x3"))
     )
     with pytest.raises(ValueError, match="requires a zero"):
@@ -366,7 +366,7 @@ def test_batched_identity_residuals_match_per_point():
     residuals, for a conformal field (rounding level) and a field that is
     not conformal (order one)."""
     rng = np.random.default_rng(9)
-    bad = FieldSpec.vector(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
+    bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     for chart, xi in [(SPHERE, models.sphere_translation(SPHERE, 1)), (FLAT3, bad)]:
         pts = sample_interior(chart, 12, rng)
         dirs = rng.standard_normal((12, 3))
@@ -377,7 +377,7 @@ def test_batched_identity_residuals_match_per_point():
 
 
 def test_derivative_identity_fails_for_non_conformal_field():
-    bad = FieldSpec.vector(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
+    bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     rng = np.random.default_rng(8)
     residuals = [
         dxi_identity_residual(FLAT3, bad, p, rng.standard_normal(3))

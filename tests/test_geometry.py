@@ -66,9 +66,9 @@ def test_domain_membership_and_margin():
 
 def test_field_spec_validation():
     with pytest.raises(ChartError):
-        FieldSpec.vector(FLAT2, (parse("x1", 2),))
+        FieldSpec(FLAT2, (parse("x1", 2),))
     with pytest.raises(ChartError):
-        FieldSpec.vector(FLAT2, (parse("x1", 2), "x2"))
+        FieldSpec(FLAT2, (parse("x1", 2), "x2"))
 
 
 def test_non_spd_metric_raises():
@@ -303,7 +303,7 @@ def test_two_form_is_twice_skew_part_of_lowered_derivative():
     """d(xi^flat)_ij = (nabla xi^flat)_ij - (nabla xi^flat)_ji holds for any
     field, conformal or not."""
     chart = SPHERE
-    xi = FieldSpec.vector(
+    xi = FieldSpec(
         chart,
         tuple(parse(s, 3) for s in ("x2*x3 - 1", "sin(x1)", "x1^2 - x3")),
         name="arbitrary",

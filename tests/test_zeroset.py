@@ -123,7 +123,7 @@ def test_two_dimensional_nan_zero_refused():
     """1e200*1e200 overflows to inf and inf * 0 is NaN: |xi|_g is NaN at
     the origin, which is no zero, so there is no classification to trace."""
     flat2 = models.euclidean(2)
-    xi = FieldSpec.vector(flat2, tuple(parse(s, 2) for s in ("1e200*1e200*x1", "x2")))
+    xi = FieldSpec(flat2, tuple(parse(s, 2) for s in ("1e200*1e200*x1", "x2")))
     with pytest.raises(ValueError, match="expects a zero"):
         trace_component(flat2, xi, classify_zero(flat2, xi, np.zeros(2)))
 
@@ -209,7 +209,7 @@ def _linspace(lo, hi, num):
 
 
 def _field(chart, *components):
-    return FieldSpec.vector(chart, tuple(parse(c, chart.dim) for c in components))
+    return FieldSpec(chart, tuple(parse(c, chart.dim) for c in components))
 
 
 def _assert_jet_path_matches_fd(chart, patch):
