@@ -21,8 +21,8 @@ for a rescaled metric and the zero is its own component) and gives no
 verdict for any other zero.
 
 ``classify_zero`` takes one zero or a stack of them; a stack is classified
-from one batched evaluation of the 2-jets and one conformality check over
-all the neighbourhood samples.
+from one batched evaluation of the 2-jets, one stacked SVD of the skew
+forms and one conformality check over all the neighbourhood samples.
 
 ``find_zeros`` locates zeros by a grid scan, in blocks of bounded size,
 whose seeds ``polish_zeros`` moves onto xi = 0 all at once, as the lanes of
@@ -295,8 +295,10 @@ def classify_zero(
     together into a tuple of m (an empty array gives ``()``).  Every point
     must satisfy |xi|_g < tol; a row that does not, or is NaN, raises
     ``ValueError`` naming it.  The 2-jets of all points come from one
-    :func:`~confield.geometry.field_data` call.  The verdict is read from
-    the SVD of d(xi^flat) in a g-orthonormal frame: |phi| >= ``tol`` gives
+    :func:`~confield.geometry.field_data` call, and the SVDs of d(xi^flat)
+    in g-orthonormal frames at all points from one stacked
+    :func:`~confield.geometry.frame_svd` call.  The verdict is read from
+    that SVD: |phi| >= ``tol`` gives
     ``homothetic_nonkilling`` and an ``image_residual`` of 0, since nabla xi
     is then invertible; otherwise ``image_residual`` is the length of the
     part of grad phi along the kernel of d(xi^flat), and the zero is
@@ -331,39 +333,39 @@ def classify_zero(
     # each zero's worst residual over its own ball; a NaN stays NaN
     neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)
 
-    classes = []
-    rows = zip(points, fd.conn.g, fd.M, fd.phi, fd.dphi, neighborhood)
-    for p, g, M, phi, dphi, residual in rows:
-        dxi_svd = frame_svd(g, M, "skew_form")
-        kernel_dim = chart.dim - dxi_svd.rank
-        # in the frame nabla xi = A + phi I with A skew and ker A = ker M: it
-        # is invertible for phi != 0, else its image is the complement of ker M
-        b_frame = dxi_svd.Linv @ dphi
-        image_residual = (0.0 if abs(phi) >= tol
-                          else float(np.linalg.norm(dxi_svd.Vt[dxi_svd.rank:] @ b_frame)))
-        b_scale = float(np.linalg.norm(b_frame))
+    n = chart.dim
+    dxi_svd = frame_svd(fd.conn.g, fd.M, "skew_form")
+    kernel_dim = n - dxi_svd.rank
+    # in the frame nabla xi = A + phi I with A skew and ker A = ker M: it is
+    # invertible for phi != 0, else its image is the complement of ker M
+    b_frame = (dxi_svd.Linv @ fd.dphi[:, :, None])[:, :, 0]
+    along = (dxi_svd.Vt @ b_frame[:, :, None])[:, :, 0]
+    along[np.arange(n) < dxi_svd.rank[:, None]] = 0.0
+    image_residual = np.where(np.abs(fd.phi) >= tol, 0.0, np.linalg.norm(along, axis=1))
+    b_scale = np.linalg.norm(b_frame, axis=1)
 
+    classes = []
+    for i, (phi, residual) in enumerate(zip(fd.phi.tolist(), neighborhood.tolist())):
         if not residual < conformal_tol:
             verdict = VERDICT_INVALID
-        elif chart.dim < 3:
-            verdict = VERDICT_KILLING if abs(phi) < tol and kernel_dim == 0 else None
-        elif image_residual < tol * (1.0 + b_scale):
+        elif n < 3:
+            verdict = VERDICT_KILLING if abs(phi) < tol and kernel_dim[i] == 0 else None
+        elif image_residual[i] < tol * (1.0 + b_scale[i]):
             verdict = VERDICT_KILLING if abs(phi) < tol else VERDICT_HOMOTHETIC
         else:
             verdict = VERDICT_ESSENTIAL
-
         classes.append(ZeroClassification(
-            point=p,
-            metric=g,
+            point=points[i],
+            metric=fd.conn.g[i],
             verdict=verdict,
-            phi=float(phi),
-            dphi=dphi,
-            dxi=M,
-            image_residual=image_residual,
-            kernel_dim=kernel_dim,
-            rank_dxi=dxi_svd.rank,
-            kernel_basis=dxi_svd.kernel,
-            neighborhood_residual=float(residual),
+            phi=phi,
+            dphi=fd.dphi[i],
+            dxi=fd.M[i],
+            image_residual=float(image_residual[i]),
+            kernel_dim=int(kernel_dim[i]),
+            rank_dxi=int(dxi_svd.rank[i]),
+            kernel_basis=dxi_svd[i].kernel,
+            neighborhood_residual=residual,
         ))
     return classes[0] if x.ndim == 1 else tuple(classes)
 

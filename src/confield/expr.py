@@ -318,7 +318,12 @@ def _fun_coeffs(name: str, v, order: int, node: Expr):
         if order >= 1:
             coeffs.append(0.5 / s)
         if order >= 2:
-            coeffs.append(-0.25 / s ** 3)
+            # near 0, s**3 underflows and the quotient leaves the float range
+            with np.errstate(divide="ignore", over="ignore"):
+                d2 = -0.25 / s ** 3
+            if not np.isfinite(d2).all():
+                raise EvalDomainError("sqrt outside its domain", node)
+            coeffs.append(d2)
         return coeffs
     raise ValueError(f"unknown function '{name}'")  # pragma: no cover
 

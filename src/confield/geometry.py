@@ -26,9 +26,11 @@ Index conventions used throughout (and relied on by the test oracles):
 Batches: every evaluation here (``metric_jets``, ``connection_data``,
 ``field_jets``, ``field_data``, ``spd_inverse``, ``norm_vector``,
 ``norm_2form``, ``field_norm`` and the curvature and ``lie`` properties)
-takes one point or an (m, n) array of points.  A batch adds a leading axis of length m to
-every array, with the index layout above after it, and the jets of all m
-points come from one walk of each expression tree.
+takes one point or an (m, n) array of points, and ``frame_svd`` one matrix
+or an (m, n, n) stack.  A batch adds a leading axis of length m to every
+array, with the index layout above after it; the jets of all m points come
+from one walk of each expression tree, and the frames of a stack from one
+SVD call.
 
 Metric inverses go through a Cholesky factorization; non-positive-definite
 or badly conditioned (above 1e12) metrics raise :class:`MetricError`, for a
@@ -405,7 +407,8 @@ def norm_vector(g: np.ndarray, v: np.ndarray) -> float | np.ndarray:
 
 def norm_2form(ginv: np.ndarray, T: np.ndarray) -> float | np.ndarray:
     """|T| in the metric with inverse ginv; per point over stacked inputs."""
-    val = np.sqrt(np.maximum(np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, T, T), 0.0))
+    # |T|^2 = sum_kl (g^-1 T g^-1)_kl T_kl
+    val = np.sqrt(np.maximum(((ginv @ T @ ginv) * T).sum(axis=(-2, -1)), 0.0))
     return float(val) if val.ndim == 0 else val
 
 
@@ -414,11 +417,12 @@ def field_norm(chart: Chart, xi: FieldSpec, p) -> float | np.ndarray:
     return norm_vector(g, field_value(xi, p))
 
 
-def _numerical_rank(sigma: np.ndarray) -> int:
-    if sigma.size == 0:
-        return 0
-    cut = max(_RANK_REL * float(sigma[0]), _RANK_ABS)
-    return int(np.sum(sigma > cut))
+def _numerical_rank(sigma: np.ndarray) -> int | np.ndarray:
+    """Singular values above max(_RANK_REL * sigma_0, _RANK_ABS): an int for
+    one matrix, an int array with one count per row of a stack."""
+    cut = np.maximum(_RANK_REL * sigma[..., :1], _RANK_ABS)
+    rank = np.count_nonzero(sigma > cut, axis=-1)
+    return int(rank) if np.ndim(rank) == 0 else rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +432,10 @@ class FrameSVD:
     The frame is u_a = L^{-T} e_a from g = L L^T.  Vectors map into it by
     L^T, covectors by L^{-1}, endomorphisms by conjugation and 2-forms by
     congruence.  ``rank`` counts the singular values above the cut of
-    ``_numerical_rank``.
+    ``_numerical_rank``.  Taken over a stack of m matrices, every array has
+    a leading axis of length m, ``rank`` is an int array, and ``svd[i]`` is
+    the one-matrix result of row i; ``kernel`` and ``solve`` then need the
+    same rank in every row.
     """
 
     L: np.ndarray
@@ -436,40 +443,62 @@ class FrameSVD:
     U: np.ndarray
     sigma: np.ndarray
     Vt: np.ndarray
-    rank: int
+    rank: int | np.ndarray
+
+    def __getitem__(self, i) -> FrameSVD:
+        return FrameSVD(self.L[i], self.Linv[i], self.U[i], self.sigma[i], self.Vt[i],
+                        int(self.rank[i]))
+
+    def _common_rank(self) -> int:
+        if isinstance(self.rank, int):
+            return self.rank
+        ranks = set(self.rank.tolist())  # np.unique would import numpy.ma
+        if len(ranks) > 1:
+            raise ValueError(f"the stack has ranks {sorted(ranks)}, not one")
+        return ranks.pop() if ranks else 0  # an empty stack has no rank to agree on
 
     @property
     def kernel(self) -> np.ndarray:
         """g-orthonormal basis of the numerical kernel, one row per vector."""
-        return self.Vt[self.rank:] @ self.Linv
+        return self.Vt[..., self._common_rank():, :] @ self.Linv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares x with A x = rhs, for an endomorphism A.
 
-        ``rhs`` holds chart vectors in its last axis; the pseudo-inverse
-        drops the singular values below the rank cut, so x is g-orthogonal
-        to the kernel.
+        ``rhs`` holds chart vectors in its last axis, for a stack in an
+        array of shape (m, ..., k, n); the pseudo-inverse drops the singular
+        values below the rank cut, so x is g-orthogonal to the kernel.
         """
-        r = self.rank
-        frame_x = ((rhs @ self.L) @ self.U[:, :r]) / self.sigma[:r] @ self.Vt[:r]
-        return frame_x @ self.Linv
+        r = self._common_rank()
+        L, Linv = self.L, self.Linv
+        U, sigma, Vt = self.U[..., :r], self.sigma[..., :r], self.Vt[..., :r, :]
+        if sigma.ndim == 2:  # a stack: row i of each factor meets rhs[i]
+            if rhs.ndim < 3:
+                raise ValueError("a stack solves rhs arrays of shape (m, ..., k, n)")
+            middle = tuple(range(1, rhs.ndim - 2))
+            L, U, Vt, Linv = (np.expand_dims(a, middle) for a in (L, U, Vt, Linv))
+            sigma = np.expand_dims(sigma, middle + (rhs.ndim - 2,))
+        frame_x = ((rhs @ L) @ U) / sigma @ Vt
+        return frame_x @ Linv
 
 
 def frame_svd(g: np.ndarray, tensor: np.ndarray, kind: str) -> FrameSVD:
     """SVD of an ``"endomorphism"`` or a ``"skew_form"`` in a g-orthonormal frame.
 
-    A skew form is skew-symmetrized after the change of frame, so its
-    singular values come in honest pairs.  This is the one place that
-    builds g-orthonormal frames: every other frame is the ``kernel`` of
-    some tensor here.
+    ``g`` and ``tensor`` are one (n, n) matrix each, or (m, n, n) stacks; a
+    stack costs one Cholesky, one inverse, one matmul chain and one SVD
+    call, and row i of the result equals the call on row i.  A skew form is
+    skew-symmetrized after the change of frame, so its singular values come
+    in honest pairs.  This is the one place that builds g-orthonormal
+    frames: every other frame is the ``kernel`` of some tensor here.
     """
-    L = np.linalg.cholesky(0.5 * (g + g.T))
+    L = np.linalg.cholesky(0.5 * (g + g.swapaxes(-1, -2)))
     Linv = np.linalg.inv(L)
     if kind == "endomorphism":
-        A = L.T @ tensor @ Linv.T
+        A = L.swapaxes(-1, -2) @ tensor @ Linv.swapaxes(-1, -2)
     elif kind == "skew_form":
-        A = Linv @ tensor @ Linv.T
-        A = 0.5 * (A - A.T)
+        A = Linv @ tensor @ Linv.swapaxes(-1, -2)
+        A = 0.5 * (A - A.swapaxes(-1, -2))
     else:
         raise ValueError(f"unknown tensor kind {kind!r}")
     U, sigma, Vt = np.linalg.svd(A)
@@ -501,12 +530,15 @@ def sample_interior(chart: Chart, count: int, rng, margin: float = 0.05) -> np.n
 
 
 def sample_ball(chart: Chart, x: np.ndarray, radius: float, count: int, rng) -> np.ndarray:
-    """Seeded samples around x, within ``radius`` and half the distance to the box."""
+    """Seeded samples around x, within ``radius`` and half the distance to the box.
+
+    With r_eff the smaller of the two, row k is x + r_eff s_k u_k for a
+    direction u_k uniform on the sphere and s_k uniform in [0.2, 1]: the
+    directions are one ``rng.normal((count, n))`` block, normalized, and
+    the radii one ``rng.uniform(0.2, 1.0, count)`` block drawn after it.
+    """
     dist = float(min(np.min(x - chart.lower), np.min(chart.upper - x)))
     r_eff = min(radius, 0.5 * dist)
-    pts = np.empty((count, chart.dim))
-    for k in range(count):
-        u = rng.normal(size=chart.dim)
-        u /= np.linalg.norm(u)
-        pts[k] = x + r_eff * rng.uniform(0.2, 1.0) * u
-    return pts
+    u = rng.normal(size=(count, chart.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return x + r_eff * rng.uniform(0.2, 1.0, count)[:, None] * u

@@ -210,28 +210,29 @@ def second_fundamental_form(
 
     ``chart`` supplies the ambient metric; a zero set traced under g serves
     a rescaled chart as well.  Everything comes from one batched evaluation
-    of the 2-jets of the metric and of ``xi`` at the points: at each point
-    the tangent frame is the g-orthonormal kernel of nabla xi, which must
-    have dimension ``k``, and B solves nabla xi B(X, Y) = -(nabla^2 xi)(X, Y)
-    on the normal space through the pseudo-inverse.  No neighbouring point
-    is used, so the boundary nodes of a patch are as good as interior ones.
+    of the 2-jets of the metric and of ``xi`` at the points and one stacked
+    :func:`~confield.geometry.frame_svd` of nabla xi over them: at each
+    point the tangent frame is the g-orthonormal kernel of nabla xi, and B
+    solves nabla xi B(X, Y) = -(nabla^2 xi)(X, Y) on the normal space
+    through the pseudo-inverse.  A kernel of dimension other than ``k``
+    raises :class:`PatchError` naming the first such point.  No
+    neighbouring point is used, so the boundary nodes of a patch are as
+    good as interior ones.
     """
     if k == 0:
         raise PatchError("a point patch has no second fundamental form")
     points = np.asarray(points, dtype=float)
     fd = field_data(chart, xi, points, 2)
-    B = np.empty((len(points), k, k, chart.dim))
-    frames = np.empty((len(points), k, chart.dim))
-    for i, (g, N, H) in enumerate(zip(fd.conn.g, fd.N, fd.H)):
-        nabla_svd = frame_svd(g, N, "endomorphism")
-        frame = nabla_svd.kernel
-        if frame.shape[0] != k:
-            raise PatchError(
-                f"nabla xi has a {frame.shape[0]}-dimensional kernel at "
-                f"{points[i].tolist()}, on a {k}-dimensional zero set"
-            )
-        frames[i] = frame
-        B[i] = -nabla_svd.solve(np.einsum("ijk,aj,bk->abi", H, frame, frame))
+    nabla_svd = frame_svd(fd.conn.g, fd.N, "endomorphism")
+    wrong = np.flatnonzero(nabla_svd.rank != chart.dim - k)
+    if wrong.size:
+        i = wrong[0]
+        raise PatchError(
+            f"nabla xi has a {chart.dim - nabla_svd.rank[i]}-dimensional kernel at "
+            f"{points[i].tolist()}, on a {k}-dimensional zero set"
+        )
+    frames = nabla_svd.Vt[:, chart.dim - k:] @ nabla_svd.Linv  # the kernels, k rows each
+    B = -nabla_svd.solve(np.einsum("mijk,maj,mbk->mabi", fd.H, frames, frames))
     # Symmetric up to the curvature term R(X, Y) xi, which vanishes on the
     # zero set; keep B exactly symmetric.
     B = 0.5 * (B + B.swapaxes(1, 2))

@@ -375,10 +375,11 @@ def pushforward_under_inversion(xi):
     return FieldSpec(xi.chart, comps, name=f"inverted_{xi.name}")
 
 
-def recording_calls(monkeypatch, fn, record):
+def recording_calls(monkeypatch, fn, record, arguments=False):
     """Patch every binding of ``fn`` in the confield modules, as the
     benchmark's tracer does, so that a call through any module's name is
-    seen; each call appends ``record(result)`` to the returned list."""
+    seen; each call appends ``record(result)`` to the returned list, or
+    ``record(result, *args, **kwargs)`` with ``arguments``."""
     import importlib
     import pkgutil
 
@@ -388,7 +389,7 @@ def recording_calls(monkeypatch, fn, record):
 
     def recording(*args, **kwargs):
         result = fn(*args, **kwargs)
-        calls.append(record(result))
+        calls.append(record(result, *args, **kwargs) if arguments else record(result))
         return result
 
     modules = [confield] + [importlib.import_module(f"confield.{info.name}")

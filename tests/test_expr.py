@@ -219,6 +219,21 @@ def test_sqrt_at_zero_needs_no_derivatives():
     assert near.d1[0] == pytest.approx(0.5e65)
 
 
+@pytest.mark.parametrize("x1", [1e-220, 1e-212])
+def test_sqrt_second_derivative_beyond_the_float_range_is_a_domain_error(x1):
+    """At 1e-220 the cube of the root underflows to 0, at 1e-212 to a
+    subnormal whose reciprocal overflows: per point and in a batch the
+    order-2 jet raises EvalDomainError, not a RuntimeWarning, while the
+    order-1 jet is finite."""
+    e = parse("sqrt(x1)", 2)
+    with pytest.raises(EvalDomainError, match="sqrt outside its domain") as err:
+        eval_jet(e, [x1, 0.0], 2)
+    assert err.value.subexpression is e
+    with pytest.raises(EvalDomainError, match="sqrt outside its domain"):
+        eval_jets([e], np.array([[0.5, 0.5], [x1, 0.0], [2.0, 1.0]]), 2)
+    assert np.isfinite(eval_jet(e, [x1, 0.0], 1).d1).all()
+
+
 def test_zero_to_zeroth_power_is_one():
     assert eval_jet(parse("x1^0", 1), [0.0]).value == 1.0
 

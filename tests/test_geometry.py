@@ -25,6 +25,7 @@ from confield.geometry import (
     metric_value,
     norm_2form,
     norm_vector,
+    sample_ball,
     sample_interior,
     spd_inverse,
 )
@@ -419,6 +420,14 @@ def _random_spd(rng, n):
     return A @ A.T + 0.5 * np.eye(n)
 
 
+def _tensor_of_rank(rng, n, rank, kind):
+    """A random endomorphism of the given rank, or a 2-form of that even rank."""
+    if kind == "endomorphism":
+        return rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
+    B = rng.normal(size=(n, rank))
+    return B @ np.kron(np.eye(rank // 2), [[0.0, 1.0], [-1.0, 0.0]]) @ B.T
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_frame_svd_kernel_is_g_orthonormal_and_annihilated(n):
     rng = np.random.default_rng(100 + n)
@@ -426,14 +435,63 @@ def test_frame_svd_kernel_is_g_orthonormal_and_annihilated(n):
         g = _random_spd(rng, n)
         k = int(rng.integers(1, n))
         # an endomorphism of rank n - k and a 2-form of rank 2 * ((n - k) // 2)
-        N = rng.normal(size=(n, n - k)) @ rng.normal(size=(n - k, n))
-        B = rng.normal(size=(n, 2 * ((n - k) // 2)))
-        M = B @ np.kron(np.eye(B.shape[1] // 2), [[0.0, 1.0], [-1.0, 0.0]]) @ B.T
-        for tensor, kind, dim in ((N, "endomorphism", k), (M, "skew_form", n - B.shape[1])):
+        skew_rank = 2 * ((n - k) // 2)
+        N = _tensor_of_rank(rng, n, n - k, "endomorphism")
+        M = _tensor_of_rank(rng, n, skew_rank, "skew_form")
+        for tensor, kind, dim in ((N, "endomorphism", k), (M, "skew_form", n - skew_rank)):
             kernel = frame_svd(g, tensor, kind).kernel
             assert kernel.shape == (dim, n)
             assert np.abs(kernel @ g @ kernel.T - np.eye(dim)).max() < 1e-12
             assert np.abs(kernel @ tensor.T).max() < 1e-10 * (1 + np.abs(tensor).max())
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["endomorphism", "skew_form"])
+def test_stacked_frame_svd_rows_are_the_one_matrix_calls(n, kind):
+    """Ranks 0, 2 and full in one stack: row i of the stacked result is
+    frame_svd(g[i], T[i], kind), bit for bit, with an int rank.  The cut is
+    per row, so a full-rank row scaled by 1e-8 keeps its rank."""
+    rng = np.random.default_rng([n, len(kind)])
+    full = n if kind == "endomorphism" else 2 * (n // 2)
+    ranks = [0, 2, full, 2, full, 0, 2]
+    g = np.stack([_random_spd(rng, n) for _ in ranks])
+    T = np.stack([_tensor_of_rank(rng, n, r, kind) for r in ranks])
+    T[4] *= 1e-8
+    svd = frame_svd(g, T, kind)
+    assert svd.rank.tolist() == ranks
+    for i in range(len(ranks)):
+        row, one = svd[i], frame_svd(g[i], T[i], kind)
+        assert type(row.rank) is int and row.rank == one.rank == ranks[i]
+        for name in ("L", "Linv", "U", "sigma", "Vt", "kernel"):
+            assert _bits(getattr(row, name)) == _bits(getattr(one, name)), (i, name)
+
+
+def test_stacked_kernel_and_solve_need_one_rank():
+    """Over a stack of one rank, kernel and solve give each row's one-matrix
+    result bit for bit; over mixed ranks they refuse."""
+    rng = np.random.default_rng(17)
+    n, k = 4, 2
+    g = np.stack([_random_spd(rng, n) for _ in range(6)])
+    N = np.stack([_tensor_of_rank(rng, n, n - k, "endomorphism") for _ in range(6)])
+    rhs = rng.normal(size=(6, k, k, n))
+    svd = frame_svd(g, N, "endomorphism")
+    kernel, x = svd.kernel, svd.solve(rhs)
+    assert kernel.shape == (6, k, n) and x.shape == rhs.shape
+    for i in range(6):
+        one = frame_svd(g[i], N[i], "endomorphism")
+        assert _bits(kernel[i]) == _bits(one.kernel)
+        assert _bits(x[i]) == _bits(one.solve(rhs[i]))
+    N[3] = _tensor_of_rank(rng, n, n, "endomorphism")
+    mixed = frame_svd(g, N, "endomorphism")
+    with pytest.raises(ValueError, match="ranks"):
+        mixed.kernel
+    with pytest.raises(ValueError, match="ranks"):
+        mixed.solve(rhs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -489,6 +547,27 @@ def test_sample_interior_respects_margin():
     width = FLAT2.upper - FLAT2.lower
     assert np.all(pts >= FLAT2.lower + 0.1 * width - 1e-12)
     assert np.all(pts <= FLAT2.upper - 0.1 * width + 1e-12)
+
+
+def test_sample_ball_draws_one_normal_and_one_uniform_block():
+    """Rows lie at distance 0.2 r_eff to r_eff from x, r_eff here half the
+    distance to the box face x3 = 2; the draws are one (count, n) normal
+    block and then one uniform block of count radii."""
+    x = np.array([0.3, -0.2, 1.5])
+    count = 20
+    rng = np.random.default_rng(7)
+    pts = sample_ball(FLAT3, x, 0.4, count, rng)
+    r_eff = 0.25
+    assert pts.shape == (count, 3)
+    dist = np.linalg.norm(pts - x, axis=1)
+    assert np.all(dist >= 0.2 * r_eff * (1 - 1e-12))
+    assert np.all(dist <= r_eff * (1 + 1e-12))
+    by_hand = np.random.default_rng(7)
+    u = by_hand.normal(size=(count, 3))
+    radii = by_hand.uniform(0.2, 1.0, count)
+    assert np.allclose(pts, x + r_eff * radii[:, None] * u / np.linalg.norm(u, axis=1)[:, None],
+                       rtol=0, atol=1e-15)
+    assert rng.random() == by_hand.random()
 
 
 def test_field_norm_of_quadratic_field_is_r_squared_flat():

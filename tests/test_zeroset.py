@@ -447,6 +447,30 @@ def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
     assert len(report.mean_curvature_norms) == 49
 
 
+def test_umbilicity_report_makes_one_frame_svd_call(monkeypatch):
+    """The kernels and pseudo-inverses of nabla xi at all 9 interior nodes
+    come from one stacked frame_svd call."""
+    xi = models.rotation(FLAT4, 1, 2)
+    patch = trace_component(FLAT4, xi, classify_zero(FLAT4, xi, np.zeros(4)), radius=0.3, grid=5)
+    calls = recording_calls(monkeypatch, geometry.frame_svd,
+                            lambda out, g, tensor, kind: (kind, np.shape(g)), arguments=True)
+    umbilicity_report(FLAT4, patch)
+    assert calls == [("endomorphism", (9, 4, 4))]
+
+
+def test_wrong_kernel_dimension_names_the_first_such_row():
+    """nabla xi of (x1 x3, x2 x3, 0) has a 1-dimensional kernel at
+    (0, 0, 1) and (0, 0, 0.5), a 3-dimensional one at the origin and a
+    2-dimensional one at (0.1, 0, 0): the stack is refused at row 1.  An
+    empty stack has no row to refuse."""
+    xi = _field(FLAT3, "x1*x3", "x2*x3", "0")
+    points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.1, 0.0, 0.0]])
+    assert second_fundamental_form(FLAT3, xi, points[[0, 2]], 1).normal_form.shape == (2, 1, 1, 3)
+    assert second_fundamental_form(FLAT3, xi, points[:0], 1).normal_form.shape == (0, 1, 1, 3)
+    with pytest.raises(PatchError, match=r"3-dimensional kernel at \[0\.0, 0\.0, 0\.0\], on a 1-"):
+        second_fundamental_form(FLAT3, xi, points, 1)
+
+
 def test_second_fundamental_form_carries_the_metric_at_its_node():
     xi = models.sphere_killing(SPHERE, 3, 4)
     patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, SPHERE_ZERO), radius=0.3, grid=5)
