@@ -9,9 +9,10 @@ Finite differences appear only in the test suite, as an independent oracle.
 
 Trees are compiled into a :class:`Tape`, a post-order program in which
 structurally equal subtrees share one slot.  One evaluator runs the tape
-in a single loop.  Per point it propagates jets in Python floats.  Over a
-batch of m points each coordinate is a column array, and every jet part
-carries a trailing batch axis, so one pass gives the jets of all m points
+in a single loop.  Per point it propagates jets in numpy float scalars,
+so an overflow raises there as it does in a batch.  Over a batch of m
+points each coordinate is a column array, and every jet part carries a
+trailing batch axis, so one pass gives the jets of all m points
 (the vector mode of forward differentiation); :func:`eval_jets` does this
 at orders 0..2 and :func:`eval_values_many` at order 0.  Charts and fields
 compile their trees once, when they are built, and pass the tape to these
@@ -262,7 +263,7 @@ def _jcompose(w: Jet, f) -> Jet:
     return out
 
 
-# The domain checks below take a Python float or a batch column.
+# The domain checks below take a float scalar or a batch column.
 # np.count_nonzero is the cheapest test that accepts both.
 
 def _reciprocal_coeffs(v, order: int, node: Expr):
@@ -414,14 +415,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _evaluate(tape: Tape, point: list, order: int) -> list[Jet]:
     """The one evaluator: one pass over the tape, one jet per output.
 
-    ``point`` lists the n coordinates: Python floats for one point, or
-    equal-length arrays for a batch of points, at orders 0..2.
+    ``point`` lists the n coordinates: numpy float scalars for one point,
+    or equal-length arrays for a batch of points, at orders 0..2.
     """
     n = len(point)
     start, units = tape._start(n, order, bool(point) and not isinstance(point[0], float))
     jets = list(start)
-    # A power of a Python float can overflow; so can any batch product under
-    # the np.errstate of eval_jets.
+    # A power of a Python float (a constant) can overflow; so can any
+    # product of a point's coordinates, under the np.errstate of the callers.
     try:
         for slot, (op, args, node) in enumerate(tape.program):
             if op == _MUL:
@@ -453,6 +454,14 @@ def _evaluate(tape: Tape, point: list, order: int) -> list[Jet]:
     return [jets[slot] for slot in tape.outputs]
 
 
+def _evaluate_point(tape: Tape, p: np.ndarray, order: int) -> list[Jet]:
+    """``_evaluate`` at one point, whose coordinates are numpy float scalars:
+    unlike Python floats, their products obey ``np.errstate``, so an
+    overflow raises here wherever it raises in a batch of one."""
+    with np.errstate(over="raise"):
+        return _evaluate(tape, list(p), order)
+
+
 def _tape(exprs) -> Tape:
     return exprs if isinstance(exprs, Tape) else Tape(exprs)
 
@@ -465,7 +474,7 @@ def eval_jet(expr: Expr, point, order: int = 0) -> Jet:
     p = np.asarray(point, dtype=float)
     if p.ndim != 1:
         raise ValueError("point must be a 1-d coordinate array")
-    return _evaluate(Tape((expr,)), p.tolist(), order)[0]
+    return _evaluate_point(Tape((expr,)), p, order)[0]
 
 
 def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
@@ -485,7 +494,7 @@ def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
     tape = _tape(exprs)
     p = np.asarray(point, dtype=float)
     if p.ndim == 1:
-        return _evaluate(tape, p.tolist(), order)
+        return _evaluate_point(tape, p, order)
     if p.ndim != 2:
         raise ValueError("points must be an (n,) or an (m, n) array")
     columns = list(p.T.copy())

@@ -1,7 +1,8 @@
 """Geodesics, parallel frames, and derivative identities along geodesics.
 
 ``taylor_checks`` tests the expansion of a conformal field xi along the
-unit-speed geodesic c(t) = exp_x(tv) from a zero x:
+unit-speed geodesic c(t) = exp_x(tv) from a zero x, or from each row of an
+(m, n) stack of zeros with its own direction, in one order-2 evaluation:
 
 * scalar: f(t) = g(xi(c(t)), c'(t)) satisfies f'(0) = phi(x),
 * vector: in a parallel frame, xi'(0) = phi(x) v + (1/2) d(xi^flat)(v) and
@@ -34,9 +35,12 @@ the benchmark's tracer.
 
 where R_{X, xi} is the 2-form (Y, Z) -> g(R(X, xi)Y, Z) and
 (dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), at one point or over
-(m, n) arrays of points and directions.  This identity pins down every sign
-convention in the package at once, so it is exercised over the whole model
-catalog in the tests.
+(m, n) arrays of points and directions.  R(X, xi) comes from Gamma and its
+derivatives already contracted with X and xi, d_X Gamma_xi - d_xi Gamma_X +
+[Gamma_X, Gamma_xi] with Gamma_X = Gamma(X, .), so the 4-index curvature
+tensor is never formed.  This identity pins down every sign convention in
+the package at once, so it is exercised over the whole model catalog in
+the tests.
 """
 from __future__ import annotations
 
@@ -192,6 +196,21 @@ class TaylorVectorResult(NamedTuple):
     second: np.ndarray
 
 
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x over stacks, with contiguous operands (see geometry._stacked)."""
+    return (np.ascontiguousarray(A) @ np.ascontiguousarray(x)[..., None])[..., 0]
+
+
+def _vm(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x A over stacks, with contiguous operands."""
+    return (np.ascontiguousarray(x)[..., None, :] @ np.ascontiguousarray(A))[..., 0, :]
+
+
+def _plain(a: np.ndarray) -> float | np.ndarray:
+    """A result at one zero as a float, at a stack of zeros as an array."""
+    return float(a) if a.ndim == 0 else a
+
+
 def taylor_checks(
     chart: Chart, xi: FieldSpec, x, v
 ) -> tuple[TaylorScalarResult, TaylorVectorResult]:
@@ -202,38 +221,49 @@ def taylor_checks(
     and xi''(0) against 2 dphi(v) v - grad phi, both in the parallel
     orthonormal frame at x.  The derivatives are exact jet formulas, which
     take xi(x) = 0.
+
+    ``x`` and ``v`` are one zero and direction, giving floats and (n,)
+    arrays, or (m, n) arrays of them, giving (m,) and (m, n) arrays from
+    one :func:`~confield.geometry.field_data` call and one stacked frame.
     """
     chart.require_interior(x)
     x = np.asarray(x, dtype=float)
     fd = field_data(chart, xi, x, 2)
-    g = fd.conn.g
-    if not norm_vector(g, fd.value) < _ZERO_TOL:
+    n, batch = chart.dim, x.shape[:-1]
+    g = np.ascontiguousarray(fd.conn.g)
+    if not np.all(norm_vector(g, fd.value) < _ZERO_TOL):
         raise ValueError("taylor_checks requires a zero of the field")
     v = np.asarray(v, dtype=float)
     speed = _speed(g, v)
-    if not (math.isfinite(speed) and speed > 0):
+    if not np.all(np.isfinite(speed) & (speed > 0)):
         raise ValueError(f"taylor_checks needs a finite nonzero direction, got speed {speed}")
-    v = v / speed
+    v = v / np.asarray(speed)[..., None]
     frame0 = complete_orthonormal_frame(g, v)
-    Gam = fd.conn.Gam
-    dg_v = fd.conn.dg @ v  # (d_v g)_ij
-    acc = -np.einsum("kij,i,j->k", Gam, v, v)  # c''(0)
-    dframe = -np.einsum("kij,i,aj->ak", Gam, v, frame0)  # E'(0)
-    X1 = fd.jac @ v
-    X2 = np.einsum("kij,i,j->k", fd.hess, v, v) + fd.jac @ acc
+    # Gam_v[k, i] = Gamma^k_ij v^j and (d_v g)_ij = d_k g_ij v^k
+    Gam_v = _mv(fd.conn.Gam.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
+    dg_v = _mv(fd.conn.dg.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
+    acc = -_mv(Gam_v, v)  # c''(0)
+    dframe = -(frame0 @ Gam_v.swapaxes(-1, -2))  # E'(0)
+    X1 = _mv(fd.jac, v)
+    hess_v = _mv(fd.hess.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
+    X2 = _mv(hess_v, v) + _mv(fd.jac, acc)
 
-    f1 = float(X1 @ g @ v)
-    f2 = float(X2 @ g @ v + 2.0 * X1 @ dg_v @ v + 2.0 * X1 @ g @ acc)
-    scalar = TaylorScalarResult(abs(f1 - fd.phi), f1, f2)
+    gv, gX1 = _mv(g, v), _mv(g, X1)
+    f1 = (gX1 * v).sum(axis=-1)
+    f2 = ((X2 * gv).sum(axis=-1) + 2.0 * (X1 * _mv(dg_v, v)).sum(axis=-1)
+          + 2.0 * (gX1 * acc).sum(axis=-1))
+    scalar = TaylorScalarResult(_plain(abs(f1 - fd.phi)), _plain(f1), _plain(f2))
 
-    d1 = frame0 @ g @ X1
-    d2 = 2.0 * dframe @ g @ X1 + 2.0 * frame0 @ dg_v @ X1 + frame0 @ g @ X2
-    # (v -| d xi)_j = v^i M[i, j] and (phi v)_j = phi g_jk v^k; raise the
-    # covector and take frame components
-    first_target = frame0 @ (fd.phi * (g @ v) + 0.5 * (fd.M.T @ v))
-    second_target = frame0 @ g @ (2.0 * float(fd.dphi @ v) * v - fd.conn.ginv @ fd.dphi)
-    vector = TaylorVectorResult(float(np.linalg.norm(d1 - first_target)),
-                                float(np.linalg.norm(d2 - second_target)), d1, d2)
+    d1 = _mv(frame0, gX1)
+    d2 = 2.0 * _mv(dframe, gX1) + 2.0 * _mv(frame0, _mv(dg_v, X1)) + _mv(frame0, _mv(g, X2))
+    # (v -| d xi)_j = v^i M[i, j] = -(M v)_j, as M is skew, and (phi v)_j =
+    # phi g_jk v^k; raise the covector and take frame components
+    phi = np.asarray(fd.phi)[..., None]
+    first_target = _mv(frame0, phi * gv - 0.5 * _mv(fd.M, v))
+    dphi_v = (fd.dphi * v).sum(axis=-1)[..., None]
+    second_target = _mv(frame0, _mv(g, 2.0 * dphi_v * v - _mv(fd.conn.ginv, fd.dphi)))
+    vector = TaylorVectorResult(_plain(np.linalg.norm(d1 - first_target, axis=-1)),
+                                _plain(np.linalg.norm(d2 - second_target, axis=-1)), d1, d2)
     return scalar, vector
 
 
@@ -254,33 +284,42 @@ def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
     arrays of them, giving m residuals from one batched evaluation.  All
     three terms are evaluated from exact jets; for a conformal field the
     residual is at rounding level, and this is the main consistency check
-    tying the curvature sign convention to the rest of the package.
+    tying the curvature sign convention to the rest of the package.  Every
+    term is contracted with X (and R with xi) while it has at most three
+    indices, so no 4-index tensor is formed beyond d Gamma and d^2 g.
     """
     chart.require_interior(p)
     X = np.asarray(X, dtype=float)
     fd = field_data(chart, xi, p, 2)
     cd = fd.conn
+    n, batch = chart.dim, X.shape[:-1]
     val, jac, hess = fd.value, fd.jac, fd.hess
     g, dg, d2g = cd.g, cd.dg, cd.d2g
 
-    # d_k of M[i, j] from d_k d_i omega_j with omega_j = g_jl xi^l, not from
-    # the covariant Hessian: PP[k, i, j] = d_k d_i omega_j
-    PP = (
-        np.einsum("...jlik,...l->...kij", d2g, val)
-        + np.einsum("...jli,...lk->...kij", dg, jac)
-        + np.einsum("...jlk,...li->...kij", dg, jac)
-        + np.einsum("...jl,...lik->...kij", g, hess)
-    )
-    M = fd.M
-    dM = PP - PP.swapaxes(-1, -2)  # dM[k, i, j] = d_k M_ij
-    nabla_M = np.einsum("...k,...kij->...ij", X, dM)
-    nabla_M -= np.einsum("...k,...lki,...lj->...ij", X, cd.Gam, M)
-    nabla_M -= np.einsum("...k,...lkj,...il->...ij", X, cd.Gam, M)
+    def along(T, w):
+        """Contract the last index of a k-index tensor T with w: k - 1 indices."""
+        return _mv(T.reshape(batch + (-1, n)), w).reshape(T.shape[:-1])
 
-    curv = 2.0 * np.einsum("...a,...b,...abij->...ij", X, val, cd.riemann_lowered)
+    # Y[j, i] = d_X d_i omega_j with omega_j = g_jl xi^l, not from the
+    # covariant Hessian; d2g and dg are symmetric in their first two indices
+    Y = (_vm(val, along(d2g, X).reshape(batch + (n, n * n))).reshape(batch + (n, n))
+         + _vm(_mv(jac, X), dg.reshape(batch + (n, n * n))).reshape(batch + (n, n))
+         + along(dg, X) @ np.ascontiguousarray(jac)
+         + np.ascontiguousarray(g) @ along(hess, X))
+    # Gam_X[l, i] = Gamma^l_ik X^k; with M skew, nabla_X d(xi^flat) = Z^T - Z
+    Gam_X, Gam_xi = along(cd.Gam, X), along(cd.Gam, val)
+    Z = Y + np.ascontiguousarray(fd.M) @ Gam_X
+    nabla_M = Z.swapaxes(-1, -2) - Z
 
-    Xflat = np.einsum("...ij,...j->...i", g, X)
-    outer = fd.dphi[..., :, None] * Xflat[..., None, :]
+    # R(X, xi)^i_j = (d_X Gamma^i_{xi j} - d_xi Gamma^i_{X j}) + [Gam_X, Gam_xi]^i_j,
+    # from dG[i, k, l, j] = d_k Gamma^i_lj (symmetric in l, j)
+    dG = np.moveaxis(cd.dGam, -1, -3)
+    R = (_vm(X[..., None, :], along(dG, val)) - _vm(val[..., None, :], along(dG, X))
+         + Gam_X @ Gam_xi - Gam_xi @ Gam_X)
+    # 2 R_{X,xi}(e_i, e_j) = 2 g(R(X, xi) e_i, e_j) = 2 (g R)[j, i]
+    curv = 2.0 * (np.ascontiguousarray(g) @ R).swapaxes(-1, -2)
+
+    outer = fd.dphi[..., :, None] * _mv(g, X)[..., None, :]
     wedge = 2.0 * (outer - outer.swapaxes(-1, -2))
 
     return norm_2form(cd.ginv, nabla_M - curv - wedge)

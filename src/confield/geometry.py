@@ -26,11 +26,18 @@ Index conventions used throughout (and relied on by the test oracles):
 Batches: every evaluation here (``metric_jets``, ``connection_data``,
 ``field_jets``, ``field_data``, ``spd_inverse``, ``norm_vector``,
 ``norm_2form``, ``field_norm`` and the curvature and ``lie`` properties)
-takes one point or an (m, n) array of points, and ``frame_svd`` one matrix
-or an (m, n, n) stack.  A batch adds a leading axis of length m to every
-array, with the index layout above after it; the jets of all m points come
-from one walk of each expression tree, and the frames of a stack from one
-SVD call.
+takes one point or an (m, n) array of points, ``frame_svd`` one matrix or
+an (m, n, n) stack, and ``complete_orthonormal_frame`` one vector or an
+(m, n) stack.  A batch adds a leading axis of length m to every array, with
+the index layout above after it; the jets of all m points come from one
+walk of each expression tree, and the frames of a stack from one SVD call.
+The order-2 tensors (d Gamma, the covariant Hessian, dphi, the curvature)
+are reshaped matrix products, one (n^a, n) @ (n, n^b) product per point
+over the batch, whose operands are made C-contiguous first: numpy picks a
+product's kernel from its operands' strides, and this way row i of a stack
+gets the kernel, and so the bits, of its batch of one.  The order-1
+contractions (Gamma, N, d(xi^flat)) keep the summation order of the einsums
+they were written with, whose rounding the conformality residuals carry.
 
 Metric inverses go through a Cholesky factorization; non-positive-definite
 or badly conditioned (above 1e12) metrics raise :class:`MetricError`, for a
@@ -245,6 +252,28 @@ def metric_value(chart: Chart, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # connection and curvature
 
+def _stacked(a: np.ndarray, batch: tuple, rows: int, cols: int) -> np.ndarray:
+    """``a`` as a C-contiguous ``batch`` of (rows, cols) matrices.
+
+    Every matrix product of the order-2 tensors takes its operands through
+    here: numpy picks its kernel from the strides of each matrix, and a row
+    of a stack must get the same kernel, and so the same bits, as its batch
+    of one.
+    """
+    return np.ascontiguousarray(a).reshape(batch + (rows, cols))
+
+
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for contiguous stacks of matrices A and vectors x."""
+    return (A @ np.ascontiguousarray(x)[..., None])[..., 0]
+
+
+def _axes(a: np.ndarray, *order: int) -> np.ndarray:
+    """``a`` with its trailing axes permuted by ``order``, batch axes kept."""
+    lead = a.ndim - len(order)
+    return a.transpose(*range(lead), *(lead + k for k in order))
+
+
 @dataclass(frozen=True, eq=False)
 class ConnectionData:
     """Metric jets and the connection at one point, to jet order 1 or 2.
@@ -267,24 +296,31 @@ class ConnectionData:
         if self.dGam is None:
             raise ValueError("curvature needs connection data of order 2")
         Gam, dGam = self.Gam, self.dGam
+        n, batch = Gam.shape[-1], Gam.shape[:-3]
+        # Q[i, k, l, j] = Gamma^i_{km} Gamma^m_{lj}
+        Q = _stacked(Gam, batch, n * n, n) @ _stacked(Gam, batch, n, n * n)
+        Q = np.moveaxis(Q.reshape(batch + (n,) * 4), -1, -3)  # Q[i, j, k, l]
         # d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
         #                                    - Gamma^i_{lm} Gamma^m_{kj}
-        R = np.einsum("...iljk->...ijkl", dGam) - np.einsum("...ikjl->...ijkl", dGam)
-        R += (np.einsum("...ikm,...mlj->...ijkl", Gam, Gam)
-              - np.einsum("...ilm,...mkj->...ijkl", Gam, Gam))
+        R = np.moveaxis(dGam, -3, -1) - dGam.swapaxes(-3, -2)
+        R += Q - Q.swapaxes(-1, -2)
         return R
 
     @property
     def riemann_lowered(self) -> np.ndarray:
         """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)."""
-        # R(e_a, e_b) e_c = R[m, c, a, b] e_m
-        return np.einsum("...dm,...mcab->...abcd", self.g, self.riemann)
+        n, batch = self.g.shape[-1], self.g.shape[:-2]
+        # R(e_a, e_b) e_c = R[m, c, a, b] e_m, so g_dm R[m, c, a, b] is Rl[a, b, c, d]
+        Rl = _stacked(self.g, batch, n, n) @ _stacked(self.riemann, batch, n, n ** 3)
+        return np.moveaxis(Rl.reshape(batch + (n,) * 4), (-4, -3), (-1, -2))
 
 
 def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
     """Metric jets to ``order`` (1 or 2), Gamma and, at order 2, its derivatives.
 
-    ``p`` is one point or an (m, n) array of points.
+    ``p`` is one point or an (m, n) array of points.  ``dGam`` is a view
+    of an array laid out as ``d_m Gamma^k_ij`` at ``[k, m, i, j]``, so
+    ``np.moveaxis(dGam, -1, -3)`` is contiguous per point.
     """
     g, dg, d2g = metric_jets(chart, p, order)
     ginv = spd_inverse(g)
@@ -293,14 +329,18 @@ def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
     Gam = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, T)
     dGam = None
     if order >= 2:
-        # dT[i, j, l, m] = d_m T_ijl
-        dT = d2g.swapaxes(-4, -2).swapaxes(-3, -2) + d2g.swapaxes(-2, -3) - d2g
-        # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
-        dginv = -np.einsum("...ka,...abm,...bl->...klm", ginv, dg, ginv)
-        dGam = 0.5 * (
-            np.einsum("...klm,...ijl->...kijm", dginv, T)
-            + np.einsum("...kl,...ijlm->...kijm", ginv, dT)
-        )
+        n, batch = chart.dim, g.shape[:-2]
+        # d_m Gamma^k_ij = g^ka (d_m Gamma_aij - d_m g_ab Gamma^b_ij), where
+        # 2 d_m Gamma_aij = d_m T_ija = d_m d_i g_ja + d_m d_j g_ia - d_m d_a g_ij;
+        # every array is taken at [a, m, i, j], with d2g[p, q, r, s] = d_r d_s g_pq
+        lowered = (_axes(d2g, 1, 3, 2, 0) + _axes(d2g, 1, 3, 0, 2)
+                   - _axes(d2g, 2, 3, 0, 1))
+        # the d_m g_ab Gamma^b_ij term, one (n^2, n) @ (n, n^2) product per point
+        dg_Gam = (_stacked(dg.swapaxes(-1, -2), batch, n * n, n)
+                  @ _stacked(Gam, batch, n, n * n))
+        V = 0.5 * _stacked(lowered, batch, n * n, n * n) - dg_Gam
+        dGam = _stacked(ginv, batch, n, n) @ V.reshape(batch + (n, n ** 3))
+        dGam = np.moveaxis(dGam.reshape(batch + (n,) * 4), -3, -1)
     return ConnectionData(g, ginv, dg, d2g, Gam, dGam)
 
 
@@ -367,30 +407,30 @@ def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
     conn = connection_data(chart, p, order)
     val, jac, hess = field_jets(xi, p, order)
     g, dg, Gam = conn.g, conn.dg, conn.Gam
-    # N[i, j] = d_j xi^i + Gamma^i_jk xi^k
-    N = jac + np.einsum("...ijk,...k->...ij", Gam, val)
+    # N[i, j] = d_j xi^i + Gamma^i_jk xi^k, summed over k in order as einsum
+    # sums it over two or more points; over one point einsum sums in another
+    # order, and a row of a stack would not be its batch of one
+    Gam_xi = Gam[..., 0] * val[..., None, None, 0]
+    for k in range(1, chart.dim):
+        Gam_xi = Gam_xi + Gam[..., k] * val[..., None, None, k]
+    N = jac + Gam_xi
     # P[i, j] = d_i omega_j with omega_j = g_jk xi^k
     P = np.einsum("...jki,...k->...ij", dg, val) + np.einsum("...jk,...ki->...ij", g, jac)
     H = dphi = None
     if order >= 2:
-        # d_j N[i, k] = d_j d_k xi^i + d_j Gamma^i_kl xi^l + Gamma^i_kl d_j xi^l
-        dN = (
-            hess
-            + np.einsum("...iklj,...l->...ijk", conn.dGam, val)
-            + np.einsum("...ikl,...lj->...ijk", Gam, jac)
-        )
-        H = (
-            dN
-            + np.einsum("...ijl,...lk->...ijk", Gam, N)
-            - np.einsum("...ljk,...il->...ijk", Gam, N)
-        )
-        # n phi = d_i xi^i + Gamma^i_{ik} xi^k, so n d_j phi =
-        # d_j d_i xi^i + (d_j Gamma^i_{ik}) xi^k + Gamma^i_{ik} d_j xi^k
-        dphi = (
-            np.einsum("...iij->...j", hess)
-            + np.einsum("...iikj,...k->...j", conn.dGam, val)
-            + np.einsum("...iik,...kj->...j", Gam, jac)
-        ) / chart.dim
+        n, batch = chart.dim, val.shape[:-1]
+        # d_j N[i, k] = d_j d_k xi^i + d_j Gamma^i_kl xi^l + Gamma^i_kl d_j xi^l,
+        # the middle term from dGam laid out as d_j Gamma^i_kl at [i, j, k, l]
+        dGam = np.moveaxis(conn.dGam, -1, -3)
+        Gam_kl = _stacked(Gam, batch, n * n, n)
+        dN = (hess + _mv(_stacked(dGam, batch, n ** 3, n), val).reshape(batch + (n,) * 3)
+              + (Gam_kl @ _stacked(jac, batch, n, n)).reshape(batch + (n,) * 3).swapaxes(-1, -2))
+        # H[i, j, k] = dN[i, j, k] + Gamma^i_jl N[l, k] - Gamma^l_jk N[i, l]
+        Nc = _stacked(N, batch, n, n)
+        H = (dN + (Gam_kl @ Nc).reshape(batch + (n,) * 3)
+             - (Nc @ _stacked(Gam, batch, n, n * n)).reshape(batch + (n,) * 3))
+        # n phi = trace N, so n d_j phi = d_j N[i, i]
+        dphi = np.trace(dN, axis1=-3, axis2=-1) / n
     phi = np.trace(N, axis1=-2, axis2=-1) / chart.dim
     return FieldData(conn, val, jac, hess, N, P - P.swapaxes(-1, -2),
                      float(phi) if phi.ndim == 0 else phi, H, dphi)
@@ -509,18 +549,21 @@ def complete_orthonormal_frame(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """g-orthonormal frame (rows) whose first vector is v normalized.
 
     The other rows are the kernel of w -> g(u, w) u for u = v / |v|_g, i.e.
-    a g-orthonormal basis of the complement of v.  A zero or non-finite v
-    raises :class:`MetricError`.
+    a g-orthonormal basis of the complement of v.  ``g`` and ``v`` are one
+    matrix and vector, or an (m, n, n) stack and (m, n) vectors, giving an
+    (m, n, n) stack of frames whose row i is the one-vector call on row i,
+    bit for bit.  A zero or non-finite v raises :class:`MetricError`.
     """
     v = np.asarray(v, dtype=float)
     length = norm_vector(g, v) if np.isfinite(v).all() else math.nan
-    if not (math.isfinite(length) and length > 0):
+    if not np.all(np.isfinite(length) & (length > 0)):
         raise MetricError(f"cannot complete a frame from the vector {v.tolist()}")
-    u = v / length
-    rest = frame_svd(g, np.outer(u, g @ u), "endomorphism").kernel
-    if rest.shape[0] != g.shape[0] - 1:
+    u = v / np.asarray(length)[..., None]
+    gu = _mv(_stacked(g, v.shape[:-1], *g.shape[-2:]), u)
+    rest = frame_svd(g, u[..., :, None] * gu[..., None, :], "endomorphism").kernel
+    if rest.shape[-2] != g.shape[-1] - 1:
         raise MetricError("failed to complete an orthonormal frame")
-    return np.vstack([u, rest])
+    return np.concatenate([u[..., None, :], rest], axis=-2)
 
 
 def sample_interior(chart: Chart, count: int, rng, margin: float = 0.05) -> np.ndarray:

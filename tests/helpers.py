@@ -15,6 +15,10 @@ The recursive tree walk that evaluated jets before expressions were
 compiled to tapes is kept as the reference evaluator: the tape must give
 the same jets, bit for bit.
 
+The einsum bodies that computed the connection, the field tensors, the
+curvature and the derivative identity before these became stacked matrix
+products are kept as their reference, to rounding.
+
 Besides these: a Gram-Schmidt frame, the conformal connection-change
 identity, the symbolic pushforward of a field under the unit inversion, a
 recorder of the calls of a function through every confield binding, a
@@ -59,8 +63,8 @@ def _leaf(value, n, order, tail, index=None):
 def _jet_of(node, point: list, order: int, memo: dict) -> Jet:
     """The recursive tree evaluator.
 
-    ``point`` lists the n coordinates: Python floats for one point, or
-    equal-length arrays for a batch of points, at any order.  ``memo``
+    ``point`` lists the n coordinates: numpy float scalars for one point,
+    or equal-length arrays for a batch of points, at any order.  ``memo``
     maps node identity to its jet, so shared subtrees are evaluated once.
     """
     cached = memo.get(id(node))
@@ -107,12 +111,119 @@ def reference_jets(exprs, point, order: int = 0) -> list:
     """``eval_jets`` by the recursive walk: one point, or an (m, n) batch."""
     p = np.asarray(point, dtype=float)
     memo: dict = {}
-    if p.ndim == 1:
-        return [_jet_of(e, p.tolist(), order, memo) for e in exprs]
-    columns = list(p.T.copy())
+    # one point as numpy float scalars, whose products raise on overflow
+    # here as a batch's do
+    coordinates = list(p) if p.ndim == 1 else list(p.T.copy())
     with np.errstate(over="raise"):
-        return [_jet_of(e, columns, order, memo) for e in exprs]
+        return [_jet_of(e, coordinates, order, memo) for e in exprs]
 
+
+
+# -- the einsum reference of the order-2 tensor algebra -----------------------
+
+
+def reference_connection_data(chart, p, order: int = 2) -> dict:
+    """``connection_data`` by einsum: g, ginv, dg, d2g, Gam and dGam."""
+    from confield.geometry import metric_jets, spd_inverse
+
+    g, dg, d2g = metric_jets(chart, p, order)
+    ginv = spd_inverse(g)
+    # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    T = dg.swapaxes(-3, -1).swapaxes(-2, -1) + dg.swapaxes(-1, -2) - dg
+    Gam = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, T)
+    dGam = None
+    if order >= 2:
+        # dT[i, j, l, m] = d_m T_ijl
+        dT = d2g.swapaxes(-4, -2).swapaxes(-3, -2) + d2g.swapaxes(-2, -3) - d2g
+        # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
+        dginv = -np.einsum("...ka,...abm,...bl->...klm", ginv, dg, ginv)
+        dGam = 0.5 * (
+            np.einsum("...klm,...ijl->...kijm", dginv, T)
+            + np.einsum("...kl,...ijlm->...kijm", ginv, dT)
+        )
+    return {"g": g, "ginv": ginv, "dg": dg, "d2g": d2g, "Gam": Gam, "dGam": dGam}
+
+
+def reference_riemann(Gam, dGam):
+    """R[i, j, k, l] with R(e_k, e_l) e_j = R[i, j, k, l] e_i, by einsum."""
+    # d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
+    #                                    - Gamma^i_{lm} Gamma^m_{kj}
+    R = np.einsum("...iljk->...ijkl", dGam) - np.einsum("...ikjl->...ijkl", dGam)
+    R += (np.einsum("...ikm,...mlj->...ijkl", Gam, Gam)
+          - np.einsum("...ilm,...mkj->...ijkl", Gam, Gam))
+    return R
+
+
+def reference_riemann_lowered(g, R):
+    """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d), by einsum."""
+    return np.einsum("...dm,...mcab->...abcd", g, R)
+
+
+def reference_field_data(chart, xi, p, order: int = 2) -> dict:
+    """``field_data`` by einsum: the connection of
+    :func:`reference_connection_data` and value, jac, hess, N, M, phi, H
+    and dphi."""
+    from confield.geometry import field_jets
+
+    conn = reference_connection_data(chart, p, order)
+    val, jac, hess = field_jets(xi, p, order)
+    g, dg, Gam = conn["g"], conn["dg"], conn["Gam"]
+    # N[i, j] = d_j xi^i + Gamma^i_jk xi^k
+    N = jac + np.einsum("...ijk,...k->...ij", Gam, val)
+    # P[i, j] = d_i omega_j with omega_j = g_jk xi^k
+    P = np.einsum("...jki,...k->...ij", dg, val) + np.einsum("...jk,...ki->...ij", g, jac)
+    H = dphi = None
+    if order >= 2:
+        # d_j N[i, k] = d_j d_k xi^i + d_j Gamma^i_kl xi^l + Gamma^i_kl d_j xi^l
+        dN = (
+            hess
+            + np.einsum("...iklj,...l->...ijk", conn["dGam"], val)
+            + np.einsum("...ikl,...lj->...ijk", Gam, jac)
+        )
+        H = (
+            dN
+            + np.einsum("...ijl,...lk->...ijk", Gam, N)
+            - np.einsum("...ljk,...il->...ijk", Gam, N)
+        )
+        # n phi = d_i xi^i + Gamma^i_{ik} xi^k, so n d_j phi =
+        # d_j d_i xi^i + (d_j Gamma^i_{ik}) xi^k + Gamma^i_{ik} d_j xi^k
+        dphi = (
+            np.einsum("...iij->...j", hess)
+            + np.einsum("...iikj,...k->...j", conn["dGam"], val)
+            + np.einsum("...iik,...kj->...j", Gam, jac)
+        ) / chart.dim
+    phi = np.trace(N, axis1=-2, axis2=-1) / chart.dim
+    return {"conn": conn, "value": val, "jac": jac, "hess": hess, "N": N,
+            "M": P - P.swapaxes(-1, -2), "phi": phi, "H": H, "dphi": dphi}
+
+
+def reference_dxi_identity_residual(chart, xi, p, X):
+    """``dxi_identity_residual`` by einsum, through the lowered curvature."""
+    from confield.geometry import norm_2form
+
+    fd = reference_field_data(chart, xi, p, 2)
+    cd = fd["conn"]
+    X = np.asarray(X, dtype=float)
+    val, jac, hess = fd["value"], fd["jac"], fd["hess"]
+    g, dg, d2g = cd["g"], cd["dg"], cd["d2g"]
+    # PP[k, i, j] = d_k d_i omega_j with omega_j = g_jl xi^l
+    PP = (
+        np.einsum("...jlik,...l->...kij", d2g, val)
+        + np.einsum("...jli,...lk->...kij", dg, jac)
+        + np.einsum("...jlk,...li->...kij", dg, jac)
+        + np.einsum("...jl,...lik->...kij", g, hess)
+    )
+    M = fd["M"]
+    dM = PP - PP.swapaxes(-1, -2)  # dM[k, i, j] = d_k M_ij
+    nabla_M = np.einsum("...k,...kij->...ij", X, dM)
+    nabla_M -= np.einsum("...k,...lki,...lj->...ij", X, cd["Gam"], M)
+    nabla_M -= np.einsum("...k,...lkj,...il->...ij", X, cd["Gam"], M)
+    Rl = reference_riemann_lowered(g, reference_riemann(cd["Gam"], cd["dGam"]))
+    curv = 2.0 * np.einsum("...a,...b,...abij->...ij", X, val, Rl)
+    Xflat = np.einsum("...ij,...j->...i", g, X)
+    outer = fd["dphi"][..., :, None] * Xflat[..., None, :]
+    wedge = 2.0 * (outer - outer.swapaxes(-1, -2))
+    return norm_2form(cd["ginv"], nabla_M - curv - wedge)
 
 def fd_partial(f, x, i, h=1e-5):
     """First partial derivative of a scalar function of a point."""

@@ -18,21 +18,27 @@ import pytest
 import confield.cli
 import confield.expr
 import confield.geodesic
+import confield.geometry
 import confield.models
 import confield.zeroset
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+WORKLOADS = TRACER.parent / "workloads.py"
 PACKAGE = Path(confield.cli.__file__).resolve().parent
 # Functions kept in the package only because BOUNDARIES names them.
 KEPT_FOR_BOUNDARIES = {"integrate_geodesic", "exp_map", "conformal_factor_gradient",
                        "taylor_scalar_check", "taylor_vector_check"}
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("bench_tracer", TRACER)
 
 
 def test_every_boundary_resolves():
@@ -147,3 +153,22 @@ def test_every_accepted_jet_order_has_a_tracer_counter():
             confield.expr.eval_jets([tree], point, order)
         with pytest.raises(ValueError, match="order"):
             confield.expr.eval_jet(tree, point, order)
+
+
+def test_workload_manifests_evaluate_no_single_point(monkeypatch):
+    """Every jet evaluation that geometry makes while the benchmark's
+    manifests run (seed 1) takes an (m, n) array of points: no analysis
+    evaluates one point at a time."""
+    workloads = _load("bench_workloads", WORKLOADS)
+    ndims = []
+    eval_jets = confield.geometry.eval_jets
+
+    def recording(exprs, point, order=0):
+        ndims.append(np.ndim(point))
+        return eval_jets(exprs, point, order)
+
+    monkeypatch.setattr(confield.geometry, "eval_jets", recording)
+    for name in workloads.WORKLOADS:
+        for manifest in workloads.manifests(name, 1):
+            confield.cli.run_manifest(manifest)
+    assert ndims and set(ndims) == {2}, sorted(set(ndims))

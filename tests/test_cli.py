@@ -447,13 +447,13 @@ def test_rotation_manifest_runs_green(tmp_path):
 
 
 def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch):
-    """Each checked zero costs one order-2 field_data and no geodesic run;
-    all identity pairs share one more field_data."""
-    orders = []
+    """All identity pairs share one order-2 field_data, and the four checked
+    zeros share one more, made after it; no geodesic is run."""
+    calls = []
     field_data = geodesic.field_data
 
     def counting_field_data(chart, xi, p, order):
-        orders.append(order)
+        calls.append((order, np.shape(p)))
         return field_data(chart, xi, p, order)
 
     runs = counting_steps(monkeypatch)
@@ -464,7 +464,7 @@ def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch)
     taylor = report["analyses"]["verify-identities"]["taylor_at_zeros"]
     assert len(taylor) == 4 and all("skipped" not in entry for entry in taylor)
     assert runs == []
-    assert orders == [2] * (1 + 4)
+    assert calls == [(2, (50, 3)), (2, (4, 3))]
 
 
 def test_verify_identities_checks_edge_zeros_on_every_seed(tmp_path):

@@ -133,6 +133,14 @@ def test_shared_subtrees_reuse_results():
 # order 2, so the jets of log x stay finite at TINY.
 TINY = 1e-110
 TINY_ORDER = {"x1^(-3)": 0, "1/x1": 2, "log(x1)": 3}
+# Products that leave the float range at other points: 1/x^2 at 1e-160 is
+# the order-1 coefficient of 1/x and the order-2 one of log x, and x*x
+# overflows at 1e200.  One point evaluates such a product as a batch does.
+OVERFLOW_ORDER = {("log(x1)", 1e-160): 2, ("1/x1", 1e-160): 1, ("x1*x1", 1e200): 0}
+RAISE_CASES = [pytest.param(source, TINY, TINY_ORDER[source], id=source)
+               for source in sorted(TINY_ORDER)] + [
+    pytest.param(source, x1, first, id=f"{source}@{x1:g}")
+    for (source, x1), first in OVERFLOW_ORDER.items()]
 
 
 @pytest.mark.parametrize(
@@ -177,22 +185,22 @@ def test_domain_errors(source, point):
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
-@pytest.mark.parametrize("source", sorted(TINY_ORDER))
-def test_batched_jets_raise_where_the_per_point_loop_raises(source, order):
-    """A batch with x1 = TINY as its second point raises EvalDomainError at
-    exactly the orders where the per-point loop it replaces raises, and
-    otherwise gives the per-point jets; a RuntimeWarning with an inf in
-    place of the error fails under the suite's warning filter.  Past order
-    2 both refuse the order before they evaluate anything."""
+@pytest.mark.parametrize("source,x1,first", RAISE_CASES)
+def test_batched_jets_raise_where_the_per_point_loop_raises(source, x1, first, order):
+    """A batch with x1 as its second point raises EvalDomainError at exactly
+    the orders (``first`` on) where the per-point loop it replaces raises,
+    and otherwise gives the per-point jets; a RuntimeWarning with an inf or
+    a NaN in place of the error fails under the suite's warning filter.
+    Past order 2 both refuse the order before they evaluate anything."""
     e = parse(source, 3)
-    points = np.array([[0.5, 0.5, 0.0], [TINY, 0.0, 0.0], [2.0, 1.0, 0.0]])
+    points = np.array([[0.5, 0.5, 0.0], [x1, 0.0, 0.0], [2.0, 1.0, 0.0]])
     if order > 2:
         with pytest.raises(ValueError, match="order"):
             eval_jet(e, points[1], order)
         with pytest.raises(ValueError, match="order"):
             eval_jets([e], points, order)
         return
-    if order >= TINY_ORDER[source]:
+    if order >= first:
         with pytest.raises(EvalDomainError):
             eval_jet(e, points[1], order)
         with pytest.raises(EvalDomainError) as err:

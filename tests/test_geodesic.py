@@ -23,7 +23,7 @@ from confield.geometry import (
     norm_vector,
     sample_interior,
 )
-from helpers import rk4_taylor_derivatives
+from helpers import reference_dxi_identity_residual, rk4_taylor_derivatives
 
 SPHERE = models.sphere_stereographic(3)
 HYPER = models.hyperbolic_ball(3)
@@ -291,6 +291,40 @@ def test_jet_derivatives_match_rk4_differences():
         assert np.abs(vector.second - a2).max() < 1e-7, label
 
 
+
+def test_stacked_taylor_checks_are_the_per_zero_checks():
+    """One call on the checked zeros of a pair gives, row by row, the checks
+    of the batch of one bit for bit, and the one-zero call (floats and (n,)
+    arrays) to rounding."""
+    rng = np.random.default_rng(23)
+    for dim in (3, 4):
+        for chart, xi in models.standard_pairs(dim):
+            zeros = find_zeros(chart, xi)[:4]
+            if not len(zeros):
+                continue
+            dirs = rng.standard_normal(zeros.shape)
+            scalar, vector = taylor_checks(chart, xi, zeros, dirs)
+            assert np.shape(scalar.f_prime) == (len(zeros),)
+            assert vector.first.shape == vector.second.shape == zeros.shape
+            for i, (z, v) in enumerate(zip(zeros, dirs)):
+                s1, v1 = taylor_checks(chart, xi, zeros[i:i + 1], dirs[i:i + 1])
+                for stacked, one in zip(scalar + vector, s1 + v1):
+                    assert np.array_equal(stacked[i], one[0]), (chart.name, xi.name, i)
+                s0, v0 = taylor_checks(chart, xi, z, v)
+                assert all(type(a) is float for a in s0 + v0[:2])
+                assert v0.first.shape == v0.second.shape == (dim,)
+                for stacked, one in zip(scalar + vector, s0 + v0):
+                    assert np.allclose(stacked[i], one, rtol=0, atol=1e-13)
+
+
+def test_stacked_taylor_checks_refuse_a_stack_with_a_non_zero():
+    zeros = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="zero"):
+        taylor_checks(FLAT3, models.special_conformal(FLAT3, 1), zeros, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="direction"):
+        taylor_checks(FLAT3, models.special_conformal(FLAT3, 1), zeros[:1], np.zeros((1, 3)))
+
+
 def _per_point_rk4(chart, x, v, length, steps):
     """An independent per-point RK4 loop, for a run that stays inside the
     box: (t, position, velocity, frame) per step."""
@@ -374,6 +408,39 @@ def test_batched_identity_residuals_match_per_point():
         per_point = np.array([dxi_identity_residual(chart, xi, p, X) for p, X in zip(pts, dirs)])
         assert batched.shape == (12,)
         assert np.abs(batched - per_point).max() <= 1e-14 * max(1.0, per_point.max())
+
+
+
+def _non_conformal(chart):
+    comps = ["x1*x2", "x3^2", "sin(x1)", "x2*x4"][: chart.dim]
+    return FieldSpec(chart, tuple(parse(c, chart.dim) for c in comps), name="non_conformal")
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_identity_residuals_match_the_einsum_reference(dim):
+    """At a 1-d point and on stacks of 1, 7 and 50, over every catalog pair
+    (residuals at rounding level) and a field that is not conformal on each
+    chart (residuals of order one): the residuals agree with the einsum
+    reference to 1e-13 of the largest tensor entry the identity contracts,
+    times |X|."""
+    from helpers import reference_field_data
+
+    rng = np.random.default_rng(dim)
+    pairs = models.standard_pairs(dim)
+    pairs += [(chart, _non_conformal(chart)) for chart in {c.name: c for c, _ in pairs}.values()]
+    for chart, xi in pairs:
+        points = sample_interior(chart, 50, rng)
+        dirs = rng.standard_normal((50, dim))
+        for size in (None, 1, 7, 50):
+            p, X = (points[0], dirs[0]) if size is None else (points[:size], dirs[:size])
+            got = dxi_identity_residual(chart, xi, p, X)
+            ref = reference_dxi_identity_residual(chart, xi, p, X)
+            assert np.shape(got) == np.shape(ref), size
+            fd = reference_field_data(chart, xi, p, 2)
+            tensors = [fd[k] for k in ("value", "jac", "hess", "H", "dphi")]
+            tensors += [fd["conn"][k] for k in ("g", "dg", "d2g", "Gam", "dGam")]
+            scale = max(np.abs(t).max() for t in tensors) * max(1.0, np.abs(X).max())
+            assert np.abs(got - ref).max() <= 1e-13 * scale, (chart.name, xi.name, size)
 
 
 def test_derivative_identity_fails_for_non_conformal_field():

@@ -29,7 +29,14 @@ from confield.geometry import (
     sample_interior,
     spd_inverse,
 )
-from helpers import fd_lie_derivative, fd_partial, fd_partial2
+from helpers import (
+    fd_lie_derivative,
+    fd_partial,
+    fd_partial2,
+    reference_field_data,
+    reference_riemann,
+    reference_riemann_lowered,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -179,6 +186,62 @@ def test_batched_jets_and_bundles_match_per_point():
             assert batched[name].shape == one.shape, name
             err = np.abs(batched[name] - one).max()
             assert err == 0.0 if exact else err <= 1e-15 * scale, (chart.name, xi.name, name)
+
+
+
+# The catalog pairs in dimensions 3 and 4, and the stacks the order-2
+# kernels are checked on: a 1-d point, then stacks of 1, 7 and 50 points.
+REFERENCE_PAIRS = models.standard_pairs(3) + models.standard_pairs(4)
+STACKS = (None, 1, 7, 50)
+
+
+def _order2_arrays(fd):
+    """The arrays of an order-2 FieldData that the stacked kernels give."""
+    c = fd.conn
+    return {"g": c.g, "ginv": c.ginv, "dg": c.dg, "d2g": c.d2g, "Gam": c.Gam,
+            "dGam": c.dGam, "R": c.riemann, "Rl": c.riemann_lowered, "N": fd.N,
+            "M": fd.M, "phi": np.asarray(fd.phi), "H": fd.H, "dphi": fd.dphi}
+
+
+def _reference_arrays(ref):
+    c = ref["conn"]
+    R = reference_riemann(c["Gam"], c["dGam"])
+    return {"g": c["g"], "ginv": c["ginv"], "dg": c["dg"], "d2g": c["d2g"],
+            "Gam": c["Gam"], "dGam": c["dGam"], "R": R,
+            "Rl": reference_riemann_lowered(c["g"], R), "N": ref["N"], "M": ref["M"],
+            "phi": np.asarray(ref["phi"]), "H": ref["H"], "dphi": ref["dphi"]}
+
+
+@pytest.mark.parametrize("chart,xi", REFERENCE_PAIRS,
+                         ids=lambda case: getattr(case, "name", None))
+def test_order2_kernels_match_the_einsum_reference(chart, xi):
+    """connection_data, field_data and the curvature agree with their einsum
+    reference to 1e-13 of the largest reference entry, at one point and on
+    stacks.  phi and dphi of a Killing field are rounding noise, so every
+    array is measured on the scale of all of them."""
+    points = sample_interior(chart, 50, np.random.default_rng([chart.dim, len(xi.name)]))
+    for size in STACKS:
+        p = points[0] if size is None else points[:size]
+        got = _order2_arrays(field_data(chart, xi, p, 2))
+        ref = _reference_arrays(reference_field_data(chart, xi, p, 2))
+        scale = max(np.abs(a).max() for a in ref.values())
+        for name, a in ref.items():
+            assert got[name].shape == a.shape, (size, name)
+            assert np.abs(got[name] - a).max() <= 1e-13 * scale, (size, name)
+
+
+@pytest.mark.parametrize("chart,xi", REFERENCE_PAIRS,
+                         ids=lambda case: getattr(case, "name", None))
+def test_stack_rows_are_the_batch_of_one_bit_for_bit(chart, xi):
+    """Row i of every order-2 array over a stack of 7 or 50 points is the
+    array of the batch of one holding point i, bit for bit."""
+    points = sample_interior(chart, 50, np.random.default_rng([chart.dim, len(xi.name)]))
+    for size in STACKS[2:]:
+        stack = _order2_arrays(field_data(chart, xi, points[:size], 2))
+        for i in range(size):
+            one = _order2_arrays(field_data(chart, xi, points[i:i + 1], 2))
+            for name, a in one.items():
+                assert _bits(stack[name][i]) == _bits(a[0]), (size, i, name)
 
 
 def test_batched_spd_inverse_checks_every_matrix():
@@ -504,6 +567,23 @@ def test_complete_orthonormal_frame_random_spd(n):
         assert frame.shape == (n, n)
         assert np.abs(frame @ g @ frame.T - np.eye(n)).max() < 1e-12
         assert np.abs(frame[0] - v / norm_vector(g, v)).max() < 1e-14 * (1 + np.abs(frame[0]).max())
+
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_frames_are_the_one_vector_calls(n):
+    """A stack of vectors, with the metrics of catalog points (laid out as a
+    batch gives them) and random SPD ones, gives per row the frame of the
+    one-vector call, bit for bit."""
+    rng = np.random.default_rng(40 + n)
+    chart = models.hyperbolic_ball(n)
+    g = connection_data(chart, sample_interior(chart, 7, rng), 1).g
+    g = np.concatenate([g, np.stack([_random_spd(rng, n) for _ in range(7)])])
+    v = rng.normal(size=(14, n))
+    frames = complete_orthonormal_frame(g, v)
+    assert frames.shape == (14, n, n)
+    for i in range(14):
+        assert _bits(frames[i]) == _bits(complete_orthonormal_frame(g[i], v[i])), i
 
 
 def test_complete_orthonormal_frame_starts_along_v():
