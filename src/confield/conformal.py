@@ -2,10 +2,11 @@
 
 A field xi is conformal when L_xi g = 2 phi g with phi = trace(nabla xi)/n.
 ``conformal_residual`` measures the defect of that equation in the metric
-norm, at one point or over an (m, n) array of points; ``is_conformal``
-aggregates it over a point sample in one call.  ``rescale_metric``
-builds the chart with metric e^{2f} g as new expression trees.  The factor
-phi itself is ``FieldData.phi`` of :func:`~confield.geometry.field_data`.
+norm, at one point (a batch of one) or over an (m, n) array of points;
+``is_conformal`` aggregates it over a point sample in one call.
+``rescale_metric`` builds the chart with metric e^{2f} g as new expression
+trees.  The factor phi itself is ``FieldData.phi`` of
+:func:`~confield.geometry.field_data`.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ def conformal_factor_gradient(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
 
 def conformal_residual(chart: Chart, xi: FieldSpec, p) -> float | np.ndarray:
     """Metric norm of the trace-free part of L_xi g at p, or per point of an
-    (m, n) array p.
+    (m, n) array p; one point has the bits of its batch of one.
 
     The g-trace of L_xi g is 2 n phi, so this is |L_xi g - 2 phi g|, with
     the trace taken of L_xi g itself so that the part is trace-free.

@@ -9,15 +9,15 @@ Finite differences appear only in the test suite, as an independent oracle.
 
 Trees are compiled into a :class:`Tape`, a post-order program in which
 structurally equal subtrees share one slot.  One evaluator runs the tape
-in a single loop.  Per point it propagates jets in numpy float scalars,
-so an overflow raises there as it does in a batch.  Over a batch of m
-points each coordinate is a column array, and every jet part carries a
-trailing batch axis, so one pass gives the jets of all m points
-(the vector mode of forward differentiation); :func:`eval_jets` does this
-at orders 0..2 and :func:`eval_values_many` at order 0.  Charts and fields
-compile their trees once, when they are built, and pass the tape to these
-functions.  The parser folds constant exponents through the same evaluator
-with no coordinates at all.
+in a single loop, over a batch of m points: each coordinate is a column
+array, and every jet part carries a trailing batch axis, so one pass gives
+the jets of all m points (the vector mode of forward differentiation).
+:func:`eval_jets` does this at orders 0..2 and :func:`eval_values_many` at
+order 0, both under one overflow contract.  A single point is a batch of
+one whose batch axis is dropped on return, so it has that row's bits.
+Charts and fields compile their trees once, when they are built, and pass
+the tape to these functions.  The parser folds constant exponents through
+the same evaluator with no coordinates at all.
 
 Grammar accepted by :func:`parse`::
 
@@ -63,10 +63,8 @@ class EvalDomainError(ArithmeticError):
     Covers division by zero, log of a non-positive value, sqrt of a
     negative value (or of zero when derivatives are requested), zero
     raised to a negative power, and a value or derivative beyond the
-    floating-point range, at one point or at any point of a batch of
-    :func:`eval_jets` (the order-0 values of :func:`eval_values_many` keep
-    numpy's inf instead).  The offending subexpression is kept on the
-    exception for error reporting.
+    floating-point range, at any point of a batch.  The offending
+    subexpression is kept on the exception for error reporting.
     """
 
     def __init__(self, message: str, subexpression: "Expr"):
@@ -196,11 +194,13 @@ def _to_str(root: Expr) -> str:
 class Jet:
     """Value plus first and second partial derivatives, up to ``order``.
 
-    Per point the value is a float, ``d1`` has shape (n,) and ``d2`` shape
-    (n, n).  Over a batch of m points every part gains a trailing batch
-    axis: the value has shape (m,), ``d1`` (n, m) and ``d2`` (n, n, m),
-    where a part that is the same at every point (a constant, or the
-    derivative of a coordinate) keeps length 1 on that axis and broadcasts.
+    Over a batch of m points every part has a trailing batch axis: the
+    value has shape (m,), ``d1`` (n, m) and ``d2`` (n, n, m), where a part
+    that is the same at every point (a constant, or the derivative of a
+    coordinate) keeps length 1 on that axis and broadcasts, and the value
+    of a tree without coordinates is a float.  At one point, a batch of one
+    with that axis dropped, the value is a float, ``d1`` has shape (n,) and
+    ``d2`` shape (n, n).
     Entries above ``order`` (0..2) are ``None``.  ``d2`` is exactly
     symmetric by construction, not merely up to rounding.  The jet of a
     constant tree is shared between evaluations of its tape, and leaf parts
@@ -263,8 +263,9 @@ def _jcompose(w: Jet, f) -> Jet:
     return out
 
 
-# The domain checks below take a float scalar or a batch column.
-# np.count_nonzero is the cheapest test that accepts both.
+# The domain checks below take a batch column, or a Python float where the
+# argument is a constant.  np.count_nonzero is the cheapest test that
+# accepts both.
 
 def _reciprocal_coeffs(v, order: int, node: Expr):
     if np.count_nonzero(v == 0.0):
@@ -388,18 +389,16 @@ class Tape:
         self.program = tuple(program)
         self._starts = {}
 
-    def _start(self, n: int, order: int, batched: bool):
+    def _start(self, n: int, order: int):
         """Slot list with every constant's jet in place, and the derivative
-        parts (d1, d2) of each coordinate; built once per (n, order,
-        batched), with read-only arrays.  A batch gives the parts a
-        trailing axis of length 1, which broadcasts."""
-        key = (n, order, batched)
+        parts (d1, d2) of each coordinate; built once per (n, order), with
+        read-only arrays whose trailing batch axis of length 1 broadcasts."""
+        key = (n, order)
         start = self._starts.get(key)
         if start is None:
-            tail = (1,) if batched else ()
-            zeros = [_readonly(np.zeros((n,) * k + tail)) if k <= order else None
+            zeros = [_readonly(np.zeros((n,) * k + (1,))) if k <= order else None
                      for k in (1, 2)]
-            eye = _readonly(np.eye(n).reshape((n, n) + tail))
+            eye = _readonly(np.eye(n).reshape(n, n, 1))
             units = [(eye[i] if order >= 1 else None, zeros[1]) for i in range(n)]
             jets = [Jet(order, node.value, *zeros) if op == _CONST else None
                     for op, _, node in self.program]
@@ -415,14 +414,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _evaluate(tape: Tape, point: list, order: int) -> list[Jet]:
     """The one evaluator: one pass over the tape, one jet per output.
 
-    ``point`` lists the n coordinates: numpy float scalars for one point,
-    or equal-length arrays for a batch of points, at orders 0..2.
+    ``point`` lists the n coordinates of a batch of points, as equal-length
+    column arrays, at orders 0..2.
     """
     n = len(point)
-    start, units = tape._start(n, order, bool(point) and not isinstance(point[0], float))
+    start, units = tape._start(n, order)
     jets = list(start)
     # A power of a Python float (a constant) can overflow; so can any
-    # product of a point's coordinates, under the np.errstate of the callers.
+    # product of a point's coordinates, under the np.errstate of _jets.
     try:
         for slot, (op, args, node) in enumerate(tape.program):
             if op == _MUL:
@@ -454,12 +453,25 @@ def _evaluate(tape: Tape, point: list, order: int) -> list[Jet]:
     return [jets[slot] for slot in tape.outputs]
 
 
-def _evaluate_point(tape: Tape, p: np.ndarray, order: int) -> list[Jet]:
-    """``_evaluate`` at one point, whose coordinates are numpy float scalars:
-    unlike Python floats, their products obey ``np.errstate``, so an
-    overflow raises here wherever it raises in a batch of one."""
+def _row(jet: Jet) -> Jet:
+    """``jet`` of a batch of one with its batch axis dropped."""
+    value, d1, d2 = jet.value, jet.d1, jet.d2
+    return Jet(jet.order, value if np.ndim(value) == 0 else value[0],
+               None if d1 is None else d1[..., 0], None if d2 is None else d2[..., 0])
+
+
+def _jets(tape: Tape, points: np.ndarray, order: int) -> list[Jet]:
+    """The body of :func:`eval_jet`, :func:`eval_jets` and
+    :func:`eval_values_many`: the jets of an (m, n) batch, or of one point
+    as a batch of one, under ``np.errstate(over="raise")``."""
+    if not 0 <= order <= 2:
+        raise ValueError("order must be between 0 and 2")
+    if points.ndim not in (1, 2):
+        raise ValueError("points must be an (n,) or an (m, n) array")
+    columns = list(np.atleast_2d(points).T.copy())
     with np.errstate(over="raise"):
-        return _evaluate(tape, list(p), order)
+        jets = _evaluate(tape, columns, order)
+    return jets if points.ndim == 2 else [_row(jet) for jet in jets]
 
 
 def _tape(exprs) -> Tape:
@@ -469,12 +481,10 @@ def _tape(exprs) -> Tape:
 def eval_jet(expr: Expr, point, order: int = 0) -> Jet:
     """Evaluate the tree ``expr`` at ``point`` with derivatives up to
     ``order`` (0..2)."""
-    if not 0 <= order <= 2:
-        raise ValueError("order must be between 0 and 2")
     p = np.asarray(point, dtype=float)
     if p.ndim != 1:
         raise ValueError("point must be a 1-d coordinate array")
-    return _evaluate_point(Tape((expr,)), p, order)[0]
+    return _jets(Tape((expr,)), p, order)[0]
 
 
 def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
@@ -484,38 +494,27 @@ def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
     Structurally equal subtrees are evaluated once, which matters for
     metrics whose entries share a conformal factor; pass a tape compiled
     once to skip compiling at every call.  A batch gives jets with a
-    trailing batch axis (see :class:`Jet`), and raises
-    :class:`EvalDomainError` wherever a value or derivative at one of its
-    points leaves the floating-point range, as the per-point call does,
-    rather than returning inf.
+    trailing batch axis (see :class:`Jet`); one point is the batch of one
+    holding it, with the batch axis dropped.  Wherever a value or
+    derivative at one of the points leaves the floating-point range, the
+    call raises :class:`EvalDomainError` rather than returning inf.
     """
-    if not 0 <= order <= 2:
-        raise ValueError("order must be between 0 and 2")
-    tape = _tape(exprs)
-    p = np.asarray(point, dtype=float)
-    if p.ndim == 1:
-        return _evaluate_point(tape, p, order)
-    if p.ndim != 2:
-        raise ValueError("points must be an (n,) or an (m, n) array")
-    columns = list(p.T.copy())
-    with np.errstate(over="raise"):
-        return _evaluate(tape, columns, order)
+    return _jets(_tape(exprs), np.asarray(point, dtype=float), order)
 
 
 def eval_values_many(exprs, points) -> np.ndarray:
     """Stacked order-0 evaluation of several expressions, or of a
     :class:`Tape`, (k, m) result.
 
-    The evaluator runs once over the m points, with each coordinate a
-    column of ``points``; a tree without coordinates stays a scalar until
-    the final stacking.  A value beyond the floating-point range is numpy's
-    inf here, with its RuntimeWarning.
+    The evaluator runs once over the m points, as in :func:`eval_jets` at
+    order 0, so a value beyond the floating-point range raises
+    :class:`EvalDomainError`; a tree without coordinates stays a scalar
+    until the final stacking.
     """
-    tape = _tape(exprs)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be an (m, n) array")
-    values = [jet.value for jet in _evaluate(tape, list(pts.T), 0)]
+    values = [jet.value for jet in _jets(_tape(exprs), pts, 0)]
     out = np.empty((len(values), pts.shape[0]))
     for row, value in zip(out, values):
         row[...] = value  # broadcasts a scalar constant to the m points

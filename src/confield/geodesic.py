@@ -34,13 +34,14 @@ the benchmark's tracer.
     nabla_X d(xi^flat) = 2 R_{X, xi} + 2 dphi ^ X
 
 where R_{X, xi} is the 2-form (Y, Z) -> g(R(X, xi)Y, Z) and
-(dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), at one point or over
-(m, n) arrays of points and directions.  R(X, xi) comes from Gamma and its
-derivatives already contracted with X and xi, d_X Gamma_xi - d_xi Gamma_X +
-[Gamma_X, Gamma_xi] with Gamma_X = Gamma(X, .), so the 4-index curvature
-tensor is never formed.  This identity pins down every sign convention in
-the package at once, so it is exercised over the whole model catalog in
-the tests.
+(dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), at one point (with
+the bits of the batch of one holding it) or over (m, n) arrays of points
+and directions.  R(X, xi) comes from Gamma and its derivatives already
+contracted with X and xi, d_X Gamma_xi - d_xi Gamma_X + [Gamma_X,
+Gamma_xi] with Gamma_X = Gamma(X, .), so the 4-index curvature tensor is
+never formed.  This identity pins down every sign convention in the
+package at once, so it is exercised over the whole model catalog in the
+tests.
 """
 from __future__ import annotations
 
@@ -56,9 +57,12 @@ from .geometry import (
     christoffel_matrix,
     complete_orthonormal_frame,
     field_data,
+    matvec,
     metric_jets,
     norm_2form,
+    norm_or_nan,
     norm_vector,
+    vecmat,
 )
 
 __all__ = [
@@ -91,11 +95,6 @@ class GeodesicState:
     frame: np.ndarray
 
 
-def _speed(g: np.ndarray, v: np.ndarray) -> float:
-    """|v|_g, or NaN for a v that is not finite, which then enters no product."""
-    return norm_vector(g, v) if np.isfinite(v).all() else math.nan
-
-
 def _rhs(chart: Chart, x, v, frame):
     Gam = christoffel_matrix(chart, x)
     acc = -np.einsum("kij,i,j->k", Gam, v, v)
@@ -125,7 +124,7 @@ def integrate_geodesic(
     x = np.asarray(x, dtype=float).copy()
     v = np.asarray(v, dtype=float)
     g, _, _ = metric_jets(chart, x, 0)
-    speed = _speed(g, v)
+    speed = norm_or_nan(g, v)
     if not (math.isfinite(speed) and speed > 0):
         raise ValueError(f"initial velocity must be finite and nonzero, got speed {speed}")
     v = v / speed
@@ -169,7 +168,7 @@ def exp_map(chart: Chart, x, v) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     g, _, _ = metric_jets(chart, x, 0)
-    length = _speed(g, v)
+    length = norm_or_nan(g, v)
     if not math.isfinite(length):
         raise ValueError(f"exp_map needs a finite vector, got length {length}")
     if length < 1e-16:
@@ -194,16 +193,6 @@ class TaylorVectorResult(NamedTuple):
     second_residual: float
     first: np.ndarray
     second: np.ndarray
-
-
-def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x over stacks, with contiguous operands (see geometry._stacked)."""
-    return (np.ascontiguousarray(A) @ np.ascontiguousarray(x)[..., None])[..., 0]
-
-
-def _vm(x: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """x A over stacks, with contiguous operands."""
-    return (np.ascontiguousarray(x)[..., None, :] @ np.ascontiguousarray(A))[..., 0, :]
 
 
 def _plain(a: np.ndarray) -> float | np.ndarray:
@@ -234,34 +223,35 @@ def taylor_checks(
     if not np.all(norm_vector(g, fd.value) < _ZERO_TOL):
         raise ValueError("taylor_checks requires a zero of the field")
     v = np.asarray(v, dtype=float)
-    speed = _speed(g, v)
+    speed = norm_or_nan(g, v)
     if not np.all(np.isfinite(speed) & (speed > 0)):
         raise ValueError(f"taylor_checks needs a finite nonzero direction, got speed {speed}")
     v = v / np.asarray(speed)[..., None]
     frame0 = complete_orthonormal_frame(g, v)
     # Gam_v[k, i] = Gamma^k_ij v^j and (d_v g)_ij = d_k g_ij v^k
-    Gam_v = _mv(fd.conn.Gam.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
-    dg_v = _mv(fd.conn.dg.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
-    acc = -_mv(Gam_v, v)  # c''(0)
+    Gam_v = matvec(fd.conn.Gam.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
+    dg_v = matvec(fd.conn.dg.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
+    acc = -matvec(Gam_v, v)  # c''(0)
     dframe = -(frame0 @ Gam_v.swapaxes(-1, -2))  # E'(0)
-    X1 = _mv(fd.jac, v)
-    hess_v = _mv(fd.hess.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
-    X2 = _mv(hess_v, v) + _mv(fd.jac, acc)
+    X1 = matvec(fd.jac, v)
+    hess_v = matvec(fd.hess.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
+    X2 = matvec(hess_v, v) + matvec(fd.jac, acc)
 
-    gv, gX1 = _mv(g, v), _mv(g, X1)
+    gv, gX1 = matvec(g, v), matvec(g, X1)
     f1 = (gX1 * v).sum(axis=-1)
-    f2 = ((X2 * gv).sum(axis=-1) + 2.0 * (X1 * _mv(dg_v, v)).sum(axis=-1)
+    f2 = ((X2 * gv).sum(axis=-1) + 2.0 * (X1 * matvec(dg_v, v)).sum(axis=-1)
           + 2.0 * (gX1 * acc).sum(axis=-1))
     scalar = TaylorScalarResult(_plain(abs(f1 - fd.phi)), _plain(f1), _plain(f2))
 
-    d1 = _mv(frame0, gX1)
-    d2 = 2.0 * _mv(dframe, gX1) + 2.0 * _mv(frame0, _mv(dg_v, X1)) + _mv(frame0, _mv(g, X2))
+    d1 = matvec(frame0, gX1)
+    d2 = (2.0 * matvec(dframe, gX1) + 2.0 * matvec(frame0, matvec(dg_v, X1))
+          + matvec(frame0, matvec(g, X2)))
     # (v -| d xi)_j = v^i M[i, j] = -(M v)_j, as M is skew, and (phi v)_j =
     # phi g_jk v^k; raise the covector and take frame components
     phi = np.asarray(fd.phi)[..., None]
-    first_target = _mv(frame0, phi * gv - 0.5 * _mv(fd.M, v))
+    first_target = matvec(frame0, phi * gv - 0.5 * matvec(fd.M, v))
     dphi_v = (fd.dphi * v).sum(axis=-1)[..., None]
-    second_target = _mv(frame0, _mv(g, 2.0 * dphi_v * v - _mv(fd.conn.ginv, fd.dphi)))
+    second_target = matvec(frame0, matvec(g, 2.0 * dphi_v * v - matvec(fd.conn.ginv, fd.dphi)))
     vector = TaylorVectorResult(_plain(np.linalg.norm(d1 - first_target, axis=-1)),
                                 _plain(np.linalg.norm(d2 - second_target, axis=-1)), d1, d2)
     return scalar, vector
@@ -280,13 +270,14 @@ def taylor_vector_check(chart: Chart, xi: FieldSpec, x, v) -> TaylorVectorResult
 def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
     """Residual of nabla_X d(xi^flat) = 2 R_{X,xi} + 2 dphi ^ X at p.
 
-    ``p`` and ``X`` are one point and direction, giving a float, or (m, n)
-    arrays of them, giving m residuals from one batched evaluation.  All
-    three terms are evaluated from exact jets; for a conformal field the
-    residual is at rounding level, and this is the main consistency check
-    tying the curvature sign convention to the rest of the package.  Every
-    term is contracted with X (and R with xi) while it has at most three
-    indices, so no 4-index tensor is formed beyond d Gamma and d^2 g.
+    ``p`` and ``X`` are one point and direction, giving a float with the
+    bits of their batch of one, or (m, n) arrays of them, giving m
+    residuals from one batched evaluation.  All three terms are evaluated
+    from exact jets; for a conformal field the residual is at rounding
+    level, and this is the main consistency check tying the curvature sign
+    convention to the rest of the package.  Every term is contracted with
+    X (and R with xi) while it has at most three indices, so no 4-index
+    tensor is formed beyond d Gamma and d^2 g.
     """
     chart.require_interior(p)
     X = np.asarray(X, dtype=float)
@@ -298,12 +289,12 @@ def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
 
     def along(T, w):
         """Contract the last index of a k-index tensor T with w: k - 1 indices."""
-        return _mv(T.reshape(batch + (-1, n)), w).reshape(T.shape[:-1])
+        return matvec(T.reshape(batch + (-1, n)), w).reshape(T.shape[:-1])
 
     # Y[j, i] = d_X d_i omega_j with omega_j = g_jl xi^l, not from the
     # covariant Hessian; d2g and dg are symmetric in their first two indices
-    Y = (_vm(val, along(d2g, X).reshape(batch + (n, n * n))).reshape(batch + (n, n))
-         + _vm(_mv(jac, X), dg.reshape(batch + (n, n * n))).reshape(batch + (n, n))
+    Y = (vecmat(val, along(d2g, X).reshape(batch + (n, n * n))).reshape(batch + (n, n))
+         + vecmat(matvec(jac, X), dg.reshape(batch + (n, n * n))).reshape(batch + (n, n))
          + along(dg, X) @ np.ascontiguousarray(jac)
          + np.ascontiguousarray(g) @ along(hess, X))
     # Gam_X[l, i] = Gamma^l_ik X^k; with M skew, nabla_X d(xi^flat) = Z^T - Z
@@ -314,12 +305,12 @@ def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
     # R(X, xi)^i_j = (d_X Gamma^i_{xi j} - d_xi Gamma^i_{X j}) + [Gam_X, Gam_xi]^i_j,
     # from dG[i, k, l, j] = d_k Gamma^i_lj (symmetric in l, j)
     dG = np.moveaxis(cd.dGam, -1, -3)
-    R = (_vm(X[..., None, :], along(dG, val)) - _vm(val[..., None, :], along(dG, X))
+    R = (vecmat(X[..., None, :], along(dG, val)) - vecmat(val[..., None, :], along(dG, X))
          + Gam_X @ Gam_xi - Gam_xi @ Gam_X)
     # 2 R_{X,xi}(e_i, e_j) = 2 g(R(X, xi) e_i, e_j) = 2 (g R)[j, i]
     curv = 2.0 * (np.ascontiguousarray(g) @ R).swapaxes(-1, -2)
 
-    outer = fd.dphi[..., :, None] * _mv(g, X)[..., None, :]
+    outer = fd.dphi[..., :, None] * matvec(g, X)[..., None, :]
     wedge = 2.0 * (outer - outer.swapaxes(-1, -2))
 
     return norm_2form(cd.ginv, nabla_M - curv - wedge)

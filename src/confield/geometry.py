@@ -31,6 +31,8 @@ an (m, n, n) stack, and ``complete_orthonormal_frame`` one vector or an
 (m, n) stack.  A batch adds a leading axis of length m to every array, with
 the index layout above after it; the jets of all m points come from one
 walk of each expression tree, and the frames of a stack from one SVD call.
+One point is evaluated as a batch of one, so its arrays have the bits of
+that batch's row.
 The order-2 tensors (d Gamma, the covariant Hessian, dphi, the curvature)
 are reshaped matrix products, one (n^a, n) @ (n, n^b) product per point
 over the batch, whose operands are made C-contiguous first: numpy picks a
@@ -263,9 +265,14 @@ def _stacked(a: np.ndarray, batch: tuple, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(a).reshape(batch + (rows, cols))
 
 
-def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for contiguous stacks of matrices A and vectors x."""
-    return (A @ np.ascontiguousarray(x)[..., None])[..., 0]
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x over stacks of matrices A and vectors x, with contiguous operands."""
+    return (np.ascontiguousarray(A) @ np.ascontiguousarray(x)[..., None])[..., 0]
+
+
+def vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x A over stacks, with contiguous operands."""
+    return (np.ascontiguousarray(x)[..., None, :] @ np.ascontiguousarray(A))[..., 0, :]
 
 
 def _axes(a: np.ndarray, *order: int) -> np.ndarray:
@@ -423,7 +430,7 @@ def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
         # the middle term from dGam laid out as d_j Gamma^i_kl at [i, j, k, l]
         dGam = np.moveaxis(conn.dGam, -1, -3)
         Gam_kl = _stacked(Gam, batch, n * n, n)
-        dN = (hess + _mv(_stacked(dGam, batch, n ** 3, n), val).reshape(batch + (n,) * 3)
+        dN = (hess + matvec(_stacked(dGam, batch, n ** 3, n), val).reshape(batch + (n,) * 3)
               + (Gam_kl @ _stacked(jac, batch, n, n)).reshape(batch + (n,) * 3).swapaxes(-1, -2))
         # H[i, j, k] = dN[i, j, k] + Gamma^i_jl N[l, k] - Gamma^l_jk N[i, l]
         Nc = _stacked(N, batch, n, n)
@@ -443,6 +450,11 @@ def norm_vector(g: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """|v|_g; per point over stacked inputs."""
     val = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", v, g, v), 0.0))
     return float(val) if val.ndim == 0 else val
+
+
+def norm_or_nan(g: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """|v|_g, or NaN for a v that is not finite, which then enters no product."""
+    return norm_vector(g, v) if np.isfinite(v).all() else math.nan
 
 
 def norm_2form(ginv: np.ndarray, T: np.ndarray) -> float | np.ndarray:
@@ -555,11 +567,11 @@ def complete_orthonormal_frame(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     bit for bit.  A zero or non-finite v raises :class:`MetricError`.
     """
     v = np.asarray(v, dtype=float)
-    length = norm_vector(g, v) if np.isfinite(v).all() else math.nan
+    length = norm_or_nan(g, v)
     if not np.all(np.isfinite(length) & (length > 0)):
         raise MetricError(f"cannot complete a frame from the vector {v.tolist()}")
     u = v / np.asarray(length)[..., None]
-    gu = _mv(_stacked(g, v.shape[:-1], *g.shape[-2:]), u)
+    gu = matvec(_stacked(g, v.shape[:-1], *g.shape[-2:]), u)
     rest = frame_svd(g, u[..., :, None] * gu[..., None, :], "endomorphism").kernel
     if rest.shape[-2] != g.shape[-1] - 1:
         raise MetricError("failed to complete an orthonormal frame")

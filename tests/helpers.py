@@ -51,10 +51,11 @@ from confield.expr import (
 )
 
 
-def _leaf(value, n, order, tail, index=None):
-    """A constant's jet, or with ``index`` a coordinate's, built afresh."""
-    d1 = np.zeros((n,) + tail) if order >= 1 else None
-    d2 = np.zeros((n, n) + tail) if order >= 2 else None
+def _leaf(value, n, order, index=None):
+    """A constant's jet, or with ``index`` a coordinate's, built afresh with
+    a trailing batch axis of length 1."""
+    d1 = np.zeros((n, 1)) if order >= 1 else None
+    d2 = np.zeros((n, n, 1)) if order >= 2 else None
     if index is not None and order >= 1:
         d1[index] = 1.0
     return Jet(order, value, d1, d2)
@@ -63,24 +64,23 @@ def _leaf(value, n, order, tail, index=None):
 def _jet_of(node, point: list, order: int, memo: dict) -> Jet:
     """The recursive tree evaluator.
 
-    ``point`` lists the n coordinates: numpy float scalars for one point,
-    or equal-length arrays for a batch of points, at any order.  ``memo``
-    maps node identity to its jet, so shared subtrees are evaluated once.
+    ``point`` lists the n coordinates of a batch of points, as
+    equal-length column arrays, at any order.  ``memo`` maps node identity
+    to its jet, so shared subtrees are evaluated once.
     """
     cached = memo.get(id(node))
     if cached is not None:
         return cached
     n = len(point)
-    tail = () if not point or isinstance(point[0], float) else (1,)
     try:
         if isinstance(node, Const):
-            j = _leaf(node.value, n, order, tail)
+            j = _leaf(node.value, n, order)
         elif isinstance(node, Var):
             if node.index >= n:
                 raise EvalDomainError(
                     f"variable x{node.index + 1} exceeds point dimension {n}", node
                 )
-            j = _leaf(point[node.index], n, order, tail, node.index)
+            j = _leaf(point[node.index], n, order, node.index)
         elif isinstance(node, Add):
             j = _jadd(_jet_of(node.left, point, order, memo),
                       _jet_of(node.right, point, order, memo))
@@ -108,14 +108,18 @@ def _jet_of(node, point: list, order: int, memo: dict) -> Jet:
 
 
 def reference_jets(exprs, point, order: int = 0) -> list:
-    """``eval_jets`` by the recursive walk: one point, or an (m, n) batch."""
+    """``eval_jets`` by the recursive walk: an (m, n) batch, or one point as
+    a batch of one whose batch axis is dropped from every part."""
     p = np.asarray(point, dtype=float)
     memo: dict = {}
-    # one point as numpy float scalars, whose products raise on overflow
-    # here as a batch's do
-    coordinates = list(p) if p.ndim == 1 else list(p.T.copy())
+    columns = list(np.atleast_2d(p).T.copy())
     with np.errstate(over="raise"):
-        return [_jet_of(e, coordinates, order, memo) for e in exprs]
+        jets = [_jet_of(e, columns, order, memo) for e in exprs]
+    if p.ndim == 2:
+        return jets
+    return [Jet(j.order, np.reshape(j.value, -1)[0],
+                *(None if part is None else part[..., 0] for part in (j.d1, j.d2)))
+            for j in jets]
 
 
 

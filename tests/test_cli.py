@@ -495,6 +495,22 @@ def test_check_conformal_reports_a_batch_overflow_as_a_domain_error(tmp_path):
                                 "range in subexpression 'x1^300'")
 
 
+def test_zeros_reports_a_grid_overflow_as_a_domain_error(tmp_path):
+    """x1^300 overflows on most of the box, and (0, 0) is a zero: the grid
+    scan raises the domain error rather than reporting no zeros on a grid
+    of inf norms."""
+    manifest = {"chart": {"metric": [["1", "0"], ["0", "1"]],
+                          "lower": [-1e3, -1], "upper": [1e3, 1]},
+                "field": {"components": ["x1^300", "x2"]},
+                "analyses": ["zeros"]}
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 1
+    outcome = report["analyses"]["zeros"]
+    assert outcome["passed"] is False
+    assert outcome["error"] == ("EvalDomainError: value beyond the floating-point "
+                                "range in subexpression 'x1^300'")
+
+
 def test_same_seed_runs_are_byte_identical(tmp_path):
     mpath = _write_manifest(tmp_path, ROTATION_MANIFEST)
     out1 = tmp_path / "r1.json"

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from confield import models
 from confield.expr import (
+    FUNCTION_NAMES,
     Add,
     Const,
     Div,
@@ -161,9 +162,8 @@ def test_domain_errors(source, point):
     """Per point and in a batch (where the bad point is the second of three).
 
     At x1 = TINY the point is in the domain, but a Taylor coefficient is
-    beyond the float range: the per-point jet raises from the order of that
-    coefficient on, and is finite below it, while an order-0 batch keeps
-    numpy's inf.
+    beyond the float range: the jet raises from the order of that
+    coefficient on, and is finite below it.
     """
     e = parse(source, 3)
     if point[0] == TINY:
@@ -189,8 +189,9 @@ def test_domain_errors(source, point):
 def test_batched_jets_raise_where_the_per_point_loop_raises(source, x1, first, order):
     """A batch with x1 as its second point raises EvalDomainError at exactly
     the orders (``first`` on) where the per-point loop it replaces raises,
-    and otherwise gives the per-point jets; a RuntimeWarning with an inf or
-    a NaN in place of the error fails under the suite's warning filter.
+    and otherwise gives the per-point jets bit for bit; a RuntimeWarning
+    with an inf or a NaN in place of the error fails under the suite's
+    warning filter.
     Past order 2 both refuse the order before they evaluate anything."""
     e = parse(source, 3)
     points = np.array([[0.5, 0.5, 0.0], [x1, 0.0, 0.0], [2.0, 1.0, 0.0]])
@@ -211,8 +212,7 @@ def test_batched_jets_raise_where_the_per_point_loop_raises(source, x1, first, o
     for k, p in enumerate(points):
         jet = eval_jet(e, p, order)
         for part in ("value", "d1", "d2")[: order + 1]:
-            np.testing.assert_allclose(np.asarray(getattr(batch, part))[..., k],
-                                       getattr(jet, part), rtol=1e-15, atol=0)
+            assert _same_bits(np.asarray(getattr(batch, part))[..., k], getattr(jet, part))
 
 
 def test_sqrt_at_zero_needs_no_derivatives():
@@ -287,9 +287,12 @@ def test_eval_values_many_shares_work_and_stacks():
 
 
 def test_eval_values_domain_error_on_batch():
-    e = parse("1/x1", 2)
-    with pytest.raises(EvalDomainError):
-        eval_values_many([e], np.array([[1.0, 0.0], [0.0, 0.0]]))
+    """A division by zero and an overflow raise, as in eval_jets: no inf."""
+    for source, x1 in (("1/x1", 0.0), ("x1^300", 1e3)):
+        e = parse(source, 2)
+        with pytest.raises(EvalDomainError) as err:
+            eval_values_many([e], np.array([[1.0, 0.0], [x1, 0.0]]))
+        assert err.value.subexpression is e
 
 
 def test_jet_constructors():
@@ -416,3 +419,80 @@ def test_random_tree_first_derivative_matches_fd(expr, x, y):
     scale = 1.0 + abs(jet.value) + float(np.abs(jet.d1).max())
     for i in range(2):
         assert jet.d1[i] == pytest.approx(fd_partial(f, p, i), abs=1e-6 * scale)
+
+
+def _any_exprs(depth):
+    """Trees over x1..x3 and constants with every node kind, so values
+    leave the domain and the float range as often as not."""
+    leaf = st.one_of(
+        st.builds(Const, st.floats(-3, 3, allow_nan=False, allow_infinity=False)),
+        st.builds(Var, st.integers(0, 2)),
+    )
+    if depth == 0:
+        return leaf
+    sub = _any_exprs(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Add, sub, sub),
+        st.builds(Mul, sub, sub),
+        st.builds(Div, sub, sub),
+        st.builds(Pow, sub, st.integers(-3, 5)),
+        st.builds(Neg, sub),
+        st.builds(Fun, st.sampled_from(FUNCTION_NAMES), sub),
+    )
+
+
+# Coordinates from +-1e-300 to +-1e300, spread evenly over the exponents,
+# and zero.
+_WIDE = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99), st.integers(-300, 299)),
+)
+_MODERATE = st.lists(st.floats(-4, 4), min_size=3, max_size=3)
+
+
+def _outcome(call):
+    """The result of ``call``, or the error it raised.  A RuntimeWarning is
+    an error under the suite's filter: constant subtrees are Python floats,
+    whose overflow numpy's errstate never sees."""
+    try:
+        return call()
+    except (EvalDomainError, RuntimeWarning) as err:
+        return err
+
+
+def _assert_same_outcome(one, many, row):
+    """``one``, the parts at a point, against ``many``, the parts of a batch
+    whose ``row`` holds that point: equal bits, or equal errors."""
+    if isinstance(one, Exception):
+        assert type(many) is type(one) and str(many) == str(one), (one, many)
+        return
+    assert not isinstance(many, Exception), many
+    for a, b in zip(one, many):
+        a, b = np.asarray(a), np.asarray(b)
+        assert _same_bits(a, b if b.ndim == a.ndim else row(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=_any_exprs(3), point=st.lists(_WIDE, min_size=3, max_size=3),
+       fillers=st.lists(_MODERATE, min_size=2, max_size=2), k=st.integers(0, 2),
+       order=st.integers(0, 2))
+def test_a_point_is_its_row_of_a_batch_bit_for_bit(expr, point, fillers, k, order):
+    """eval_jet at a point gives the bits of row k of a 3-row eval_jets
+    batch whose other rows are in the domain, or both raise the same error
+    naming the same subexpression; eval_values_many agrees the same way."""
+    for filler in fillers:
+        assume(not isinstance(_outcome(lambda: eval_jet(expr, filler, order)), Exception))
+    batch = np.array(fillers[:k] + [point] + fillers[k:])
+
+    def row(a):  # a part of length 1 on the batch axis is the same at every row
+        return a[..., 0 if a.shape[-1] == 1 else k]
+
+    def parts(jet):
+        return (jet.value, jet.d1, jet.d2)[: order + 1]
+
+    _assert_same_outcome(_outcome(lambda: parts(eval_jet(expr, point, order))),
+                         _outcome(lambda: parts(eval_jets([expr], batch, order)[0])), row)
+    _assert_same_outcome(_outcome(lambda: [eval_jet(expr, point, 0).value]),
+                         _outcome(lambda: eval_values_many([expr], batch)), row)

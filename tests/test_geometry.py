@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import confield.models as models
+from confield.conformal import conformal_residual
 from confield.expr import eval_jet, eval_jets, parse
+from confield.geodesic import dxi_identity_residual
 from confield.geometry import (
     Chart,
     ChartDomainError,
@@ -233,15 +235,27 @@ def test_order2_kernels_match_the_einsum_reference(chart, xi):
 @pytest.mark.parametrize("chart,xi", REFERENCE_PAIRS,
                          ids=lambda case: getattr(case, "name", None))
 def test_stack_rows_are_the_batch_of_one_bit_for_bit(chart, xi):
-    """Row i of every order-2 array over a stack of 7 or 50 points is the
-    array of the batch of one holding point i, bit for bit."""
-    points = sample_interior(chart, 50, np.random.default_rng([chart.dim, len(xi.name)]))
+    """Row i of every order-2 array over a stack of 7 or 50 points, and the
+    array of the 1-d call at point i, are the array of the batch of one
+    holding point i, bit for bit; so are the conformal and the d(xi^flat)
+    identity residuals."""
+    rng = np.random.default_rng([chart.dim, len(xi.name)])
+    points = sample_interior(chart, 50, rng)
+    directions = rng.normal(size=points.shape)
+    ones = [_order2_arrays(field_data(chart, xi, points[i:i + 1], 2)) for i in range(50)]
     for size in STACKS[2:]:
         stack = _order2_arrays(field_data(chart, xi, points[:size], 2))
         for i in range(size):
-            one = _order2_arrays(field_data(chart, xi, points[i:i + 1], 2))
-            for name, a in one.items():
+            for name, a in ones[i].items():
                 assert _bits(stack[name][i]) == _bits(a[0]), (size, i, name)
+    for i, (p, X) in enumerate(zip(points, directions)):
+        single = _order2_arrays(field_data(chart, xi, p, 2))
+        for name, a in ones[i].items():
+            assert _bits(single[name]) == _bits(a[0]), (i, name)
+        assert (_bits(conformal_residual(chart, xi, p))
+                == _bits(conformal_residual(chart, xi, p[None])[0])), i
+        assert (_bits(dxi_identity_residual(chart, xi, p, X))
+                == _bits(dxi_identity_residual(chart, xi, p[None], X[None])[0])), i
 
 
 def test_batched_spd_inverse_checks_every_matrix():
