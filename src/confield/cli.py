@@ -3,9 +3,9 @@
 ``confield run manifest.json`` reads a JSON manifest describing a chart, a
 field, and a list of analyses, executes them in the declared order, each
 with its own seeded random stream, and emits a JSON report.  Reports are
-byte-identical across runs for the same manifest and seed: ``json.dumps``
-writes each float as its shortest round-trip repr, and non-finite values
-become strings.
+byte-identical across runs for the same manifest and seed:
+``render_report`` writes each float as its shortest round-trip repr, and
+non-finite values become strings.
 
 A manifest sets only ``seed`` and ``grid_resolution`` (the ``SETTINGS``
 table); every other threshold, radius and sample count is fixed, either as
@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -96,23 +97,69 @@ class ManifestError(ValueError):
 # deterministic JSON writing
 
 
-def _plain(obj):
-    """``obj`` as plain Python values for ``json.dumps``: arrays and numpy
-    scalars become lists and numbers, and a non-finite float the string
-    ``"nan"``, ``"inf"`` or ``"-inf"``."""
+# a float's repr that JSON has no number for, and the string written instead
+_NON_FINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+
+
+def _write_json(obj, indent: str, out: list):
+    """Append the pieces of ``obj`` as 2-space-indented JSON to ``out``,
+    the nesting level's indent being ``indent``.  Arrays and numpy scalars
+    are written as their ``tolist()``."""
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
-    if isinstance(obj, dict):
-        return {key: _plain(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(value) for value in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
-    return obj
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(value) is float for value in obj):
+            # a finite float's repr has no "n", unlike nan, inf and -inf
+            text = (",\n" + inner).join(map(float.__repr__, obj))
+            if "n" not in text:
+                out.append("[\n" + inner + text + "\n" + indent + "]")
+                return
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(_plain(report), indent=2, allow_nan=False) + "\n"
+    """``report`` as 2-space-indented JSON with a final newline, in one
+    pass: each float as its shortest round-trip repr, a non-finite one as
+    the string ``"nan"``, ``"inf"`` or ``"-inf"``, and strings ASCII-escaped,
+    as ``json.dumps(..., indent=2)`` writes them.  Dictionary keys must be
+    strings; a value JSON has no form for raises ``TypeError``."""
+    out = []
+    _write_json(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +450,7 @@ def _run_umbilicity(session: _Session) -> dict:
     entries = []
     # A zero whose traced patch left the zero set has no verdict here.
     passed = not any(e["failed"] for e in errors)
-    for patch in built:
-        report = umbilicity_report(session.chart, patch)
+    for patch, report in zip(built, umbilicity_report(session.chart, built)):
         ok = report.verdict in (VERDICT_UMBILICAL, VERDICT_POINT)
         if patch.k > 0:
             ok = ok and report.codim_even

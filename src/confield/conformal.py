@@ -2,8 +2,14 @@
 
 A field xi is conformal when L_xi g = 2 phi g with phi = trace(nabla xi)/n.
 ``conformal_residual`` measures the defect of that equation in the metric
-norm, at one point (a batch of one) or over an (m, n) array of points;
-``is_conformal`` aggregates it over a point sample in one call.
+norm, at one point (a batch of one) or over an (m, n) array of points, from
+the 1-jets of g and xi alone: in coordinates
+
+    (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k,
+
+so no connection is built (Kobayashi, *Transformation Groups in
+Differential Geometry*, 1972, ch. IV).  ``is_conformal`` aggregates it
+over a point sample in one call.
 ``rescale_metric`` builds the chart with metric e^{2f} g as new expression
 trees.  The factor phi itself is ``FieldData.phi`` of
 :func:`~confield.geometry.field_data`.
@@ -15,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Const, Expr, Fun, Mul
-from .geometry import Chart, FieldSpec, field_data, norm_2form
+from .geometry import (Chart, FieldSpec, field_data, field_jets, matvec, metric_jets,
+                       norm_2form, spd_inverse)
 
 __all__ = [
     "CONFORMAL_TOL",
@@ -52,14 +59,23 @@ def conformal_residual(chart: Chart, xi: FieldSpec, p) -> float | np.ndarray:
     """Metric norm of the trace-free part of L_xi g at p, or per point of an
     (m, n) array p; one point has the bits of its batch of one.
 
-    The g-trace of L_xi g is 2 n phi, so this is |L_xi g - 2 phi g|, with
-    the trace taken of L_xi g itself so that the part is trace-free.
+    L_xi g comes from the 1-jets of g and xi by the coordinate formula of
+    the module docstring, with no connection.  Its g-trace is 2 n phi, so
+    this is |L_xi g - 2 phi g|, with the trace taken of L_xi g itself so
+    that the part is trace-free.
     """
     chart.require_interior(p)
-    fd = field_data(chart, xi, p, 1)
-    g, ginv, L = fd.conn.g, fd.conn.ginv, fd.lie
+    n = chart.dim
+    g, dg, _ = metric_jets(chart, p, 1)
+    ginv = spd_inverse(g)
+    val, jac, _ = field_jets(xi, p, 1)
+    batch = val.shape[:-1]
+    # xi^k d_k g_ij, one (n^2, n) @ (n,) product per point
+    L = matvec(dg.reshape(batch + (n * n, n)), val).reshape(batch + (n, n))
+    A = g @ np.ascontiguousarray(jac)  # A[i, j] = g_ik d_j xi^k
+    L += A + A.swapaxes(-1, -2)
     trace = np.trace(ginv @ L, axis1=-2, axis2=-1)[..., None, None]
-    return norm_2form(ginv, L - trace / chart.dim * g)
+    return norm_2form(ginv, L - trace / n * g)
 
 
 def is_conformal(chart: Chart, xi: FieldSpec, samples,

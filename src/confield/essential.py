@@ -22,7 +22,8 @@ verdict for any other zero.
 
 ``classify_zero`` takes one zero or a stack of them; a stack is classified
 from one batched evaluation of the 2-jets, one stacked SVD of the skew
-forms and one conformality check over all the neighbourhood samples.
+forms, one draw of all the neighbourhood samples and one conformality
+check over them.
 
 ``find_zeros`` locates zeros by a grid scan, in blocks of bounded size,
 whose seeds ``polish_zeros`` moves onto xi = 0 all at once, as the lanes of
@@ -103,12 +104,15 @@ class ClassificationDimensionError(ValueError):
 
 
 def _grid_points(chart: Chart, resolution: int) -> np.ndarray:
-    axes = []
-    for lo, hi in zip(chart.lower, chart.upper):
+    """The resolution^n grid, row-major in the axes, as one (r^n, n) array
+    filled by broadcasting each axis into its coordinate."""
+    n = chart.dim
+    grid = np.empty((resolution,) * n + (n,))
+    for k, (lo, hi) in enumerate(zip(chart.lower, chart.upper)):
         pad = 0.02 * (hi - lo)
-        axes.append(np.linspace(lo + pad, hi - pad, resolution))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.ravel() for a in grids], axis=-1)
+        grid[..., k] = np.linspace(lo + pad, hi - pad, resolution).reshape(
+            (resolution,) + (1,) * (n - 1 - k))
+    return grid.reshape(-1, n)
 
 
 def _grid_norms(chart: Chart, xi: FieldSpec, points: np.ndarray) -> np.ndarray:
@@ -305,9 +309,11 @@ def classify_zero(
     ``essential`` when it reaches ``tol`` relative to the gradient size, and
     ``killing_inessential`` when it does not.  Conformality of xi is
     first verified on a ``_NEIGHBORHOOD`` sample ball around each zero, the
-    balls drawn zero by zero from ``rng`` and checked in one
+    balls of all zeros drawn from ``rng`` in one stacked
+    :func:`~confield.geometry.sample_ball` call and checked in one
     :func:`~confield.conformal.is_conformal` call, and a failure
-    short-circuits to the ``invalid_not_conformal`` verdict.
+    short-circuits to the ``invalid_not_conformal`` verdict.  The kernel
+    bases are row slices of one stacked product of the SVD factors.
 
     On a surface the image criterion does not apply.  A zero with
     |phi| < ``tol`` and a trivial kernel of d(xi^flat) is a simple zero
@@ -328,8 +334,8 @@ def classify_zero(
             )
     if rng is None:
         rng = np.random.default_rng(0)
-    samples = np.concatenate([sample_ball(chart, p, *_NEIGHBORHOOD, rng) for p in points])
-    report = is_conformal(chart, xi, samples, conformal_tol)
+    samples = sample_ball(chart, points, *_NEIGHBORHOOD, rng)
+    report = is_conformal(chart, xi, samples.reshape(-1, chart.dim), conformal_tol)
     # each zero's worst residual over its own ball; a NaN stays NaN
     neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)
 
@@ -343,6 +349,9 @@ def classify_zero(
     along[np.arange(n) < dxi_svd.rank[:, None]] = 0.0
     image_residual = np.where(np.abs(fd.phi) >= tol, 0.0, np.linalg.norm(along, axis=1))
     b_scale = np.linalg.norm(b_frame, axis=1)
+    # row a of frame_rows[i] is Vt[i, a] in chart coordinates; rows rank[i]
+    # and on span zero i's kernel
+    frame_rows = dxi_svd.Vt @ dxi_svd.Linv
 
     classes = []
     for i, (phi, residual) in enumerate(zip(fd.phi.tolist(), neighborhood.tolist())):
@@ -364,7 +373,7 @@ def classify_zero(
             image_residual=float(image_residual[i]),
             kernel_dim=int(kernel_dim[i]),
             rank_dxi=int(dxi_svd.rank[i]),
-            kernel_basis=dxi_svd[i].kernel,
+            kernel_basis=frame_rows[i, dxi_svd.rank[i]:],
             neighborhood_residual=residual,
         ))
     return classes[0] if x.ndim == 1 else tuple(classes)

@@ -263,7 +263,7 @@ def _jcompose(w: Jet, f) -> Jet:
     return out
 
 
-# The domain checks below take a batch column, or a Python float where the
+# The domain checks below take a batch column, or a numpy float where the
 # argument is a constant.  np.count_nonzero is the cheapest test that
 # accepts both.
 
@@ -400,7 +400,9 @@ class Tape:
                      for k in (1, 2)]
             eye = _readonly(np.eye(n).reshape(n, n, 1))
             units = [(eye[i] if order >= 1 else None, zeros[1]) for i in range(n)]
-            jets = [Jet(order, node.value, *zeros) if op == _CONST else None
+            # np.float64, not float: Python's float arithmetic overflows
+            # to inf unseen by np.errstate
+            jets = [Jet(order, np.float64(node.value), *zeros) if op == _CONST else None
                     for op, _, node in self.program]
             start = self._starts[key] = (jets, units)
         return start
@@ -420,8 +422,8 @@ def _evaluate(tape: Tape, point: list, order: int) -> list[Jet]:
     n = len(point)
     start, units = tape._start(n, order)
     jets = list(start)
-    # A power of a Python float (a constant) can overflow; so can any
-    # product of a point's coordinates, under the np.errstate of _jets.
+    # Any product of constants or of a point's coordinates can overflow,
+    # under the np.errstate of _jets.
     try:
         for slot, (op, args, node) in enumerate(tape.program):
             if op == _MUL:

@@ -13,8 +13,7 @@ Index conventions used throughout (and relied on by the test oracles):
   second; ``H[i, j, k] = ((nabla_{e_j} nabla xi)(e_k))^i``, the covariant
   Hessian with the derivative direction first; the 2-form matrix
   ``M[i, j] = (d xi^flat)(e_i, e_j) = d_i (g_jk xi^k) - d_j (g_ik xi^k)``;
-  ``phi = trace(N) / n`` and its differential ``dphi``; and the property
-  ``lie``, ``(L_xi g)_ij = g(nabla_{e_i} xi, e_j) + g(nabla_{e_j} xi, e_i)``.
+  and ``phi = trace(N) / n`` and its differential ``dphi``.
 * The curvature convention is ``R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X
   - nabla_[X, Y]``, under which round spheres have sectional curvature +1.
   ``ConnectionData.riemann`` is ``R[i, j, k, l]`` with ``R(e_k, e_l) e_j =
@@ -25,10 +24,10 @@ Index conventions used throughout (and relied on by the test oracles):
 
 Batches: every evaluation here (``metric_jets``, ``connection_data``,
 ``field_jets``, ``field_data``, ``spd_inverse``, ``norm_vector``,
-``norm_2form``, ``field_norm`` and the curvature and ``lie`` properties)
-takes one point or an (m, n) array of points, ``frame_svd`` one matrix or
-an (m, n, n) stack, and ``complete_orthonormal_frame`` one vector or an
-(m, n) stack.  A batch adds a leading axis of length m to every array, with
+``norm_2form``, ``field_norm`` and the curvature properties) takes one
+point or an (m, n) array of points, ``frame_svd`` one matrix or an
+(m, n, n) stack, and ``complete_orthonormal_frame`` and ``sample_ball``
+one vector or an (m, n) stack.  A batch adds a leading axis of length m to every array, with
 the index layout above after it; the jets of all m points come from one
 walk of each expression tree, and the frames of a stack from one SVD call.
 One point is evaluated as a batch of one, so its arrays have the bits of
@@ -39,7 +38,7 @@ over the batch, whose operands are made C-contiguous first: numpy picks a
 product's kernel from its operands' strides, and this way row i of a stack
 gets the kernel, and so the bits, of its batch of one.  The order-1
 contractions (Gamma, N, d(xi^flat)) keep the summation order of the einsums
-they were written with, whose rounding the conformality residuals carry.
+they were written with, whose rounding the reports carry.
 
 Metric inverses go through a Cholesky factorization; non-positive-definite
 or badly conditioned (above 1e12) metrics raise :class:`MetricError`, for a
@@ -401,12 +400,6 @@ class FieldData:
     H: np.ndarray | None
     dphi: np.ndarray | None
 
-    @property
-    def lie(self) -> np.ndarray:
-        """(L_xi g)_ij = g(nabla_{e_i} xi, e_j) + g(nabla_{e_j} xi, e_i)."""
-        A = self.conn.g @ self.N  # A[i, j] = g(nabla_{e_j} xi, e_i)
-        return A + A.swapaxes(-1, -2)
-
 
 def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
     """One evaluation of the metric and field jets to ``order`` (1 or 2) at p,
@@ -485,9 +478,9 @@ class FrameSVD:
     L^T, covectors by L^{-1}, endomorphisms by conjugation and 2-forms by
     congruence.  ``rank`` counts the singular values above the cut of
     ``_numerical_rank``.  Taken over a stack of m matrices, every array has
-    a leading axis of length m, ``rank`` is an int array, and ``svd[i]`` is
-    the one-matrix result of row i; ``kernel`` and ``solve`` then need the
-    same rank in every row.
+    a leading axis of length m, ``rank`` is an int array, and row i of
+    each array is the one-matrix result of row i; ``kernel`` and ``solve``
+    then need the same rank in every row.
     """
 
     L: np.ndarray
@@ -496,10 +489,6 @@ class FrameSVD:
     sigma: np.ndarray
     Vt: np.ndarray
     rank: int | np.ndarray
-
-    def __getitem__(self, i) -> FrameSVD:
-        return FrameSVD(self.L[i], self.Linv[i], self.U[i], self.sigma[i], self.Vt[i],
-                        int(self.rank[i]))
 
     def _common_rank(self) -> int:
         if isinstance(self.rank, int):
@@ -584,16 +573,21 @@ def sample_interior(chart: Chart, count: int, rng, margin: float = 0.05) -> np.n
     return chart.lower + u * (chart.upper - chart.lower)
 
 
-def sample_ball(chart: Chart, x: np.ndarray, radius: float, count: int, rng) -> np.ndarray:
+def sample_ball(chart: Chart, x, radius: float, count: int, rng) -> np.ndarray:
     """Seeded samples around x, within ``radius`` and half the distance to the box.
 
     With r_eff the smaller of the two, row k is x + r_eff s_k u_k for a
     direction u_k uniform on the sphere and s_k uniform in [0.2, 1]: the
     directions are one ``rng.normal((count, n))`` block, normalized, and
     the radii one ``rng.uniform(0.2, 1.0, count)`` block drawn after it.
+    For an (m, n) stack of centres the result is (m, count, n), from one
+    (m, count, n) normal block and then one (m, count) uniform block, each
+    centre with its own r_eff; a stack of one draws the numbers of one
+    centre.
     """
-    dist = float(min(np.min(x - chart.lower), np.min(chart.upper - x)))
-    r_eff = min(radius, 0.5 * dist)
-    u = rng.normal(size=(count, chart.dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return x + r_eff * rng.uniform(0.2, 1.0, count)[:, None] * u
+    x = np.asarray(x, dtype=float)
+    dist = np.minimum((x - chart.lower).min(axis=-1), (chart.upper - x).min(axis=-1))
+    r_eff = np.minimum(radius, 0.5 * dist)[..., None, None]
+    u = rng.normal(size=x.shape[:-1] + (count, chart.dim))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return x[..., None, :] + r_eff * rng.uniform(0.2, 1.0, x.shape[:-1] + (count,))[..., None] * u

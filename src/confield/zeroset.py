@@ -13,9 +13,10 @@ Continuation Methods* (1990), ch. 3, run by ``find_zeros``' solver
 patch records the field on its parameter grid.  ``second_fundamental_form``
 measures the extrinsic curvature of the zero set at an array of its
 points, in one batched evaluation; ``umbilicity_report`` runs it over the
-interior nodes of a patch and decides whether the patch is totally
-umbilical (all second fundamental form values proportional to the induced
-metric with a common mean curvature vector).
+interior nodes of one patch or of a sequence of patches, once per patch
+dimension, and decides whether each patch is totally umbilical (all second
+fundamental form values proportional to the induced metric with a common
+mean curvature vector).
 
 The second fundamental form comes from exact jets of the field at a point
 of the zero set.  On the zero set N, nabla xi vanishes on TN and is
@@ -260,47 +261,67 @@ class UmbilicityReport:
 
 def umbilicity_report(
     chart: Chart,
-    patch: SubmanifoldPatch,
+    patches,
     tol: float = UMBILICITY_TOL,
-) -> UmbilicityReport:
-    """Umbilicity verdict over the interior grid nodes of a patch.
+) -> UmbilicityReport | tuple:
+    """Umbilicity verdicts over the interior grid nodes of patches.
 
-    Every interior node is visited, in ``itertools.product`` order, through
-    one :func:`second_fundamental_form` call.  The residual at a node is
-    sqrt(sum_ab |B_ab - h_ab H|_g^2); the patch is reported totally
-    umbilical when the worst node stays below ``tol``.  Point patches get
-    the verdict "point" with zero residual.
+    ``patches`` is one :class:`SubmanifoldPatch`, giving one report, or a
+    sequence of them, giving a tuple of reports in the same order.  Every
+    interior node of a patch is visited, in ``itertools.product`` order;
+    the nodes of all patches of the same dimension k and the same field go
+    through one :func:`second_fundamental_form` call, so patches of one
+    field cost one call per distinct k, and each report equals the
+    one-patch call.  The residual at a node is sqrt(sum_ab |B_ab - h_ab
+    H|_g^2); a patch is reported totally umbilical when its worst node
+    stays below ``tol``.  Point patches get the verdict "point" with zero
+    residual.  Where the curvature cannot be taken, the error of the first
+    group, in the order of the groups' first patches, is raised.
     """
-    if patch.k == 0:
-        return UmbilicityReport(
-            verdict=VERDICT_POINT,
-            max_residual=0.0,
-            residuals=np.zeros(0),
-            mean_curvature_norms=np.zeros(0),
-            codim=patch.codim,
-            codim_even=patch.codim % 2 == 0,
-            tolerance=float(tol),
-            indices=(),
-            points=np.asarray(patch.samples)[None, :],
-        )
-    indices = tuple(product(*(range(1, len(axis) - 1) for axis in patch.param_axes)))
-    data = second_fundamental_form(
-        chart, patch.field, [patch.samples[idx] for idx in indices], patch.k
-    )
-    g = data.metric
-    diff = data.normal_form - np.einsum("ab,mk->mabk", np.eye(patch.k), data.mean_curvature)
-    residuals = np.sqrt(np.maximum(np.einsum("mabi,mij,mabj->m", diff, g, diff), 0.0))
-    H = data.mean_curvature
-    hnorms = np.sqrt(np.maximum(np.einsum("mi,mij,mj->m", H, g, H), 0.0))
-    worst = float(residuals.max())
-    return UmbilicityReport(
-        verdict=VERDICT_UMBILICAL if worst < tol else VERDICT_NOT_UMBILICAL,
-        max_residual=worst,
-        residuals=residuals,
-        mean_curvature_norms=hnorms,
-        codim=patch.codim,
-        codim_even=patch.codim % 2 == 0,
-        tolerance=float(tol),
-        indices=indices,
-        points=data.points,
-    )
+    if isinstance(patches, SubmanifoldPatch):
+        return umbilicity_report(chart, (patches,), tol)[0]
+    reports = [None] * len(patches)
+    groups = {}
+    for slot, patch in enumerate(patches):
+        if patch.k == 0:
+            reports[slot] = UmbilicityReport(
+                verdict=VERDICT_POINT,
+                max_residual=0.0,
+                residuals=np.zeros(0),
+                mean_curvature_norms=np.zeros(0),
+                codim=patch.codim,
+                codim_even=patch.codim % 2 == 0,
+                tolerance=float(tol),
+                indices=(),
+                points=np.asarray(patch.samples)[None, :],
+            )
+        else:
+            groups.setdefault((patch.k, patch.field), []).append(slot)
+    for (k, field), slots in groups.items():
+        node_indices = [tuple(product(*(range(1, len(axis) - 1)
+                                        for axis in patches[slot].param_axes)))
+                        for slot in slots]
+        points = [patches[slot].samples[idx] for slot, indices in zip(slots, node_indices)
+                  for idx in indices]
+        data = second_fundamental_form(chart, field, points, k)
+        g, H = data.metric, data.mean_curvature
+        diff = data.normal_form - np.einsum("ab,mk->mabk", np.eye(k), H)
+        residuals = np.sqrt(np.maximum(np.einsum("mabi,mij,mabj->m", diff, g, diff), 0.0))
+        hnorms = np.sqrt(np.maximum(np.einsum("mi,mij,mj->m", H, g, H), 0.0))
+        start = 0
+        for slot, indices in zip(slots, node_indices):
+            rows = slice(start, start + len(indices))
+            start = rows.stop
+            worst = float(residuals[rows].max())
+            reports[slot] = UmbilicityReport(
+                verdict=VERDICT_UMBILICAL if worst < tol else VERDICT_NOT_UMBILICAL,
+                max_residual=worst,
+                residuals=residuals[rows],
+                mean_curvature_norms=hnorms[rows],
+                codim=patches[slot].codim,
+                codim_even=patches[slot].codim % 2 == 0,
+                tolerance=float(tol),
+                indices=indices,
+                points=data.points[rows],
+            )
+    return tuple(reports)

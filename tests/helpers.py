@@ -17,16 +17,26 @@ the same jets, bit for bit.
 
 The einsum bodies that computed the connection, the field tensors, the
 curvature and the derivative identity before these became stacked matrix
-products are kept as their reference, to rounding.
+products are kept as their reference, to rounding; so are L_xi g from the
+covariant derivative and the conformal residual built on it, which the
+1-jet formula replaced, and the report writer ``json.dumps`` of plain
+values, which the one-pass writer replaced, byte for byte.
 
-Besides these: a Gram-Schmidt frame, the conformal connection-change
-identity, the symbolic pushforward of a field under the unit inversion, a
-recorder of the calls of a function through every confield binding, a
-counter of the steps of each geodesic integration, and the conformal
-fields of a flat chart as elements of the Moebius algebra so(n+1, 1), with
-their zeros and verdicts read off the matrix.
+Besides these: the reports of the benchmark's manifests, a Gram-Schmidt
+frame, the conformal connection-change identity, the symbolic pushforward
+of a field under the unit inversion, a recorder of the calls of a function
+through every confield binding, a counter of the steps of each geodesic
+integration, and the conformal fields of a flat chart as elements of the
+Moebius algebra so(n+1, 1), with their zeros and verdicts read off the
+matrix.
 """
 from __future__ import annotations
+
+import functools
+import importlib.util
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 
@@ -199,6 +209,28 @@ def reference_field_data(chart, xi, p, order: int = 2) -> dict:
     phi = np.trace(N, axis1=-2, axis2=-1) / chart.dim
     return {"conn": conn, "value": val, "jac": jac, "hess": hess, "N": N,
             "M": P - P.swapaxes(-1, -2), "phi": phi, "H": H, "dphi": dphi}
+
+
+def reference_lie_derivative(chart, xi, p):
+    """(L_xi g)_ij = g(nabla_{e_i} xi, e_j) + g(nabla_{e_j} xi, e_i), from
+    the covariant derivative N of ``field_data``."""
+    from confield.geometry import field_data
+
+    fd = field_data(chart, xi, p, 1)
+    A = fd.conn.g @ fd.N  # A[i, j] = g(nabla_{e_j} xi, e_i)
+    return A + A.swapaxes(-1, -2)
+
+
+def reference_conformal_residual(chart, xi, p):
+    """``conformal_residual`` through the connection: |L - (tr_g L / n) g|_g
+    with L from :func:`reference_lie_derivative`."""
+    from confield.geometry import metric_jets, norm_2form, spd_inverse
+
+    L = reference_lie_derivative(chart, xi, p)
+    g = metric_jets(chart, p, 0)[0]
+    ginv = spd_inverse(g)
+    trace = np.trace(ginv @ L, axis1=-2, axis2=-1)[..., None, None]
+    return norm_2form(ginv, L - trace / chart.dim * g)
 
 
 def reference_dxi_identity_residual(chart, xi, p, X):
@@ -656,3 +688,45 @@ def mobius_zero_verdict(X, x, tol=1e-6):
     if np.linalg.norm(off_image) < tol * np.linalg.norm(nu):
         return "essential"
     return "killing_inessential"
+
+
+# -- reports --------------------------------------------------------------------
+
+
+def _plain(obj):
+    """``obj`` as plain Python values for ``json.dumps``: arrays and numpy
+    scalars become lists and numbers, and a non-finite float the string
+    ``"nan"``, ``"inf"`` or ``"-inf"``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
+
+
+def reference_render_report(report: dict) -> str:
+    """The report writer before the one-pass writer: ``json.dumps`` of the
+    plain values, indented by 2."""
+    return json.dumps(_plain(report), indent=2, allow_nan=False) + "\n"
+
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+@functools.cache
+def workload_reports(seed: int) -> tuple:
+    """``(workload, report, exit code)`` of every manifest of the benchmark's
+    workloads at ``seed``, in workload and manifest order, run through
+    ``cli.run_manifest``."""
+    from confield.cli import run_manifest
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple((name, *run_manifest(manifest))
+                 for name in workloads.WORKLOADS
+                 for manifest in workloads.manifests(name, seed))

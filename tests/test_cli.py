@@ -12,7 +12,7 @@ import confield.cli as cli
 import confield.essential as essential
 import confield.geodesic as geodesic
 from confield.cli import SETTINGS, main, render_report
-from helpers import counting_steps
+from helpers import counting_steps, reference_render_report, workload_reports
 
 
 def _write_manifest(tmp_path, payload, name="manifest.json"):
@@ -88,6 +88,42 @@ def test_render_report_floats_parse_back_bit_identical(value):
     for got in (parsed["x"], parsed["arr"][0], parsed["scalar"]):
         assert type(got) is float
         assert struct.pack("<d", got) == struct.pack("<d", value)
+
+
+EDGE_REPORTS = [
+    {"values": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1.5],
+     "alone": math.nan, "ends": [1.0, -math.inf], "int_and_float": [1, 1.0]},
+    {"bool": np.bool_(False), "int": np.int64(-7), "float": np.float64(1e16),
+     "nan": np.float64(math.nan), "zero_d": np.array(2.5), "zero_d_int": np.array(3),
+     "empty": np.array([]), "empty_2d": np.zeros((2, 0)), "matrix": np.eye(2),
+     "mixed": [np.float64(0.5), 0.25, np.int64(1)]},
+    {"empty_dict": {}, "empty_list": [], "empty_tuple": (), "nested": {"a": [{}, [], [[]]]},
+     "tuple": (1, (2.0, "x"), None), "flags": [True, False, None],
+     "text": "naïve ∂ξ \"quoted\" \\ \n\t\u0001", "naïve key ∂": "é"},
+    {}, [], [1.0],
+]
+
+
+@pytest.mark.parametrize("report", EDGE_REPORTS)
+def test_render_report_writes_the_bytes_of_json_dumps(report):
+    """Non-finite values, -0.0, subnormals, numpy scalars, 0-d and empty
+    arrays, empty containers, tuples and non-ASCII strings: the one-pass
+    writer gives the bytes of json.dumps over plain values."""
+    assert render_report(report) == reference_render_report(report)
+
+
+def test_render_report_writes_the_bytes_of_json_dumps_on_the_workloads():
+    """The 22 seed-1 benchmark reports, the schema and the catalog."""
+    reports = [report for _, report, _ in workload_reports(1)]
+    assert len(reports) == 22
+    for report in reports + [cli._schema(), cli._catalog()]:
+        assert render_report(report) == reference_render_report(report)
+
+
+def test_render_report_refuses_what_json_cannot_write():
+    for report in ({"s": {1, 2}}, {1: 2}, [object()]):
+        with pytest.raises(TypeError):
+            render_report(report)
 
 
 def test_a_report_is_a_fixed_point_of_the_writer(tmp_path):
@@ -703,16 +739,19 @@ def test_analysis_list_is_deduplicated_in_request_order(tmp_path):
     assert list(report["analyses"]) == ["zeros", "check-conformal"]
 
 
-def test_nan_identity_residual_fails_the_gate(tmp_path):
-    """1e200*1e200 overflows to inf, so the identity residuals are NaN;
-    they must fail verify-identities, not vanish from its maximum."""
+def test_nan_identity_residual_fails_the_gate(tmp_path, monkeypatch):
+    """NaN identity residuals must fail verify-identities, not vanish from
+    its maximum."""
+    def nan_row(chart, xi, p, X):
+        return np.full(len(p), math.nan)
+
+    monkeypatch.setattr(cli, "dxi_identity_residual", nan_row)
     manifest = {
         "chart": {"name": "euclidean", "dim": 3},
-        "field": {"components": ["1e200*1e200*x1", "0", "0"]},
+        "field": {"name": "rotation"},
         "analyses": ["verify-identities"],
     }
-    with np.errstate(all="ignore"):
-        code, report = _run_to_report(tmp_path, manifest)
+    code, report = _run_to_report(tmp_path, manifest)
     assert code == 1
     identities = report["analyses"]["verify-identities"]
     assert identities["max_identity_residual"] == "nan"

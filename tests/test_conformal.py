@@ -19,7 +19,8 @@ from confield.geometry import (
     metric_value,
     sample_interior,
 )
-from helpers import connection_change_residual, fd_gradient
+from helpers import (connection_change_residual, fd_gradient, fd_lie_derivative,
+                     reference_conformal_residual)
 
 FLAT2 = models.euclidean(2)
 FLAT3 = models.euclidean(3)
@@ -45,6 +46,60 @@ def test_residual_of_non_conformal_field():
     xi = FieldSpec(FLAT2, (parse("x1^2", 2), parse("0", 2)))
     res = conformal_residual(FLAT2, xi, np.array([1.0, 1.0]))
     assert res == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
+
+
+def _non_conformal(chart):
+    """x1^2 d1 + x2 x3 d2, conformal on none of the catalog charts."""
+    comps = ["x1^2", "x2*x3"] + ["0"] * (chart.dim - 2)
+    return FieldSpec(chart, tuple(parse(c, chart.dim) for c in comps), name="non_conformal")
+
+
+# A metric that is not a multiple of the identity: on the catalog charts,
+# which are isothermal, xi^k d_k g_ij is pure trace and drops out of the
+# residual, so only a chart like this one tests that term.
+SHEARED = Chart(
+    dim=3, lower=-np.ones(3), upper=np.ones(3), name="sheared",
+    metric=tuple(tuple(parse(e, 3) for e in row) for row in (
+        ("1 + x2^2", "0.3*x1*x3", "0.1*x2"),
+        ("0.3*x1*x3", "2 + sin(x1)", "0.2*x3"),
+        ("0.1*x2", "0.2*x3", "1.5 + x1*x2/2"),
+    )),
+)
+RESIDUAL_CASES = models.standard_pairs(3) + models.standard_pairs(4) + [
+    (chart, _non_conformal(chart))
+    for chart in (builder(n) for n in (3, 4) for builder in
+                  (models.euclidean, models.sphere_stereographic, models.hyperbolic_ball))
+] + [(SHEARED, _non_conformal(SHEARED))]
+
+
+@pytest.mark.parametrize("chart,xi", RESIDUAL_CASES,
+                         ids=lambda case: getattr(case, "name", None))
+def test_one_jet_residual_matches_the_covariant_residual(chart, xi):
+    """The residual from the 1-jets of g and xi equals the one from
+    L = g N + (g N)^T through the connection to 1e-13, relative to the
+    residual where it exceeds 1 (on the conformal pairs it is rounding
+    noise of order-one jets), on the catalog charts and a sheared one."""
+    pts = sample_interior(chart, 20, np.random.default_rng([chart.dim, len(xi.name)]))
+    got = conformal_residual(chart, xi, pts)
+    want = reference_conformal_residual(chart, xi, pts)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1.0))
+    if xi.name == "non_conformal":
+        assert want.min() > 0.1
+
+
+@pytest.mark.parametrize("chart", [FLAT3, SPHERE, models.hyperbolic_ball(3), SHEARED],
+                         ids=lambda chart: chart.name)
+def test_residual_against_flow_pullback(chart):
+    """Independent oracle: the trace-free part of L_xi g differenced along
+    the flow of a non-conformal field."""
+    xi = _non_conformal(chart)
+    p = np.array([0.3, -0.2, 0.25])
+    L = fd_lie_derivative(chart, xi, p)
+    g = metric_value(chart, p)
+    ginv = np.linalg.inv(g)
+    T = L - np.trace(ginv @ L) / chart.dim * g
+    want = np.sqrt(np.sum((ginv @ T @ ginv) * T))
+    assert conformal_residual(chart, xi, p) == pytest.approx(want, rel=1e-7)
 
 
 def test_factor_gradient_matches_finite_differences():

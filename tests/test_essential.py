@@ -9,7 +9,7 @@ import confield.essential as essential
 import confield.geometry as geometry
 import confield.models as models
 import confield.zeroset as zeroset
-from confield.conformal import rescale_metric
+from confield.conformal import conformal_residual, rescale_metric
 from confield.essential import (
     VERDICT_ESSENTIAL,
     VERDICT_HOMOTHETIC,
@@ -20,8 +20,8 @@ from confield.essential import (
     find_zeros,
     limit_point_audit,
 )
-from confield.expr import parse
-from confield.geometry import FieldSpec, field_norm, metric_value
+from confield.expr import Const, Fun, Mul, Var, parse
+from confield.geometry import FieldSpec, field_norm, metric_value, sample_ball
 from confield.zeroset import trace_component
 from helpers import (
     mobius_conjugate,
@@ -127,11 +127,9 @@ def test_classify_requires_an_actual_zero():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_classify_refuses_a_nan_zero():
-    """1e200*1e200 overflows to inf and inf * 0 is NaN: |xi|_g is NaN at
-    the origin, which is no zero."""
-    xi = FieldSpec(
-        FLAT3, tuple(parse(s, 3) for s in ("1e200*1e200*x1", "x2", "x3"))
-    )
+    """inf * 0 is NaN: |xi|_g is NaN at the origin, which is no zero.  The
+    parser refuses an infinite constant, so the node is built directly."""
+    xi = FieldSpec(FLAT3, (Mul(Const(math.inf), Var(0)), Var(1), Var(2)))
     with pytest.raises(ValueError, match="expects a zero"):
         classify_zero(FLAT3, xi, np.zeros(3))
 
@@ -342,6 +340,19 @@ def test_grid_scan_holds_one_block():
     assert peak < 8e6
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_points_are_the_meshgrid_points(n):
+    """The broadcast grid is the row-major meshgrid of the padded axes,
+    bit for bit, on a box with a different extent per axis."""
+    lower, upper = np.arange(n) - 1.5, np.arange(n) * 0.7 + 1.0
+    box = geometry.Chart(dim=n, lower=lower, upper=upper, metric=models.euclidean(n).metric)
+    axes = [np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 7)
+            for lo, hi in zip(lower, upper)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    expected = np.stack([a.ravel() for a in grids], axis=-1)
+    assert np.array_equal(essential._grid_points(box, 7), expected)
+
+
 def test_grid_blocks_match_one_evaluation(monkeypatch):
     """13^3 = 2197 points, a block and a part: the blocked norms equal
     those of one evaluation over the whole grid."""
@@ -367,16 +378,24 @@ CLASSIFY_CASES = models.standard_pairs(3) + [
 @pytest.mark.parametrize("chart,xi", CLASSIFY_CASES,
                          ids=lambda case: getattr(case, "name", None))
 def test_stacked_classification_matches_per_zero_calls(chart, xi):
-    """One call on all zeros equals one call per zero, field by field, when
-    the per-zero calls draw their balls from one stream in the same order."""
+    """One call on all zeros equals one call per zero, field by field,
+    except the neighbourhood residual: its balls are one stacked draw, so
+    each zero's residual is the worst conformal residual over its own rows
+    of that draw.  A stacked draw of one centre is the draw of that centre."""
     zeros = find_zeros(chart, xi)
     stacked = classify_zero(chart, xi, zeros, rng=np.random.default_rng(0))
-    rng = np.random.default_rng(0)
-    singles = [classify_zero(chart, xi, z, rng=rng) for z in zeros]
+    singles = [classify_zero(chart, xi, z, rng=np.random.default_rng(0)) for z in zeros]
+    balls = sample_ball(chart, zeros, *essential._NEIGHBORHOOD, np.random.default_rng(0))
     assert isinstance(stacked, tuple) and len(stacked) == len(zeros)
-    for a, b in zip(stacked, singles):
+    for a, b, ball in zip(stacked, singles, balls):
         for name in ZeroClassification.__dataclass_fields__:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            if name != "neighborhood_residual":
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.neighborhood_residual == conformal_residual(chart, xi, ball).max()
+    for z in zeros[:2]:
+        one = sample_ball(chart, z[None], *essential._NEIGHBORHOOD, np.random.default_rng(0))
+        assert np.array_equal(one[0], sample_ball(chart, z, *essential._NEIGHBORHOOD,
+                                                  np.random.default_rng(0)))
 
 
 def test_surface_stack_keeps_surface_verdicts():
@@ -398,9 +417,8 @@ def test_stack_with_a_nonzero_row_names_it():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stack_with_a_nan_row_names_it():
     """exp(-inf * x3^2) is 0 off the plane x3 = 0 and NaN on it."""
-    xi = FieldSpec(
-        FLAT3, tuple(parse(s, 3) for s in ("x1", "x2", "exp(-1e200*1e200*x3^2)"))
-    )
+    x3_squared = parse("x3^2", 3)
+    xi = FieldSpec(FLAT3, (Var(0), Var(1), Fun("exp", Mul(Const(-math.inf), x3_squared))))
     stack = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="row 1 has .* nan"):
         classify_zero(FLAT3, xi, stack)

@@ -156,6 +156,8 @@ RAISE_CASES = [pytest.param(source, TINY, TINY_ORDER[source], id=source)
         ("1/x1", [TINY, 0.0]),
         ("x1^(-3)", [TINY, 0.0]),
         ("log(x1)", [TINY, 0.0]),
+        ("x1/1e-310", [0.5, 0.0]),
+        ("1e200*1e200", [0.5, 0.0]),
     ],
 )
 def test_domain_errors(source, point):
@@ -163,7 +165,8 @@ def test_domain_errors(source, point):
 
     At x1 = TINY the point is in the domain, but a Taylor coefficient is
     beyond the float range: the jet raises from the order of that
-    coefficient on, and is finite below it.
+    coefficient on, and is finite below it.  A constant subexpression
+    beyond the float range (x1/1e-310, 1e200*1e200) raises at every point.
     """
     e = parse(source, 3)
     if point[0] == TINY:
@@ -287,12 +290,15 @@ def test_eval_values_many_shares_work_and_stacks():
 
 
 def test_eval_values_domain_error_on_batch():
-    """A division by zero and an overflow raise, as in eval_jets: no inf."""
-    for source, x1 in (("1/x1", 0.0), ("x1^300", 1e3)):
+    """A division by zero and an overflow raise, as in eval_jets: no inf.
+    So does a constant beyond the float range, which the error names."""
+    for source, x1, culprit in (("1/x1", 0.0, lambda e: e), ("x1^300", 1e3, lambda e: e),
+                                ("x1/1e-310", 1.0, lambda e: e),
+                                ("1e200*1e200*x1", 1.0, lambda e: e.left)):
         e = parse(source, 2)
         with pytest.raises(EvalDomainError) as err:
             eval_values_many([e], np.array([[1.0, 0.0], [x1, 0.0]]))
-        assert err.value.subexpression is e
+        assert err.value.subexpression is culprit(e)
 
 
 def test_jet_constructors():

@@ -36,6 +36,7 @@ from helpers import (
     fd_partial,
     fd_partial2,
     reference_field_data,
+    reference_lie_derivative,
     reference_riemann,
     reference_riemann_lowered,
 )
@@ -156,7 +157,7 @@ def _bundle(fd):
     c = fd.conn
     return {"g": c.g, "ginv": c.ginv, "Gam": c.Gam, "dGam": c.dGam, "R": c.riemann,
             "N": fd.N, "M": fd.M, "phi": np.asarray(fd.phi), "H": fd.H,
-            "dphi": fd.dphi, "lie": fd.lie}
+            "dphi": fd.dphi}
 
 
 def test_batched_jets_and_bundles_match_per_point():
@@ -403,7 +404,7 @@ def test_lie_derivative_against_flow_pullback():
         (FLAT3, models.special_conformal(FLAT3, 2), np.array([0.4, 0.3, -0.1])),
     ]
     for chart, xi, p in cases:
-        exact = field_data(chart, xi, p, 1).lie
+        exact = reference_lie_derivative(chart, xi, p)
         approx = fd_lie_derivative(chart, xi, p)
         assert np.abs(exact - approx).max() < 1e-8
 
@@ -411,11 +412,11 @@ def test_lie_derivative_against_flow_pullback():
 def test_killing_fields_have_vanishing_lie_derivative():
     p = np.array([0.6, -0.3, 0.2])
     rot = models.rotation(SPHERE, 2, 3)
-    assert np.abs(field_data(SPHERE, rot, p, 1).lie).max() < 1e-14
+    assert np.abs(reference_lie_derivative(SPHERE, rot, p)).max() < 1e-14
     sk = models.sphere_killing(SPHERE, 1, 4)
-    assert np.abs(field_data(SPHERE, sk, p, 1).lie).max() < 1e-13
+    assert np.abs(reference_lie_derivative(SPHERE, sk, p)).max() < 1e-13
     eu = models.euler(FLAT3)
-    L = field_data(FLAT3, eu, p, 1).lie
+    L = reference_lie_derivative(FLAT3, eu, p)
     assert np.abs(L - 2.0 * np.eye(3)).max() < 1e-14
 
 
@@ -530,9 +531,11 @@ def _bits(a):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("kind", ["endomorphism", "skew_form"])
 def test_stacked_frame_svd_rows_are_the_one_matrix_calls(n, kind):
-    """Ranks 0, 2 and full in one stack: row i of the stacked result is
-    frame_svd(g[i], T[i], kind), bit for bit, with an int rank.  The cut is
-    per row, so a full-rank row scaled by 1e-8 keeps its rank."""
+    """Ranks 0, 2 and full in one stack: row i of every stacked array, and
+    rows rank[i] on of row i of the stacked Vt @ Linv (the kernel, as
+    classify_zero slices it), are those of frame_svd(g[i], T[i], kind),
+    bit for bit, which has an int rank.  The cut is per row, so a
+    full-rank row scaled by 1e-8 keeps its rank."""
     rng = np.random.default_rng([n, len(kind)])
     full = n if kind == "endomorphism" else 2 * (n // 2)
     ranks = [0, 2, full, 2, full, 0, 2]
@@ -541,11 +544,13 @@ def test_stacked_frame_svd_rows_are_the_one_matrix_calls(n, kind):
     T[4] *= 1e-8
     svd = frame_svd(g, T, kind)
     assert svd.rank.tolist() == ranks
+    frame_rows = svd.Vt @ svd.Linv
     for i in range(len(ranks)):
-        row, one = svd[i], frame_svd(g[i], T[i], kind)
-        assert type(row.rank) is int and row.rank == one.rank == ranks[i]
-        for name in ("L", "Linv", "U", "sigma", "Vt", "kernel"):
-            assert _bits(getattr(row, name)) == _bits(getattr(one, name)), (i, name)
+        one = frame_svd(g[i], T[i], kind)
+        assert type(one.rank) is int and one.rank == ranks[i]
+        for name in ("L", "Linv", "U", "sigma", "Vt"):
+            assert _bits(getattr(svd, name)[i]) == _bits(getattr(one, name)), (i, name)
+        assert _bits(frame_rows[i, ranks[i]:]) == _bits(one.kernel), i
 
 
 def test_stacked_kernel_and_solve_need_one_rank():

@@ -11,7 +11,7 @@ import confield.models as models
 import confield.zeroset as zeroset
 from confield.conformal import rescale_metric
 from confield.essential import classify_zero
-from confield.expr import eval_jet, parse
+from confield.expr import Add, Const, Mul, Var, eval_jet, parse
 from confield.geometry import FieldSpec, metric_value, norm_vector
 from confield.zeroset import (
     OffZeroSetError,
@@ -120,10 +120,11 @@ def test_two_dimensional_scaling_zero_refused():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_two_dimensional_nan_zero_refused():
-    """1e200*1e200 overflows to inf and inf * 0 is NaN: |xi|_g is NaN at
-    the origin, which is no zero, so there is no classification to trace."""
+    """inf * 0 is NaN: |xi|_g is NaN at the origin, which is no zero, so
+    there is no classification to trace.  The parser refuses an infinite
+    constant, so the node is built directly."""
     flat2 = models.euclidean(2)
-    xi = FieldSpec(flat2, tuple(parse(s, 2) for s in ("1e200*1e200*x1", "x2")))
+    xi = FieldSpec(flat2, (Mul(Const(math.inf), Var(0)), Var(1)))
     with pytest.raises(ValueError, match="expects a zero"):
         trace_component(flat2, xi, classify_zero(flat2, xi, np.zeros(2)))
 
@@ -456,6 +457,44 @@ def test_umbilicity_report_makes_one_frame_svd_call(monkeypatch):
                             lambda out, g, tensor, kind: (kind, np.shape(g)), arguments=True)
     umbilicity_report(FLAT4, patch)
     assert calls == [("endomorphism", (9, 4, 4))]
+
+
+def test_umbilicity_report_over_patches_is_the_per_patch_calls(monkeypatch):
+    """On euclidean(6): a 4-sphere (sphere_killing(1, 7)), two pieces of a
+    2-sphere (that field plus rotation(2, 3)) and a point patch.  One call
+    on all four gives each patch's one-patch report bit for bit, from one
+    second_fundamental_form call per distinct k."""
+    flat6 = models.euclidean(6)
+    sk = models.sphere_killing(flat6, 1, 7)
+    rot = models.rotation(flat6, 2, 3)
+    combo = FieldSpec(flat6, tuple(Add(a, b) for a, b in zip(sk.components, rot.components)))
+    spin = _field(flat6, "-x2", "x1", "-x4", "x3", "-x6", "x5")
+
+    def traced(xi, zero):
+        zero = np.array(zero, dtype=float)
+        return trace_component(flat6, xi, classify_zero(flat6, xi, zero), radius=0.3, grid=5)
+
+    patches = [traced(sk, [0, 1, 0, 0, 0, 0]), traced(spin, np.zeros(6)),
+               traced(combo, [0, 0, 0, 1, 0, 0]), traced(combo, [0, 0, 0, 0, 0.6, 0.8])]
+    assert [patch.k for patch in patches] == [4, 0, 2, 2]
+    singles = [umbilicity_report(flat6, patch) for patch in patches]
+    calls = recording_calls(monkeypatch, zeroset.second_fundamental_form,
+                            lambda out, chart, xi, points, k: (k, len(points)),
+                            arguments=True)
+    reports = umbilicity_report(flat6, patches)
+    assert calls == [(4, 81), (2, 18)]
+    assert isinstance(reports, tuple) and len(reports) == 4
+    for got, want in zip(reports, singles):
+        for name in zeroset.UmbilicityReport.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is type(b), name
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            else:
+                assert a == b, name
+    assert [r.verdict for r in reports] == ["totally_umbilical", "point"] + ["totally_umbilical"] * 2
+    assert max(reports[2].mean_curvature_norms) == pytest.approx(1.0, abs=1e-10)
+    assert umbilicity_report(flat6, []) == ()
 
 
 def test_wrong_kernel_dimension_names_the_first_such_row():
