@@ -177,9 +177,16 @@ def _finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _require_keys(keys, what: str, known):
+    """Refuse the first of ``keys`` not in ``known``, naming it."""
+    for key in keys:
+        _require(key in known, f"unknown {what} {key!r}; known: {list(known)}")
+
+
 def _build_chart(spec) -> Chart:
     _require(isinstance(spec, dict), "manifest 'chart' must be an object")
     if "name" in spec and "metric" not in spec:
+        _require_keys(spec, "chart key", ("name", "dim"))
         _require(isinstance(spec["name"], str), "chart 'name' must be a string")
         _require(spec["name"] in CHART_BUILDERS,
                  f"unknown chart {spec['name']!r}; see 'confield catalog'")
@@ -188,6 +195,7 @@ def _build_chart(spec) -> Chart:
                  "builtin charts need an integer 'dim' >= 2")
         return make_chart(spec["name"], dim)
     _require("metric" in spec, "chart needs either 'name' or 'metric'")
+    _require_keys(spec, "chart key", ("metric", "lower", "upper", "name"))
     metric = spec["metric"]
     _require(isinstance(metric, list) and metric
              and all(isinstance(r, list) for r in metric),
@@ -224,6 +232,7 @@ def _build_chart(spec) -> Chart:
 def _build_field(chart: Chart, spec) -> FieldSpec:
     _require(isinstance(spec, dict), "manifest 'field' must be an object")
     if "name" in spec and "components" not in spec:
+        _require_keys(spec, "field key", ("name", "params"))
         _require(isinstance(spec["name"], str), "field 'name' must be a string")
         params = spec.get("params", {})
         _require(isinstance(params, dict), "'params' must be an object")
@@ -232,6 +241,7 @@ def _build_field(chart: Chart, spec) -> FieldSpec:
         except ValueError as exc:
             raise ManifestError(str(exc)) from exc
     _require("components" in spec, "field needs either 'name' or 'components'")
+    _require_keys(spec, "field key", ("components", "name"))
     comps = spec["components"]
     _require(isinstance(comps, list) and len(comps) == chart.dim,
              f"'components' must list {chart.dim} expressions")
@@ -248,11 +258,9 @@ def _build_field(chart: Chart, spec) -> FieldSpec:
 def _resolve_config(manifest: dict) -> dict:
     """Table defaults, then manifest values; every value checked."""
     known = ["chart", "field", "analyses", *(s.key for s in SETTINGS)]
-    for key, value in manifest.items():
-        if key not in known:
-            if isinstance(value, dict) and value:  # name the leaf: 'tolerances.zero'
-                key = f"{key}.{next(iter(value))}"
-            raise ManifestError(f"unknown setting {key!r}; known: {known}")
+    # an unknown group is named by its first leaf: 'tolerances.zero'
+    _require_keys([f"{k}.{next(iter(v))}" if k not in known and isinstance(v, dict) and v else k
+                   for k, v in manifest.items()], "setting", known)
     cfg = {}
     for s in SETTINGS:
         value = manifest.get(s.key, s.default)
@@ -544,6 +552,7 @@ def _schema() -> dict:
                     {
                         "type": "object",
                         "required": ["name", "dim"],
+                        "additionalProperties": False,
                         "properties": {
                             "name": {"enum": sorted(CHART_BUILDERS)},
                             "dim": {"type": "integer", "minimum": 2},
@@ -552,6 +561,7 @@ def _schema() -> dict:
                     {
                         "type": "object",
                         "required": ["metric", "lower", "upper"],
+                        "additionalProperties": False,
                         "properties": {
                             "metric": {
                                 "type": "array",
@@ -569,6 +579,7 @@ def _schema() -> dict:
                     {
                         "type": "object",
                         "required": ["name"],
+                        "additionalProperties": False,
                         "properties": {
                             "name": {"enum": sorted(FIELD_BUILDERS)},
                             "params": {"type": "object"},
@@ -577,6 +588,7 @@ def _schema() -> dict:
                     {
                         "type": "object",
                         "required": ["components"],
+                        "additionalProperties": False,
                         "properties": {
                             "components": {"type": "array", "items": {"type": "string"}},
                             "name": {"type": "string"},

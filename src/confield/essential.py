@@ -144,7 +144,7 @@ def _local_minima_mask(norms: np.ndarray, shape) -> np.ndarray:
     return mask.ravel()
 
 
-def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarray:
+def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> tuple:
     """Damped least-squares Gauss-Newton onto xi = 0 from every row of ``points``.
 
     The rows are the lanes of one iteration.  Each lane carries the 1-jet
@@ -170,7 +170,8 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarra
     monotone in l, so no smaller step could move it.  Lanes never mix.
     The iteration runs to machine precision, not to an acceptance
     tolerance: a singular zero stopped at a rounding-level residual can
-    sit near |x| = 1e-7.
+    sit near |x| = 1e-7.  Returns the points and a mask of the lanes that
+    converged: a lane still moving after ``_NEWTON_ITERATIONS`` has not.
     """
     x = np.array(points, dtype=float)
     basis = np.eye(chart.dim) if normals is None else normals
@@ -211,7 +212,7 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> np.ndarra
             # rounds to its lane's point does so at every smaller lam
             pending[todo] = ~down & (cand != base).any(axis=-1)
             lam *= 0.5
-    return x
+    return x, ~live
 
 
 def find_zeros(
@@ -230,8 +231,11 @@ def find_zeros(
     :func:`polish_zeros` call.  Polished points are kept when they sit at
     least ``_BOUNDARY_MARGIN`` inside the box and their metric norm, from
     one batched evaluation, is below ``tol``.  Duplicates closer than
-    ``_DEDUPE_DISTANCE`` collapse to the best residual: one pairwise
-    distance matrix, read greedily in residual order.  The result is
+    ``_DEDUPE_DISTANCE`` collapse to the best residual, converged lanes
+    first: one pairwise distance matrix, read greedily.  A lane the cap
+    stopped is also dropped within ``ISOLATION_RADIUS`` of a converged one,
+    as beside a degenerate zero it can pass ``tol`` microns away; at a zero
+    of order 3, where every lane is cut off, it is the zero.  The result is
     sorted lexicographically on coordinates rounded to 12 decimals, so
     rounding noise (a coordinate of -1e-30 against 0) does not reorder it.
     """
@@ -244,19 +248,20 @@ def find_zeros(
     order = np.argsort(norms[mask], kind="stable")
     seeds = seeds[order[:_MAX_SEEDS]]
 
-    polished = polish_zeros(chart, xi, seeds)
-    polished = polished[chart._inside(polished, _BOUNDARY_MARGIN)]
+    polished, converged = polish_zeros(chart, xi, seeds)
     residuals = field_norm(chart, xi, polished) if len(polished) else np.empty(0)
-    accepted = residuals < tol
-    polished, residuals = polished[accepted], residuals[accepted]
+    accepted = chart._inside(polished, _BOUNDARY_MARGIN) & (residuals < tol)
+    polished, residuals, converged = polished[accepted], residuals[accepted], converged[accepted]
     if not len(polished):
         return np.empty((0, chart.dim))
 
-    polished = polished[np.argsort(residuals, kind="stable")]
+    order = np.lexsort((residuals, ~converged))
+    polished, converged = polished[order], converged[order]
     distances = np.linalg.norm(polished[:, None, :] - polished[None, :, :], axis=-1)
     keep: list[int] = []
     for i, row in enumerate(distances):
-        if np.all(row[keep] > _DEDUPE_DISTANCE):
+        radius = np.where(converged[keep] & ~converged[i], ISOLATION_RADIUS, _DEDUPE_DISTANCE)
+        if np.all(row[keep] > radius):
             keep.append(i)
     kept = polished[keep]
     key = np.round(kept, 12) + 0.0  # + 0.0 folds -0.0 to 0.0
@@ -267,8 +272,9 @@ def find_zeros(
 class ZeroClassification:
     """First-order data and verdict at a zero of a conformal field.
 
-    ``metric`` is g at the zero, from the same jets as the tensors.  On a
-    surface ``verdict`` is ``None`` for a zero that no verdict covers.
+    ``metric`` is g at the zero, from the same jets as the tensors, and
+    ``normal_basis`` spans the g-orthogonal complement of ``kernel_basis``.
+    On a surface ``verdict`` is ``None`` for a zero that no verdict covers.
     """
 
     point: np.ndarray
@@ -281,6 +287,7 @@ class ZeroClassification:
     kernel_dim: int
     rank_dxi: int
     kernel_basis: np.ndarray
+    normal_basis: np.ndarray
     neighborhood_residual: float
 
 
@@ -312,8 +319,8 @@ def classify_zero(
     balls of all zeros drawn from ``rng`` in one stacked
     :func:`~confield.geometry.sample_ball` call and checked in one
     :func:`~confield.conformal.is_conformal` call, and a failure
-    short-circuits to the ``invalid_not_conformal`` verdict.  The kernel
-    bases are row slices of one stacked product of the SVD factors.
+    short-circuits to the ``invalid_not_conformal`` verdict.  Both bases
+    are row slices of one stacked product of the SVD factors.
 
     On a surface the image criterion does not apply.  A zero with
     |phi| < ``tol`` and a trivial kernel of d(xi^flat) is a simple zero
@@ -340,7 +347,7 @@ def classify_zero(
     neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)
 
     n = chart.dim
-    dxi_svd = frame_svd(fd.conn.g, fd.M, "skew_form")
+    dxi_svd = frame_svd(fd.conn.factor, fd.M, "skew_form")
     kernel_dim = n - dxi_svd.rank
     # in the frame nabla xi = A + phi I with A skew and ker A = ker M: it is
     # invertible for phi != 0, else its image is the complement of ker M
@@ -350,7 +357,7 @@ def classify_zero(
     image_residual = np.where(np.abs(fd.phi) >= tol, 0.0, np.linalg.norm(along, axis=1))
     b_scale = np.linalg.norm(b_frame, axis=1)
     # row a of frame_rows[i] is Vt[i, a] in chart coordinates; rows rank[i]
-    # and on span zero i's kernel
+    # and on span zero i's kernel, the rows before them its complement
     frame_rows = dxi_svd.Vt @ dxi_svd.Linv
 
     classes = []
@@ -374,6 +381,7 @@ def classify_zero(
             kernel_dim=int(kernel_dim[i]),
             rank_dxi=int(dxi_svd.rank[i]),
             kernel_basis=frame_rows[i, dxi_svd.rank[i]:],
+            normal_basis=frame_rows[i, :dxi_svd.rank[i]],
             neighborhood_residual=residual,
         ))
     return classes[0] if x.ndim == 1 else tuple(classes)

@@ -58,6 +58,7 @@ from .geometry import (
     complete_orthonormal_frame,
     field_data,
     matvec,
+    metric_factor,
     metric_jets,
     norm_2form,
     norm_or_nan,
@@ -129,7 +130,7 @@ def integrate_geodesic(
         raise ValueError(f"initial velocity must be finite and nonzero, got speed {speed}")
     v = v / speed
     if initial_frame is None:
-        frame = complete_orthonormal_frame(g, v)
+        frame = complete_orthonormal_frame(metric_factor(g), v)
     else:
         frame = np.array(initial_frame, dtype=float)
     h = length / steps
@@ -227,7 +228,7 @@ def taylor_checks(
     if not np.all(np.isfinite(speed) & (speed > 0)):
         raise ValueError(f"taylor_checks needs a finite nonzero direction, got speed {speed}")
     v = v / np.asarray(speed)[..., None]
-    frame0 = complete_orthonormal_frame(g, v)
+    frame0 = complete_orthonormal_frame(fd.conn.factor, v)
     # Gam_v[k, i] = Gamma^k_ij v^j and (d_v g)_ij = d_k g_ij v^k
     Gam_v = matvec(fd.conn.Gam.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
     dg_v = matvec(fd.conn.dg.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))

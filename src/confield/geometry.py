@@ -14,39 +14,33 @@ Index conventions used throughout (and relied on by the test oracles):
   Hessian with the derivative direction first; the 2-form matrix
   ``M[i, j] = (d xi^flat)(e_i, e_j) = d_i (g_jk xi^k) - d_j (g_ik xi^k)``;
   and ``phi = trace(N) / n`` and its differential ``dphi``.
-* The curvature convention is ``R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X
-  - nabla_[X, Y]``, under which round spheres have sectional curvature +1.
-  ``ConnectionData.riemann`` is ``R[i, j, k, l]`` with ``R(e_k, e_l) e_j =
-  R[i,j,k,l] e_i`` while ``ConnectionData.riemann_lowered`` uses the
-  argument-first layout ``Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)``, which
-  makes the classical pair symmetries read off the first and last index
-  pairs.
 
 Batches: every evaluation here (``metric_jets``, ``connection_data``,
-``field_jets``, ``field_data``, ``spd_inverse``, ``norm_vector``,
-``norm_2form``, ``field_norm`` and the curvature properties) takes one
-point or an (m, n) array of points, ``frame_svd`` one matrix or an
-(m, n, n) stack, and ``complete_orthonormal_frame`` and ``sample_ball``
-one vector or an (m, n) stack.  A batch adds a leading axis of length m to every array, with
-the index layout above after it; the jets of all m points come from one
-walk of each expression tree, and the frames of a stack from one SVD call.
-One point is evaluated as a batch of one, so its arrays have the bits of
-that batch's row.
-The order-2 tensors (d Gamma, the covariant Hessian, dphi, the curvature)
-are reshaped matrix products, one (n^a, n) @ (n, n^b) product per point
-over the batch, whose operands are made C-contiguous first: numpy picks a
-product's kernel from its operands' strides, and this way row i of a stack
-gets the kernel, and so the bits, of its batch of one.  The order-1
+``field_jets``, ``field_data``, ``metric_factor``, ``spd_inverse``,
+``norm_vector``, ``norm_2form`` and ``field_norm``) takes one point or an
+(m, n) array of points, ``frame_svd`` one matrix or an (m, n, n) stack,
+and ``complete_orthonormal_frame`` and ``sample_ball`` one vector or an
+(m, n) stack.  A batch adds a leading axis of length m to every array,
+with the index layout above after it; the jets of all m points come from
+one walk of each expression tree, and the frames of a stack from one SVD
+call.  One point is evaluated as a batch of one, so its arrays have the
+bits of that batch's row.
+The order-2 tensors (d Gamma, the covariant Hessian, dphi) are reshaped
+matrix products, one (n^a, n) @ (n, n^b) product per point over the batch,
+whose operands are made C-contiguous first: numpy picks a product's kernel
+from its operands' strides, and this way row i of a stack gets the kernel,
+and so the bits, of its batch of one.  The order-1
 contractions (Gamma, N, d(xi^flat)) keep the summation order of the einsums
 they were written with, whose rounding the reports carry.
 
-Metric inverses go through a Cholesky factorization; non-positive-definite
-or badly conditioned (above 1e12) metrics raise :class:`MetricError`, for a
-batch if any of its matrices is.
-
-Every g-orthonormal frame comes from :func:`frame_svd`: the kernel of nabla
-xi or of d(xi^flat), the completion of a direction to a frame, and the
-normal space of a zero set patch.
+Each metric is factored once, by :func:`metric_factor`, into g = L L^T
+and Linv = L^-1 (Golub & Van Loan, *Matrix Computations*, 4th ed., 4.2),
+which ``ConnectionData.factor`` keeps: g^-1 is Linv^T Linv, and the rows of
+Linv are the g-orthonormal frame u_a = L^{-T} e_a in which
+:func:`frame_svd` builds every frame (the kernels of nabla xi and
+d(xi^flat), their complements, the completion of a direction).  A metric
+that is not positive definite or is badly conditioned (above 1e12) raises
+:class:`MetricError` there, for a batch if any of its matrices does.
 """
 from __future__ import annotations
 
@@ -222,12 +216,12 @@ def metric_jets(chart: Chart, p, order: int):
     return g, dg, d2g
 
 
-def spd_inverse(g: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky.
+def metric_factor(g: np.ndarray) -> tuple:
+    """``(L, Linv)`` with g = L L^T and Linv = L^-1, for one matrix or a stack.
 
-    Takes one matrix or a stack of them.  Uses the Cholesky diagonal as a
-    cheap conditioning probe of every matrix and only falls back to an
-    eigenvalue check when a probe is suspicious.
+    The one factorization of a metric and its one SPD gate: the Cholesky
+    diagonal is a cheap conditioning probe of every matrix, and only a
+    suspicious probe falls back to an eigenvalue check.
     """
     try:
         L = np.linalg.cholesky(g)
@@ -239,14 +233,20 @@ def spd_inverse(g: np.ndarray) -> np.ndarray:
         w = np.linalg.eigvalsh(g)
         if np.any(w[..., 0] <= 0) or np.any(w[..., -1] / w[..., 0] > CONDITION_LIMIT):
             raise MetricError(f"metric conditioning exceeds {CONDITION_LIMIT:g}")
-    return np.linalg.inv(g)
+    return L, np.linalg.inv(L)
+
+
+def spd_inverse(g: np.ndarray) -> np.ndarray:
+    """g^-1 = Linv^T Linv from :func:`metric_factor`, for one matrix or a stack."""
+    Linv = metric_factor(g)[1]
+    return Linv.swapaxes(-1, -2) @ Linv
 
 
 def metric_value(chart: Chart, p) -> np.ndarray:
     """Metric matrix at an interior point, validated SPD."""
     chart.require_interior(p)
     g, _, _ = metric_jets(chart, p, 0)
-    spd_inverse(g)  # positivity / conditioning check
+    spd_inverse(g)  # metric_factor's gate, counted by bench/'s tracer
     return g
 
 
@@ -282,43 +282,20 @@ def _axes(a: np.ndarray, *order: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConnectionData:
-    """Metric jets and the connection at one point, to jet order 1 or 2.
+    """Metric jets, the metric factor and the connection, to jet order 1 or 2.
 
-    At order 1, ``d2g`` and ``dGam`` are ``None`` and there is no curvature.
-    Built from an (m, n) array of points, every array (and the curvature)
-    has a leading axis of length m.
+    ``factor`` is :func:`metric_factor` of ``g``.  At order 1, ``d2g`` and
+    ``dGam`` are ``None``.  Built from an (m, n) array of points, every
+    array has a leading axis of length m.
     """
 
     g: np.ndarray
+    factor: tuple
     ginv: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray | None
     Gam: np.ndarray      # Gam[k, i, j] = Gamma^k_ij
     dGam: np.ndarray | None  # dGam[k, i, j, m] = d_m Gamma^k_ij
-
-    @property
-    def riemann(self) -> np.ndarray:
-        """R[i, j, k, l] with R(e_k, e_l) e_j = R[i, j, k, l] e_i."""
-        if self.dGam is None:
-            raise ValueError("curvature needs connection data of order 2")
-        Gam, dGam = self.Gam, self.dGam
-        n, batch = Gam.shape[-1], Gam.shape[:-3]
-        # Q[i, k, l, j] = Gamma^i_{km} Gamma^m_{lj}
-        Q = _stacked(Gam, batch, n * n, n) @ _stacked(Gam, batch, n, n * n)
-        Q = np.moveaxis(Q.reshape(batch + (n,) * 4), -1, -3)  # Q[i, j, k, l]
-        # d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
-        #                                    - Gamma^i_{lm} Gamma^m_{kj}
-        R = np.moveaxis(dGam, -3, -1) - dGam.swapaxes(-3, -2)
-        R += Q - Q.swapaxes(-1, -2)
-        return R
-
-    @property
-    def riemann_lowered(self) -> np.ndarray:
-        """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d)."""
-        n, batch = self.g.shape[-1], self.g.shape[:-2]
-        # R(e_a, e_b) e_c = R[m, c, a, b] e_m, so g_dm R[m, c, a, b] is Rl[a, b, c, d]
-        Rl = _stacked(self.g, batch, n, n) @ _stacked(self.riemann, batch, n, n ** 3)
-        return np.moveaxis(Rl.reshape(batch + (n,) * 4), (-4, -3), (-1, -2))
 
 
 def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
@@ -329,7 +306,8 @@ def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
     ``np.moveaxis(dGam, -1, -3)`` is contiguous per point.
     """
     g, dg, d2g = metric_jets(chart, p, order)
-    ginv = spd_inverse(g)
+    L, Linv = metric_factor(g)
+    ginv = Linv.swapaxes(-1, -2) @ Linv
     # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     T = dg.swapaxes(-3, -1).swapaxes(-2, -1) + dg.swapaxes(-1, -2) - dg
     Gam = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, T)
@@ -347,7 +325,7 @@ def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
         V = 0.5 * _stacked(lowered, batch, n * n, n * n) - dg_Gam
         dGam = _stacked(ginv, batch, n, n) @ V.reshape(batch + (n, n ** 3))
         dGam = np.moveaxis(dGam.reshape(batch + (n,) * 4), -3, -1)
-    return ConnectionData(g, ginv, dg, d2g, Gam, dGam)
+    return ConnectionData(g, (L, Linv), ginv, dg, d2g, Gam, dGam)
 
 
 def christoffel_matrix(chart: Chart, p) -> np.ndarray:
@@ -523,18 +501,19 @@ class FrameSVD:
         return frame_x @ Linv
 
 
-def frame_svd(g: np.ndarray, tensor: np.ndarray, kind: str) -> FrameSVD:
+def frame_svd(factor: tuple, tensor: np.ndarray, kind: str) -> FrameSVD:
     """SVD of an ``"endomorphism"`` or a ``"skew_form"`` in a g-orthonormal frame.
 
-    ``g`` and ``tensor`` are one (n, n) matrix each, or (m, n, n) stacks; a
-    stack costs one Cholesky, one inverse, one matmul chain and one SVD
-    call, and row i of the result equals the call on row i.  A skew form is
-    skew-symmetrized after the change of frame, so its singular values come
-    in honest pairs.  This is the one place that builds g-orthonormal
-    frames: every other frame is the ``kernel`` of some tensor here.
+    ``factor`` is g's :func:`metric_factor` pair, as ``ConnectionData.factor``
+    holds it, so no metric is factored here.  ``tensor`` is one (n, n)
+    matrix or, with a stacked factor, an (m, n, n) stack, which costs one
+    matmul chain and one SVD call; row i of the result equals the call on
+    row i.  A skew form is skew-symmetrized after the change of frame, so
+    its singular values come in honest pairs.  This is the one place that
+    builds g-orthonormal frames: every other frame is the ``kernel`` of
+    some tensor here.
     """
-    L = np.linalg.cholesky(0.5 * (g + g.swapaxes(-1, -2)))
-    Linv = np.linalg.inv(L)
+    L, Linv = factor
     if kind == "endomorphism":
         A = L.swapaxes(-1, -2) @ tensor @ Linv.swapaxes(-1, -2)
     elif kind == "skew_form":
@@ -546,24 +525,25 @@ def frame_svd(g: np.ndarray, tensor: np.ndarray, kind: str) -> FrameSVD:
     return FrameSVD(L, Linv, U, sigma, Vt, _numerical_rank(sigma))
 
 
-def complete_orthonormal_frame(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+def complete_orthonormal_frame(factor: tuple, v: np.ndarray) -> np.ndarray:
     """g-orthonormal frame (rows) whose first vector is v normalized.
 
     The other rows are the kernel of w -> g(u, w) u for u = v / |v|_g, i.e.
-    a g-orthonormal basis of the complement of v.  ``g`` and ``v`` are one
-    matrix and vector, or an (m, n, n) stack and (m, n) vectors, giving an
-    (m, n, n) stack of frames whose row i is the one-vector call on row i,
+    a g-orthonormal basis of the complement of v.  ``factor``, g's
+    :func:`metric_factor` pair, and ``v`` are one of each, or stacks of m
+    giving an (m, n, n) stack of frames whose row i is the call on row i,
     bit for bit.  A zero or non-finite v raises :class:`MetricError`.
     """
+    L = factor[0]
     v = np.asarray(v, dtype=float)
-    length = norm_or_nan(g, v)
+    # |v|_g = |L^T v| and g u = L L^T u; a non-finite v enters no product
+    Lt_v = matvec(L.swapaxes(-1, -2), v) if np.isfinite(v).all() else v + math.nan
+    length = np.linalg.norm(Lt_v, axis=-1)[..., None]
     if not np.all(np.isfinite(length) & (length > 0)):
         raise MetricError(f"cannot complete a frame from the vector {v.tolist()}")
-    u = v / np.asarray(length)[..., None]
-    gu = matvec(_stacked(g, v.shape[:-1], *g.shape[-2:]), u)
-    rest = frame_svd(g, u[..., :, None] * gu[..., None, :], "endomorphism").kernel
-    if rest.shape[-2] != g.shape[-1] - 1:
-        raise MetricError("failed to complete an orthonormal frame")
+    u = v / length
+    gu = matvec(L, Lt_v / length)
+    rest = frame_svd(factor, u[..., :, None] * gu[..., None, :], "endomorphism").kernel
     return np.concatenate([u[..., None, :], rest], axis=-2)
 
 

@@ -4,7 +4,7 @@ Near a zero x where a conformal field is Killing for some rescaled metric,
 the zero set is a submanifold tangent at x to the kernel of the derivative
 2-form; on a surface such a zero is isolated.  ``trace_component`` takes
 the ``classify_zero`` result at x, which carries that verdict, the kernel
-and the metric, and builds a patch of the zero set as a graph over the
+and its complement, and builds a patch of the zero set as a graph over the
 tangent space: a parameter t, a coordinate in the g-orthonormal kernel
 frame at x, is moved from x + t.kernel onto xi = 0 along the normal space
 by Gauss-Newton steps, the corrector step of Allgower & Georg, *Numerical
@@ -119,11 +119,11 @@ def trace_component(
 
     ``zero`` is the :func:`~confield.essential.classify_zero` result at
     the zero x; tracing needs its verdict to be Killing after rescaling
-    and reads x, g and the kernel of the derivative 2-form from it.  The
-    parameter t is a coordinate in the g-orthonormal frame of that kernel;
-    the grid has side ``2 radius``.  The point for t is the predictor
-    x + t.kernel corrected onto xi = 0 along the normal space at x (the
-    rows g-orthogonal to the kernel) by :func:`polish_zeros`, so the patch
+    and reads x and the g-orthonormal bases of the kernel of the derivative
+    2-form and of its complement from it.  The parameter t is a coordinate
+    in the frame of that kernel; the grid has side ``2 radius``.  The point
+    for t is the predictor x + t.kernel corrected onto xi = 0 along the
+    normal space at x (the complement) by :func:`polish_zeros`, so the patch
     is the zero set as a graph over its tangent space at x and, by the
     implicit function theorem, smooth in t.  ``mapping`` takes one t or an
     (m, k) array of them; the grid is one call.  A predictor outside the
@@ -141,13 +141,10 @@ def trace_component(
             "zero set tracing requires a zero that is Killing for a "
             f"rescaled metric, got verdict {zero.verdict!r}"
         )
-    x, kernel, g = zero.point, zero.kernel_basis, zero.metric
+    x, kernel, normals = zero.point, zero.kernel_basis, zero.normal_basis
 
     k = kernel.shape[0]
     n = chart.dim
-    # g-orthonormal rows spanning the normal space at x: the kernel of the
-    # g-orthogonal projector kernel.T @ kernel @ g onto the tangent space.
-    normals = frame_svd(g, kernel.T @ kernel @ g, "endomorphism").kernel
 
     def mapping(t):
         t = np.asarray(t, dtype=float)
@@ -156,7 +153,8 @@ def trace_component(
         if not np.all(inside):
             bad = t if t.ndim == 1 else t[np.argmin(inside)]
             raise PatchError(f"the predictor x + t.kernel leaves the chart at t = {bad}")
-        corrected = polish_zeros(chart, xi, predicted.reshape(-1, n), normals)
+        # lanes cut off by the iteration cap are left to the verification
+        corrected, _ = polish_zeros(chart, xi, predicted.reshape(-1, n), normals)
         return corrected.reshape(predicted.shape)
 
     param_axes = tuple(np.linspace(-radius, radius, grid) for _ in range(k))
@@ -224,7 +222,7 @@ def second_fundamental_form(
         raise PatchError("a point patch has no second fundamental form")
     points = np.asarray(points, dtype=float)
     fd = field_data(chart, xi, points, 2)
-    nabla_svd = frame_svd(fd.conn.g, fd.N, "endomorphism")
+    nabla_svd = frame_svd(fd.conn.factor, fd.N, "endomorphism")
     wrong = np.flatnonzero(nabla_svd.rank != chart.dim - k)
     if wrong.size:
         i = wrong[0]

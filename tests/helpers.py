@@ -58,7 +58,9 @@ from confield.expr import (
     _jneg,
     _pow_coeffs,
     _reciprocal_coeffs,
+    parse,
 )
+from confield.geometry import Chart
 
 
 def _leaf(value, n, order, index=None):
@@ -133,6 +135,21 @@ def reference_jets(exprs, point, order: int = 0) -> list:
 
 
 
+# A metric that is not a multiple of the identity, nor diagonal: on the
+# catalog charts, which are isothermal, xi^k d_k g_ij is pure trace and drops
+# out of the conformal residual, and the Cholesky factor is diagonal, so that
+# Linv^T Linv and Linv Linv^T agree; only a chart like this one tells them
+# apart.
+SHEARED = Chart(
+    dim=3, lower=-np.ones(3), upper=np.ones(3), name="sheared",
+    metric=tuple(tuple(parse(e, 3) for e in row) for row in (
+        ("1 + x2^2", "0.3*x1*x3", "0.1*x2"),
+        ("0.3*x1*x3", "2 + sin(x1)", "0.2*x3"),
+        ("0.1*x2", "0.2*x3", "1.5 + x1*x2/2"),
+    )),
+)
+
+
 # -- the einsum reference of the order-2 tensor algebra -----------------------
 
 
@@ -159,7 +176,14 @@ def reference_connection_data(chart, p, order: int = 2) -> dict:
 
 
 def reference_riemann(Gam, dGam):
-    """R[i, j, k, l] with R(e_k, e_l) e_j = R[i, j, k, l] e_i, by einsum."""
+    """R[i, j, k, l] with R(e_k, e_l) e_j = R[i, j, k, l] e_i, by einsum.
+
+    The convention is R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
+    nabla_[X, Y], under which round spheres have sectional curvature +1;
+    it is the one ``geodesic.dxi_identity_residual`` contracts without
+    forming this tensor.  ``Gam`` and ``dGam`` are laid out as in
+    ``ConnectionData``.
+    """
     # d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
     #                                    - Gamma^i_{lm} Gamma^m_{kj}
     R = np.einsum("...iljk->...ijkl", dGam) - np.einsum("...ikjl->...ijkl", dGam)
@@ -169,7 +193,11 @@ def reference_riemann(Gam, dGam):
 
 
 def reference_riemann_lowered(g, R):
-    """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d), by einsum."""
+    """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d), by einsum.
+
+    The argument-first layout makes the classical pair symmetries read off
+    the first and last index pairs.
+    """
     return np.einsum("...dm,...mcab->...abcd", g, R)
 
 
@@ -384,7 +412,7 @@ def pointwise_second_fundamental_form(chart, xi, p, k):
     from confield.geometry import field_data, frame_svd
 
     fd = field_data(chart, xi, np.asarray(p, dtype=float), 2)
-    nabla_svd = frame_svd(fd.conn.g, fd.N, "endomorphism")
+    nabla_svd = frame_svd(fd.conn.factor, fd.N, "endomorphism")
     frame = nabla_svd.kernel
     assert frame.shape[0] == k
     B = -nabla_svd.solve(np.einsum("ijk,aj,bk->abi", fd.H, frame, frame))
@@ -560,7 +588,7 @@ def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
     """``(f', f'', a', a'')`` at t = 0 along the unit-speed geodesic c from x
     in direction v, for f(t) = g(xi, c'(t)) and the components a(t) of xi
     (lowered) in the parallel frame that starts at
-    ``complete_orthonormal_frame(g, v)``.
+    ``complete_orthonormal_frame(metric_factor(g), v)``.
 
     The states at t = +-h and +-h/2 come from two RK4 runs of ``steps``
     steps, to h and to -h; the derivatives are Richardson limits of central
@@ -570,13 +598,13 @@ def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
     """
     from confield.geodesic import integrate_geodesic
     from confield.geometry import (complete_orthonormal_frame, field_value,
-                                   metric_value, norm_vector)
+                                   metric_factor, metric_value, norm_vector)
 
     x = np.asarray(x, dtype=float)
     g = metric_value(chart, x)
     v = np.asarray(v, dtype=float)
     v = v / norm_vector(g, v)
-    frame0 = complete_orthonormal_frame(g, v)
+    frame0 = complete_orthonormal_frame(metric_factor(g), v)
     f, a = {}, {}
     for sign in (1.0, -1.0):
         states = integrate_geodesic(chart, x, sign * v, h, steps, initial_frame=frame0)

@@ -11,8 +11,10 @@ import pytest
 import confield.cli as cli
 import confield.essential as essential
 import confield.geodesic as geodesic
+import confield.models as models
 from confield.cli import SETTINGS, main, render_report
-from helpers import counting_steps, reference_render_report, workload_reports
+from helpers import (counting_steps, mobius_conjugate, mobius_field, mobius_matrix,
+                     mobius_parts, reference_render_report, workload_reports)
 
 
 def _write_manifest(tmp_path, payload, name="manifest.json"):
@@ -284,6 +286,18 @@ DEEP_COMPONENTS = ["(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)]
             ({"trace_max_patches": 1}, "trace_max_patches"),
             ({"isolation_radius": 0.1}, "isolation_radius"),
             ({"trace_radius": 0.02}, "trace_radius"),
+        ]],
+        # a misspelled key of the chart or field object is named, not ignored
+        *[({**ZEROS_MANIFEST, **bad}, needle) for bad, needle in [
+            ({"field": {"name": "rotation", "parms": {"axis_i": 2, "axis_j": 3}}},
+             "unknown field key 'parms'"),
+            ({"field": {"components": ["x2", "-x1", "0"], "param": {}}},
+             "unknown field key 'param'"),
+            ({"chart": {"name": "euclidean", "dim": 3, "dims": 4}},
+             "unknown chart key 'dims'"),
+            ({"chart": {"metric": [["1", "0"], ["0", "1"]], "lower": [-1, -1],
+                        "upper": [1, 1], "lowr": [0, 0]}, "field": {"components": ["x2", "-x1"]}},
+             "unknown chart key 'lowr'"),
         ]],
     ],
 )
@@ -587,6 +601,33 @@ def test_classify_on_small_dimension_reports_error(tmp_path):
     entry = report["analyses"]["classify"]
     assert entry["passed"] is False
     assert "ClassificationDimensionError" in entry["error"]
+
+
+def test_parabolic_conjugate_classifies_with_one_essential_zero(tmp_path):
+    """A parabolic Moebius conjugate whose degenerate essential zero a capped
+    Gauss-Newton lane passes 5.3e-6 away runs through zeros and classify
+    with exit code 0: one essential zero there, and the isolation audit
+    passes."""
+    n = 3
+    B = np.zeros((n, n))
+    B[0, 1], B[1, 0] = -1.0, 1.0
+    X0 = mobius_matrix(np.zeros(n), B, 0.0, -np.eye(n)[2])
+    t = np.array([1.2701583752945718, 0.31064512335097083, 1.0704427824607894])
+    s = np.array([-0.5978285460887974, 0.06375890786355681, 0.21791297332820236])
+    chart = models.make_chart("sphere_stereographic", n)
+    xi, _ = mobius_field(chart, *mobius_parts(mobius_conjugate(X0, t, s)[0]))
+    manifest = {
+        "chart": {"name": "sphere_stereographic", "dim": n},
+        "field": {"components": [str(c) for c in xi.components]},
+        "analyses": ["zeros", "classify"],
+    }
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0
+    classify = report["analyses"]["classify"]
+    assert classify["passed"] and classify["audit"]["passed"]
+    points = np.array([entry["point"] for entry in classify["entries"]])
+    near = np.linalg.norm(points - t, axis=1) < essential.ISOLATION_RADIUS
+    assert [e["verdict"] for e, k in zip(classify["entries"], near) if k] == ["essential"]
 
 
 def test_inline_chart_round_trip(tmp_path):

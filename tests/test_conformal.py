@@ -19,7 +19,7 @@ from confield.geometry import (
     metric_value,
     sample_interior,
 )
-from helpers import (connection_change_residual, fd_gradient, fd_lie_derivative,
+from helpers import (SHEARED, connection_change_residual, fd_gradient, fd_lie_derivative,
                      reference_conformal_residual)
 
 FLAT2 = models.euclidean(2)
@@ -54,17 +54,6 @@ def _non_conformal(chart):
     return FieldSpec(chart, tuple(parse(c, chart.dim) for c in comps), name="non_conformal")
 
 
-# A metric that is not a multiple of the identity: on the catalog charts,
-# which are isothermal, xi^k d_k g_ij is pure trace and drops out of the
-# residual, so only a chart like this one tests that term.
-SHEARED = Chart(
-    dim=3, lower=-np.ones(3), upper=np.ones(3), name="sheared",
-    metric=tuple(tuple(parse(e, 3) for e in row) for row in (
-        ("1 + x2^2", "0.3*x1*x3", "0.1*x2"),
-        ("0.3*x1*x3", "2 + sin(x1)", "0.2*x3"),
-        ("0.1*x2", "0.2*x3", "1.5 + x1*x2/2"),
-    )),
-)
 RESIDUAL_CASES = models.standard_pairs(3) + models.standard_pairs(4) + [
     (chart, _non_conformal(chart))
     for chart in (builder(n) for n in (3, 4) for builder in

@@ -19,6 +19,7 @@ from confield.geometry import (
     FieldSpec,
     christoffel_matrix,
     complete_orthonormal_frame,
+    metric_factor,
     metric_value,
     norm_vector,
     sample_interior,
@@ -328,7 +329,7 @@ def _per_point_rk4(chart, x, v, length, steps):
     box: (t, position, velocity, frame) per step."""
     g = metric_value(chart, x)
     v = v / norm_vector(g, v)
-    frame = complete_orthonormal_frame(g, v)
+    frame = complete_orthonormal_frame(metric_factor(g), v)
 
     def rhs(x, v, frame):
         Gam = christoffel_matrix(chart, x)

@@ -23,6 +23,7 @@ from confield.geometry import (
     field_jets,
     field_norm,
     frame_svd,
+    metric_factor,
     metric_jets,
     metric_value,
     norm_2form,
@@ -32,6 +33,7 @@ from confield.geometry import (
     spd_inverse,
 )
 from helpers import (
+    SHEARED,
     fd_lie_derivative,
     fd_partial,
     fd_partial2,
@@ -155,7 +157,7 @@ def test_christoffel_symmetric_and_flat_zero():
 def _bundle(fd):
     """Every field of a FieldData and its ConnectionData, by name."""
     c = fd.conn
-    return {"g": c.g, "ginv": c.ginv, "Gam": c.Gam, "dGam": c.dGam, "R": c.riemann,
+    return {"g": c.g, "ginv": c.ginv, "Gam": c.Gam, "dGam": c.dGam,
             "N": fd.N, "M": fd.M, "phi": np.asarray(fd.phi), "H": fd.H,
             "dphi": fd.dphi}
 
@@ -199,26 +201,25 @@ STACKS = (None, 1, 7, 50)
 
 
 def _order2_arrays(fd):
-    """The arrays of an order-2 FieldData that the stacked kernels give."""
+    """The arrays of an order-2 FieldData that the stacked kernels give,
+    with the metric factor."""
     c = fd.conn
-    return {"g": c.g, "ginv": c.ginv, "dg": c.dg, "d2g": c.d2g, "Gam": c.Gam,
-            "dGam": c.dGam, "R": c.riemann, "Rl": c.riemann_lowered, "N": fd.N,
-            "M": fd.M, "phi": np.asarray(fd.phi), "H": fd.H, "dphi": fd.dphi}
+    return {"g": c.g, "L": c.factor[0], "Linv": c.factor[1], "ginv": c.ginv, "dg": c.dg,
+            "d2g": c.d2g, "Gam": c.Gam, "dGam": c.dGam, "N": fd.N, "M": fd.M,
+            "phi": np.asarray(fd.phi), "H": fd.H, "dphi": fd.dphi}
 
 
 def _reference_arrays(ref):
     c = ref["conn"]
-    R = reference_riemann(c["Gam"], c["dGam"])
     return {"g": c["g"], "ginv": c["ginv"], "dg": c["dg"], "d2g": c["d2g"],
-            "Gam": c["Gam"], "dGam": c["dGam"], "R": R,
-            "Rl": reference_riemann_lowered(c["g"], R), "N": ref["N"], "M": ref["M"],
+            "Gam": c["Gam"], "dGam": c["dGam"], "N": ref["N"], "M": ref["M"],
             "phi": np.asarray(ref["phi"]), "H": ref["H"], "dphi": ref["dphi"]}
 
 
 @pytest.mark.parametrize("chart,xi", REFERENCE_PAIRS,
                          ids=lambda case: getattr(case, "name", None))
 def test_order2_kernels_match_the_einsum_reference(chart, xi):
-    """connection_data, field_data and the curvature agree with their einsum
+    """connection_data and field_data agree with their einsum
     reference to 1e-13 of the largest reference entry, at one point and on
     stacks.  phi and dphi of a Killing field are rounding noise, so every
     array is measured on the scale of all of them."""
@@ -236,10 +237,10 @@ def test_order2_kernels_match_the_einsum_reference(chart, xi):
 @pytest.mark.parametrize("chart,xi", REFERENCE_PAIRS,
                          ids=lambda case: getattr(case, "name", None))
 def test_stack_rows_are_the_batch_of_one_bit_for_bit(chart, xi):
-    """Row i of every order-2 array over a stack of 7 or 50 points, and the
-    array of the 1-d call at point i, are the array of the batch of one
-    holding point i, bit for bit; so are the conformal and the d(xi^flat)
-    identity residuals."""
+    """Row i of every order-2 array and of the metric factor L, Linv over a
+    stack of 7 or 50 points, and the array of the 1-d call at point i, are
+    the array of the batch of one holding point i, bit for bit; so are the
+    conformal and the d(xi^flat) identity residuals."""
     rng = np.random.default_rng([chart.dim, len(xi.name)])
     points = sample_interior(chart, 50, rng)
     directions = rng.normal(size=points.shape)
@@ -292,8 +293,6 @@ def test_field_data_orders_agree_bitwise():
             assert one.H is None and one.dphi is None
             assert np.array_equal(christoffel_matrix(chart, p),
                                   connection_data(chart, p, 2).Gam)
-    with pytest.raises(ValueError):
-        connection_data(FLAT3, np.zeros(3), 1).riemann
 
 
 def test_metric_compatibility():
@@ -304,13 +303,19 @@ def test_metric_compatibility():
     assert np.abs(dg - rhs).max() < 1e-13
 
 
+def _riemann_lowered(chart, p):
+    """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d) from the connection at p."""
+    c = connection_data(chart, p)
+    return reference_riemann_lowered(c.g, reference_riemann(c.Gam, c.dGam))
+
+
 @pytest.mark.parametrize(
     "chart,expected", [(SPHERE, 1.0), (HYPER, -1.0), (FLAT3, 0.0)]
 )
 def test_sectional_curvature_of_space_forms(chart, expected):
     for raw in SPHERE_PTS:
         p = raw * (0.4 if chart is HYPER else 1.0)
-        Rl = connection_data(chart, p).riemann_lowered
+        Rl = _riemann_lowered(chart, p)
         g = metric_value(chart, p)
         for a, b in [(0, 1), (0, 2), (1, 2)]:
             denom = g[a, a] * g[b, b] - g[a, b] ** 2
@@ -331,7 +336,7 @@ def test_curvature_tensor_symmetries_on_random_metric():
         name="bumpy",
     )
     p = np.array([0.3, -0.2, 0.4])
-    Rl = connection_data(chart, p).riemann_lowered
+    Rl = _riemann_lowered(chart, p)
     assert np.abs(Rl + Rl.transpose(1, 0, 2, 3)).max() < 1e-12
     assert np.abs(Rl + Rl.transpose(0, 1, 3, 2)).max() < 1e-12
     assert np.abs(Rl - Rl.transpose(2, 3, 0, 1)).max() < 1e-12
@@ -453,7 +458,8 @@ def test_covariant_hessian_of_killing_fields_is_curvature():
     ]
     for chart, xi, p in cases:
         H = field_data(chart, xi, p).H
-        R = connection_data(chart, p).riemann
+        c = connection_data(chart, p)
+        R = reference_riemann(c.Gam, c.dGam)
         # R(e_j, xi) e_k = R[i, k, j, l] xi^l e_i
         curv = np.einsum("ikjl,l->ijk", R, field_jets(xi, p, 0)[0])
         assert np.abs(H).max() > 0.1
@@ -517,7 +523,7 @@ def test_frame_svd_kernel_is_g_orthonormal_and_annihilated(n):
         N = _tensor_of_rank(rng, n, n - k, "endomorphism")
         M = _tensor_of_rank(rng, n, skew_rank, "skew_form")
         for tensor, kind, dim in ((N, "endomorphism", k), (M, "skew_form", n - skew_rank)):
-            kernel = frame_svd(g, tensor, kind).kernel
+            kernel = frame_svd(metric_factor(g), tensor, kind).kernel
             assert kernel.shape == (dim, n)
             assert np.abs(kernel @ g @ kernel.T - np.eye(dim)).max() < 1e-12
             assert np.abs(kernel @ tensor.T).max() < 1e-10 * (1 + np.abs(tensor).max())
@@ -533,8 +539,8 @@ def _bits(a):
 def test_stacked_frame_svd_rows_are_the_one_matrix_calls(n, kind):
     """Ranks 0, 2 and full in one stack: row i of every stacked array, and
     rows rank[i] on of row i of the stacked Vt @ Linv (the kernel, as
-    classify_zero slices it), are those of frame_svd(g[i], T[i], kind),
-    bit for bit, which has an int rank.  The cut is per row, so a
+    classify_zero slices it), are those of the call on the factor of g[i]
+    and on T[i], bit for bit, which has an int rank.  The cut is per row, so a
     full-rank row scaled by 1e-8 keeps its rank."""
     rng = np.random.default_rng([n, len(kind)])
     full = n if kind == "endomorphism" else 2 * (n // 2)
@@ -542,11 +548,11 @@ def test_stacked_frame_svd_rows_are_the_one_matrix_calls(n, kind):
     g = np.stack([_random_spd(rng, n) for _ in ranks])
     T = np.stack([_tensor_of_rank(rng, n, r, kind) for r in ranks])
     T[4] *= 1e-8
-    svd = frame_svd(g, T, kind)
+    svd = frame_svd(metric_factor(g), T, kind)
     assert svd.rank.tolist() == ranks
     frame_rows = svd.Vt @ svd.Linv
     for i in range(len(ranks)):
-        one = frame_svd(g[i], T[i], kind)
+        one = frame_svd(metric_factor(g[i]), T[i], kind)
         assert type(one.rank) is int and one.rank == ranks[i]
         for name in ("L", "Linv", "U", "sigma", "Vt"):
             assert _bits(getattr(svd, name)[i]) == _bits(getattr(one, name)), (i, name)
@@ -561,19 +567,46 @@ def test_stacked_kernel_and_solve_need_one_rank():
     g = np.stack([_random_spd(rng, n) for _ in range(6)])
     N = np.stack([_tensor_of_rank(rng, n, n - k, "endomorphism") for _ in range(6)])
     rhs = rng.normal(size=(6, k, k, n))
-    svd = frame_svd(g, N, "endomorphism")
+    svd = frame_svd(metric_factor(g), N, "endomorphism")
     kernel, x = svd.kernel, svd.solve(rhs)
     assert kernel.shape == (6, k, n) and x.shape == rhs.shape
     for i in range(6):
-        one = frame_svd(g[i], N[i], "endomorphism")
+        one = frame_svd(metric_factor(g[i]), N[i], "endomorphism")
         assert _bits(kernel[i]) == _bits(one.kernel)
         assert _bits(x[i]) == _bits(one.solve(rhs[i]))
     N[3] = _tensor_of_rank(rng, n, n, "endomorphism")
-    mixed = frame_svd(g, N, "endomorphism")
+    mixed = frame_svd(metric_factor(g), N, "endomorphism")
     with pytest.raises(ValueError, match="ranks"):
         mixed.kernel
     with pytest.raises(ValueError, match="ranks"):
         mixed.solve(rhs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_factor_inverts_and_frames_metrics_that_are_not_diagonal(n):
+    """On random SPD metrics, and on the sheared chart, whose Cholesky
+    factors are not diagonal: g^-1 from the factor (spd_inverse and
+    connection_data's ginv) inverts g to 1e-13, and the frames built on
+    the factor are g-orthonormal.  A diagonal factor cannot tell Linv^T
+    Linv from Linv Linv^T; these metrics can."""
+    rng = np.random.default_rng(300 + n)
+    g = np.stack([_random_spd(rng, n) for _ in range(10)])
+    checks = [(g, metric_factor(g), spd_inverse(g))]
+    if n == 3:
+        c = connection_data(SHEARED, sample_interior(SHEARED, 10, rng), 1)
+        checks.append((c.g, c.factor, c.ginv))
+    for g, factor, ginv in checks:
+        L = factor[0]
+        assert np.abs(np.tril(L, -1)).max() > 1e-3
+        assert np.abs(ginv @ g - np.eye(n)).max() < 1e-13
+        v = rng.normal(size=(len(g), n))
+        frames = complete_orthonormal_frame(factor, v)
+        gram = frames @ g @ frames.swapaxes(-1, -2)
+        assert np.abs(gram - np.eye(n)).max() < 1e-12
+        T = rng.normal(size=(len(g), n, n))
+        T[:, :, 0] = 0.0  # a kernel of dimension 1 in every row
+        kernel = frame_svd(factor, T, "endomorphism").kernel
+        assert np.abs(kernel @ g @ kernel.swapaxes(-1, -2) - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -582,7 +615,7 @@ def test_complete_orthonormal_frame_random_spd(n):
     for scale in (1e-9, 1.0, 1e9):
         g = _random_spd(rng, n)
         v = scale * rng.normal(size=n)
-        frame = complete_orthonormal_frame(g, v)
+        frame = complete_orthonormal_frame(metric_factor(g), v)
         assert frame.shape == (n, n)
         assert np.abs(frame @ g @ frame.T - np.eye(n)).max() < 1e-12
         assert np.abs(frame[0] - v / norm_vector(g, v)).max() < 1e-14 * (1 + np.abs(frame[0]).max())
@@ -599,17 +632,18 @@ def test_stacked_frames_are_the_one_vector_calls(n):
     g = connection_data(chart, sample_interior(chart, 7, rng), 1).g
     g = np.concatenate([g, np.stack([_random_spd(rng, n) for _ in range(7)])])
     v = rng.normal(size=(14, n))
-    frames = complete_orthonormal_frame(g, v)
+    frames = complete_orthonormal_frame(metric_factor(g), v)
     assert frames.shape == (14, n, n)
     for i in range(14):
-        assert _bits(frames[i]) == _bits(complete_orthonormal_frame(g[i], v[i])), i
+        one = complete_orthonormal_frame(metric_factor(g[i]), v[i])
+        assert _bits(frames[i]) == _bits(one), i
 
 
 def test_complete_orthonormal_frame_starts_along_v():
     p = np.array([-0.4, 0.2, 0.6])
     g = metric_value(HYPER, p * 0.5)
     v = np.array([0.3, -0.2, 0.9])
-    frame = complete_orthonormal_frame(g, v)
+    frame = complete_orthonormal_frame(metric_factor(g), v)
     assert frame.shape == (3, 3)
     assert np.abs(frame @ g @ frame.T - np.eye(3)).max() < 1e-12
     cross = np.cross(frame[0], v)
@@ -620,7 +654,7 @@ def test_complete_orthonormal_frame_starts_along_v():
                          ids=["zero", "nan", "inf"])
 def test_complete_orthonormal_frame_refuses_zero_and_non_finite(v):
     with pytest.raises(MetricError):
-        complete_orthonormal_frame(np.eye(3), np.asarray(v))
+        complete_orthonormal_frame(metric_factor(np.eye(3)), np.asarray(v))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "confield"
@@ -639,6 +673,21 @@ def test_modules_share_one_frame_helper_and_no_private_names():
         if path.name != "geometry.py":
             assert "np.linalg.svd" not in text, path.name
     assert (SRC / "geometry.py").read_text().count("np.linalg.svd") == 1
+
+
+def test_metric_factor_is_the_one_factorization():
+    """np.linalg.cholesky and np.linalg.inv are each called once in the
+    package, both inside geometry.metric_factor: frame_svd, spd_inverse and
+    connection_data read its factor instead of factoring g again."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [(ast.unparse(node.func), path.name, fn.name)
+                            for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and ast.unparse(node.func) in ("np.linalg.cholesky", "np.linalg.inv")]
+    assert sorted(callers) == [("np.linalg.cholesky", "geometry.py", "metric_factor"),
+                               ("np.linalg.inv", "geometry.py", "metric_factor")]
 
 
 def test_sample_interior_respects_margin():

@@ -169,24 +169,19 @@ def test_predictor_outside_the_chart_is_a_skip_not_a_failure():
 
 
 def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
-    """The corrector's normals are g-orthonormal and g-orthogonal to
-    tangent_basis.  Under g = e^{2f} flat with e^{2f} != 1 at the base
-    (so Euclidean-orthonormal rows would fail), every sample of the
-    unit-circle zero set lies on x + t.kernel plus a g-normal displacement."""
+    """The corrector's normals, the classification's normal_basis, are
+    g-orthonormal and g-orthogonal to tangent_basis, and tracing decomposes
+    nothing more.  Under g = e^{2f} flat with e^{2f} != 1 at the base (so
+    Euclidean-orthonormal rows would fail), every sample of the unit-circle
+    zero set lies on x + t.kernel plus a g-normal displacement."""
     chart = rescale_metric(FLAT3, parse("0.3*x2 + 0.2", 3))
     xi = models.sphere_killing(chart, 1, 4)
-    frames = []
-    frame_svd = zeroset.frame_svd
-
-    def recording(g, tensor, kind):
-        out = frame_svd(g, tensor, kind)
-        frames.append((g, out.kernel))
-        return out
-
-    monkeypatch.setattr(zeroset, "frame_svd", recording)
     base = np.array([0.0, 0.6, 0.8])
-    patch = trace_component(chart, xi, classify_zero(chart, xi, base), radius=0.3, grid=5)
-    (g, normals), = frames
+    zero = classify_zero(chart, xi, base)
+    calls = recording_calls(monkeypatch, geometry.frame_svd, lambda out: 1)
+    patch = trace_component(chart, xi, zero, radius=0.3, grid=5)
+    assert calls == []
+    g, normals = zero.metric, zero.normal_basis
     tangent = patch.tangent_basis
     assert abs(g[0, 0] - 1.0) > 0.1
     assert normals.shape == (2, 3)
@@ -454,7 +449,8 @@ def test_umbilicity_report_makes_one_frame_svd_call(monkeypatch):
     xi = models.rotation(FLAT4, 1, 2)
     patch = trace_component(FLAT4, xi, classify_zero(FLAT4, xi, np.zeros(4)), radius=0.3, grid=5)
     calls = recording_calls(monkeypatch, geometry.frame_svd,
-                            lambda out, g, tensor, kind: (kind, np.shape(g)), arguments=True)
+                            lambda out, factor, tensor, kind: (kind, np.shape(tensor)),
+                            arguments=True)
     umbilicity_report(FLAT4, patch)
     assert calls == [("endomorphism", (9, 4, 4))]
 
