@@ -7,8 +7,10 @@ byte-identical across runs for the same manifest and seed:
 ``render_report`` writes each float as its shortest round-trip repr, and
 non-finite values become strings.
 
-A manifest sets only ``seed`` and ``grid_resolution`` (the ``SETTINGS``
-table); every other threshold, radius and sample count is fixed, either as
+One table, ``MANIFEST``, gives the manifest's shape as a JSON schema:
+``confield schema`` prints it and ``run`` checks every value against it.
+A manifest sets only ``seed`` and ``grid_resolution`` (its ``SETTINGS``);
+every other threshold, radius and sample count is fixed, either as
 the default of the library function that uses it or as a constant here,
 and ``run`` takes no option but ``--out``.  Each analysis reports the
 values it ran with.
@@ -26,7 +28,6 @@ import math
 import sys
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,22 +61,6 @@ from .zeroset import (
 
 __all__ = ["main", "ManifestError", "run_manifest", "render_report"]
 
-
-class Setting(NamedTuple):
-    """One row of the settings table: a top-level manifest key that holds
-    a JSON integer ``>= low``."""
-
-    key: str
-    default: int
-    low: int
-    help: str
-
-
-# In report order: the 'config' section lists the settings in this order.
-SETTINGS = (
-    Setting("seed", 0, 0, "seed of the random draws; each analysis has its own stream"),
-    Setting("grid_resolution", GRID_RESOLUTION, 3, "grid points per axis of the zero search"),
-)
 
 # Fixed values of the analyses that no library default covers.
 _IDENTITY_TOL = 1e-7  # largest derivative-identity residual accepted
@@ -171,56 +156,82 @@ def _require(cond: bool, message: str):
         raise ManifestError(message)
 
 
-def _finite_number(value) -> bool:
-    """A JSON number, not a bool, that converts to a finite float."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def _require_keys(keys, what: str, known):
     """Refuse the first of ``keys`` not in ``known``, naming it."""
     for key in keys:
         _require(key in known, f"unknown {what} {key!r}; known: {list(known)}")
 
 
+# Python types and message names of the table's JSON types
+_TYPES = {"string": (str, "a string"), "integer": (int, "an integer"),
+          "number": ((int, float), "a finite number"), "array": (list, "an array"),
+          "object": (dict, "an object")}
+
+
+def _check(value, fragment: dict, where: str) -> None:
+    """Refuse ``value`` unless it meets ``fragment`` of ``MANIFEST``, in one
+    line that names ``where`` it sits.  Reads only what the table uses: a
+    ``oneOf`` of object forms (the last whose first required key is
+    present), ``type`` (a bool is no number), ``enum``, ``minimum``/
+    ``maximum``, ``items``, ``minItems``/``maxItems``, and an object's
+    ``required`` keys and ``properties``, outside which no key may be."""
+    if "oneOf" in fragment:
+        _require(isinstance(value, dict), f"manifest {where!r} must be an object")
+        keys = [form["required"][0] for form in fragment["oneOf"]]
+        _require(any(key in value for key in keys),
+                 f"{where} needs either " + " or ".join(map(repr, keys)))
+        fragment = next(form for form in fragment["oneOf"][::-1] if form["required"][0] in value)
+    # a scalar is shown as JSON, a container of any depth by its type
+    shown = {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
+    if "type" in fragment:
+        types, name = _TYPES[fragment["type"]]
+        _require(isinstance(value, types) and not isinstance(value, bool)
+                 and (fragment["type"] != "number" or abs(value) <= sys.float_info.max),
+                 f"{where} must be {name}, got {shown}")
+    if "enum" in fragment:
+        _require(value in fragment["enum"],
+                 f"{where} must be one of {fragment['enum']}, got {shown}")
+    if "minimum" in fragment:
+        _require(value >= fragment["minimum"],
+                 f"{where} must be >= {fragment['minimum']}, got {value}")
+    if "maximum" in fragment:
+        _require(value <= fragment["maximum"],
+                 f"{where} must be <= {fragment['maximum']}, got {value}")
+    if "minItems" in fragment:
+        _require(len(value) >= fragment["minItems"],
+                 f"{where} must hold at least {fragment['minItems']} item(s)")
+    if "maxItems" in fragment:
+        _require(len(value) <= fragment["maxItems"],
+                 f"{where} must hold at most {fragment['maxItems']} items, got {len(value)}")
+    for i, item in enumerate(value if "items" in fragment else ()):
+        _check(item, fragment["items"], f"{where}[{i}]")
+    if "properties" in fragment:
+        _require_keys(value, f"{where} key", fragment["properties"])
+        for key in fragment["required"]:
+            _require(key in value, f"{where} needs a {key!r} entry")
+        for key, item in value.items():
+            _check(item, fragment["properties"][key], f"{where} {key!r}")
+
+
 def _build_chart(spec) -> Chart:
-    _require(isinstance(spec, dict), "manifest 'chart' must be an object")
-    if "name" in spec and "metric" not in spec:
-        _require_keys(spec, "chart key", ("name", "dim"))
-        _require(isinstance(spec["name"], str), "chart 'name' must be a string")
-        _require(spec["name"] in CHART_BUILDERS,
-                 f"unknown chart {spec['name']!r}; see 'confield catalog'")
-        dim = spec.get("dim")
-        _require(isinstance(dim, int) and dim >= 2,
-                 "builtin charts need an integer 'dim' >= 2")
-        return make_chart(spec["name"], dim)
-    _require("metric" in spec, "chart needs either 'name' or 'metric'")
-    _require_keys(spec, "chart key", ("metric", "lower", "upper", "name"))
-    metric = spec["metric"]
-    _require(isinstance(metric, list) and metric
-             and all(isinstance(r, list) for r in metric),
-             "'metric' must be a non-empty list of rows")
+    _check(spec, MANIFEST["properties"]["chart"], "chart")
+    if "metric" not in spec:
+        return make_chart(spec["name"], spec["dim"])
+    metric, lower, upper = spec["metric"], spec["lower"], spec["upper"]
     dim = len(metric)
-    _require(all(len(r) == dim for r in metric), "'metric' must be square")
-    _require("lower" in spec and "upper" in spec,
-             "inline charts need 'lower' and 'upper' bounds")
-    lower, upper = spec["lower"], spec["upper"]
-    _require(isinstance(lower, list) and isinstance(upper, list)
-             and len(lower) == dim and len(upper) == dim
-             and all(map(_finite_number, lower + upper)),
-             "'lower'/'upper' must be lists of finite numbers matching the metric dimension")
+    _require(all(len(r) == dim for r in metric), "chart 'metric' must be square")
+    _require(len(lower) == dim and len(upper) == dim,
+             f"chart 'lower' and 'upper' must each hold {dim} bounds, one per metric row")
     _require(all(math.isfinite(float(u) - float(lo)) for lo, u in zip(lower, upper)),
              "'lower'/'upper' span a box whose extent upper - lower overflows a float")
     try:
-        rows = tuple(
-            tuple(parse(str(entry), dim) for entry in row) for row in metric
-        )
+        rows = tuple(tuple(parse(entry, dim) for entry in row) for row in metric)
     except ExprSyntaxError as exc:
         raise ManifestError(f"bad metric expression: {exc}") from exc
     try:
         chart = Chart(dim=dim, lower=np.asarray(lower, dtype=float),
                       upper=np.asarray(upper, dtype=float), metric=rows,
-                      name=str(spec.get("name", "inline_chart")))
+                      name=spec.get("name", "inline_chart"))
         chart.validate_spd(np.random.default_rng(0), samples=10)
     except RecursionError:
         raise ManifestError("bad metric expression: nested too deeply to compile") from None
@@ -230,60 +241,44 @@ def _build_chart(spec) -> Chart:
 
 
 def _build_field(chart: Chart, spec) -> FieldSpec:
-    _require(isinstance(spec, dict), "manifest 'field' must be an object")
-    if "name" in spec and "components" not in spec:
-        _require_keys(spec, "field key", ("name", "params"))
-        _require(isinstance(spec["name"], str), "field 'name' must be a string")
-        params = spec.get("params", {})
-        _require(isinstance(params, dict), "'params' must be an object")
+    _check(spec, MANIFEST["properties"]["field"], "field")
+    if "components" not in spec:
         try:
-            return make_field(chart, spec["name"], params)
+            return make_field(chart, spec["name"], spec.get("params", {}))
         except ValueError as exc:
             raise ManifestError(str(exc)) from exc
-    _require("components" in spec, "field needs either 'name' or 'components'")
-    _require_keys(spec, "field key", ("components", "name"))
     comps = spec["components"]
-    _require(isinstance(comps, list) and len(comps) == chart.dim,
-             f"'components' must list {chart.dim} expressions")
+    _require(len(comps) == chart.dim, f"'components' must list {chart.dim} expressions")
     try:
-        exprs = tuple(parse(str(c), chart.dim) for c in comps)
+        exprs = tuple(parse(c, chart.dim) for c in comps)
     except ExprSyntaxError as exc:
         raise ManifestError(f"bad field expression: {exc}") from exc
     try:
-        return FieldSpec(chart, exprs, name=str(spec.get("name", "inline_field")))
+        return FieldSpec(chart, exprs, name=spec.get("name", "inline_field"))
     except RecursionError:
         raise ManifestError("bad field expression: nested too deeply to compile") from None
 
 
 def _resolve_config(manifest: dict) -> dict:
-    """Table defaults, then manifest values; every value checked."""
-    known = ["chart", "field", "analyses", *(s.key for s in SETTINGS)]
+    """Table defaults, then manifest values; every key and value checked."""
+    known = MANIFEST["properties"]
     # an unknown group is named by its first leaf: 'tolerances.zero'
     _require_keys([f"{k}.{next(iter(v))}" if k not in known and isinstance(v, dict) and v else k
                    for k, v in manifest.items()], "setting", known)
     cfg = {}
-    for s in SETTINGS:
-        value = manifest.get(s.key, s.default)
-        _require(_finite_number(value) and isinstance(value, int),
-                 f"{s.key!r} must be an integer, got {json.dumps(value)}")
-        _require(value >= s.low, f"{s.key!r} must be >= {s.low}, got {value}")
-        cfg[s.key] = value
+    for key, fragment in SETTINGS.items():
+        cfg[key] = manifest.get(key, fragment["default"])
+        _check(cfg[key], fragment, repr(key))
     return cfg
 
 
 def _resolve_analyses(manifest: dict) -> list:
     analyses = manifest.get("analyses", ["all"])
-    _require(isinstance(analyses, list) and analyses,
-             "'analyses' must be a non-empty list")
+    _check(analyses, MANIFEST["properties"]["analyses"], "'analyses'")
     resolved = []
     for name in analyses:
-        if name == "all":
-            resolved.extend(a for a in ANALYSES if a not in resolved)
-            continue
-        _require(name in ANALYSES,
-                 f"unknown analysis {name!r}; known: {list(ANALYSES)} or 'all'")
-        if name not in resolved:
-            resolved.append(name)
+        names = ANALYSES if name == "all" else (name,)
+        resolved.extend(a for a in names if a not in resolved)
     return resolved
 
 
@@ -493,15 +488,81 @@ _RUNNERS = {
 ANALYSES = tuple(_RUNNERS)
 
 
+# ---------------------------------------------------------------------------
+# the manifest table
+
+# The largest chart dimension, and the most grid points (grid_resolution **
+# dim) of a zero search, that a manifest may ask for.  The grid scan holds
+# every grid point at once, and a traced k-dimensional zero set holds
+# TRACE_GRID ** k nodes with their jets: the zero field on euclidean/8 at
+# grid 6, every analysis, peaked at 282 MB in 57 s on a 2-core x86-64 VM,
+# while on euclidean/10 it needed over 2 GB.
+_MAX_DIM = 8
+_MAX_GRID_POINTS = 3_000_000
+
+
+def _object(required: list, properties: dict) -> dict:
+    """A JSON object with the ``required`` keys and no key outside
+    ``properties``."""
+    return {"type": "object", "required": required, "additionalProperties": False,
+            "properties": properties}
+
+
+# In report order: the 'config' section lists the settings in this order.
+SETTINGS = {
+    "seed": {"type": "integer", "minimum": 0, "default": 0,
+             "description": "seed of the random draws; each analysis has its own stream"},
+    "grid_resolution": {"type": "integer", "minimum": 3, "default": GRID_RESOLUTION,
+                        "description": "grid points per axis of the zero search"},
+}
+
+# The manifest's shape in JSON Schema draft 4: 'confield schema' prints it
+# and 'run' checks every value against it with _check.  A chart or a field
+# is a builtin or an inline form; the builders check the rest (a square
+# metric, its bounds, parsing, the SPD gate, a builder's params).
+MANIFEST = _object(["chart", "field"], {
+    "chart": {"oneOf": [
+        _object(["name", "dim"], {
+            "name": {"enum": sorted(CHART_BUILDERS)},
+            "dim": {"type": "integer", "minimum": 2, "maximum": _MAX_DIM},
+        }),
+        _object(["metric", "lower", "upper"], {
+            "metric": {"type": "array", "minItems": 1, "maxItems": _MAX_DIM,
+                       "items": {"type": "array", "items": {"type": "string"}}},
+            "lower": {"type": "array", "items": {"type": "number"}},
+            "upper": {"type": "array", "items": {"type": "number"}},
+            "name": {"type": "string"},
+        }),
+    ]},
+    "field": {"oneOf": [
+        _object(["name"], {
+            "name": {"enum": sorted(FIELD_BUILDERS)},
+            "params": {"type": "object"},
+        }),
+        _object(["components"], {
+            "components": {"type": "array", "items": {"type": "string"}},
+            "name": {"type": "string"},
+        }),
+    ]},
+    "analyses": {"type": "array", "minItems": 1, "items": {"enum": [*ANALYSES, "all"]}},
+    **SETTINGS,
+})
+
+
 def run_manifest(manifest: dict) -> tuple[dict, int]:
     """Execute a parsed manifest; returns (report, exit_code)."""
     _require(isinstance(manifest, dict), "manifest root must be a JSON object")
-    _require("chart" in manifest, "manifest needs a 'chart' entry")
-    _require("field" in manifest, "manifest needs a 'field' entry")
+    for key in MANIFEST["required"]:
+        _require(key in manifest, f"manifest needs a {key!r} entry")
     chart = _build_chart(manifest["chart"])
     xi = _build_field(chart, manifest["field"])
     analyses = _resolve_analyses(manifest)
     cfg = _resolve_config(manifest)
+    grid = cfg["grid_resolution"]
+    # every analysis but check-conformal scans the grid
+    _require(analyses == ["check-conformal"] or grid ** chart.dim <= _MAX_GRID_POINTS,
+             f"'grid_resolution' {grid} in dimension {chart.dim} asks for {grid}^{chart.dim} "
+             f"grid points; at most {_MAX_GRID_POINTS} are allowed")
     session = _Session(chart, xi, cfg)
 
     results = {}
@@ -537,72 +598,7 @@ def run_manifest(manifest: dict) -> tuple[dict, int]:
 
 
 def _schema() -> dict:
-    settings = {
-        s.key: {"type": "integer", "minimum": s.low, "default": s.default,
-                "description": s.help}
-        for s in SETTINGS
-    }
-    return {
-        "type": "object",
-        "required": ["chart", "field"],
-        "additionalProperties": False,
-        "properties": {
-            "chart": {
-                "oneOf": [
-                    {
-                        "type": "object",
-                        "required": ["name", "dim"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "name": {"enum": sorted(CHART_BUILDERS)},
-                            "dim": {"type": "integer", "minimum": 2},
-                        },
-                    },
-                    {
-                        "type": "object",
-                        "required": ["metric", "lower", "upper"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "metric": {
-                                "type": "array",
-                                "items": {"type": "array", "items": {"type": "string"}},
-                            },
-                            "lower": {"type": "array", "items": {"type": "number"}},
-                            "upper": {"type": "array", "items": {"type": "number"}},
-                            "name": {"type": "string"},
-                        },
-                    },
-                ]
-            },
-            "field": {
-                "oneOf": [
-                    {
-                        "type": "object",
-                        "required": ["name"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "name": {"enum": sorted(FIELD_BUILDERS)},
-                            "params": {"type": "object"},
-                        },
-                    },
-                    {
-                        "type": "object",
-                        "required": ["components"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "components": {"type": "array", "items": {"type": "string"}},
-                            "name": {"type": "string"},
-                        },
-                    },
-                ]
-            },
-            "analyses": {
-                "type": "array",
-                "items": {"enum": list(ANALYSES) + ["all"]},
-            },
-            **settings,
-        },
-    }
+    return {"$schema": "http://json-schema.org/draft-04/schema#", **MANIFEST}
 
 
 def _catalog() -> dict:
@@ -662,7 +658,7 @@ def main(argv=None) -> int:
         args, extra = _build_parser().parse_known_args(argv)
         if extra:
             key = extra[0].lstrip("-").partition("=")[0].replace("-", "_")
-            hint = f"; set {key!r} in the manifest" if key in (s.key for s in SETTINGS) else ""
+            hint = f"; set {key!r} in the manifest" if key in SETTINGS else ""
             raise _UsageError(f"unrecognized argument {extra[0]!r}{hint}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -680,7 +676,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer of over 4300 digits
         print(f"error: manifest is not valid JSON: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

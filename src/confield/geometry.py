@@ -246,7 +246,7 @@ def metric_value(chart: Chart, p) -> np.ndarray:
     """Metric matrix at an interior point, validated SPD."""
     chart.require_interior(p)
     g, _, _ = metric_jets(chart, p, 0)
-    spd_inverse(g)  # metric_factor's gate, counted by bench/'s tracer
+    metric_factor(g)
     return g
 
 

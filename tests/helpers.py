@@ -745,6 +745,16 @@ def reference_render_report(report: dict) -> str:
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
+def workload_manifests(seed: int) -> tuple:
+    """``(workload, manifest)`` of every manifest of the benchmark's
+    workloads at ``seed``, in workload and manifest order."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple((name, manifest) for name in workloads.WORKLOADS
+                 for manifest in workloads.manifests(name, seed))
+
+
 @functools.cache
 def workload_reports(seed: int) -> tuple:
     """``(workload, report, exit code)`` of every manifest of the benchmark's
@@ -752,9 +762,4 @@ def workload_reports(seed: int) -> tuple:
     ``cli.run_manifest``."""
     from confield.cli import run_manifest
 
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return tuple((name, *run_manifest(manifest))
-                 for name in workloads.WORKLOADS
-                 for manifest in workloads.manifests(name, seed))
+    return tuple((name, *run_manifest(manifest)) for name, manifest in workload_manifests(seed))

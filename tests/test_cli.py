@@ -5,6 +5,7 @@ import math
 import struct
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -14,7 +15,26 @@ import confield.geodesic as geodesic
 import confield.models as models
 from confield.cli import SETTINGS, main, render_report
 from helpers import (counting_steps, mobius_conjugate, mobius_field, mobius_matrix,
-                     mobius_parts, reference_render_report, workload_reports)
+                     mobius_parts, reference_render_report, workload_manifests,
+                     workload_reports)
+from test_readme import command_line_manifests
+
+# the schema 'confield schema' prints, as a draft-04 validator
+SCHEMA = jsonschema.Draft4Validator(cli._schema())
+
+
+@pytest.fixture(autouse=True)
+def _accepted_manifests_are_schema_valid(monkeypatch):
+    """Every manifest that 'run' accepts in this module is valid under the
+    schema: the printed schema is the rule that runs."""
+    run_manifest = cli.run_manifest
+
+    def checked(manifest):
+        result = run_manifest(manifest)
+        SCHEMA.validate(manifest)
+        return result
+
+    monkeypatch.setattr(cli, "run_manifest", checked)
 
 
 def _write_manifest(tmp_path, payload, name="manifest.json"):
@@ -194,10 +214,12 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
     b"\xff\xfe",
     b"[" * 100000 + b"]" * 100000,
     b'{"chart": ' + b"[" * 3000 + b"]" * 3000 + b"}",
-], ids=["not-utf8", "deep-root", "deep-chart"])
+    b'{"seed": ' + b"1" * 5000 + b"}",
+], ids=["not-utf8", "deep-root", "deep-chart", "long-integer"])
 def test_undecodable_manifest_files_exit_two(tmp_path, capsys, content):
-    """Bytes that are not UTF-8, or JSON nested past the decoder's
-    recursion limit, are a usage error with one line, not a traceback."""
+    """Bytes that are not UTF-8, JSON nested past the decoder's recursion
+    limit, or an integer longer than Python converts, are a usage error
+    with one line, not a traceback."""
     path = tmp_path / "manifest.json"
     path.write_bytes(content)
     code = main(["run", str(path)])
@@ -208,6 +230,14 @@ def test_undecodable_manifest_files_exit_two(tmp_path, capsys, content):
 
 
 DEEP_COMPONENTS = ["(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)]
+
+# needles of the checks the builders make after the manifest table's: a
+# field of the chart's dimension, parsing and compiling, a builder's params,
+# a box extent that overflows and the size of the grid scan
+BUILDER_NEEDLES = {"components", "metric", "axis_i", "exponent", "out of range",
+                   "'lower'/'upper'", "bad field expression", "bad metric expression",
+                   "'grid_resolution' 10000 in dimension 3"}
+
 
 
 @pytest.mark.parametrize(
@@ -262,10 +292,10 @@ DEEP_COMPONENTS = ["(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)]
         ({**ZEROS_MANIFEST, "field": {"name": ["x"]}}, "field 'name'"),
         *[({"chart": {"metric": [["1", "0"], ["0", "1"]], **bounds},
             "field": {"components": ["x2", "-x1"]}, "analyses": ["zeros"]},
-           "'lower'/'upper'") for bounds in [
-            {"lower": [-1, -1], "upper": ["1", 1]},
-            {"lower": [False, -1], "upper": [True, 1]},
-            {"lower": [-1e308, -1], "upper": [1e308, 1]},
+           needle) for bounds, needle in [
+            ({"lower": [-1, -1], "upper": ["1", 1]}, "chart 'upper'"),
+            ({"lower": [False, -1], "upper": [True, 1]}, "chart 'lower'"),
+            ({"lower": [-1e308, -1], "upper": [1e308, 1]}, "'lower'/'upper'"),
         ]],
         # too deep for the recursive parser or compiler
         *[({**ZEROS_MANIFEST, "field": {"components": [component, "x1", "0"]}},
@@ -299,6 +329,27 @@ DEEP_COMPONENTS = ["(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)]
                         "upper": [1, 1], "lowr": [0, 0]}, "field": {"components": ["x2", "-x1"]}},
              "unknown chart key 'lowr'"),
         ]],
+        # entries, components and names are strings, and both lists hold an
+        # item: the schema said so before 'run' did
+        *[({**ZEROS_MANIFEST, **bad}, needle) for bad, needle in [
+            ({"chart": {"metric": [[1, 0], [0, 1]], "lower": [-1, -1], "upper": [1, 1]},
+              "field": {"components": ["x2", "-x1"]}}, "chart 'metric'[0][0]"),
+            ({"field": {"components": [0, "x3", "-x2"]}}, "field 'components'[0]"),
+            ({"chart": {"metric": [["1", "0"], ["0", "1"]], "lower": [-1, -1],
+                        "upper": [1, 1], "name": 5},
+              "field": {"components": ["x2", "-x1"]}}, "chart 'name'"),
+            ({"field": {"components": ["0", "x3", "-x2"], "name": ["a"]}}, "field 'name'"),
+            ({"analyses": []}, "'analyses'"),
+            ({"chart": {"metric": [], "lower": [], "upper": []}}, "chart 'metric'"),
+        ]],
+        # a manifest cannot ask for more memory than the machine has
+        ({**ZEROS_MANIFEST, "chart": {"name": "euclidean", "dim": cli._MAX_DIM + 1}},
+         f"chart 'dim' must be <= {cli._MAX_DIM}"),
+        ({**ZEROS_MANIFEST, "chart": {"metric": [["1"] * (cli._MAX_DIM + 1)] * (cli._MAX_DIM + 1),
+                                      "lower": [-1] * (cli._MAX_DIM + 1),
+                                      "upper": [1] * (cli._MAX_DIM + 1)}},
+         f"chart 'metric' must hold at most {cli._MAX_DIM} items"),
+        ({**ZEROS_MANIFEST, "grid_resolution": 10_000}, "'grid_resolution' 10000 in dimension 3"),
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
@@ -307,6 +358,19 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
     assert code == 2
     assert needle in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    # the schema refuses every case but those of the checks no schema can state
+    assert SCHEMA.is_valid(manifest) is (needle in BUILDER_NEEDLES)
+
+
+def test_the_schema_accepts_the_workload_and_readme_manifests():
+    """The benchmark's manifests at seeds 1 and 2, which
+    test_workload_verdicts_are_pinned runs, and the README's, which
+    test_readme runs, are valid under the schema."""
+    manifests = [m for seed in (1, 2) for _, m in workload_manifests(seed)]
+    manifests += [json.loads(text) for text in command_line_manifests()]
+    assert len(manifests) == 46
+    for manifest in manifests:
+        SCHEMA.validate(manifest)
 
 
 def test_an_800_term_sum_runs_and_prints(tmp_path):
@@ -431,23 +495,24 @@ def test_usage_errors_return_two_with_one_line(capsys, argv, needle):
     assert captured.err.startswith("error: ") and needle in captured.err
 
 
-@pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.key)
-def test_every_setting_is_typed_ranged_and_defaulted(tmp_path, capsys, setting):
-    """Each row of the settings table: a wrong type and a value just out of
-    range exit 2 naming the key; the default is reported and in the schema."""
-    for bad in (2.5, True, setting.low - 1):
-        path = _write_manifest(tmp_path, {**ZEROS_MANIFEST, setting.key: bad})
+@pytest.mark.parametrize("key", SETTINGS)
+def test_every_setting_is_typed_ranged_and_defaulted(tmp_path, capsys, key):
+    """Each setting of the manifest table: a wrong type and a value just out
+    of range exit 2 naming the key; the default is reported and in the
+    schema."""
+    setting = SETTINGS[key]
+    for bad in (2.5, True, setting["minimum"] - 1):
+        path = _write_manifest(tmp_path, {**ZEROS_MANIFEST, key: bad})
         assert main(["run", path]) == 2
-        assert setting.key in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     code, report = _run_to_report(tmp_path, ZEROS_MANIFEST)
     assert code == 0
-    assert report["config"][setting.key] == setting.default
+    assert report["config"][key] == setting["default"]
 
     assert main(["schema"]) == 0
-    entry = json.loads(capsys.readouterr().out)["properties"][setting.key]
-    assert entry["default"] == setting.default
-    assert entry["minimum"] == setting.low
+    entry = json.loads(capsys.readouterr().out)["properties"][key]
+    assert entry == setting
 
 
 def test_run_help_lists_only_out(capsys):

@@ -14,14 +14,14 @@ def _quick_start() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def _command_line_manifests() -> list:
+def command_line_manifests() -> list:
     text = README.read_text(encoding="utf-8")
     section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
     return re.findall(r"```json\n(.*?)```", section, re.S)
 
 
 def test_readme_manifests_run(tmp_path):
-    manifests = _command_line_manifests()
+    manifests = command_line_manifests()
     assert len(manifests) == 2
     for k, text in enumerate(manifests):
         manifest = tmp_path / f"manifest{k}.json"
