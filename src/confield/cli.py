@@ -156,41 +156,46 @@ def _require(cond: bool, message: str):
         raise ManifestError(message)
 
 
-def _require_keys(keys, what: str, known):
-    """Refuse the first of ``keys`` not in ``known``, naming it."""
-    for key in keys:
-        _require(key in known, f"unknown {what} {key!r}; known: {list(known)}")
-
-
 # Python types and message names of the table's JSON types
 _TYPES = {"string": (str, "a string"), "integer": (int, "an integer"),
           "number": ((int, float), "a finite number"), "array": (list, "an array"),
           "object": (dict, "an object")}
 
 
-def _check(value, fragment: dict, where: str) -> None:
+def _shown(value) -> str:
+    """``value`` in a message: a container by its type, a scalar as JSON,
+    or as its repr where JSON has no form for it."""
+    if isinstance(value, (list, dict)):
+        return "an array" if isinstance(value, list) else "an object"
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def _check(value, fragment: dict, where: str = "") -> None:
     """Refuse ``value`` unless it meets ``fragment`` of ``MANIFEST``, in one
-    line that names ``where`` it sits.  Reads only what the table uses: a
-    ``oneOf`` of object forms (the last whose first required key is
-    present), ``type`` (a bool is no number), ``enum``, ``minimum``/
-    ``maximum``, ``items``, ``minItems``/``maxItems``, and an object's
-    ``required`` keys and ``properties``, outside which no key may be."""
+    line that names ``where`` it sits: '' for the manifest, whose keys are
+    named alone (``seed``), and a key's name for the values below it
+    (``chart 'metric'[0][0]``).  Reads only what the table uses: a ``oneOf``
+    of object forms (the last whose first required key is present),
+    ``type`` (a bool is no number, a number is finite), ``enum``,
+    ``minimum``/``maximum``, ``items``, ``minItems``/``maxItems``, and an
+    object's ``required`` keys and ``properties``, outside which no key may
+    be."""
     if "oneOf" in fragment:
         _require(isinstance(value, dict), f"manifest {where!r} must be an object")
         keys = [form["required"][0] for form in fragment["oneOf"]]
         _require(any(key in value for key in keys),
                  f"{where} needs either " + " or ".join(map(repr, keys)))
         fragment = next(form for form in fragment["oneOf"][::-1] if form["required"][0] in value)
-    # a scalar is shown as JSON, a container of any depth by its type
-    shown = {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
     if "type" in fragment:
         types, name = _TYPES[fragment["type"]]
-        _require(isinstance(value, types) and not isinstance(value, bool)
-                 and (fragment["type"] != "number" or abs(value) <= sys.float_info.max),
-                 f"{where} must be {name}, got {shown}")
-    if "enum" in fragment:
-        _require(value in fragment["enum"],
-                 f"{where} must be one of {fragment['enum']}, got {shown}")
+        if (not isinstance(value, types) or isinstance(value, bool)
+                or fragment["type"] == "number" and not abs(value) <= sys.float_info.max):
+            raise ManifestError(f"{where or 'manifest'} must be {name}, got {_shown(value)}")
+    if "enum" in fragment and value not in fragment["enum"]:
+        raise ManifestError(f"{where} must be one of {fragment['enum']}, got {_shown(value)}")
     if "minimum" in fragment:
         _require(value >= fragment["minimum"],
                  f"{where} must be >= {fragment['minimum']}, got {value}")
@@ -206,15 +211,22 @@ def _check(value, fragment: dict, where: str) -> None:
     for i, item in enumerate(value if "items" in fragment else ()):
         _check(item, fragment["items"], f"{where}[{i}]")
     if "properties" in fragment:
-        _require_keys(value, f"{where} key", fragment["properties"])
-        for key in fragment["required"]:
-            _require(key in value, f"{where} needs a {key!r} entry")
+        known = fragment["properties"]
         for key, item in value.items():
-            _check(item, fragment["properties"][key], f"{where} {key!r}")
+            if key not in known:
+                # an unknown group of the manifest is named by its first
+                # leaf: 'tolerances.zero'
+                if not where and isinstance(item, dict) and item:
+                    key = f"{key}.{next(iter(item))}"
+                what = f"{where} key" if where else "setting"
+                raise ManifestError(f"unknown {what} {key!r}; known: {list(known)}")
+        for key in fragment["required"]:
+            _require(key in value, f"{where or 'manifest'} needs a {key!r} entry")
+        for key, item in value.items():
+            _check(item, known[key], f"{where} {key!r}" if where else key)
 
 
-def _build_chart(spec) -> Chart:
-    _check(spec, MANIFEST["properties"]["chart"], "chart")
+def _build_chart(spec: dict) -> Chart:
     if "metric" not in spec:
         return make_chart(spec["name"], spec["dim"])
     metric, lower, upper = spec["metric"], spec["lower"], spec["upper"]
@@ -240,8 +252,7 @@ def _build_chart(spec) -> Chart:
     return chart
 
 
-def _build_field(chart: Chart, spec) -> FieldSpec:
-    _check(spec, MANIFEST["properties"]["field"], "field")
+def _build_field(chart: Chart, spec: dict) -> FieldSpec:
     if "components" not in spec:
         try:
             return make_field(chart, spec["name"], spec.get("params", {}))
@@ -259,22 +270,7 @@ def _build_field(chart: Chart, spec) -> FieldSpec:
         raise ManifestError("bad field expression: nested too deeply to compile") from None
 
 
-def _resolve_config(manifest: dict) -> dict:
-    """Table defaults, then manifest values; every key and value checked."""
-    known = MANIFEST["properties"]
-    # an unknown group is named by its first leaf: 'tolerances.zero'
-    _require_keys([f"{k}.{next(iter(v))}" if k not in known and isinstance(v, dict) and v else k
-                   for k, v in manifest.items()], "setting", known)
-    cfg = {}
-    for key, fragment in SETTINGS.items():
-        cfg[key] = manifest.get(key, fragment["default"])
-        _check(cfg[key], fragment, repr(key))
-    return cfg
-
-
-def _resolve_analyses(manifest: dict) -> list:
-    analyses = manifest.get("analyses", ["all"])
-    _check(analyses, MANIFEST["properties"]["analyses"], "'analyses'")
+def _resolve_analyses(analyses: list) -> list:
     resolved = []
     for name in analyses:
         names = ANALYSES if name == "all" else (name,)
@@ -491,13 +487,17 @@ ANALYSES = tuple(_RUNNERS)
 # ---------------------------------------------------------------------------
 # the manifest table
 
-# The largest chart dimension, and the most grid points (grid_resolution **
-# dim) of a zero search, that a manifest may ask for.  The grid scan holds
-# every grid point at once, and a traced k-dimensional zero set holds
-# TRACE_GRID ** k nodes with their jets: the zero field on euclidean/8 at
-# grid 6, every analysis, peaked at 282 MB in 57 s on a 2-core x86-64 VM,
-# while on euclidean/10 it needed over 2 GB.
-_MAX_DIM = 8
+# The largest chart dimension a manifest may ask for: check-conformal holds
+# order-1 metric jets of 100 points * dim**3 floats, and on a 2-core x86-64
+# VM a dense inline metric at dim 48 peaked at 302 MB in 0.5 s (659 MB at
+# dim 64).  Every other analysis scans the grid, which it holds at once, and
+# traces a k-dimensional zero set on TRACE_GRID ** k nodes with their jets,
+# so it runs in at most _MAX_SCAN_DIM dimensions on at most _MAX_GRID_POINTS
+# grid points (grid_resolution ** dim): the zero field on euclidean/8 at
+# grid 6, every analysis, peaked at 282 MB in 57 s, while on euclidean/10
+# it needed over 2 GB.
+_MAX_DIM = 48
+_MAX_SCAN_DIM = 8
 _MAX_GRID_POINTS = 3_000_000
 
 
@@ -551,18 +551,19 @@ MANIFEST = _object(["chart", "field"], {
 
 def run_manifest(manifest: dict) -> tuple[dict, int]:
     """Execute a parsed manifest; returns (report, exit_code)."""
-    _require(isinstance(manifest, dict), "manifest root must be a JSON object")
-    for key in MANIFEST["required"]:
-        _require(key in manifest, f"manifest needs a {key!r} entry")
+    _check(manifest, MANIFEST)
     chart = _build_chart(manifest["chart"])
     xi = _build_field(chart, manifest["field"])
-    analyses = _resolve_analyses(manifest)
-    cfg = _resolve_config(manifest)
+    analyses = _resolve_analyses(manifest.get("analyses", ["all"]))
+    cfg = {key: manifest.get(key, fragment["default"]) for key, fragment in SETTINGS.items()}
     grid = cfg["grid_resolution"]
-    # every analysis but check-conformal scans the grid
-    _require(analyses == ["check-conformal"] or grid ** chart.dim <= _MAX_GRID_POINTS,
-             f"'grid_resolution' {grid} in dimension {chart.dim} asks for {grid}^{chart.dim} "
-             f"grid points; at most {_MAX_GRID_POINTS} are allowed")
+    if analyses != ["check-conformal"]:
+        _require(chart.dim <= _MAX_SCAN_DIM,
+                 f"every analysis but 'check-conformal' needs dimension <= {_MAX_SCAN_DIM}; "
+                 f"the chart has dimension {chart.dim}")
+        _require(grid ** chart.dim <= _MAX_GRID_POINTS,
+                 f"'grid_resolution' {grid} in dimension {chart.dim} asks for "
+                 f"{grid}^{chart.dim} grid points; at most {_MAX_GRID_POINTS} are allowed")
     session = _Session(chart, xi, cfg)
 
     results = {}

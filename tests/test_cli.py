@@ -231,12 +231,15 @@ def test_undecodable_manifest_files_exit_two(tmp_path, capsys, content):
 
 DEEP_COMPONENTS = ["(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)]
 
-# needles of the checks the builders make after the manifest table's: a
-# field of the chart's dimension, parsing and compiling, a builder's params,
-# a box extent that overflows and the size of the grid scan
+# needles of the checks no draft-4 schema can state: a field of the chart's
+# dimension, parsing and compiling, a builder's params, a box extent that
+# overflows, the dimension and size of the grid scan, and a finite number
+# (JSON has no infinity, but 1e400 reads as one)
 BUILDER_NEEDLES = {"components", "metric", "axis_i", "exponent", "out of range",
                    "'lower'/'upper'", "bad field expression", "bad metric expression",
-                   "'grid_resolution' 10000 in dimension 3"}
+                   "'grid_resolution' 10000 in dimension 3",
+                   f"needs dimension <= {cli._MAX_SCAN_DIM}",
+                   "chart 'lower'[0] must be a finite number"}
 
 
 
@@ -339,7 +342,7 @@ BUILDER_NEEDLES = {"components", "metric", "axis_i", "exponent", "out of range",
                         "upper": [1, 1], "name": 5},
               "field": {"components": ["x2", "-x1"]}}, "chart 'name'"),
             ({"field": {"components": ["0", "x3", "-x2"], "name": ["a"]}}, "field 'name'"),
-            ({"analyses": []}, "'analyses'"),
+            ({"analyses": []}, "analyses must hold at least 1"),
             ({"chart": {"metric": [], "lower": [], "upper": []}}, "chart 'metric'"),
         ]],
         # a manifest cannot ask for more memory than the machine has
@@ -350,6 +353,11 @@ BUILDER_NEEDLES = {"components", "metric", "axis_i", "exponent", "out of range",
                                       "upper": [1] * (cli._MAX_DIM + 1)}},
          f"chart 'metric' must hold at most {cli._MAX_DIM} items"),
         ({**ZEROS_MANIFEST, "grid_resolution": 10_000}, "'grid_resolution' 10000 in dimension 3"),
+        ({**ZEROS_MANIFEST, "chart": {"name": "euclidean", "dim": cli._MAX_SCAN_DIM + 1}},
+         f"needs dimension <= {cli._MAX_SCAN_DIM}"),
+        ({"chart": {"metric": [["1", "0"], ["0", "1"]], "lower": [-1e400, -1], "upper": [1, 1]},
+          "field": {"components": ["x2", "-x1"]}, "analyses": ["zeros"]},
+         "chart 'lower'[0] must be a finite number"),
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
@@ -360,6 +368,23 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     # the schema refuses every case but those of the checks no schema can state
     assert SCHEMA.is_valid(manifest) is (needle in BUILDER_NEEDLES)
+
+
+def test_a_value_json_has_no_form_for_is_a_manifest_error():
+    """A library caller's numpy integer is no JSON integer: refused with
+    the key's name, not a TypeError from showing it."""
+    manifest = {"chart": {"name": "euclidean", "dim": np.int64(3)}, "field": {"name": "rotation"}}
+    with pytest.raises(cli.ManifestError, match="chart 'dim' must be an integer, got "):
+        cli.run_manifest(manifest)
+
+
+def test_check_conformal_alone_runs_past_the_scan_dimension(tmp_path):
+    """Only the analyses that scan the grid stop at the scan dimension;
+    check-conformal runs up to the chart dimension limit."""
+    manifest = {"chart": {"name": "hyperbolic_ball", "dim": cli._MAX_SCAN_DIM + 4},
+                "field": {"name": "rotation"}, "analyses": ["check-conformal"]}
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0 and report["analyses"]["check-conformal"]["passed"]
 
 
 def test_the_schema_accepts_the_workload_and_readme_manifests():

@@ -10,8 +10,7 @@ the mutant is killed.
 
 Run it from the root of a checkout; it uses only the standard library:
 
-    python tools/mutants.py              # every row
-    python tools/mutants.py dim-maximum  # the named rows
+    python tools/mutants.py
 
 Exit code 0 when every mutant is killed, 1 when one survives, 2 when a
 row does not apply or the unchanged tree fails tier-1.
@@ -41,8 +40,8 @@ CLI = "src/confield/cli.py"
 MUTANTS = (
     # the manifest table's checker
     Mutant("bool-is-integer", CLI,
-           "isinstance(value, types) and not isinstance(value, bool)",
-           "isinstance(value, types)",
+           "not isinstance(value, types) or isinstance(value, bool)",
+           "not isinstance(value, types)",
            "a bool is not a JSON integer: 'seed': true must exit 2"),
     Mutant("min-items-ignored", CLI,
            'if "minItems" in fragment:',
@@ -53,9 +52,14 @@ MUTANTS = (
            '"dim": {"type": "integer", "minimum": 2},',
            "a builtin chart past the dimension limit must be refused by name"),
     Mutant("unknown-keys-skipped", CLI,
-           '_require_keys(value, f"{where} key", fragment["properties"])',
-           'value = {k: v for k, v in value.items() if k in fragment["properties"]}',
+           "        for key, item in value.items():\n            if key not in known:",
+           "        value = {key: item for key, item in value.items() if key in known}\n"
+           "        for key, item in value.items():\n            if key not in known:",
            "a misspelled chart or field key ('parms') must be named, not ignored"),
+    Mutant("scan-dimension", CLI,
+           "_require(chart.dim <= _MAX_SCAN_DIM,",
+           "_require(True,",
+           "the grid-scanning analyses must stop at the dimension they were measured to fit"),
     # the analyses
     Mutant("lie-derivative-transport-term", "src/confield/conformal.py",
            "L = matvec(dg.reshape(batch + (n * n, n)), val).reshape(batch + (n, n))",
@@ -88,19 +92,13 @@ def _tier1(tree: Path) -> tuple[bool, float, str]:
     return run.returncode == 0, time.perf_counter() - start, lines[-1] if lines else ""
 
 
-def main(argv=None) -> int:
-    ids = sys.argv[1:] if argv is None else argv
-    unknown = set(ids) - {m.id for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant(s): {sorted(unknown)}", file=sys.stderr)
-        return 2
-    rows = [m for m in MUTANTS if not ids or m.id in ids]
+def main() -> int:
     root = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(root, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out", ".benchmarks"))
-        for m in rows:
+        for m in MUTANTS:
             count = (tree / m.file).read_text(encoding="utf-8").count(m.old)
             if count != 1:
                 print(f"{m.id}: the old text occurs {count} times in {m.file}", file=sys.stderr)
@@ -111,7 +109,7 @@ def main(argv=None) -> int:
         if not passed:
             return 2
         survivors = []
-        for m in rows:
+        for m in MUTANTS:
             path = tree / m.file
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(m.old, m.new), encoding="utf-8")
