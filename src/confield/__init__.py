@@ -3,9 +3,11 @@
 The package works with coordinate charts whose metric components are small
 closed-form expressions.  On top of an exact forward-mode differentiation
 engine it provides: conformality checks (L_xi g = 2 phi g), zero finding and
-classification of zeros (Killing-type, homothetic, or essential), geodesic
-Taylor identities at zeros, and tracing of zero-set components together with
-umbilicity verification of the traced submanifolds.
+classification of zeros (Killing-type, homothetic, or essential), the two
+pointwise identities at a zero, nabla xi = A + phi I with A skew and
+nabla^2 xi(v, v) = 2 dphi(v) v - |v|^2 grad phi, which are the first two
+derivatives of xi along a geodesic, and tracing of zero-set components
+together with umbilicity verification of the traced submanifolds.
 
 All operations are pure functions of their inputs; any sampling is driven by
 an explicit seeded generator, so results are reproducible bit for bit.

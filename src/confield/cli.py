@@ -66,6 +66,7 @@ __all__ = ["main", "ManifestError", "run_manifest", "render_report"]
 _IDENTITY_TOL = 1e-7  # largest derivative-identity residual accepted
 _CONFORMAL_POINTS = 100  # sample points of check-conformal
 _IDENTITY_PAIRS = 50  # point and direction pairs of verify-identities
+_TAYLOR_ZEROS = 4  # zeros of verify-identities whose Taylor expansion is checked
 _TRACE_MAX_PATCHES = 2  # zero-set patches traced
 # largest Taylor residuals accepted at a zero: scalar derivative, and the
 # first and second derivative of the vector identity
@@ -402,7 +403,7 @@ def _run_verify_identities(session: _Session) -> dict:
     passed = bool(np.isfinite(worst) and worst < _IDENTITY_TOL)
 
     taylor = []
-    zeros = session.zeros[:4]
+    zeros = session.zeros[:_TAYLOR_ZEROS]
     if len(zeros):
         # one (k, n) block of draws gives the numbers of k draws of n
         dirs = rng.normal(size=zeros.shape)

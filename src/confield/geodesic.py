@@ -1,26 +1,22 @@
-"""Geodesics, parallel frames, and derivative identities along geodesics.
+"""Geodesics, and the pointwise identities of a conformal field.
 
 ``taylor_checks`` tests the expansion of a conformal field xi along the
 unit-speed geodesic c(t) = exp_x(tv) from a zero x, or from each row of an
-(m, n) stack of zeros with its own direction, in one order-2 evaluation:
+(m, n) stack of zeros with its own direction, in one order-2 evaluation.
+At a zero the covariant derivatives of xi satisfy
 
-* scalar: f(t) = g(xi(c(t)), c'(t)) satisfies f'(0) = phi(x),
-* vector: in a parallel frame, xi'(0) = phi(x) v + (1/2) d(xi^flat)(v) and
-  xi''(0) = 2 dphi_x(v) v - grad phi_x.
+* nabla_v xi = phi(x) v + (1/2) d(xi^flat)(v)^sharp, as nabla xi = A + phi I
+  with A = (1/2) d(xi^flat)^sharp skew;
+* nabla^2 xi(v, v) = 2 dphi_x(v) v - |v|^2 grad phi_x.
 
-Every derivative at t = 0 is an exact formula in the 2-jet at x (Taylor-mode
-differentiation of the geodesic equation).  With X = xi o c, which vanishes
-at t = 0, J = d xi, E the parallel frame (rows) and d_v g the derivative of
-the metric along v:
-
-* c'' = -Gamma(v, v) and E' = -Gamma(v, E);
-* X' = J v and X'' = d^2 xi(v, v) + J c'';
-* f' = g(X', v) and f'' = g(X'', v) + 2 (d_v g)(X', v) + 2 g(X', c'');
-* the frame components a = E g X have a' = E g X' and
-  a'' = 2 E' g X' + 2 E (d_v g) X' + E g X''.
-
-The targets keep their own covariant formulas in phi, dphi and d(xi^flat),
-so a wrong target is still caught.
+Both sides come from one :func:`~confield.geometry.field_data` call: the
+left sides are ``N v`` and ``H(v, v)``, the right sides are formed from
+phi, dphi and d(xi^flat).  Along a geodesic, nabla_t (xi o c) = nabla_{c'}
+xi and nabla_t^2 (xi o c) = nabla^2 xi(c', c') + nabla_{nabla_t c'} xi, whose
+last term vanishes, so the left sides are exactly the first two derivatives
+of xi o c at t = 0: in a parallel orthonormal frame E(t) they are the
+derivatives of the components E g xi, and f(t) = g(xi, c'(t)) has f' =
+g(nabla_v xi, v) and f'' = g(nabla^2 xi(v, v), v).
 
 Geodesics themselves are integrated by ``integrate_geodesic``, a fixed-step
 classical RK4 scheme on the first-order system (x, v) together with a
@@ -36,12 +32,13 @@ the benchmark's tracer.
 where R_{X, xi} is the 2-form (Y, Z) -> g(R(X, xi)Y, Z) and
 (dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), at one point (with
 the bits of the batch of one holding it) or over (m, n) arrays of points
-and directions.  R(X, xi) comes from Gamma and its derivatives already
-contracted with X and xi, d_X Gamma_xi - d_xi Gamma_X + [Gamma_X,
-Gamma_xi] with Gamma_X = Gamma(X, .), so the 4-index curvature tensor is
-never formed.  This identity pins down every sign convention in the
-package at once, so it is exercised over the whole model catalog in the
-tests.
+and directions.  The left side is the skew part of g(nabla^2 xi(X, .), .),
+read off the covariant Hessian H of ``field_data``.  R(X, xi) comes from
+Gamma and its derivatives already contracted with X and xi, d_X Gamma_xi -
+d_xi Gamma_X + [Gamma_X, Gamma_xi] with Gamma_X = Gamma(X, .), so the
+4-index curvature tensor is never formed.  This identity pins down every
+sign convention in the package at once, so it is exercised over the whole
+model catalog in the tests.
 """
 from __future__ import annotations
 
@@ -198,7 +195,13 @@ class TaylorVectorResult(NamedTuple):
 
 def _plain(a: np.ndarray) -> float | np.ndarray:
     """A result at one zero as a float, at a stack of zeros as an array."""
-    return float(a) if a.ndim == 0 else a
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _along(T: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Contract the last index of a k-index tensor T with w: k - 1 indices.
+    T and w share their leading batch axes."""
+    return matvec(T.reshape(w.shape[:-1] + (-1, w.shape[-1])), w).reshape(T.shape[:-1])
 
 
 def taylor_checks(
@@ -206,21 +209,21 @@ def taylor_checks(
 ) -> tuple[TaylorScalarResult, TaylorVectorResult]:
     """The scalar and vector Taylor checks at a zero x of xi, from its 2-jet.
 
-    Scalar: |f'(0) - phi(x)| for f(t) = g(xi, c'(t)).  Vector: xi'(0) =
-    nabla_v xi against phi(x) v + (1/2) d(xi^flat)(v) raised by the metric,
-    and xi''(0) against 2 dphi(v) v - grad phi, both in the parallel
-    orthonormal frame at x.  The derivatives are exact jet formulas, which
-    take xi(x) = 0.
+    ``first`` = nabla xi(v) and ``second`` = nabla^2 xi(v, v) are chart
+    vectors at x: along the unit-speed geodesic c(t) = exp_x(tv) they are
+    nabla_t (xi o c) and nabla_t^2 (xi o c) at t = 0.  Scalar: |f' - phi(x)|
+    for f(t) = g(xi, c'(t)), whose derivatives are f' = g(first, v) and f''
+    = g(second, v).  Vector: the g-norms of first - (phi v + (1/2)
+    d(xi^flat)(v)^sharp) and of second - (2 dphi(v) v - grad phi).
 
     ``x`` and ``v`` are one zero and direction, giving floats and (n,)
     arrays, or (m, n) arrays of them, giving (m,) and (m, n) arrays from
-    one :func:`~confield.geometry.field_data` call and one stacked frame.
+    one :func:`~confield.geometry.field_data` call.
     """
     chart.require_interior(x)
     x = np.asarray(x, dtype=float)
     fd = field_data(chart, xi, x, 2)
-    n, batch = chart.dim, x.shape[:-1]
-    g = np.ascontiguousarray(fd.conn.g)
+    g = fd.conn.g
     if not np.all(norm_vector(g, fd.value) < _ZERO_TOL):
         raise ValueError("taylor_checks requires a zero of the field")
     v = np.asarray(v, dtype=float)
@@ -228,33 +231,20 @@ def taylor_checks(
     if not np.all(np.isfinite(speed) & (speed > 0)):
         raise ValueError(f"taylor_checks needs a finite nonzero direction, got speed {speed}")
     v = v / np.asarray(speed)[..., None]
-    frame0 = complete_orthonormal_frame(fd.conn.factor, v)
-    # Gam_v[k, i] = Gamma^k_ij v^j and (d_v g)_ij = d_k g_ij v^k
-    Gam_v = matvec(fd.conn.Gam.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
-    dg_v = matvec(fd.conn.dg.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
-    acc = -matvec(Gam_v, v)  # c''(0)
-    dframe = -(frame0 @ Gam_v.swapaxes(-1, -2))  # E'(0)
-    X1 = matvec(fd.jac, v)
-    hess_v = matvec(fd.hess.reshape(batch + (n * n, n)), v).reshape(batch + (n, n))
-    X2 = matvec(hess_v, v) + matvec(fd.jac, acc)
+    first = matvec(fd.N, v)
+    second = matvec(_along(fd.H, v), v)
+    gv = matvec(g, v)
+    f1 = (first * gv).sum(axis=-1)
+    scalar = TaylorScalarResult(_plain(abs(f1 - fd.phi)), _plain(f1),
+                                _plain((second * gv).sum(axis=-1)))
 
-    gv, gX1 = matvec(g, v), matvec(g, X1)
-    f1 = (gX1 * v).sum(axis=-1)
-    f2 = ((X2 * gv).sum(axis=-1) + 2.0 * (X1 * matvec(dg_v, v)).sum(axis=-1)
-          + 2.0 * (gX1 * acc).sum(axis=-1))
-    scalar = TaylorScalarResult(_plain(abs(f1 - fd.phi)), _plain(f1), _plain(f2))
-
-    d1 = matvec(frame0, gX1)
-    d2 = (2.0 * matvec(dframe, gX1) + 2.0 * matvec(frame0, matvec(dg_v, X1))
-          + matvec(frame0, matvec(g, X2)))
-    # (v -| d xi)_j = v^i M[i, j] = -(M v)_j, as M is skew, and (phi v)_j =
-    # phi g_jk v^k; raise the covector and take frame components
+    # (v -| d xi^flat)_j = v^i M[i, j] = -(M v)_j, as M is skew
     phi = np.asarray(fd.phi)[..., None]
-    first_target = matvec(frame0, phi * gv - 0.5 * matvec(fd.M, v))
+    first_target = phi * v - 0.5 * matvec(fd.conn.ginv, matvec(fd.M, v))
     dphi_v = (fd.dphi * v).sum(axis=-1)[..., None]
-    second_target = matvec(frame0, matvec(g, 2.0 * dphi_v * v - matvec(fd.conn.ginv, fd.dphi)))
-    vector = TaylorVectorResult(_plain(np.linalg.norm(d1 - first_target, axis=-1)),
-                                _plain(np.linalg.norm(d2 - second_target, axis=-1)), d1, d2)
+    second_target = 2.0 * dphi_v * v - matvec(fd.conn.ginv, fd.dphi)
+    vector = TaylorVectorResult(_plain(norm_vector(g, first - first_target)),
+                                _plain(norm_vector(g, second - second_target)), first, second)
     return scalar, vector
 
 
@@ -278,38 +268,28 @@ def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
     level, and this is the main consistency check tying the curvature sign
     convention to the rest of the package.  Every term is contracted with
     X (and R with xi) while it has at most three indices, so no 4-index
-    tensor is formed beyond d Gamma and d^2 g.
+    tensor is formed beyond d Gamma.
     """
     chart.require_interior(p)
     X = np.asarray(X, dtype=float)
     fd = field_data(chart, xi, p, 2)
     cd = fd.conn
-    n, batch = chart.dim, X.shape[:-1]
-    val, jac, hess = fd.value, fd.jac, fd.hess
-    g, dg, d2g = cd.g, cd.dg, cd.d2g
+    val, g = fd.value, np.ascontiguousarray(cd.g)
 
-    def along(T, w):
-        """Contract the last index of a k-index tensor T with w: k - 1 indices."""
-        return matvec(T.reshape(batch + (-1, n)), w).reshape(T.shape[:-1])
-
-    # Y[j, i] = d_X d_i omega_j with omega_j = g_jl xi^l, not from the
-    # covariant Hessian; d2g and dg are symmetric in their first two indices
-    Y = (vecmat(val, along(d2g, X).reshape(batch + (n, n * n))).reshape(batch + (n, n))
-         + vecmat(matvec(jac, X), dg.reshape(batch + (n, n * n))).reshape(batch + (n, n))
-         + along(dg, X) @ np.ascontiguousarray(jac)
-         + np.ascontiguousarray(g) @ along(hess, X))
-    # Gam_X[l, i] = Gamma^l_ik X^k; with M skew, nabla_X d(xi^flat) = Z^T - Z
-    Gam_X, Gam_xi = along(cd.Gam, X), along(cd.Gam, val)
-    Z = Y + np.ascontiguousarray(fd.M) @ Gam_X
-    nabla_M = Z.swapaxes(-1, -2) - Z
+    # (nabla_X d xi^flat)(e_i, e_j) = g(nabla^2 xi(X, e_i), e_j) - (i <-> j),
+    # with G[j, i] = g_jl H[l, X, i], the derivative index of H along X
+    G = g @ vecmat(X[..., None, :], fd.H)
+    nabla_M = G.swapaxes(-1, -2) - G
 
     # R(X, xi)^i_j = (d_X Gamma^i_{xi j} - d_xi Gamma^i_{X j}) + [Gam_X, Gam_xi]^i_j,
-    # from dG[i, k, l, j] = d_k Gamma^i_lj (symmetric in l, j)
+    # with Gam_X[l, i] = Gamma^l_ik X^k and dG[i, k, l, j] = d_k Gamma^i_lj
+    # (symmetric in l, j)
+    Gam_X, Gam_xi = _along(cd.Gam, X), _along(cd.Gam, val)
     dG = np.moveaxis(cd.dGam, -1, -3)
-    R = (vecmat(X[..., None, :], along(dG, val)) - vecmat(val[..., None, :], along(dG, X))
+    R = (vecmat(X[..., None, :], _along(dG, val)) - vecmat(val[..., None, :], _along(dG, X))
          + Gam_X @ Gam_xi - Gam_xi @ Gam_X)
     # 2 R_{X,xi}(e_i, e_j) = 2 g(R(X, xi) e_i, e_j) = 2 (g R)[j, i]
-    curv = 2.0 * (np.ascontiguousarray(g) @ R).swapaxes(-1, -2)
+    curv = 2.0 * (g @ R).swapaxes(-1, -2)
 
     outer = fd.dphi[..., :, None] * matvec(g, X)[..., None, :]
     wedge = 2.0 * (outer - outer.swapaxes(-1, -2))

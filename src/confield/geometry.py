@@ -3,17 +3,19 @@
 Index conventions used throughout (and relied on by the test oracles):
 
 * :class:`ConnectionData` (from :func:`connection_data`) holds the metric
-  jets ``g``, ``dg[i, j, k] = d_k g_ij``, ``d2g``, the inverse ``ginv``,
+  ``g`` and its jet ``dg[i, j, k] = d_k g_ij``, the inverse ``ginv``,
   ``Gam[k, i, j]``, the Christoffel symbol Gamma^k_ij of the Levi-Civita
   connection, symmetric in (i, j), and ``dGam[k, i, j, m] = d_m
   Gamma^k_ij``.
-* :class:`FieldData` (from :func:`field_data`) holds the jets of a field at
-  one point and the tensors they give: ``N[i, j] = (nabla_{e_j} xi)^i``, the
-  endomorphism nabla xi with the value index first and the direction
-  second; ``H[i, j, k] = ((nabla_{e_j} nabla xi)(e_k))^i``, the covariant
-  Hessian with the derivative direction first; the 2-form matrix
-  ``M[i, j] = (d xi^flat)(e_i, e_j) = d_i (g_jk xi^k) - d_j (g_ik xi^k)``;
-  and ``phi = trace(N) / n`` and its differential ``dphi``.
+* :class:`FieldData` (from :func:`field_data`) holds the value of a field at
+  one point and the covariant tensors its 2-jet gives: ``N[i, j] =
+  (nabla_{e_j} xi)^i``, the endomorphism nabla xi with the value index
+  first and the direction second; ``H[i, j, k] = ((nabla_{e_j} nabla
+  xi)(e_k))^i``, the covariant Hessian nabla^2 xi(e_j, e_k) with the
+  derivative direction first; the 2-form matrix ``M[i, j] = (d
+  xi^flat)(e_i, e_j) = d_i (g_jk xi^k) - d_j (g_ik xi^k)``; and ``phi =
+  trace(N) / n`` and its differential ``dphi``.  The component jets they
+  come from are :func:`field_jets` and :func:`metric_jets`.
 
 Batches: every evaluation here (``metric_jets``, ``connection_data``,
 ``field_jets``, ``field_data``, ``metric_factor``, ``spd_inverse``,
@@ -284,8 +286,8 @@ def _axes(a: np.ndarray, *order: int) -> np.ndarray:
 class ConnectionData:
     """Metric jets, the metric factor and the connection, to jet order 1 or 2.
 
-    ``factor`` is :func:`metric_factor` of ``g``.  At order 1, ``d2g`` and
-    ``dGam`` are ``None``.  Built from an (m, n) array of points, every
+    ``factor`` is :func:`metric_factor` of ``g``.  At order 1, ``dGam`` is
+    ``None``.  Built from an (m, n) array of points, every
     array has a leading axis of length m.
     """
 
@@ -293,7 +295,6 @@ class ConnectionData:
     factor: tuple
     ginv: np.ndarray
     dg: np.ndarray
-    d2g: np.ndarray | None
     Gam: np.ndarray      # Gam[k, i, j] = Gamma^k_ij
     dGam: np.ndarray | None  # dGam[k, i, j, m] = d_m Gamma^k_ij
 
@@ -325,7 +326,7 @@ def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
         V = 0.5 * _stacked(lowered, batch, n * n, n * n) - dg_Gam
         dGam = _stacked(ginv, batch, n, n) @ V.reshape(batch + (n, n ** 3))
         dGam = np.moveaxis(dGam.reshape(batch + (n,) * 4), -3, -1)
-    return ConnectionData(g, (L, Linv), ginv, dg, d2g, Gam, dGam)
+    return ConnectionData(g, (L, Linv), ginv, dg, Gam, dGam)
 
 
 def christoffel_matrix(chart: Chart, p) -> np.ndarray:
@@ -359,19 +360,16 @@ def field_value(xi: FieldSpec, p) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FieldData:
-    """The 2-jet of a vector field at one point and the tensors it gives.
+    """A vector field's value at one point and the covariant tensors of its 2-jet.
 
-    ``value``, ``jac`` and ``hess`` are the component jets of
-    :func:`field_jets`; ``N``, ``M``, ``phi``, ``H`` and ``dphi`` follow
-    the conventions in the module docstring.  At order 1, ``hess``, ``H``
-    and ``dphi`` are ``None``.  Built from an (m, n) array of points, every
-    array and ``phi`` have a leading axis of length m.
+    ``N``, ``M``, ``phi``, ``H`` and ``dphi`` follow the conventions in the
+    module docstring.  At order 1, ``H`` and ``dphi`` are ``None``.  Built
+    from an (m, n) array of points, every array and ``phi`` have a leading
+    axis of length m.
     """
 
     conn: ConnectionData
     value: np.ndarray
-    jac: np.ndarray
-    hess: np.ndarray | None
     N: np.ndarray
     M: np.ndarray
     phi: float | np.ndarray
@@ -410,7 +408,7 @@ def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
         # n phi = trace N, so n d_j phi = d_j N[i, i]
         dphi = np.trace(dN, axis1=-3, axis2=-1) / n
     phi = np.trace(N, axis1=-2, axis2=-1) / chart.dim
-    return FieldData(conn, val, jac, hess, N, P - P.swapaxes(-1, -2),
+    return FieldData(conn, val, N, P - P.swapaxes(-1, -2),
                      float(phi) if phi.ndim == 0 else phi, H, dphi)
 
 

@@ -585,10 +585,13 @@ def counting_steps(monkeypatch):
 
 
 def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
-    """``(f', f'', a', a'')`` at t = 0 along the unit-speed geodesic c from x
-    in direction v, for f(t) = g(xi, c'(t)) and the components a(t) of xi
-    (lowered) in the parallel frame that starts at
-    ``complete_orthonormal_frame(metric_factor(g), v)``.
+    """``(f', f'', a', a'', E)`` at t = 0 along the unit-speed geodesic c
+    from x in direction v, for f(t) = g(xi, c'(t)) and the components
+    a(t) = E(t) g xi of xi in the parallel orthonormal frame E(t) (rows)
+    that starts at E = ``complete_orthonormal_frame(metric_factor(g), v)``.
+    As E is parallel and g-orthonormal, a' = E g nabla_t xi and a'' = E g
+    nabla_t^2 xi at t = 0: the chart vectors of ``taylor_checks`` seen in
+    that frame.
 
     The states at t = +-h and +-h/2 come from two RK4 runs of ``steps``
     steps, to h and to -h; the derivatives are Richardson limits of central
@@ -623,7 +626,7 @@ def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
         s_h2 = (d[h / 2] - 2.0 * d[0.0] + d[-h / 2]) / (0.25 * h * h)
         return (4.0 * s_h2 - s_h) / 3.0
 
-    return first(f), second(f), first(a), second(a)
+    return first(f), second(f), first(a), second(a), frame0
 
 
 # -- the Moebius algebra so(n+1, 1) -------------------------------------------

@@ -212,7 +212,7 @@ def test_traced_components_are_umbilical_with_even_codim(capsys):
 
 def test_taylor_expansions_at_zeros(capsys):
     """Along unit-speed geodesics through a zero, f'(0) recovers the factor
-    and the frame second derivative matches 2 dphi(v) v - grad phi; for the
+    and nabla^2 xi(v, v) matches 2 dphi(v) v - grad phi; for the
     quadratic generator with v = e1 that is exactly -2 e1."""
     K = models.special_conformal(FLAT3, 1)
     rot = models.rotation(FLAT3, 1, 2)

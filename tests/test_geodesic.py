@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import confield.cli as cli
 import confield.geodesic as geodesic
+import confield.geometry as geometry
 import confield.models as models
 from confield.essential import find_zeros
 from confield.expr import Const, Mul, Var, parse
@@ -24,7 +26,9 @@ from confield.geometry import (
     norm_vector,
     sample_interior,
 )
-from helpers import reference_dxi_identity_residual, rk4_taylor_derivatives
+from helpers import (SHEARED, mobius_conjugate, mobius_field, mobius_matrix, mobius_parts,
+                     recording_calls, reference_dxi_identity_residual,
+                     rk4_taylor_derivatives)
 
 SPHERE = models.sphere_stereographic(3)
 HYPER = models.hyperbolic_ball(3)
@@ -184,8 +188,8 @@ def test_scalar_check_requires_a_zero():
 
 
 def test_vector_expansion_at_quadratic_zero():
-    """xi'(0) = dxi(c')(0)/2 = 0 and xi''(0) = 2 dphi(c')c' - grad phi in the
-    parallel frame; for v = e1 this is -2 e1."""
+    """xi'(0) = dxi(c')(0)/2 = 0 and xi''(0) = 2 dphi(c')c' - grad phi, chart
+    vectors at the zero; for v = e1 this is -2 e1."""
     K = models.special_conformal(FLAT3, 1)
     res = taylor_checks(FLAT3, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
     assert res.first_residual < 1e-9
@@ -196,21 +200,19 @@ def test_vector_expansion_at_quadratic_zero():
 
 def test_vector_expansion_transverse_direction():
     """For v = e2 at the quadratic zero: dphi(v) = 0 so xi''(0) = -grad phi
-    = 2 e1, expressed in a frame whose first row is e2."""
+    = 2 e1."""
     K = models.special_conformal(FLAT3, 1)
     res = taylor_checks(FLAT3, K, np.zeros(3), np.array([0.0, 1.0, 0.0]))[1]
     assert res.second_residual < 1e-6
-    # frame rows: e2 completed to an orthonormal frame; components of 2 e1
-    norm = np.linalg.norm(res.second)
-    assert norm == pytest.approx(2.0, abs=1e-6)
+    assert np.abs(res.second - np.array([2.0, 0.0, 0.0])).max() < 1e-6
 
 
 def test_vector_expansion_rotation_first_order():
     rot = models.rotation(FLAT3, 1, 2)
     res = taylor_checks(FLAT3, rot, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
-    # xi'(0) = dxi(v)/2 = e2 direction with magnitude 1
+    # xi'(0) = dxi(v)/2 = e2
     assert res.first_residual < 1e-9
-    assert np.linalg.norm(res.first) == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(res.first - np.array([0.0, 1.0, 0.0])).max() < 1e-9
     assert res.second_residual < 1e-7
 
 
@@ -271,24 +273,66 @@ def test_vector_stencil_shares_runs(monkeypatch):
     assert scalar.derivative_residual < 1e-12
 
 
+def test_checks_build_no_frame(monkeypatch):
+    """nabla xi and nabla^2 xi come from field_data as chart vectors, so
+    neither the checks on a stack of zeros nor a verify-identities manifest
+    builds a g-orthonormal frame: frame_svd is never called."""
+    calls = recording_calls(monkeypatch, geometry.frame_svd, lambda out: 1)
+    rot = models.rotation(FLAT3, 1, 2)
+    zeros = find_zeros(FLAT3, rot)[:4]
+    assert len(zeros) == 4
+    taylor_checks(FLAT3, rot, zeros, np.random.default_rng(2).standard_normal(zeros.shape))
+    report, code = cli.run_manifest({"chart": {"name": "euclidean", "dim": 3},
+                                     "field": {"name": "rotation",
+                                               "params": {"axis_i": 1, "axis_j": 2}},
+                                     "analyses": ["verify-identities"]})
+    assert code == 0 and len(report["analyses"]["verify-identities"]["taylor_at_zeros"]) == 4
+    assert calls == []
+
+
+def _mobius_zeros(n):
+    """``(chart, xi, zero)`` for the first 2 found zeros of one seeded
+    conjugate P X P^-1 per catalog chart of each of the elliptic
+    rotation(1,2), the loxodromic rotation(1,2) + 0.7 euler and the
+    parabolic rotation(1,2) + special_conformal(3): zeros off the
+    coordinate axes, Killing, homothetic and essential."""
+    rng = np.random.default_rng([n, 16])
+    B = np.zeros((n, n))
+    B[0, 1], B[1, 0] = -1.0, 1.0
+    for lam, b in ((0.0, np.zeros(n)), (0.7, np.zeros(n)), (0.0, -np.eye(n)[2])):
+        X0 = mobius_matrix(np.zeros(n), B, lam, b)
+        for name in ("euclidean", "sphere_stereographic", "hyperbolic_ball"):
+            chart = models.make_chart(name, n)
+            t = 0.5 * rng.uniform(chart.lower, chart.upper)
+            X, _ = mobius_conjugate(X0, t, 0.5 * rng.normal(size=n))
+            xi, _ = mobius_field(chart, *mobius_parts(X))
+            for z in find_zeros(chart, xi)[:2]:
+                yield chart, xi, z
+
+
 def test_jet_derivatives_match_rk4_differences():
     """f', f'', a' and a'' from the 2-jet agree with Richardson differences
-    of RK4 runs at every checked zero of the catalog in dimensions 3 and 4."""
+    of RK4 runs at every checked zero of the catalog in dimensions 3 and 4,
+    and at zeros of seeded Moebius conjugates, which lie off the coordinate
+    axes.  The frame components a of xi have a' = E g first and a'' = E g
+    second, with E the parallel frame at the zero."""
     rng = np.random.default_rng(16)
     # the first 4 zeros of each pair, the ones verify-identities checks
     cases = [(chart, xi, z) for dim in (3, 4) for chart, xi in models.standard_pairs(dim)
              for z in find_zeros(chart, xi)[:4]]
     assert len(cases) == 54
-    for chart, xi, z in cases:
+    mobius = [case for n in (3, 4) for case in _mobius_zeros(n)]
+    assert len(mobius) == 26
+    for chart, xi, z in cases + mobius:
         v = rng.standard_normal(chart.dim)
         scalar, vector = taylor_checks(chart, xi, z, v)
-        f1, f2, a1, a2 = rk4_taylor_derivatives(chart, xi, z, v)
+        f1, f2, a1, a2, E = rk4_taylor_derivatives(chart, xi, z, v)
+        Eg = E @ metric_value(chart, z)
         label = f"{chart.name} {xi.name} {z.tolist()}"
         assert abs(scalar.f_prime - f1) < 1e-10, label
-        assert np.abs(vector.first - a1).max() < 1e-10, label
+        assert np.abs(Eg @ vector.first - a1).max() < 1e-10, label
         assert abs(scalar.f_second - f2) < 1e-7, label
-        assert np.abs(vector.second - a2).max() < 1e-7, label
-
+        assert np.abs(Eg @ vector.second - a2).max() < 1e-7, label
 
 
 def test_stacked_taylor_checks_are_the_per_zero_checks():
@@ -419,14 +463,18 @@ def _non_conformal(chart):
 def test_identity_residuals_match_the_einsum_reference(dim):
     """At a 1-d point and on stacks of 1, 7 and 50, over every catalog pair
     (residuals at rounding level) and a field that is not conformal on each
-    chart (residuals of order one): the residuals agree with the einsum
-    reference to 1e-13 of the largest tensor entry the identity contracts,
-    times |X|."""
+    chart and, in dimension 3, on the sheared chart (residuals of order
+    one): the residuals agree with the einsum reference to 1e-13 of the
+    largest tensor entry the identity contracts, times |X|.  Off a zero of
+    a field on a curved chart, nabla^2 xi(X, Y) - nabla^2 xi(Y, X) =
+    R(X, Y) xi, so the reference tells the derivative index of H from its
+    argument index."""
     from helpers import reference_field_data
 
     rng = np.random.default_rng(dim)
     pairs = models.standard_pairs(dim)
-    pairs += [(chart, _non_conformal(chart)) for chart in {c.name: c for c, _ in pairs}.values()]
+    charts = list({c.name: c for c, _ in pairs}.values()) + ([SHEARED] if dim == 3 else [])
+    pairs += [(chart, _non_conformal(chart)) for chart in charts]
     for chart, xi in pairs:
         points = sample_interior(chart, 50, rng)
         dirs = rng.standard_normal((50, dim))

@@ -200,13 +200,14 @@ REFERENCE_PAIRS = models.standard_pairs(3) + models.standard_pairs(4)
 STACKS = (None, 1, 7, 50)
 
 
-def _order2_arrays(fd):
-    """The arrays of an order-2 FieldData that the stacked kernels give,
-    with the metric factor."""
+def _order2_arrays(chart, xi, p):
+    """The arrays of an order-2 FieldData at p that the stacked kernels
+    give, with the metric factor and the metric's 2-jet."""
+    fd = field_data(chart, xi, p, 2)
     c = fd.conn
     return {"g": c.g, "L": c.factor[0], "Linv": c.factor[1], "ginv": c.ginv, "dg": c.dg,
-            "d2g": c.d2g, "Gam": c.Gam, "dGam": c.dGam, "N": fd.N, "M": fd.M,
-            "phi": np.asarray(fd.phi), "H": fd.H, "dphi": fd.dphi}
+            "d2g": metric_jets(chart, p, 2)[2], "Gam": c.Gam, "dGam": c.dGam, "N": fd.N,
+            "M": fd.M, "phi": np.asarray(fd.phi), "H": fd.H, "dphi": fd.dphi}
 
 
 def _reference_arrays(ref):
@@ -226,7 +227,7 @@ def test_order2_kernels_match_the_einsum_reference(chart, xi):
     points = sample_interior(chart, 50, np.random.default_rng([chart.dim, len(xi.name)]))
     for size in STACKS:
         p = points[0] if size is None else points[:size]
-        got = _order2_arrays(field_data(chart, xi, p, 2))
+        got = _order2_arrays(chart, xi, p)
         ref = _reference_arrays(reference_field_data(chart, xi, p, 2))
         scale = max(np.abs(a).max() for a in ref.values())
         for name, a in ref.items():
@@ -244,14 +245,14 @@ def test_stack_rows_are_the_batch_of_one_bit_for_bit(chart, xi):
     rng = np.random.default_rng([chart.dim, len(xi.name)])
     points = sample_interior(chart, 50, rng)
     directions = rng.normal(size=points.shape)
-    ones = [_order2_arrays(field_data(chart, xi, points[i:i + 1], 2)) for i in range(50)]
+    ones = [_order2_arrays(chart, xi, points[i:i + 1]) for i in range(50)]
     for size in STACKS[2:]:
-        stack = _order2_arrays(field_data(chart, xi, points[:size], 2))
+        stack = _order2_arrays(chart, xi, points[:size])
         for i in range(size):
             for name, a in ones[i].items():
                 assert _bits(stack[name][i]) == _bits(a[0]), (size, i, name)
     for i, (p, X) in enumerate(zip(points, directions)):
-        single = _order2_arrays(field_data(chart, xi, p, 2))
+        single = _order2_arrays(chart, xi, p)
         for name, a in ones[i].items():
             assert _bits(single[name]) == _bits(a[0]), (i, name)
         assert (_bits(conformal_residual(chart, xi, p))

@@ -78,6 +78,16 @@ MUTANTS = (
            "lam = np.where((0.4 * dd < sd) & (sd < 0.6 * dd), 2.0, 1.0)",
            "lam = np.where((0.4 * dd < sd) & (sd < 0.6 * dd), 1.0, 1.0)",
            "a degenerate zero converges only linearly without the doubled step"),
+    # the pointwise identities
+    Mutant("taylor-target-without-phi-v", "src/confield/geodesic.py",
+           "first_target = phi * v - 0.5 * matvec(",
+           "first_target = -0.5 * matvec(",
+           "nabla_v xi = phi v + (1/2) d(xi^flat)(v)^sharp: a homothetic zero has phi != 0"),
+    Mutant("hessian-indices-swapped", "src/confield/geodesic.py",
+           "G = g @ vecmat(X[..., None, :], fd.H)",
+           "G = g @ _along(fd.H, X)",
+           "nabla_X d(xi^flat) takes X in H's derivative index; off a zero on a curved "
+           "chart the derivative and argument indices differ by R(X, .) xi"),
 )
 
 
