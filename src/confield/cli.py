@@ -45,7 +45,7 @@ from .essential import (
 )
 from .expr import ExprSyntaxError, parse
 from .geodesic import dxi_identity_residual, taylor_checks
-from .geometry import Chart, ChartError, FieldSpec, MetricError, sample_interior
+from .geometry import Chart, ChartError, FieldSpec, MetricError, field_data, sample_interior
 from .models import CHART_BUILDERS, FIELD_BUILDERS, field_params, make_chart, make_field
 from .zeroset import (
     TRACE_GRID,
@@ -301,11 +301,18 @@ class _Session:
         return find_zeros(self.chart, self.xi, grid_resolution=self.cfg["grid_resolution"])
 
     @cached_property
+    def zero_jets(self):
+        """The 2-jets at every zero, from one field_data call, which classify
+        and verify-identities read; None when there is no zero."""
+        return field_data(self.chart, self.xi, self.zeros, 2) if len(self.zeros) else None
+
+    @cached_property
     def classifications(self):
         """One classification per zero, from one call on the classify
         stream: classify and tracing read the same verdicts whichever of
         them runs."""
-        return classify_zero(self.chart, self.xi, self.zeros, rng=self.stream("classify"))
+        return () if self.zero_jets is None else classify_zero(
+            self.chart, self.xi, self.zero_jets, rng=self.stream("classify"))
 
     @cached_property
     def patches(self):
@@ -403,12 +410,11 @@ def _run_verify_identities(session: _Session) -> dict:
     passed = bool(np.isfinite(worst) and worst < _IDENTITY_TOL)
 
     taylor = []
-    zeros = session.zeros[:_TAYLOR_ZEROS]
-    if len(zeros):
-        # one (k, n) block of draws gives the numbers of k draws of n
-        dirs = rng.normal(size=zeros.shape)
-        scalar, vector = taylor_checks(session.chart, session.xi, zeros, dirs)
-        for z, s, first, second in zip(zeros, scalar.derivative_residual,
+    if session.zero_jets is not None:
+        # one (m, n) block of draws, whose first k rows are k draws of n
+        dirs = rng.normal(size=session.zeros.shape)
+        scalar, vector = taylor_checks(session.zero_jets, dirs)
+        for z, s, first, second in zip(session.zeros[:_TAYLOR_ZEROS], scalar.derivative_residual,
                                         vector.first_residual, vector.second_residual):
             entry_ok = (s < _TAYLOR_SCALAR_TOL and first < _TAYLOR_FIRST_TOL
                         and second < _TAYLOR_SECOND_TOL)

@@ -20,10 +20,10 @@ Killing (it is holomorphically linearizable to a rotation, so xi is Killing
 for a rescaled metric and the zero is its own component) and gives no
 verdict for any other zero.
 
-``classify_zero`` takes one zero or a stack of them; a stack is classified
-from one batched evaluation of the 2-jets, one stacked SVD of the skew
-forms, one draw of all the neighbourhood samples and one conformality
-check over them.
+``classify_zero`` reads a stack of zeros from the one ``field_data`` record
+of their 2-jets that other checks at them may share, and classifies them
+from one stacked SVD of the skew forms, one draw of all the neighbourhood
+samples and one conformality check over them.
 
 ``find_zeros`` locates zeros by a grid scan, in blocks of bounded size,
 whose seeds ``polish_zeros`` moves onto xi = 0 all at once, as the lanes of
@@ -47,8 +47,8 @@ from .conformal import CONFORMAL_TOL, is_conformal
 from .expr import eval_values_many
 from .geometry import (
     Chart,
+    FieldData,
     FieldSpec,
-    field_data,
     field_jets,
     field_norm,
     frame_svd,
@@ -272,17 +272,13 @@ def find_zeros(
 class ZeroClassification:
     """First-order data and verdict at a zero of a conformal field.
 
-    ``metric`` is g at the zero, from the same jets as the tensors, and
     ``normal_basis`` spans the g-orthogonal complement of ``kernel_basis``.
     On a surface ``verdict`` is ``None`` for a zero that no verdict covers.
     """
 
     point: np.ndarray
-    metric: np.ndarray
     verdict: str | None
     phi: float
-    dphi: np.ndarray
-    dxi: np.ndarray
     image_residual: float
     kernel_dim: int
     rank_dxi: int
@@ -294,20 +290,19 @@ class ZeroClassification:
 def classify_zero(
     chart: Chart,
     xi: FieldSpec,
-    x,
+    jets: FieldData,
     tol: float = CLASSIFICATION_TOL,
     conformal_tol: float = CONFORMAL_TOL,
     rng=None,
-) -> ZeroClassification | tuple:
+) -> tuple:
     """Classify zeros as essential, homothetic, or Killing after rescaling.
 
-    ``x`` is one point, classified as a batch of one into one
-    :class:`ZeroClassification`, or an (m, n) array of points, classified
-    together into a tuple of m (an empty array gives ``()``).  Every point
-    must satisfy |xi|_g < tol; a row that does not, or is NaN, raises
-    ``ValueError`` naming it.  The 2-jets of all points come from one
-    :func:`~confield.geometry.field_data` call, and the SVDs of d(xi^flat)
-    in g-orthonormal frames at all points from one stacked
+    ``jets`` is the :func:`~confield.geometry.field_data` record of xi, to
+    order 2, at an (m, n) array of points; they are classified together into
+    a tuple of m (an empty record gives ``()``), and nothing is evaluated
+    at them again.  Every point must satisfy |xi|_g < tol; a row that does
+    not, or is NaN, raises ``ValueError`` naming it.  The SVDs of
+    d(xi^flat) in g-orthonormal frames at all points come from one stacked
     :func:`~confield.geometry.frame_svd` call.  The verdict is read from
     that SVD: |phi| >= ``tol`` gives
     ``homothetic_nonkilling`` and an ``image_residual`` of 0, since nabla xi
@@ -327,13 +322,11 @@ def classify_zero(
     with skew invertible nabla xi and gets ``killing_inessential``; every
     other zero of a conformal field gets the verdict ``None``.
     """
-    x = np.asarray(x, dtype=float)
-    points = np.atleast_2d(x)
+    points = jets.points
     if not len(points):
         return ()
     chart.require_interior(points)
-    fd = field_data(chart, xi, points, 2)
-    norms = norm_vector(fd.conn.g, fd.value)
+    norms = norm_vector(jets.conn.g, jets.value)
     for row, norm in enumerate(norms):
         if not norm < tol:
             raise ValueError(
@@ -347,21 +340,21 @@ def classify_zero(
     neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)
 
     n = chart.dim
-    dxi_svd = frame_svd(fd.conn.factor, fd.M, "skew_form")
+    dxi_svd = frame_svd(jets.conn.factor, jets.M, "skew_form")
     kernel_dim = n - dxi_svd.rank
     # in the frame nabla xi = A + phi I with A skew and ker A = ker M: it is
     # invertible for phi != 0, else its image is the complement of ker M
-    b_frame = (dxi_svd.Linv @ fd.dphi[:, :, None])[:, :, 0]
+    b_frame = (dxi_svd.Linv @ jets.dphi[:, :, None])[:, :, 0]
     along = (dxi_svd.Vt @ b_frame[:, :, None])[:, :, 0]
     along[np.arange(n) < dxi_svd.rank[:, None]] = 0.0
-    image_residual = np.where(np.abs(fd.phi) >= tol, 0.0, np.linalg.norm(along, axis=1))
+    image_residual = np.where(np.abs(jets.phi) >= tol, 0.0, np.linalg.norm(along, axis=1))
     b_scale = np.linalg.norm(b_frame, axis=1)
     # row a of frame_rows[i] is Vt[i, a] in chart coordinates; rows rank[i]
     # and on span zero i's kernel, the rows before them its complement
     frame_rows = dxi_svd.Vt @ dxi_svd.Linv
 
     classes = []
-    for i, (phi, residual) in enumerate(zip(fd.phi.tolist(), neighborhood.tolist())):
+    for i, (phi, residual) in enumerate(zip(jets.phi.tolist(), neighborhood.tolist())):
         if not residual < conformal_tol:
             verdict = VERDICT_INVALID
         elif n < 3:
@@ -372,11 +365,8 @@ def classify_zero(
             verdict = VERDICT_ESSENTIAL
         classes.append(ZeroClassification(
             point=points[i],
-            metric=fd.conn.g[i],
             verdict=verdict,
             phi=phi,
-            dphi=fd.dphi[i],
-            dxi=fd.M[i],
             image_residual=float(image_residual[i]),
             kernel_dim=int(kernel_dim[i]),
             rank_dxi=int(dxi_svd.rank[i]),
@@ -384,7 +374,7 @@ def classify_zero(
             normal_basis=frame_rows[i, :dxi_svd.rank[i]],
             neighborhood_residual=residual,
         ))
-    return classes[0] if x.ndim == 1 else tuple(classes)
+    return tuple(classes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,21 +2,22 @@
 
 ``taylor_checks`` tests the expansion of a conformal field xi along the
 unit-speed geodesic c(t) = exp_x(tv) from a zero x, or from each row of an
-(m, n) stack of zeros with its own direction, in one order-2 evaluation.
-At a zero the covariant derivatives of xi satisfy
+(m, n) stack of zeros with its own direction, from the zeros' one
+:func:`~confield.geometry.field_data` record, which zero classification
+reads too.  At a zero the covariant derivatives of xi satisfy
 
 * nabla_v xi = phi(x) v + (1/2) d(xi^flat)(v)^sharp, as nabla xi = A + phi I
   with A = (1/2) d(xi^flat)^sharp skew;
 * nabla^2 xi(v, v) = 2 dphi_x(v) v - |v|^2 grad phi_x.
 
-Both sides come from one :func:`~confield.geometry.field_data` call: the
-left sides are ``N v`` and ``H(v, v)``, the right sides are formed from
-phi, dphi and d(xi^flat).  Along a geodesic, nabla_t (xi o c) = nabla_{c'}
-xi and nabla_t^2 (xi o c) = nabla^2 xi(c', c') + nabla_{nabla_t c'} xi, whose
-last term vanishes, so the left sides are exactly the first two derivatives
-of xi o c at t = 0: in a parallel orthonormal frame E(t) they are the
-derivatives of the components E g xi, and f(t) = g(xi, c'(t)) has f' =
-g(nabla_v xi, v) and f'' = g(nabla^2 xi(v, v), v).
+Both sides come from that record: the left sides are ``N v`` and
+``H(v, v)``, the right sides are formed from phi, dphi and d(xi^flat).
+Along a geodesic, nabla_t (xi o c) = nabla_{c'} xi and nabla_t^2 (xi o c)
+= nabla^2 xi(c', c') + nabla_{nabla_t c'} xi, whose last term vanishes, so
+the left sides are exactly the first two derivatives of xi o c at t = 0:
+in a parallel orthonormal frame E(t) they are the derivatives of the
+components E g xi, and f(t) = g(xi, c'(t)) has f' = g(nabla_v xi, v) and
+f'' = g(nabla^2 xi(v, v), v).
 
 Geodesics themselves are integrated by ``integrate_geodesic``, a fixed-step
 classical RK4 scheme on the first-order system (x, v) together with a
@@ -50,6 +51,7 @@ import numpy as np
 
 from .geometry import (
     Chart,
+    FieldData,
     FieldSpec,
     christoffel_matrix,
     complete_orthonormal_frame,
@@ -204,10 +206,9 @@ def _along(T: np.ndarray, w: np.ndarray) -> np.ndarray:
     return matvec(T.reshape(w.shape[:-1] + (-1, w.shape[-1])), w).reshape(T.shape[:-1])
 
 
-def taylor_checks(
-    chart: Chart, xi: FieldSpec, x, v
-) -> tuple[TaylorScalarResult, TaylorVectorResult]:
-    """The scalar and vector Taylor checks at a zero x of xi, from its 2-jet.
+def taylor_checks(jets: FieldData, v) -> tuple[TaylorScalarResult, TaylorVectorResult]:
+    """The scalar and vector Taylor checks at zeros of xi, read from ``jets``,
+    their order-2 :func:`~confield.geometry.field_data` record.
 
     ``first`` = nabla xi(v) and ``second`` = nabla^2 xi(v, v) are chart
     vectors at x: along the unit-speed geodesic c(t) = exp_x(tv) they are
@@ -216,46 +217,42 @@ def taylor_checks(
     = g(second, v).  Vector: the g-norms of first - (phi v + (1/2)
     d(xi^flat)(v)^sharp) and of second - (2 dphi(v) v - grad phi).
 
-    ``x`` and ``v`` are one zero and direction, giving floats and (n,)
-    arrays, or (m, n) arrays of them, giving (m,) and (m, n) arrays from
-    one :func:`~confield.geometry.field_data` call.
+    ``jets`` at one zero x and one direction ``v`` give floats and (n,)
+    arrays; at (m, n) zeros, with row k of ``v`` at zero k, (m,) and (m, n).
     """
-    chart.require_interior(x)
-    x = np.asarray(x, dtype=float)
-    fd = field_data(chart, xi, x, 2)
-    g = fd.conn.g
-    if not np.all(norm_vector(g, fd.value) < _ZERO_TOL):
+    g = jets.conn.g
+    if not np.all(norm_vector(g, jets.value) < _ZERO_TOL):
         raise ValueError("taylor_checks requires a zero of the field")
     v = np.asarray(v, dtype=float)
     speed = norm_or_nan(g, v)
     if not np.all(np.isfinite(speed) & (speed > 0)):
         raise ValueError(f"taylor_checks needs a finite nonzero direction, got speed {speed}")
     v = v / np.asarray(speed)[..., None]
-    first = matvec(fd.N, v)
-    second = matvec(_along(fd.H, v), v)
+    first = matvec(jets.N, v)
+    second = matvec(_along(jets.H, v), v)
     gv = matvec(g, v)
     f1 = (first * gv).sum(axis=-1)
-    scalar = TaylorScalarResult(_plain(abs(f1 - fd.phi)), _plain(f1),
+    scalar = TaylorScalarResult(_plain(abs(f1 - jets.phi)), _plain(f1),
                                 _plain((second * gv).sum(axis=-1)))
 
     # (v -| d xi^flat)_j = v^i M[i, j] = -(M v)_j, as M is skew
-    phi = np.asarray(fd.phi)[..., None]
-    first_target = phi * v - 0.5 * matvec(fd.conn.ginv, matvec(fd.M, v))
-    dphi_v = (fd.dphi * v).sum(axis=-1)[..., None]
-    second_target = 2.0 * dphi_v * v - matvec(fd.conn.ginv, fd.dphi)
+    phi = np.asarray(jets.phi)[..., None]
+    first_target = phi * v - 0.5 * matvec(jets.conn.ginv, matvec(jets.M, v))
+    dphi_v = (jets.dphi * v).sum(axis=-1)[..., None]
+    second_target = 2.0 * dphi_v * v - matvec(jets.conn.ginv, jets.dphi)
     vector = TaylorVectorResult(_plain(norm_vector(g, first - first_target)),
                                 _plain(norm_vector(g, second - second_target)), first, second)
     return scalar, vector
 
 
-def taylor_scalar_check(chart: Chart, xi: FieldSpec, x, v) -> TaylorScalarResult:
+def taylor_scalar_check(jets: FieldData, v) -> TaylorScalarResult:
     """The scalar result of :func:`taylor_checks`; bench/tracer.py wraps this name."""
-    return taylor_checks(chart, xi, x, v)[0]
+    return taylor_checks(jets, v)[0]
 
 
-def taylor_vector_check(chart: Chart, xi: FieldSpec, x, v) -> TaylorVectorResult:
+def taylor_vector_check(jets: FieldData, v) -> TaylorVectorResult:
     """The vector result of :func:`taylor_checks`; bench/tracer.py wraps this name."""
-    return taylor_checks(chart, xi, x, v)[1]
+    return taylor_checks(jets, v)[1]
 
 
 def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):

@@ -8,7 +8,7 @@ Index conventions used throughout (and relied on by the test oracles):
   connection, symmetric in (i, j), and ``dGam[k, i, j, m] = d_m
   Gamma^k_ij``.
 * :class:`FieldData` (from :func:`field_data`) holds the value of a field at
-  one point and the covariant tensors its 2-jet gives: ``N[i, j] =
+  its ``points`` and the covariant tensors its 2-jet gives: ``N[i, j] =
   (nabla_{e_j} xi)^i``, the endomorphism nabla xi with the value index
   first and the direction second; ``H[i, j, k] = ((nabla_{e_j} nabla
   xi)(e_k))^i``, the covariant Hessian nabla^2 xi(e_j, e_k) with the
@@ -360,14 +360,15 @@ def field_value(xi: FieldSpec, p) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FieldData:
-    """A vector field's value at one point and the covariant tensors of its 2-jet.
+    """A vector field's value at ``points`` and the covariant tensors of its 2-jet.
 
     ``N``, ``M``, ``phi``, ``H`` and ``dphi`` follow the conventions in the
     module docstring.  At order 1, ``H`` and ``dphi`` are ``None``.  Built
-    from an (m, n) array of points, every array and ``phi`` have a leading
-    axis of length m.
+    at an (m, n) array of ``points``, every other array and ``phi`` have a
+    leading axis of length m.
     """
 
+    points: np.ndarray
     conn: ConnectionData
     value: np.ndarray
     N: np.ndarray
@@ -408,7 +409,7 @@ def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
         # n phi = trace N, so n d_j phi = d_j N[i, i]
         dphi = np.trace(dN, axis1=-3, axis2=-1) / n
     phi = np.trace(N, axis1=-2, axis2=-1) / chart.dim
-    return FieldData(conn, val, N, P - P.swapaxes(-1, -2),
+    return FieldData(np.asarray(p, dtype=float), conn, val, N, P - P.swapaxes(-1, -2),
                      float(phi) if phi.ndim == 0 else phi, H, dphi)
 
 

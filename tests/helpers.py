@@ -22,13 +22,13 @@ covariant derivative and the conformal residual built on it, which the
 1-jet formula replaced, and the report writer ``json.dumps`` of plain
 values, which the one-pass writer replaced, byte for byte.
 
-Besides these: the reports of the benchmark's manifests, a Gram-Schmidt
-frame, the conformal connection-change identity, the symbolic pushforward
-of a field under the unit inversion, a recorder of the calls of a function
-through every confield binding, a counter of the steps of each geodesic
-integration, and the conformal fields of a flat chart as elements of the
-Moebius algebra so(n+1, 1), with their zeros and verdicts read off the
-matrix.
+Besides these: ``classify_zero`` at points given as coordinates, the
+reports of the benchmark's manifests, a Gram-Schmidt frame, the conformal
+connection-change identity, the symbolic pushforward of a field under the
+unit inversion, a recorder of the calls of a function through every
+confield binding, a counter of the steps of each geodesic integration, and
+the conformal fields of a flat chart as elements of the Moebius algebra
+so(n+1, 1), with their zeros and verdicts read off the matrix.
 """
 from __future__ import annotations
 
@@ -60,7 +60,8 @@ from confield.expr import (
     _reciprocal_coeffs,
     parse,
 )
-from confield.geometry import Chart
+from confield.essential import classify_zero
+from confield.geometry import Chart, field_data
 
 
 def _leaf(value, n, order, index=None):
@@ -548,6 +549,14 @@ def pushforward_under_inversion(xi):
             total = term if total is None else Add(total, term)
         comps.append(substitute(total, subs))
     return FieldSpec(xi.chart, comps, name=f"inverted_{xi.name}")
+
+
+def classify_at(chart, xi, x, **kwargs):
+    """``classify_zero`` on the order-2 ``field_data`` record at x: the
+    ``ZeroClassification`` of one point, or the tuple of an (m, n) stack."""
+    points = np.asarray(x, dtype=float)
+    classes = classify_zero(chart, xi, field_data(chart, xi, np.atleast_2d(points), 2), **kwargs)
+    return classes[0] if points.ndim == 1 else classes
 
 
 def recording_calls(monkeypatch, fn, record, arguments=False):

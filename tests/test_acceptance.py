@@ -19,7 +19,6 @@ from confield.conformal import (
 from confield.essential import (
     VERDICT_ESSENTIAL,
     VERDICT_KILLING,
-    classify_zero,
     find_zeros,
 )
 from confield.expr import eval_jet, parse
@@ -33,7 +32,7 @@ from confield.geometry import (
     spd_inverse,
 )
 from confield.zeroset import trace_component, umbilicity_report
-from helpers import connection_change_residual, fd_partial, fd_partial2
+from helpers import classify_at, connection_change_residual, fd_partial, fd_partial2
 
 FLAT3 = models.euclidean(3)
 SPHERE = models.sphere_stereographic(3)
@@ -59,7 +58,7 @@ def test_essential_zero_example_is_reproduced(capsys):
     phi = field_data(SPHERE, xi, P, 1).phi
     dphi = conformal_factor_gradient(SPHERE, xi, P)
     n_dphi = math.sqrt(dphi @ ginv @ dphi)
-    verdict = classify_zero(SPHERE, xi, P).verdict
+    verdict = classify_at(SPHERE, xi, P).verdict
 
     ok = (
         n_xi < 1e-10
@@ -132,7 +131,7 @@ def test_non_isolated_zeros_classify_as_killing_type(capsys):
         zeros = find_zeros(chart, xi, grid_resolution=res)
         ok = ok and len(zeros) > 0
         for z in zeros:
-            cls = classify_zero(chart, xi, z, rng=np.random.default_rng(303))
+            cls = classify_at(chart, xi, z, rng=np.random.default_rng(303))
             count += 1
             worst_phi = max(worst_phi, abs(cls.phi))
             worst_img = max(worst_img, cls.image_residual)
@@ -165,7 +164,7 @@ def test_essential_zeros_are_isolated(capsys):
                 if len(others)
                 else math.inf
             )
-            cls = classify_zero(chart, xi, z, rng=np.random.default_rng(404))
+            cls = classify_at(chart, xi, z, rng=np.random.default_rng(404))
             if cls.verdict == VERDICT_ESSENTIAL:
                 if nearest < 0.05:
                     ok = False
@@ -195,7 +194,7 @@ def test_traced_components_are_umbilical_with_even_codim(capsys):
     ok = True
     lines = []
     for chart, xi, base in scenarios:
-        patch = trace_component(chart, xi, classify_zero(chart, xi, base), radius=0.3, grid=5)
+        patch = trace_component(chart, xi, classify_at(chart, xi, base), radius=0.3, grid=5)
         report = umbilicity_report(chart, patch)
         good = (
             report.max_residual < 1e-4
@@ -228,12 +227,12 @@ def test_taylor_expansions_at_zeros(capsys):
     worst_scalar = 0.0
     worst_vector = 0.0
     for chart, xi, v in cases:
-        sres, vres = taylor_checks(chart, xi, np.zeros(3), v)
+        sres, vres = taylor_checks(field_data(chart, xi, np.zeros(3)), v)
         worst_scalar = max(worst_scalar, sres.derivative_residual)
         worst_vector = max(worst_vector, vres.second_residual)
         ok = ok and sres.derivative_residual < 1e-6
         ok = ok and vres.second_residual < 1e-4
-    _, hand = taylor_checks(FLAT3, K, np.zeros(3), e1)
+    _, hand = taylor_checks(field_data(FLAT3, K, np.zeros(3)), e1)
     hand_err = float(np.abs(hand.second - np.array([-2.0, 0.0, 0.0])).max())
     ok = ok and hand_err < 1e-4
     _report(
@@ -264,13 +263,13 @@ def test_conformal_rescaling_invariance(capsys):
     rescaled = rescale_metric(FLAT3, f)
     verdict_pairs = []
     for xi in (models.rotation(FLAT3, 1, 2), models.special_conformal(FLAT3, 1)):
-        before = classify_zero(FLAT3, xi, np.zeros(3)).verdict
-        after = classify_zero(rescaled, xi, np.zeros(3)).verdict
+        before = classify_at(FLAT3, xi, np.zeros(3)).verdict
+        after = classify_at(rescaled, xi, np.zeros(3)).verdict
         verdict_pairs.append((before, after))
         ok = ok and before == after
 
     rotation = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, rotation, classify_zero(FLAT3, rotation, np.zeros(3)))
+    patch = trace_component(FLAT3, rotation, classify_at(FLAT3, rotation, np.zeros(3)))
     v_before = umbilicity_report(FLAT3, patch).verdict
     v_after = umbilicity_report(rescaled, patch).verdict
     ok = ok and v_before == v_after == "totally_umbilical"

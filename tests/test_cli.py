@@ -11,12 +11,14 @@ import pytest
 
 import confield.cli as cli
 import confield.essential as essential
-import confield.geodesic as geodesic
+import confield.geometry as geometry
 import confield.models as models
 from confield.cli import SETTINGS, main, render_report
+from confield.geodesic import taylor_checks
+from confield.geometry import field_data, sample_interior
 from helpers import (counting_steps, mobius_conjugate, mobius_field, mobius_matrix,
-                     mobius_parts, reference_render_report, workload_manifests,
-                     workload_reports)
+                     mobius_parts, recording_calls, reference_render_report,
+                     workload_manifests, workload_reports)
 from test_readme import command_line_manifests
 
 # the schema 'confield schema' prints, as a draft-04 validator
@@ -587,24 +589,20 @@ def test_rotation_manifest_runs_green(tmp_path):
 
 
 def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch):
-    """All identity pairs share one order-2 field_data, and the four checked
-    zeros share one more, made after it; no geodesic is run."""
-    calls = []
-    field_data = geodesic.field_data
-
-    def counting_field_data(chart, xi, p, order):
-        calls.append((order, np.shape(p)))
-        return field_data(chart, xi, p, order)
-
+    """All identity pairs share one order-2 field_data, and all 12 zeros
+    share one more, made after it, whose first four rows are reported; no
+    geodesic is run."""
+    calls = recording_calls(monkeypatch, geometry.field_data,
+                            lambda out, chart, xi, p, order: (order, np.shape(p)),
+                            arguments=True)
     runs = counting_steps(monkeypatch)
-    monkeypatch.setattr(geodesic, "field_data", counting_field_data)
     manifest = {**ROTATION_MANIFEST, "analyses": ["verify-identities"], "seed": 1}
     code, report = _run_to_report(tmp_path, manifest)
     assert code == 0
     taylor = report["analyses"]["verify-identities"]["taylor_at_zeros"]
     assert len(taylor) == 4 and all("skipped" not in entry for entry in taylor)
     assert runs == []
-    assert calls == [(2, (50, 3)), (2, (4, 3))]
+    assert calls == [(2, (50, 3)), (2, (12, 3))]
 
 
 def test_verify_identities_checks_edge_zeros_on_every_seed(tmp_path):
@@ -765,9 +763,9 @@ def test_each_zero_is_classified_once(tmp_path, monkeypatch):
     calls = []
     classify_zero = essential.classify_zero
 
-    def counting(chart, xi, x, *args, **kwargs):
-        calls.append(np.array(x))
-        return classify_zero(chart, xi, x, *args, **kwargs)
+    def counting(chart, xi, jets, *args, **kwargs):
+        calls.append(jets.points)
+        return classify_zero(chart, xi, jets, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("confield") and vars(module).get("classify_zero") is classify_zero:
@@ -785,6 +783,112 @@ def test_each_zero_is_classified_once(tmp_path, monkeypatch):
     assert len(zeros) > 2
     (points,) = calls
     assert np.array_equal(points, zeros)
+
+
+ZERO_SITE_ANALYSES = ["zeros", "classify", "verify-identities", "trace", "umbilicity"]
+
+
+def _field_data_points(monkeypatch):
+    """The points of every geometry.field_data call, through any binding."""
+    return recording_calls(monkeypatch, geometry.field_data,
+                           lambda out, chart, xi, p, order=2: np.array(p), arguments=True)
+
+
+def test_one_evaluation_at_the_zeros(tmp_path, monkeypatch):
+    """classify and the Taylor checks of verify-identities read the 2-jets of
+    the zeros from one field_data call on all of them: no other call
+    evaluates a set of the zeros, where classify and the Taylor checks made
+    one each before.  Tracing and umbilicity evaluate patch nodes, which
+    are zeros of the field but not the found ones."""
+    points = _field_data_points(monkeypatch)
+    manifest = {**ROTATION_MANIFEST, "analyses": ZERO_SITE_ANALYSES, "seed": 1}
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0 and report["analyses"]["trace"]["patches"]
+    zeros = np.array(report["analyses"]["zeros"]["points"])
+    assert len(zeros) == 12
+    found = {tuple(z) for z in zeros}
+    at_zeros = [p for p in points if p.ndim == 2 and {tuple(row) for row in p} <= found]
+    assert len(at_zeros) == 1 and np.array_equal(at_zeros[0], zeros)
+
+
+def test_no_evaluation_without_zeros(tmp_path, monkeypatch):
+    """A field with no zeros gets no field_data call at its zeros: the
+    only call is the one over verify-identities' sample pairs."""
+    points = _field_data_points(monkeypatch)
+    manifest = {"chart": {"name": "euclidean", "dim": 3}, "field": {"name": "translation"},
+                "analyses": ZERO_SITE_ANALYSES, "seed": 1}
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0 and report["analyses"]["zeros"]["count"] == 0
+    assert [p.shape for p in points] == [(cli._IDENTITY_PAIRS, 3)]
+
+
+@pytest.mark.parametrize("name,params,build", [
+    ("rotation", {"axis_i": 1, "axis_j": 2}, lambda chart: models.rotation(chart, 1, 2)),
+    ("sphere_killing", {"axis_i": 1, "axis_j": 4},
+     lambda chart: models.sphere_killing(chart, 1, 4)),
+], ids=["rotation", "sphere_killing"])
+def test_taylor_rows_follow_their_zeros(name, params, build):
+    """Both fields have more zeros (12 and 8) than verify-identities reports.
+    Reported Taylor entry k is, bit for bit, the check of a one-zero record
+    at zero k with row k of the stream's one block of directions, drawn
+    after the identity pairs.  The rotation's residuals are all 0, so it
+    pins the zeros; those of sphere_killing differ by row at rounding
+    level, so it pins the directions too."""
+    manifest = {"chart": {"name": "euclidean", "dim": 3}, "field": {"name": name, "params": params},
+                "analyses": ["zeros", "verify-identities"], "seed": 1}
+    report, code = cli.run_manifest(manifest)
+    zeros = report["analyses"]["zeros"]["points"]
+    taylor = report["analyses"]["verify-identities"]["taylor_at_zeros"]
+    assert code == 0 and len(zeros) > cli._TAYLOR_ZEROS == len(taylor)
+    chart = models.euclidean(3)
+    xi = build(chart)
+    rng = np.random.default_rng([1, cli.ANALYSES.index("verify-identities")])
+    sample_interior(chart, cli._IDENTITY_PAIRS, rng)
+    rng.normal(size=(cli._IDENTITY_PAIRS, 3))
+    dirs = rng.normal(size=zeros.shape)
+    for k, entry in enumerate(taylor):
+        scalar, vector = taylor_checks(field_data(chart, xi, zeros[k:k + 1]), dirs[k:k + 1])
+        assert np.array_equal(entry["zero"], zeros[k])
+        assert (entry["scalar_residual"], entry["vector_first_residual"],
+                entry["vector_second_residual"]) == (scalar.derivative_residual[0],
+                                                     vector.first_residual[0],
+                                                     vector.second_residual[0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the verdict tests |phi| and the image residual against absolute "
+                          "thresholds, so they depend on the scale of the field (ROADMAP item 22)")
+def test_a_scaled_essential_zero_stays_essential():
+    """2^-24 xi has the zeros of xi, and its phi and grad phi are those of
+    xi times 2^-24, so the essential origin zero of special_conformal(1)
+    stays essential.  It reads killing_inessential, with exit 0."""
+    components = ["x1^2 + x2^2 + x3^2 - 2*x1*x1", "-2*x1*x2", "-2*x1*x3"]
+    verdicts = []
+    for scale in ("1", "5.960464477539063e-08"):
+        report, code = cli.run_manifest({
+            "chart": {"name": "euclidean", "dim": 3},
+            "field": {"components": [f"{scale}*({c})" for c in components]},
+            "analyses": ["zeros", "classify"], "seed": 1})
+        assert code == 0
+        (entry,) = report["analyses"]["classify"]["entries"]
+        verdicts.append(entry["verdict"])
+    assert verdicts == [essential.VERDICT_ESSENTIAL] * 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the seed cap keeps 64 zeros next to the box edge, every trace is "
+                          "skipped, and umbilicity passes having checked nothing (ROADMAP item 23)")
+def test_umbilicity_does_not_pass_without_a_patch():
+    """rotation(1, 2) on euclidean/5 has a 3-dimensional zero set.  Either a
+    patch of it is built, or umbilicity does not report a pass."""
+    report, code = cli.run_manifest({
+        "chart": {"name": "euclidean", "dim": 5},
+        "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
+        "analyses": ["zeros", "classify", "trace", "umbilicity"],
+        "seed": 1, "grid_resolution": 12})
+    analyses = report["analyses"]
+    assert analyses["zeros"]["count"] > 0
+    assert analyses["trace"]["patches"] or analyses["umbilicity"]["passed"] is not True
 
 
 def test_circle_zero_scenario_via_manifest(tmp_path):

@@ -16,15 +16,15 @@ from confield.essential import (
     VERDICT_INVALID,
     VERDICT_KILLING,
     ZeroClassification,
-    classify_zero,
     find_zeros,
     limit_point_audit,
     polish_zeros,
 )
 from confield.expr import Const, Fun, Mul, Var, parse
-from confield.geometry import FieldSpec, field_norm, metric_value, sample_ball
+from confield.geometry import FieldSpec, field_data, field_norm, metric_value, sample_ball
 from confield.zeroset import trace_component
 from helpers import (
+    classify_at,
     mobius_conjugate,
     mobius_field,
     mobius_matrix,
@@ -113,17 +113,17 @@ def test_classify_on_surfaces():
     Killing-type; a homothetic zero and the double zero of z^2 d/dz, where
     nabla xi vanishes, get no verdict."""
     flat2 = models.euclidean(2)
-    cls = classify_zero(flat2, models.rotation(flat2), np.zeros(2))
+    cls = classify_at(flat2, models.rotation(flat2), np.zeros(2))
     assert cls.verdict == VERDICT_KILLING
     assert cls.kernel_dim == 0
     z_squared = FieldSpec(flat2, (parse("x1^2 - x2^2", 2), parse("2*x1*x2", 2)))
     for xi in (models.euler(flat2), z_squared):
-        assert classify_zero(flat2, xi, np.zeros(2)).verdict is None
+        assert classify_at(flat2, xi, np.zeros(2)).verdict is None
 
 
 def test_classify_requires_an_actual_zero():
     with pytest.raises(ValueError, match="expects a zero"):
-        classify_zero(FLAT3, models.rotation(FLAT3), np.array([0.5, 0.5, 0.0]))
+        classify_at(FLAT3, models.rotation(FLAT3), np.array([0.5, 0.5, 0.0]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -132,7 +132,7 @@ def test_classify_refuses_a_nan_zero():
     parser refuses an infinite constant, so the node is built directly."""
     xi = FieldSpec(FLAT3, (Mul(Const(math.inf), Var(0)), Var(1), Var(2)))
     with pytest.raises(ValueError, match="expects a zero"):
-        classify_zero(FLAT3, xi, np.zeros(3))
+        classify_at(FLAT3, xi, np.zeros(3))
 
 
 def test_find_zeros_refuses_a_nan_residual(monkeypatch):
@@ -255,7 +255,7 @@ def test_trace_stops_lanes_at_rounding_level(monkeypatch):
     times."""
     flat4 = models.euclidean(4)
     xi = models.sphere_killing(flat4, 1, 5)
-    zero = classify_zero(flat4, xi, find_zeros(flat4, xi)[0])
+    zero = classify_at(flat4, xi, find_zeros(flat4, xi)[0])
     _, rows, solves = _polish_evaluations(monkeypatch, zeroset)
     trace_component(flat4, xi, zero, radius=0.3, grid=5)
     assert len(solves) == 1
@@ -290,9 +290,9 @@ def test_polish_runs_the_essential_origin_zero_to_rounding_level(chart, field):
     xi = getattr(models, field)(chart, 1)
     zeros = find_zeros(chart, xi)
     (origin,) = zeros[np.linalg.norm(zeros, axis=1) < 1e-13]
-    found = classify_zero(chart, xi, origin)
+    found = classify_at(chart, xi, origin)
     assert (found.verdict, found.kernel_dim) == (VERDICT_ESSENTIAL, 3)
-    stopped = classify_zero(chart, xi, np.full(3, 1e-7 / math.sqrt(3)))
+    stopped = classify_at(chart, xi, np.full(3, 1e-7 / math.sqrt(3)))
     assert (stopped.verdict, stopped.kernel_dim) == (VERDICT_KILLING, 1)
 
 
@@ -307,7 +307,7 @@ def test_polish_extrapolates_at_quadratic_zeros(monkeypatch, chart, field):
     zeros = find_zeros(chart, xi)
     assert len(solves) == 1 and 0 < len(rows) <= 4
     (origin,) = zeros[np.linalg.norm(zeros, axis=1) < 1e-13]
-    found = classify_zero(chart, xi, origin)
+    found = classify_at(chart, xi, origin)
     assert (found.verdict, found.kernel_dim) == (VERDICT_ESSENTIAL, 3)
 
 
@@ -372,9 +372,14 @@ def test_grid_blocks_match_one_evaluation(monkeypatch):
 
 
 def test_classification_carries_the_metric_at_the_zero():
+    """The record a classification reads names its points and carries g
+    there; the classification's point is the record's row."""
     z = np.array([0.0, 0.0, 0.4])
-    cls = classify_zero(SPHERE, models.sphere_killing(SPHERE, 1, 2), z)
-    assert np.array_equal(cls.metric, metric_value(SPHERE, z))
+    xi = models.sphere_killing(SPHERE, 1, 2)
+    jets = field_data(SPHERE, xi, z[None], 2)
+    (cls,) = essential.classify_zero(SPHERE, xi, jets)
+    assert np.array_equal(jets.points, z[None]) and np.array_equal(cls.point, z)
+    assert np.array_equal(jets.conn.g[0], metric_value(SPHERE, z))
 
 
 CLASSIFY_CASES = models.standard_pairs(3) + [
@@ -390,8 +395,8 @@ def test_stacked_classification_matches_per_zero_calls(chart, xi):
     each zero's residual is the worst conformal residual over its own rows
     of that draw.  A stacked draw of one centre is the draw of that centre."""
     zeros = find_zeros(chart, xi)
-    stacked = classify_zero(chart, xi, zeros, rng=np.random.default_rng(0))
-    singles = [classify_zero(chart, xi, z, rng=np.random.default_rng(0)) for z in zeros]
+    stacked = classify_at(chart, xi, zeros, rng=np.random.default_rng(0))
+    singles = [classify_at(chart, xi, z, rng=np.random.default_rng(0)) for z in zeros]
     balls = sample_ball(chart, zeros, *essential._NEIGHBORHOOD, np.random.default_rng(0))
     assert isinstance(stacked, tuple) and len(stacked) == len(zeros)
     for a, b, ball in zip(stacked, singles, balls):
@@ -408,17 +413,17 @@ def test_stacked_classification_matches_per_zero_calls(chart, xi):
 def test_surface_stack_keeps_surface_verdicts():
     flat2 = models.euclidean(2)
     stack = np.array([[0.0, 0.0], [0.0, 0.0]])
-    rotation = classify_zero(flat2, models.rotation(flat2), stack)
+    rotation = classify_at(flat2, models.rotation(flat2), stack)
     assert [cls.verdict for cls in rotation] == [VERDICT_KILLING] * 2
     assert [cls.kernel_dim for cls in rotation] == [0, 0]
-    euler = classify_zero(flat2, models.euler(flat2), stack)
+    euler = classify_at(flat2, models.euler(flat2), stack)
     assert [cls.verdict for cls in euler] == [None, None]
 
 
 def test_stack_with_a_nonzero_row_names_it():
     stack = np.array([[0.0, 0.0, 0.3], [0.5, 0.5, 0.0]])
     with pytest.raises(ValueError, match="row 1 has"):
-        classify_zero(FLAT3, models.rotation(FLAT3), stack)
+        classify_at(FLAT3, models.rotation(FLAT3), stack)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -428,15 +433,16 @@ def test_stack_with_a_nan_row_names_it():
     xi = FieldSpec(FLAT3, (Var(0), Var(1), Fun("exp", Mul(Const(-math.inf), x3_squared))))
     stack = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="row 1 has .* nan"):
-        classify_zero(FLAT3, xi, stack)
+        classify_at(FLAT3, xi, stack)
 
 
 def test_empty_stack_classifies_to_nothing():
-    assert classify_zero(FLAT3, models.rotation(FLAT3), np.empty((0, 3))) == ()
+    xi = models.rotation(FLAT3)
+    assert essential.classify_zero(FLAT3, xi, field_data(FLAT3, xi, np.empty((0, 3)), 2)) == ()
 
 
 def test_rotation_zero_is_killing_type():
-    cls = classify_zero(FLAT3, models.rotation(FLAT3, 1, 2), np.zeros(3))
+    cls = classify_at(FLAT3, models.rotation(FLAT3, 1, 2), np.zeros(3))
     assert cls.verdict == VERDICT_KILLING
     assert cls.phi == pytest.approx(0.0, abs=1e-12)
     assert cls.rank_dxi == 2
@@ -445,7 +451,7 @@ def test_rotation_zero_is_killing_type():
 
 
 def test_scaling_zero_is_homothetic_type():
-    cls = classify_zero(FLAT3, models.euler(FLAT3), np.zeros(3))
+    cls = classify_at(FLAT3, models.euler(FLAT3), np.zeros(3))
     assert cls.verdict == VERDICT_HOMOTHETIC
     assert cls.phi == pytest.approx(1.0, rel=1e-12)
     # dxi = 0 for the radial field: gradient of phi (zero) lies in the image
@@ -455,12 +461,13 @@ def test_scaling_zero_is_homothetic_type():
 
 @pytest.mark.parametrize("chart", [FLAT3, SPHERE, HYPER], ids=lambda c: c.name)
 def test_quadratic_generator_zero_is_essential(chart):
-    cls = classify_zero(chart, models.special_conformal(chart, 1), np.zeros(3))
+    xi = models.special_conformal(chart, 1)
+    cls = classify_at(chart, xi, np.zeros(3))
     assert cls.verdict == VERDICT_ESSENTIAL
     assert cls.phi == pytest.approx(0.0, abs=1e-12)
     assert cls.rank_dxi == 0
     assert cls.image_residual > 0.5
-    assert np.linalg.norm(cls.dphi) > 0.1
+    assert np.linalg.norm(field_data(chart, xi, np.zeros(3), 2).dphi) > 0.1
 
 
 def test_classification_takes_one_frame_svd_per_stack(monkeypatch):
@@ -471,7 +478,7 @@ def test_classification_takes_one_frame_svd_per_stack(monkeypatch):
                             lambda out, factor, tensor, kind: (kind, out.rank.tolist()),
                             arguments=True)
     zeros = np.array([[0.0, 0.0, -0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
-    classes = classify_zero(FLAT3, models.rotation(FLAT3, 1, 2), zeros)
+    classes = classify_at(FLAT3, models.rotation(FLAT3, 1, 2), zeros)
     assert [cls.verdict for cls in classes] == [VERDICT_KILLING] * 3
     assert calls == [("skew_form", [2, 2, 2])]
 
@@ -517,7 +524,7 @@ def test_verdicts_match_the_mobius_oracle(kind, n):
     found = 0
     for chart, xi, X, isolated in _mobius_conjugates(kind, n, 2):
         zeros = find_zeros(chart, xi, 12)
-        for cls in classify_zero(chart, xi, zeros):
+        for cls in classify_at(chart, xi, zeros):
             verdict = mobius_zero_verdict(X, cls.point)
             assert cls.verdict == verdict, (chart.name, cls.point, cls.phi)
             if verdict == VERDICT_KILLING:
@@ -549,7 +556,7 @@ def test_parabolic_conjugate_has_one_zero_near_its_essential_zero():
         distance = np.linalg.norm(zeros - t, axis=1)
         assert np.count_nonzero(distance < essential.ISOLATION_RADIUS) == 1, (grid, zeros)
         assert distance.min() < 1.5e-8, grid
-        assert limit_point_audit(classify_zero(chart, xi, zeros)).passed, grid
+        assert limit_point_audit(classify_at(chart, xi, zeros)).passed, grid
 
 
 def test_triple_zero_is_found_once():
@@ -574,13 +581,13 @@ def test_essential_verdict_holds_at_any_rank_cut_in_odd_dimension(monkeypatch, r
     monkeypatch.setattr(geometry, "_RANK_REL", rank_rel)
     verdicts = []
     for chart, xi, _, _ in _mobius_conjugates("parabolic", 3, 2):
-        verdicts += [cls.verdict for cls in classify_zero(chart, xi, find_zeros(chart, xi, 12))]
+        verdicts += [cls.verdict for cls in classify_at(chart, xi, find_zeros(chart, xi, 12))]
     assert verdicts == [VERDICT_ESSENTIAL] * 6
 
 
 def test_non_conformal_field_is_flagged_invalid():
     bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
-    cls = classify_zero(FLAT3, bad, np.zeros(3))
+    cls = classify_at(FLAT3, bad, np.zeros(3))
     assert cls.verdict == VERDICT_INVALID
     assert cls.neighborhood_residual > 1e-3
 
@@ -591,20 +598,21 @@ def test_rank_is_even_and_kernel_orthonormal():
         (SPHERE, models.sphere_killing(SPHERE, 3, 4), np.array([1.0, 0.0, 0.0])),
     ]
     for chart, xi, z in cases:
-        cls = classify_zero(chart, xi, z)
+        cls = classify_at(chart, xi, z)
+        dxi = field_data(chart, xi, z, 2).M
         assert cls.rank_dxi % 2 == 0
         assert cls.kernel_basis.shape == (cls.kernel_dim, 3)
         g = metric_value(chart, z)
         G = cls.kernel_basis @ g @ cls.kernel_basis.T
         assert np.abs(G - np.eye(cls.kernel_dim)).max() < 1e-10
         for row in cls.kernel_basis:
-            assert np.abs(cls.dxi.T @ row).max() < 1e-9
+            assert np.abs(dxi.T @ row).max() < 1e-9
 
 
 def test_circle_zeros_on_round_chart_are_killing_type():
     xi = models.sphere_killing(SPHERE, 3, 4)
     for z in find_zeros(SPHERE, xi, grid_resolution=15)[:4]:
-        cls = classify_zero(SPHERE, xi, z)
+        cls = classify_at(SPHERE, xi, z)
         assert cls.verdict == VERDICT_KILLING
         assert abs(cls.phi) < 1e-10
 
@@ -619,18 +627,18 @@ def test_verdicts_survive_conformal_rescaling():
         (models.special_conformal(FLAT3, 1), VERDICT_ESSENTIAL),
     ]
     for xi, expected in cases:
-        assert classify_zero(FLAT3, xi, np.zeros(3)).verdict == expected
-        assert classify_zero(rescaled, xi, np.zeros(3)).verdict == expected
+        assert classify_at(FLAT3, xi, np.zeros(3)).verdict == expected
+        assert classify_at(rescaled, xi, np.zeros(3)).verdict == expected
     # the scaling field keeps a homothetic-type zero as well: phi changes to
     # phi + df(xi) which is nonzero at the origin
     eu = models.euler(FLAT3)
-    assert classify_zero(rescaled, eu, np.zeros(3)).verdict == VERDICT_HOMOTHETIC
+    assert classify_at(rescaled, eu, np.zeros(3)).verdict == VERDICT_HOMOTHETIC
 
 
 def test_classification_deterministic_with_default_rng():
     xi = models.special_conformal(SPHERE, 1)
-    a = classify_zero(SPHERE, xi, np.zeros(3))
-    b = classify_zero(SPHERE, xi, np.zeros(3))
+    a = classify_at(SPHERE, xi, np.zeros(3))
+    b = classify_at(SPHERE, xi, np.zeros(3))
     assert a.verdict == b.verdict
     assert a.neighborhood_residual == b.neighborhood_residual
 
@@ -646,7 +654,7 @@ def test_audit_of_circle_zeros_passes():
     thetas = np.array([0.0, 0.03, 0.06])
     cluster = np.stack([np.cos(thetas), np.sin(thetas), np.zeros(3)], axis=1)
     zeros = np.vstack([found, cluster])
-    audit = limit_point_audit([classify_zero(SPHERE, xi, z) for z in zeros], radius=0.05)
+    audit = limit_point_audit([classify_at(SPHERE, xi, z) for z in zeros], radius=0.05)
     assert audit.passed
     assert audit.radius == 0.05
     assert len(audit.entries) == len(zeros)
@@ -662,7 +670,7 @@ def test_audit_of_circle_zeros_passes():
 
 def test_audit_of_isolated_essential_zero_passes():
     xi = models.special_conformal(FLAT3, 1)
-    audit = limit_point_audit([classify_zero(FLAT3, xi, np.zeros(3))], radius=0.5)
+    audit = limit_point_audit([classify_at(FLAT3, xi, np.zeros(3))], radius=0.5)
     assert audit.passed
     assert audit.entries[0].isolated
     assert audit.entries[0].nearest_distance == np.inf
@@ -674,6 +682,6 @@ def test_audit_flags_clustered_non_killing_zeros():
     the rescaling condition, so the audit must fail."""
     bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     zeros = np.array([[0.0, 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]])
-    audit = limit_point_audit([classify_zero(FLAT3, bad, z) for z in zeros], radius=0.05)
+    audit = limit_point_audit([classify_at(FLAT3, bad, z) for z in zeros], radius=0.05)
     assert not audit.passed
     assert not audit.assertions["non_isolated_zeros_are_killing_inessential"]

@@ -21,6 +21,7 @@ from confield.geometry import (
     FieldSpec,
     christoffel_matrix,
     complete_orthonormal_frame,
+    field_data,
     metric_factor,
     metric_value,
     norm_vector,
@@ -128,7 +129,7 @@ _QUADRATIC = models.special_conformal(FLAT3, 1)
 _CALLS = {
     "integrate_geodesic": lambda v: integrate_geodesic(FLAT3, np.zeros(3), v, 1.0, 64),
     "exp_map": lambda v: exp_map(FLAT3, np.zeros(3), v),
-    "taylor_checks": lambda v: taylor_checks(FLAT3, _QUADRATIC, np.zeros(3), v),
+    "taylor_checks": lambda v: taylor_checks(field_data(FLAT3, _QUADRATIC, np.zeros(3)), v),
 }
 _DIRECTIONS = {"inf": [np.inf, 0.0, 0.0], "-inf": [0.0, -np.inf, 0.0],
                "nan": [np.nan, 1.0, 0.0], "zero": [0.0, 0.0, 0.0]}
@@ -153,7 +154,7 @@ def test_scalar_expansion_at_quadratic_zero_flat():
     """f(t) = g(xi, c') along a geodesic through the zero of the quadratic
     generator: f'(0) = phi and, for v = e1, f(t) = -t^2 exactly."""
     K = models.special_conformal(FLAT3, 1)
-    res = taylor_checks(FLAT3, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))[0]
+    res = taylor_checks(field_data(FLAT3, K, np.zeros(3)), np.array([1.0, 0.0, 0.0]))[0]
     assert res.derivative_residual < 1e-9
     assert res.f_prime == pytest.approx(0.0, abs=1e-9)
     assert res.f_second == pytest.approx(-2.0, abs=1e-6)
@@ -162,7 +163,7 @@ def test_scalar_expansion_at_quadratic_zero_flat():
 def test_scalar_expansion_generic_direction():
     K = models.special_conformal(FLAT3, 1)
     v = np.array([0.36, 0.48, 0.8])
-    res = taylor_checks(FLAT3, K, np.zeros(3), v)[0]
+    res = taylor_checks(field_data(FLAT3, K, np.zeros(3)), v)[0]
     assert res.derivative_residual < 1e-9
     # f''(0) = dphi(c'(0)) with phi = -2 x1, unit speed keeps v as given
     assert res.f_second == pytest.approx(-2.0 * 0.36, abs=1e-6)
@@ -170,28 +171,28 @@ def test_scalar_expansion_generic_direction():
 
 def test_scalar_expansion_rotation_zero_is_flat_function():
     rot = models.rotation(FLAT3, 1, 2)
-    res = taylor_checks(FLAT3, rot, np.zeros(3), np.array([0.0, 1.0, 0.0]))[0]
+    res = taylor_checks(field_data(FLAT3, rot, np.zeros(3)), np.array([0.0, 1.0, 0.0]))[0]
     assert res.derivative_residual < 1e-10
     assert res.f_second == pytest.approx(0.0, abs=1e-8)
 
 
 def test_scalar_expansion_on_curved_chart():
     K = models.sphere_translation(SPHERE, 1)
-    res = taylor_checks(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))[0]
+    res = taylor_checks(field_data(SPHERE, K, np.zeros(3)), np.array([0.0, 0.6, 0.8]))[0]
     assert res.derivative_residual < 1e-8
 
 
 def test_scalar_check_requires_a_zero():
     K = models.special_conformal(FLAT3, 1)
     with pytest.raises(ValueError):
-        taylor_checks(FLAT3, K, np.array([0.5, 0.0, 0.0]), np.ones(3))
+        taylor_checks(field_data(FLAT3, K, np.array([0.5, 0.0, 0.0])), np.ones(3))
 
 
 def test_vector_expansion_at_quadratic_zero():
     """xi'(0) = dxi(c')(0)/2 = 0 and xi''(0) = 2 dphi(c')c' - grad phi, chart
     vectors at the zero; for v = e1 this is -2 e1."""
     K = models.special_conformal(FLAT3, 1)
-    res = taylor_checks(FLAT3, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
+    res = taylor_checks(field_data(FLAT3, K, np.zeros(3)), np.array([1.0, 0.0, 0.0]))[1]
     assert res.first_residual < 1e-9
     assert res.second_residual < 1e-6
     assert np.abs(res.second - np.array([-2.0, 0.0, 0.0])).max() < 1e-6
@@ -202,14 +203,14 @@ def test_vector_expansion_transverse_direction():
     """For v = e2 at the quadratic zero: dphi(v) = 0 so xi''(0) = -grad phi
     = 2 e1."""
     K = models.special_conformal(FLAT3, 1)
-    res = taylor_checks(FLAT3, K, np.zeros(3), np.array([0.0, 1.0, 0.0]))[1]
+    res = taylor_checks(field_data(FLAT3, K, np.zeros(3)), np.array([0.0, 1.0, 0.0]))[1]
     assert res.second_residual < 1e-6
     assert np.abs(res.second - np.array([2.0, 0.0, 0.0])).max() < 1e-6
 
 
 def test_vector_expansion_rotation_first_order():
     rot = models.rotation(FLAT3, 1, 2)
-    res = taylor_checks(FLAT3, rot, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
+    res = taylor_checks(field_data(FLAT3, rot, np.zeros(3)), np.array([1.0, 0.0, 0.0]))[1]
     # xi'(0) = dxi(v)/2 = e2
     assert res.first_residual < 1e-9
     assert np.abs(res.first - np.array([0.0, 1.0, 0.0])).max() < 1e-9
@@ -220,14 +221,14 @@ def test_vector_expansion_at_homothetic_zero():
     """At the zero of the scaling field phi = 1, so xi'(0) = phi v = v: the
     phi v term of the first-order target is not zero here."""
     eu = models.euler(FLAT3)
-    res = taylor_checks(FLAT3, eu, np.zeros(3), np.array([0.3, -1.0, 0.5]))[1]
+    res = taylor_checks(field_data(FLAT3, eu, np.zeros(3)), np.array([0.3, -1.0, 0.5]))[1]
     assert res.first_residual < 1e-9
     assert np.linalg.norm(res.first) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_vector_expansion_on_curved_chart():
     K = models.sphere_translation(SPHERE, 1)
-    res = taylor_checks(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
+    res = taylor_checks(field_data(SPHERE, K, np.zeros(3)), np.array([1.0, 0.0, 0.0]))[1]
     assert res.first_residual < 1e-8
     assert res.second_residual < 1e-4
 
@@ -238,7 +239,7 @@ def test_taylor_checks_refuse_a_nan_zero():
     parser refuses an infinite constant, so the node is built directly."""
     xi = FieldSpec(FLAT3, (Mul(Const(math.inf), Var(0)), Var(1), Var(2)))
     with pytest.raises(ValueError, match="requires a zero"):
-        taylor_checks(FLAT3, xi, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        taylor_checks(field_data(FLAT3, xi, np.zeros(3)), np.array([0.0, 0.0, 1.0]))
 
 
 # -- the checks read the 2-jet at the zero, and integrate no geodesic -------------
@@ -256,7 +257,7 @@ def test_scalar_stencil_shares_runs(monkeypatch):
     refusing every call: the check runs no geodesic at all."""
     _refuse_integration(monkeypatch)
     K = models.sphere_translation(SPHERE, 1)
-    scalar, vector = taylor_checks(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))
+    scalar, vector = taylor_checks(field_data(SPHERE, K, np.zeros(3)), np.array([0.0, 0.6, 0.8]))
     assert scalar.derivative_residual < 1e-12
     assert vector.first_residual < 1e-12
     assert vector.second_residual < 1e-12
@@ -267,7 +268,7 @@ def test_vector_stencil_shares_runs(monkeypatch):
     the integrator refusing every call."""
     _refuse_integration(monkeypatch)
     K = models.sphere_translation(SPHERE, 1)
-    scalar, vector = taylor_checks(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    scalar, vector = taylor_checks(field_data(SPHERE, K, np.zeros(3)), np.array([1.0, 0.0, 0.0]))
     assert vector.first_residual < 1e-12
     assert vector.second_residual < 1e-12
     assert scalar.derivative_residual < 1e-12
@@ -281,7 +282,8 @@ def test_checks_build_no_frame(monkeypatch):
     rot = models.rotation(FLAT3, 1, 2)
     zeros = find_zeros(FLAT3, rot)[:4]
     assert len(zeros) == 4
-    taylor_checks(FLAT3, rot, zeros, np.random.default_rng(2).standard_normal(zeros.shape))
+    taylor_checks(field_data(FLAT3, rot, zeros),
+                  np.random.default_rng(2).standard_normal(zeros.shape))
     report, code = cli.run_manifest({"chart": {"name": "euclidean", "dim": 3},
                                      "field": {"name": "rotation",
                                                "params": {"axis_i": 1, "axis_j": 2}},
@@ -325,7 +327,7 @@ def test_jet_derivatives_match_rk4_differences():
     assert len(mobius) == 26
     for chart, xi, z in cases + mobius:
         v = rng.standard_normal(chart.dim)
-        scalar, vector = taylor_checks(chart, xi, z, v)
+        scalar, vector = taylor_checks(field_data(chart, xi, z), v)
         f1, f2, a1, a2, E = rk4_taylor_derivatives(chart, xi, z, v)
         Eg = E @ metric_value(chart, z)
         label = f"{chart.name} {xi.name} {z.tolist()}"
@@ -346,14 +348,14 @@ def test_stacked_taylor_checks_are_the_per_zero_checks():
             if not len(zeros):
                 continue
             dirs = rng.standard_normal(zeros.shape)
-            scalar, vector = taylor_checks(chart, xi, zeros, dirs)
+            scalar, vector = taylor_checks(field_data(chart, xi, zeros), dirs)
             assert np.shape(scalar.f_prime) == (len(zeros),)
             assert vector.first.shape == vector.second.shape == zeros.shape
             for i, (z, v) in enumerate(zip(zeros, dirs)):
-                s1, v1 = taylor_checks(chart, xi, zeros[i:i + 1], dirs[i:i + 1])
+                s1, v1 = taylor_checks(field_data(chart, xi, zeros[i:i + 1]), dirs[i:i + 1])
                 for stacked, one in zip(scalar + vector, s1 + v1):
                     assert np.array_equal(stacked[i], one[0]), (chart.name, xi.name, i)
-                s0, v0 = taylor_checks(chart, xi, z, v)
+                s0, v0 = taylor_checks(field_data(chart, xi, z), v)
                 assert all(type(a) is float for a in s0 + v0[:2])
                 assert v0.first.shape == v0.second.shape == (dim,)
                 for stacked, one in zip(scalar + vector, s0 + v0):
@@ -362,10 +364,12 @@ def test_stacked_taylor_checks_are_the_per_zero_checks():
 
 def test_stacked_taylor_checks_refuse_a_stack_with_a_non_zero():
     zeros = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    jets = field_data(FLAT3, models.special_conformal(FLAT3, 1), zeros)
     with pytest.raises(ValueError, match="zero"):
-        taylor_checks(FLAT3, models.special_conformal(FLAT3, 1), zeros, np.ones((2, 3)))
+        taylor_checks(jets, np.ones((2, 3)))
     with pytest.raises(ValueError, match="direction"):
-        taylor_checks(FLAT3, models.special_conformal(FLAT3, 1), zeros[:1], np.zeros((1, 3)))
+        taylor_checks(field_data(FLAT3, models.special_conformal(FLAT3, 1), zeros[:1]),
+                      np.zeros((1, 3)))
 
 
 def _per_point_rk4(chart, x, v, length, steps):
@@ -418,7 +422,7 @@ def test_checks_next_to_the_box_edge(height, monkeypatch):
     _refuse_integration(monkeypatch)
     rot = models.rotation(FLAT3, 1, 2)
     x = np.array([0.0, 0.0, height])
-    scalar, vector = taylor_checks(FLAT3, rot, x, np.array([0.0, 0.0, 1.0]))
+    scalar, vector = taylor_checks(field_data(FLAT3, rot, x), np.array([0.0, 0.0, 1.0]))
     assert scalar.derivative_residual < 1e-12
     assert vector.first_residual < 1e-12
     assert vector.second_residual < 1e-12

@@ -10,7 +10,6 @@ import confield.geometry as geometry
 import confield.models as models
 import confield.zeroset as zeroset
 from confield.conformal import rescale_metric
-from confield.essential import classify_zero
 from confield.expr import Add, Const, Mul, Var, eval_jet, parse
 from confield.geometry import FieldSpec, metric_value, norm_vector
 from confield.zeroset import (
@@ -21,6 +20,7 @@ from confield.zeroset import (
     umbilicity_report,
 )
 from helpers import (
+    classify_at,
     fd_second_fundamental_form,
     map_patch,
     pointwise_second_fundamental_form,
@@ -40,7 +40,7 @@ SPHERE_ZERO = np.array([1.0, 0.0, 0.0])
 
 def test_rotation_axis_patch():
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
+    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
     assert patch.k == 1
     assert patch.codim == 2
     assert patch.grid_shape == (5,)
@@ -57,7 +57,7 @@ def test_rotation_axis_patch():
 def test_circle_component_patch_on_round_chart():
     xi = models.sphere_killing(SPHERE, 3, 4)
     base = np.array([1.0, 0.0, 0.0])
-    patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, base), radius=0.4, grid=7)
+    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, base), radius=0.4, grid=7)
     assert patch.k == 1
     assert patch.codim == 2
     flat = patch.samples.reshape(-1, 3)
@@ -69,7 +69,7 @@ def test_circle_component_patch_on_round_chart():
 def test_plane_component_in_four_dimensions():
     flat4 = models.euclidean(4)
     xi = models.rotation(flat4, 1, 2)
-    patch = trace_component(flat4, xi, classify_zero(flat4, xi, np.zeros(4)), radius=0.25, grid=5)
+    patch = trace_component(flat4, xi, classify_at(flat4, xi, np.zeros(4)), radius=0.25, grid=5)
     assert patch.k == 2
     assert patch.codim == 2
     assert patch.grid_shape == (5, 5)
@@ -82,27 +82,27 @@ def test_plane_component_in_four_dimensions():
 def test_tracing_refuses_essential_zero():
     xi = models.special_conformal(FLAT3, 1)
     with pytest.raises(PatchError):
-        trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)))
+        trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
 
 
 def test_tracing_refuses_homothetic_zero():
     xi = models.euler(FLAT3)
     with pytest.raises(PatchError):
-        trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)))
+        trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
 
 
 def test_tracing_requires_odd_grid():
     xi = models.rotation(FLAT3, 1, 2)
     with pytest.raises(ValueError):
-        trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), grid=4)
+        trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), grid=4)
     with pytest.raises(ValueError):
-        trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), grid=1)
+        trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), grid=1)
 
 
 def test_two_dimensional_point_component():
     flat2 = models.euclidean(2)
     xi = models.rotation(flat2, 1, 2)
-    patch = trace_component(flat2, xi, classify_zero(flat2, xi, np.zeros(2)))
+    patch = trace_component(flat2, xi, classify_at(flat2, xi, np.zeros(2)))
     assert patch.k == 0
     assert patch.codim == 2
     assert patch.samples.shape == (2,)
@@ -115,7 +115,7 @@ def test_two_dimensional_scaling_zero_refused():
     flat2 = models.euclidean(2)
     xi = models.euler(flat2)
     with pytest.raises(PatchError):
-        trace_component(flat2, xi, classify_zero(flat2, xi, np.zeros(2)))
+        trace_component(flat2, xi, classify_at(flat2, xi, np.zeros(2)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -126,16 +126,16 @@ def test_two_dimensional_nan_zero_refused():
     flat2 = models.euclidean(2)
     xi = FieldSpec(flat2, (Mul(Const(math.inf), Var(0)), Var(1)))
     with pytest.raises(ValueError, match="expects a zero"):
-        trace_component(flat2, xi, classify_zero(flat2, xi, np.zeros(2)))
+        trace_component(flat2, xi, classify_at(flat2, xi, np.zeros(2)))
 
 
 def test_traced_patch_records_its_field():
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.2, grid=5)
+    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.2, grid=5)
     assert patch.field is xi
     flat2 = models.euclidean(2)
     rot2 = models.rotation(flat2, 1, 2)
-    assert trace_component(flat2, rot2, classify_zero(flat2, rot2, np.zeros(2))).field is rot2
+    assert trace_component(flat2, rot2, classify_at(flat2, rot2, np.zeros(2))).field is rot2
 
 
 def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
@@ -145,7 +145,7 @@ def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
     the same field evaluations as the passing one."""
     calls = recording_calls(monkeypatch, geometry.field_jets, lambda result: 1)
     xi = models.sphere_killing(FLAT3, 1, 4)
-    zero = classify_zero(FLAT3, xi, np.array([0.0, 1.0, 0.0]))
+    zero = classify_at(FLAT3, xi, np.array([0.0, 1.0, 0.0]))
     calls.clear()
     trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
     passing = len(calls)
@@ -161,7 +161,7 @@ def test_predictor_outside_the_chart_is_a_skip_not_a_failure():
     at x3 = 1.9 the predictor x + t.kernel reaches x3 = 2.2 and the trace is
     refused with a plain PatchError, not as a patch off the zero set."""
     xi = models.rotation(FLAT3, 1, 2)
-    zero = classify_zero(FLAT3, xi, np.array([0.0, 0.0, 1.9]))
+    zero = classify_at(FLAT3, xi, np.array([0.0, 0.0, 1.9]))
     with pytest.raises(PatchError, match="predictor") as refused:
         trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
     assert not isinstance(refused.value, OffZeroSetError)
@@ -177,11 +177,11 @@ def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
     chart = rescale_metric(FLAT3, parse("0.3*x2 + 0.2", 3))
     xi = models.sphere_killing(chart, 1, 4)
     base = np.array([0.0, 0.6, 0.8])
-    zero = classify_zero(chart, xi, base)
+    zero = classify_at(chart, xi, base)
     calls = recording_calls(monkeypatch, geometry.frame_svd, lambda out: 1)
     patch = trace_component(chart, xi, zero, radius=0.3, grid=5)
     assert calls == []
-    g, normals = zero.metric, zero.normal_basis
+    g, normals = metric_value(chart, base), zero.normal_basis
     tangent = patch.tangent_basis
     assert abs(g[0, 0] - 1.0) > 0.1
     assert normals.shape == (2, 3)
@@ -366,7 +366,7 @@ def test_jet_path_on_traced_hyperbolic_patches(base):
     """The FD reference runs on the 3 x 3 sub-grid around traced node (1, 1),
     through the traced mapping, to keep the number of corrector runs small."""
     xi = models.rotation(HYP4, 1, 2)
-    traced = trace_component(HYP4, xi, classify_zero(HYP4, xi, base), radius=0.2, grid=5)
+    traced = trace_component(HYP4, xi, classify_at(HYP4, xi, base), radius=0.2, grid=5)
     assert traced.k == 2
     sub = map_patch(HYP4, xi, traced.mapping, tuple(axis[0:3] for axis in traced.param_axes))
     assert np.array_equal(sub.samples[1, 1], traced.samples[1, 1])
@@ -386,7 +386,7 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
 
     monkeypatch.setattr(geodesic, "integrate_geodesic", refuse)
     xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
+    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
     report = umbilicity_report(SPHERE, patch)
     assert report.verdict == "totally_umbilical"
     rescaled = rescale_metric(SPHERE, parse("0.3*sin(x1)", 3))
@@ -434,7 +434,7 @@ def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
         return field_data(chart, xi, p, order)
 
     xi = models.rotation(FLAT4, 1, 2)
-    patch = trace_component(FLAT4, xi, classify_zero(FLAT4, xi, np.zeros(4)), radius=0.3, grid=9)
+    patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)), radius=0.3, grid=9)
     monkeypatch.setattr(zeroset, "field_data", counting)
     report = umbilicity_report(FLAT4, patch)
     assert calls == [(49, 4)]
@@ -447,7 +447,7 @@ def test_umbilicity_report_makes_one_frame_svd_call(monkeypatch):
     """The kernels and pseudo-inverses of nabla xi at all 9 interior nodes
     come from one stacked frame_svd call."""
     xi = models.rotation(FLAT4, 1, 2)
-    patch = trace_component(FLAT4, xi, classify_zero(FLAT4, xi, np.zeros(4)), radius=0.3, grid=5)
+    patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)), radius=0.3, grid=5)
     calls = recording_calls(monkeypatch, geometry.frame_svd,
                             lambda out, factor, tensor, kind: (kind, np.shape(tensor)),
                             arguments=True)
@@ -468,7 +468,7 @@ def test_umbilicity_report_over_patches_is_the_per_patch_calls(monkeypatch):
 
     def traced(xi, zero):
         zero = np.array(zero, dtype=float)
-        return trace_component(flat6, xi, classify_zero(flat6, xi, zero), radius=0.3, grid=5)
+        return trace_component(flat6, xi, classify_at(flat6, xi, zero), radius=0.3, grid=5)
 
     patches = [traced(sk, [0, 1, 0, 0, 0, 0]), traced(spin, np.zeros(6)),
                traced(combo, [0, 0, 0, 1, 0, 0]), traced(combo, [0, 0, 0, 0, 0.6, 0.8])]
@@ -508,7 +508,7 @@ def test_wrong_kernel_dimension_names_the_first_such_row():
 
 def test_second_fundamental_form_carries_the_metric_at_its_node():
     xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, SPHERE_ZERO), radius=0.3, grid=5)
+    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO), radius=0.3, grid=5)
     data = second_fundamental_form(SPHERE, patch.field, patch.samples[1][None], 1)
     assert np.array_equal(data.points[0], patch.samples[1])
     assert np.array_equal(data.metric[0], metric_value(SPHERE, data.points[0]))
@@ -517,13 +517,13 @@ def test_second_fundamental_form_carries_the_metric_at_its_node():
 def test_second_fundamental_form_refusals():
     flat2 = models.euclidean(2)
     rot2 = models.rotation(flat2, 1, 2)
-    point_patch = trace_component(flat2, rot2, classify_zero(flat2, rot2, np.zeros(2)))
+    point_patch = trace_component(flat2, rot2, classify_at(flat2, rot2, np.zeros(2)))
     with pytest.raises(PatchError):
         second_fundamental_form(flat2, point_patch.field, point_patch.samples[None], 0)
 
     # the x3 axis is a 1-dimensional zero set, not a 2-dimensional one
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.2, grid=5)
+    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.2, grid=5)
     with pytest.raises(PatchError, match="1-dimensional kernel"):
         second_fundamental_form(FLAT3, xi, patch.samples[2][None], 2)
 
@@ -544,7 +544,7 @@ def test_second_fundamental_form_refusals():
 
 def test_traced_axis_report_is_umbilical_with_even_codim():
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
+    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
     report = umbilicity_report(FLAT3, patch)
     assert report.verdict == "totally_umbilical"
     assert report.codim == 2
@@ -556,7 +556,7 @@ def test_traced_axis_report_is_umbilical_with_even_codim():
 
 def test_circle_component_report_on_round_chart():
     xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, classify_zero(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
+    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
     report = umbilicity_report(SPHERE, patch)
     assert report.verdict == "totally_umbilical"
     assert report.codim_even
@@ -572,7 +572,7 @@ def test_umbilicity_verdicts_stable_under_rescaling():
     for every metric in the conformal class."""
     rescaled = rescale_metric(FLAT3, parse("0.3*sin(x1)", 3))
     xi = models.rotation(FLAT3, 1, 2)
-    traced = trace_component(FLAT3, xi, classify_zero(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
+    traced = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
     for patch, verdict in ((traced, "totally_umbilical"), (_cylinder_patch(), "not_umbilical")):
         assert umbilicity_report(FLAT3, patch).verdict == verdict
         assert umbilicity_report(rescaled, patch).verdict == verdict

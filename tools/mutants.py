@@ -4,9 +4,13 @@ Each row of ``MUTANTS`` names one file under the checkout, the exact text
 that must occur in it once, the text that replaces it, and why a test
 should notice.  The runner copies the checkout to a temporary directory,
 runs tier-1 there once unchanged (it must pass), and then, row by row,
-applies the mutant, runs tier-1 with ``-x -q -p no:cacheprovider`` on the
-copy's ``src`` and restores the file.  A row passes only if that run fails:
-the mutant is killed.
+applies the mutant, runs pytest with ``-x -q -p no:cacheprovider`` on the
+copy's ``src`` and restores the file.  A row passes only if tier-1 fails:
+the mutant is killed.  Each mutant first faces the test module of the file
+it changes (``src/confield/X.py`` -> ``tests/test_X.py``), which is part of
+tier-1, and only a mutant that passes it runs the whole of tier-1; so a
+survivor has faced every test, and the verdicts are those of a full run
+per row.
 
 Run it from the root of a checkout; it uses only the standard library:
 
@@ -88,18 +92,36 @@ MUTANTS = (
            "G = g @ _along(fd.H, X)",
            "nabla_X d(xi^flat) takes X in H's derivative index; off a zero on a curved "
            "chart the derivative and argument indices differ by R(X, .) xi"),
+    Mutant("taylor-rows-misreported", CLI,
+           "zip(session.zeros[:_TAYLOR_ZEROS], scalar.derivative_residual,",
+           "zip(session.zeros[-_TAYLOR_ZEROS:], scalar.derivative_residual,",
+           "Taylor entry k must report the zero whose record row it checked, "
+           "also when there are more zeros than entries"),
 )
 
 
-def _tier1(tree: Path) -> tuple[bool, float, str]:
-    """Run tier-1 on ``tree``, stopping at the first failure: (passed,
-    seconds, last line of the output)."""
+def _tier1(tree: Path, *paths: str) -> tuple[bool, float, str]:
+    """Run tier-1, or only the test files ``paths``, on ``tree``, stopping
+    at the first failure: (passed, seconds, last line of the output)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
-    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-                         cwd=tree, env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                          *paths], cwd=tree, env=env, capture_output=True, text=True)
     lines = (run.stdout + run.stderr).strip().splitlines()
     return run.returncode == 0, time.perf_counter() - start, lines[-1] if lines else ""
+
+
+def _verdict(tree: Path, m: Mutant) -> tuple[bool, float, str]:
+    """Tier-1 on the mutated tree, the mutated file's test module first:
+    (passed, seconds, what the deciding run printed last)."""
+    module = f"tests/test_{Path(m.file).stem}.py"
+    if not (tree / module).exists():
+        return _tier1(tree)
+    passed, seconds, last = _tier1(tree, module)
+    if not passed:
+        return passed, seconds, f"{module}: {last}"
+    passed, more, last = _tier1(tree)
+    return passed, seconds + more, last
 
 
 def main() -> int:
@@ -124,7 +146,7 @@ def main() -> int:
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(m.old, m.new), encoding="utf-8")
             try:
-                passed, seconds, last = _tier1(tree)
+                passed, seconds, last = _verdict(tree, m)
             finally:
                 path.write_text(original, encoding="utf-8")
             print(f"{m.id}: {'SURVIVED' if passed else 'killed'} in {seconds:.0f} s ({last})",
