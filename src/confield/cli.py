@@ -37,6 +37,7 @@ from .essential import (
     CLASSIFICATION_TOL,
     GRID_RESOLUTION,
     VERDICT_INVALID,
+    VERDICT_KILLING,
     ZERO_TOL,
     ClassificationDimensionError,
     classify_zero,
@@ -335,6 +336,15 @@ class _Session:
             built.append(patch)
         return built, errors
 
+    @cached_property
+    def untraced(self) -> bool:
+        """Whether no patch was built although a Killing-type zero lies on a
+        zero set of positive dimension: trace and umbilicity then checked
+        nothing there, and neither may pass."""
+        return not self.patches[0] and any(
+            cls.verdict == VERDICT_KILLING and cls.kernel_dim > 0
+            for cls in self.classifications)
+
 
 def _run_check_conformal(session: _Session) -> dict:
     pts = sample_interior(session.chart, _CONFORMAL_POINTS, session.stream("check-conformal"))
@@ -443,12 +453,15 @@ def _run_trace(session: _Session) -> dict:
     skipped = [
         {"zero": e["zero"], "reason": e["reason"]} for e in errors
     ]
-    return {
+    result = {
         "passed": not any(e["failed"] for e in errors),
         "patches": patches,
         "skipped": skipped,
         "zeros_considered": int(len(built) + len(errors)),
     }
+    if session.untraced:
+        result.update(passed=False, inconclusive=True)
+    return result
 
 
 def _run_umbilicity(session: _Session) -> dict:
@@ -473,11 +486,14 @@ def _run_umbilicity(session: _Session) -> dict:
                 "passed": bool(ok),
             }
         )
-    return {
+    result = {
         "passed": bool(passed),
         "tolerance": UMBILICITY_TOL,
         "patches": entries,
     }
+    if session.untraced:
+        result.update(passed=False, inconclusive=True)
+    return result
 
 
 _RUNNERS = {

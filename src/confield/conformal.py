@@ -2,8 +2,8 @@
 
 A field xi is conformal when L_xi g = 2 phi g with phi = trace(nabla xi)/n.
 ``conformal_residual`` measures the defect of that equation in the metric
-norm, at one point (a batch of one) or over an (m, n) array of points, from
-the 1-jets of g and xi alone: in coordinates
+norm at each row of an (m, n) array of points, from the 1-jets of g and xi
+alone: in coordinates
 
     (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k,
 
@@ -50,14 +50,15 @@ class ConformalReport:
 
 
 def conformal_factor_gradient(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
-    """Exact covector d(phi) at p, via second-order jets."""
+    """Exact covector d(phi) at the point p, via second-order jets: the row
+    of its stack of one."""
     chart.require_interior(p)
-    return field_data(chart, xi, p, 2).dphi
+    return field_data(chart, xi, np.asarray(p, dtype=float)[None, :], 2).dphi[0]
 
 
-def conformal_residual(chart: Chart, xi: FieldSpec, p) -> float | np.ndarray:
-    """Metric norm of the trace-free part of L_xi g at p, or per point of an
-    (m, n) array p; one point has the bits of its batch of one.
+def conformal_residual(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
+    """Metric norm of the trace-free part of L_xi g at each row of an (m, n)
+    array p.
 
     L_xi g comes from the 1-jets of g and xi by the coordinate formula of
     the module docstring, with no connection.  Its g-trace is 2 n phi, so
@@ -80,8 +81,8 @@ def conformal_residual(chart: Chart, xi: FieldSpec, p) -> float | np.ndarray:
 
 def is_conformal(chart: Chart, xi: FieldSpec, samples,
                  tol: float = CONFORMAL_TOL) -> ConformalReport:
-    """Check conformality over explicit sample points (must be non-empty)."""
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    """Check conformality over an (m, n) array of sample points, m >= 1."""
+    pts = np.asarray(samples, dtype=float)
     if pts.size == 0:
         raise ValueError("is_conformal requires a non-empty sample set")
     residuals = conformal_residual(chart, xi, pts)

@@ -13,8 +13,8 @@ in a single loop, over a batch of m points: each coordinate is a column
 array, and every jet part carries a trailing batch axis, so one pass gives
 the jets of all m points (the vector mode of forward differentiation).
 :func:`eval_jets` does this at orders 0..2 and :func:`eval_values_many` at
-order 0, both under one overflow contract.  A single point is a batch of
-one whose batch axis is dropped on return, so it has that row's bits.
+order 0, both under one overflow contract, and both take an (m, n) stack
+of points; :func:`eval_jet` alone takes a single point.
 Charts and fields compile their trees once, when they are built, and pass
 the tape to these functions.  The parser folds constant exponents through
 the same evaluator with no coordinates at all.
@@ -198,9 +198,9 @@ class Jet:
     value has shape (m,), ``d1`` (n, m) and ``d2`` (n, n, m), where a part
     that is the same at every point (a constant, or the derivative of a
     coordinate) keeps length 1 on that axis and broadcasts, and the value
-    of a tree without coordinates is a float.  At one point, a batch of one
-    with that axis dropped, the value is a float, ``d1`` has shape (n,) and
-    ``d2`` shape (n, n).
+    of a tree without coordinates is a float.  From :func:`eval_jet` at
+    one point, a batch of one with that axis dropped, the value is a float,
+    ``d1`` has shape (n,) and ``d2`` shape (n, n).
     Entries above ``order`` (0..2) are ``None``.  ``d2`` is exactly
     symmetric by construction, not merely up to rounding.  The jet of a
     constant tree is shared between evaluations of its tape, and leaf parts
@@ -455,25 +455,17 @@ def _evaluate(tape: Tape, point: list, order: int) -> list[Jet]:
     return [jets[slot] for slot in tape.outputs]
 
 
-def _row(jet: Jet) -> Jet:
-    """``jet`` of a batch of one with its batch axis dropped."""
-    value, d1, d2 = jet.value, jet.d1, jet.d2
-    return Jet(jet.order, value if np.ndim(value) == 0 else value[0],
-               None if d1 is None else d1[..., 0], None if d2 is None else d2[..., 0])
-
-
-def _jets(tape: Tape, points: np.ndarray, order: int) -> list[Jet]:
+def _jets(tape: Tape, points, order: int) -> list[Jet]:
     """The body of :func:`eval_jet`, :func:`eval_jets` and
-    :func:`eval_values_many`: the jets of an (m, n) batch, or of one point
-    as a batch of one, under ``np.errstate(over="raise")``."""
+    :func:`eval_values_many`: the jets of an (m, n) batch, under
+    ``np.errstate(over="raise")``."""
     if not 0 <= order <= 2:
         raise ValueError("order must be between 0 and 2")
-    if points.ndim not in (1, 2):
-        raise ValueError("points must be an (n,) or an (m, n) array")
-    columns = list(np.atleast_2d(points).T.copy())
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (m, n) array, got shape {points.shape}")
     with np.errstate(over="raise"):
-        jets = _evaluate(tape, columns, order)
-    return jets if points.ndim == 2 else [_row(jet) for jet in jets]
+        return _evaluate(tape, list(points.T.copy()), order)
 
 
 def _tape(exprs) -> Tape:
@@ -481,27 +473,31 @@ def _tape(exprs) -> Tape:
 
 
 def eval_jet(expr: Expr, point, order: int = 0) -> Jet:
-    """Evaluate the tree ``expr`` at ``point`` with derivatives up to
-    ``order`` (0..2)."""
+    """Evaluate the tree ``expr`` at one point with derivatives up to
+    ``order`` (0..2): the batch of one holding it, with the batch axis
+    dropped, so it has that row's bits."""
     p = np.asarray(point, dtype=float)
     if p.ndim != 1:
         raise ValueError("point must be a 1-d coordinate array")
-    return _jets(Tape((expr,)), p, order)[0]
+    jet = _jets(Tape((expr,)), p[None, :], order)[0]
+    value, d1, d2 = jet.value, jet.d1, jet.d2
+    return Jet(order, value if np.ndim(value) == 0 else value[0],
+               None if d1 is None else d1[..., 0], None if d2 is None else d2[..., 0])
 
 
-def eval_jets(exprs, point, order: int = 0) -> list[Jet]:
-    """Evaluate several expressions, or a :class:`Tape`, at one point or an
-    (m, n) batch of points; one jet per expression.
+def eval_jets(exprs, points, order: int = 0) -> list[Jet]:
+    """Evaluate several expressions, or a :class:`Tape`, at an (m, n) batch
+    of points; one jet per expression, with a trailing batch axis (see
+    :class:`Jet`).
 
     Structurally equal subtrees are evaluated once, which matters for
     metrics whose entries share a conformal factor; pass a tape compiled
-    once to skip compiling at every call.  A batch gives jets with a
-    trailing batch axis (see :class:`Jet`); one point is the batch of one
-    holding it, with the batch axis dropped.  Wherever a value or
-    derivative at one of the points leaves the floating-point range, the
-    call raises :class:`EvalDomainError` rather than returning inf.
+    once to skip compiling at every call.  A 1-d point raises
+    ``ValueError``.  Wherever a value or derivative at one of the points
+    leaves the floating-point range, the call raises
+    :class:`EvalDomainError` rather than returning inf.
     """
-    return _jets(_tape(exprs), np.asarray(point, dtype=float), order)
+    return _jets(_tape(exprs), points, order)
 
 
 def eval_values_many(exprs, points) -> np.ndarray:
@@ -513,11 +509,8 @@ def eval_values_many(exprs, points) -> np.ndarray:
     :class:`EvalDomainError`; a tree without coordinates stays a scalar
     until the final stacking.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (m, n) array")
-    values = [jet.value for jet in _jets(_tape(exprs), pts, 0)]
-    out = np.empty((len(values), pts.shape[0]))
+    values = [jet.value for jet in _jets(_tape(exprs), points, 0)]
+    out = np.empty((len(values), len(points)))
     for row, value in zip(out, values):
         row[...] = value  # broadcasts a scalar constant to the m points
     return out

@@ -1,8 +1,8 @@
 """Geodesics, and the pointwise identities of a conformal field.
 
 ``taylor_checks`` tests the expansion of a conformal field xi along the
-unit-speed geodesic c(t) = exp_x(tv) from a zero x, or from each row of an
-(m, n) stack of zeros with its own direction, from the zeros' one
+unit-speed geodesic c(t) = exp_x(tv) from each zero x of an (m, n) stack,
+each with its own direction v, from the zeros' one
 :func:`~confield.geometry.field_data` record, which zero classification
 reads too.  At a zero the covariant derivatives of xi satisfy
 
@@ -21,7 +21,8 @@ f'' = g(nabla^2 xi(v, v), v).
 
 Geodesics themselves are integrated by ``integrate_geodesic``, a fixed-step
 classical RK4 scheme on the first-order system (x, v) together with a
-parallel orthonormal frame, one geodesic per call; ``exp_map`` sits on top
+parallel orthonormal frame, one geodesic from one point per call, which
+evaluates the stacked routines on stacks of one; ``exp_map`` sits on top
 of it.  No analysis calls them.  They stay as the independent reference
 that the tests hold the jet formulas against, and as layer boundaries of
 the benchmark's tracer.
@@ -31,10 +32,9 @@ the benchmark's tracer.
     nabla_X d(xi^flat) = 2 R_{X, xi} + 2 dphi ^ X
 
 where R_{X, xi} is the 2-form (Y, Z) -> g(R(X, xi)Y, Z) and
-(dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), at one point (with
-the bits of the batch of one holding it) or over (m, n) arrays of points
-and directions.  The left side is the skew part of g(nabla^2 xi(X, .), .),
-read off the covariant Hessian H of ``field_data``.  R(X, xi) comes from
+(dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), over (m, n) arrays
+of points and directions.  The left side is the skew part of
+g(nabla^2 xi(X, .), .), read off the covariant Hessian H of ``field_data``.  R(X, xi) comes from
 Gamma and its derivatives already contracted with X and xi, d_X Gamma_xi -
 d_xi Gamma_X + [Gamma_X, Gamma_xi] with Gamma_X = Gamma(X, .), so the
 4-index curvature tensor is never formed.  This identity pins down every
@@ -96,7 +96,7 @@ class GeodesicState:
 
 
 def _rhs(chart: Chart, x, v, frame):
-    Gam = christoffel_matrix(chart, x)
+    Gam = christoffel_matrix(chart, x[None, :])[0]
     acc = -np.einsum("kij,i,j->k", Gam, v, v)
     dframe = -np.einsum("kij,i,aj->ak", Gam, v, frame)
     return v, acc, dframe
@@ -123,13 +123,13 @@ def integrate_geodesic(
         raise ValueError("steps must be positive")
     x = np.asarray(x, dtype=float).copy()
     v = np.asarray(v, dtype=float)
-    g, _, _ = metric_jets(chart, x, 0)
-    speed = norm_or_nan(g, v)
+    g = metric_jets(chart, x[None, :], 0)[0]
+    speed = norm_or_nan(g, v[None, :])[0]
     if not (math.isfinite(speed) and speed > 0):
         raise ValueError(f"initial velocity must be finite and nonzero, got speed {speed}")
     v = v / speed
     if initial_frame is None:
-        frame = complete_orthonormal_frame(metric_factor(g), v)
+        frame = complete_orthonormal_frame(metric_factor(g), v[None, :])[0]
     else:
         frame = np.array(initial_frame, dtype=float)
     h = length / steps
@@ -167,8 +167,8 @@ def exp_map(chart: Chart, x, v) -> np.ndarray:
     chart.require_interior(x)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    g, _, _ = metric_jets(chart, x, 0)
-    length = norm_or_nan(g, v)
+    g = metric_jets(chart, x[None, :], 0)[0]
+    length = norm_or_nan(g, v[None, :])[0]
     if not math.isfinite(length):
         raise ValueError(f"exp_map needs a finite vector, got length {length}")
     if length < 1e-16:
@@ -183,21 +183,16 @@ def exp_map(chart: Chart, x, v) -> np.ndarray:
 
 
 class TaylorScalarResult(NamedTuple):
-    derivative_residual: float
-    f_prime: float
-    f_second: float
+    derivative_residual: np.ndarray
+    f_prime: np.ndarray
+    f_second: np.ndarray
 
 
 class TaylorVectorResult(NamedTuple):
-    first_residual: float
-    second_residual: float
+    first_residual: np.ndarray
+    second_residual: np.ndarray
     first: np.ndarray
     second: np.ndarray
-
-
-def _plain(a: np.ndarray) -> float | np.ndarray:
-    """A result at one zero as a float, at a stack of zeros as an array."""
-    return float(a) if np.ndim(a) == 0 else a
 
 
 def _along(T: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -207,8 +202,10 @@ def _along(T: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def taylor_checks(jets: FieldData, v) -> tuple[TaylorScalarResult, TaylorVectorResult]:
-    """The scalar and vector Taylor checks at zeros of xi, read from ``jets``,
-    their order-2 :func:`~confield.geometry.field_data` record.
+    """The scalar and vector Taylor checks at an (m, n) stack of zeros of
+    xi, read from ``jets``, their order-2
+    :func:`~confield.geometry.field_data` record, with row k of the (m, n)
+    directions ``v`` at zero k.
 
     ``first`` = nabla xi(v) and ``second`` = nabla^2 xi(v, v) are chart
     vectors at x: along the unit-speed geodesic c(t) = exp_x(tv) they are
@@ -217,8 +214,8 @@ def taylor_checks(jets: FieldData, v) -> tuple[TaylorScalarResult, TaylorVectorR
     = g(second, v).  Vector: the g-norms of first - (phi v + (1/2)
     d(xi^flat)(v)^sharp) and of second - (2 dphi(v) v - grad phi).
 
-    ``jets`` at one zero x and one direction ``v`` give floats and (n,)
-    arrays; at (m, n) zeros, with row k of ``v`` at zero k, (m,) and (m, n).
+    The residuals and f', f'' are (m,) arrays, ``first`` and ``second``
+    (m, n) arrays.
     """
     g = jets.conn.g
     if not np.all(norm_vector(g, jets.value) < _ZERO_TOL):
@@ -227,21 +224,19 @@ def taylor_checks(jets: FieldData, v) -> tuple[TaylorScalarResult, TaylorVectorR
     speed = norm_or_nan(g, v)
     if not np.all(np.isfinite(speed) & (speed > 0)):
         raise ValueError(f"taylor_checks needs a finite nonzero direction, got speed {speed}")
-    v = v / np.asarray(speed)[..., None]
+    v = v / speed[:, None]
     first = matvec(jets.N, v)
     second = matvec(_along(jets.H, v), v)
     gv = matvec(g, v)
     f1 = (first * gv).sum(axis=-1)
-    scalar = TaylorScalarResult(_plain(abs(f1 - jets.phi)), _plain(f1),
-                                _plain((second * gv).sum(axis=-1)))
+    scalar = TaylorScalarResult(abs(f1 - jets.phi), f1, (second * gv).sum(axis=-1))
 
     # (v -| d xi^flat)_j = v^i M[i, j] = -(M v)_j, as M is skew
-    phi = np.asarray(jets.phi)[..., None]
-    first_target = phi * v - 0.5 * matvec(jets.conn.ginv, matvec(jets.M, v))
-    dphi_v = (jets.dphi * v).sum(axis=-1)[..., None]
+    first_target = jets.phi[:, None] * v - 0.5 * matvec(jets.conn.ginv, matvec(jets.M, v))
+    dphi_v = (jets.dphi * v).sum(axis=-1)[:, None]
     second_target = 2.0 * dphi_v * v - matvec(jets.conn.ginv, jets.dphi)
-    vector = TaylorVectorResult(_plain(norm_vector(g, first - first_target)),
-                                _plain(norm_vector(g, second - second_target)), first, second)
+    vector = TaylorVectorResult(norm_vector(g, first - first_target),
+                                norm_vector(g, second - second_target), first, second)
     return scalar, vector
 
 
@@ -258,8 +253,7 @@ def taylor_vector_check(jets: FieldData, v) -> TaylorVectorResult:
 def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
     """Residual of nabla_X d(xi^flat) = 2 R_{X,xi} + 2 dphi ^ X at p.
 
-    ``p`` and ``X`` are one point and direction, giving a float with the
-    bits of their batch of one, or (m, n) arrays of them, giving m
+    ``p`` and ``X`` are (m, n) arrays of points and directions, giving m
     residuals from one batched evaluation.  All three terms are evaluated
     from exact jets; for a conformal field the residual is at rounding
     level, and this is the main consistency check tying the curvature sign

@@ -17,21 +17,20 @@ Index conventions used throughout (and relied on by the test oracles):
   trace(N) / n`` and its differential ``dphi``.  The component jets they
   come from are :func:`field_jets` and :func:`metric_jets`.
 
-Batches: every evaluation here (``metric_jets``, ``connection_data``,
-``field_jets``, ``field_data``, ``metric_factor``, ``spd_inverse``,
-``norm_vector``, ``norm_2form`` and ``field_norm``) takes one point or an
-(m, n) array of points, ``frame_svd`` one matrix or an (m, n, n) stack,
-and ``complete_orthonormal_frame`` and ``sample_ball`` one vector or an
-(m, n) stack.  A batch adds a leading axis of length m to every array,
-with the index layout above after it; the jets of all m points come from
-one walk of each expression tree, and the frames of a stack from one SVD
-call.  One point is evaluated as a batch of one, so its arrays have the
-bits of that batch's row.
+Stacks: every evaluation here (``metric_jets``, ``metric_value``,
+``connection_data``, ``field_jets``, ``field_value``, ``field_data`` and
+``field_norm``) takes an (m, n) array of points, and a 1-d point raises
+``ValueError``; ``metric_factor``, ``spd_inverse``, ``norm_vector``,
+``norm_2form`` and ``frame_svd`` take (m, n, n) stacks of matrices, and
+``complete_orthonormal_frame`` and ``sample_ball`` (m, n) stacks of
+vectors.  Every array has a leading axis of length m, with the index
+layout above after it; the jets of all m points come from one walk of
+each expression tree, and the frames of a stack from one SVD call.
 The order-2 tensors (d Gamma, the covariant Hessian, dphi) are reshaped
-matrix products, one (n^a, n) @ (n, n^b) product per point over the batch,
+matrix products, one (n^a, n) @ (n, n^b) product per point over the stack,
 whose operands are made C-contiguous first: numpy picks a product's kernel
 from its operands' strides, and this way row i of a stack gets the kernel,
-and so the bits, of its batch of one.  The order-1
+and so the bits, of the stack of one that holds it.  The order-1
 contractions (Gamma, N, d(xi^flat)) keep the summation order of the einsums
 they were written with, whose rounding the reports carry.
 
@@ -177,20 +176,20 @@ class FieldSpec:
 # ---------------------------------------------------------------------------
 # metric evaluation
 
-def _gather(jets, part: str, shape: tuple, batch: tuple) -> np.ndarray:
-    """One part of several jets as one array of shape ``batch + shape``.
+def _gather(jets, part: str, shape: tuple, m: int) -> np.ndarray:
+    """One part of several jets at m points as one array of shape
+    ``(m,) + shape``.
 
     The jets fill the leading axes of ``shape`` in row-major order.  Their
     parts have one axis per derivative order plus a trailing batch axis, or
     a broadcastable one of length 1; the batch axis moves to the front.
     """
     order = ("value", "d1", "d2").index(part)
-    out = np.empty((len(jets),) + shape[len(shape) - order:] + batch)
+    out = np.empty((len(jets),) + shape[len(shape) - order:] + (m,))
     for k, jet in enumerate(jets):
         out[k] = getattr(jet, part)
-    if batch:  # np.moveaxis(out, -1, 0), without its argument checks
-        out = out.transpose(out.ndim - 1, *range(out.ndim - 1))
-    return out.reshape(batch + shape)
+    # np.moveaxis(out, -1, 0), without its argument checks
+    return out.transpose(out.ndim - 1, *range(out.ndim - 1)).reshape((m,) + shape)
 
 
 def metric_jets(chart: Chart, p, order: int):
@@ -199,27 +198,26 @@ def metric_jets(chart: Chart, p, order: int):
     Returns ``(g, dg, d2g)`` truncated to ``order``:
     ``dg[i, j, k] = d_k g_ij`` and ``d2g[i, j, k, l] = d_k d_l g_ij``.
     Arrays beyond the requested order are ``None``.  Components are
-    symmetrized in (i, j) so downstream symmetries hold exactly.  For an
-    (m, n) array of points every array gains a leading axis of length m.
+    symmetrized in (i, j) so downstream symmetries hold exactly.  At an
+    (m, n) array of points every array has a leading axis of length m.
     """
     n = chart.dim
-    p = np.asarray(p, dtype=float)
-    batch = p.shape[:-1]
     jets = eval_jets(chart.tape, p, order)
-    g = _gather(jets, "value", (n, n), batch)
+    m = len(p)
+    g = _gather(jets, "value", (n, n), m)
     g = 0.5 * (g + g.swapaxes(-1, -2))
     dg = d2g = None
     if order >= 1:
-        dg = _gather(jets, "d1", (n, n, n), batch)
+        dg = _gather(jets, "d1", (n, n, n), m)
         dg = 0.5 * (dg + dg.swapaxes(-3, -2))
     if order >= 2:
-        d2g = _gather(jets, "d2", (n, n, n, n), batch)
+        d2g = _gather(jets, "d2", (n, n, n, n), m)
         d2g = 0.5 * (d2g + d2g.swapaxes(-4, -3))
     return g, dg, d2g
 
 
 def metric_factor(g: np.ndarray) -> tuple:
-    """``(L, Linv)`` with g = L L^T and Linv = L^-1, for one matrix or a stack.
+    """``(L, Linv)`` with g = L L^T and Linv = L^-1, over an (m, n, n) stack.
 
     The one factorization of a metric and its one SPD gate: the Cholesky
     diagonal is a cheap conditioning probe of every matrix, and only a
@@ -239,13 +237,13 @@ def metric_factor(g: np.ndarray) -> tuple:
 
 
 def spd_inverse(g: np.ndarray) -> np.ndarray:
-    """g^-1 = Linv^T Linv from :func:`metric_factor`, for one matrix or a stack."""
+    """g^-1 = Linv^T Linv from :func:`metric_factor`, over an (m, n, n) stack."""
     Linv = metric_factor(g)[1]
     return Linv.swapaxes(-1, -2) @ Linv
 
 
 def metric_value(chart: Chart, p) -> np.ndarray:
-    """Metric matrix at an interior point, validated SPD."""
+    """Metric matrices at an (m, n) array of interior points, validated SPD."""
     chart.require_interior(p)
     g, _, _ = metric_jets(chart, p, 0)
     metric_factor(g)
@@ -260,8 +258,8 @@ def _stacked(a: np.ndarray, batch: tuple, rows: int, cols: int) -> np.ndarray:
 
     Every matrix product of the order-2 tensors takes its operands through
     here: numpy picks its kernel from the strides of each matrix, and a row
-    of a stack must get the same kernel, and so the same bits, as its batch
-    of one.
+    of a stack must get the same kernel, and so the same bits, as the stack
+    of one that holds it.
     """
     return np.ascontiguousarray(a).reshape(batch + (rows, cols))
 
@@ -287,8 +285,8 @@ class ConnectionData:
     """Metric jets, the metric factor and the connection, to jet order 1 or 2.
 
     ``factor`` is :func:`metric_factor` of ``g``.  At order 1, ``dGam`` is
-    ``None``.  Built from an (m, n) array of points, every
-    array has a leading axis of length m.
+    ``None``.  Every array has a leading axis of length m, one row per
+    point.
     """
 
     g: np.ndarray
@@ -302,7 +300,7 @@ class ConnectionData:
 def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
     """Metric jets to ``order`` (1 or 2), Gamma and, at order 2, its derivatives.
 
-    ``p`` is one point or an (m, n) array of points.  ``dGam`` is a view
+    ``p`` is an (m, n) array of points.  ``dGam`` is a view
     of an array laid out as ``d_m Gamma^k_ij`` at ``[k, m, i, j]``, so
     ``np.moveaxis(dGam, -1, -3)`` is contiguous per point.
     """
@@ -330,7 +328,7 @@ def connection_data(chart: Chart, p, order: int = 2) -> ConnectionData:
 
 
 def christoffel_matrix(chart: Chart, p) -> np.ndarray:
-    """Gamma^k_ij as an (n, n, n) array, or (m, n, n, n) over m points."""
+    """Gamma^k_ij as an (m, n, n, n) array over an (m, n) array of points."""
     return connection_data(chart, p, 1).Gam
 
 
@@ -342,15 +340,14 @@ def field_jets(xi: FieldSpec, p, order: int):
 
     Returns ``(value, jac, hess)`` truncated to ``order`` where
     ``jac[i, j] = d_j xi^i`` and ``hess[i, j, k] = d_j d_k xi^i``, each with
-    a leading axis of length m for an (m, n) array of points.
+    a leading axis of length m at an (m, n) array of points.
     """
     n = xi.chart.dim
-    p = np.asarray(p, dtype=float)
-    batch = p.shape[:-1]
     jets = eval_jets(xi.tape, p, order)
-    val = _gather(jets, "value", (n,), batch)
-    jac = _gather(jets, "d1", (n, n), batch) if order >= 1 else None
-    hess = _gather(jets, "d2", (n, n, n), batch) if order >= 2 else None
+    m = len(p)
+    val = _gather(jets, "value", (n,), m)
+    jac = _gather(jets, "d1", (n, n), m) if order >= 1 else None
+    hess = _gather(jets, "d2", (n, n, n), m) if order >= 2 else None
     return val, jac, hess
 
 
@@ -363,9 +360,9 @@ class FieldData:
     """A vector field's value at ``points`` and the covariant tensors of its 2-jet.
 
     ``N``, ``M``, ``phi``, ``H`` and ``dphi`` follow the conventions in the
-    module docstring.  At order 1, ``H`` and ``dphi`` are ``None``.  Built
-    at an (m, n) array of ``points``, every other array and ``phi`` have a
-    leading axis of length m.
+    module docstring.  At order 1, ``H`` and ``dphi`` are ``None``.  Every
+    other array, ``phi`` included, has a leading axis of length m, one row
+    per row of ``points``.
     """
 
     points: np.ndarray
@@ -373,20 +370,20 @@ class FieldData:
     value: np.ndarray
     N: np.ndarray
     M: np.ndarray
-    phi: float | np.ndarray
+    phi: np.ndarray
     H: np.ndarray | None
     dphi: np.ndarray | None
 
 
 def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
-    """One evaluation of the metric and field jets to ``order`` (1 or 2) at p,
-    one point or an (m, n) array of points."""
+    """One evaluation of the metric and field jets to ``order`` (1 or 2) at
+    an (m, n) array of points p."""
     conn = connection_data(chart, p, order)
     val, jac, hess = field_jets(xi, p, order)
     g, dg, Gam = conn.g, conn.dg, conn.Gam
     # N[i, j] = d_j xi^i + Gamma^i_jk xi^k, summed over k in order as einsum
     # sums it over two or more points; over one point einsum sums in another
-    # order, and a row of a stack would not be its batch of one
+    # order, and a row of a stack would not be the stack of one holding it
     Gam_xi = Gam[..., 0] * val[..., None, None, 0]
     for k in range(1, chart.dim):
         Gam_xi = Gam_xi + Gam[..., k] * val[..., None, None, k]
@@ -408,56 +405,53 @@ def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
              - (Nc @ _stacked(Gam, batch, n, n * n)).reshape(batch + (n,) * 3))
         # n phi = trace N, so n d_j phi = d_j N[i, i]
         dphi = np.trace(dN, axis1=-3, axis2=-1) / n
-    phi = np.trace(N, axis1=-2, axis2=-1) / chart.dim
     return FieldData(np.asarray(p, dtype=float), conn, val, N, P - P.swapaxes(-1, -2),
-                     float(phi) if phi.ndim == 0 else phi, H, dphi)
+                     np.trace(N, axis1=-2, axis2=-1) / chart.dim, H, dphi)
 
 
 # ---------------------------------------------------------------------------
 # norms, frames, sampling
 
-def norm_vector(g: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-    """|v|_g; per point over stacked inputs."""
-    val = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", v, g, v), 0.0))
-    return float(val) if val.ndim == 0 else val
+def norm_vector(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|v|_g, one per row of stacked g and v."""
+    return np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", v, g, v), 0.0))
 
 
-def norm_or_nan(g: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-    """|v|_g, or NaN for a v that is not finite, which then enters no product."""
-    return norm_vector(g, v) if np.isfinite(v).all() else math.nan
+def norm_or_nan(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|v|_g, one per row, or NaN in every row if any v is not finite, which
+    then enters no product."""
+    return norm_vector(g, v) if np.isfinite(v).all() else np.full(len(v), math.nan)
 
 
-def norm_2form(ginv: np.ndarray, T: np.ndarray) -> float | np.ndarray:
-    """|T| in the metric with inverse ginv; per point over stacked inputs."""
+def norm_2form(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """|T| in the metric with inverse ginv, one per row of stacked inputs."""
     # |T|^2 = sum_kl (g^-1 T g^-1)_kl T_kl
-    val = np.sqrt(np.maximum(((ginv @ T @ ginv) * T).sum(axis=(-2, -1)), 0.0))
-    return float(val) if val.ndim == 0 else val
+    return np.sqrt(np.maximum(((ginv @ T @ ginv) * T).sum(axis=(-2, -1)), 0.0))
 
 
-def field_norm(chart: Chart, xi: FieldSpec, p) -> float | np.ndarray:
+def field_norm(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
+    """|xi|_g at an (m, n) array of points."""
     g, _, _ = metric_jets(chart, p, 0)
     return norm_vector(g, field_value(xi, p))
 
 
-def _numerical_rank(sigma: np.ndarray) -> int | np.ndarray:
-    """Singular values above max(_RANK_REL * sigma_0, _RANK_ABS): an int for
-    one matrix, an int array with one count per row of a stack."""
+def _numerical_rank(sigma: np.ndarray) -> np.ndarray:
+    """Singular values above max(_RANK_REL * sigma_0, _RANK_ABS), one count
+    per row of a stack."""
     cut = np.maximum(_RANK_REL * sigma[..., :1], _RANK_ABS)
-    rank = np.count_nonzero(sigma > cut, axis=-1)
-    return int(rank) if np.ndim(rank) == 0 else rank
+    return np.count_nonzero(sigma > cut, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class FrameSVD:
-    """SVD of a tensor at a point, taken in a g-orthonormal frame.
+    """SVD of a stack of m tensors, each taken in a g-orthonormal frame.
 
     The frame is u_a = L^{-T} e_a from g = L L^T.  Vectors map into it by
     L^T, covectors by L^{-1}, endomorphisms by conjugation and 2-forms by
-    congruence.  ``rank`` counts the singular values above the cut of
-    ``_numerical_rank``.  Taken over a stack of m matrices, every array has
-    a leading axis of length m, ``rank`` is an int array, and row i of
-    each array is the one-matrix result of row i; ``kernel`` and ``solve``
-    then need the same rank in every row.
+    congruence.  Every array has a leading axis of length m, and ``rank``,
+    an int array, counts each row's singular values above the cut of
+    ``_numerical_rank``; row i of each array is the stack of one holding
+    row i.  ``kernel`` and ``solve`` need the same rank in every row.
     """
 
     L: np.ndarray
@@ -465,11 +459,9 @@ class FrameSVD:
     U: np.ndarray
     sigma: np.ndarray
     Vt: np.ndarray
-    rank: int | np.ndarray
+    rank: np.ndarray
 
     def _common_rank(self) -> int:
-        if isinstance(self.rank, int):
-            return self.rank
         ranks = set(self.rank.tolist())  # np.unique would import numpy.ma
         if len(ranks) > 1:
             raise ValueError(f"the stack has ranks {sorted(ranks)}, not one")
@@ -481,21 +473,20 @@ class FrameSVD:
         return self.Vt[..., self._common_rank():, :] @ self.Linv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares x with A x = rhs, for an endomorphism A.
+        """Minimum-norm least-squares x with A x = rhs, for endomorphisms A.
 
-        ``rhs`` holds chart vectors in its last axis, for a stack in an
-        array of shape (m, ..., k, n); the pseudo-inverse drops the singular
-        values below the rank cut, so x is g-orthogonal to the kernel.
+        ``rhs`` holds chart vectors in its last axis, in an array of shape
+        (m, ..., k, n) whose row i meets row i of each factor; the
+        pseudo-inverse drops the singular values below the rank cut, so x
+        is g-orthogonal to the kernel.
         """
+        if rhs.ndim < 3:
+            raise ValueError("a stack solves rhs arrays of shape (m, ..., k, n)")
         r = self._common_rank()
-        L, Linv = self.L, self.Linv
-        U, sigma, Vt = self.U[..., :r], self.sigma[..., :r], self.Vt[..., :r, :]
-        if sigma.ndim == 2:  # a stack: row i of each factor meets rhs[i]
-            if rhs.ndim < 3:
-                raise ValueError("a stack solves rhs arrays of shape (m, ..., k, n)")
-            middle = tuple(range(1, rhs.ndim - 2))
-            L, U, Vt, Linv = (np.expand_dims(a, middle) for a in (L, U, Vt, Linv))
-            sigma = np.expand_dims(sigma, middle + (rhs.ndim - 2,))
+        middle = tuple(range(1, rhs.ndim - 2))
+        L, U, Vt, Linv = (np.expand_dims(a, middle) for a in
+                          (self.L, self.U[..., :r], self.Vt[..., :r, :], self.Linv))
+        sigma = np.expand_dims(self.sigma[..., :r], middle + (rhs.ndim - 2,))
         frame_x = ((rhs @ L) @ U) / sigma @ Vt
         return frame_x @ Linv
 
@@ -503,12 +494,12 @@ class FrameSVD:
 def frame_svd(factor: tuple, tensor: np.ndarray, kind: str) -> FrameSVD:
     """SVD of an ``"endomorphism"`` or a ``"skew_form"`` in a g-orthonormal frame.
 
-    ``factor`` is g's :func:`metric_factor` pair, as ``ConnectionData.factor``
-    holds it, so no metric is factored here.  ``tensor`` is one (n, n)
-    matrix or, with a stacked factor, an (m, n, n) stack, which costs one
-    matmul chain and one SVD call; row i of the result equals the call on
-    row i.  A skew form is skew-symmetrized after the change of frame, so
-    its singular values come in honest pairs.  This is the one place that
+    ``factor`` is g's :func:`metric_factor` pair over a stack, as
+    ``ConnectionData.factor`` holds it, so no metric is factored here.
+    ``tensor`` is an (m, n, n) stack, which costs one matmul chain and one
+    SVD call; row i of the result equals the call on the stack of one
+    holding row i.  A skew form is skew-symmetrized after the change of
+    frame, so its singular values come in honest pairs.  This is the one place that
     builds g-orthonormal frames: every other frame is the ``kernel`` of
     some tensor here.
     """
@@ -529,9 +520,9 @@ def complete_orthonormal_frame(factor: tuple, v: np.ndarray) -> np.ndarray:
 
     The other rows are the kernel of w -> g(u, w) u for u = v / |v|_g, i.e.
     a g-orthonormal basis of the complement of v.  ``factor``, g's
-    :func:`metric_factor` pair, and ``v`` are one of each, or stacks of m
-    giving an (m, n, n) stack of frames whose row i is the call on row i,
-    bit for bit.  A zero or non-finite v raises :class:`MetricError`.
+    :func:`metric_factor` pair, and ``v`` are stacks of m, giving an
+    (m, n, n) stack of frames whose row i is the call on row i, bit for bit.
+    A zero or non-finite v raises :class:`MetricError`.
     """
     L = factor[0]
     v = np.asarray(v, dtype=float)
@@ -553,20 +544,18 @@ def sample_interior(chart: Chart, count: int, rng, margin: float = 0.05) -> np.n
 
 
 def sample_ball(chart: Chart, x, radius: float, count: int, rng) -> np.ndarray:
-    """Seeded samples around x, within ``radius`` and half the distance to the box.
+    """Seeded samples around each row of an (m, n) stack of centres x,
+    within ``radius`` and half the centre's distance to the box.
 
-    With r_eff the smaller of the two, row k is x + r_eff s_k u_k for a
-    direction u_k uniform on the sphere and s_k uniform in [0.2, 1]: the
-    directions are one ``rng.normal((count, n))`` block, normalized, and
-    the radii one ``rng.uniform(0.2, 1.0, count)`` block drawn after it.
-    For an (m, n) stack of centres the result is (m, count, n), from one
-    (m, count, n) normal block and then one (m, count) uniform block, each
-    centre with its own r_eff; a stack of one draws the numbers of one
-    centre.
+    With r_eff the smaller of the two, sample k of centre i is x_i + r_eff
+    s_ik u_ik for a direction u_ik uniform on the sphere and s_ik uniform
+    in [0.2, 1]: the directions are one ``rng.normal((m, count, n))``
+    block, normalized, and the radii one ``rng.uniform(0.2, 1.0, (m,
+    count))`` block drawn after it.  The result is (m, count, n).
     """
     x = np.asarray(x, dtype=float)
-    dist = np.minimum((x - chart.lower).min(axis=-1), (chart.upper - x).min(axis=-1))
-    r_eff = np.minimum(radius, 0.5 * dist)[..., None, None]
-    u = rng.normal(size=x.shape[:-1] + (count, chart.dim))
+    dist = np.minimum((x - chart.lower).min(axis=1), (chart.upper - x).min(axis=1))
+    r_eff = np.minimum(radius, 0.5 * dist)[:, None, None]
+    u = rng.normal(size=(len(x), count, chart.dim))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return x[..., None, :] + r_eff * rng.uniform(0.2, 1.0, x.shape[:-1] + (count,))[..., None] * u
+    return x[:, None, :] + r_eff * rng.uniform(0.2, 1.0, (len(x), count))[..., None] * u

@@ -13,8 +13,8 @@ Continuation Methods* (1990), ch. 3, run by ``find_zeros``' solver
 patch records the field on its parameter grid.  ``second_fundamental_form``
 measures the extrinsic curvature of the zero set at an array of its
 points, in one batched evaluation; ``umbilicity_report`` runs it over the
-interior nodes of one patch or of a sequence of patches, once per patch
-dimension, and decides whether each patch is totally umbilical (all second
+interior nodes of a sequence of patches, once per patch dimension, and
+decides whether each patch is totally umbilical (all second
 fundamental form values proportional to the induced metric with a common
 mean curvature vector).
 
@@ -27,8 +27,8 @@ invertible on the normal space, and one more derivative along N gives
 At a zero, nabla xi is the same for every metric in a conformal class, so a
 patch traced under g serves a rescaled chart as well: the metric is an
 explicit argument of the curvature routines rather than being read off the
-patch, and ``umbilicity_report(rescale_metric(chart, f), patch)`` checks the
-conformal invariance of total umbilicity.
+patch, and ``umbilicity_report(rescale_metric(chart, f), [patch])`` checks
+the conformal invariance of total umbilicity.
 """
 from __future__ import annotations
 
@@ -79,10 +79,10 @@ class OffZeroSetError(PatchError):
 class SubmanifoldPatch:
     """Piece of the zero set of ``field``, sampled on a parameter grid.
 
-    ``mapping`` sends a parameter vector of length k to chart coordinates
-    on the zero set and is smooth; ``samples`` and ``field_norms`` hold it
-    and |field|_g at the grid nodes.  For k = 0 the patch is a single point
-    and ``samples`` has shape (dim,).
+    ``mapping`` sends an (m, k) array of parameter vectors to (m, n) chart
+    coordinates on the zero set and is smooth; ``samples`` and
+    ``field_norms`` hold it and |field|_g at the grid nodes.  For k = 0
+    the patch is a single point and ``samples`` has shape (dim,).
     """
 
     chart: Chart
@@ -125,8 +125,8 @@ def trace_component(
     for t is the predictor x + t.kernel corrected onto xi = 0 along the
     normal space at x (the complement) by :func:`polish_zeros`, so the patch
     is the zero set as a graph over its tangent space at x and, by the
-    implicit function theorem, smooth in t.  ``mapping`` takes one t or an
-    (m, k) array of them; the grid is one call.  A predictor outside the
+    implicit function theorem, smooth in t.  ``mapping`` takes an (m, k)
+    array of t; the grid is one call.  A predictor outside the
     chart raises :class:`PatchError`.  For a zero with a trivial kernel
     (every Killing-type zero on a surface) the patch is that one point.
 
@@ -151,11 +151,10 @@ def trace_component(
         predicted = x + t @ kernel
         inside = chart._inside(predicted)
         if not np.all(inside):
-            bad = t if t.ndim == 1 else t[np.argmin(inside)]
-            raise PatchError(f"the predictor x + t.kernel leaves the chart at t = {bad}")
+            raise PatchError("the predictor x + t.kernel leaves the chart at "
+                             f"t = {t[np.argmin(inside)]}")
         # lanes cut off by the iteration cap are left to the verification
-        corrected, _ = polish_zeros(chart, xi, predicted.reshape(-1, n), normals)
-        return corrected.reshape(predicted.shape)
+        return polish_zeros(chart, xi, predicted, normals)[0]
 
     param_axes = tuple(np.linspace(-radius, radius, grid) for _ in range(k))
     shape = (grid,) * k
@@ -261,23 +260,20 @@ def umbilicity_report(
     chart: Chart,
     patches,
     tol: float = UMBILICITY_TOL,
-) -> UmbilicityReport | tuple:
-    """Umbilicity verdicts over the interior grid nodes of patches.
+) -> tuple:
+    """Umbilicity verdicts over the interior grid nodes of a sequence of
+    patches, as a tuple of reports in the same order.
 
-    ``patches`` is one :class:`SubmanifoldPatch`, giving one report, or a
-    sequence of them, giving a tuple of reports in the same order.  Every
-    interior node of a patch is visited, in ``itertools.product`` order;
-    the nodes of all patches of the same dimension k and the same field go
-    through one :func:`second_fundamental_form` call, so patches of one
-    field cost one call per distinct k, and each report equals the
-    one-patch call.  The residual at a node is sqrt(sum_ab |B_ab - h_ab
-    H|_g^2); a patch is reported totally umbilical when its worst node
-    stays below ``tol``.  Point patches get the verdict "point" with zero
+    Every interior node of a patch is visited, in ``itertools.product``
+    order; the nodes of all patches of the same dimension k and the same
+    field go through one :func:`second_fundamental_form` call, so patches
+    of one field cost one call per distinct k, and each report equals the
+    call on the sequence holding that patch alone.  The residual at a node
+    is sqrt(sum_ab |B_ab - h_ab H|_g^2); a patch is reported totally
+    umbilical when its worst node stays below ``tol``.  Point patches get the verdict "point" with zero
     residual.  Where the curvature cannot be taken, the error of the first
     group, in the order of the groups' first patches, is raised.
     """
-    if isinstance(patches, SubmanifoldPatch):
-        return umbilicity_report(chart, (patches,), tol)[0]
     reports = [None] * len(patches)
     groups = {}
     for slot, patch in enumerate(patches):

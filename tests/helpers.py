@@ -120,19 +120,12 @@ def _jet_of(node, point: list, order: int, memo: dict) -> Jet:
     return j
 
 
-def reference_jets(exprs, point, order: int = 0) -> list:
-    """``eval_jets`` by the recursive walk: an (m, n) batch, or one point as
-    a batch of one whose batch axis is dropped from every part."""
-    p = np.asarray(point, dtype=float)
+def reference_jets(exprs, points, order: int = 0) -> list:
+    """``eval_jets`` by the recursive walk, at an (m, n) batch of points."""
+    columns = list(np.asarray(points, dtype=float).T.copy())
     memo: dict = {}
-    columns = list(np.atleast_2d(p).T.copy())
     with np.errstate(over="raise"):
-        jets = [_jet_of(e, columns, order, memo) for e in exprs]
-    if p.ndim == 2:
-        return jets
-    return [Jet(j.order, np.reshape(j.value, -1)[0],
-                *(None if part is None else part[..., 0] for part in (j.d1, j.d2)))
-            for j in jets]
+        return [_jet_of(e, columns, order, memo) for e in exprs]
 
 
 
@@ -340,8 +333,8 @@ def flow_pullback_metric(chart, xi, p, t, steps=200):
     h = t / steps
 
     def rhs(x, J):
-        val, jac, _ = field_jets(xi, x, 1)
-        return val, jac @ J
+        val, jac, _ = field_jets(xi, x[None], 1)
+        return val[0], jac[0] @ J
 
     for _ in range(steps):
         k1 = rhs(x, J)
@@ -350,7 +343,7 @@ def flow_pullback_metric(chart, xi, p, t, steps=200):
         k4 = rhs(x + h * k3[0], J + h * k3[1])
         x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         J = J + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    g_end = metric_value(chart, x)
+    g_end = metric_value(chart, x[None])[0]
     return J.T @ g_end @ J
 
 
@@ -380,9 +373,16 @@ def gram_schmidt(g, vectors):
     return np.array(basis)
 
 
+def rowwise(emb):
+    """A patch ``mapping``, which takes an (m, k) array of parameters, from
+    ``emb`` of one parameter vector, called row by row."""
+    return lambda t: np.array([emb(s) for s in np.asarray(t, dtype=float)])
+
+
 def fd_second_fundamental_form(chart, mapping, t, h=0.01):
     """Second fundamental form of a parametrized submanifold at parameter t,
-    from Richardson-extrapolated differences of the map.
+    from Richardson-extrapolated differences of the map, a patch
+    ``mapping`` called on stacks of one.
 
     Returns ``(point, dP, B, H)``: the point, the parameter derivatives
     ``dP[a]``, ``B[a, b] = B(dP_a, dP_b)`` (the normal part of the covariant
@@ -390,39 +390,31 @@ def fd_second_fundamental_form(chart, mapping, t, h=0.01):
     """
     from confield.geometry import christoffel_matrix, metric_value, spd_inverse
 
+    def one(s):
+        return mapping(s[None])[0]
+
     t = np.asarray(t, dtype=float)
     k = len(t)
-    p = np.asarray(mapping(t), dtype=float)
-    g = metric_value(chart, p)
-    Gam = christoffel_matrix(chart, p)
-    dP = np.stack([fd_partial(mapping, t, a, h) for a in range(k)])
+    p = np.asarray(one(t), dtype=float)
+    g = metric_value(chart, p[None])[0]
+    Gam = christoffel_matrix(chart, p[None])[0]
+    dP = np.stack([fd_partial(one, t, a, h) for a in range(k)])
     frame = gram_schmidt(g, dP)
     B = np.empty((k, k, chart.dim))
     for a in range(k):
         for b in range(a, k):
-            C = fd_partial2(mapping, t, a, b, h)
+            C = fd_partial2(one, t, a, b, h)
             C = C + np.einsum("kij,i,j->k", Gam, dP[a], dP[b])
             B[a, b] = B[b, a] = C - frame.T @ (frame @ g @ C)
     H = np.einsum("ab,abk->k", spd_inverse(dP @ g @ dP.T), B) / k
     return p, dP, B, H
 
 
-def pointwise_second_fundamental_form(chart, xi, p, k):
-    """``(B, frame)`` at one zero set point p from a one-point ``field_data``,
-    the per-point path that ``zeroset.second_fundamental_form`` batches."""
-    from confield.geometry import field_data, frame_svd
-
-    fd = field_data(chart, xi, np.asarray(p, dtype=float), 2)
-    nabla_svd = frame_svd(fd.conn.factor, fd.N, "endomorphism")
-    frame = nabla_svd.kernel
-    assert frame.shape[0] == k
-    B = -nabla_svd.solve(np.einsum("ijk,aj,bk->abi", fd.H, frame, frame))
-    return 0.5 * (B + B.transpose(1, 0, 2)), frame
-
-
 def map_patch(chart, xi, mapping, param_axes):
-    """Patch of a known zero set of xi, built from its parametrization.
+    """Patch of a known zero set of xi, built from its parametrization
+    ``mapping``, which takes an (m, k) array of parameters.
 
+    The grid nodes are one call of ``mapping``, in ``np.ndindex`` order.
     The tangent basis is the g-orthonormalized parameter derivatives at the
     centre node.
     """
@@ -432,22 +424,20 @@ def map_patch(chart, xi, mapping, param_axes):
     param_axes = tuple(np.asarray(a, dtype=float) for a in param_axes)
     k = len(param_axes)
     shape = tuple(len(a) for a in param_axes)
-    samples = np.empty(shape + (chart.dim,))
-    norms = np.empty(shape)
-    for idx in np.ndindex(*shape):
-        t = np.array([axis[i] for axis, i in zip(param_axes, idx)])
-        samples[idx] = mapping(t)
-        norms[idx] = field_norm(chart, xi, samples[idx])
+    params = np.array([[axis[i] for axis, i in zip(param_axes, idx)]
+                       for idx in np.ndindex(*shape)])
+    samples = np.asarray(mapping(params), dtype=float)
+    norms = field_norm(chart, xi, samples)
     centre = np.array([axis[len(axis) // 2] for axis in param_axes])
-    base = np.asarray(mapping(centre), dtype=float)
-    dP = np.stack([fd_partial(mapping, centre, a) for a in range(k)])
+    base = np.asarray(mapping(centre[None]), dtype=float)[0]
+    dP = np.stack([fd_partial(lambda s: mapping(s[None])[0], centre, a) for a in range(k)])
     return SubmanifoldPatch(
         chart=chart,
         base=base,
-        tangent_basis=gram_schmidt(metric_value(chart, base), dP),
+        tangent_basis=gram_schmidt(metric_value(chart, base[None])[0], dP),
         param_axes=param_axes,
-        samples=samples,
-        field_norms=norms,
+        samples=samples.reshape(shape + (chart.dim,)),
+        field_norms=norms.reshape(shape),
         codim=chart.dim - k,
         mapping=mapping,
         field=xi,
@@ -469,17 +459,19 @@ def connection_change_residual(chart, f, p):
     from confield.expr import eval_jet
     from confield.geometry import connection_data
 
-    cd = connection_data(chart, p, 1)
+    p = np.asarray(p, dtype=float)
+    cd = connection_data(chart, p[None], 1)
+    g, Gam = cd.g[0], cd.Gam[0]
     df = eval_jet(f, p, 1).d1
-    gradf = cd.ginv @ df
-    Gam_rescaled = connection_data(rescale_metric(chart, f), p, 1).Gam
+    gradf = cd.ginv[0] @ df
+    Gam_rescaled = connection_data(rescale_metric(chart, f), p[None], 1).Gam[0]
     eye = np.eye(chart.dim)
     corr = (
         np.einsum("ki,j->kij", eye, df)
         + np.einsum("kj,i->kij", eye, df)
-        - np.einsum("ij,k->kij", cd.g, gradf)
+        - np.einsum("ij,k->kij", g, gradf)
     )
-    return float(np.sqrt(np.sum((Gam_rescaled - cd.Gam - corr) ** 2)))
+    return float(np.sqrt(np.sum((Gam_rescaled - Gam - corr) ** 2)))
 
 
 def substitute(expr, replacements):
@@ -613,17 +605,18 @@ def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
                                    metric_factor, metric_value, norm_vector)
 
     x = np.asarray(x, dtype=float)
-    g = metric_value(chart, x)
+    g = metric_value(chart, x[None])
     v = np.asarray(v, dtype=float)
-    v = v / norm_vector(g, v)
-    frame0 = complete_orthonormal_frame(metric_factor(g), v)
+    v = v / norm_vector(g, v[None])[0]
+    frame0 = complete_orthonormal_frame(metric_factor(g), v[None])[0]
     f, a = {}, {}
     for sign in (1.0, -1.0):
         states = integrate_geodesic(chart, x, sign * v, h, steps, initial_frame=frame0)
         assert len(states) == steps + 1, "the stencil leaves the chart"
         for t, state in ((0.0, states[0]), (sign * h, states[-1]),
                          (sign * h / 2, states[steps // 2])):
-            gp, xi_t = metric_value(chart, state.position), field_value(xi, state.position)
+            position = state.position[None]
+            gp, xi_t = metric_value(chart, position)[0], field_value(xi, position)[0]
             f[t] = float(xi_t @ gp @ (sign * state.velocity))
             a[t] = state.frame @ gp @ xi_t
 

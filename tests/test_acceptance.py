@@ -49,16 +49,15 @@ def test_essential_zero_example_is_reproduced(capsys):
     zero at the origin: field, derivative two-form, and factor all vanish
     while the factor gradient does not."""
     xi = models.sphere_translation(SPHERE, 1)
-    P = np.zeros(3)
-    g = metric_value(SPHERE, P)
-    ginv = spd_inverse(g)
+    P = np.zeros((1, 3))
+    ginv = spd_inverse(metric_value(SPHERE, P))
 
-    n_xi = field_norm(SPHERE, xi, P)
-    n_dxi = norm_2form(ginv, field_data(SPHERE, xi, P, 1).M)
-    phi = field_data(SPHERE, xi, P, 1).phi
-    dphi = conformal_factor_gradient(SPHERE, xi, P)
-    n_dphi = math.sqrt(dphi @ ginv @ dphi)
-    verdict = classify_at(SPHERE, xi, P).verdict
+    n_xi = field_norm(SPHERE, xi, P)[0]
+    n_dxi = norm_2form(ginv, field_data(SPHERE, xi, P, 1).M)[0]
+    phi = field_data(SPHERE, xi, P, 1).phi[0]
+    dphi = conformal_factor_gradient(SPHERE, xi, P[0])
+    n_dphi = math.sqrt(dphi @ ginv[0] @ dphi)
+    verdict = classify_at(SPHERE, xi, P[0]).verdict
 
     ok = (
         n_xi < 1e-10
@@ -103,9 +102,8 @@ def test_derivative_two_form_identity_holds(capsys):
     worst = 0.0
     for chart, xi in models.standard_pairs(3):
         pts = sample_interior(chart, 50, rng)
-        for p in pts:
-            X = rng.standard_normal(3)
-            worst = max(worst, dxi_identity_residual(chart, xi, p, X))
+        dirs = rng.standard_normal((50, 3))
+        worst = max(worst, float(dxi_identity_residual(chart, xi, pts, dirs).max()))
     ok = worst < 1e-7
     _report(
         capsys,
@@ -195,7 +193,7 @@ def test_traced_components_are_umbilical_with_even_codim(capsys):
     lines = []
     for chart, xi, base in scenarios:
         patch = trace_component(chart, xi, classify_at(chart, xi, base), radius=0.3, grid=5)
-        report = umbilicity_report(chart, patch)
+        (report,) = umbilicity_report(chart, [patch])
         good = (
             report.max_residual < 1e-4
             and (patch.k == 0 or report.codim_even)
@@ -227,13 +225,13 @@ def test_taylor_expansions_at_zeros(capsys):
     worst_scalar = 0.0
     worst_vector = 0.0
     for chart, xi, v in cases:
-        sres, vres = taylor_checks(field_data(chart, xi, np.zeros(3)), v)
-        worst_scalar = max(worst_scalar, sres.derivative_residual)
-        worst_vector = max(worst_vector, vres.second_residual)
-        ok = ok and sres.derivative_residual < 1e-6
-        ok = ok and vres.second_residual < 1e-4
-    _, hand = taylor_checks(field_data(FLAT3, K, np.zeros(3)), e1)
-    hand_err = float(np.abs(hand.second - np.array([-2.0, 0.0, 0.0])).max())
+        sres, vres = taylor_checks(field_data(chart, xi, np.zeros((1, 3))), v[None])
+        worst_scalar = max(worst_scalar, sres.derivative_residual[0])
+        worst_vector = max(worst_vector, vres.second_residual[0])
+        ok = ok and sres.derivative_residual[0] < 1e-6
+        ok = ok and vres.second_residual[0] < 1e-4
+    _, hand = taylor_checks(field_data(FLAT3, K, np.zeros((1, 3))), e1[None])
+    hand_err = float(np.abs(hand.second[0] - np.array([-2.0, 0.0, 0.0])).max())
     ok = ok and hand_err < 1e-4
     _report(
         capsys,
@@ -270,8 +268,8 @@ def test_conformal_rescaling_invariance(capsys):
 
     rotation = models.rotation(FLAT3, 1, 2)
     patch = trace_component(FLAT3, rotation, classify_at(FLAT3, rotation, np.zeros(3)))
-    v_before = umbilicity_report(FLAT3, patch).verdict
-    v_after = umbilicity_report(rescaled, patch).verdict
+    v_before = umbilicity_report(FLAT3, [patch])[0].verdict
+    v_after = umbilicity_report(rescaled, [patch])[0].verdict
     ok = ok and v_before == v_after == "totally_umbilical"
     _report(
         capsys,

@@ -125,7 +125,7 @@ def test_field_and_grid_evaluations_pass_the_expr_boundaries():
     xi = confield.models.rotation(chart, 1, 2)
     p = np.array([0.1, 0.2, 0.3])
     with tracer.Tracer() as t:
-        confield.geometry.field_jets(xi, p, 1)
+        confield.geometry.field_jets(xi, p[None], 1)
     assert t.layer_table()["expr.eval_jets"]["calls"] == 1
     assert t.counts["expr.jets.order1"] == 3
     with tracer.Tracer() as t:
@@ -147,12 +147,12 @@ def test_every_accepted_jet_order_has_a_tracer_counter():
     point = [0.5, 0.25]
     for order in range(3):
         with tracer.Tracer() as t:
-            confield.expr.eval_jets([tree], point, order)
+            confield.expr.eval_jets([tree], [point], order)
             confield.expr.eval_jet(tree, point, order)
         assert t.counts[f"expr.jets.order{order}"] == 2
     for order in (-1, 3):
         with pytest.raises(ValueError, match="order"):
-            confield.expr.eval_jets([tree], point, order)
+            confield.expr.eval_jets([tree], [point], order)
         with pytest.raises(ValueError, match="order"):
             confield.expr.eval_jet(tree, point, order)
 

@@ -875,12 +875,11 @@ def test_a_scaled_essential_zero_stays_essential():
     assert verdicts == [essential.VERDICT_ESSENTIAL] * 2
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the seed cap keeps 64 zeros next to the box edge, every trace is "
-                          "skipped, and umbilicity passes having checked nothing (ROADMAP item 23)")
 def test_umbilicity_does_not_pass_without_a_patch():
     """rotation(1, 2) on euclidean/5 has a 3-dimensional zero set.  Either a
-    patch of it is built, or umbilicity does not report a pass."""
+    patch of it is built, or neither trace nor umbilicity passes: both
+    report themselves inconclusive, and the manifest exits 1.  (The seed cap
+    keeps 64 zeros next to the box edge, and every trace is skipped.)"""
     report, code = cli.run_manifest({
         "chart": {"name": "euclidean", "dim": 5},
         "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
@@ -888,7 +887,9 @@ def test_umbilicity_does_not_pass_without_a_patch():
         "seed": 1, "grid_resolution": 12})
     analyses = report["analyses"]
     assert analyses["zeros"]["count"] > 0
-    assert analyses["trace"]["patches"] or analyses["umbilicity"]["passed"] is not True
+    assert analyses["trace"]["patches"] or (
+        code == 1 and all(analyses[name]["passed"] is False and analyses[name]["inconclusive"]
+                          for name in ("trace", "umbilicity")))
 
 
 def test_circle_zero_scenario_via_manifest(tmp_path):

@@ -29,23 +29,23 @@ SPHERE = models.sphere_stereographic(3)
 
 def test_factor_of_scaling_field_is_one():
     eu = models.euler(FLAT3)
-    for p in ([0.2, -0.7, 1.1], [0.0, 0.0, 0.0]):
-        assert field_data(FLAT3, eu, np.asarray(p), 1).phi == pytest.approx(1.0, abs=1e-14)
+    pts = np.array([[0.2, -0.7, 1.1], [0.0, 0.0, 0.0]])
+    assert field_data(FLAT3, eu, pts, 1).phi == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
 def test_factor_of_quadratic_field_flat():
     K = models.special_conformal(FLAT3, 1)
-    p = np.array([0.4, -0.2, 0.9])
+    p = np.array([[0.4, -0.2, 0.9]])
     # div(K_e) = -2 n <x, e> so the factor is -2 x1 in dimension n
-    assert field_data(FLAT3, K, p, 1).phi == pytest.approx(-2.0 * p[0], rel=1e-13)
+    assert field_data(FLAT3, K, p, 1).phi == pytest.approx(-2.0 * p[:, 0], rel=1e-13)
 
 
 def test_residual_of_non_conformal_field():
     """xi = (x1^2, 0) flat: L_xi g = dxi^flat sym = diag(4x1, 0) minus trace
     part; at (1, 1) the invariant norm of L - 2 phi g is 2 sqrt(2)."""
     xi = FieldSpec(FLAT2, (parse("x1^2", 2), parse("0", 2)))
-    res = conformal_residual(FLAT2, xi, np.array([1.0, 1.0]))
-    assert res == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
+    res = conformal_residual(FLAT2, xi, np.array([[1.0, 1.0]]))
+    assert res == pytest.approx([2.0 * np.sqrt(2.0)], rel=1e-12)
 
 
 def _non_conformal(chart):
@@ -84,11 +84,11 @@ def test_residual_against_flow_pullback(chart):
     xi = _non_conformal(chart)
     p = np.array([0.3, -0.2, 0.25])
     L = fd_lie_derivative(chart, xi, p)
-    g = metric_value(chart, p)
+    g = metric_value(chart, p[None])[0]
     ginv = np.linalg.inv(g)
     T = L - np.trace(ginv @ L) / chart.dim * g
     want = np.sqrt(np.sum((ginv @ T @ ginv) * T))
-    assert conformal_residual(chart, xi, p) == pytest.approx(want, rel=1e-7)
+    assert conformal_residual(chart, xi, p[None]) == pytest.approx([want], rel=1e-7)
 
 
 def test_factor_gradient_matches_finite_differences():
@@ -101,7 +101,7 @@ def test_factor_gradient_matches_finite_differences():
         for p in ([0.3, -0.2, 0.5], [0.9, 0.4, -0.7]):
             p = np.asarray(p)
             exact = conformal_factor_gradient(chart, xi, p)
-            approx = fd_gradient(lambda q: field_data(chart, xi, q, 1).phi, p)
+            approx = fd_gradient(lambda q: field_data(chart, xi, q[None], 1).phi[0], p)
             assert np.abs(exact - approx).max() < 1e-7
 
 
@@ -125,15 +125,16 @@ def test_report_structure_and_conformal_flag():
 
 
 def test_overflowing_sample_raises_as_the_per_point_loop_did():
-    """One sample where x1^300 overflows: the per-point residual raises a
-    domain error there, and the batched sample set raises the same error."""
+    """One sample where x1^300 overflows: the residual on the stack of one
+    holding it raises a domain error, and the batched sample set raises the
+    same error."""
     big = Chart(dim=2, lower=[-1e3, -1.0], upper=[1e3, 1.0],
                 metric=tuple(tuple(parse(e, 2) for e in row) for row in [["1", "0"], ["0", "1"]]))
     xi = FieldSpec(big, (parse("x1^300", 2), parse("0", 2)))
     samples = np.array([[0.5, 0.5], [900.0, 0.0], [1.0, -0.5]])
-    conformal_residual(big, xi, samples[0])
+    conformal_residual(big, xi, samples[:1])
     with pytest.raises(EvalDomainError) as per_point:
-        conformal_residual(big, xi, samples[1])
+        conformal_residual(big, xi, samples[1:2])
     with pytest.raises(EvalDomainError) as batched:
         is_conformal(big, xi, samples)
     assert str(batched.value) == str(per_point.value)
@@ -160,11 +161,8 @@ def test_rescaled_flat_chart_reproduces_round_metric():
     rescaled = rescale_metric(flat, u)
     assert rescaled.name.endswith("~rescaled")
     sphere = models.sphere_stereographic(3)
-    for p in ([0.3, -0.4, 0.2], [1.1, 0.5, -0.9]):
-        p = np.asarray(p)
-        a = metric_value(rescaled, p)
-        b = metric_value(sphere, p)
-        assert np.abs(a - b).max() < 1e-14
+    pts = np.array([[0.3, -0.4, 0.2], [1.1, 0.5, -0.9]])
+    assert np.abs(metric_value(rescaled, pts) - metric_value(sphere, pts)).max() < 1e-14
 
 
 def test_rescaling_composes():
@@ -173,7 +171,7 @@ def test_rescaling_composes():
     once = rescale_metric(rescale_metric(FLAT2, f1), f2)
     both = parse("x1/3 + sin(x2)/5", 2)
     combined = rescale_metric(FLAT2, both)
-    p = np.array([0.7, -0.8])
+    p = np.array([[0.7, -0.8]])
     assert np.abs(metric_value(once, p) - metric_value(combined, p)).max() < 1e-14
 
 
@@ -183,15 +181,13 @@ def test_factor_shifts_by_derivative_along_field():
     f = parse("0.3*sin(x1)", 3)
     rescaled = rescale_metric(FLAT3, f)
     xi = models.special_conformal(FLAT3, 1)
-    for p in ([0.2, 0.5, -0.3], [0.8, -0.6, 0.4]):
-        p = np.asarray(p)
-        phi = field_data(FLAT3, xi, p, 1).phi
-        phi_new = field_data(rescaled, xi, p, 1).phi
-        df = eval_jet(f, p, 1).d1
-        shift = float(df @ field_value(xi, p))
-        assert phi_new == pytest.approx(phi + shift, rel=1e-12, abs=1e-13)
-        # so the field stays conformal for the rescaled metric
-        assert conformal_residual(rescaled, xi, p) < 1e-12
+    pts = np.array([[0.2, 0.5, -0.3], [0.8, -0.6, 0.4]])
+    phi = field_data(FLAT3, xi, pts, 1).phi
+    phi_new = field_data(rescaled, xi, pts, 1).phi
+    shift = [eval_jet(f, p, 1).d1 @ value for p, value in zip(pts, field_value(xi, pts))]
+    assert phi_new == pytest.approx(phi + shift, rel=1e-12, abs=1e-13)
+    # so the field stays conformal for the rescaled metric
+    assert conformal_residual(rescaled, xi, pts).max() < 1e-12
 
 
 def test_connection_change_identity():

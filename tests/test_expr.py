@@ -122,7 +122,7 @@ def test_shared_subtrees_reuse_results():
     shared = parse("exp(x1*x2)", 2)
     left = Mul(shared, Const(2.0))
     right = Add(shared, Const(1.0))
-    jets = eval_jets([left, right, shared], [0.4, 0.2], 2)
+    jets = eval_jets([left, right, shared], [[0.4, 0.2]], 2)
     base = jets[2]
     assert jets[0].value == pytest.approx(2.0 * base.value)
     assert jets[1].value == pytest.approx(base.value + 1.0)
@@ -258,9 +258,10 @@ def test_substitute_replaces_and_preserves_identity():
 
 
 def test_eval_values_matches_eval_jet():
-    """One evaluator: a batch value and a per-point value have equal bits,
-    for every catalog metric and field tree and for Div, a negative Pow,
-    sqrt/log/exp and constant entries."""
+    """One evaluator: a batch value, the value of the stack of one holding
+    its point and the value of eval_jet there have equal bits, for every
+    catalog metric and field tree and for Div, a negative Pow, sqrt/log/exp
+    and constant entries."""
     rng = np.random.default_rng(3)
     cases = [(chart.metric_entries() + field.components, sample_interior(chart, 7, rng))
              for chart, field in models.standard_pairs(3)]
@@ -273,9 +274,24 @@ def test_eval_values_matches_eval_jet():
         vals = eval_values_many(trees, pts)
         assert vals.shape == (len(trees), len(pts))
         for k, p in enumerate(pts):
-            jets = eval_jets(trees, p)
+            jets = eval_jets(trees, pts[k:k + 1])
             for i, e in enumerate(trees):
-                assert vals[i, k] == jets[i].value == eval_jet(e, p).value
+                # a tree without coordinates has a scalar value
+                assert vals[i, k] == np.reshape(jets[i].value, -1)[0] == eval_jet(e, p).value
+
+
+def test_eval_jets_refuses_a_single_point():
+    """Every evaluation takes an (m, n) stack of points, and only eval_jet
+    takes a single point: a 1-d point, a scalar or a 3-d stack raises and
+    names the shape it needs."""
+    e = parse("x1*x2", 2)
+    for points in ([0.4, 0.2], np.zeros((1, 1, 2)), 1.0):
+        for evaluate in (lambda: eval_jets([e], points, 1), lambda: eval_values_many([e], points),
+                         lambda: eval_jets(Tape([e]), points)):
+            with pytest.raises(ValueError, match=r"points must be an \(m, n\) array"):
+                evaluate()
+    one = eval_jets([e], [[0.4, 0.2]], 1)[0]
+    assert eval_jet(e, [0.4, 0.2], 1).d1.tolist() == one.d1[:, 0].tolist()
 
 
 def test_eval_values_many_shares_work_and_stacks():
@@ -332,14 +348,16 @@ def _assert_tape_matches_reference(exprs, point, order):
 @pytest.mark.parametrize("dim", [3, 4])
 def test_tape_jets_are_the_reference_jets_bitwise(dim):
     """Every catalog chart and field, at the origin (signed zeros) and at
-    seeded points, one point at a time and as one batch, orders 0-2."""
+    seeded points, each point as a stack of one and all as one batch,
+    orders 0-2."""
     rng = np.random.default_rng(dim)
     for chart, xi in models.standard_pairs(dim):
         points = np.vstack([np.zeros(dim), sample_interior(chart, 4, rng)])
         for exprs, tape in ((chart.metric_entries(), chart.tape), (xi.components, xi.tape)):
             for order in range(3):
                 _assert_tape_matches_reference(exprs, points, order)
-                for p in points:
+                for k in range(len(points)):
+                    p = points[k:k + 1]
                     _assert_tape_matches_reference(exprs, p, order)
                     for tj, ej in zip(eval_jets(tape, p, order), eval_jets(exprs, p, order)):
                         assert _same_bits(tj.value, ej.value)
@@ -354,7 +372,7 @@ def test_tape_shares_structurally_equal_subtrees():
     assert len(tape.program) == len(Tape([a]).program) + 4
     assert tape.outputs[2] == tape.program[tape.outputs[0]][1][0]
     for order in range(3):
-        _assert_tape_matches_reference(trees, [0.3, -0.7], order)
+        _assert_tape_matches_reference(trees, [[0.3, -0.7]], order)
     _assert_tape_matches_reference(trees, np.array([[0.3, -0.7], [1.1, 0.4]]), 2)
 
 
@@ -366,11 +384,11 @@ def test_tape_keeps_signed_zero_constants_apart():
              Add(Const(-0.0), Neg(Const(0.0))), Add(Const(-0.0), Mul(Var(0), Const(0.0)))]
     tape = Tape(trees)
     assert tape.outputs[0] != tape.outputs[1]
-    for point in ([-1.0, 2.0], np.array([[-1.0, 2.0], [3.0, 0.5]])):
+    for point in ([[-1.0, 2.0]], np.array([[-1.0, 2.0], [3.0, 0.5]])):
         for order in range(3):
             _assert_tape_matches_reference(trees, point, order)
-    values = [j.value for j in eval_jets(tape, [-1.0, 2.0])]
-    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, -1.0, -1.0]
+    values = np.hstack([j.value for j in eval_jets(tape, [[-1.0, 2.0]])])
+    assert np.copysign(1.0, values).tolist() == [1.0, -1.0, -1.0, -1.0]
 
 
 # -- hypothesis: random trees stay consistent -------------------------------

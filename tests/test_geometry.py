@@ -93,7 +93,7 @@ def test_non_spd_metric_raises():
         name="signchange",
     )
     with pytest.raises(MetricError):
-        metric_value(bad, np.array([-0.5, 0.0]))
+        metric_value(bad, np.array([[-0.5, 0.0]]))
     with pytest.raises(MetricError):
         bad.validate_spd(np.random.default_rng(0))
 
@@ -103,10 +103,10 @@ def test_non_spd_metric_raises():
 
 @pytest.mark.parametrize("point", SPHERE_PTS)
 def test_metric_jets_match_finite_differences(point):
-    g, dg, d2g = metric_jets(SPHERE, point, 2)
+    g, dg, d2g = (a[0] for a in metric_jets(SPHERE, point[None], 2))
 
     def entry(i, j):
-        return lambda q: metric_value(SPHERE, q)[i, j]
+        return lambda q: metric_value(SPHERE, q[None])[0, i, j]
 
     for i in range(3):
         for j in range(3):
@@ -120,11 +120,11 @@ def test_metric_jets_match_finite_differences(point):
 
 
 def test_spd_inverse_and_conditioning():
-    g = metric_value(SPHERE, np.array([0.1, 0.2, 0.3]))
+    g = metric_value(SPHERE, np.array([[0.1, 0.2, 0.3]]))
     ginv = spd_inverse(g)
     assert np.abs(g @ ginv - np.eye(3)).max() < 1e-14
     with pytest.raises(MetricError):
-        spd_inverse(np.array([[1.0, 0.0], [0.0, -2.0]]))
+        spd_inverse(np.array([[[1.0, 0.0], [0.0, -2.0]]]))
 
 
 # -- connection and curvature -----------------------------------------------
@@ -144,14 +144,14 @@ def test_christoffel_matches_conformal_closed_form(point):
                 expected[k, i, j] = (
                     (i == k) * du[j] + (j == k) * du[i] - (i == j) * du[k]
                 )
-    got = christoffel_matrix(SPHERE, point)
+    got = christoffel_matrix(SPHERE, point[None])[0]
     assert np.abs(got - expected).max() < 1e-12
 
 
 def test_christoffel_symmetric_and_flat_zero():
-    Gam = christoffel_matrix(SPHERE, np.array([0.4, -0.2, 0.1]))
-    assert np.abs(Gam - Gam.transpose(0, 2, 1)).max() == 0.0
-    assert np.abs(christoffel_matrix(FLAT3, np.array([0.3, 0.1, -0.5]))).max() == 0.0
+    Gam = christoffel_matrix(SPHERE, np.array([[0.4, -0.2, 0.1]]))
+    assert np.abs(Gam - Gam.swapaxes(-1, -2)).max() == 0.0
+    assert np.abs(christoffel_matrix(FLAT3, np.array([[0.3, 0.1, -0.5]]))).max() == 0.0
 
 
 def _bundle(fd):
@@ -163,13 +163,14 @@ def _bundle(fd):
 
 
 def test_batched_jets_and_bundles_match_per_point():
-    """One call over 64 points against 64 per-point calls, for every catalog
-    pair: the order-2 jets agree to 1e-15 of each part's largest entry, and
-    every bundle field to 1e-15 of the pair's largest bundle entry (phi,
-    dphi and L_xi g of a Killing field are themselves rounding noise, so
-    they are measured on the bundle's scale).  Only the einsum summation
-    order and numpy's array fast paths for integer powers differ, so the
-    flat chart agrees bit for bit."""
+    """One call over 64 points against 64 per-point calls (eval_jet, and
+    field_data on stacks of one), for every catalog pair: the order-2 jets
+    agree to 1e-15 of each part's largest entry, and every bundle field to
+    1e-15 of the pair's largest bundle entry (phi, dphi and L_xi g of a
+    Killing field are themselves rounding noise, so they are measured on
+    the bundle's scale).  Only the einsum summation order and numpy's array
+    fast paths for integer powers differ, so the flat chart agrees bit for
+    bit."""
     rng = np.random.default_rng(13)
     for chart, xi in models.standard_pairs(3):
         pts = sample_interior(chart, 64, rng)
@@ -184,8 +185,8 @@ def test_batched_jets_and_bundles_match_per_point():
                 err = np.abs(many - one).max()
                 assert err == 0.0 if exact else err <= 1e-15 * np.abs(one).max()
         batched = _bundle(field_data(chart, xi, pts, 2))
-        per_point = [_bundle(field_data(chart, xi, p, 2)) for p in pts]
-        stacked = {k: np.stack([b[k] for b in per_point]) for k in batched}
+        per_point = [_bundle(field_data(chart, xi, pts[i:i + 1], 2)) for i in range(len(pts))]
+        stacked = {k: np.concatenate([b[k] for b in per_point]) for k in batched}
         scale = max(np.abs(v).max() for v in stacked.values())
         for name, one in stacked.items():
             assert batched[name].shape == one.shape, name
@@ -195,9 +196,9 @@ def test_batched_jets_and_bundles_match_per_point():
 
 
 # The catalog pairs in dimensions 3 and 4, and the stacks the order-2
-# kernels are checked on: a 1-d point, then stacks of 1, 7 and 50 points.
+# kernels are checked on: stacks of 1, 7 and 50 points.
 REFERENCE_PAIRS = models.standard_pairs(3) + models.standard_pairs(4)
-STACKS = (None, 1, 7, 50)
+STACKS = (1, 7, 50)
 
 
 def _order2_arrays(chart, xi, p):
@@ -221,12 +222,12 @@ def _reference_arrays(ref):
                          ids=lambda case: getattr(case, "name", None))
 def test_order2_kernels_match_the_einsum_reference(chart, xi):
     """connection_data and field_data agree with their einsum
-    reference to 1e-13 of the largest reference entry, at one point and on
-    stacks.  phi and dphi of a Killing field are rounding noise, so every
+    reference to 1e-13 of the largest reference entry, on stacks of one and
+    more points.  phi and dphi of a Killing field are rounding noise, so every
     array is measured on the scale of all of them."""
     points = sample_interior(chart, 50, np.random.default_rng([chart.dim, len(xi.name)]))
     for size in STACKS:
-        p = points[0] if size is None else points[:size]
+        p = points[:size]
         got = _order2_arrays(chart, xi, p)
         ref = _reference_arrays(reference_field_data(chart, xi, p, 2))
         scale = max(np.abs(a).max() for a in ref.values())
@@ -239,37 +240,36 @@ def test_order2_kernels_match_the_einsum_reference(chart, xi):
                          ids=lambda case: getattr(case, "name", None))
 def test_stack_rows_are_the_batch_of_one_bit_for_bit(chart, xi):
     """Row i of every order-2 array and of the metric factor L, Linv over a
-    stack of 7 or 50 points, and the array of the 1-d call at point i, are
-    the array of the batch of one holding point i, bit for bit; so are the
-    conformal and the d(xi^flat) identity residuals."""
+    stack of 7 or 50 points is the array of the stack of one holding point
+    i, bit for bit; so are the conformal and the d(xi^flat) identity
+    residuals."""
     rng = np.random.default_rng([chart.dim, len(xi.name)])
     points = sample_interior(chart, 50, rng)
     directions = rng.normal(size=points.shape)
     ones = [_order2_arrays(chart, xi, points[i:i + 1]) for i in range(50)]
-    for size in STACKS[2:]:
+    for size in STACKS[1:]:
         stack = _order2_arrays(chart, xi, points[:size])
         for i in range(size):
             for name, a in ones[i].items():
                 assert _bits(stack[name][i]) == _bits(a[0]), (size, i, name)
-    for i, (p, X) in enumerate(zip(points, directions)):
-        single = _order2_arrays(chart, xi, p)
-        for name, a in ones[i].items():
-            assert _bits(single[name]) == _bits(a[0]), (i, name)
-        assert (_bits(conformal_residual(chart, xi, p))
-                == _bits(conformal_residual(chart, xi, p[None])[0])), i
-        assert (_bits(dxi_identity_residual(chart, xi, p, X))
-                == _bits(dxi_identity_residual(chart, xi, p[None], X[None])[0])), i
+    conformal = conformal_residual(chart, xi, points)
+    identity = dxi_identity_residual(chart, xi, points, directions)
+    for i in range(50):
+        one = slice(i, i + 1)
+        assert _bits(conformal[i]) == _bits(conformal_residual(chart, xi, points[one])[0]), i
+        assert (_bits(identity[i])
+                == _bits(dxi_identity_residual(chart, xi, points[one], directions[one])[0])), i
 
 
 def test_batched_spd_inverse_checks_every_matrix():
-    good = metric_value(SPHERE, np.array([0.1, 0.2, 0.3]))
+    good = metric_value(SPHERE, np.array([[0.1, 0.2, 0.3]]))[0]
     stack = np.array([good, np.diag([1.0, 1.0, 1e-13]), good])
     with pytest.raises(MetricError, match="conditioning"):
         spd_inverse(stack)
     stack[1] = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(MetricError, match="positive definite"):
         spd_inverse(stack)
-    assert np.array_equal(spd_inverse(stack[[0, 2]])[1], spd_inverse(good))
+    assert np.array_equal(spd_inverse(stack[[0, 2]])[1], spd_inverse(good[None])[0])
 
 
 def test_require_interior_names_the_first_point_outside():
@@ -284,30 +284,30 @@ def test_field_data_orders_agree_bitwise():
     christoffel_matrix is the order-2 Gamma, bit for bit."""
     rng = np.random.default_rng(31)
     for chart, xi in models.standard_pairs(3):
-        for p in sample_interior(chart, 5, rng):
-            one, two = field_data(chart, xi, p, 1), field_data(chart, xi, p, 2)
-            for name in ("g", "ginv", "Gam"):
-                assert np.array_equal(getattr(one.conn, name), getattr(two.conn, name))
-            assert np.array_equal(one.N, two.N)
-            assert np.array_equal(one.M, two.M)
-            assert one.phi == two.phi
-            assert one.H is None and one.dphi is None
-            assert np.array_equal(christoffel_matrix(chart, p),
-                                  connection_data(chart, p, 2).Gam)
+        pts = sample_interior(chart, 5, rng)
+        one, two = field_data(chart, xi, pts, 1), field_data(chart, xi, pts, 2)
+        for name in ("g", "ginv", "Gam"):
+            assert np.array_equal(getattr(one.conn, name), getattr(two.conn, name))
+        assert np.array_equal(one.N, two.N)
+        assert np.array_equal(one.M, two.M)
+        assert np.array_equal(one.phi, two.phi)
+        assert one.H is None and one.dphi is None
+        assert np.array_equal(christoffel_matrix(chart, pts), connection_data(chart, pts, 2).Gam)
 
 
 def test_metric_compatibility():
-    p = np.array([0.2, -0.1, 0.3])
+    p = np.array([[0.2, -0.1, 0.3]])
     g, dg, _ = metric_jets(SPHERE, p, 1)
     Gam = christoffel_matrix(SPHERE, p)
-    rhs = np.einsum("lki,lj->ijk", Gam, g) + np.einsum("lkj,il->ijk", Gam, g)
+    rhs = np.einsum("mlki,mlj->mijk", Gam, g) + np.einsum("mlkj,mil->mijk", Gam, g)
     assert np.abs(dg - rhs).max() < 1e-13
 
 
 def _riemann_lowered(chart, p):
-    """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d) from the connection at p."""
-    c = connection_data(chart, p)
-    return reference_riemann_lowered(c.g, reference_riemann(c.Gam, c.dGam))
+    """Rl[a, b, c, d] = g(R(e_a, e_b) e_c, e_d) from the connection at the
+    point p, as a stack of one."""
+    c = connection_data(chart, p[None])
+    return reference_riemann_lowered(c.g, reference_riemann(c.Gam, c.dGam))[0]
 
 
 @pytest.mark.parametrize(
@@ -317,7 +317,7 @@ def test_sectional_curvature_of_space_forms(chart, expected):
     for raw in SPHERE_PTS:
         p = raw * (0.4 if chart is HYPER else 1.0)
         Rl = _riemann_lowered(chart, p)
-        g = metric_value(chart, p)
+        g = metric_value(chart, p[None])[0]
         for a, b in [(0, 1), (0, 2), (1, 2)]:
             denom = g[a, a] * g[b, b] - g[a, b] ** 2
             assert Rl[a, b, b, a] / denom == pytest.approx(expected, abs=1e-10)
@@ -352,35 +352,33 @@ def test_curvature_tensor_symmetries_on_random_metric():
 
 def test_covariant_derivative_of_plane_rotation():
     rot = models.rotation(FLAT2)
-    N = field_data(FLAT2, rot, np.array([0.7, -0.3]), 1).N
+    N = field_data(FLAT2, rot, np.array([[0.7, -0.3]]), 1).N[0]
     assert np.abs(N - np.array([[0.0, -1.0], [1.0, 0.0]])).max() == 0.0
     # Killing for the sphere metric too: g N must be skew
     sph2 = models.sphere_stereographic(2)
     rot3 = models.rotation(sph2, 1, 2)
-    p = np.array([0.5, 0.8])
-    N = field_data(sph2, rot3, p, 1).N
-    g = metric_value(sph2, p)
-    A = g @ N
-    assert np.abs(A + A.T).max() < 1e-13
+    p = np.array([[0.5, 0.8]])
+    A = metric_value(sph2, p) @ field_data(sph2, rot3, p, 1).N
+    assert np.abs(A + A.swapaxes(-1, -2)).max() < 1e-13
 
 
 def test_covariant_derivative_of_quadratic_field_on_axis():
     K = models.special_conformal(FLAT3, 1)
-    N = field_data(FLAT3, K, np.array([0.3, 0.0, 0.0]), 1).N
+    N = field_data(FLAT3, K, np.array([[0.3, 0.0, 0.0]]), 1).N
     assert np.abs(N + 0.6 * np.eye(3)).max() < 1e-15
 
 
 def test_euler_identity_map_everywhere():
     eu = models.euler(FLAT3)
-    N = field_data(FLAT3, eu, np.array([0.9, -1.1, 0.2]), 1).N
+    N = field_data(FLAT3, eu, np.array([[0.9, -1.1, 0.2]]), 1).N
     assert np.abs(N - np.eye(3)).max() == 0.0
-    N2 = field_data(FLAT2, models.euler(FLAT2), np.array([0.3, 0.4]), 1).N
+    N2 = field_data(FLAT2, models.euler(FLAT2), np.array([[0.3, 0.4]]), 1).N[0]
     assert np.trace(N2) == 2.0
 
 
 def test_derivative_two_form_of_rotation():
     rot = models.rotation(FLAT2)
-    M = field_data(FLAT2, rot, np.array([0.2, 0.5]), 1).M
+    M = field_data(FLAT2, rot, np.array([[0.2, 0.5]]), 1).M
     assert np.abs(M - np.array([[0.0, 2.0], [-2.0, 0.0]])).max() == 0.0
 
 
@@ -393,11 +391,11 @@ def test_two_form_is_twice_skew_part_of_lowered_derivative():
         tuple(parse(s, 3) for s in ("x2*x3 - 1", "sin(x1)", "x1^2 - x3")),
         name="arbitrary",
     )
-    p = np.array([0.4, -0.7, 0.2])
-    g = metric_value(chart, p)
-    N = field_data(chart, xi, p, 1).N
+    p = np.array([[0.4, -0.7, 0.2]])
+    g = metric_value(chart, p)[0]
+    N = field_data(chart, xi, p, 1).N[0]
     A = (g @ N).T  # A[i, j] = g(nabla_{e_i} xi, e_j)
-    M = field_data(chart, xi, p, 1).M
+    M = field_data(chart, xi, p, 1).M[0]
     assert np.abs(M - (A - A.T)).max() < 1e-12
 
 
@@ -410,13 +408,13 @@ def test_lie_derivative_against_flow_pullback():
         (FLAT3, models.special_conformal(FLAT3, 2), np.array([0.4, 0.3, -0.1])),
     ]
     for chart, xi, p in cases:
-        exact = reference_lie_derivative(chart, xi, p)
+        exact = reference_lie_derivative(chart, xi, p[None])[0]
         approx = fd_lie_derivative(chart, xi, p)
         assert np.abs(exact - approx).max() < 1e-8
 
 
 def test_killing_fields_have_vanishing_lie_derivative():
-    p = np.array([0.6, -0.3, 0.2])
+    p = np.array([[0.6, -0.3, 0.2]])
     rot = models.rotation(SPHERE, 2, 3)
     assert np.abs(reference_lie_derivative(SPHERE, rot, p)).max() < 1e-14
     sk = models.sphere_killing(SPHERE, 1, 4)
@@ -434,14 +432,14 @@ def test_covariant_hessian_against_differenced_derivative():
         (HYPER, models.special_conformal(HYPER, 2), np.array([0.1, 0.3, -0.2])),
     ]
     for chart, xi, p in cases:
-        fd = field_data(chart, xi, p)
-        N, H = fd.N, fd.H
-        assert np.array_equal(N, field_data(chart, xi, p, 1).N)
-        Gam = christoffel_matrix(chart, p)
+        fd = field_data(chart, xi, p[None])
+        N, H = fd.N[0], fd.H[0]
+        assert np.array_equal(N, field_data(chart, xi, p[None], 1).N[0])
+        Gam = christoffel_matrix(chart, p[None])[0]
         dN = np.empty((3, 3, 3))
         for i in range(3):
             for k in range(3):
-                f = lambda q, i=i, k=k: field_data(chart, xi, q, 1).N[i, k]
+                f = lambda q, i=i, k=k: field_data(chart, xi, q[None], 1).N[0, i, k]
                 for j in range(3):
                     dN[i, j, k] = fd_partial(f, p, j)
         expected = (
@@ -458,19 +456,19 @@ def test_covariant_hessian_of_killing_fields_is_curvature():
         (HYPER, models.rotation(HYPER, 1, 2), np.array([0.1, 0.3, -0.2])),
     ]
     for chart, xi, p in cases:
-        H = field_data(chart, xi, p).H
-        c = connection_data(chart, p)
+        H = field_data(chart, xi, p[None]).H
+        c = connection_data(chart, p[None])
         R = reference_riemann(c.Gam, c.dGam)
         # R(e_j, xi) e_k = R[i, k, j, l] xi^l e_i
-        curv = np.einsum("ikjl,l->ijk", R, field_jets(xi, p, 0)[0])
+        curv = np.einsum("mikjl,ml->mijk", R, field_jets(xi, p[None], 0)[0])
         assert np.abs(H).max() > 0.1
         assert np.abs(H - curv).max() < 1e-12
 
 
 def test_field_jets_hessian_symmetry():
     xi = models.special_conformal(FLAT3, 1)
-    _, _, hess = field_jets(xi, np.array([0.2, 0.4, -0.5]), 2)
-    assert np.abs(hess - hess.transpose(0, 2, 1)).max() == 0.0
+    _, _, hess = field_jets(xi, np.array([[0.2, 0.4, -0.5]]), 2)
+    assert np.abs(hess - hess.swapaxes(-1, -2)).max() == 0.0
 
 
 # -- norms, frames, raising and lowering -------------------------------------
@@ -478,26 +476,24 @@ def test_field_jets_hessian_symmetry():
 
 def test_norms_and_musical_isomorphisms():
     p = np.array([0.3, -0.2, 0.5])
-    g = metric_value(SPHERE, p)
-    ginv = spd_inverse(g)
+    g = metric_value(SPHERE, p[None])
+    ginv = spd_inverse(g)[0]
     v = np.array([0.4, -1.0, 0.3])
-    w = g @ v
+    w = g[0] @ v
     assert np.abs(ginv @ w - v).max() < 1e-14
-    assert norm_vector(g, v) == pytest.approx(math.sqrt(w @ ginv @ w), rel=1e-14)
+    assert norm_vector(g, v[None]) == pytest.approx([math.sqrt(w @ ginv @ w)], rel=1e-14)
 
     df = eval_jet(parse("x1*x2 - x3^2", 3), p, 1).d1
-    assert np.abs(g @ (ginv @ df) - df).max() < 1e-14
+    assert np.abs(g[0] @ (ginv @ df) - df).max() < 1e-14
 
 
 def test_two_form_norm_is_frame_frobenius():
-    p = np.array([0.2, 0.1, -0.3])
-    g = metric_value(SPHERE, p)
+    g = metric_value(SPHERE, np.array([[0.2, 0.1, -0.3]]))
     ginv = spd_inverse(g)
-    L = np.linalg.cholesky(g)
-    Linv = np.linalg.inv(L)
+    Linv = np.linalg.inv(np.linalg.cholesky(g[0]))
     M = np.array([[0.0, 1.5, -0.2], [-1.5, 0.0, 0.7], [0.2, -0.7, 0.0]])
     frame_frob = float(np.linalg.norm(Linv @ M @ Linv.T))
-    assert norm_2form(ginv, M) == pytest.approx(frame_frob, rel=1e-13)
+    assert norm_2form(ginv, M[None]) == pytest.approx([frame_frob], rel=1e-13)
 
 
 def _random_spd(rng, n):
@@ -524,7 +520,7 @@ def test_frame_svd_kernel_is_g_orthonormal_and_annihilated(n):
         N = _tensor_of_rank(rng, n, n - k, "endomorphism")
         M = _tensor_of_rank(rng, n, skew_rank, "skew_form")
         for tensor, kind, dim in ((N, "endomorphism", k), (M, "skew_form", n - skew_rank)):
-            kernel = frame_svd(metric_factor(g), tensor, kind).kernel
+            kernel = frame_svd(metric_factor(g[None]), tensor[None], kind).kernel[0]
             assert kernel.shape == (dim, n)
             assert np.abs(kernel @ g @ kernel.T - np.eye(dim)).max() < 1e-12
             assert np.abs(kernel @ tensor.T).max() < 1e-10 * (1 + np.abs(tensor).max())
@@ -540,9 +536,9 @@ def _bits(a):
 def test_stacked_frame_svd_rows_are_the_one_matrix_calls(n, kind):
     """Ranks 0, 2 and full in one stack: row i of every stacked array, and
     rows rank[i] on of row i of the stacked Vt @ Linv (the kernel, as
-    classify_zero slices it), are those of the call on the factor of g[i]
-    and on T[i], bit for bit, which has an int rank.  The cut is per row, so a
-    full-rank row scaled by 1e-8 keeps its rank."""
+    classify_zero slices it), are those of the call on the stack of one
+    holding g[i] and T[i], bit for bit.  The cut is per row, so a full-rank
+    row scaled by 1e-8 keeps its rank."""
     rng = np.random.default_rng([n, len(kind)])
     full = n if kind == "endomorphism" else 2 * (n // 2)
     ranks = [0, 2, full, 2, full, 0, 2]
@@ -553,16 +549,17 @@ def test_stacked_frame_svd_rows_are_the_one_matrix_calls(n, kind):
     assert svd.rank.tolist() == ranks
     frame_rows = svd.Vt @ svd.Linv
     for i in range(len(ranks)):
-        one = frame_svd(metric_factor(g[i]), T[i], kind)
-        assert type(one.rank) is int and one.rank == ranks[i]
+        one = frame_svd(metric_factor(g[i:i + 1]), T[i:i + 1], kind)
+        assert one.rank.tolist() == [ranks[i]]
         for name in ("L", "Linv", "U", "sigma", "Vt"):
-            assert _bits(getattr(svd, name)[i]) == _bits(getattr(one, name)), (i, name)
-        assert _bits(frame_rows[i, ranks[i]:]) == _bits(one.kernel), i
+            assert _bits(getattr(svd, name)[i]) == _bits(getattr(one, name)[0]), (i, name)
+        assert _bits(frame_rows[i, ranks[i]:]) == _bits(one.kernel[0]), i
 
 
 def test_stacked_kernel_and_solve_need_one_rank():
-    """Over a stack of one rank, kernel and solve give each row's one-matrix
-    result bit for bit; over mixed ranks they refuse."""
+    """Over a stack of one rank, kernel and solve give in each row the
+    result of the stack of one holding it, bit for bit; over mixed ranks
+    they refuse."""
     rng = np.random.default_rng(17)
     n, k = 4, 2
     g = np.stack([_random_spd(rng, n) for _ in range(6)])
@@ -572,9 +569,9 @@ def test_stacked_kernel_and_solve_need_one_rank():
     kernel, x = svd.kernel, svd.solve(rhs)
     assert kernel.shape == (6, k, n) and x.shape == rhs.shape
     for i in range(6):
-        one = frame_svd(metric_factor(g[i]), N[i], "endomorphism")
-        assert _bits(kernel[i]) == _bits(one.kernel)
-        assert _bits(x[i]) == _bits(one.solve(rhs[i]))
+        one = frame_svd(metric_factor(g[i:i + 1]), N[i:i + 1], "endomorphism")
+        assert _bits(kernel[i]) == _bits(one.kernel[0])
+        assert _bits(x[i]) == _bits(one.solve(rhs[i:i + 1])[0])
     N[3] = _tensor_of_rank(rng, n, n, "endomorphism")
     mixed = frame_svd(metric_factor(g), N, "endomorphism")
     with pytest.raises(ValueError, match="ranks"):
@@ -614,12 +611,13 @@ def test_factor_inverts_and_frames_metrics_that_are_not_diagonal(n):
 def test_complete_orthonormal_frame_random_spd(n):
     rng = np.random.default_rng(200 + n)
     for scale in (1e-9, 1.0, 1e9):
-        g = _random_spd(rng, n)
-        v = scale * rng.normal(size=n)
-        frame = complete_orthonormal_frame(metric_factor(g), v)
+        g = _random_spd(rng, n)[None]
+        v = scale * rng.normal(size=(1, n))
+        frame = complete_orthonormal_frame(metric_factor(g), v)[0]
         assert frame.shape == (n, n)
-        assert np.abs(frame @ g @ frame.T - np.eye(n)).max() < 1e-12
-        assert np.abs(frame[0] - v / norm_vector(g, v)).max() < 1e-14 * (1 + np.abs(frame[0]).max())
+        assert np.abs(frame @ g[0] @ frame.T - np.eye(n)).max() < 1e-12
+        unit = v[0] / norm_vector(g, v)[0]
+        assert np.abs(frame[0] - unit).max() < 1e-14 * (1 + np.abs(frame[0]).max())
 
 
 
@@ -627,7 +625,7 @@ def test_complete_orthonormal_frame_random_spd(n):
 def test_stacked_frames_are_the_one_vector_calls(n):
     """A stack of vectors, with the metrics of catalog points (laid out as a
     batch gives them) and random SPD ones, gives per row the frame of the
-    one-vector call, bit for bit."""
+    stack of one holding that row, bit for bit."""
     rng = np.random.default_rng(40 + n)
     chart = models.hyperbolic_ball(n)
     g = connection_data(chart, sample_interior(chart, 7, rng), 1).g
@@ -636,17 +634,17 @@ def test_stacked_frames_are_the_one_vector_calls(n):
     frames = complete_orthonormal_frame(metric_factor(g), v)
     assert frames.shape == (14, n, n)
     for i in range(14):
-        one = complete_orthonormal_frame(metric_factor(g[i]), v[i])
-        assert _bits(frames[i]) == _bits(one), i
+        one = complete_orthonormal_frame(metric_factor(g[i:i + 1]), v[i:i + 1])
+        assert _bits(frames[i]) == _bits(one[0]), i
 
 
 def test_complete_orthonormal_frame_starts_along_v():
-    p = np.array([-0.4, 0.2, 0.6])
+    p = np.array([[-0.4, 0.2, 0.6]])
     g = metric_value(HYPER, p * 0.5)
     v = np.array([0.3, -0.2, 0.9])
-    frame = complete_orthonormal_frame(metric_factor(g), v)
+    frame = complete_orthonormal_frame(metric_factor(g), v[None])[0]
     assert frame.shape == (3, 3)
-    assert np.abs(frame @ g @ frame.T - np.eye(3)).max() < 1e-12
+    assert np.abs(frame @ g[0] @ frame.T - np.eye(3)).max() < 1e-12
     cross = np.cross(frame[0], v)
     assert np.linalg.norm(cross) < 1e-12
 
@@ -655,7 +653,7 @@ def test_complete_orthonormal_frame_starts_along_v():
                          ids=["zero", "nan", "inf"])
 def test_complete_orthonormal_frame_refuses_zero_and_non_finite(v):
     with pytest.raises(MetricError):
-        complete_orthonormal_frame(metric_factor(np.eye(3)), np.asarray(v))
+        complete_orthonormal_frame(metric_factor(np.eye(3)[None]), np.asarray(v)[None])
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "confield"
@@ -699,13 +697,14 @@ def test_sample_interior_respects_margin():
 
 
 def test_sample_ball_draws_one_normal_and_one_uniform_block():
-    """Rows lie at distance 0.2 r_eff to r_eff from x, r_eff here half the
-    distance to the box face x3 = 2; the draws are one (count, n) normal
-    block and then one uniform block of count radii."""
+    """Around a stack of one centre x, rows lie at distance 0.2 r_eff to
+    r_eff from x, r_eff here half the distance to the box face x3 = 2; the
+    draws are one (count, n) normal block and then one uniform block of
+    count radii."""
     x = np.array([0.3, -0.2, 1.5])
     count = 20
     rng = np.random.default_rng(7)
-    pts = sample_ball(FLAT3, x, 0.4, count, rng)
+    (pts,) = sample_ball(FLAT3, x[None], 0.4, count, rng)
     r_eff = 0.25
     assert pts.shape == (count, 3)
     dist = np.linalg.norm(pts - x, axis=1)
@@ -721,6 +720,5 @@ def test_sample_ball_draws_one_normal_and_one_uniform_block():
 
 def test_field_norm_of_quadratic_field_is_r_squared_flat():
     K = models.special_conformal(FLAT3, 1)
-    for p in ([0.3, 0.4, 0.0], [1.0, -1.0, 0.5]):
-        p = np.asarray(p)
-        assert field_norm(FLAT3, K, p) == pytest.approx(float(p @ p), rel=1e-12)
+    pts = np.array([[0.3, 0.4, 0.0], [1.0, -1.0, 0.5]])
+    assert field_norm(FLAT3, K, pts) == pytest.approx((pts * pts).sum(axis=1), rel=1e-12)

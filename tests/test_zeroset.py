@@ -23,8 +23,8 @@ from helpers import (
     classify_at,
     fd_second_fundamental_form,
     map_patch,
-    pointwise_second_fundamental_form,
     recording_calls,
+    rowwise,
 )
 
 FLAT3 = models.euclidean(3)
@@ -106,7 +106,7 @@ def test_two_dimensional_point_component():
     assert patch.k == 0
     assert patch.codim == 2
     assert patch.samples.shape == (2,)
-    report = umbilicity_report(flat2, patch)
+    report = umbilicity_report(flat2, [patch])[0]
     assert report.verdict == "point"
     assert report.codim_even
 
@@ -181,7 +181,7 @@ def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
     calls = recording_calls(monkeypatch, geometry.frame_svd, lambda out: 1)
     patch = trace_component(chart, xi, zero, radius=0.3, grid=5)
     assert calls == []
-    g, normals = metric_value(chart, base), zero.normal_basis
+    g, normals = metric_value(chart, base[None])[0], zero.normal_basis
     tangent = patch.tangent_basis
     assert abs(g[0, 0] - 1.0) > 0.1
     assert normals.shape == (2, 3)
@@ -215,13 +215,13 @@ def _assert_jet_path_matches_fd(chart, patch):
     B is compared in the parameter basis: the FD tangents are
     dP_a = C[a, c] e_c in the jet path's orthonormal frame e.
     """
-    report = umbilicity_report(chart, patch)
+    report = umbilicity_report(chart, [patch])[0]
     jet = second_fundamental_form(chart, patch.field, report.points, patch.k)
     for m, idx in enumerate(report.indices):
         t = np.array([axis[i] for axis, i in zip(patch.param_axes, idx)])
         point, dP, B_fd, H_fd = fd_second_fundamental_form(chart, patch.mapping, t)
         assert np.array_equal(jet.points[m], point)
-        g = metric_value(chart, jet.points[m])
+        g = metric_value(chart, jet.points[m][None])[0]
         e = jet.tangent_frame[m]
         assert np.abs(e @ g @ e.T - np.eye(patch.k)).max() < 1e-12
         C = dP @ g @ e.T
@@ -243,7 +243,7 @@ def _sphere_patch():
             [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
         )
 
-    return map_patch(FLAT3, xi, emb, (_linspace(0.6, 2.5, 9), _linspace(-2.8, 2.8, 9)))
+    return map_patch(FLAT3, xi, rowwise(emb), (_linspace(0.6, 2.5, 9), _linspace(-2.8, 2.8, 9)))
 
 
 def _cylinder_patch():
@@ -256,7 +256,7 @@ def _cylinder_patch():
         th, z = t
         return np.array([0.8 * math.cos(th), 0.8 * math.sin(th), z])
 
-    return map_patch(FLAT3, xi, emb, (_linspace(-2.5, 2.5, 9), _linspace(-1.0, 1.0, 9)))
+    return map_patch(FLAT3, xi, rowwise(emb), (_linspace(-2.5, 2.5, 9), _linspace(-1.0, 1.0, 9)))
 
 
 def _unit_circle_patch():
@@ -266,7 +266,7 @@ def _unit_circle_patch():
     return map_patch(
         FLAT3,
         xi,
-        lambda t: np.array([0.0, math.cos(t[0]), math.sin(t[0])]),
+        rowwise(lambda t: np.array([0.0, math.cos(t[0]), math.sin(t[0])])),
         (_linspace(-0.6, 0.6, 7),),
     )
 
@@ -281,14 +281,14 @@ def _unit_two_sphere_patch():
             [0.0, math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
         )
 
-    return map_patch(FLAT4, xi, emb, (_linspace(1.0, 2.0, 5), _linspace(-0.5, 0.5, 5)))
+    return map_patch(FLAT4, xi, rowwise(emb), (_linspace(1.0, 2.0, 5), _linspace(-0.5, 0.5, 5)))
 
 
 def test_hyperplane_has_zero_second_fundamental_form():
     patch = map_patch(
         FLAT3,
         _field(FLAT3, "0", "0", "x3 - 0.25"),
-        lambda t: np.array([t[0], t[1], 0.25]),
+        rowwise(lambda t: np.array([t[0], t[1], 0.25])),
         (_linspace(-0.5, 0.5, 7), _linspace(-0.5, 0.5, 7)),
     )
     assert patch.field_norms.shape == (7, 7)
@@ -330,7 +330,7 @@ def test_great_subsphere_is_minimal_in_round_metric():
     patch = map_patch(
         SPHERE,
         models.sphere_killing(SPHERE, 3, 4),
-        lambda t: np.array([math.cos(t[0]), math.sin(t[0]), 0.0]),
+        rowwise(lambda t: np.array([math.cos(t[0]), math.sin(t[0]), 0.0])),
         (_linspace(-3.0, 3.0, 13),),
     )
     data = second_fundamental_form(SPHERE, patch.field, patch.samples[6][None], 1)
@@ -371,7 +371,7 @@ def test_jet_path_on_traced_hyperbolic_patches(base):
     sub = map_patch(HYP4, xi, traced.mapping, tuple(axis[0:3] for axis in traced.param_axes))
     assert np.array_equal(sub.samples[1, 1], traced.samples[1, 1])
     _assert_jet_path_matches_fd(HYP4, sub)
-    report = umbilicity_report(HYP4, traced)
+    report = umbilicity_report(HYP4, [traced])[0]
     assert report.verdict == "totally_umbilical"
     assert report.max_residual < 1e-9
     assert np.abs(report.mean_curvature_norms).max() < 1e-9
@@ -387,40 +387,36 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
     monkeypatch.setattr(geodesic, "integrate_geodesic", refuse)
     xi = models.sphere_killing(SPHERE, 3, 4)
     patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
-    report = umbilicity_report(SPHERE, patch)
+    report = umbilicity_report(SPHERE, [patch])[0]
     assert report.verdict == "totally_umbilical"
     rescaled = rescale_metric(SPHERE, parse("0.3*sin(x1)", 3))
-    assert umbilicity_report(rescaled, patch).verdict == "totally_umbilical"
+    assert umbilicity_report(rescaled, [patch])[0].verdict == "totally_umbilical"
     # the guard is live: exp_map does integrate
     with pytest.raises(AssertionError, match="geodesic integration"):
         geodesic.exp_map(SPHERE, np.zeros(3), np.array([0.1, 0.0, 0.0]))
 
 
 def test_batched_second_fundamental_form_matches_per_point():
-    """One batched call at every node of a patch gives the per-point
-    field_data path's B and frame: bitwise on euclidean charts, within 1e-15
-    of the largest entry of B under a rescaled metric."""
+    """One batched call at every node of a patch gives, in row m, the B and
+    frame of the stack of one holding node m, bit for bit."""
     rescaled = rescale_metric(FLAT3, parse("0.3*sin(x2) + x3/5", 3))
     cases = [
-        (FLAT3, _sphere_patch(), True),
-        (FLAT3, _cylinder_patch(), True),
-        (FLAT3, _unit_circle_patch(), True),
-        (FLAT4, _unit_two_sphere_patch(), True),
-        (rescaled, _unit_circle_patch(), False),
-        (rescaled, _sphere_patch(), False),
+        (FLAT3, _sphere_patch()),
+        (FLAT3, _cylinder_patch()),
+        (FLAT3, _unit_circle_patch()),
+        (FLAT4, _unit_two_sphere_patch()),
+        (rescaled, _unit_circle_patch()),
+        (rescaled, _sphere_patch()),
     ]
-    for chart, patch, bitwise in cases:
+    for chart, patch in cases:
         points = patch.samples.reshape(-1, chart.dim)
         data = second_fundamental_form(chart, patch.field, points, patch.k)
         assert data.normal_form.shape == (len(points), patch.k, patch.k, chart.dim)
         assert np.array_equal(data.points, points)
-        for m, p in enumerate(points):
-            B, frame = pointwise_second_fundamental_form(chart, patch.field, p, patch.k)
-            if bitwise:
-                assert np.array_equal(data.normal_form[m], B)
-                assert np.array_equal(data.tangent_frame[m], frame)
-            else:
-                assert np.abs(data.normal_form[m] - B).max() <= 1e-15 * np.abs(B).max()
+        for m in range(len(points)):
+            one = second_fundamental_form(chart, patch.field, points[m:m + 1], patch.k)
+            assert np.array_equal(data.normal_form[m], one.normal_form[0])
+            assert np.array_equal(data.tangent_frame[m], one.tangent_frame[0])
 
 
 def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
@@ -436,7 +432,7 @@ def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
     xi = models.rotation(FLAT4, 1, 2)
     patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)), radius=0.3, grid=9)
     monkeypatch.setattr(zeroset, "field_data", counting)
-    report = umbilicity_report(FLAT4, patch)
+    report = umbilicity_report(FLAT4, [patch])[0]
     assert calls == [(49, 4)]
     assert report.indices == tuple(itertools.product(range(1, 8), repeat=2))
     assert np.array_equal(report.points, [patch.samples[idx] for idx in report.indices])
@@ -451,15 +447,15 @@ def test_umbilicity_report_makes_one_frame_svd_call(monkeypatch):
     calls = recording_calls(monkeypatch, geometry.frame_svd,
                             lambda out, factor, tensor, kind: (kind, np.shape(tensor)),
                             arguments=True)
-    umbilicity_report(FLAT4, patch)
+    umbilicity_report(FLAT4, [patch])[0]
     assert calls == [("endomorphism", (9, 4, 4))]
 
 
 def test_umbilicity_report_over_patches_is_the_per_patch_calls(monkeypatch):
     """On euclidean(6): a 4-sphere (sphere_killing(1, 7)), two pieces of a
     2-sphere (that field plus rotation(2, 3)) and a point patch.  One call
-    on all four gives each patch's one-patch report bit for bit, from one
-    second_fundamental_form call per distinct k."""
+    on all four gives each patch's report from a call on that patch alone,
+    bit for bit, from one second_fundamental_form call per distinct k."""
     flat6 = models.euclidean(6)
     sk = models.sphere_killing(flat6, 1, 7)
     rot = models.rotation(flat6, 2, 3)
@@ -473,7 +469,7 @@ def test_umbilicity_report_over_patches_is_the_per_patch_calls(monkeypatch):
     patches = [traced(sk, [0, 1, 0, 0, 0, 0]), traced(spin, np.zeros(6)),
                traced(combo, [0, 0, 0, 1, 0, 0]), traced(combo, [0, 0, 0, 0, 0.6, 0.8])]
     assert [patch.k for patch in patches] == [4, 0, 2, 2]
-    singles = [umbilicity_report(flat6, patch) for patch in patches]
+    singles = [umbilicity_report(flat6, [patch])[0] for patch in patches]
     calls = recording_calls(monkeypatch, zeroset.second_fundamental_form,
                             lambda out, chart, xi, points, k: (k, len(points)),
                             arguments=True)
@@ -511,7 +507,7 @@ def test_second_fundamental_form_carries_the_metric_at_its_node():
     patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO), radius=0.3, grid=5)
     data = second_fundamental_form(SPHERE, patch.field, patch.samples[1][None], 1)
     assert np.array_equal(data.points[0], patch.samples[1])
-    assert np.array_equal(data.metric[0], metric_value(SPHERE, data.points[0]))
+    assert np.array_equal(data.metric[0], metric_value(SPHERE, data.points[:1])[0])
 
 
 def test_second_fundamental_form_refusals():
@@ -545,7 +541,7 @@ def test_second_fundamental_form_refusals():
 def test_traced_axis_report_is_umbilical_with_even_codim():
     xi = models.rotation(FLAT3, 1, 2)
     patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
-    report = umbilicity_report(FLAT3, patch)
+    report = umbilicity_report(FLAT3, [patch])[0]
     assert report.verdict == "totally_umbilical"
     assert report.codim == 2
     assert report.codim_even
@@ -557,7 +553,7 @@ def test_traced_axis_report_is_umbilical_with_even_codim():
 def test_circle_component_report_on_round_chart():
     xi = models.sphere_killing(SPHERE, 3, 4)
     patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
-    report = umbilicity_report(SPHERE, patch)
+    report = umbilicity_report(SPHERE, [patch])[0]
     assert report.verdict == "totally_umbilical"
     assert report.codim_even
     assert report.max_residual < 1e-4
@@ -574,8 +570,8 @@ def test_umbilicity_verdicts_stable_under_rescaling():
     xi = models.rotation(FLAT3, 1, 2)
     traced = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
     for patch, verdict in ((traced, "totally_umbilical"), (_cylinder_patch(), "not_umbilical")):
-        assert umbilicity_report(FLAT3, patch).verdict == verdict
-        assert umbilicity_report(rescaled, patch).verdict == verdict
+        assert umbilicity_report(FLAT3, [patch])[0].verdict == verdict
+        assert umbilicity_report(rescaled, [patch])[0].verdict == verdict
 
 
 def test_rescaled_synthetic_sphere_stays_umbilical():
@@ -583,8 +579,8 @@ def test_rescaled_synthetic_sphere_stays_umbilical():
     curvature itself is not."""
     patch = _sphere_patch()
     rescaled = rescale_metric(FLAT3, parse("x1/4 + x3/5", 3))
-    assert umbilicity_report(FLAT3, patch).verdict == "totally_umbilical"
-    assert umbilicity_report(rescaled, patch).verdict == "totally_umbilical"
+    assert umbilicity_report(FLAT3, [patch])[0].verdict == "totally_umbilical"
+    assert umbilicity_report(rescaled, [patch])[0].verdict == "totally_umbilical"
 
 
 def test_mean_curvature_under_rescaling():

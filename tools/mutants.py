@@ -42,6 +42,11 @@ class Mutant(NamedTuple):
 CLI = "src/confield/cli.py"
 
 MUTANTS = (
+    # the call form
+    Mutant("one-point-admitted", "src/confield/expr.py",
+           "if points.ndim != 2:",
+           "if points.ndim not in (1, 2):",
+           "every evaluation takes an (m, n) stack; only eval_jet takes a single point"),
     # the manifest table's checker
     Mutant("bool-is-integer", CLI,
            "not isinstance(value, types) or isinstance(value, bool)",
@@ -82,9 +87,22 @@ MUTANTS = (
            "lam = np.where((0.4 * dd < sd) & (sd < 0.6 * dd), 2.0, 1.0)",
            "lam = np.where((0.4 * dd < sd) & (sd < 0.6 * dd), 1.0, 1.0)",
            "a degenerate zero converges only linearly without the doubled step"),
+    Mutant("newton-cap", "src/confield/essential.py",
+           "_NEWTON_ITERATIONS = 50",
+           "_NEWTON_ITERATIONS = 45",
+           "the zero of z^3 d/dz, where every lane is capped, must land within 1e-9"),
+    Mutant("dedupe-radius", "src/confield/essential.py",
+           "_DEDUPE_DISTANCE = 1e-6",
+           "_DEDUPE_DISTANCE = 1e-3",
+           "two converged zeros 7.6e-6 apart are two zeros"),
+    Mutant("umbilicity-without-patch", CLI,
+           '        "patches": entries,\n    }\n'
+           "    if session.untraced:\n        result.update(passed=False, inconclusive=True)\n",
+           '        "patches": entries,\n    }\n',
+           "umbilicity must not pass having built no patch of a zero set it should check"),
     # the pointwise identities
     Mutant("taylor-target-without-phi-v", "src/confield/geodesic.py",
-           "first_target = phi * v - 0.5 * matvec(",
+           "first_target = jets.phi[:, None] * v - 0.5 * matvec(",
            "first_target = -0.5 * matvec(",
            "nabla_v xi = phi v + (1/2) d(xi^flat)(v)^sharp: a homothetic zero has phi != 0"),
     Mutant("hessian-indices-swapped", "src/confield/geodesic.py",
