@@ -10,10 +10,10 @@ non-finite values become strings.
 One table, ``MANIFEST``, gives the manifest's shape as a JSON schema:
 ``confield schema`` prints it and ``run`` checks every value against it.
 A manifest sets only ``seed`` and ``grid_resolution`` (its ``SETTINGS``);
-every other threshold, radius and sample count is fixed, either as
-the default of the library function that uses it or as a constant here,
-and ``run`` takes no option but ``--out``.  Each analysis reports the
-values it ran with.
+every other threshold, radius and sample count is fixed, as a constant of
+the library module that decides with it or as a constant here, and ``run``
+takes no option but ``--out``.  Each analysis reports the values it ran
+with, read from those constants when it runs.
 
 Exit codes: 0 when every analysis passed, 1 when an analysis failed or
 raised, 2 for malformed manifests or options, unusable charts/fields or a
@@ -31,14 +31,12 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__
+from . import __version__, conformal, essential, zeroset
 from .conformal import is_conformal
 from .essential import (
-    CLASSIFICATION_TOL,
     GRID_RESOLUTION,
     VERDICT_INVALID,
     VERDICT_KILLING,
-    ZERO_TOL,
     ClassificationDimensionError,
     classify_zero,
     find_zeros,
@@ -46,12 +44,10 @@ from .essential import (
 )
 from .expr import ExprSyntaxError, parse
 from .geodesic import dxi_identity_residual, taylor_checks
-from .geometry import Chart, ChartError, FieldSpec, MetricError, field_data, sample_interior
+from .geometry import (Chart, ChartError, FieldSpec, MetricError, field_data, metric_value,
+                       sample_interior)
 from .models import CHART_BUILDERS, FIELD_BUILDERS, field_params, make_chart, make_field
 from .zeroset import (
-    TRACE_GRID,
-    TRACE_RADIUS,
-    UMBILICITY_TOL,
     VERDICT_POINT,
     VERDICT_UMBILICAL,
     OffZeroSetError,
@@ -63,7 +59,7 @@ from .zeroset import (
 __all__ = ["main", "ManifestError", "run_manifest", "render_report"]
 
 
-# Fixed values of the analyses that no library default covers.
+# Fixed values of the analyses that no library constant covers.
 _IDENTITY_TOL = 1e-7  # largest derivative-identity residual accepted
 _CONFORMAL_POINTS = 100  # sample points of check-conformal
 _IDENTITY_PAIRS = 50  # point and direction pairs of verify-identities
@@ -246,7 +242,7 @@ def _build_chart(spec: dict) -> Chart:
         chart = Chart(dim=dim, lower=np.asarray(lower, dtype=float),
                       upper=np.asarray(upper, dtype=float), metric=rows,
                       name=spec.get("name", "inline_chart"))
-        chart.validate_spd(np.random.default_rng(0), samples=10)
+        metric_value(chart, sample_interior(chart, 10, np.random.default_rng(0)))
     except RecursionError:
         raise ManifestError("bad metric expression: nested too deeply to compile") from None
     except (ChartError, MetricError, ValueError) as exc:
@@ -305,7 +301,7 @@ class _Session:
     def zero_jets(self):
         """The 2-jets at every zero, from one field_data call, which classify
         and verify-identities read; None when there is no zero."""
-        return field_data(self.chart, self.xi, self.zeros, 2) if len(self.zeros) else None
+        return field_data(self.chart, self.xi, self.zeros) if len(self.zeros) else None
 
     @cached_property
     def classifications(self):
@@ -354,7 +350,7 @@ def _run_check_conformal(session: _Session) -> dict:
         "samples": int(len(report.points)),
         "max_residual": report.max_residual,
         "worst_point": report.worst_point,
-        "tolerance": report.tolerance,
+        "tolerance": conformal.CONFORMAL_TOL,
     }
 
 
@@ -364,7 +360,7 @@ def _run_zeros(session: _Session) -> dict:
         "passed": True,
         "count": int(len(zeros)),
         "points": zeros,
-        "tolerance": ZERO_TOL,
+        "tolerance": essential.ZERO_TOL,
         "grid_resolution": session.cfg["grid_resolution"],
     }
 
@@ -392,7 +388,7 @@ def _run_classify(session: _Session) -> dict:
     if classifications:
         audit_result = limit_point_audit(classifications)
         audit = {
-            "radius": audit_result.radius,
+            "radius": essential.ISOLATION_RADIUS,
             "assertions": audit_result.assertions,
             "passed": audit_result.passed,
         }
@@ -402,7 +398,7 @@ def _run_classify(session: _Session) -> dict:
         "passed": bool(passed),
         "entries": entries,
         "audit": audit,
-        "tolerance": CLASSIFICATION_TOL,
+        "tolerance": essential.CLASSIFICATION_TOL,
     }
 
 
@@ -446,8 +442,8 @@ def _run_trace(session: _Session) -> dict:
                 "k": patch.k,
                 "codim": patch.codim,
                 "max_field_norm": patch.max_field_norm,
-                "radius": TRACE_RADIUS,
-                "grid": TRACE_GRID,
+                "radius": zeroset.TRACE_RADIUS,
+                "grid": zeroset.TRACE_GRID,
             }
         )
     skipped = [
@@ -488,7 +484,7 @@ def _run_umbilicity(session: _Session) -> dict:
         )
     result = {
         "passed": bool(passed),
-        "tolerance": UMBILICITY_TOL,
+        "tolerance": zeroset.UMBILICITY_TOL,
         "patches": entries,
     }
     if session.untraced:

@@ -33,7 +33,8 @@ __all__ = [
     "rescale_metric",
 ]
 
-# Largest conformal-equation residual accepted by default.
+# Largest conformal-equation residual that is_conformal, and classify_zero
+# at each zero's neighbourhood, accept.
 CONFORMAL_TOL = 1e-7
 
 
@@ -45,7 +46,6 @@ class ConformalReport:
     residuals: np.ndarray
     max_residual: float
     worst_point: np.ndarray
-    tolerance: float
     conformal: bool
 
 
@@ -53,7 +53,7 @@ def conformal_factor_gradient(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
     """Exact covector d(phi) at the point p, via second-order jets: the row
     of its stack of one."""
     chart.require_interior(p)
-    return field_data(chart, xi, np.asarray(p, dtype=float)[None, :], 2).dphi[0]
+    return field_data(chart, xi, np.asarray(p, dtype=float)[None, :]).dphi[0]
 
 
 def conformal_residual(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
@@ -79,9 +79,9 @@ def conformal_residual(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
     return norm_2form(ginv, L - trace / n * g)
 
 
-def is_conformal(chart: Chart, xi: FieldSpec, samples,
-                 tol: float = CONFORMAL_TOL) -> ConformalReport:
-    """Check conformality over an (m, n) array of sample points, m >= 1."""
+def is_conformal(chart: Chart, xi: FieldSpec, samples) -> ConformalReport:
+    """Check conformality over an (m, n) array of sample points, m >= 1:
+    ``conformal`` when every residual is below ``CONFORMAL_TOL``."""
     pts = np.asarray(samples, dtype=float)
     if pts.size == 0:
         raise ValueError("is_conformal requires a non-empty sample set")
@@ -92,8 +92,7 @@ def is_conformal(chart: Chart, xi: FieldSpec, samples,
         residuals=residuals,
         max_residual=float(residuals[worst]),
         worst_point=pts[worst],
-        tolerance=float(tol),
-        conformal=bool(residuals[worst] < tol),
+        conformal=bool(residuals[worst] < CONFORMAL_TOL),
     )
 
 

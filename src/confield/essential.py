@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import CONFORMAL_TOL, is_conformal
+from . import conformal
+from .conformal import is_conformal
 from .expr import eval_values_many
 from .geometry import (
     Chart,
@@ -52,7 +53,7 @@ from .geometry import (
     field_jets,
     field_norm,
     frame_svd,
-    norm_vector,
+    require_zeros,
     sample_ball,
 )
 
@@ -80,9 +81,14 @@ VERDICT_HOMOTHETIC = "homothetic_nonkilling"
 VERDICT_ESSENTIAL = "essential"
 VERDICT_INVALID = "invalid_not_conformal"
 
-# Defaults of find_zeros, classify_zero and limit_point_audit, which the
-# command line runs with and reports.
+# The default grid of find_zeros, which a manifest's grid_resolution sets.
 GRID_RESOLUTION = 12
+# The thresholds the verdicts are decided with, which the command line
+# reports: find_zeros keeps a point as a zero when |xi|_g < ZERO_TOL;
+# classify_zero reads |phi| < CLASSIFICATION_TOL as phi = 0, and an image
+# residual below CLASSIFICATION_TOL (1 + |grad phi|) as grad phi in the
+# image; limit_point_audit counts a zero as isolated when no other zero is
+# closer than ISOLATION_RADIUS.
 ZERO_TOL = 1e-10
 CLASSIFICATION_TOL = 1e-6
 ISOLATION_RADIUS = 0.05
@@ -215,12 +221,7 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> tuple:
     return x, ~live
 
 
-def find_zeros(
-    chart: Chart,
-    xi: FieldSpec,
-    grid_resolution: int = GRID_RESOLUTION,
-    tol: float = ZERO_TOL,
-) -> np.ndarray:
+def find_zeros(chart: Chart, xi: FieldSpec, grid_resolution: int = GRID_RESOLUTION) -> np.ndarray:
     """Zeros of xi inside the chart box, one row per zero.
 
     The grid is scanned in blocks of ``_GRID_BLOCK`` points, each one
@@ -230,12 +231,12 @@ def find_zeros(
     ``_MAX_SEEDS`` of them, are polished together as the lanes of one
     :func:`polish_zeros` call.  Polished points are kept when they sit at
     least ``_BOUNDARY_MARGIN`` inside the box and their metric norm, from
-    one batched evaluation, is below ``tol``.  Duplicates closer than
+    one batched evaluation, is below ``ZERO_TOL``.  Duplicates closer than
     ``_DEDUPE_DISTANCE`` collapse to the best residual, converged lanes
     first: one pairwise distance matrix, read greedily.  A lane the cap
     stopped is also dropped within ``ISOLATION_RADIUS`` of a converged one,
-    as beside a degenerate zero it can pass ``tol`` microns away; at a zero
-    of order 3, where every lane is cut off, it is the zero.  The result is
+    as beside a degenerate zero it can pass ``ZERO_TOL`` microns away; at a
+    zero of order 3, where every lane is cut off, it is the zero.  The result is
     sorted lexicographically on coordinates rounded to 12 decimals, so
     rounding noise (a coordinate of -1e-30 against 0) does not reorder it.
     """
@@ -250,7 +251,7 @@ def find_zeros(
 
     polished, converged = polish_zeros(chart, xi, seeds)
     residuals = field_norm(chart, xi, polished) if len(polished) else np.empty(0)
-    accepted = chart._inside(polished, _BOUNDARY_MARGIN) & (residuals < tol)
+    accepted = chart._inside(polished, _BOUNDARY_MARGIN) & (residuals < ZERO_TOL)
     polished, residuals, converged = polished[accepted], residuals[accepted], converged[accepted]
     if not len(polished):
         return np.empty((0, chart.dim))
@@ -287,55 +288,41 @@ class ZeroClassification:
     neighborhood_residual: float
 
 
-def classify_zero(
-    chart: Chart,
-    xi: FieldSpec,
-    jets: FieldData,
-    tol: float = CLASSIFICATION_TOL,
-    conformal_tol: float = CONFORMAL_TOL,
-    rng=None,
-) -> tuple:
+def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> tuple:
     """Classify zeros as essential, homothetic, or Killing after rescaling.
 
-    ``jets`` is the :func:`~confield.geometry.field_data` record of xi, to
-    order 2, at an (m, n) array of points; they are classified together into
-    a tuple of m (an empty record gives ``()``), and nothing is evaluated
-    at them again.  Every point must satisfy |xi|_g < tol; a row that does
-    not, or is NaN, raises ``ValueError`` naming it.  The SVDs of
-    d(xi^flat) in g-orthonormal frames at all points come from one stacked
+    ``jets`` is the :func:`~confield.geometry.field_data` record of xi at an
+    (m, n) array of points; they are classified together into a tuple of m
+    (an empty record gives ``()``), and nothing is evaluated at them again.
+    A row that is not a zero raises ``ValueError`` naming it
+    (:func:`~confield.geometry.require_zeros`).  The SVDs of d(xi^flat) in
+    g-orthonormal frames at all points come from one stacked
     :func:`~confield.geometry.frame_svd` call.  The verdict is read from
-    that SVD: |phi| >= ``tol`` gives
+    that SVD: |phi| >= ``CLASSIFICATION_TOL`` gives
     ``homothetic_nonkilling`` and an ``image_residual`` of 0, since nabla xi
     is then invertible; otherwise ``image_residual`` is the length of the
     part of grad phi along the kernel of d(xi^flat), and the zero is
-    ``essential`` when it reaches ``tol`` relative to the gradient size, and
-    ``killing_inessential`` when it does not.  Conformality of xi is
-    first verified on a ``_NEIGHBORHOOD`` sample ball around each zero, the
-    balls of all zeros drawn from ``rng`` in one stacked
-    :func:`~confield.geometry.sample_ball` call and checked in one
-    :func:`~confield.conformal.is_conformal` call, and a failure
-    short-circuits to the ``invalid_not_conformal`` verdict.  Both bases
-    are row slices of one stacked product of the SVD factors.
+    ``essential`` when it reaches ``CLASSIFICATION_TOL`` relative to the
+    gradient size, and ``killing_inessential`` when it does not.
+    Conformality of xi is first verified on a ``_NEIGHBORHOOD`` sample ball
+    around each zero, the balls of all zeros drawn from ``rng`` in one
+    stacked :func:`~confield.geometry.sample_ball` call and checked in one
+    :func:`~confield.conformal.is_conformal` call, and a zero whose ball
+    reaches ``CONFORMAL_TOL`` gets the ``invalid_not_conformal`` verdict.
+    Both bases are row slices of one stacked product of the SVD factors.
 
-    On a surface the image criterion does not apply.  A zero with
-    |phi| < ``tol`` and a trivial kernel of d(xi^flat) is a simple zero
-    with skew invertible nabla xi and gets ``killing_inessential``; every
-    other zero of a conformal field gets the verdict ``None``.
+    On a surface the image criterion does not apply.  A zero with |phi| <
+    ``CLASSIFICATION_TOL`` and a trivial kernel of d(xi^flat) is a simple
+    zero with skew invertible nabla xi and gets ``killing_inessential``;
+    every other zero of a conformal field gets the verdict ``None``.
     """
     points = jets.points
     if not len(points):
         return ()
     chart.require_interior(points)
-    norms = norm_vector(jets.conn.g, jets.value)
-    for row, norm in enumerate(norms):
-        if not norm < tol:
-            raise ValueError(
-                f"classify_zero expects a zero of the field: row {row} has |xi|_g = {norm}"
-            )
-    if rng is None:
-        rng = np.random.default_rng(0)
+    require_zeros(jets, "classify_zero")
     samples = sample_ball(chart, points, *_NEIGHBORHOOD, rng)
-    report = is_conformal(chart, xi, samples.reshape(-1, chart.dim), conformal_tol)
+    report = is_conformal(chart, xi, samples.reshape(-1, chart.dim))
     # each zero's worst residual over its own ball; a NaN stays NaN
     neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)
 
@@ -347,7 +334,8 @@ def classify_zero(
     b_frame = (dxi_svd.Linv @ jets.dphi[:, :, None])[:, :, 0]
     along = (dxi_svd.Vt @ b_frame[:, :, None])[:, :, 0]
     along[np.arange(n) < dxi_svd.rank[:, None]] = 0.0
-    image_residual = np.where(np.abs(jets.phi) >= tol, 0.0, np.linalg.norm(along, axis=1))
+    image_residual = np.where(np.abs(jets.phi) >= CLASSIFICATION_TOL, 0.0,
+                              np.linalg.norm(along, axis=1))
     b_scale = np.linalg.norm(b_frame, axis=1)
     # row a of frame_rows[i] is Vt[i, a] in chart coordinates; rows rank[i]
     # and on span zero i's kernel, the rows before them its complement
@@ -355,12 +343,13 @@ def classify_zero(
 
     classes = []
     for i, (phi, residual) in enumerate(zip(jets.phi.tolist(), neighborhood.tolist())):
-        if not residual < conformal_tol:
+        if not residual < conformal.CONFORMAL_TOL:
             verdict = VERDICT_INVALID
         elif n < 3:
-            verdict = VERDICT_KILLING if abs(phi) < tol and kernel_dim[i] == 0 else None
-        elif image_residual[i] < tol * (1.0 + b_scale[i]):
-            verdict = VERDICT_KILLING if abs(phi) < tol else VERDICT_HOMOTHETIC
+            killing = abs(phi) < CLASSIFICATION_TOL and kernel_dim[i] == 0
+            verdict = VERDICT_KILLING if killing else None
+        elif image_residual[i] < CLASSIFICATION_TOL * (1.0 + b_scale[i]):
+            verdict = VERDICT_KILLING if abs(phi) < CLASSIFICATION_TOL else VERDICT_HOMOTHETIC
         else:
             verdict = VERDICT_ESSENTIAL
         classes.append(ZeroClassification(
@@ -393,17 +382,16 @@ class LimitPointAudit:
     entries: tuple
     assertions: dict
     passed: bool
-    radius: float
 
 
-def limit_point_audit(classifications, radius: float = ISOLATION_RADIUS) -> LimitPointAudit:
+def limit_point_audit(classifications) -> LimitPointAudit:
     """Check isolation/verdict consistency over a set of classified zeros.
 
     ``classifications`` are the :class:`ZeroClassification` of the found
-    zeros.  A zero with another zero closer than ``radius`` is treated as
-    non-isolated.  Non-isolated zeros must classify as Killing after a
-    rescaling (limit points of the zero set force phi = 0 and the gradient
-    condition), and essential zeros must be isolated.
+    zeros.  A zero with another zero closer than ``ISOLATION_RADIUS`` is
+    treated as non-isolated.  Non-isolated zeros must classify as Killing
+    after a rescaling (limit points of the zero set force phi = 0 and the
+    gradient condition), and essential zeros must be isolated.
     """
     zeros = np.array([cls.point for cls in classifications], dtype=float)
     entries = []
@@ -415,7 +403,7 @@ def limit_point_audit(classifications, radius: float = ISOLATION_RADIUS) -> Limi
     np.fill_diagonal(distances, np.inf)
     for z, cls, row in zip(zeros, classifications, distances):
         nearest = float(row.min())
-        isolated = nearest >= radius
+        isolated = nearest >= ISOLATION_RADIUS
         if not isolated and cls.verdict != VERDICT_KILLING:
             non_isolated_ok = False
         if cls.verdict == VERDICT_ESSENTIAL and not isolated:
@@ -437,5 +425,4 @@ def limit_point_audit(classifications, radius: float = ISOLATION_RADIUS) -> Limi
         entries=tuple(entries),
         assertions=assertions,
         passed=bool(non_isolated_ok and essential_ok),
-        radius=float(radius),
     )

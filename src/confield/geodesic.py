@@ -62,6 +62,7 @@ from .geometry import (
     norm_2form,
     norm_or_nan,
     norm_vector,
+    require_zeros,
     vecmat,
 )
 
@@ -77,8 +78,6 @@ __all__ = [
 ]
 
 _BOUNDARY_EPS = 1e-9
-# How small |xi|_g must be at a zero for the Taylor checks.
-_ZERO_TOL = 1e-6
 
 
 class DomainExitError(RuntimeError):
@@ -203,9 +202,10 @@ def _along(T: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def taylor_checks(jets: FieldData, v) -> tuple[TaylorScalarResult, TaylorVectorResult]:
     """The scalar and vector Taylor checks at an (m, n) stack of zeros of
-    xi, read from ``jets``, their order-2
-    :func:`~confield.geometry.field_data` record, with row k of the (m, n)
-    directions ``v`` at zero k.
+    xi, read from ``jets``, their :func:`~confield.geometry.field_data`
+    record, with row k of the (m, n) directions ``v`` at zero k.  A row
+    that is not a zero raises ``ValueError`` naming it
+    (:func:`~confield.geometry.require_zeros`).
 
     ``first`` = nabla xi(v) and ``second`` = nabla^2 xi(v, v) are chart
     vectors at x: along the unit-speed geodesic c(t) = exp_x(tv) they are
@@ -217,9 +217,8 @@ def taylor_checks(jets: FieldData, v) -> tuple[TaylorScalarResult, TaylorVectorR
     The residuals and f', f'' are (m,) arrays, ``first`` and ``second``
     (m, n) arrays.
     """
+    require_zeros(jets, "taylor_checks")
     g = jets.conn.g
-    if not np.all(norm_vector(g, jets.value) < _ZERO_TOL):
-        raise ValueError("taylor_checks requires a zero of the field")
     v = np.asarray(v, dtype=float)
     speed = norm_or_nan(g, v)
     if not np.all(np.isfinite(speed) & (speed > 0)):
@@ -263,7 +262,7 @@ def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
     """
     chart.require_interior(p)
     X = np.asarray(X, dtype=float)
-    fd = field_data(chart, xi, p, 2)
+    fd = field_data(chart, xi, p)
     cd = fd.conn
     val, g = fd.value, np.ascontiguousarray(cd.g)
 

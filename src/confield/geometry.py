@@ -67,6 +67,15 @@ CONDITION_LIMIT = 1e12
 _RANK_REL = 1e-6
 _RANK_ABS = 1e-12
 
+# How small |xi|_g must be at every point of the record that classify_zero
+# or taylor_checks is given as zeros (require_zeros).  It gates their input
+# and decides no verdict: find_zeros keeps a zero only below its far smaller
+# ZERO_TOL.
+AT_ZERO_TOL = 1e-6
+
+# The share of the box's extent that sample_interior keeps clear on each side.
+_SAMPLE_MARGIN = 0.05
+
 
 class ChartError(ValueError):
     """Malformed chart data (dimension, bounds, metric shape)."""
@@ -128,10 +137,10 @@ class Chart:
         """Whether the point, or every row of an (m, n) array, is in the box."""
         return bool(np.all(self._inside(p, margin)))
 
-    def require_interior(self, p, margin: float = 0.0):
+    def require_interior(self, p):
         """Raise naming the point, or the first row of an (m, n) array,
         outside the box."""
-        inside = self._inside(p, margin)
+        inside = self._inside(p)
         if not np.all(inside):
             q = np.asarray(p)
             bad = q if q.ndim == 1 else q[np.argmin(inside)]
@@ -142,10 +151,6 @@ class Chart:
     def metric_entries(self):
         """Row-major flat tuple of the metric component expressions."""
         return tuple(e for row in self.metric for e in row)
-
-    def validate_spd(self, rng, samples: int = 25):
-        """Evaluate the metric at random interior points, fail if not SPD."""
-        metric_value(self, sample_interior(self, samples, rng))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,9 +365,8 @@ class FieldData:
     """A vector field's value at ``points`` and the covariant tensors of its 2-jet.
 
     ``N``, ``M``, ``phi``, ``H`` and ``dphi`` follow the conventions in the
-    module docstring.  At order 1, ``H`` and ``dphi`` are ``None``.  Every
-    other array, ``phi`` included, has a leading axis of length m, one row
-    per row of ``points``.
+    module docstring.  Every array, ``phi`` included, has a leading axis of
+    length m, one row per row of ``points``.
     """
 
     points: np.ndarray
@@ -371,15 +375,15 @@ class FieldData:
     N: np.ndarray
     M: np.ndarray
     phi: np.ndarray
-    H: np.ndarray | None
-    dphi: np.ndarray | None
+    H: np.ndarray
+    dphi: np.ndarray
 
 
-def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
-    """One evaluation of the metric and field jets to ``order`` (1 or 2) at
-    an (m, n) array of points p."""
-    conn = connection_data(chart, p, order)
-    val, jac, hess = field_jets(xi, p, order)
+def field_data(chart: Chart, xi: FieldSpec, p) -> FieldData:
+    """One evaluation of the metric and field jets to order 2 at an (m, n)
+    array of points p."""
+    conn = connection_data(chart, p, 2)
+    val, jac, hess = field_jets(xi, p, 2)
     g, dg, Gam = conn.g, conn.dg, conn.Gam
     # N[i, j] = d_j xi^i + Gamma^i_jk xi^k, summed over k in order as einsum
     # sums it over two or more points; over one point einsum sums in another
@@ -390,23 +394,21 @@ def field_data(chart: Chart, xi: FieldSpec, p, order: int = 2) -> FieldData:
     N = jac + Gam_xi
     # P[i, j] = d_i omega_j with omega_j = g_jk xi^k
     P = np.einsum("...jki,...k->...ij", dg, val) + np.einsum("...jk,...ki->...ij", g, jac)
-    H = dphi = None
-    if order >= 2:
-        n, batch = chart.dim, val.shape[:-1]
-        # d_j N[i, k] = d_j d_k xi^i + d_j Gamma^i_kl xi^l + Gamma^i_kl d_j xi^l,
-        # the middle term from dGam laid out as d_j Gamma^i_kl at [i, j, k, l]
-        dGam = np.moveaxis(conn.dGam, -1, -3)
-        Gam_kl = _stacked(Gam, batch, n * n, n)
-        dN = (hess + matvec(_stacked(dGam, batch, n ** 3, n), val).reshape(batch + (n,) * 3)
-              + (Gam_kl @ _stacked(jac, batch, n, n)).reshape(batch + (n,) * 3).swapaxes(-1, -2))
-        # H[i, j, k] = dN[i, j, k] + Gamma^i_jl N[l, k] - Gamma^l_jk N[i, l]
-        Nc = _stacked(N, batch, n, n)
-        H = (dN + (Gam_kl @ Nc).reshape(batch + (n,) * 3)
-             - (Nc @ _stacked(Gam, batch, n, n * n)).reshape(batch + (n,) * 3))
-        # n phi = trace N, so n d_j phi = d_j N[i, i]
-        dphi = np.trace(dN, axis1=-3, axis2=-1) / n
+    n, batch = chart.dim, val.shape[:-1]
+    # d_j N[i, k] = d_j d_k xi^i + d_j Gamma^i_kl xi^l + Gamma^i_kl d_j xi^l,
+    # the middle term from dGam laid out as d_j Gamma^i_kl at [i, j, k, l]
+    dGam = np.moveaxis(conn.dGam, -1, -3)
+    Gam_kl = _stacked(Gam, batch, n * n, n)
+    dN = (hess + matvec(_stacked(dGam, batch, n ** 3, n), val).reshape(batch + (n,) * 3)
+          + (Gam_kl @ _stacked(jac, batch, n, n)).reshape(batch + (n,) * 3).swapaxes(-1, -2))
+    # H[i, j, k] = dN[i, j, k] + Gamma^i_jl N[l, k] - Gamma^l_jk N[i, l]
+    Nc = _stacked(N, batch, n, n)
+    H = (dN + (Gam_kl @ Nc).reshape(batch + (n,) * 3)
+         - (Nc @ _stacked(Gam, batch, n, n * n)).reshape(batch + (n,) * 3))
+    # n phi = trace N, so n d_j phi = d_j N[i, i]
+    dphi = np.trace(dN, axis1=-3, axis2=-1) / n
     return FieldData(np.asarray(p, dtype=float), conn, val, N, P - P.swapaxes(-1, -2),
-                     np.trace(N, axis1=-2, axis2=-1) / chart.dim, H, dphi)
+                     np.trace(N, axis1=-2, axis2=-1) / n, H, dphi)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +435,17 @@ def field_norm(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
     """|xi|_g at an (m, n) array of points."""
     g, _, _ = metric_jets(chart, p, 0)
     return norm_vector(g, field_value(xi, p))
+
+
+def require_zeros(jets: FieldData, caller: str) -> None:
+    """Refuse a record whose points are not all zeros of the field: raise
+    ``ValueError`` naming ``caller`` and the first row whose |xi|_g is not
+    below ``AT_ZERO_TOL``, or is NaN."""
+    norms = norm_vector(jets.conn.g, jets.value)
+    off = np.flatnonzero(~(norms < AT_ZERO_TOL))
+    if off.size:
+        raise ValueError(f"{caller} expects a zero of the field: row {off[0]} "
+                         f"has |xi|_g = {norms[off[0]]}")
 
 
 def _numerical_rank(sigma: np.ndarray) -> np.ndarray:
@@ -537,9 +550,10 @@ def complete_orthonormal_frame(factor: tuple, v: np.ndarray) -> np.ndarray:
     return np.concatenate([u[..., None, :], rest], axis=-2)
 
 
-def sample_interior(chart: Chart, count: int, rng, margin: float = 0.05) -> np.ndarray:
-    """Seeded uniform samples in the domain box, shrunk by a relative margin."""
-    u = rng.uniform(margin, 1.0 - margin, size=(count, chart.dim))
+def sample_interior(chart: Chart, count: int, rng) -> np.ndarray:
+    """Seeded uniform samples in the domain box, shrunk on every side by
+    ``_SAMPLE_MARGIN`` of its extent."""
+    u = rng.uniform(_SAMPLE_MARGIN, 1.0 - _SAMPLE_MARGIN, size=(count, chart.dim))
     return chart.lower + u * (chart.upper - chart.lower)
 
 

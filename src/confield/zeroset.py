@@ -56,8 +56,10 @@ VERDICT_UMBILICAL = "totally_umbilical"
 VERDICT_NOT_UMBILICAL = "not_umbilical"
 VERDICT_POINT = "point"
 
-# Defaults of trace_component and umbilicity_report, which the command line
-# runs with and reports.  The grid is odd, so the traced zero is a node.
+# The patch trace_component builds, which the command line reports: a grid
+# of TRACE_GRID nodes per axis on [-TRACE_RADIUS, TRACE_RADIUS].  The grid is
+# odd, so the traced zero is a node.  umbilicity_report calls a patch
+# totally umbilical when its worst node's residual is below UMBILICITY_TOL.
 TRACE_RADIUS = 0.3
 TRACE_GRID = 5
 UMBILICITY_TOL = 1e-4
@@ -108,34 +110,26 @@ class SubmanifoldPatch:
         return float(self.field_norms.max())
 
 
-def trace_component(
-    chart: Chart,
-    xi: FieldSpec,
-    zero: ZeroClassification,
-    radius: float = TRACE_RADIUS,
-    grid: int = TRACE_GRID,
-) -> SubmanifoldPatch:
+def trace_component(chart: Chart, xi: FieldSpec, zero: ZeroClassification) -> SubmanifoldPatch:
     """Patch of the zero set component through a classified zero.
 
     ``zero`` is the :func:`~confield.essential.classify_zero` result at
     the zero x; tracing needs its verdict to be Killing after rescaling
     and reads x and the g-orthonormal bases of the kernel of the derivative
     2-form and of its complement from it.  The parameter t is a coordinate
-    in the frame of that kernel; the grid has side ``2 radius``.  The point
-    for t is the predictor x + t.kernel corrected onto xi = 0 along the
-    normal space at x (the complement) by :func:`polish_zeros`, so the patch
-    is the zero set as a graph over its tangent space at x and, by the
-    implicit function theorem, smooth in t.  ``mapping`` takes an (m, k)
-    array of t; the grid is one call.  A predictor outside the
-    chart raises :class:`PatchError`.  For a zero with a trivial kernel
+    in the frame of that kernel, on a grid of ``TRACE_GRID`` nodes per axis
+    with side ``2 TRACE_RADIUS``.  The point for t is the predictor
+    x + t.kernel corrected onto xi = 0 along the normal space at x (the
+    complement) by :func:`polish_zeros`, so the patch is the zero set as a
+    graph over its tangent space at x and, by the implicit function
+    theorem, smooth in t.  ``mapping`` takes an (m, k) array of t; the grid
+    is one call.  A predictor outside the chart raises :class:`PatchError`.  For a zero with a trivial kernel
     (every Killing-type zero on a surface) the patch is that one point.
 
     Every sample is verified to be a zero within ``_VERIFY_TOL``;
     :class:`OffZeroSetError` reports the first one off the zero set in
     ``np.ndindex`` order.
     """
-    if grid < 3 or grid % 2 == 0:
-        raise ValueError("grid must be an odd integer >= 3 so the base is a node")
     if zero.verdict != VERDICT_KILLING:
         raise PatchError(
             "zero set tracing requires a zero that is Killing for a "
@@ -156,9 +150,9 @@ def trace_component(
         # lanes cut off by the iteration cap are left to the verification
         return polish_zeros(chart, xi, predicted, normals)[0]
 
-    param_axes = tuple(np.linspace(-radius, radius, grid) for _ in range(k))
-    shape = (grid,) * k
-    params = np.array(list(product(*param_axes))).reshape(grid**k, k)
+    param_axes = tuple(np.linspace(-TRACE_RADIUS, TRACE_RADIUS, TRACE_GRID) for _ in range(k))
+    shape = (TRACE_GRID,) * k
+    params = np.array(list(product(*param_axes))).reshape(TRACE_GRID**k, k)
     samples = mapping(params)
     norms = field_norm(chart, xi, samples)
     off = np.flatnonzero(~(norms < _VERIFY_TOL))
@@ -220,7 +214,7 @@ def second_fundamental_form(
     if k == 0:
         raise PatchError("a point patch has no second fundamental form")
     points = np.asarray(points, dtype=float)
-    fd = field_data(chart, xi, points, 2)
+    fd = field_data(chart, xi, points)
     nabla_svd = frame_svd(fd.conn.factor, fd.N, "endomorphism")
     wrong = np.flatnonzero(nabla_svd.rank != chart.dim - k)
     if wrong.size:
@@ -251,16 +245,11 @@ class UmbilicityReport:
     mean_curvature_norms: np.ndarray
     codim: int
     codim_even: bool
-    tolerance: float
     indices: tuple
     points: np.ndarray
 
 
-def umbilicity_report(
-    chart: Chart,
-    patches,
-    tol: float = UMBILICITY_TOL,
-) -> tuple:
+def umbilicity_report(chart: Chart, patches) -> tuple:
     """Umbilicity verdicts over the interior grid nodes of a sequence of
     patches, as a tuple of reports in the same order.
 
@@ -270,8 +259,8 @@ def umbilicity_report(
     of one field cost one call per distinct k, and each report equals the
     call on the sequence holding that patch alone.  The residual at a node
     is sqrt(sum_ab |B_ab - h_ab H|_g^2); a patch is reported totally
-    umbilical when its worst node stays below ``tol``.  Point patches get the verdict "point" with zero
-    residual.  Where the curvature cannot be taken, the error of the first
+    umbilical when its worst node stays below ``UMBILICITY_TOL``.  Point
+    patches get the verdict "point" with zero residual.  Where the curvature cannot be taken, the error of the first
     group, in the order of the groups' first patches, is raised.
     """
     reports = [None] * len(patches)
@@ -285,7 +274,6 @@ def umbilicity_report(
                 mean_curvature_norms=np.zeros(0),
                 codim=patch.codim,
                 codim_even=patch.codim % 2 == 0,
-                tolerance=float(tol),
                 indices=(),
                 points=np.asarray(patch.samples)[None, :],
             )
@@ -308,13 +296,12 @@ def umbilicity_report(
             start = rows.stop
             worst = float(residuals[rows].max())
             reports[slot] = UmbilicityReport(
-                verdict=VERDICT_UMBILICAL if worst < tol else VERDICT_NOT_UMBILICAL,
+                verdict=VERDICT_UMBILICAL if worst < UMBILICITY_TOL else VERDICT_NOT_UMBILICAL,
                 max_residual=worst,
                 residuals=residuals[rows],
                 mean_curvature_norms=hnorms[rows],
                 codim=patches[slot].codim,
                 codim_even=patches[slot].codim % 2 == 0,
-                tolerance=float(tol),
                 indices=indices,
                 points=data.points[rows],
             )

@@ -238,7 +238,7 @@ def reference_lie_derivative(chart, xi, p):
     the covariant derivative N of ``field_data``."""
     from confield.geometry import field_data
 
-    fd = field_data(chart, xi, p, 1)
+    fd = field_data(chart, xi, p)
     A = fd.conn.g @ fd.N  # A[i, j] = g(nabla_{e_j} xi, e_i)
     return A + A.swapaxes(-1, -2)
 
@@ -543,12 +543,24 @@ def pushforward_under_inversion(xi):
     return FieldSpec(xi.chart, comps, name=f"inverted_{xi.name}")
 
 
-def classify_at(chart, xi, x, **kwargs):
-    """``classify_zero`` on the order-2 ``field_data`` record at x: the
-    ``ZeroClassification`` of one point, or the tuple of an (m, n) stack."""
+def classify_at(chart, xi, x, rng=None):
+    """``classify_zero`` on the ``field_data`` record at x, its
+    neighbourhood samples drawn from ``rng`` or else a generator seeded 0:
+    the ``ZeroClassification`` of one point, or the tuple of an (m, n)
+    stack."""
     points = np.asarray(x, dtype=float)
-    classes = classify_zero(chart, xi, field_data(chart, xi, np.atleast_2d(points), 2), **kwargs)
+    rng = np.random.default_rng(0) if rng is None else rng
+    classes = classify_zero(chart, xi, field_data(chart, xi, np.atleast_2d(points)), rng)
     return classes[0] if points.ndim == 1 else classes
+
+
+def trace_geometry(monkeypatch, radius, grid):
+    """Make ``trace_component`` build patches of ``grid`` nodes per axis on
+    [-radius, radius] for the rest of the test."""
+    import confield.zeroset as zeroset
+
+    monkeypatch.setattr(zeroset, "TRACE_RADIUS", radius)
+    monkeypatch.setattr(zeroset, "TRACE_GRID", grid)
 
 
 def recording_calls(monkeypatch, fn, record, arguments=False):

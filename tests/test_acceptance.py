@@ -53,8 +53,8 @@ def test_essential_zero_example_is_reproduced(capsys):
     ginv = spd_inverse(metric_value(SPHERE, P))
 
     n_xi = field_norm(SPHERE, xi, P)[0]
-    n_dxi = norm_2form(ginv, field_data(SPHERE, xi, P, 1).M)[0]
-    phi = field_data(SPHERE, xi, P, 1).phi[0]
+    n_dxi = norm_2form(ginv, field_data(SPHERE, xi, P).M)[0]
+    phi = field_data(SPHERE, xi, P).phi[0]
     dphi = conformal_factor_gradient(SPHERE, xi, P[0])
     n_dphi = math.sqrt(dphi @ ginv[0] @ dphi)
     verdict = classify_at(SPHERE, xi, P[0]).verdict
@@ -192,7 +192,7 @@ def test_traced_components_are_umbilical_with_even_codim(capsys):
     ok = True
     lines = []
     for chart, xi, base in scenarios:
-        patch = trace_component(chart, xi, classify_at(chart, xi, base), radius=0.3, grid=5)
+        patch = trace_component(chart, xi, classify_at(chart, xi, base))
         (report,) = umbilicity_report(chart, [patch])
         good = (
             report.max_residual < 1e-4

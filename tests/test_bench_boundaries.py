@@ -129,7 +129,7 @@ def test_field_and_grid_evaluations_pass_the_expr_boundaries():
     assert t.layer_table()["expr.eval_jets"]["calls"] == 1
     assert t.counts["expr.jets.order1"] == 3
     with tracer.Tracer() as t:
-        confield.geometry.field_data(chart, xi, np.stack([p, -p]), 2)
+        confield.geometry.field_data(chart, xi, np.stack([p, -p]))
     assert t.layer_table()["expr.eval_jets"]["calls"] == 2
     assert t.counts["expr.jets.order2"] == 9 + 3
     with tracer.Tracer() as t:

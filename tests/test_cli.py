@@ -589,12 +589,11 @@ def test_rotation_manifest_runs_green(tmp_path):
 
 
 def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch):
-    """All identity pairs share one order-2 field_data, and all 12 zeros
-    share one more, made after it, whose first four rows are reported; no
-    geodesic is run."""
+    """All identity pairs share one field_data, and all 12 zeros share one
+    more, made after it, whose first four rows are reported; no geodesic is
+    run."""
     calls = recording_calls(monkeypatch, geometry.field_data,
-                            lambda out, chart, xi, p, order: (order, np.shape(p)),
-                            arguments=True)
+                            lambda out, chart, xi, p: np.shape(p), arguments=True)
     runs = counting_steps(monkeypatch)
     manifest = {**ROTATION_MANIFEST, "analyses": ["verify-identities"], "seed": 1}
     code, report = _run_to_report(tmp_path, manifest)
@@ -602,7 +601,7 @@ def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch)
     taylor = report["analyses"]["verify-identities"]["taylor_at_zeros"]
     assert len(taylor) == 4 and all("skipped" not in entry for entry in taylor)
     assert runs == []
-    assert calls == [(2, (50, 3)), (2, (12, 3))]
+    assert calls == [(50, 3), (12, 3)]
 
 
 def test_verify_identities_checks_edge_zeros_on_every_seed(tmp_path):

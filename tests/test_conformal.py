@@ -30,14 +30,14 @@ SPHERE = models.sphere_stereographic(3)
 def test_factor_of_scaling_field_is_one():
     eu = models.euler(FLAT3)
     pts = np.array([[0.2, -0.7, 1.1], [0.0, 0.0, 0.0]])
-    assert field_data(FLAT3, eu, pts, 1).phi == pytest.approx([1.0, 1.0], abs=1e-14)
+    assert field_data(FLAT3, eu, pts).phi == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
 def test_factor_of_quadratic_field_flat():
     K = models.special_conformal(FLAT3, 1)
     p = np.array([[0.4, -0.2, 0.9]])
     # div(K_e) = -2 n <x, e> so the factor is -2 x1 in dimension n
-    assert field_data(FLAT3, K, p, 1).phi == pytest.approx(-2.0 * p[:, 0], rel=1e-13)
+    assert field_data(FLAT3, K, p).phi == pytest.approx(-2.0 * p[:, 0], rel=1e-13)
 
 
 def test_residual_of_non_conformal_field():
@@ -101,7 +101,7 @@ def test_factor_gradient_matches_finite_differences():
         for p in ([0.3, -0.2, 0.5], [0.9, 0.4, -0.7]):
             p = np.asarray(p)
             exact = conformal_factor_gradient(chart, xi, p)
-            approx = fd_gradient(lambda q: field_data(chart, xi, q[None], 1).phi[0], p)
+            approx = fd_gradient(lambda q: field_data(chart, xi, q[None]).phi[0], p)
             assert np.abs(exact - approx).max() < 1e-7
 
 
@@ -122,6 +122,20 @@ def test_report_structure_and_conformal_flag():
     rep2 = is_conformal(FLAT3, bad, sample_interior(FLAT3, 25, rng))
     assert not rep2.conformal
     assert rep2.max_residual > 1e-3
+
+
+def test_a_rotation_sheared_by_1e_5_is_not_conformal():
+    """xi = (-x2 + 1e-5 x1 x2, x1, 0) on the flat chart: the trace-free part
+    of L_xi g has g-norm 1e-5 sqrt(8/3 x2^2 + 2 x1^2), tens of microunits
+    over most of the box and far above rounding, so is_conformal refuses
+    the field."""
+    xi = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("-x2 + 1e-5*x1*x2", "x1", "0")))
+    pts = sample_interior(FLAT3, 100, np.random.default_rng(1))
+    rep = is_conformal(FLAT3, xi, pts)
+    exact = 1e-5 * np.sqrt(8.0 / 3.0 * pts[:, 1] ** 2 + 2.0 * pts[:, 0] ** 2)
+    np.testing.assert_allclose(rep.residuals, exact, rtol=1e-9)
+    assert 1e-5 < rep.max_residual < 1e-4
+    assert not rep.conformal
 
 
 def test_overflowing_sample_raises_as_the_per_point_loop_did():
@@ -182,8 +196,8 @@ def test_factor_shifts_by_derivative_along_field():
     rescaled = rescale_metric(FLAT3, f)
     xi = models.special_conformal(FLAT3, 1)
     pts = np.array([[0.2, 0.5, -0.3], [0.8, -0.6, 0.4]])
-    phi = field_data(FLAT3, xi, pts, 1).phi
-    phi_new = field_data(rescaled, xi, pts, 1).phi
+    phi = field_data(FLAT3, xi, pts).phi
+    phi_new = field_data(rescaled, xi, pts).phi
     shift = [eval_jet(f, p, 1).d1 @ value for p, value in zip(pts, field_value(xi, pts))]
     assert phi_new == pytest.approx(phi + shift, rel=1e-12, abs=1e-13)
     # so the field stays conformal for the rescaled metric

@@ -46,6 +46,16 @@ def test_translation_has_no_zeros():
     assert zeros.shape == (0, 3)
 
 
+def test_a_field_bounded_away_from_zero_has_no_zeros():
+    """|xi| >= 1e-8 for xi = (x1^2 + 1e-8, x2, x3): Gauss-Newton runs the
+    grid's best seed to the minimum |xi| = 1e-8 at the origin, and that
+    point is no zero."""
+    xi = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2 + 1e-8", "x2", "x3")))
+    polished, converged = polish_zeros(FLAT3, xi, np.full((1, 3), 0.1))
+    assert converged[0] and field_norm(FLAT3, xi, polished)[0] == pytest.approx(1e-8, rel=1e-3)
+    assert find_zeros(FLAT3, xi).shape == (0, 3)
+
+
 def test_rotation_zero_set_lies_on_axis():
     zeros = find_zeros(FLAT3, models.rotation(FLAT3, 1, 2))
     assert len(zeros) >= 8
@@ -256,7 +266,7 @@ def test_trace_stops_lanes_at_rounding_level(monkeypatch):
     xi = models.sphere_killing(flat4, 1, 5)
     zero = classify_at(flat4, xi, find_zeros(flat4, xi)[0])
     _, rows, solves = _polish_evaluations(monkeypatch, zeroset)
-    trace_component(flat4, xi, zero, radius=0.3, grid=5)
+    trace_component(flat4, xi, zero)
     assert len(solves) == 1
     assert 0 < len(rows) - len(solves) <= 30
 
@@ -375,8 +385,8 @@ def test_classification_carries_the_metric_at_the_zero():
     there; the classification's point is the record's row."""
     z = np.array([0.0, 0.0, 0.4])
     xi = models.sphere_killing(SPHERE, 1, 2)
-    jets = field_data(SPHERE, xi, z[None], 2)
-    (cls,) = essential.classify_zero(SPHERE, xi, jets)
+    jets = field_data(SPHERE, xi, z[None])
+    (cls,) = essential.classify_zero(SPHERE, xi, jets, np.random.default_rng(0))
     assert np.array_equal(jets.points, z[None]) and np.array_equal(cls.point, z)
     assert np.array_equal(jets.conn.g, metric_value(SPHERE, z[None]))
 
@@ -433,7 +443,8 @@ def test_stack_with_a_nan_row_names_it():
 
 def test_empty_stack_classifies_to_nothing():
     xi = models.rotation(FLAT3)
-    assert essential.classify_zero(FLAT3, xi, field_data(FLAT3, xi, np.empty((0, 3)), 2)) == ()
+    empty = field_data(FLAT3, xi, np.empty((0, 3)))
+    assert essential.classify_zero(FLAT3, xi, empty, np.random.default_rng(0)) == ()
 
 
 def test_rotation_zero_is_killing_type():
@@ -454,6 +465,15 @@ def test_scaling_zero_is_homothetic_type():
     assert cls.image_residual < 1e-12
 
 
+def test_a_small_homothety_is_homothetic():
+    """2^-13 times the Euler field: phi = 2^-13, about 1.2e-4, exactly at
+    the origin, a homothety however small and no rounding error."""
+    xi = FieldSpec(FLAT3, tuple(parse(f"{2.0 ** -13!r}*x{i}", 3) for i in (1, 2, 3)))
+    cls = classify_at(FLAT3, xi, np.zeros(3))
+    assert cls.phi == 2.0 ** -13
+    assert cls.verdict == VERDICT_HOMOTHETIC
+
+
 @pytest.mark.parametrize("chart", [FLAT3, SPHERE, HYPER], ids=lambda c: c.name)
 def test_quadratic_generator_zero_is_essential(chart):
     xi = models.special_conformal(chart, 1)
@@ -462,7 +482,7 @@ def test_quadratic_generator_zero_is_essential(chart):
     assert cls.phi == pytest.approx(0.0, abs=1e-12)
     assert cls.rank_dxi == 0
     assert cls.image_residual > 0.5
-    assert np.linalg.norm(field_data(chart, xi, np.zeros((1, 3)), 2).dphi) > 0.1
+    assert np.linalg.norm(field_data(chart, xi, np.zeros((1, 3))).dphi) > 0.1
 
 
 def test_classification_takes_one_frame_svd_per_stack(monkeypatch):
@@ -609,7 +629,7 @@ def test_rank_is_even_and_kernel_orthonormal():
     ]
     for chart, xi, z in cases:
         cls = classify_at(chart, xi, z)
-        dxi = field_data(chart, xi, z[None], 2).M[0]
+        dxi = field_data(chart, xi, z[None]).M[0]
         assert cls.rank_dxi % 2 == 0
         assert cls.kernel_basis.shape == (cls.kernel_dim, 3)
         g = metric_value(chart, z[None])[0]
@@ -664,9 +684,8 @@ def test_audit_of_circle_zeros_passes():
     thetas = np.array([0.0, 0.03, 0.06])
     cluster = np.stack([np.cos(thetas), np.sin(thetas), np.zeros(3)], axis=1)
     zeros = np.vstack([found, cluster])
-    audit = limit_point_audit([classify_at(SPHERE, xi, z) for z in zeros], radius=0.05)
+    audit = limit_point_audit([classify_at(SPHERE, xi, z) for z in zeros])
     assert audit.passed
-    assert audit.radius == 0.05
     assert len(audit.entries) == len(zeros)
     assert audit.assertions["non_isolated_zeros_are_killing_inessential"]
     assert audit.assertions["essential_zeros_isolated"]
@@ -680,11 +699,26 @@ def test_audit_of_circle_zeros_passes():
 
 def test_audit_of_isolated_essential_zero_passes():
     xi = models.special_conformal(FLAT3, 1)
-    audit = limit_point_audit([classify_at(FLAT3, xi, np.zeros(3))], radius=0.5)
+    audit = limit_point_audit([classify_at(FLAT3, xi, np.zeros(3))])
     assert audit.passed
     assert audit.entries[0].isolated
     assert audit.entries[0].nearest_distance == np.inf
     assert audit.entries[0].verdict == VERDICT_ESSENTIAL
+
+
+def test_audit_isolates_at_the_isolation_radius():
+    """The essential zero of special_conformal(1) at the origin beside a
+    Killing zero of rotation(1, 2) on the x3 axis: 0.02 away neither is
+    isolated and the audit fails, as an essential zero must be isolated;
+    0.08 away both are, and it passes."""
+    essential_zero = classify_at(FLAT3, models.special_conformal(FLAT3, 1), np.zeros(3))
+    for gap, isolated in ((0.02, False), (0.08, True)):
+        killing_zero = classify_at(FLAT3, models.rotation(FLAT3, 1, 2), np.array([0.0, 0.0, gap]))
+        assert (essential_zero.verdict, killing_zero.verdict) == (VERDICT_ESSENTIAL, VERDICT_KILLING)
+        audit = limit_point_audit([essential_zero, killing_zero])
+        assert [entry.isolated for entry in audit.entries] == [isolated, isolated]
+        assert audit.assertions["essential_zeros_isolated"] is isolated
+        assert audit.passed is isolated
 
 
 def test_audit_flags_clustered_non_killing_zeros():
@@ -692,6 +726,6 @@ def test_audit_flags_clustered_non_killing_zeros():
     the rescaling condition, so the audit must fail."""
     bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     zeros = np.array([[0.0, 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]])
-    audit = limit_point_audit([classify_at(FLAT3, bad, z) for z in zeros], radius=0.05)
+    audit = limit_point_audit([classify_at(FLAT3, bad, z) for z in zeros])
     assert not audit.passed
     assert not audit.assertions["non_isolated_zeros_are_killing_inessential"]

@@ -9,7 +9,8 @@ import pytest
 import confield.models as models
 from confield.conformal import conformal_residual
 from confield.expr import eval_jet, eval_jets, parse
-from confield.geodesic import dxi_identity_residual
+from confield.essential import classify_zero
+from confield.geodesic import dxi_identity_residual, taylor_checks
 from confield.geometry import (
     Chart,
     ChartDomainError,
@@ -95,7 +96,7 @@ def test_non_spd_metric_raises():
     with pytest.raises(MetricError):
         metric_value(bad, np.array([[-0.5, 0.0]]))
     with pytest.raises(MetricError):
-        bad.validate_spd(np.random.default_rng(0))
+        metric_value(bad, sample_interior(bad, 25, np.random.default_rng(0)))
 
 
 # -- metric jets against finite differences ---------------------------------
@@ -184,8 +185,8 @@ def test_batched_jets_and_bundles_match_per_point():
                                                    one.shape[1:] + (len(pts),)), -1, 0)
                 err = np.abs(many - one).max()
                 assert err == 0.0 if exact else err <= 1e-15 * np.abs(one).max()
-        batched = _bundle(field_data(chart, xi, pts, 2))
-        per_point = [_bundle(field_data(chart, xi, pts[i:i + 1], 2)) for i in range(len(pts))]
+        batched = _bundle(field_data(chart, xi, pts))
+        per_point = [_bundle(field_data(chart, xi, pts[i:i + 1])) for i in range(len(pts))]
         stacked = {k: np.concatenate([b[k] for b in per_point]) for k in batched}
         scale = max(np.abs(v).max() for v in stacked.values())
         for name, one in stacked.items():
@@ -204,7 +205,7 @@ STACKS = (1, 7, 50)
 def _order2_arrays(chart, xi, p):
     """The arrays of an order-2 FieldData at p that the stacked kernels
     give, with the metric factor and the metric's 2-jet."""
-    fd = field_data(chart, xi, p, 2)
+    fd = field_data(chart, xi, p)
     c = fd.conn
     return {"g": c.g, "L": c.factor[0], "Linv": c.factor[1], "ginv": c.ginv, "dg": c.dg,
             "d2g": metric_jets(chart, p, 2)[2], "Gam": c.Gam, "dGam": c.dGam, "N": fd.N,
@@ -279,20 +280,35 @@ def test_require_interior_names_the_first_point_outside():
         FLAT3.require_interior(pts)
 
 
+def test_classify_and_taylor_checks_share_one_zero_gate():
+    """A rotation about the x3 axis plus the constant c e3 has |xi|_g = c
+    at the origin: classify_zero and taylor_checks both take it as a zero
+    at c = 5e-7 and both refuse it, naming the row, at c = 2e-6."""
+    for c, accepted in ((5e-7, True), (2e-6, False)):
+        xi = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("-x2", "x1", repr(c))))
+        jets = field_data(FLAT3, xi, np.zeros((1, 3)))
+        checks = (lambda: classify_zero(FLAT3, xi, jets, np.random.default_rng(0)),
+                  lambda: taylor_checks(jets, np.ones((1, 3))))
+        for name, check in zip(("classify_zero", "taylor_checks"), checks):
+            if accepted:
+                check()
+            else:
+                with pytest.raises(ValueError, match=f"{name} expects a zero .* row 0 has"):
+                    check()
+
+
 def test_field_data_orders_agree_bitwise():
-    """Order 1 and order 2 give the same g, g^-1, Gamma, N, M and phi, and
-    christoffel_matrix is the order-2 Gamma, bit for bit."""
+    """The order-1 connection_data gives the same g, g^-1 and Gamma as the
+    order-2 connection of field_data, and christoffel_matrix is that Gamma,
+    bit for bit."""
     rng = np.random.default_rng(31)
     for chart, xi in models.standard_pairs(3):
         pts = sample_interior(chart, 5, rng)
-        one, two = field_data(chart, xi, pts, 1), field_data(chart, xi, pts, 2)
+        one, two = connection_data(chart, pts, 1), field_data(chart, xi, pts).conn
         for name in ("g", "ginv", "Gam"):
-            assert np.array_equal(getattr(one.conn, name), getattr(two.conn, name))
-        assert np.array_equal(one.N, two.N)
-        assert np.array_equal(one.M, two.M)
-        assert np.array_equal(one.phi, two.phi)
-        assert one.H is None and one.dphi is None
-        assert np.array_equal(christoffel_matrix(chart, pts), connection_data(chart, pts, 2).Gam)
+            assert np.array_equal(getattr(one, name), getattr(two, name))
+        assert one.dGam is None
+        assert np.array_equal(christoffel_matrix(chart, pts), two.Gam)
 
 
 def test_metric_compatibility():
@@ -352,33 +368,33 @@ def test_curvature_tensor_symmetries_on_random_metric():
 
 def test_covariant_derivative_of_plane_rotation():
     rot = models.rotation(FLAT2)
-    N = field_data(FLAT2, rot, np.array([[0.7, -0.3]]), 1).N[0]
+    N = field_data(FLAT2, rot, np.array([[0.7, -0.3]])).N[0]
     assert np.abs(N - np.array([[0.0, -1.0], [1.0, 0.0]])).max() == 0.0
     # Killing for the sphere metric too: g N must be skew
     sph2 = models.sphere_stereographic(2)
     rot3 = models.rotation(sph2, 1, 2)
     p = np.array([[0.5, 0.8]])
-    A = metric_value(sph2, p) @ field_data(sph2, rot3, p, 1).N
+    A = metric_value(sph2, p) @ field_data(sph2, rot3, p).N
     assert np.abs(A + A.swapaxes(-1, -2)).max() < 1e-13
 
 
 def test_covariant_derivative_of_quadratic_field_on_axis():
     K = models.special_conformal(FLAT3, 1)
-    N = field_data(FLAT3, K, np.array([[0.3, 0.0, 0.0]]), 1).N
+    N = field_data(FLAT3, K, np.array([[0.3, 0.0, 0.0]])).N
     assert np.abs(N + 0.6 * np.eye(3)).max() < 1e-15
 
 
 def test_euler_identity_map_everywhere():
     eu = models.euler(FLAT3)
-    N = field_data(FLAT3, eu, np.array([[0.9, -1.1, 0.2]]), 1).N
+    N = field_data(FLAT3, eu, np.array([[0.9, -1.1, 0.2]])).N
     assert np.abs(N - np.eye(3)).max() == 0.0
-    N2 = field_data(FLAT2, models.euler(FLAT2), np.array([[0.3, 0.4]]), 1).N[0]
+    N2 = field_data(FLAT2, models.euler(FLAT2), np.array([[0.3, 0.4]])).N[0]
     assert np.trace(N2) == 2.0
 
 
 def test_derivative_two_form_of_rotation():
     rot = models.rotation(FLAT2)
-    M = field_data(FLAT2, rot, np.array([[0.2, 0.5]]), 1).M
+    M = field_data(FLAT2, rot, np.array([[0.2, 0.5]])).M
     assert np.abs(M - np.array([[0.0, 2.0], [-2.0, 0.0]])).max() == 0.0
 
 
@@ -393,9 +409,9 @@ def test_two_form_is_twice_skew_part_of_lowered_derivative():
     )
     p = np.array([[0.4, -0.7, 0.2]])
     g = metric_value(chart, p)[0]
-    N = field_data(chart, xi, p, 1).N[0]
+    N = field_data(chart, xi, p).N[0]
     A = (g @ N).T  # A[i, j] = g(nabla_{e_i} xi, e_j)
-    M = field_data(chart, xi, p, 1).M[0]
+    M = field_data(chart, xi, p).M[0]
     assert np.abs(M - (A - A.T)).max() < 1e-12
 
 
@@ -434,12 +450,12 @@ def test_covariant_hessian_against_differenced_derivative():
     for chart, xi, p in cases:
         fd = field_data(chart, xi, p[None])
         N, H = fd.N[0], fd.H[0]
-        assert np.array_equal(N, field_data(chart, xi, p[None], 1).N[0])
+        assert np.array_equal(N, field_data(chart, xi, p[None]).N[0])
         Gam = christoffel_matrix(chart, p[None])[0]
         dN = np.empty((3, 3, 3))
         for i in range(3):
             for k in range(3):
-                f = lambda q, i=i, k=k: field_data(chart, xi, q[None], 1).N[0, i, k]
+                f = lambda q, i=i, k=k: field_data(chart, xi, q[None]).N[0, i, k]
                 for j in range(3):
                     dN[i, j, k] = fd_partial(f, p, j)
         expected = (
@@ -690,10 +706,14 @@ def test_metric_factor_is_the_one_factorization():
 
 
 def test_sample_interior_respects_margin():
-    pts = sample_interior(FLAT2, 200, np.random.default_rng(3), margin=0.1)
+    """Samples keep 5% of the box's extent clear on every side, and reach
+    past 7.5% of it on every side."""
+    pts = sample_interior(FLAT2, 200, np.random.default_rng(3))
     width = FLAT2.upper - FLAT2.lower
-    assert np.all(pts >= FLAT2.lower + 0.1 * width - 1e-12)
-    assert np.all(pts <= FLAT2.upper - 0.1 * width + 1e-12)
+    assert np.all(pts >= FLAT2.lower + 0.05 * width)
+    assert np.all(pts <= FLAT2.upper - 0.05 * width)
+    assert np.all(pts.min(axis=0) < FLAT2.lower + 0.075 * width)
+    assert np.all(pts.max(axis=0) > FLAT2.upper - 0.075 * width)
 
 
 def test_sample_ball_draws_one_normal_and_one_uniform_block():

@@ -76,7 +76,7 @@ def test_rotations_are_killing_for_all_catalog_metrics():
         xi = models.rotation(chart, 1, 2)
         pts = sample_interior(chart, 10, np.random.default_rng(9))
         assert np.abs(reference_lie_derivative(chart, xi, pts)).max() < 1e-12
-        assert np.abs(field_data(chart, xi, pts, 1).phi).max() < 1e-13
+        assert np.abs(field_data(chart, xi, pts).phi).max() < 1e-13
 
 
 def test_scaling_field_lie_derivative_flat():
@@ -92,7 +92,7 @@ def test_mixed_sphere_generator_is_killing_on_round_chart():
     xi = models.sphere_killing(chart, 2, 4)
     pts = sample_interior(chart, 15, np.random.default_rng(2))
     assert np.abs(reference_lie_derivative(chart, xi, pts)).max() < 1e-12
-    assert np.abs(field_data(chart, xi, pts, 1).phi).max() < 1e-13
+    assert np.abs(field_data(chart, xi, pts).phi).max() < 1e-13
 
 
 def test_mixed_sphere_generator_combination_identity():

@@ -25,6 +25,7 @@ from helpers import (
     map_patch,
     recording_calls,
     rowwise,
+    trace_geometry,
 )
 
 FLAT3 = models.euclidean(3)
@@ -40,7 +41,7 @@ SPHERE_ZERO = np.array([1.0, 0.0, 0.0])
 
 def test_rotation_axis_patch():
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
+    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
     assert patch.k == 1
     assert patch.codim == 2
     assert patch.grid_shape == (5,)
@@ -54,10 +55,11 @@ def test_rotation_axis_patch():
     assert patch.param_axes[0][-1] == pytest.approx(0.3)
 
 
-def test_circle_component_patch_on_round_chart():
+def test_circle_component_patch_on_round_chart(monkeypatch):
     xi = models.sphere_killing(SPHERE, 3, 4)
     base = np.array([1.0, 0.0, 0.0])
-    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, base), radius=0.4, grid=7)
+    trace_geometry(monkeypatch, 0.4, 7)
+    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, base))
     assert patch.k == 1
     assert patch.codim == 2
     flat = patch.samples.reshape(-1, 3)
@@ -66,10 +68,11 @@ def test_circle_component_patch_on_round_chart():
     assert patch.max_field_norm < 1e-5
 
 
-def test_plane_component_in_four_dimensions():
+def test_plane_component_in_four_dimensions(monkeypatch):
     flat4 = models.euclidean(4)
     xi = models.rotation(flat4, 1, 2)
-    patch = trace_component(flat4, xi, classify_at(flat4, xi, np.zeros(4)), radius=0.25, grid=5)
+    trace_geometry(monkeypatch, 0.25, 5)
+    patch = trace_component(flat4, xi, classify_at(flat4, xi, np.zeros(4)))
     assert patch.k == 2
     assert patch.codim == 2
     assert patch.grid_shape == (5, 5)
@@ -89,14 +92,6 @@ def test_tracing_refuses_homothetic_zero():
     xi = models.euler(FLAT3)
     with pytest.raises(PatchError):
         trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
-
-
-def test_tracing_requires_odd_grid():
-    xi = models.rotation(FLAT3, 1, 2)
-    with pytest.raises(ValueError):
-        trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), grid=4)
-    with pytest.raises(ValueError):
-        trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), grid=1)
 
 
 def test_two_dimensional_point_component():
@@ -129,9 +124,10 @@ def test_two_dimensional_nan_zero_refused():
         trace_component(flat2, xi, classify_at(flat2, xi, np.zeros(2)))
 
 
-def test_traced_patch_records_its_field():
+def test_traced_patch_records_its_field(monkeypatch):
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.2, grid=5)
+    trace_geometry(monkeypatch, 0.2, 5)
+    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
     assert patch.field is xi
     flat2 = models.euclidean(2)
     rot2 = models.rotation(flat2, 1, 2)
@@ -147,25 +143,42 @@ def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
     xi = models.sphere_killing(FLAT3, 1, 4)
     zero = classify_at(FLAT3, xi, np.array([0.0, 1.0, 0.0]))
     calls.clear()
-    trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
+    trace_component(FLAT3, xi, zero)
     passing = len(calls)
     calls.clear()
     monkeypatch.setattr(zeroset, "_VERIFY_TOL", 0.0)
     with pytest.raises(OffZeroSetError, match=r"leaves the zero set: .* at t = \[-0\.3\]"):
-        trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
+        trace_component(FLAT3, xi, zero)
     assert len(calls) == passing > 1
 
 
-def test_predictor_outside_the_chart_is_a_skip_not_a_failure():
+def test_a_patch_past_the_end_of_its_graph_is_off_the_zero_set(monkeypatch):
+    """The zero set of sphere_killing(1, 4) on the flat chart is the unit
+    circle x2^2 + x3^2 = 1 in x1 = 0; traced from (0, 1, 0), it is a graph
+    over its tangent line x3 only for |x3| < 1.  With the grid's ends at
+    x3 = +-0.99 every sample is on the circle.  At +-1.02 the normal plane
+    misses the circle, the corrector settles where |xi|_g = 0.0202, and the
+    verification refuses the patch at its first node."""
+    xi = models.sphere_killing(FLAT3, 1, 4)
+    zero = classify_at(FLAT3, xi, np.array([0.0, 1.0, 0.0]))
+    trace_geometry(monkeypatch, 0.99, 5)
+    assert trace_component(FLAT3, xi, zero).max_field_norm < 1e-12
+    trace_geometry(monkeypatch, 1.02, 5)
+    with pytest.raises(OffZeroSetError, match=r"\|xi\|_g = 2\.020e-02 at t = \[-1\.02\]"):
+        trace_component(FLAT3, xi, zero)
+
+
+def test_predictor_outside_the_chart_is_a_skip_not_a_failure(monkeypatch):
     """The axis of rotation(1, 2) runs to the box face x3 = 2: from the zero
     at x3 = 1.9 the predictor x + t.kernel reaches x3 = 2.2 and the trace is
     refused with a plain PatchError, not as a patch off the zero set."""
     xi = models.rotation(FLAT3, 1, 2)
     zero = classify_at(FLAT3, xi, np.array([0.0, 0.0, 1.9]))
     with pytest.raises(PatchError, match="predictor") as refused:
-        trace_component(FLAT3, xi, zero, radius=0.3, grid=5)
+        trace_component(FLAT3, xi, zero)
     assert not isinstance(refused.value, OffZeroSetError)
-    assert trace_component(FLAT3, xi, zero, radius=0.05, grid=5).max_field_norm == 0.0
+    trace_geometry(monkeypatch, 0.05, 5)
+    assert trace_component(FLAT3, xi, zero).max_field_norm == 0.0
 
 
 def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
@@ -179,7 +192,7 @@ def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
     base = np.array([0.0, 0.6, 0.8])
     zero = classify_at(chart, xi, base)
     calls = recording_calls(monkeypatch, geometry.frame_svd, lambda out: 1)
-    patch = trace_component(chart, xi, zero, radius=0.3, grid=5)
+    patch = trace_component(chart, xi, zero)
     assert calls == []
     g, normals = metric_value(chart, base[None])[0], zero.normal_basis
     tangent = patch.tangent_basis
@@ -323,6 +336,24 @@ def test_cylinder_is_not_umbilical():
     assert report.max_residual > 0.5
 
 
+def test_a_slightly_bent_plane_is_not_umbilical():
+    """The graph x1 = x3^2 / 100, zero set of (x1 - x3^2 / 100, 0, 0), bends
+    along x3 alone: its principal curvatures are 0 and k = 0.02 / (1 +
+    4e-4 x3^2)^(3/2), so B - g H has norm k / sqrt(2), about 0.014, at
+    every node, and no patch of it is totally umbilical."""
+    patch = map_patch(
+        FLAT3,
+        _field(FLAT3, "x1 - 0.01*x3^2", "0", "0"),
+        rowwise(lambda t: np.array([0.01 * t[1] ** 2, t[0], t[1]])),
+        (_linspace(-0.5, 0.5, 5), _linspace(-0.5, 0.5, 5)),
+    )
+    report = umbilicity_report(FLAT3, [patch])[0]
+    x3 = report.points[:, 2]
+    np.testing.assert_allclose(report.residuals, 0.02 / (1 + 4e-4 * x3 ** 2) ** 1.5 / math.sqrt(2),
+                               rtol=1e-9)
+    assert report.verdict == "not_umbilical"
+
+
 def test_great_subsphere_is_minimal_in_round_metric():
     """The coordinate unit circle in the x1-x2 plane is a closed geodesic
     circle of the round metric; as the fixed set of an isometry it is
@@ -362,11 +393,12 @@ def test_jet_path_on_unit_two_sphere_zero_set():
 @pytest.mark.parametrize(
     "base", [np.zeros(4), np.array([0.0, 0.0, 0.15, -0.1])], ids=["origin", "off_origin"]
 )
-def test_jet_path_on_traced_hyperbolic_patches(base):
+def test_jet_path_on_traced_hyperbolic_patches(base, monkeypatch):
     """The FD reference runs on the 3 x 3 sub-grid around traced node (1, 1),
     through the traced mapping, to keep the number of corrector runs small."""
     xi = models.rotation(HYP4, 1, 2)
-    traced = trace_component(HYP4, xi, classify_at(HYP4, xi, base), radius=0.2, grid=5)
+    trace_geometry(monkeypatch, 0.2, 5)
+    traced = trace_component(HYP4, xi, classify_at(HYP4, xi, base))
     assert traced.k == 2
     sub = map_patch(HYP4, xi, traced.mapping, tuple(axis[0:3] for axis in traced.param_axes))
     assert np.array_equal(sub.samples[1, 1], traced.samples[1, 1])
@@ -386,7 +418,8 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
 
     monkeypatch.setattr(geodesic, "integrate_geodesic", refuse)
     xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
+    trace_geometry(monkeypatch, 0.4, 7)
+    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO))
     report = umbilicity_report(SPHERE, [patch])[0]
     assert report.verdict == "totally_umbilical"
     rescaled = rescale_metric(SPHERE, parse("0.3*sin(x1)", 3))
@@ -425,12 +458,13 @@ def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
     calls = []
     field_data = zeroset.field_data
 
-    def counting(chart, xi, p, order=2):
+    def counting(chart, xi, p):
         calls.append(np.shape(p))
-        return field_data(chart, xi, p, order)
+        return field_data(chart, xi, p)
 
     xi = models.rotation(FLAT4, 1, 2)
-    patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)), radius=0.3, grid=9)
+    trace_geometry(monkeypatch, 0.3, 9)
+    patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)))
     monkeypatch.setattr(zeroset, "field_data", counting)
     report = umbilicity_report(FLAT4, [patch])[0]
     assert calls == [(49, 4)]
@@ -443,7 +477,7 @@ def test_umbilicity_report_makes_one_frame_svd_call(monkeypatch):
     """The kernels and pseudo-inverses of nabla xi at all 9 interior nodes
     come from one stacked frame_svd call."""
     xi = models.rotation(FLAT4, 1, 2)
-    patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)), radius=0.3, grid=5)
+    patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)))
     calls = recording_calls(monkeypatch, geometry.frame_svd,
                             lambda out, factor, tensor, kind: (kind, np.shape(tensor)),
                             arguments=True)
@@ -464,7 +498,7 @@ def test_umbilicity_report_over_patches_is_the_per_patch_calls(monkeypatch):
 
     def traced(xi, zero):
         zero = np.array(zero, dtype=float)
-        return trace_component(flat6, xi, classify_at(flat6, xi, zero), radius=0.3, grid=5)
+        return trace_component(flat6, xi, classify_at(flat6, xi, zero))
 
     patches = [traced(sk, [0, 1, 0, 0, 0, 0]), traced(spin, np.zeros(6)),
                traced(combo, [0, 0, 0, 1, 0, 0]), traced(combo, [0, 0, 0, 0, 0.6, 0.8])]
@@ -504,13 +538,13 @@ def test_wrong_kernel_dimension_names_the_first_such_row():
 
 def test_second_fundamental_form_carries_the_metric_at_its_node():
     xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO), radius=0.3, grid=5)
+    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO))
     data = second_fundamental_form(SPHERE, patch.field, patch.samples[1][None], 1)
     assert np.array_equal(data.points[0], patch.samples[1])
     assert np.array_equal(data.metric[0], metric_value(SPHERE, data.points[:1])[0])
 
 
-def test_second_fundamental_form_refusals():
+def test_second_fundamental_form_refusals(monkeypatch):
     flat2 = models.euclidean(2)
     rot2 = models.rotation(flat2, 1, 2)
     point_patch = trace_component(flat2, rot2, classify_at(flat2, rot2, np.zeros(2)))
@@ -519,7 +553,8 @@ def test_second_fundamental_form_refusals():
 
     # the x3 axis is a 1-dimensional zero set, not a 2-dimensional one
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.2, grid=5)
+    trace_geometry(monkeypatch, 0.2, 5)
+    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
     with pytest.raises(PatchError, match="1-dimensional kernel"):
         second_fundamental_form(FLAT3, xi, patch.samples[2][None], 2)
 
@@ -540,7 +575,7 @@ def test_second_fundamental_form_refusals():
 
 def test_traced_axis_report_is_umbilical_with_even_codim():
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
+    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
     report = umbilicity_report(FLAT3, [patch])[0]
     assert report.verdict == "totally_umbilical"
     assert report.codim == 2
@@ -550,9 +585,10 @@ def test_traced_axis_report_is_umbilical_with_even_codim():
     assert report.points.shape == (len(report.indices), 3)
 
 
-def test_circle_component_report_on_round_chart():
+def test_circle_component_report_on_round_chart(monkeypatch):
     xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO), radius=0.4, grid=7)
+    trace_geometry(monkeypatch, 0.4, 7)
+    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO))
     report = umbilicity_report(SPHERE, [patch])[0]
     assert report.verdict == "totally_umbilical"
     assert report.codim_even
@@ -568,7 +604,7 @@ def test_umbilicity_verdicts_stable_under_rescaling():
     for every metric in the conformal class."""
     rescaled = rescale_metric(FLAT3, parse("0.3*sin(x1)", 3))
     xi = models.rotation(FLAT3, 1, 2)
-    traced = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)), radius=0.3, grid=5)
+    traced = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
     for patch, verdict in ((traced, "totally_umbilical"), (_cylinder_patch(), "not_umbilical")):
         assert umbilicity_report(FLAT3, [patch])[0].verdict == verdict
         assert umbilicity_report(rescaled, [patch])[0].verdict == verdict

@@ -100,6 +100,43 @@ MUTANTS = (
            "    if session.untraced:\n        result.update(passed=False, inconclusive=True)\n",
            '        "patches": entries,\n    }\n',
            "umbilicity must not pass having built no patch of a zero set it should check"),
+    # the thresholds, each pinned by a test in its module's test file
+    Mutant("conformal-tol", "src/confield/conformal.py",
+           "CONFORMAL_TOL = 1e-7",
+           "CONFORMAL_TOL = 1e-3",
+           "a rotation sheared by 1e-5 x1 x2 has a conformal residual of 3.7e-5"),
+    Mutant("classification-tol", "src/confield/essential.py",
+           "CLASSIFICATION_TOL = 1e-6",
+           "CLASSIFICATION_TOL = 1e-3",
+           "2^-13 times the Euler field has phi = 1.2e-4 at its zero: homothetic"),
+    Mutant("zero-tol", "src/confield/essential.py",
+           "ZERO_TOL = 1e-10",
+           "ZERO_TOL = 1e-6",
+           "(x1^2 + 1e-8, x2, x3) has |xi| >= 1e-8 and no zero"),
+    Mutant("isolation-radius", "src/confield/essential.py",
+           "ISOLATION_RADIUS = 0.05",
+           "ISOLATION_RADIUS = 0.005",
+           "an essential zero 0.02 from a Killing zero is not isolated"),
+    Mutant("verify-tol", "src/confield/zeroset.py",
+           "_VERIFY_TOL = 1e-5",
+           "_VERIFY_TOL = 1e-1",
+           "a patch run past the end of the unit circle has nodes at |xi|_g = 0.0202"),
+    Mutant("umbilicity-tol", "src/confield/zeroset.py",
+           "UMBILICITY_TOL = 1e-4",
+           "UMBILICITY_TOL = 1e-1",
+           "the graph x1 = x3^2 / 100 has an umbilicity residual of 0.014"),
+    Mutant("at-zero-gate", "src/confield/geometry.py",
+           "AT_ZERO_TOL = 1e-6",
+           "AT_ZERO_TOL = 1e-4",
+           "classify_zero and taylor_checks refuse a point with |xi|_g = 2e-6"),
+    Mutant("rank-rel-1e-8", "src/confield/geometry.py",
+           "_RANK_REL = 1e-6",
+           "_RANK_REL = 1e-8",
+           "a degenerate zero, placed to 2.5e-8 - 4e-8, carries tensor errors above 1e-8"),
+    Mutant("stack-wide-rank-cut", "src/confield/geometry.py",
+           "cut = np.maximum(_RANK_REL * sigma[..., :1], _RANK_ABS)",
+           "cut = np.maximum(_RANK_REL * sigma[..., :1].max(), _RANK_ABS)",
+           "each row of a stack is cut at its own largest singular value"),
     # the pointwise identities
     Mutant("taylor-target-without-phi-v", "src/confield/geodesic.py",
            "first_target = jets.phi[:, None] * v - 0.5 * matvec(",
