@@ -465,10 +465,9 @@ def _run_umbilicity(session: _Session) -> dict:
     entries = []
     # A zero whose traced patch left the zero set has no verdict here.
     passed = not any(e["failed"] for e in errors)
-    for patch, report in zip(built, umbilicity_report(session.chart, built)):
-        ok = report.verdict in (VERDICT_UMBILICAL, VERDICT_POINT)
-        if patch.k > 0:
-            ok = ok and report.codim_even
+    for patch, report in zip(built, umbilicity_report(session.chart, session.xi, built)):
+        codim_even = patch.codim % 2 == 0
+        ok = report.verdict in (VERDICT_UMBILICAL, VERDICT_POINT) and (patch.k == 0 or codim_even)
         passed = passed and ok
         entries.append(
             {
@@ -476,8 +475,8 @@ def _run_umbilicity(session: _Session) -> dict:
                 "k": patch.k,
                 "verdict": report.verdict,
                 "max_residual": report.max_residual,
-                "codim": report.codim,
-                "codim_even": report.codim_even,
+                "codim": patch.codim,
+                "codim_even": codim_even,
                 "mean_curvature_norms": report.mean_curvature_norms,
                 "passed": bool(ok),
             }

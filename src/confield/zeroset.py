@@ -10,10 +10,11 @@ frame at x, is moved from x + t.kernel onto xi = 0 along the normal space
 by Gauss-Newton steps, the corrector step of Allgower & Georg, *Numerical
 Continuation Methods* (1990), ch. 3, run by ``find_zeros``' solver
 :func:`~confield.essential.polish_zeros` with every grid node a lane.  The
-patch records the field on its parameter grid.  ``second_fundamental_form``
+patch is its grid of zeros and nothing else.  ``second_fundamental_form``
 measures the extrinsic curvature of the zero set at an array of its
 points, in one batched evaluation; ``umbilicity_report`` runs it over the
-interior nodes of a sequence of patches, once per patch dimension, and
+interior nodes of a sequence of patches of one field, once per patch
+dimension, and
 decides whether each patch is totally umbilical (all second
 fundamental form values proportional to the induced metric with a common
 mean curvature vector).
@@ -25,16 +26,16 @@ invertible on the normal space, and one more derivative along N gives
     B(X, Y) = -(nabla xi|_{TN^perp})^{-1} (nabla^2 xi)(X, Y).
 
 At a zero, nabla xi is the same for every metric in a conformal class, so a
-patch traced under g serves a rescaled chart as well: the metric is an
-explicit argument of the curvature routines rather than being read off the
-patch, and ``umbilicity_report(rescale_metric(chart, f), [patch])`` checks
-the conformal invariance of total umbilicity.
+patch traced under g serves a rescaled chart as well: the metric and the
+field are explicit arguments of the curvature routines rather than being
+read off the patch, and
+``umbilicity_report(rescale_metric(chart, f), xi, [patch])`` checks the
+conformal invariance of total umbilicity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -79,31 +80,22 @@ class OffZeroSetError(PatchError):
 
 @dataclass(frozen=True, eq=False)
 class SubmanifoldPatch:
-    """Piece of the zero set of ``field``, sampled on a parameter grid.
+    """Piece of a zero set, sampled on a k-dimensional grid of nodes.
 
-    ``mapping`` sends an (m, k) array of parameter vectors to (m, n) chart
-    coordinates on the zero set and is smooth; ``samples`` and
-    ``field_norms`` hold it and |field|_g at the grid nodes.  For k = 0
-    the patch is a single point and ``samples`` has shape (dim,).
+    ``samples`` has shape (G,) * k + (n,) and holds the chart coordinates
+    of the nodes; ``field_norms`` holds |xi|_g there, and ``codim`` is
+    n - k.  For k = 0 the patch is the single point ``base`` and
+    ``samples`` has shape (n,).
     """
 
-    chart: Chart
     base: np.ndarray
-    tangent_basis: np.ndarray
-    param_axes: tuple
     samples: np.ndarray
     field_norms: np.ndarray
     codim: int
-    mapping: Callable[[np.ndarray], np.ndarray]
-    field: FieldSpec
 
     @property
     def k(self) -> int:
-        return len(self.param_axes)
-
-    @property
-    def grid_shape(self) -> tuple:
-        return tuple(len(a) for a in self.param_axes)
+        return self.samples.ndim - 1
 
     @property
     def max_field_norm(self) -> float:
@@ -118,13 +110,14 @@ def trace_component(chart: Chart, xi: FieldSpec, zero: ZeroClassification) -> Su
     and reads x and the g-orthonormal bases of the kernel of the derivative
     2-form and of its complement from it.  The parameter t is a coordinate
     in the frame of that kernel, on a grid of ``TRACE_GRID`` nodes per axis
-    with side ``2 TRACE_RADIUS``.  The point for t is the predictor
+    with side ``2 TRACE_RADIUS``.  The node for t is the predictor
     x + t.kernel corrected onto xi = 0 along the normal space at x (the
-    complement) by :func:`polish_zeros`, so the patch is the zero set as a
-    graph over its tangent space at x and, by the implicit function
-    theorem, smooth in t.  ``mapping`` takes an (m, k) array of t; the grid
-    is one call.  A predictor outside the chart raises :class:`PatchError`.  For a zero with a trivial kernel
-    (every Killing-type zero on a surface) the patch is that one point.
+    complement) by one :func:`polish_zeros` call over the whole grid, so
+    the patch is the zero set as a graph over its tangent space at x and,
+    by the implicit function theorem, smooth in t.  A predictor outside
+    the chart raises :class:`PatchError`.  For a zero with a trivial
+    kernel (every Killing-type zero on a surface) the patch is that one
+    point.
 
     Every sample is verified to be a zero within ``_VERIFY_TOL``;
     :class:`OffZeroSetError` reports the first one off the zero set in
@@ -135,25 +128,17 @@ def trace_component(chart: Chart, xi: FieldSpec, zero: ZeroClassification) -> Su
             "zero set tracing requires a zero that is Killing for a "
             f"rescaled metric, got verdict {zero.verdict!r}"
         )
-    x, kernel, normals = zero.point, zero.kernel_basis, zero.normal_basis
-
+    x, kernel = zero.point, zero.kernel_basis
     k = kernel.shape[0]
-    n = chart.dim
-
-    def mapping(t):
-        t = np.asarray(t, dtype=float)
-        predicted = x + t @ kernel
-        inside = chart._inside(predicted)
-        if not np.all(inside):
-            raise PatchError("the predictor x + t.kernel leaves the chart at "
-                             f"t = {t[np.argmin(inside)]}")
-        # lanes cut off by the iteration cap are left to the verification
-        return polish_zeros(chart, xi, predicted, normals)[0]
-
-    param_axes = tuple(np.linspace(-TRACE_RADIUS, TRACE_RADIUS, TRACE_GRID) for _ in range(k))
-    shape = (TRACE_GRID,) * k
-    params = np.array(list(product(*param_axes))).reshape(TRACE_GRID**k, k)
-    samples = mapping(params)
+    axis = np.linspace(-TRACE_RADIUS, TRACE_RADIUS, TRACE_GRID)
+    params = np.array(list(product(axis, repeat=k))).reshape(TRACE_GRID**k, k)
+    predicted = x + params @ kernel
+    inside = chart._inside(predicted)
+    if not np.all(inside):
+        raise PatchError("the predictor x + t.kernel leaves the chart at "
+                         f"t = {params[np.argmin(inside)]}")
+    # lanes cut off by the iteration cap are left to the verification
+    samples = polish_zeros(chart, xi, predicted, zero.normal_basis)[0]
     norms = field_norm(chart, xi, samples)
     off = np.flatnonzero(~(norms < _VERIFY_TOL))
     if off.size:
@@ -161,18 +146,12 @@ def trace_component(chart: Chart, xi: FieldSpec, zero: ZeroClassification) -> Su
             f"traced patch leaves the zero set: |xi|_g = {norms[off[0]]:.3e} "
             f"at t = {params[off[0]]} exceeds {_VERIFY_TOL:.1e}"
         )
-    samples = samples.reshape(shape + (n,))
-    norms = norms.reshape(shape)
+    shape = (TRACE_GRID,) * k
     return SubmanifoldPatch(
-        chart=chart,
         base=x.copy(),
-        tangent_basis=kernel,
-        param_axes=param_axes,
-        samples=samples,
-        field_norms=norms,
-        codim=n - k,
-        mapping=mapping,
-        field=xi,
+        samples=samples.reshape(shape + (chart.dim,)),
+        field_norms=norms.reshape(shape),
+        codim=chart.dim - k,
     )
 
 
@@ -241,68 +220,49 @@ def second_fundamental_form(
 class UmbilicityReport:
     verdict: str
     max_residual: float
-    residuals: np.ndarray
     mean_curvature_norms: np.ndarray
-    codim: int
-    codim_even: bool
-    indices: tuple
-    points: np.ndarray
 
 
-def umbilicity_report(chart: Chart, patches) -> tuple:
+def umbilicity_report(chart: Chart, xi: FieldSpec, patches) -> tuple:
     """Umbilicity verdicts over the interior grid nodes of a sequence of
-    patches, as a tuple of reports in the same order.
+    patches of the zero set of ``xi``, as a tuple of reports in the same
+    order.
 
-    Every interior node of a patch is visited, in ``itertools.product``
-    order; the nodes of all patches of the same dimension k and the same
-    field go through one :func:`second_fundamental_form` call, so patches
-    of one field cost one call per distinct k, and each report equals the
-    call on the sequence holding that patch alone.  The residual at a node
-    is sqrt(sum_ab |B_ab - h_ab H|_g^2); a patch is reported totally
-    umbilical when its worst node stays below ``UMBILICITY_TOL``.  Point
-    patches get the verdict "point" with zero residual.  Where the curvature cannot be taken, the error of the first
-    group, in the order of the groups' first patches, is raised.
+    The interior nodes of a patch are ``samples[1:-1, ..., 1:-1]`` in C
+    order, which is ``itertools.product`` order of their grid indices, and
+    ``mean_curvature_norms`` holds |H|_g at each of them in that order.
+    The nodes of all patches of the same dimension k go through one
+    :func:`second_fundamental_form` call, so the patches cost one call per
+    distinct k, and each report equals the call on the sequence holding
+    that patch alone.  The residual at a node is
+    sqrt(sum_ab |B_ab - h_ab H|_g^2); a patch is reported totally umbilical
+    when its worst node stays below ``UMBILICITY_TOL``.  Point patches get
+    the verdict "point" with zero residual.  Where the curvature cannot be
+    taken, the error of the first k, in the order of the patches, is raised.
     """
     reports = [None] * len(patches)
     groups = {}
     for slot, patch in enumerate(patches):
         if patch.k == 0:
-            reports[slot] = UmbilicityReport(
-                verdict=VERDICT_POINT,
-                max_residual=0.0,
-                residuals=np.zeros(0),
-                mean_curvature_norms=np.zeros(0),
-                codim=patch.codim,
-                codim_even=patch.codim % 2 == 0,
-                indices=(),
-                points=np.asarray(patch.samples)[None, :],
-            )
+            reports[slot] = UmbilicityReport(VERDICT_POINT, 0.0, np.zeros(0))
         else:
-            groups.setdefault((patch.k, patch.field), []).append(slot)
-    for (k, field), slots in groups.items():
-        node_indices = [tuple(product(*(range(1, len(axis) - 1)
-                                        for axis in patches[slot].param_axes)))
-                        for slot in slots]
-        points = [patches[slot].samples[idx] for slot, indices in zip(slots, node_indices)
-                  for idx in indices]
-        data = second_fundamental_form(chart, field, points, k)
+            groups.setdefault(patch.k, []).append(slot)
+    for k, slots in groups.items():
+        nodes = [patches[slot].samples[(slice(1, -1),) * k].reshape(-1, chart.dim)
+                 for slot in slots]
+        data = second_fundamental_form(chart, xi, np.concatenate(nodes), k)
         g, H = data.metric, data.mean_curvature
         diff = data.normal_form - np.einsum("ab,mk->mabk", np.eye(k), H)
         residuals = np.sqrt(np.maximum(np.einsum("mabi,mij,mabj->m", diff, g, diff), 0.0))
         hnorms = np.sqrt(np.maximum(np.einsum("mi,mij,mj->m", H, g, H), 0.0))
         start = 0
-        for slot, indices in zip(slots, node_indices):
-            rows = slice(start, start + len(indices))
+        for slot, block in zip(slots, nodes):
+            rows = slice(start, start + len(block))
             start = rows.stop
             worst = float(residuals[rows].max())
             reports[slot] = UmbilicityReport(
                 verdict=VERDICT_UMBILICAL if worst < UMBILICITY_TOL else VERDICT_NOT_UMBILICAL,
                 max_residual=worst,
-                residuals=residuals[rows],
                 mean_curvature_norms=hnorms[rows],
-                codim=patches[slot].codim,
-                codim_even=patches[slot].codim % 2 == 0,
-                indices=indices,
-                points=data.points[rows],
             )
     return tuple(reports)

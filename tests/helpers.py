@@ -414,34 +414,32 @@ def map_patch(chart, xi, mapping, param_axes):
     """Patch of a known zero set of xi, built from its parametrization
     ``mapping``, which takes an (m, k) array of parameters.
 
-    The grid nodes are one call of ``mapping``, in ``np.ndindex`` order.
-    The tangent basis is the g-orthonormalized parameter derivatives at the
-    centre node.
+    The grid nodes are one call of ``mapping``, in ``np.ndindex`` order;
+    the base is the centre node.
     """
-    from confield.geometry import field_norm, metric_value
+    from confield.geometry import field_norm
     from confield.zeroset import SubmanifoldPatch
 
-    param_axes = tuple(np.asarray(a, dtype=float) for a in param_axes)
-    k = len(param_axes)
     shape = tuple(len(a) for a in param_axes)
     params = np.array([[axis[i] for axis, i in zip(param_axes, idx)]
-                       for idx in np.ndindex(*shape)])
-    samples = np.asarray(mapping(params), dtype=float)
-    norms = field_norm(chart, xi, samples)
-    centre = np.array([axis[len(axis) // 2] for axis in param_axes])
-    base = np.asarray(mapping(centre[None]), dtype=float)[0]
-    dP = np.stack([fd_partial(lambda s: mapping(s[None])[0], centre, a) for a in range(k)])
+                       for idx in np.ndindex(*shape)], dtype=float)
+    samples = np.asarray(mapping(params), dtype=float).reshape(shape + (chart.dim,))
     return SubmanifoldPatch(
-        chart=chart,
-        base=base,
-        tangent_basis=gram_schmidt(metric_value(chart, base[None])[0], dP),
-        param_axes=param_axes,
-        samples=samples.reshape(shape + (chart.dim,)),
-        field_norms=norms.reshape(shape),
-        codim=chart.dim - k,
-        mapping=mapping,
-        field=xi,
+        base=samples[tuple(size // 2 for size in shape)].copy(),
+        samples=samples,
+        field_norms=field_norm(chart, xi, samples.reshape(-1, chart.dim)).reshape(shape),
+        codim=chart.dim - len(shape),
     )
+
+
+def corrector(chart, xi, cls):
+    """The map ``trace_component`` samples at the zero ``cls`` classifies:
+    an (m, k) array of t to x + t.kernel corrected onto xi = 0 along the
+    normal space at x."""
+    from confield.essential import polish_zeros
+
+    return lambda t: polish_zeros(chart, xi, cls.point + t @ cls.kernel_basis,
+                                  cls.normal_basis)[0]
 
 
 def connection_change_residual(chart, f, p):

@@ -193,10 +193,10 @@ def test_traced_components_are_umbilical_with_even_codim(capsys):
     lines = []
     for chart, xi, base in scenarios:
         patch = trace_component(chart, xi, classify_at(chart, xi, base))
-        (report,) = umbilicity_report(chart, [patch])
+        (report,) = umbilicity_report(chart, xi, [patch])
         good = (
             report.max_residual < 1e-4
-            and (patch.k == 0 or report.codim_even)
+            and (patch.k == 0 or patch.codim % 2 == 0)
             and patch.max_field_norm < 1e-5
         )
         ok = ok and good
@@ -268,8 +268,8 @@ def test_conformal_rescaling_invariance(capsys):
 
     rotation = models.rotation(FLAT3, 1, 2)
     patch = trace_component(FLAT3, rotation, classify_at(FLAT3, rotation, np.zeros(3)))
-    v_before = umbilicity_report(FLAT3, [patch])[0].verdict
-    v_after = umbilicity_report(rescaled, [patch])[0].verdict
+    v_before = umbilicity_report(FLAT3, rotation, [patch])[0].verdict
+    v_after = umbilicity_report(rescaled, rotation, [patch])[0].verdict
     ok = ok and v_before == v_after == "totally_umbilical"
     _report(
         capsys,

@@ -1,5 +1,7 @@
 """Manifest runner: report rendering, determinism, exit codes."""
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import struct
@@ -13,6 +15,7 @@ import confield.cli as cli
 import confield.essential as essential
 import confield.geometry as geometry
 import confield.models as models
+import confield.zeroset as zeroset
 from confield.cli import SETTINGS, main, render_report
 from confield.geodesic import taylor_checks
 from confield.geometry import field_data, sample_interior
@@ -944,6 +947,75 @@ def test_curved_zero_sets_trace_with_unit_mean_curvature(tmp_path, monkeypatch, 
         pts = patch.samples.reshape(-1, dim)
         assert np.abs(pts[:, 0]).max() < 1e-12
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_mean_curvature_norms_follow_the_recorded_samples(tmp_path, monkeypatch, dim):
+    """What the benchmark reads from the zero-set layer: the samples of each
+    patch as cli.trace_component returns them, and the umbilicity entry's
+    mean_curvature_norms, entry j at node j of
+    product(range(1, G - 1), repeat=k) of those samples.  Under
+    g = e^{2f} flat with f = 0.3 x2 + 0.2 x3, sphere_killing(1, n + 1)
+    vanishes on the unit (n - 2)-sphere in x1 = 0, where
+    H_g = e^{-2f} (H - (grad f)^perp) with H = -x gives
+    |H|_g = e^{-f} (1 + grad f . x) = e^{-f} (1 + f): it varies from node
+    to node, and no reordering of the nodes keeps it."""
+    patches = []
+    trace_component = cli.trace_component
+
+    def recording(*args, **kwargs):
+        patches.append(trace_component(*args, **kwargs))
+        return patches[-1]
+
+    monkeypatch.setattr(cli, "trace_component", recording)
+    r2 = " - ".join(f"x{i}^2" for i in range(1, dim + 1))
+    manifest = {
+        "chart": {"metric": [["exp(0.6*x2 + 0.4*x3)" if i == j else "0" for j in range(dim)]
+                             for i in range(dim)],
+                  "lower": [-1.5] * dim, "upper": [1.5] * dim},
+        "field": {"components": [f"(1 - {r2})/2 + x1^2"]
+                  + [f"x1*x{i}" for i in range(2, dim + 1)]},
+        "analyses": ["zeros", "classify", "trace", "umbilicity"],
+        "seed": 1,
+    }
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0
+    entries = report["analyses"]["umbilicity"]["patches"]
+    assert len(patches) == len(entries) == 2
+    grid, k = zeroset.TRACE_GRID, dim - 2
+    for patch, entry in zip(patches, entries):
+        assert entry["verdict"] == "totally_umbilical" and entry["k"] == k
+        assert patch.samples.shape == (grid,) * k + (dim,)
+        norms = np.asarray(entry["mean_curvature_norms"])
+        assert norms.shape == ((grid - 2) ** k,)
+        nodes = [patch.samples[idx] for idx in itertools.product(range(1, grid - 1), repeat=k)]
+        f = np.array([0.3 * x[1] + 0.2 * x[2] for x in nodes])
+        assert np.abs(norms - np.exp(-f) * (1 + f)).max() < 1e-12
+        assert norms.max() - norms.min() > 1e-2
+
+
+def test_an_odd_codimension_fails_umbilicity(tmp_path, monkeypatch):
+    """The parity check reads the codimension of the patch.  No conformal
+    field has a Killing-type zero set of odd codimension, so the check is
+    reached through patches of the x3-x4 plane in euclidean/4 whose
+    codimension is set to 3: their verdicts stay totally umbilical, and
+    the analysis fails on the parity alone."""
+    trace_component = cli.trace_component
+    monkeypatch.setattr(cli, "trace_component",
+                        lambda *args: dataclasses.replace(trace_component(*args), codim=3))
+    manifest = {
+        "chart": {"name": "euclidean", "dim": 4},
+        "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
+        "analyses": ["zeros", "trace", "umbilicity"],
+    }
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 1
+    umb = report["analyses"]["umbilicity"]
+    assert umb["passed"] is False and umb["patches"]
+    for entry in umb["patches"]:
+        assert entry["verdict"] == "totally_umbilical"
+        assert entry["codim"] == 3 and entry["codim_even"] is False
+        assert entry["passed"] is False
 
 
 def test_umbilicity_lists_every_interior_node(tmp_path):

@@ -1,6 +1,7 @@
 """Zero set tracing, second fundamental form, and umbilicity reports."""
 import itertools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from confield.geometry import FieldSpec, metric_value, norm_vector
 from confield.zeroset import (
     OffZeroSetError,
     PatchError,
+    SubmanifoldPatch,
     second_fundamental_form,
     trace_component,
     umbilicity_report,
 )
 from helpers import (
     classify_at,
+    corrector,
     fd_second_fundamental_form,
     map_patch,
     recording_calls,
@@ -44,15 +47,14 @@ def test_rotation_axis_patch():
     patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
     assert patch.k == 1
     assert patch.codim == 2
-    assert patch.grid_shape == (5,)
     assert patch.samples.shape == (5, 3)
-    # the component is the x3 axis
+    assert patch.field_norms.shape == (5,)
+    # the component is the x3 axis, sampled at equal steps
     assert np.abs(patch.samples[:, :2]).max() < 1e-12
-    assert np.abs(np.abs(patch.tangent_basis[0, 2]) - norm_vector(np.eye(3), patch.tangent_basis[0])).max() < 1e-12
+    assert np.abs(np.abs(np.diff(patch.samples[:, 2])) - 0.15).max() < 1e-12
     assert patch.max_field_norm < 1e-12
-    # parameters reach the requested radius
-    assert patch.param_axes[0][0] == pytest.approx(-0.3)
-    assert patch.param_axes[0][-1] == pytest.approx(0.3)
+    # the nodes reach the requested radius
+    assert sorted(patch.samples[[0, -1], 2]) == pytest.approx([-0.3, 0.3])
 
 
 def test_circle_component_patch_on_round_chart(monkeypatch):
@@ -75,7 +77,7 @@ def test_plane_component_in_four_dimensions(monkeypatch):
     patch = trace_component(flat4, xi, classify_at(flat4, xi, np.zeros(4)))
     assert patch.k == 2
     assert patch.codim == 2
-    assert patch.grid_shape == (5, 5)
+    assert patch.samples.shape == (5, 5, 4)
     flat = patch.samples.reshape(-1, 4)
     # the component is the x3-x4 plane
     assert np.abs(flat[:, :2]).max() < 1e-10
@@ -101,9 +103,9 @@ def test_two_dimensional_point_component():
     assert patch.k == 0
     assert patch.codim == 2
     assert patch.samples.shape == (2,)
-    report = umbilicity_report(flat2, [patch])[0]
+    report = umbilicity_report(flat2, xi, [patch])[0]
     assert report.verdict == "point"
-    assert report.codim_even
+    assert report.max_residual == 0.0 and report.mean_curvature_norms.shape == (0,)
 
 
 def test_two_dimensional_scaling_zero_refused():
@@ -122,16 +124,6 @@ def test_two_dimensional_nan_zero_refused():
     xi = FieldSpec(flat2, (Mul(Const(math.inf), Var(0)), Var(1)))
     with pytest.raises(ValueError, match="expects a zero"):
         trace_component(flat2, xi, classify_at(flat2, xi, np.zeros(2)))
-
-
-def test_traced_patch_records_its_field(monkeypatch):
-    xi = models.rotation(FLAT3, 1, 2)
-    trace_geometry(monkeypatch, 0.2, 5)
-    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
-    assert patch.field is xi
-    flat2 = models.euclidean(2)
-    rot2 = models.rotation(flat2, 1, 2)
-    assert trace_component(flat2, rot2, classify_at(flat2, rot2, np.zeros(2))).field is rot2
 
 
 def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
@@ -183,7 +175,7 @@ def test_predictor_outside_the_chart_is_a_skip_not_a_failure(monkeypatch):
 
 def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
     """The corrector's normals, the classification's normal_basis, are
-    g-orthonormal and g-orthogonal to tangent_basis, and tracing decomposes
+    g-orthonormal and g-orthogonal to its kernel_basis, and tracing decomposes
     nothing more.  Under g = e^{2f} flat with e^{2f} != 1 at the base (so
     Euclidean-orthonormal rows would fail), every sample of the unit-circle
     zero set lies on x + t.kernel plus a g-normal displacement."""
@@ -195,12 +187,13 @@ def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
     patch = trace_component(chart, xi, zero)
     assert calls == []
     g, normals = metric_value(chart, base[None])[0], zero.normal_basis
-    tangent = patch.tangent_basis
+    tangent = zero.kernel_basis
     assert abs(g[0, 0] - 1.0) > 0.1
     assert normals.shape == (2, 3)
     assert np.abs(normals @ g @ normals.T - np.eye(2)).max() < 1e-12
     assert np.abs(normals @ g @ tangent.T).max() < 1e-12
-    moves = patch.samples - base - np.outer(patch.param_axes[0], tangent[0])
+    axis = np.linspace(-zeroset.TRACE_RADIUS, zeroset.TRACE_RADIUS, zeroset.TRACE_GRID)
+    moves = patch.samples - base - np.outer(axis, tangent[0])
     assert np.abs(moves @ g @ tangent[0]).max() < 1e-12
     assert np.abs(moves).max() > 1e-3  # the circle curves away from its tangent
     assert patch.max_field_norm < 1e-12
@@ -213,6 +206,21 @@ def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
 # that zero set; the jet path reads only the node points and xi.
 
 
+class Known(NamedTuple):
+    """A zero set of ``xi`` with its parametrization ``mapping``, which
+    takes an (m, k) array of parameters, and its patch on the grid
+    ``axes``."""
+
+    xi: FieldSpec
+    mapping: Callable
+    axes: tuple
+    patch: SubmanifoldPatch
+
+
+def _known(chart, xi, mapping, axes):
+    return Known(xi, mapping, axes, map_patch(chart, xi, mapping, axes))
+
+
 def _linspace(lo, hi, num):
     return np.linspace(lo, hi, num)
 
@@ -221,31 +229,41 @@ def _field(chart, *components):
     return FieldSpec(chart, tuple(parse(c, chart.dim) for c in components))
 
 
-def _assert_jet_path_matches_fd(chart, patch):
+def _interior(patch):
+    """The interior nodes of a patch, in the order umbilicity_report
+    visits them."""
+    k = patch.k
+    return np.array([patch.samples[idx]
+                     for idx in itertools.product(*(range(1, size - 1)
+                                                    for size in patch.samples.shape[:k]))])
+
+
+def _assert_jet_path_matches_fd(chart, known):
     """Compare the jet path with the Richardson reference of the patch map
     at every node the umbilicity report visits.
 
     B is compared in the parameter basis: the FD tangents are
     dP_a = C[a, c] e_c in the jet path's orthonormal frame e.
     """
-    report = umbilicity_report(chart, [patch])[0]
-    jet = second_fundamental_form(chart, patch.field, report.points, patch.k)
-    for m, idx in enumerate(report.indices):
-        t = np.array([axis[i] for axis, i in zip(patch.param_axes, idx)])
-        point, dP, B_fd, H_fd = fd_second_fundamental_form(chart, patch.mapping, t)
+    k = len(known.axes)
+    report = umbilicity_report(chart, known.xi, [known.patch])[0]
+    jet = second_fundamental_form(chart, known.xi, _interior(known.patch), k)
+    for m, t in enumerate(itertools.product(*(axis[1:-1] for axis in known.axes))):
+        point, dP, B_fd, H_fd = fd_second_fundamental_form(chart, known.mapping, np.array(t))
         assert np.array_equal(jet.points[m], point)
         g = metric_value(chart, jet.points[m][None])[0]
         e = jet.tangent_frame[m]
-        assert np.abs(e @ g @ e.T - np.eye(patch.k)).max() < 1e-12
+        assert np.abs(e @ g @ e.T - np.eye(k)).max() < 1e-12
         C = dP @ g @ e.T
         B_param = np.einsum("ac,bd,cdk->abk", C, C, jet.normal_form[m])
         assert np.abs(B_param - B_fd).max() < 1e-8
         assert np.abs(jet.mean_curvature[m] - H_fd).max() < 1e-8
         assert abs(report.mean_curvature_norms[m] - norm_vector(g, H_fd)) < 1e-8
+    assert len(report.mean_curvature_norms) == len(jet.points)
     return report
 
 
-def _sphere_patch():
+def _sphere():
     """The sphere of radius 0.5 about the origin, zero set of (|x|^2 - 1/4) x."""
     r2 = "(x1^2 + x2^2 + x3^2 - 0.25)"
     xi = _field(FLAT3, f"{r2}*x1", f"{r2}*x2", f"{r2}*x3")
@@ -256,10 +274,10 @@ def _sphere_patch():
             [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
         )
 
-    return map_patch(FLAT3, xi, rowwise(emb), (_linspace(0.6, 2.5, 9), _linspace(-2.8, 2.8, 9)))
+    return _known(FLAT3, xi, rowwise(emb), (_linspace(0.6, 2.5, 9), _linspace(-2.8, 2.8, 9)))
 
 
-def _cylinder_patch():
+def _cylinder():
     """The cylinder of radius 0.8 about the x3 axis, zero set of
     (x1^2 + x2^2 - 0.64) (x1, x2, 0)."""
     r2 = "(x1^2 + x2^2 - 0.64)"
@@ -269,22 +287,21 @@ def _cylinder_patch():
         th, z = t
         return np.array([0.8 * math.cos(th), 0.8 * math.sin(th), z])
 
-    return map_patch(FLAT3, xi, rowwise(emb), (_linspace(-2.5, 2.5, 9), _linspace(-1.0, 1.0, 9)))
+    return _known(FLAT3, xi, rowwise(emb), (_linspace(-2.5, 2.5, 9), _linspace(-1.0, 1.0, 9)))
 
 
-def _unit_circle_patch():
+def _unit_circle():
     """sphere_killing(1, 4) vanishes on the unit circle in the plane x1 = 0,
     which has |H| = 1 in flat space."""
-    xi = models.sphere_killing(FLAT3, 1, 4)
-    return map_patch(
+    return _known(
         FLAT3,
-        xi,
+        models.sphere_killing(FLAT3, 1, 4),
         rowwise(lambda t: np.array([0.0, math.cos(t[0]), math.sin(t[0])])),
         (_linspace(-0.6, 0.6, 7),),
     )
 
 
-def _unit_two_sphere_patch():
+def _unit_two_sphere():
     """sphere_killing(1, 5) vanishes on the unit 2-sphere in x1 = 0."""
     xi = models.sphere_killing(FLAT4, 1, 5)
 
@@ -294,44 +311,46 @@ def _unit_two_sphere_patch():
             [0.0, math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
         )
 
-    return map_patch(FLAT4, xi, rowwise(emb), (_linspace(1.0, 2.0, 5), _linspace(-0.5, 0.5, 5)))
+    return _known(FLAT4, xi, rowwise(emb), (_linspace(1.0, 2.0, 5), _linspace(-0.5, 0.5, 5)))
 
 
 def test_hyperplane_has_zero_second_fundamental_form():
-    patch = map_patch(
+    known = _known(
         FLAT3,
         _field(FLAT3, "0", "0", "x3 - 0.25"),
         rowwise(lambda t: np.array([t[0], t[1], 0.25])),
         (_linspace(-0.5, 0.5, 7), _linspace(-0.5, 0.5, 7)),
     )
+    patch = known.patch
     assert patch.field_norms.shape == (7, 7)
     assert patch.max_field_norm == 0.0
-    data = second_fundamental_form(FLAT3, patch.field, patch.samples[3, 3][None], 2)
+    data = second_fundamental_form(FLAT3, known.xi, patch.samples[3, 3][None], 2)
     assert np.abs(data.normal_form).max() < 1e-9
     assert np.abs(data.mean_curvature).max() < 1e-9
-    report = _assert_jet_path_matches_fd(FLAT3, patch)
+    report = _assert_jet_path_matches_fd(FLAT3, known)
     assert report.verdict == "totally_umbilical"
     assert report.max_residual < 1e-8
 
 
 def test_round_two_sphere_is_umbilical_with_mean_curvature_two():
-    patch = _sphere_patch()
+    known = _sphere()
+    patch = known.patch
     assert patch.max_field_norm < 1e-15
-    data = second_fundamental_form(FLAT3, patch.field, patch.samples[4, 4][None], 2)
+    data = second_fundamental_form(FLAT3, known.xi, patch.samples[4, 4][None], 2)
     p = data.points[0]
     # B must be proportional to the induced metric with normal of length 1/r
     assert np.linalg.norm(data.mean_curvature[0]) == pytest.approx(2.0, abs=1e-5)
     # mean curvature points radially
     cross = np.cross(data.mean_curvature[0], p)
     assert np.linalg.norm(cross) < 1e-5
-    report = _assert_jet_path_matches_fd(FLAT3, patch)
+    report = _assert_jet_path_matches_fd(FLAT3, known)
     assert report.verdict == "totally_umbilical"
     assert report.max_residual < 1e-4
-    assert not report.codim_even  # codim 1, reported honestly
+    assert patch.codim == 1  # a hypersurface: odd codimension, reported as it is
 
 
 def test_cylinder_is_not_umbilical():
-    report = _assert_jet_path_matches_fd(FLAT3, _cylinder_patch())
+    report = _assert_jet_path_matches_fd(FLAT3, _cylinder())
     assert report.verdict == "not_umbilical"
     assert report.max_residual > 0.5
 
@@ -340,17 +359,25 @@ def test_a_slightly_bent_plane_is_not_umbilical():
     """The graph x1 = x3^2 / 100, zero set of (x1 - x3^2 / 100, 0, 0), bends
     along x3 alone: its principal curvatures are 0 and k = 0.02 / (1 +
     4e-4 x3^2)^(3/2), so B - g H has norm k / sqrt(2), about 0.014, at
-    every node, and no patch of it is totally umbilical."""
+    every node, and no patch of it is totally umbilical.  The residual at
+    each interior node is the worst one of the 3 x 3 block around it, whose
+    one interior node it is."""
+    xi = _field(FLAT3, "x1 - 0.01*x3^2", "0", "0")
     patch = map_patch(
         FLAT3,
-        _field(FLAT3, "x1 - 0.01*x3^2", "0", "0"),
+        xi,
         rowwise(lambda t: np.array([0.01 * t[1] ** 2, t[0], t[1]])),
         (_linspace(-0.5, 0.5, 5), _linspace(-0.5, 0.5, 5)),
     )
-    report = umbilicity_report(FLAT3, [patch])[0]
-    x3 = report.points[:, 2]
-    np.testing.assert_allclose(report.residuals, 0.02 / (1 + 4e-4 * x3 ** 2) ** 1.5 / math.sqrt(2),
+    report = umbilicity_report(FLAT3, xi, [patch])[0]
+    blocks = [SubmanifoldPatch(patch.base, patch.samples[i - 1:i + 2, j - 1:j + 2],
+                               patch.field_norms[i - 1:i + 2, j - 1:j + 2], patch.codim)
+              for i, j in itertools.product(range(1, 4), repeat=2)]
+    residuals = [r.max_residual for r in umbilicity_report(FLAT3, xi, blocks)]
+    x3 = _interior(patch)[:, 2]
+    np.testing.assert_allclose(residuals, 0.02 / (1 + 4e-4 * x3 ** 2) ** 1.5 / math.sqrt(2),
                                rtol=1e-9)
+    assert report.max_residual == max(residuals)
     assert report.verdict == "not_umbilical"
 
 
@@ -358,15 +385,15 @@ def test_great_subsphere_is_minimal_in_round_metric():
     """The coordinate unit circle in the x1-x2 plane is a closed geodesic
     circle of the round metric; as the fixed set of an isometry it is
     totally geodesic: B = 0, H = 0."""
-    patch = map_patch(
+    known = _known(
         SPHERE,
         models.sphere_killing(SPHERE, 3, 4),
         rowwise(lambda t: np.array([math.cos(t[0]), math.sin(t[0]), 0.0])),
         (_linspace(-3.0, 3.0, 13),),
     )
-    data = second_fundamental_form(SPHERE, patch.field, patch.samples[6][None], 1)
+    data = second_fundamental_form(SPHERE, known.xi, known.patch.samples[6][None], 1)
     assert np.abs(data.normal_form).max() < 1e-6
-    report = _assert_jet_path_matches_fd(SPHERE, patch)
+    report = _assert_jet_path_matches_fd(SPHERE, known)
     assert report.verdict == "totally_umbilical"
     assert np.abs(report.mean_curvature_norms).max() < 1e-5
 
@@ -375,19 +402,20 @@ def test_great_subsphere_is_minimal_in_round_metric():
 
 
 def test_jet_path_on_unit_circle_zero_set():
-    patch = _unit_circle_patch()
-    assert patch.max_field_norm < 1e-14
-    report = _assert_jet_path_matches_fd(FLAT3, patch)
+    known = _unit_circle()
+    assert known.patch.max_field_norm < 1e-14
+    assert known.patch.codim == 2
+    report = _assert_jet_path_matches_fd(FLAT3, known)
     assert report.verdict == "totally_umbilical"
     assert np.abs(report.mean_curvature_norms - 1.0).max() < 1e-12
-    assert report.codim_even
 
 
 def test_jet_path_on_unit_two_sphere_zero_set():
-    report = _assert_jet_path_matches_fd(FLAT4, _unit_two_sphere_patch())
+    known = _unit_two_sphere()
+    assert known.patch.codim == 2
+    report = _assert_jet_path_matches_fd(FLAT4, known)
     assert report.verdict == "totally_umbilical"
     assert np.abs(report.mean_curvature_norms - 1.0).max() < 1e-12
-    assert report.codim_even
 
 
 @pytest.mark.parametrize(
@@ -395,22 +423,25 @@ def test_jet_path_on_unit_two_sphere_zero_set():
 )
 def test_jet_path_on_traced_hyperbolic_patches(base, monkeypatch):
     """The FD reference runs on the 3 x 3 sub-grid around traced node (1, 1),
-    through the traced mapping, to keep the number of corrector runs small."""
+    through the corrector that tracing runs, to keep the number of corrector
+    runs small."""
     xi = models.rotation(HYP4, 1, 2)
     trace_geometry(monkeypatch, 0.2, 5)
-    traced = trace_component(HYP4, xi, classify_at(HYP4, xi, base))
+    zero = classify_at(HYP4, xi, base)
+    traced = trace_component(HYP4, xi, zero)
     assert traced.k == 2
-    sub = map_patch(HYP4, xi, traced.mapping, tuple(axis[0:3] for axis in traced.param_axes))
-    assert np.array_equal(sub.samples[1, 1], traced.samples[1, 1])
+    axis = np.linspace(-0.2, 0.2, 5)[0:3]
+    sub = _known(HYP4, xi, corrector(HYP4, xi, zero), (axis, axis))
+    assert np.array_equal(sub.patch.samples, traced.samples[0:3, 0:3])
     _assert_jet_path_matches_fd(HYP4, sub)
-    report = umbilicity_report(HYP4, [traced])[0]
+    report = umbilicity_report(HYP4, xi, [traced])[0]
     assert report.verdict == "totally_umbilical"
     assert report.max_residual < 1e-9
     assert np.abs(report.mean_curvature_norms).max() < 1e-9
 
 
 def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
-    """Neither the corrector of the traced mapping nor the jet path, which
+    """Neither the corrector of tracing nor the jet path, which
     reads the traced samples only, integrates a geodesic."""
 
     def refuse(*args, **kwargs):
@@ -420,10 +451,10 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
     xi = models.sphere_killing(SPHERE, 3, 4)
     trace_geometry(monkeypatch, 0.4, 7)
     patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO))
-    report = umbilicity_report(SPHERE, [patch])[0]
+    report = umbilicity_report(SPHERE, xi, [patch])[0]
     assert report.verdict == "totally_umbilical"
     rescaled = rescale_metric(SPHERE, parse("0.3*sin(x1)", 3))
-    assert umbilicity_report(rescaled, [patch])[0].verdict == "totally_umbilical"
+    assert umbilicity_report(rescaled, xi, [patch])[0].verdict == "totally_umbilical"
     # the guard is live: exp_map does integrate
     with pytest.raises(AssertionError, match="geodesic integration"):
         geodesic.exp_map(SPHERE, np.zeros(3), np.array([0.1, 0.0, 0.0]))
@@ -434,42 +465,42 @@ def test_batched_second_fundamental_form_matches_per_point():
     frame of the stack of one holding node m, bit for bit."""
     rescaled = rescale_metric(FLAT3, parse("0.3*sin(x2) + x3/5", 3))
     cases = [
-        (FLAT3, _sphere_patch()),
-        (FLAT3, _cylinder_patch()),
-        (FLAT3, _unit_circle_patch()),
-        (FLAT4, _unit_two_sphere_patch()),
-        (rescaled, _unit_circle_patch()),
-        (rescaled, _sphere_patch()),
+        (FLAT3, _sphere()),
+        (FLAT3, _cylinder()),
+        (FLAT3, _unit_circle()),
+        (FLAT4, _unit_two_sphere()),
+        (rescaled, _unit_circle()),
+        (rescaled, _sphere()),
     ]
-    for chart, patch in cases:
+    for chart, (xi, _, _, patch) in cases:
         points = patch.samples.reshape(-1, chart.dim)
-        data = second_fundamental_form(chart, patch.field, points, patch.k)
+        data = second_fundamental_form(chart, xi, points, patch.k)
         assert data.normal_form.shape == (len(points), patch.k, patch.k, chart.dim)
         assert np.array_equal(data.points, points)
         for m in range(len(points)):
-            one = second_fundamental_form(chart, patch.field, points[m:m + 1], patch.k)
+            one = second_fundamental_form(chart, xi, points[m:m + 1], patch.k)
             assert np.array_equal(data.normal_form[m], one.normal_form[0])
             assert np.array_equal(data.tangent_frame[m], one.tangent_frame[0])
 
 
 def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
     """All interior nodes of a patch, 7 x 7 here, go through one batched
-    field_data call."""
+    field_data call, in itertools.product order of their grid indices."""
     calls = []
     field_data = zeroset.field_data
 
     def counting(chart, xi, p):
-        calls.append(np.shape(p))
+        calls.append(np.array(p))
         return field_data(chart, xi, p)
 
     xi = models.rotation(FLAT4, 1, 2)
     trace_geometry(monkeypatch, 0.3, 9)
     patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)))
     monkeypatch.setattr(zeroset, "field_data", counting)
-    report = umbilicity_report(FLAT4, [patch])[0]
-    assert calls == [(49, 4)]
-    assert report.indices == tuple(itertools.product(range(1, 8), repeat=2))
-    assert np.array_equal(report.points, [patch.samples[idx] for idx in report.indices])
+    report = umbilicity_report(FLAT4, xi, [patch])[0]
+    assert [p.shape for p in calls] == [(49, 4)]
+    nodes = itertools.product(range(1, 8), repeat=2)
+    assert np.array_equal(calls[0], [patch.samples[idx] for idx in nodes])
     assert len(report.mean_curvature_norms) == 49
 
 
@@ -481,34 +512,42 @@ def test_umbilicity_report_makes_one_frame_svd_call(monkeypatch):
     calls = recording_calls(monkeypatch, geometry.frame_svd,
                             lambda out, factor, tensor, kind: (kind, np.shape(tensor)),
                             arguments=True)
-    umbilicity_report(FLAT4, [patch])[0]
+    umbilicity_report(FLAT4, xi, [patch])[0]
     assert calls == [("endomorphism", (9, 4, 4))]
 
 
 def test_umbilicity_report_over_patches_is_the_per_patch_calls(monkeypatch):
-    """On euclidean(6): a 4-sphere (sphere_killing(1, 7)), two pieces of a
-    2-sphere (that field plus rotation(2, 3)) and a point patch.  One call
-    on all four gives each patch's report from a call on that patch alone,
-    bit for bit, from one second_fundamental_form call per distinct k."""
+    """On euclidean(6), xi = (a(u), a(v)) with u = (x1, x2, x3), v = (x4,
+    x5, x6) and a(u) = ((u1^2 + u2^2 - 1) u1, (u1^2 + u2^2 - 1) u2, u3)
+    vanishes on the unit circle C in u3 = 0 and at 0, nondegenerately on
+    each: its zero set holds the torus C x C, the circles C x 0 and 0 x C
+    and the origin.  One call on a patch of each gives each patch's report
+    from a call on that patch alone, bit for bit, from one
+    second_fundamental_form call per distinct k."""
     flat6 = models.euclidean(6)
-    sk = models.sphere_killing(flat6, 1, 7)
-    rot = models.rotation(flat6, 2, 3)
-    combo = FieldSpec(flat6, tuple(Add(a, b) for a, b in zip(sk.components, rot.components)))
-    spin = _field(flat6, "-x2", "x1", "-x4", "x3", "-x6", "x5")
+    xi = _field(flat6, "(x1^2 + x2^2 - 1)*x1", "(x1^2 + x2^2 - 1)*x2", "x3",
+                "(x4^2 + x5^2 - 1)*x4", "(x4^2 + x5^2 - 1)*x5", "x6")
 
-    def traced(xi, zero):
-        zero = np.array(zero, dtype=float)
-        return trace_component(flat6, xi, classify_at(flat6, xi, zero))
+    def circle(t):
+        return np.array([math.cos(t), math.sin(t), 0.0])
 
-    patches = [traced(sk, [0, 1, 0, 0, 0, 0]), traced(spin, np.zeros(6)),
-               traced(combo, [0, 0, 0, 1, 0, 0]), traced(combo, [0, 0, 0, 0, 0.6, 0.8])]
-    assert [patch.k for patch in patches] == [4, 0, 2, 2]
-    singles = [umbilicity_report(flat6, [patch])[0] for patch in patches]
+    axis = _linspace(-0.5, 0.5, 5)
+    torus = map_patch(flat6, xi, rowwise(lambda t: np.concatenate([circle(t[0]), circle(t[1])])),
+                      (axis, axis))
+    first = map_patch(flat6, xi, rowwise(lambda t: np.concatenate([circle(t[0]), np.zeros(3)])),
+                      (axis,))
+    second = map_patch(flat6, xi, rowwise(lambda t: np.concatenate([np.zeros(3), circle(t[0])])),
+                       (axis,))
+    origin = SubmanifoldPatch(np.zeros(6), np.zeros(6), np.zeros(()), 6)
+    patches = [torus, origin, first, second]
+    assert [patch.k for patch in patches] == [2, 0, 1, 1]
+    assert max(patch.max_field_norm for patch in patches) < 1e-15
+    singles = [umbilicity_report(flat6, xi, [patch])[0] for patch in patches]
     calls = recording_calls(monkeypatch, zeroset.second_fundamental_form,
                             lambda out, chart, xi, points, k: (k, len(points)),
                             arguments=True)
-    reports = umbilicity_report(flat6, patches)
-    assert calls == [(4, 81), (2, 18)]
+    reports = umbilicity_report(flat6, xi, patches)
+    assert calls == [(2, 9), (1, 6)]
     assert isinstance(reports, tuple) and len(reports) == 4
     for got, want in zip(reports, singles):
         for name in zeroset.UmbilicityReport.__dataclass_fields__:
@@ -518,9 +557,11 @@ def test_umbilicity_report_over_patches_is_the_per_patch_calls(monkeypatch):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             else:
                 assert a == b, name
-    assert [r.verdict for r in reports] == ["totally_umbilical", "point"] + ["totally_umbilical"] * 2
-    assert max(reports[2].mean_curvature_norms) == pytest.approx(1.0, abs=1e-10)
-    assert umbilicity_report(flat6, []) == ()
+    assert [r.verdict for r in reports] == ["not_umbilical", "point"] + ["totally_umbilical"] * 2
+    # the flat torus C x C has H = -(u + v) / 2 with |H| = 1 / sqrt(2)
+    assert np.abs(reports[0].mean_curvature_norms - math.sqrt(0.5)).max() < 1e-12
+    assert np.abs(reports[2].mean_curvature_norms - 1.0).max() < 1e-12
+    assert umbilicity_report(flat6, xi, []) == ()
 
 
 def test_wrong_kernel_dimension_names_the_first_such_row():
@@ -539,7 +580,7 @@ def test_wrong_kernel_dimension_names_the_first_such_row():
 def test_second_fundamental_form_carries_the_metric_at_its_node():
     xi = models.sphere_killing(SPHERE, 3, 4)
     patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO))
-    data = second_fundamental_form(SPHERE, patch.field, patch.samples[1][None], 1)
+    data = second_fundamental_form(SPHERE, xi, patch.samples[1][None], 1)
     assert np.array_equal(data.points[0], patch.samples[1])
     assert np.array_equal(data.metric[0], metric_value(SPHERE, data.points[:1])[0])
 
@@ -549,7 +590,7 @@ def test_second_fundamental_form_refusals(monkeypatch):
     rot2 = models.rotation(flat2, 1, 2)
     point_patch = trace_component(flat2, rot2, classify_at(flat2, rot2, np.zeros(2)))
     with pytest.raises(PatchError):
-        second_fundamental_form(flat2, point_patch.field, point_patch.samples[None], 0)
+        second_fundamental_form(flat2, rot2, point_patch.samples[None], 0)
 
     # the x3 axis is a 1-dimensional zero set, not a 2-dimensional one
     xi = models.rotation(FLAT3, 1, 2)
@@ -561,12 +602,12 @@ def test_second_fundamental_form_refusals(monkeypatch):
     # The jet formula needs no neighbouring node, so boundary nodes are not
     # refused: the end nodes of the unit circle get |H| = 1 and the
     # Richardson reference's B.
-    patch = _unit_circle_patch()
-    ends = (0, len(patch.param_axes[0]) - 1)
-    data = second_fundamental_form(FLAT3, patch.field, patch.samples[list(ends)], 1)
+    known = _unit_circle()
+    (axis,) = known.axes
+    ends = (0, len(axis) - 1)
+    data = second_fundamental_form(FLAT3, known.xi, known.patch.samples[list(ends)], 1)
     for m, i in enumerate(ends):
-        t = np.array([patch.param_axes[0][i]])
-        _, dP, B_fd, _ = fd_second_fundamental_form(FLAT3, patch.mapping, t)
+        _, dP, B_fd, _ = fd_second_fundamental_form(FLAT3, known.mapping, axis[i:i + 1])
         assert abs(np.linalg.norm(data.mean_curvature[m]) - 1.0) < 1e-12
         C = dP @ data.tangent_frame[m].T
         B_param = np.einsum("ac,bd,cdk->abk", C, C, data.normal_form[m])
@@ -576,22 +617,20 @@ def test_second_fundamental_form_refusals(monkeypatch):
 def test_traced_axis_report_is_umbilical_with_even_codim():
     xi = models.rotation(FLAT3, 1, 2)
     patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
-    report = umbilicity_report(FLAT3, [patch])[0]
+    report = umbilicity_report(FLAT3, xi, [patch])[0]
     assert report.verdict == "totally_umbilical"
-    assert report.codim == 2
-    assert report.codim_even
+    assert patch.codim == 2
     assert report.max_residual < 1e-6
-    assert len(report.indices) == len(report.residuals)
-    assert report.points.shape == (len(report.indices), 3)
+    assert report.mean_curvature_norms.shape == (3,)
 
 
 def test_circle_component_report_on_round_chart(monkeypatch):
     xi = models.sphere_killing(SPHERE, 3, 4)
     trace_geometry(monkeypatch, 0.4, 7)
     patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO))
-    report = umbilicity_report(SPHERE, [patch])[0]
+    report = umbilicity_report(SPHERE, xi, [patch])[0]
     assert report.verdict == "totally_umbilical"
-    assert report.codim_even
+    assert patch.codim == 2
     assert report.max_residual < 1e-4
     assert np.abs(report.mean_curvature_norms).max() < 1e-3
 
@@ -605,18 +644,20 @@ def test_umbilicity_verdicts_stable_under_rescaling():
     rescaled = rescale_metric(FLAT3, parse("0.3*sin(x1)", 3))
     xi = models.rotation(FLAT3, 1, 2)
     traced = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
-    for patch, verdict in ((traced, "totally_umbilical"), (_cylinder_patch(), "not_umbilical")):
-        assert umbilicity_report(FLAT3, [patch])[0].verdict == verdict
-        assert umbilicity_report(rescaled, [patch])[0].verdict == verdict
+    cylinder = _cylinder()
+    for field, patch, verdict in ((xi, traced, "totally_umbilical"),
+                                  (cylinder.xi, cylinder.patch, "not_umbilical")):
+        assert umbilicity_report(FLAT3, field, [patch])[0].verdict == verdict
+        assert umbilicity_report(rescaled, field, [patch])[0].verdict == verdict
 
 
 def test_rescaled_synthetic_sphere_stays_umbilical():
     """Umbilical points are conformally invariant even though the mean
     curvature itself is not."""
-    patch = _sphere_patch()
+    xi, _, _, patch = _sphere()
     rescaled = rescale_metric(FLAT3, parse("x1/4 + x3/5", 3))
-    assert umbilicity_report(FLAT3, [patch])[0].verdict == "totally_umbilical"
-    assert umbilicity_report(rescaled, [patch])[0].verdict == "totally_umbilical"
+    assert umbilicity_report(FLAT3, xi, [patch])[0].verdict == "totally_umbilical"
+    assert umbilicity_report(rescaled, xi, [patch])[0].verdict == "totally_umbilical"
 
 
 def test_mean_curvature_under_rescaling():
@@ -625,11 +666,12 @@ def test_mean_curvature_under_rescaling():
     gradient of the flat metric."""
     f = parse("0.3*sin(x2) + x3/5", 3)
     rescaled = rescale_metric(FLAT3, f)
-    patch = _unit_circle_patch()
-    report = _assert_jet_path_matches_fd(rescaled, patch)
+    known = _unit_circle()
+    report = _assert_jet_path_matches_fd(rescaled, known)
     assert report.verdict == "totally_umbilical"
-    data = second_fundamental_form(FLAT3, patch.field, report.points, patch.k)
-    for m in range(len(report.indices)):
+    data = second_fundamental_form(FLAT3, known.xi, _interior(known.patch), 1)
+    assert len(report.mean_curvature_norms) == len(data.points) == 5
+    for m in range(len(data.points)):
         jet = eval_jet(f, data.points[m], 1)
         e = data.tangent_frame[m]
         normal_grad = jet.d1 - e.T @ (e @ jet.d1)

@@ -79,10 +79,18 @@ MUTANTS = (
            'diff = data.normal_form - np.einsum("ab,mk->mabk", np.eye(k), H)',
            "diff = data.normal_form",
            "totally umbilical means B = g H, not B = 0: curved zero sets fail"),
-    Mutant("codim-even-always", "src/confield/zeroset.py",
-           "codim_even=patches[slot].codim % 2 == 0,",
-           "codim_even=True,",
+    Mutant("codim-even-always", CLI,
+           "codim_even = patch.codim % 2 == 0",
+           "codim_even = True",
            "an odd-codimension patch must not pass the parity check"),
+    Mutant("interior-nodes-reversed", "src/confield/zeroset.py",
+           "reshape(-1, chart.dim)\n                 for slot in slots]",
+           "reshape(-1, chart.dim)[::-1]\n                 for slot in slots]",
+           "mean_curvature_norms[j] is |H| at node j of product(range(1, G - 1), repeat=k)"),
+    Mutant("boundary-nodes-read", "src/confield/zeroset.py",
+           "samples[(slice(1, -1),) * k]",
+           "samples[(slice(None),) * k]",
+           "a patch of G nodes per axis reports (G - 2)**k interior nodes"),
     Mutant("no-doubled-newton-step", "src/confield/essential.py",
            "lam = np.where((0.4 * dd < sd) & (sd < 0.6 * dd), 2.0, 1.0)",
            "lam = np.where((0.4 * dd < sd) & (sd < 0.6 * dd), 1.0, 1.0)",
