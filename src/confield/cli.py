@@ -379,7 +379,7 @@ def _run_classify(session: _Session) -> dict:
             "phi": cls.phi,
             "image_residual": cls.image_residual,
             "kernel_dim": cls.kernel_dim,
-            "rank_dxi": cls.rank_dxi,
+            "rank_dxi": session.chart.dim - cls.kernel_dim,
             "neighborhood_residual": cls.neighborhood_residual,
         }
         for cls in classifications
@@ -407,7 +407,8 @@ def _run_verify_identities(session: _Session) -> dict:
     pts = sample_interior(session.chart, _IDENTITY_PAIRS, rng)
     dirs = rng.normal(size=(_IDENTITY_PAIRS, session.chart.dim))
     # np.max, unlike max(), propagates a NaN residual to the gate.
-    worst = float(np.max(dxi_identity_residual(session.chart, session.xi, pts, dirs)))
+    jets = field_data(session.chart, session.xi, pts)
+    worst = float(np.max(dxi_identity_residual(jets, dirs)))
     result = {
         "pairs": _IDENTITY_PAIRS,
         "max_identity_residual": worst,
@@ -419,9 +420,9 @@ def _run_verify_identities(session: _Session) -> dict:
     if session.zero_jets is not None:
         # one (m, n) block of draws, whose first k rows are k draws of n
         dirs = rng.normal(size=session.zeros.shape)
-        scalar, vector = taylor_checks(session.zero_jets, dirs)
-        for z, s, first, second in zip(session.zeros[:_TAYLOR_ZEROS], scalar.derivative_residual,
-                                        vector.first_residual, vector.second_residual):
+        res = taylor_checks(session.zero_jets, dirs)
+        for z, s, first, second in zip(session.zeros[:_TAYLOR_ZEROS], res.scalar, res.first,
+                                        res.second):
             entry_ok = (s < _TAYLOR_SCALAR_TOL and first < _TAYLOR_FIRST_TOL
                         and second < _TAYLOR_SECOND_TOL)
             passed = passed and entry_ok

@@ -21,7 +21,8 @@ for a rescaled metric and the zero is its own component) and gives no
 verdict for any other zero.
 
 ``classify_zero`` reads a stack of zeros from the one ``field_data`` record
-of their 2-jets that other checks at them may share, and classifies them
+of their 2-jets, which the other pointwise checks take too and which
+refuses a point outside the chart, and classifies them
 from one stacked SVD of the skew forms, one draw of all the neighbourhood
 samples and one conformality check over them.
 
@@ -34,8 +35,9 @@ Keller & Kelley 1983), so a lane whose step is about half its last one
 first tries the doubled step, the Richardson limit of that tail (Griewank
 1985).  A lane stops once its step is below the rounding unit of the box.
 ``limit_point_audit`` cross-checks the classified zeros against the
-structure theory: non-isolated zeros must classify as Killing for a
-rescaled metric, and essential zeros must be isolated.
+structure theory from each zero's distance to its nearest other zero:
+non-isolated zeros must classify as Killing for a rescaled metric, and
+essential zeros must be isolated.
 """
 from __future__ import annotations
 
@@ -71,7 +73,6 @@ __all__ = [
     "classify_zero",
     "find_zeros",
     "polish_zeros",
-    "ZeroAuditEntry",
     "LimitPointAudit",
     "limit_point_audit",
 ]
@@ -150,7 +151,7 @@ def _local_minima_mask(norms: np.ndarray, shape) -> np.ndarray:
     return mask.ravel()
 
 
-def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> tuple:
+def polish_zeros(chart: Chart, xi: FieldSpec, points, normals) -> tuple:
     """Damped least-squares Gauss-Newton onto xi = 0 from every row of ``points``.
 
     The rows are the lanes of one iteration.  Each lane carries the 1-jet
@@ -158,8 +159,9 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> tuple:
     jet before the first iteration, and afterwards a lane takes the jet of
     the candidate it accepts, so the value that decided the step is also
     the data of the next one.  A lane steps by -J^+ xi, which handles
-    singular Jacobians (zeros along curves, quadratic zeros); with
-    ``normals``, rows spanning a subspace, J is taken on that span.  The
+    singular Jacobians (zeros along curves, quadratic zeros), with J taken
+    on the span of the rows of ``normals`` (the identity for every
+    direction).  The
     step is halved, at most 30 times, while the candidate is outside the
     chart or does not lower |xi|; each halving evaluates the 1-jets of the
     candidates inside the chart in one batch, and none when no candidate
@@ -180,7 +182,6 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> tuple:
     converged: a lane still moving after ``_NEWTON_ITERATIONS`` has not.
     """
     x = np.array(points, dtype=float)
-    basis = np.eye(chart.dim) if normals is None else normals
     val, jac, _ = field_jets(xi, x, 1)
     r = np.linalg.norm(val, axis=-1)
     live = np.ones(len(x), dtype=bool)
@@ -190,7 +191,7 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals=None) -> tuple:
         lanes = np.flatnonzero(live)
         if not lanes.size:
             break
-        step = -(np.linalg.pinv(jac[lanes] @ basis.T) @ val[lanes][..., None])[..., 0] @ basis
+        step = -(np.linalg.pinv(jac[lanes] @ normals.T) @ val[lanes][..., None])[..., 0] @ normals
         pending = (np.abs(step) > unit).any(axis=-1)
         d = last[lanes]
         sd, dd = np.einsum("ij,ij->i", step, d), np.einsum("ij,ij->i", d, d)
@@ -249,7 +250,7 @@ def find_zeros(chart: Chart, xi: FieldSpec, grid_resolution: int = GRID_RESOLUTI
     order = np.argsort(norms[mask], kind="stable")
     seeds = seeds[order[:_MAX_SEEDS]]
 
-    polished, converged = polish_zeros(chart, xi, seeds)
+    polished, converged = polish_zeros(chart, xi, seeds, np.eye(chart.dim))
     residuals = field_norm(chart, xi, polished) if len(polished) else np.empty(0)
     accepted = chart._inside(polished, _BOUNDARY_MARGIN) & (residuals < ZERO_TOL)
     polished, residuals, converged = polished[accepted], residuals[accepted], converged[accepted]
@@ -282,7 +283,6 @@ class ZeroClassification:
     phi: float
     image_residual: float
     kernel_dim: int
-    rank_dxi: int
     kernel_basis: np.ndarray
     normal_basis: np.ndarray
     neighborhood_residual: float
@@ -319,7 +319,6 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> tuple:
     points = jets.points
     if not len(points):
         return ()
-    chart.require_interior(points)
     require_zeros(jets, "classify_zero")
     samples = sample_ball(chart, points, *_NEIGHBORHOOD, rng)
     report = is_conformal(chart, xi, samples.reshape(-1, chart.dim))
@@ -358,7 +357,6 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> tuple:
             phi=phi,
             image_residual=float(image_residual[i]),
             kernel_dim=int(kernel_dim[i]),
-            rank_dxi=int(dxi_svd.rank[i]),
             kernel_basis=frame_rows[i, dxi_svd.rank[i]:],
             normal_basis=frame_rows[i, :dxi_svd.rank[i]],
             neighborhood_residual=residual,
@@ -367,19 +365,11 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class ZeroAuditEntry:
-    point: np.ndarray
-    verdict: str
-    phi: float
-    isolated: bool
-    nearest_distance: float
-
-
-@dataclass(frozen=True, eq=False)
 class LimitPointAudit:
-    """Cross-check of found zeros against the limit point structure."""
+    """Cross-check of found zeros against the limit point structure:
+    ``nearest[i]`` is zero i's distance to its nearest other zero."""
 
-    entries: tuple
+    nearest: np.ndarray
     assertions: dict
     passed: bool
 
@@ -391,38 +381,21 @@ def limit_point_audit(classifications) -> LimitPointAudit:
     zeros.  A zero with another zero closer than ``ISOLATION_RADIUS`` is
     treated as non-isolated.  Non-isolated zeros must classify as Killing
     after a rescaling (limit points of the zero set force phi = 0 and the
-    gradient condition), and essential zeros must be isolated.
+    gradient condition), and essential zeros must be isolated.  A lone
+    zero is isolated, and an empty set passes.
     """
     zeros = np.array([cls.point for cls in classifications], dtype=float)
-    entries = []
-    non_isolated_ok = True
-    essential_ok = True
     # distances[i, j] = |zeros[j] - zeros[i]|, a zero's own distance infinite
     distances = (np.linalg.norm(zeros[None, :, :] - zeros[:, None, :], axis=-1)
                  if len(zeros) else np.empty((0, 0)))
     np.fill_diagonal(distances, np.inf)
-    for z, cls, row in zip(zeros, classifications, distances):
-        nearest = float(row.min())
-        isolated = nearest >= ISOLATION_RADIUS
-        if not isolated and cls.verdict != VERDICT_KILLING:
-            non_isolated_ok = False
-        if cls.verdict == VERDICT_ESSENTIAL and not isolated:
-            essential_ok = False
-        entries.append(
-            ZeroAuditEntry(
-                point=z,
-                verdict=cls.verdict,
-                phi=cls.phi,
-                isolated=isolated,
-                nearest_distance=nearest,
-            )
-        )
+    nearest = distances.min(axis=1, initial=np.inf)
+    isolated = nearest >= ISOLATION_RADIUS
+    killing = np.array([cls.verdict == VERDICT_KILLING for cls in classifications], dtype=bool)
+    essential = np.array([cls.verdict == VERDICT_ESSENTIAL for cls in classifications],
+                         dtype=bool)
     assertions = {
-        "non_isolated_zeros_are_killing_inessential": non_isolated_ok,
-        "essential_zeros_isolated": essential_ok,
+        "non_isolated_zeros_are_killing_inessential": bool(np.all(isolated | killing)),
+        "essential_zeros_isolated": bool(np.all(isolated | ~essential)),
     }
-    return LimitPointAudit(
-        entries=tuple(entries),
-        assertions=assertions,
-        passed=bool(non_isolated_ok and essential_ok),
-    )
+    return LimitPointAudit(nearest, assertions, all(assertions.values()))

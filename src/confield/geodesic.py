@@ -32,12 +32,12 @@ the benchmark's tracer.
     nabla_X d(xi^flat) = 2 R_{X, xi} + 2 dphi ^ X
 
 where R_{X, xi} is the 2-form (Y, Z) -> g(R(X, xi)Y, Z) and
-(dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), over (m, n) arrays
-of points and directions.  The left side is the skew part of
-g(nabla^2 xi(X, .), .), read off the covariant Hessian H of ``field_data``.  R(X, xi) comes from
-Gamma and its derivatives already contracted with X and xi, d_X Gamma_xi -
-d_xi Gamma_X + [Gamma_X, Gamma_xi] with Gamma_X = Gamma(X, .), so the
-4-index curvature tensor is never formed.  This identity pins down every
+(dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), read from a
+``field_data`` record, with an (m, n) array of directions.  The left side
+is the skew part of g(nabla^2 xi(X, .), .), the record's covariant Hessian
+H.  R(X, xi) comes from Gamma and its derivatives already contracted with
+X and xi, d_X Gamma_xi - d_xi Gamma_X + [Gamma_X, Gamma_xi] with Gamma_X =
+Gamma(X, .), so the 4-index curvature tensor is never formed.  This identity pins down every
 sign convention in the package at once, so it is exercised over the whole
 model catalog in the tests.
 """
@@ -52,10 +52,8 @@ import numpy as np
 from .geometry import (
     Chart,
     FieldData,
-    FieldSpec,
     christoffel_matrix,
     complete_orthonormal_frame,
-    field_data,
     matvec,
     metric_factor,
     metric_jets,
@@ -72,8 +70,7 @@ __all__ = [
     "integrate_geodesic",
     "exp_map",
     "taylor_checks",
-    "TaylorScalarResult",
-    "TaylorVectorResult",
+    "TaylorResiduals",
     "dxi_identity_residual",
 ]
 
@@ -181,15 +178,10 @@ def exp_map(chart: Chart, x, v) -> np.ndarray:
     return states[-1].position
 
 
-class TaylorScalarResult(NamedTuple):
-    derivative_residual: np.ndarray
-    f_prime: np.ndarray
-    f_second: np.ndarray
+class TaylorResiduals(NamedTuple):
+    """The residuals of :func:`taylor_checks`, one (m,) array each."""
 
-
-class TaylorVectorResult(NamedTuple):
-    first_residual: np.ndarray
-    second_residual: np.ndarray
+    scalar: np.ndarray
     first: np.ndarray
     second: np.ndarray
 
@@ -200,22 +192,19 @@ def _along(T: np.ndarray, w: np.ndarray) -> np.ndarray:
     return matvec(T.reshape(w.shape[:-1] + (-1, w.shape[-1])), w).reshape(T.shape[:-1])
 
 
-def taylor_checks(jets: FieldData, v) -> tuple[TaylorScalarResult, TaylorVectorResult]:
-    """The scalar and vector Taylor checks at an (m, n) stack of zeros of
-    xi, read from ``jets``, their :func:`~confield.geometry.field_data`
+def taylor_checks(jets: FieldData, v) -> TaylorResiduals:
+    """The scalar and vector Taylor residuals at an (m, n) stack of zeros
+    of xi, read from ``jets``, their :func:`~confield.geometry.field_data`
     record, with row k of the (m, n) directions ``v`` at zero k.  A row
     that is not a zero raises ``ValueError`` naming it
     (:func:`~confield.geometry.require_zeros`).
 
-    ``first`` = nabla xi(v) and ``second`` = nabla^2 xi(v, v) are chart
-    vectors at x: along the unit-speed geodesic c(t) = exp_x(tv) they are
-    nabla_t (xi o c) and nabla_t^2 (xi o c) at t = 0.  Scalar: |f' - phi(x)|
-    for f(t) = g(xi, c'(t)), whose derivatives are f' = g(first, v) and f''
-    = g(second, v).  Vector: the g-norms of first - (phi v + (1/2)
-    d(xi^flat)(v)^sharp) and of second - (2 dphi(v) v - grad phi).
-
-    The residuals and f', f'' are (m,) arrays, ``first`` and ``second``
-    (m, n) arrays.
+    The record's N v = nabla xi(v) and H(v, v) = nabla^2 xi(v, v) are
+    chart vectors at x: along the unit-speed geodesic c(t) = exp_x(tv) they
+    are nabla_t (xi o c) and nabla_t^2 (xi o c) at t = 0.  ``scalar`` is
+    |f' - phi(x)| for f(t) = g(xi, c'(t)), whose derivative is f' =
+    g(N v, v); ``first`` and ``second`` are the g-norms of N v - (phi v +
+    (1/2) d(xi^flat)(v)^sharp) and of H(v, v) - (2 dphi(v) v - grad phi).
     """
     require_zeros(jets, "taylor_checks")
     g = jets.conn.g
@@ -226,49 +215,45 @@ def taylor_checks(jets: FieldData, v) -> tuple[TaylorScalarResult, TaylorVectorR
     v = v / speed[:, None]
     first = matvec(jets.N, v)
     second = matvec(_along(jets.H, v), v)
-    gv = matvec(g, v)
-    f1 = (first * gv).sum(axis=-1)
-    scalar = TaylorScalarResult(abs(f1 - jets.phi), f1, (second * gv).sum(axis=-1))
+    f1 = (first * matvec(g, v)).sum(axis=-1)
 
     # (v -| d xi^flat)_j = v^i M[i, j] = -(M v)_j, as M is skew
     first_target = jets.phi[:, None] * v - 0.5 * matvec(jets.conn.ginv, matvec(jets.M, v))
     dphi_v = (jets.dphi * v).sum(axis=-1)[:, None]
     second_target = 2.0 * dphi_v * v - matvec(jets.conn.ginv, jets.dphi)
-    vector = TaylorVectorResult(norm_vector(g, first - first_target),
-                                norm_vector(g, second - second_target), first, second)
-    return scalar, vector
+    return TaylorResiduals(abs(f1 - jets.phi), norm_vector(g, first - first_target),
+                           norm_vector(g, second - second_target))
 
 
-def taylor_scalar_check(jets: FieldData, v) -> TaylorScalarResult:
-    """The scalar result of :func:`taylor_checks`; bench/tracer.py wraps this name."""
-    return taylor_checks(jets, v)[0]
+def taylor_scalar_check(jets: FieldData, v) -> np.ndarray:
+    """The scalar residuals of :func:`taylor_checks`; bench/tracer.py wraps this name."""
+    return taylor_checks(jets, v).scalar
 
 
-def taylor_vector_check(jets: FieldData, v) -> TaylorVectorResult:
-    """The vector result of :func:`taylor_checks`; bench/tracer.py wraps this name."""
-    return taylor_checks(jets, v)[1]
+def taylor_vector_check(jets: FieldData, v) -> tuple:
+    """The vector residuals of :func:`taylor_checks`; bench/tracer.py wraps this name."""
+    return taylor_checks(jets, v)[1:]
 
 
-def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
-    """Residual of nabla_X d(xi^flat) = 2 R_{X,xi} + 2 dphi ^ X at p.
+def dxi_identity_residual(jets: FieldData, X):
+    """Residual of nabla_X d(xi^flat) = 2 R_{X,xi} + 2 dphi ^ X at the
+    points of ``jets``, their :func:`~confield.geometry.field_data`
+    record, with row k of the (m, n) directions ``X`` at point k.
 
-    ``p`` and ``X`` are (m, n) arrays of points and directions, giving m
-    residuals from one batched evaluation.  All three terms are evaluated
-    from exact jets; for a conformal field the residual is at rounding
-    level, and this is the main consistency check tying the curvature sign
-    convention to the rest of the package.  Every term is contracted with
-    X (and R with xi) while it has at most three indices, so no 4-index
-    tensor is formed beyond d Gamma.
+    All three terms are read from the record's exact jets; for a conformal
+    field the residual is at rounding level, and this is the main
+    consistency check tying the curvature sign convention to the rest of
+    the package.  Every term is contracted with X (and R with xi) while it
+    has at most three indices, so no 4-index tensor is formed beyond d
+    Gamma.
     """
-    chart.require_interior(p)
     X = np.asarray(X, dtype=float)
-    fd = field_data(chart, xi, p)
-    cd = fd.conn
-    val, g = fd.value, np.ascontiguousarray(cd.g)
+    cd = jets.conn
+    val, g = jets.value, np.ascontiguousarray(cd.g)
 
     # (nabla_X d xi^flat)(e_i, e_j) = g(nabla^2 xi(X, e_i), e_j) - (i <-> j),
     # with G[j, i] = g_jl H[l, X, i], the derivative index of H along X
-    G = g @ vecmat(X[..., None, :], fd.H)
+    G = g @ vecmat(X[..., None, :], jets.H)
     nabla_M = G.swapaxes(-1, -2) - G
 
     # R(X, xi)^i_j = (d_X Gamma^i_{xi j} - d_xi Gamma^i_{X j}) + [Gam_X, Gam_xi]^i_j,
@@ -281,7 +266,7 @@ def dxi_identity_residual(chart: Chart, xi: FieldSpec, p, X):
     # 2 R_{X,xi}(e_i, e_j) = 2 g(R(X, xi) e_i, e_j) = 2 (g R)[j, i]
     curv = 2.0 * (g @ R).swapaxes(-1, -2)
 
-    outer = fd.dphi[..., :, None] * matvec(g, X)[..., None, :]
+    outer = jets.dphi[..., :, None] * matvec(g, X)[..., None, :]
     wedge = 2.0 * (outer - outer.swapaxes(-1, -2))
 
     return norm_2form(cd.ginv, nabla_M - curv - wedge)

@@ -381,7 +381,9 @@ class FieldData:
 
 def field_data(chart: Chart, xi: FieldSpec, p) -> FieldData:
     """One evaluation of the metric and field jets to order 2 at an (m, n)
-    array of points p."""
+    array of points p in the chart box: the one refusal of a point outside
+    (:meth:`Chart.require_interior`) for every pointwise check."""
+    chart.require_interior(p)
     conn = connection_data(chart, p, 2)
     val, jac, hess = field_jets(xi, p, 2)
     g, dg, Gam = conn.g, conn.dg, conn.Gam

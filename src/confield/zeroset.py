@@ -11,13 +11,13 @@ by Gauss-Newton steps, the corrector step of Allgower & Georg, *Numerical
 Continuation Methods* (1990), ch. 3, run by ``find_zeros``' solver
 :func:`~confield.essential.polish_zeros` with every grid node a lane.  The
 patch is its grid of zeros and nothing else.  ``second_fundamental_form``
-measures the extrinsic curvature of the zero set at an array of its
-points, in one batched evaluation; ``umbilicity_report`` runs it over the
-interior nodes of a sequence of patches of one field, once per patch
-dimension, and
-decides whether each patch is totally umbilical (all second
-fundamental form values proportional to the induced metric with a common
-mean curvature vector).
+reads the extrinsic curvature of the zero set from the
+:func:`~confield.geometry.field_data` record of an array of its points,
+the record every pointwise check takes; ``umbilicity_report`` builds that
+record over the interior nodes of a sequence of patches of one field, once
+per patch dimension, and decides whether each patch is totally umbilical
+(all second fundamental form values proportional to the induced metric
+with a common mean curvature vector).
 
 The second fundamental form comes from exact jets of the field at a point
 of the zero set.  On the zero set N, nabla xi vanishes on TN and is
@@ -27,7 +27,7 @@ invertible on the normal space, and one more derivative along N gives
 
 At a zero, nabla xi is the same for every metric in a conformal class, so a
 patch traced under g serves a rescaled chart as well: the metric and the
-field are explicit arguments of the curvature routines rather than being
+field are explicit arguments of ``umbilicity_report`` rather than being
 read off the patch, and
 ``umbilicity_report(rescale_metric(chart, f), xi, [patch])`` checks the
 conformal invariance of total umbilicity.
@@ -40,7 +40,7 @@ from itertools import product
 import numpy as np
 
 from .essential import VERDICT_KILLING, ZeroClassification, polish_zeros
-from .geometry import Chart, FieldSpec, field_data, field_norm, frame_svd
+from .geometry import Chart, FieldData, FieldSpec, field_data, field_norm, frame_svd
 
 __all__ = [
     "PatchError",
@@ -161,55 +161,45 @@ class SecondFundamentalData:
 
     Every array has a leading axis of length m.  ``normal_form[i, a, b]``
     is B(e_a, e_b) for the g-orthonormal frame ``tangent_frame[i]`` (rows
-    e_a) of the zero set at ``points[i]``; ``metric[i]`` is g there.
+    e_a) of the zero set at point i of the record it was read from.
     """
 
-    points: np.ndarray
-    metric: np.ndarray
     normal_form: np.ndarray
     mean_curvature: np.ndarray
     tangent_frame: np.ndarray
 
 
-def second_fundamental_form(
-    chart: Chart,
-    xi: FieldSpec,
-    points,
-    k: int,
-) -> SecondFundamentalData:
-    """B and the mean curvature vector at an (m, n) array of zero set points.
+def second_fundamental_form(jets: FieldData, k: int) -> SecondFundamentalData:
+    """B and the mean curvature vector at the zero set points of ``jets``,
+    their :func:`~confield.geometry.field_data` record.
 
-    ``chart`` supplies the ambient metric; a zero set traced under g serves
-    a rescaled chart as well.  Everything comes from one batched evaluation
-    of the 2-jets of the metric and of ``xi`` at the points and one stacked
-    :func:`~confield.geometry.frame_svd` of nabla xi over them: at each
-    point the tangent frame is the g-orthonormal kernel of nabla xi, and B
-    solves nabla xi B(X, Y) = -(nabla^2 xi)(X, Y) on the normal space
-    through the pseudo-inverse.  A kernel of dimension other than ``k``
-    raises :class:`PatchError` naming the first such point.  No
-    neighbouring point is used, so the boundary nodes of a patch are as
-    good as interior ones.
+    The record's metric is the ambient one; a zero set traced under g
+    serves a rescaled chart as well.  Everything comes from the record's
+    2-jets and one stacked :func:`~confield.geometry.frame_svd` of nabla xi
+    over its points: at each point the tangent frame is the g-orthonormal
+    kernel of nabla xi, and B solves nabla xi B(X, Y) = -(nabla^2 xi)(X, Y)
+    on the normal space through the pseudo-inverse.  A kernel of dimension
+    other than ``k`` raises :class:`PatchError` naming the first such
+    point.  No neighbouring point is used, so the boundary nodes of a patch
+    are as good as interior ones.
     """
     if k == 0:
         raise PatchError("a point patch has no second fundamental form")
-    points = np.asarray(points, dtype=float)
-    fd = field_data(chart, xi, points)
-    nabla_svd = frame_svd(fd.conn.factor, fd.N, "endomorphism")
-    wrong = np.flatnonzero(nabla_svd.rank != chart.dim - k)
+    n = jets.N.shape[-1]
+    nabla_svd = frame_svd(jets.conn.factor, jets.N, "endomorphism")
+    wrong = np.flatnonzero(nabla_svd.rank != n - k)
     if wrong.size:
         i = wrong[0]
         raise PatchError(
-            f"nabla xi has a {chart.dim - nabla_svd.rank[i]}-dimensional kernel at "
-            f"{points[i].tolist()}, on a {k}-dimensional zero set"
+            f"nabla xi has a {n - nabla_svd.rank[i]}-dimensional kernel at "
+            f"{jets.points[i].tolist()}, on a {k}-dimensional zero set"
         )
-    frames = nabla_svd.Vt[:, chart.dim - k:] @ nabla_svd.Linv  # the kernels, k rows each
-    B = -nabla_svd.solve(np.einsum("mijk,maj,mbk->mabi", fd.H, frames, frames))
+    frames = nabla_svd.Vt[:, n - k:] @ nabla_svd.Linv  # the kernels, k rows each
+    B = -nabla_svd.solve(np.einsum("mijk,maj,mbk->mabi", jets.H, frames, frames))
     # Symmetric up to the curvature term R(X, Y) xi, which vanishes on the
     # zero set; keep B exactly symmetric.
     B = 0.5 * (B + B.swapaxes(1, 2))
     return SecondFundamentalData(
-        points=points,
-        metric=fd.conn.g,
         normal_form=B,
         mean_curvature=np.einsum("...aak->...k", B) / k,
         tangent_frame=frames,
@@ -232,8 +222,9 @@ def umbilicity_report(chart: Chart, xi: FieldSpec, patches) -> tuple:
     order, which is ``itertools.product`` order of their grid indices, and
     ``mean_curvature_norms`` holds |H|_g at each of them in that order.
     The nodes of all patches of the same dimension k go through one
-    :func:`second_fundamental_form` call, so the patches cost one call per
-    distinct k, and each report equals the call on the sequence holding
+    :func:`~confield.geometry.field_data` record and one
+    :func:`second_fundamental_form` call on it, so the patches cost one of
+    each per distinct k, and each report equals the call on the sequence holding
     that patch alone.  The residual at a node is
     sqrt(sum_ab |B_ab - h_ab H|_g^2); a patch is reported totally umbilical
     when its worst node stays below ``UMBILICITY_TOL``.  Point patches get
@@ -250,8 +241,9 @@ def umbilicity_report(chart: Chart, xi: FieldSpec, patches) -> tuple:
     for k, slots in groups.items():
         nodes = [patches[slot].samples[(slice(1, -1),) * k].reshape(-1, chart.dim)
                  for slot in slots]
-        data = second_fundamental_form(chart, xi, np.concatenate(nodes), k)
-        g, H = data.metric, data.mean_curvature
+        jets = field_data(chart, xi, np.concatenate(nodes))
+        data = second_fundamental_form(jets, k)
+        g, H = jets.conn.g, data.mean_curvature
         diff = data.normal_form - np.einsum("ab,mk->mabk", np.eye(k), H)
         residuals = np.sqrt(np.maximum(np.einsum("mabi,mij,mabj->m", diff, g, diff), 0.0))
         hnorms = np.sqrt(np.maximum(np.einsum("mi,mij,mj->m", H, g, H), 0.0))

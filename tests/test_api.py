@@ -22,8 +22,6 @@ ALLOWED = {
     "geometry.Chart.contains(margin)",
     # the manifest's grid_resolution setting
     "essential.find_zeros(grid_resolution)",
-    # tracing corrects along the normal space, find_zeros in every direction
-    "essential.polish_zeros(normals)",
     # the RK4 reference keeps its signature for the benchmark's tracer
     "geodesic.integrate_geodesic(initial_frame)",
 }

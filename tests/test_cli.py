@@ -849,12 +849,10 @@ def test_taylor_rows_follow_their_zeros(name, params, build):
     rng.normal(size=(cli._IDENTITY_PAIRS, 3))
     dirs = rng.normal(size=zeros.shape)
     for k, entry in enumerate(taylor):
-        scalar, vector = taylor_checks(field_data(chart, xi, zeros[k:k + 1]), dirs[k:k + 1])
+        res = taylor_checks(field_data(chart, xi, zeros[k:k + 1]), dirs[k:k + 1])
         assert np.array_equal(entry["zero"], zeros[k])
         assert (entry["scalar_residual"], entry["vector_first_residual"],
-                entry["vector_second_residual"]) == (scalar.derivative_residual[0],
-                                                     vector.first_residual[0],
-                                                     vector.second_residual[0])
+                entry["vector_second_residual"]) == (res.scalar[0], res.first[0], res.second[0])
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -1049,8 +1047,8 @@ def test_analysis_list_is_deduplicated_in_request_order(tmp_path):
 def test_nan_identity_residual_fails_the_gate(tmp_path, monkeypatch):
     """NaN identity residuals must fail verify-identities, not vanish from
     its maximum."""
-    def nan_row(chart, xi, p, X):
-        return np.full(len(p), math.nan)
+    def nan_row(jets, X):
+        return np.full(len(X), math.nan)
 
     monkeypatch.setattr(cli, "dxi_identity_residual", nan_row)
     manifest = {

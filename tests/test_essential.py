@@ -51,7 +51,7 @@ def test_a_field_bounded_away_from_zero_has_no_zeros():
     grid's best seed to the minimum |xi| = 1e-8 at the origin, and that
     point is no zero."""
     xi = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2 + 1e-8", "x2", "x3")))
-    polished, converged = polish_zeros(FLAT3, xi, np.full((1, 3), 0.1))
+    polished, converged = polish_zeros(FLAT3, xi, np.full((1, 3), 0.1), np.eye(3))
     assert converged[0] and field_norm(FLAT3, xi, polished)[0] == pytest.approx(1e-8, rel=1e-3)
     assert find_zeros(FLAT3, xi).shape == (0, 3)
 
@@ -159,7 +159,7 @@ def test_zero_order_ignores_rounding_noise(monkeypatch):
     polish = essential.polish_zeros
 
     def zeros_with_noise(sign):
-        def noisy(chart, xi, points, normals=None):
+        def noisy(chart, xi, points, normals):
             out, converged = polish(chart, xi, points, normals)
             out[:, 0] = sign * 1e-30 * (-1.0) ** np.arange(len(out))
             return out, converged
@@ -180,7 +180,7 @@ def test_polished_lanes_do_not_mix(monkeypatch):
     runs = []
     polish = essential.polish_zeros
 
-    def recording(chart, xi, points, normals=None):
+    def recording(chart, xi, points, normals):
         out = polish(chart, xi, points, normals)
         runs.append((np.array(points), out))
         return out
@@ -190,7 +190,7 @@ def test_polished_lanes_do_not_mix(monkeypatch):
     (seeds, (stacked, converged)), = runs
     assert len(seeds) > 1 and converged.all()
     for seed, row in zip(seeds, stacked):
-        assert np.array_equal(polish(HYPER, xi, seed[None])[0][0], row)
+        assert np.array_equal(polish(HYPER, xi, seed[None], np.eye(3))[0][0], row)
 
 
 def test_find_zeros_polishes_seeds_together(monkeypatch):
@@ -214,7 +214,7 @@ def test_dedupe_keeps_what_the_pairwise_loop_keeps(monkeypatch, chart, xi):
     polish = essential.polish_zeros
     runs = []
 
-    def recording(chart, xi, points, normals=None):
+    def recording(chart, xi, points, normals):
         runs.append(polish(chart, xi, points, normals))
         return runs[-1]
 
@@ -451,8 +451,7 @@ def test_rotation_zero_is_killing_type():
     cls = classify_at(FLAT3, models.rotation(FLAT3, 1, 2), np.zeros(3))
     assert cls.verdict == VERDICT_KILLING
     assert cls.phi == pytest.approx(0.0, abs=1e-12)
-    assert cls.rank_dxi == 2
-    assert cls.kernel_dim == 1
+    assert 3 - cls.kernel_dim == 2
     assert cls.image_residual < 1e-12
 
 
@@ -461,7 +460,7 @@ def test_scaling_zero_is_homothetic_type():
     assert cls.verdict == VERDICT_HOMOTHETIC
     assert cls.phi == pytest.approx(1.0, rel=1e-12)
     # dxi = 0 for the radial field: gradient of phi (zero) lies in the image
-    assert cls.rank_dxi == 0
+    assert cls.kernel_dim == 3
     assert cls.image_residual < 1e-12
 
 
@@ -480,7 +479,7 @@ def test_quadratic_generator_zero_is_essential(chart):
     cls = classify_at(chart, xi, np.zeros(3))
     assert cls.verdict == VERDICT_ESSENTIAL
     assert cls.phi == pytest.approx(0.0, abs=1e-12)
-    assert cls.rank_dxi == 0
+    assert cls.kernel_dim == 3
     assert cls.image_residual > 0.5
     assert np.linalg.norm(field_data(chart, xi, np.zeros((1, 3))).dphi) > 0.1
 
@@ -580,7 +579,8 @@ def test_triple_zero_is_found_once():
     iteration cap stops it; the zero is kept all the same, once."""
     flat2 = models.euclidean(2)
     z_cubed = FieldSpec(flat2, (parse("x1^3 - 3*x1*x2^2", 2), parse("3*x1^2*x2 - x2^3", 2)))
-    _, converged = polish_zeros(flat2, z_cubed, np.array([[0.25, 0.25], [-0.25, 0.25]]))
+    _, converged = polish_zeros(flat2, z_cubed, np.array([[0.25, 0.25], [-0.25, 0.25]]),
+                                np.eye(2))
     assert not converged.any()
     for grid in (8, 12, 16, 20):
         zeros = find_zeros(flat2, z_cubed, grid)
@@ -599,7 +599,7 @@ def test_dedupe_keeps_converged_zeros_microns_apart(monkeypatch):
     both = np.array([[0.5, 0.0, 0.0], [b, 0.0, 0.0]])
     assert field_norm(FLAT3, xi, both).tolist() == [0.0, 0.0]
     monkeypatch.setattr(essential, "polish_zeros",
-                        lambda chart, xi, points, normals=None: (both, np.ones(2, dtype=bool)))
+                        lambda chart, xi, points, normals: (both, np.ones(2, dtype=bool)))
     assert np.array_equal(find_zeros(FLAT3, xi), both)
 
 
@@ -630,7 +630,7 @@ def test_rank_is_even_and_kernel_orthonormal():
     for chart, xi, z in cases:
         cls = classify_at(chart, xi, z)
         dxi = field_data(chart, xi, z[None]).M[0]
-        assert cls.rank_dxi % 2 == 0
+        assert (chart.dim - cls.kernel_dim) % 2 == 0
         assert cls.kernel_basis.shape == (cls.kernel_dim, 3)
         g = metric_value(chart, z[None])[0]
         G = cls.kernel_basis @ g @ cls.kernel_basis.T
@@ -684,26 +684,44 @@ def test_audit_of_circle_zeros_passes():
     thetas = np.array([0.0, 0.03, 0.06])
     cluster = np.stack([np.cos(thetas), np.sin(thetas), np.zeros(3)], axis=1)
     zeros = np.vstack([found, cluster])
-    audit = limit_point_audit([classify_at(SPHERE, xi, z) for z in zeros])
+    classes = [classify_at(SPHERE, xi, z) for z in zeros]
+    audit = limit_point_audit(classes)
     assert audit.passed
-    assert len(audit.entries) == len(zeros)
+    assert audit.nearest.shape == (len(zeros),)
     assert audit.assertions["non_isolated_zeros_are_killing_inessential"]
     assert audit.assertions["essential_zeros_isolated"]
-    assert any(not e.isolated for e in audit.entries)
-    assert all(abs(e.phi) < 1e-10 for e in audit.entries)
+    assert (audit.nearest < essential.ISOLATION_RADIUS).any()
+    assert all(abs(cls.phi) < 1e-10 for cls in classes)
     # the per-zero loop over the other zeros, as the reference
-    for i, entry in enumerate(audit.entries):
+    for i, nearest in enumerate(audit.nearest):
         others = np.delete(zeros, i, axis=0)
-        assert entry.nearest_distance == np.min(np.linalg.norm(others - zeros[i], axis=1))
+        assert nearest == np.min(np.linalg.norm(others - zeros[i], axis=1))
 
 
 def test_audit_of_isolated_essential_zero_passes():
     xi = models.special_conformal(FLAT3, 1)
-    audit = limit_point_audit([classify_at(FLAT3, xi, np.zeros(3))])
+    cls = classify_at(FLAT3, xi, np.zeros(3))
+    audit = limit_point_audit([cls])
     assert audit.passed
-    assert audit.entries[0].isolated
-    assert audit.entries[0].nearest_distance == np.inf
-    assert audit.entries[0].verdict == VERDICT_ESSENTIAL
+    assert audit.nearest.tolist() == [np.inf]
+    assert cls.verdict == VERDICT_ESSENTIAL
+
+
+def test_audit_nearest_is_the_pairwise_minimum():
+    """``nearest[i]`` is the smallest distance from zero i to another zero,
+    the minimum of the pairwise distance matrix off its diagonal; an empty
+    set of zeros passes, with both assertions."""
+    rot = models.rotation(FLAT3, 1, 2)
+    heights = np.random.default_rng(5).uniform(-1.0, 1.0, 6)
+    zeros = np.stack([np.zeros(6), np.zeros(6), heights], axis=1)
+    audit = limit_point_audit([classify_at(FLAT3, rot, z) for z in zeros])
+    pairwise = np.array([[np.linalg.norm(a - b) if i != j else np.inf
+                          for j, b in enumerate(zeros)] for i, a in enumerate(zeros)])
+    assert np.array_equal(audit.nearest, pairwise.min(axis=1))
+    empty = limit_point_audit(())
+    assert empty.passed and empty.nearest.shape == (0,)
+    assert empty.assertions == {"non_isolated_zeros_are_killing_inessential": True,
+                                "essential_zeros_isolated": True}
 
 
 def test_audit_isolates_at_the_isolation_radius():
@@ -716,7 +734,7 @@ def test_audit_isolates_at_the_isolation_radius():
         killing_zero = classify_at(FLAT3, models.rotation(FLAT3, 1, 2), np.array([0.0, 0.0, gap]))
         assert (essential_zero.verdict, killing_zero.verdict) == (VERDICT_ESSENTIAL, VERDICT_KILLING)
         audit = limit_point_audit([essential_zero, killing_zero])
-        assert [entry.isolated for entry in audit.entries] == [isolated, isolated]
+        assert (audit.nearest >= essential.ISOLATION_RADIUS).tolist() == [isolated, isolated]
         assert audit.assertions["essential_zeros_isolated"] is isolated
         assert audit.passed is isolated
 

@@ -12,8 +12,7 @@ from confield.essential import find_zeros
 from confield.expr import Const, Mul, Var, parse
 from confield.geodesic import (
     DomainExitError,
-    TaylorScalarResult,
-    TaylorVectorResult,
+    TaylorResiduals,
     dxi_identity_residual,
     exp_map,
     integrate_geodesic,
@@ -40,10 +39,23 @@ FLAT3 = models.euclidean(3)
 
 def _checks_at(chart, xi, x, v):
     """``taylor_checks`` at one zero x in direction v, on the stack of one
-    holding them: the row of each result."""
-    scalar, vector = taylor_checks(field_data(chart, xi, np.asarray(x)[None]), np.asarray(v)[None])
-    return (TaylorScalarResult(*(a[0] for a in scalar)),
-            TaylorVectorResult(*(a[0] for a in vector)))
+    holding them: the row of each residual."""
+    res = taylor_checks(field_data(chart, xi, np.asarray(x)[None]), np.asarray(v)[None])
+    return TaylorResiduals(*(a[0] for a in res))
+
+
+def _derivatives_at(chart, xi, x, v):
+    """``(N v, H(v, v), f', f'')`` from the record at one point x, with v
+    normalized in g: nabla_t (xi o c) and nabla_t^2 (xi o c) at t = 0
+    along c(t) = exp_x(tv), and the derivatives f' = g(N v, v) and f'' =
+    g(H(v, v), v) of f(t) = g(xi, c'(t))."""
+    jets = field_data(chart, xi, np.asarray(x, dtype=float)[None])
+    g = jets.conn.g[0]
+    v = np.asarray(v, dtype=float)
+    v = v / norm_vector(g[None], v[None])[0]
+    first = jets.N[0] @ v
+    second = np.einsum("ijk,j,k->i", jets.H[0], v, v)
+    return first, second, first @ g @ v, second @ g @ v
 
 
 def test_round_sphere_geodesic_radius_law():
@@ -165,32 +177,31 @@ def test_scalar_expansion_at_quadratic_zero_flat():
     """f(t) = g(xi, c') along a geodesic through the zero of the quadratic
     generator: f'(0) = phi and, for v = e1, f(t) = -t^2 exactly."""
     K = models.special_conformal(FLAT3, 1)
-    res = _checks_at(FLAT3, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))[0]
-    assert res.derivative_residual < 1e-9
-    assert res.f_prime == pytest.approx(0.0, abs=1e-9)
-    assert res.f_second == pytest.approx(-2.0, abs=1e-6)
+    v = np.array([1.0, 0.0, 0.0])
+    assert _checks_at(FLAT3, K, np.zeros(3), v).scalar < 1e-9
+    _, _, f_prime, f_second = _derivatives_at(FLAT3, K, np.zeros(3), v)
+    assert f_prime == pytest.approx(0.0, abs=1e-9)
+    assert f_second == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_scalar_expansion_generic_direction():
     K = models.special_conformal(FLAT3, 1)
     v = np.array([0.36, 0.48, 0.8])
-    res = _checks_at(FLAT3, K, np.zeros(3), v)[0]
-    assert res.derivative_residual < 1e-9
+    assert _checks_at(FLAT3, K, np.zeros(3), v).scalar < 1e-9
     # f''(0) = dphi(c'(0)) with phi = -2 x1, unit speed keeps v as given
-    assert res.f_second == pytest.approx(-2.0 * 0.36, abs=1e-6)
+    assert _derivatives_at(FLAT3, K, np.zeros(3), v)[3] == pytest.approx(-2.0 * 0.36, abs=1e-6)
 
 
 def test_scalar_expansion_rotation_zero_is_flat_function():
     rot = models.rotation(FLAT3, 1, 2)
-    res = _checks_at(FLAT3, rot, np.zeros(3), np.array([0.0, 1.0, 0.0]))[0]
-    assert res.derivative_residual < 1e-10
-    assert res.f_second == pytest.approx(0.0, abs=1e-8)
+    v = np.array([0.0, 1.0, 0.0])
+    assert _checks_at(FLAT3, rot, np.zeros(3), v).scalar < 1e-10
+    assert _derivatives_at(FLAT3, rot, np.zeros(3), v)[3] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_scalar_expansion_on_curved_chart():
     K = models.sphere_translation(SPHERE, 1)
-    res = _checks_at(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))[0]
-    assert res.derivative_residual < 1e-8
+    assert _checks_at(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8])).scalar < 1e-8
 
 
 def test_scalar_check_requires_a_zero():
@@ -203,45 +214,51 @@ def test_vector_expansion_at_quadratic_zero():
     """xi'(0) = dxi(c')(0)/2 = 0 and xi''(0) = 2 dphi(c')c' - grad phi, chart
     vectors at the zero; for v = e1 this is -2 e1."""
     K = models.special_conformal(FLAT3, 1)
-    res = _checks_at(FLAT3, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
-    assert res.first_residual < 1e-9
-    assert res.second_residual < 1e-6
-    assert np.abs(res.second - np.array([-2.0, 0.0, 0.0])).max() < 1e-6
-    assert np.abs(res.first).max() < 1e-9
+    v = np.array([1.0, 0.0, 0.0])
+    res = _checks_at(FLAT3, K, np.zeros(3), v)
+    first, second, _, _ = _derivatives_at(FLAT3, K, np.zeros(3), v)
+    assert res.first < 1e-9
+    assert res.second < 1e-6
+    assert np.abs(second - np.array([-2.0, 0.0, 0.0])).max() < 1e-6
+    assert np.abs(first).max() < 1e-9
 
 
 def test_vector_expansion_transverse_direction():
     """For v = e2 at the quadratic zero: dphi(v) = 0 so xi''(0) = -grad phi
     = 2 e1."""
     K = models.special_conformal(FLAT3, 1)
-    res = _checks_at(FLAT3, K, np.zeros(3), np.array([0.0, 1.0, 0.0]))[1]
-    assert res.second_residual < 1e-6
-    assert np.abs(res.second - np.array([2.0, 0.0, 0.0])).max() < 1e-6
+    v = np.array([0.0, 1.0, 0.0])
+    assert _checks_at(FLAT3, K, np.zeros(3), v).second < 1e-6
+    second = _derivatives_at(FLAT3, K, np.zeros(3), v)[1]
+    assert np.abs(second - np.array([2.0, 0.0, 0.0])).max() < 1e-6
 
 
 def test_vector_expansion_rotation_first_order():
     rot = models.rotation(FLAT3, 1, 2)
-    res = _checks_at(FLAT3, rot, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
+    v = np.array([1.0, 0.0, 0.0])
+    res = _checks_at(FLAT3, rot, np.zeros(3), v)
     # xi'(0) = dxi(v)/2 = e2
-    assert res.first_residual < 1e-9
-    assert np.abs(res.first - np.array([0.0, 1.0, 0.0])).max() < 1e-9
-    assert res.second_residual < 1e-7
+    assert res.first < 1e-9
+    assert np.abs(_derivatives_at(FLAT3, rot, np.zeros(3), v)[0]
+                  - np.array([0.0, 1.0, 0.0])).max() < 1e-9
+    assert res.second < 1e-7
 
 
 def test_vector_expansion_at_homothetic_zero():
     """At the zero of the scaling field phi = 1, so xi'(0) = phi v = v: the
     phi v term of the first-order target is not zero here."""
     eu = models.euler(FLAT3)
-    res = _checks_at(FLAT3, eu, np.zeros(3), np.array([0.3, -1.0, 0.5]))[1]
-    assert res.first_residual < 1e-9
-    assert np.linalg.norm(res.first) == pytest.approx(1.0, abs=1e-9)
+    v = np.array([0.3, -1.0, 0.5])
+    assert _checks_at(FLAT3, eu, np.zeros(3), v).first < 1e-9
+    assert np.linalg.norm(_derivatives_at(FLAT3, eu, np.zeros(3), v)[0]) == pytest.approx(
+        1.0, abs=1e-9)
 
 
 def test_vector_expansion_on_curved_chart():
     K = models.sphere_translation(SPHERE, 1)
-    res = _checks_at(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))[1]
-    assert res.first_residual < 1e-8
-    assert res.second_residual < 1e-4
+    res = _checks_at(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    assert res.first < 1e-8
+    assert res.second < 1e-4
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -268,10 +285,10 @@ def test_scalar_stencil_shares_runs(monkeypatch):
     refusing every call: the check runs no geodesic at all."""
     _refuse_integration(monkeypatch)
     K = models.sphere_translation(SPHERE, 1)
-    scalar, vector = _checks_at(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))
-    assert scalar.derivative_residual < 1e-12
-    assert vector.first_residual < 1e-12
-    assert vector.second_residual < 1e-12
+    res = _checks_at(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))
+    assert res.scalar < 1e-12
+    assert res.first < 1e-12
+    assert res.second < 1e-12
 
 
 def test_vector_stencil_shares_runs(monkeypatch):
@@ -279,10 +296,10 @@ def test_vector_stencil_shares_runs(monkeypatch):
     the integrator refusing every call."""
     _refuse_integration(monkeypatch)
     K = models.sphere_translation(SPHERE, 1)
-    scalar, vector = _checks_at(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    assert vector.first_residual < 1e-12
-    assert vector.second_residual < 1e-12
-    assert scalar.derivative_residual < 1e-12
+    res = _checks_at(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    assert res.first < 1e-12
+    assert res.second < 1e-12
+    assert res.scalar < 1e-12
 
 
 def test_checks_build_no_frame(monkeypatch):
@@ -324,11 +341,14 @@ def _mobius_zeros(n):
 
 
 def test_jet_derivatives_match_rk4_differences():
-    """f', f'', a' and a'' from the 2-jet agree with Richardson differences
-    of RK4 runs at every checked zero of the catalog in dimensions 3 and 4,
-    and at zeros of seeded Moebius conjugates, which lie off the coordinate
-    axes.  The frame components a of xi have a' = E g first and a'' = E g
-    second, with E the parallel frame at the zero."""
+    """The record's N v and H(v, v), with f' and f'', agree with Richardson
+    differences of RK4 runs at every checked zero of the catalog in
+    dimensions 3 and 4, and at zeros of seeded Moebius conjugates, which lie
+    off the coordinate axes.  The frame components a of xi have a' = E g N v
+    and a'' = E g H(v, v), with E the parallel frame at the zero.  The
+    residuals built from the RK4 derivatives, against the targets phi v +
+    (1/2) d(xi^flat)(v)^sharp and 2 dphi(v) v - grad phi taken in that
+    frame, are those of ``taylor_checks``."""
     rng = np.random.default_rng(16)
     # the first 4 zeros of each pair, the ones verify-identities checks
     cases = [(chart, xi, z) for dim in (3, 4) for chart, xi in models.standard_pairs(dim)
@@ -338,14 +358,26 @@ def test_jet_derivatives_match_rk4_differences():
     assert len(mobius) == 26
     for chart, xi, z in cases + mobius:
         v = rng.standard_normal(chart.dim)
-        scalar, vector = _checks_at(chart, xi, z, v)
+        first, second, f_prime, f_second = _derivatives_at(chart, xi, z, v)
         f1, f2, a1, a2, E = rk4_taylor_derivatives(chart, xi, z, v)
-        Eg = E @ metric_value(chart, z[None])[0]
+        jets = field_data(chart, xi, z[None])
+        g, ginv, phi, dphi = jets.conn.g[0], jets.conn.ginv[0], jets.phi[0], jets.dphi[0]
+        Eg = E @ g
         label = f"{chart.name} {xi.name} {z.tolist()}"
-        assert abs(scalar.f_prime - f1) < 1e-10, label
-        assert np.abs(Eg @ vector.first - a1).max() < 1e-10, label
-        assert abs(scalar.f_second - f2) < 1e-7, label
-        assert np.abs(Eg @ vector.second - a2).max() < 1e-7, label
+        assert abs(f_prime - f1) < 1e-10, label
+        assert np.abs(Eg @ first - a1).max() < 1e-10, label
+        assert abs(f_second - f2) < 1e-7, label
+        assert np.abs(Eg @ second - a2).max() < 1e-7, label
+
+        u = v / norm_vector(g[None], v[None])[0]
+        first_target = phi * u - 0.5 * ginv @ (jets.M[0] @ u)
+        second_target = 2.0 * (dphi @ u) * u - ginv @ dphi
+        res = _checks_at(chart, xi, z, v)
+        # E is g-orthonormal, so |w|_g = |E g w| and the frame residuals
+        # differ from the record's by at most |a' - E g N v| in the 2-norm
+        assert abs(abs(f1 - phi) - res.scalar) < 1e-10, label
+        assert abs(np.linalg.norm(a1 - Eg @ first_target) - res.first) < 1e-10 * math.sqrt(chart.dim), label
+        assert abs(np.linalg.norm(a2 - Eg @ second_target) - res.second) < 1e-7 * math.sqrt(chart.dim), label
 
 
 def test_stacked_taylor_checks_are_the_per_zero_checks():
@@ -358,12 +390,11 @@ def test_stacked_taylor_checks_are_the_per_zero_checks():
             if not len(zeros):
                 continue
             dirs = rng.standard_normal(zeros.shape)
-            scalar, vector = taylor_checks(field_data(chart, xi, zeros), dirs)
-            assert np.shape(scalar.f_prime) == (len(zeros),)
-            assert vector.first.shape == vector.second.shape == zeros.shape
+            res = taylor_checks(field_data(chart, xi, zeros), dirs)
+            assert all(np.shape(a) == (len(zeros),) for a in res)
             for i in range(len(zeros)):
-                s1, v1 = taylor_checks(field_data(chart, xi, zeros[i:i + 1]), dirs[i:i + 1])
-                for stacked, one in zip(scalar + vector, s1 + v1):
+                ones = taylor_checks(field_data(chart, xi, zeros[i:i + 1]), dirs[i:i + 1])
+                for stacked, one in zip(res, ones):
                     assert np.array_equal(stacked[i], one[0]), (chart.name, xi.name, i)
 
 
@@ -428,10 +459,10 @@ def test_checks_next_to_the_box_edge(height, monkeypatch):
     _refuse_integration(monkeypatch)
     rot = models.rotation(FLAT3, 1, 2)
     x = np.array([0.0, 0.0, height])
-    scalar, vector = _checks_at(FLAT3, rot, x, np.array([0.0, 0.0, 1.0]))
-    assert scalar.derivative_residual < 1e-12
-    assert vector.first_residual < 1e-12
-    assert vector.second_residual < 1e-12
+    res = _checks_at(FLAT3, rot, x, np.array([0.0, 0.0, 1.0]))
+    assert res.scalar < 1e-12
+    assert res.first < 1e-12
+    assert res.second < 1e-12
 
 
 # -- pointwise two-form derivative identity --------------------------------------
@@ -443,7 +474,7 @@ def test_derivative_identity_on_catalog_fields():
     for chart, xi in models.standard_pairs(3):
         pts = sample_interior(chart, 5, rng)
         dirs = rng.standard_normal((5, 3))
-        worst = max(worst, dxi_identity_residual(chart, xi, pts, dirs).max())
+        worst = max(worst, dxi_identity_residual(field_data(chart, xi, pts), dirs).max())
     assert worst < 1e-9
 
 
@@ -456,9 +487,9 @@ def test_batched_identity_residuals_match_per_point():
     for chart, xi in [(SPHERE, models.sphere_translation(SPHERE, 1)), (FLAT3, bad)]:
         pts = sample_interior(chart, 12, rng)
         dirs = rng.standard_normal((12, 3))
-        batched = dxi_identity_residual(chart, xi, pts, dirs)
-        per_point = np.array([dxi_identity_residual(chart, xi, pts[i:i + 1], dirs[i:i + 1])[0]
-                              for i in range(12)])
+        batched = dxi_identity_residual(field_data(chart, xi, pts), dirs)
+        per_point = np.array([dxi_identity_residual(field_data(chart, xi, pts[i:i + 1]),
+                                                    dirs[i:i + 1])[0] for i in range(12)])
         assert batched.shape == (12,)
         assert np.abs(batched - per_point).max() <= 1e-14 * max(1.0, per_point.max())
 
@@ -490,7 +521,7 @@ def test_identity_residuals_match_the_einsum_reference(dim):
         dirs = rng.standard_normal((50, dim))
         for size in (1, 7, 50):
             p, X = points[:size], dirs[:size]
-            got = dxi_identity_residual(chart, xi, p, X)
+            got = dxi_identity_residual(field_data(chart, xi, p), X)
             ref = reference_dxi_identity_residual(chart, xi, p, X)
             assert np.shape(got) == np.shape(ref), size
             fd = reference_field_data(chart, xi, p, 2)
@@ -504,5 +535,5 @@ def test_derivative_identity_fails_for_non_conformal_field():
     bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     rng = np.random.default_rng(8)
     pts = sample_interior(FLAT3, 10, rng)
-    residuals = dxi_identity_residual(FLAT3, bad, pts, rng.standard_normal((10, 3)))
+    residuals = dxi_identity_residual(field_data(FLAT3, bad, pts), rng.standard_normal((10, 3)))
     assert residuals.max() > 1e-3

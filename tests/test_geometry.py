@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import confield.models as models
-from confield.conformal import conformal_residual
+from confield.conformal import conformal_factor_gradient, conformal_residual
 from confield.expr import eval_jet, eval_jets, parse
 from confield.essential import classify_zero
 from confield.geodesic import dxi_identity_residual, taylor_checks
+from confield.zeroset import SubmanifoldPatch, trace_component, umbilicity_report
 from confield.geometry import (
     Chart,
     ChartDomainError,
@@ -254,12 +255,12 @@ def test_stack_rows_are_the_batch_of_one_bit_for_bit(chart, xi):
             for name, a in ones[i].items():
                 assert _bits(stack[name][i]) == _bits(a[0]), (size, i, name)
     conformal = conformal_residual(chart, xi, points)
-    identity = dxi_identity_residual(chart, xi, points, directions)
+    identity = dxi_identity_residual(field_data(chart, xi, points), directions)
     for i in range(50):
         one = slice(i, i + 1)
         assert _bits(conformal[i]) == _bits(conformal_residual(chart, xi, points[one])[0]), i
-        assert (_bits(identity[i])
-                == _bits(dxi_identity_residual(chart, xi, points[one], directions[one])[0])), i
+        assert (_bits(identity[i]) == _bits(
+            dxi_identity_residual(field_data(chart, xi, points[one]), directions[one])[0])), i
 
 
 def test_batched_spd_inverse_checks_every_matrix():
@@ -278,6 +279,26 @@ def test_require_interior_names_the_first_point_outside():
     assert not FLAT3.contains(pts) and FLAT3.contains(pts[:1])
     with pytest.raises(ChartDomainError, match=r"\[0\.1, 9\.0, 0\.0\]"):
         FLAT3.require_interior(pts)
+
+
+def test_field_data_refuses_a_point_outside_the_box():
+    """The record owns the interior precondition: it names the first row
+    outside the box.  classify_zero, taylor_checks, dxi_identity_residual
+    and second_fundamental_form read only the record, so they get the
+    refusal from it; umbilicity_report builds the record of a patch's
+    interior nodes, and conformal_factor_gradient that of its point."""
+    xi = models.rotation(FLAT3, 1, 2)
+    pts = np.array([[0.0, 0.0, 0.0], [0.1, 9.0, 0.0], [9.0, 0.0, 0.0]])
+    with pytest.raises(ChartDomainError, match=r"point \[0\.1, 9\.0, 0\.0\] outside"):
+        field_data(FLAT3, xi, pts)
+    with pytest.raises(ChartDomainError, match=r"point \[9\.0, 0\.0, 0\.0\] outside"):
+        conformal_factor_gradient(FLAT3, xi, pts[2])
+    patch = trace_component(FLAT3, xi, classify_zero(
+        FLAT3, xi, field_data(FLAT3, xi, pts[:1]), np.random.default_rng(0))[0])
+    moved = SubmanifoldPatch(patch.base, patch.samples + [0.0, 0.0, 9.0], patch.field_norms,
+                             patch.codim)
+    with pytest.raises(ChartDomainError, match=r"point \[0\.0, 0\.0, 8\.85\] outside"):
+        umbilicity_report(FLAT3, xi, [moved])
 
 
 def test_classify_and_taylor_checks_share_one_zero_gate():

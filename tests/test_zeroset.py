@@ -12,7 +12,7 @@ import confield.models as models
 import confield.zeroset as zeroset
 from confield.conformal import rescale_metric
 from confield.expr import Add, Const, Mul, Var, eval_jet, parse
-from confield.geometry import FieldSpec, metric_value, norm_vector
+from confield.geometry import FieldSpec, field_data, metric_value, norm_vector
 from confield.zeroset import (
     OffZeroSetError,
     PatchError,
@@ -37,6 +37,11 @@ SPHERE = models.sphere_stereographic(3)
 HYP4 = models.hyperbolic_ball(4)
 # a zero of sphere_killing(SPHERE, 3, 4), on the unit circle in x3 = 0
 SPHERE_ZERO = np.array([1.0, 0.0, 0.0])
+
+
+def _sff(chart, xi, points, k):
+    """``second_fundamental_form`` on the record of ``points``."""
+    return second_fundamental_form(field_data(chart, xi, points), k)
 
 
 # -- tracing ------------------------------------------------------------------
@@ -247,11 +252,12 @@ def _assert_jet_path_matches_fd(chart, known):
     """
     k = len(known.axes)
     report = umbilicity_report(chart, known.xi, [known.patch])[0]
-    jet = second_fundamental_form(chart, known.xi, _interior(known.patch), k)
+    nodes = _interior(known.patch)
+    jet = _sff(chart, known.xi, nodes, k)
     for m, t in enumerate(itertools.product(*(axis[1:-1] for axis in known.axes))):
         point, dP, B_fd, H_fd = fd_second_fundamental_form(chart, known.mapping, np.array(t))
-        assert np.array_equal(jet.points[m], point)
-        g = metric_value(chart, jet.points[m][None])[0]
+        assert np.array_equal(nodes[m], point)
+        g = metric_value(chart, nodes[m][None])[0]
         e = jet.tangent_frame[m]
         assert np.abs(e @ g @ e.T - np.eye(k)).max() < 1e-12
         C = dP @ g @ e.T
@@ -259,7 +265,7 @@ def _assert_jet_path_matches_fd(chart, known):
         assert np.abs(B_param - B_fd).max() < 1e-8
         assert np.abs(jet.mean_curvature[m] - H_fd).max() < 1e-8
         assert abs(report.mean_curvature_norms[m] - norm_vector(g, H_fd)) < 1e-8
-    assert len(report.mean_curvature_norms) == len(jet.points)
+    assert len(report.mean_curvature_norms) == len(nodes)
     return report
 
 
@@ -324,7 +330,7 @@ def test_hyperplane_has_zero_second_fundamental_form():
     patch = known.patch
     assert patch.field_norms.shape == (7, 7)
     assert patch.max_field_norm == 0.0
-    data = second_fundamental_form(FLAT3, known.xi, patch.samples[3, 3][None], 2)
+    data = _sff(FLAT3, known.xi, patch.samples[3, 3][None], 2)
     assert np.abs(data.normal_form).max() < 1e-9
     assert np.abs(data.mean_curvature).max() < 1e-9
     report = _assert_jet_path_matches_fd(FLAT3, known)
@@ -336,8 +342,8 @@ def test_round_two_sphere_is_umbilical_with_mean_curvature_two():
     known = _sphere()
     patch = known.patch
     assert patch.max_field_norm < 1e-15
-    data = second_fundamental_form(FLAT3, known.xi, patch.samples[4, 4][None], 2)
-    p = data.points[0]
+    p = patch.samples[4, 4]
+    data = _sff(FLAT3, known.xi, p[None], 2)
     # B must be proportional to the induced metric with normal of length 1/r
     assert np.linalg.norm(data.mean_curvature[0]) == pytest.approx(2.0, abs=1e-5)
     # mean curvature points radially
@@ -391,7 +397,7 @@ def test_great_subsphere_is_minimal_in_round_metric():
         rowwise(lambda t: np.array([math.cos(t[0]), math.sin(t[0]), 0.0])),
         (_linspace(-3.0, 3.0, 13),),
     )
-    data = second_fundamental_form(SPHERE, known.xi, known.patch.samples[6][None], 1)
+    data = _sff(SPHERE, known.xi, known.patch.samples[6][None], 1)
     assert np.abs(data.normal_form).max() < 1e-6
     report = _assert_jet_path_matches_fd(SPHERE, known)
     assert report.verdict == "totally_umbilical"
@@ -474,11 +480,10 @@ def test_batched_second_fundamental_form_matches_per_point():
     ]
     for chart, (xi, _, _, patch) in cases:
         points = patch.samples.reshape(-1, chart.dim)
-        data = second_fundamental_form(chart, xi, points, patch.k)
+        data = _sff(chart, xi, points, patch.k)
         assert data.normal_form.shape == (len(points), patch.k, patch.k, chart.dim)
-        assert np.array_equal(data.points, points)
         for m in range(len(points)):
-            one = second_fundamental_form(chart, xi, points[m:m + 1], patch.k)
+            one = _sff(chart, xi, points[m:m + 1], patch.k)
             assert np.array_equal(data.normal_form[m], one.normal_form[0])
             assert np.array_equal(data.tangent_frame[m], one.tangent_frame[0])
 
@@ -544,7 +549,7 @@ def test_umbilicity_report_over_patches_is_the_per_patch_calls(monkeypatch):
     assert max(patch.max_field_norm for patch in patches) < 1e-15
     singles = [umbilicity_report(flat6, xi, [patch])[0] for patch in patches]
     calls = recording_calls(monkeypatch, zeroset.second_fundamental_form,
-                            lambda out, chart, xi, points, k: (k, len(points)),
+                            lambda out, jets, k: (k, len(jets.points)),
                             arguments=True)
     reports = umbilicity_report(flat6, xi, patches)
     assert calls == [(2, 9), (1, 6)]
@@ -571,18 +576,10 @@ def test_wrong_kernel_dimension_names_the_first_such_row():
     empty stack has no row to refuse."""
     xi = _field(FLAT3, "x1*x3", "x2*x3", "0")
     points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.1, 0.0, 0.0]])
-    assert second_fundamental_form(FLAT3, xi, points[[0, 2]], 1).normal_form.shape == (2, 1, 1, 3)
-    assert second_fundamental_form(FLAT3, xi, points[:0], 1).normal_form.shape == (0, 1, 1, 3)
+    assert _sff(FLAT3, xi, points[[0, 2]], 1).normal_form.shape == (2, 1, 1, 3)
+    assert _sff(FLAT3, xi, points[:0], 1).normal_form.shape == (0, 1, 1, 3)
     with pytest.raises(PatchError, match=r"3-dimensional kernel at \[0\.0, 0\.0, 0\.0\], on a 1-"):
-        second_fundamental_form(FLAT3, xi, points, 1)
-
-
-def test_second_fundamental_form_carries_the_metric_at_its_node():
-    xi = models.sphere_killing(SPHERE, 3, 4)
-    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO))
-    data = second_fundamental_form(SPHERE, xi, patch.samples[1][None], 1)
-    assert np.array_equal(data.points[0], patch.samples[1])
-    assert np.array_equal(data.metric[0], metric_value(SPHERE, data.points[:1])[0])
+        _sff(FLAT3, xi, points, 1)
 
 
 def test_second_fundamental_form_refusals(monkeypatch):
@@ -590,14 +587,14 @@ def test_second_fundamental_form_refusals(monkeypatch):
     rot2 = models.rotation(flat2, 1, 2)
     point_patch = trace_component(flat2, rot2, classify_at(flat2, rot2, np.zeros(2)))
     with pytest.raises(PatchError):
-        second_fundamental_form(flat2, rot2, point_patch.samples[None], 0)
+        _sff(flat2, rot2, point_patch.samples[None], 0)
 
     # the x3 axis is a 1-dimensional zero set, not a 2-dimensional one
     xi = models.rotation(FLAT3, 1, 2)
     trace_geometry(monkeypatch, 0.2, 5)
     patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
     with pytest.raises(PatchError, match="1-dimensional kernel"):
-        second_fundamental_form(FLAT3, xi, patch.samples[2][None], 2)
+        _sff(FLAT3, xi, patch.samples[2][None], 2)
 
     # The jet formula needs no neighbouring node, so boundary nodes are not
     # refused: the end nodes of the unit circle get |H| = 1 and the
@@ -605,7 +602,7 @@ def test_second_fundamental_form_refusals(monkeypatch):
     known = _unit_circle()
     (axis,) = known.axes
     ends = (0, len(axis) - 1)
-    data = second_fundamental_form(FLAT3, known.xi, known.patch.samples[list(ends)], 1)
+    data = _sff(FLAT3, known.xi, known.patch.samples[list(ends)], 1)
     for m, i in enumerate(ends):
         _, dP, B_fd, _ = fd_second_fundamental_form(FLAT3, known.mapping, axis[i:i + 1])
         assert abs(np.linalg.norm(data.mean_curvature[m]) - 1.0) < 1e-12
@@ -669,10 +666,11 @@ def test_mean_curvature_under_rescaling():
     known = _unit_circle()
     report = _assert_jet_path_matches_fd(rescaled, known)
     assert report.verdict == "totally_umbilical"
-    data = second_fundamental_form(FLAT3, known.xi, _interior(known.patch), 1)
-    assert len(report.mean_curvature_norms) == len(data.points) == 5
-    for m in range(len(data.points)):
-        jet = eval_jet(f, data.points[m], 1)
+    nodes = _interior(known.patch)
+    data = _sff(FLAT3, known.xi, nodes, 1)
+    assert len(report.mean_curvature_norms) == len(nodes) == 5
+    for m in range(len(nodes)):
+        jet = eval_jet(f, nodes[m], 1)
         e = data.tangent_frame[m]
         normal_grad = jet.d1 - e.T @ (e @ jet.d1)
         expected = math.exp(-jet.value) * np.linalg.norm(data.mean_curvature[m] - normal_grad)

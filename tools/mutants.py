@@ -151,15 +151,25 @@ MUTANTS = (
            "first_target = -0.5 * matvec(",
            "nabla_v xi = phi v + (1/2) d(xi^flat)(v)^sharp: a homothetic zero has phi != 0"),
     Mutant("hessian-indices-swapped", "src/confield/geodesic.py",
-           "G = g @ vecmat(X[..., None, :], fd.H)",
-           "G = g @ _along(fd.H, X)",
+           "G = g @ vecmat(X[..., None, :], jets.H)",
+           "G = g @ _along(jets.H, X)",
            "nabla_X d(xi^flat) takes X in H's derivative index; off a zero on a curved "
            "chart the derivative and argument indices differ by R(X, .) xi"),
     Mutant("taylor-rows-misreported", CLI,
-           "zip(session.zeros[:_TAYLOR_ZEROS], scalar.derivative_residual,",
-           "zip(session.zeros[-_TAYLOR_ZEROS:], scalar.derivative_residual,",
+           "zip(session.zeros[:_TAYLOR_ZEROS], res.scalar,",
+           "zip(session.zeros[-_TAYLOR_ZEROS:], res.scalar,",
            "Taylor entry k must report the zero whose record row it checked, "
            "also when there are more zeros than entries"),
+    # the one record every pointwise check reads
+    Mutant("field-data-interior", "src/confield/geometry.py",
+           "    chart.require_interior(p)\n    conn = connection_data(chart, p, 2)",
+           "    conn = connection_data(chart, p, 2)",
+           "the record refuses a point outside the box, by name, for every check "
+           "that reads it"),
+    Mutant("audit-essential-as-homothetic", "src/confield/essential.py",
+           "cls.verdict == VERDICT_ESSENTIAL for cls",
+           "cls.verdict == VERDICT_HOMOTHETIC for cls",
+           "an essential zero 0.02 from a Killing zero fails the isolation assertion"),
 )
 
 
