@@ -15,6 +15,9 @@ the library module that decides with it or as a constant here, and ``run``
 takes no option but ``--out``.  Each analysis reports the values it ran
 with, read from those constants when it runs.
 
+``trace`` traces a zero from its frame only where ``classify`` calls it
+Killing for a rescaled metric, and lists any other zero as skipped.
+
 Exit codes: 0 when every analysis passed, 1 when an analysis failed or
 raised, 2 for malformed manifests or options, unusable charts/fields or a
 report that cannot be written.
@@ -24,7 +27,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -232,8 +234,6 @@ def _build_chart(spec: dict) -> Chart:
     _require(all(len(r) == dim for r in metric), "chart 'metric' must be square")
     _require(len(lower) == dim and len(upper) == dim,
              f"chart 'lower' and 'upper' must each hold {dim} bounds, one per metric row")
-    _require(all(math.isfinite(float(u) - float(lo)) for lo, u in zip(lower, upper)),
-             "'lower'/'upper' span a box whose extent upper - lower overflows a float")
     try:
         rows = tuple(tuple(parse(entry, dim) for entry in row) for row in metric)
     except ExprSyntaxError as exc:
@@ -305,31 +305,33 @@ class _Session:
 
     @cached_property
     def classifications(self):
-        """One classification per zero, from one call on the classify
-        stream: classify and tracing read the same verdicts whichever of
-        them runs."""
-        return () if self.zero_jets is None else classify_zero(
+        """The classification record of the zeros, from one call on the
+        classify stream: classify and tracing read the same verdicts
+        whichever of them runs; None when there is no zero."""
+        return None if self.zero_jets is None else classify_zero(
             self.chart, self.xi, self.zero_jets, rng=self.stream("classify"))
 
     @cached_property
     def patches(self):
-        built = []
-        errors = []
-        for cls in self.classifications:
+        built, errors = [], []
+        cls = self.classifications
+        rows = () if cls is None else zip(self.zeros, cls.verdicts, cls.frames,
+                                          cls.kernel_dim.tolist())
+        for x, verdict, frame, k in rows:
             if len(built) >= _TRACE_MAX_PATCHES:
                 break
-            try:
-                patch = trace_component(self.chart, self.xi, cls)
-            except PatchError as exc:
-                # Refused zeros (not Killing-type, a predictor leaving the
-                # chart) are skips; a patch off the zero set is a failure.
-                errors.append({
-                    "zero": cls.point,
-                    "reason": str(exc),
-                    "failed": isinstance(exc, OffZeroSetError),
-                })
+            # Refused zeros (not Killing-type, a predictor leaving the
+            # chart) are skips; a patch off the zero set is a failure.
+            if verdict != VERDICT_KILLING:
+                reason = ("zero set tracing requires a zero that is Killing for a "
+                          f"rescaled metric, got verdict {verdict!r}")
+                errors.append({"zero": x, "reason": reason, "failed": False})
                 continue
-            built.append(patch)
+            try:
+                built.append(trace_component(self.chart, self.xi, x, frame, k))
+            except PatchError as exc:
+                errors.append({"zero": x, "reason": str(exc),
+                               "failed": isinstance(exc, OffZeroSetError)})
         return built, errors
 
     @cached_property
@@ -337,9 +339,10 @@ class _Session:
         """Whether no patch was built although a Killing-type zero lies on a
         zero set of positive dimension: trace and umbilicity then checked
         nothing there, and neither may pass."""
-        return not self.patches[0] and any(
-            cls.verdict == VERDICT_KILLING and cls.kernel_dim > 0
-            for cls in self.classifications)
+        cls = self.classifications
+        return not self.patches[0] and cls is not None and any(
+            verdict == VERDICT_KILLING and k > 0
+            for verdict, k in zip(cls.verdicts, cls.kernel_dim))
 
 
 def _run_check_conformal(session: _Session) -> dict:
@@ -371,29 +374,23 @@ def _run_classify(session: _Session) -> dict:
             "zero classification needs dimension >= 3; the image criterion "
             "does not apply to surfaces"
         )
-    classifications = session.classifications
-    entries = [
-        {
-            "point": cls.point,
-            "verdict": cls.verdict,
-            "phi": cls.phi,
-            "image_residual": cls.image_residual,
-            "kernel_dim": cls.kernel_dim,
-            "rank_dxi": session.chart.dim - cls.kernel_dim,
-            "neighborhood_residual": cls.neighborhood_residual,
-        }
-        for cls in classifications
-    ]
-    audit = None
-    if classifications:
-        audit_result = limit_point_audit(classifications)
+    jets, cls = session.zero_jets, session.classifications
+    entries, audit, passed = [], None, True
+    if cls is not None:
+        entries = [
+            {"point": point, "verdict": verdict, "phi": phi, "image_residual": residual,
+             "kernel_dim": k, "rank_dxi": session.chart.dim - k, "neighborhood_residual": ball}
+            for point, verdict, phi, residual, k, ball in zip(
+                jets.points, cls.verdicts, jets.phi.tolist(), cls.image_residual.tolist(),
+                cls.kernel_dim.tolist(), cls.neighborhood_residual.tolist())
+        ]
+        audit_result = limit_point_audit(jets.points, cls.verdicts)
         audit = {
             "radius": essential.ISOLATION_RADIUS,
             "assertions": audit_result.assertions,
             "passed": audit_result.passed,
         }
-    verdicts_ok = all(cls.verdict != VERDICT_INVALID for cls in classifications)
-    passed = verdicts_ok and (audit is None or audit["passed"])
+        passed = VERDICT_INVALID not in cls.verdicts and audit_result.passed
     return {
         "passed": bool(passed),
         "entries": entries,

@@ -24,7 +24,8 @@ verdict for any other zero.
 of their 2-jets, which the other pointwise checks take too and which
 refuses a point outside the chart, and classifies them
 from one stacked SVD of the skew forms, one draw of all the neighbourhood
-samples and one conformality check over them.
+samples and one conformality check over them, into one
+``ZeroClassification`` record whose rows are the 2-jet record's rows.
 
 ``find_zeros`` locates zeros by a grid scan, in blocks of bounded size,
 whose seeds ``polish_zeros`` moves onto xi = 0 all at once, as the lanes of
@@ -34,10 +35,10 @@ singular, where Newton converges only linearly, with rate 1/2 (Decker,
 Keller & Kelley 1983), so a lane whose step is about half its last one
 first tries the doubled step, the Richardson limit of that tail (Griewank
 1985).  A lane stops once its step is below the rounding unit of the box.
-``limit_point_audit`` cross-checks the classified zeros against the
-structure theory from each zero's distance to its nearest other zero:
-non-isolated zeros must classify as Killing for a rescaled metric, and
-essential zeros must be isolated.
+``limit_point_audit`` cross-checks the found zeros and their verdicts
+against the structure theory from each zero's distance to its nearest
+other zero: non-isolated zeros must classify as Killing for a rescaled
+metric, and essential zeros must be isolated.
 """
 from __future__ import annotations
 
@@ -272,28 +273,29 @@ def find_zeros(chart: Chart, xi: FieldSpec, grid_resolution: int = GRID_RESOLUTI
 
 @dataclass(frozen=True, eq=False)
 class ZeroClassification:
-    """First-order data and verdict at a zero of a conformal field.
+    """First-order data and verdicts at m zeros of a conformal field, row i
+    for row i of the ``field_data`` record classified.
 
-    ``normal_basis`` spans the g-orthogonal complement of ``kernel_basis``.
-    On a surface ``verdict`` is ``None`` for a zero that no verdict covers.
+    ``verdicts`` is a tuple of m; on a surface a zero that no verdict covers
+    has ``None``.  ``frames[i]`` is an (n, n) g-orthonormal frame at zero i:
+    its last ``kernel_dim[i]`` rows span the kernel of d(xi^flat), the rows
+    before them its complement.
     """
 
-    point: np.ndarray
-    verdict: str | None
-    phi: float
-    image_residual: float
-    kernel_dim: int
-    kernel_basis: np.ndarray
-    normal_basis: np.ndarray
-    neighborhood_residual: float
+    verdicts: tuple
+    image_residual: np.ndarray
+    kernel_dim: np.ndarray
+    frames: np.ndarray
+    neighborhood_residual: np.ndarray
 
 
-def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> tuple:
+def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> ZeroClassification:
     """Classify zeros as essential, homothetic, or Killing after rescaling.
 
     ``jets`` is the :func:`~confield.geometry.field_data` record of xi at an
-    (m, n) array of points; they are classified together into a tuple of m
-    (an empty record gives ``()``), and nothing is evaluated at them again.
+    (m, n) array of points; they are classified together into one record
+    whose rows are the record's rows (an empty record gives an empty one),
+    and nothing is evaluated at them again.
     A row that is not a zero raises ``ValueError`` naming it
     (:func:`~confield.geometry.require_zeros`).  The SVDs of d(xi^flat) in
     g-orthonormal frames at all points come from one stacked
@@ -309,23 +311,23 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> tuple:
     stacked :func:`~confield.geometry.sample_ball` call and checked in one
     :func:`~confield.conformal.is_conformal` call, and a zero whose ball
     reaches ``CONFORMAL_TOL`` gets the ``invalid_not_conformal`` verdict.
-    Both bases are row slices of one stacked product of the SVD factors.
+    The frames are the one stacked product of the SVD factors.
 
     On a surface the image criterion does not apply.  A zero with |phi| <
     ``CLASSIFICATION_TOL`` and a trivial kernel of d(xi^flat) is a simple
     zero with skew invertible nabla xi and gets ``killing_inessential``;
     every other zero of a conformal field gets the verdict ``None``.
     """
-    points = jets.points
+    points, n = jets.points, chart.dim
     if not len(points):
-        return ()
+        return ZeroClassification((), np.empty(0), np.empty(0, dtype=int),
+                                  np.empty((0, n, n)), np.empty(0))
     require_zeros(jets, "classify_zero")
     samples = sample_ball(chart, points, *_NEIGHBORHOOD, rng)
-    report = is_conformal(chart, xi, samples.reshape(-1, chart.dim))
+    report = is_conformal(chart, xi, samples.reshape(-1, n))
     # each zero's worst residual over its own ball; a NaN stays NaN
     neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)
 
-    n = chart.dim
     dxi_svd = frame_svd(jets.conn.factor, jets.M, "skew_form")
     kernel_dim = n - dxi_svd.rank
     # in the frame nabla xi = A + phi I with A skew and ker A = ker M: it is
@@ -335,33 +337,20 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> tuple:
     along[np.arange(n) < dxi_svd.rank[:, None]] = 0.0
     image_residual = np.where(np.abs(jets.phi) >= CLASSIFICATION_TOL, 0.0,
                               np.linalg.norm(along, axis=1))
-    b_scale = np.linalg.norm(b_frame, axis=1)
-    # row a of frame_rows[i] is Vt[i, a] in chart coordinates; rows rank[i]
-    # and on span zero i's kernel, the rows before them its complement
-    frame_rows = dxi_svd.Vt @ dxi_svd.Linv
+    small_phi = np.abs(jets.phi) < CLASSIFICATION_TOL  # False for a NaN phi
 
-    classes = []
-    for i, (phi, residual) in enumerate(zip(jets.phi.tolist(), neighborhood.tolist())):
-        if not residual < conformal.CONFORMAL_TOL:
-            verdict = VERDICT_INVALID
-        elif n < 3:
-            killing = abs(phi) < CLASSIFICATION_TOL and kernel_dim[i] == 0
-            verdict = VERDICT_KILLING if killing else None
-        elif image_residual[i] < CLASSIFICATION_TOL * (1.0 + b_scale[i]):
-            verdict = VERDICT_KILLING if abs(phi) < CLASSIFICATION_TOL else VERDICT_HOMOTHETIC
-        else:
-            verdict = VERDICT_ESSENTIAL
-        classes.append(ZeroClassification(
-            point=points[i],
-            verdict=verdict,
-            phi=phi,
-            image_residual=float(image_residual[i]),
-            kernel_dim=int(kernel_dim[i]),
-            kernel_basis=frame_rows[i, dxi_svd.rank[i]:],
-            normal_basis=frame_rows[i, :dxi_svd.rank[i]],
-            neighborhood_residual=residual,
-        ))
-    return tuple(classes)
+    if n < 3:
+        killing, otherwise = small_phi & (kernel_dim == 0), [None] * len(points)
+    else:
+        in_image = image_residual < CLASSIFICATION_TOL * (1.0 + np.linalg.norm(b_frame, axis=1))
+        killing = small_phi & in_image
+        otherwise = np.where(in_image, VERDICT_HOMOTHETIC, VERDICT_ESSENTIAL).tolist()
+    verdicts = tuple(VERDICT_INVALID if not ok else VERDICT_KILLING if kill else other
+                     for ok, kill, other in zip(neighborhood < conformal.CONFORMAL_TOL,
+                                                killing, otherwise))
+    # row a of frames[i] is Vt[i, a] in chart coordinates
+    return ZeroClassification(verdicts, image_residual, kernel_dim,
+                              dxi_svd.Vt @ dxi_svd.Linv, neighborhood)
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,26 +363,24 @@ class LimitPointAudit:
     passed: bool
 
 
-def limit_point_audit(classifications) -> LimitPointAudit:
+def limit_point_audit(points, verdicts) -> LimitPointAudit:
     """Check isolation/verdict consistency over a set of classified zeros.
 
-    ``classifications`` are the :class:`ZeroClassification` of the found
-    zeros.  A zero with another zero closer than ``ISOLATION_RADIUS`` is
-    treated as non-isolated.  Non-isolated zeros must classify as Killing
-    after a rescaling (limit points of the zero set force phi = 0 and the
-    gradient condition), and essential zeros must be isolated.  A lone
-    zero is isolated, and an empty set passes.
+    ``points`` is the (m, n) array of the found zeros and ``verdicts``
+    their m verdicts.  A zero with another zero closer than
+    ``ISOLATION_RADIUS`` is treated as non-isolated.  Non-isolated zeros
+    must classify as Killing after a rescaling (limit points of the zero
+    set force phi = 0 and the gradient condition), and essential zeros
+    must be isolated.  A lone zero is isolated, and an empty set passes.
     """
-    zeros = np.array([cls.point for cls in classifications], dtype=float)
+    zeros = np.asarray(points, dtype=float)
     # distances[i, j] = |zeros[j] - zeros[i]|, a zero's own distance infinite
-    distances = (np.linalg.norm(zeros[None, :, :] - zeros[:, None, :], axis=-1)
-                 if len(zeros) else np.empty((0, 0)))
+    distances = np.linalg.norm(zeros[None, :, :] - zeros[:, None, :], axis=-1)
     np.fill_diagonal(distances, np.inf)
     nearest = distances.min(axis=1, initial=np.inf)
     isolated = nearest >= ISOLATION_RADIUS
-    killing = np.array([cls.verdict == VERDICT_KILLING for cls in classifications], dtype=bool)
-    essential = np.array([cls.verdict == VERDICT_ESSENTIAL for cls in classifications],
-                         dtype=bool)
+    verdicts = np.array(verdicts, dtype=object)
+    killing, essential = verdicts == VERDICT_KILLING, verdicts == VERDICT_ESSENTIAL
     assertions = {
         "non_isolated_zeros_are_killing_inessential": bool(np.all(isolated | killing)),
         "essential_zeros_isolated": bool(np.all(isolated | ~essential)),

@@ -117,6 +117,9 @@ class Chart:
             raise ChartError("domain bounds must match the chart dimension")
         if not np.all(lower < upper):
             raise ChartError("domain box must have positive extent")
+        if not all(math.isfinite(u - lo) for lo, u in zip(lower.tolist(), upper.tolist())):
+            raise ChartError("'lower'/'upper' span a box whose extent upper - lower "
+                             "overflows a float")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         rows = tuple(tuple(row) for row in self.metric)

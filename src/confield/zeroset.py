@@ -2,22 +2,22 @@
 
 Near a zero x where a conformal field is Killing for some rescaled metric,
 the zero set is a submanifold tangent at x to the kernel of the derivative
-2-form; on a surface such a zero is isolated.  ``trace_component`` takes
-the ``classify_zero`` result at x, which carries that verdict, the kernel
-and its complement, and builds a patch of the zero set as a graph over the
-tangent space: a parameter t, a coordinate in the g-orthonormal kernel
-frame at x, is moved from x + t.kernel onto xi = 0 along the normal space
-by Gauss-Newton steps, the corrector step of Allgower & Georg, *Numerical
-Continuation Methods* (1990), ch. 3, run by ``find_zeros``' solver
-:func:`~confield.essential.polish_zeros` with every grid node a lane.  The
-patch is its grid of zeros and nothing else.  ``second_fundamental_form``
-reads the extrinsic curvature of the zero set from the
-:func:`~confield.geometry.field_data` record of an array of its points,
-the record every pointwise check takes; ``umbilicity_report`` builds that
-record over the interior nodes of a sequence of patches of one field, once
-per patch dimension, and decides whether each patch is totally umbilical
-(all second fundamental form values proportional to the induced metric
-with a common mean curvature vector).
+2-form; on a surface such a zero is isolated.  From x and its frame in
+the ``classify_zero`` record, whose rows span that kernel and its
+complement, ``trace_component`` builds a patch of the zero set as a graph
+over the tangent space, and reads no verdict: a parameter t, a coordinate
+in the g-orthonormal kernel frame at x, is moved from x + t.kernel onto
+xi = 0 along the normal space by Gauss-Newton steps, the corrector step of
+Allgower & Georg, *Numerical Continuation Methods* (1990), ch. 3, run by
+``find_zeros``' solver :func:`~confield.essential.polish_zeros` with every
+grid node a lane.  The patch is its grid of zeros and nothing else.
+``second_fundamental_form`` reads the extrinsic curvature of the zero set
+from the :func:`~confield.geometry.field_data` record of an array of its
+points, the record every pointwise check takes; ``umbilicity_report``
+builds that record over the interior nodes of a sequence of patches of
+one field, once per patch dimension, and decides whether each patch is
+totally umbilical (all second fundamental form values proportional to the
+induced metric with a common mean curvature vector).
 
 The second fundamental form comes from exact jets of the field at a point
 of the zero set.  On the zero set N, nabla xi vanishes on TN and is
@@ -39,7 +39,7 @@ from itertools import product
 
 import numpy as np
 
-from .essential import VERDICT_KILLING, ZeroClassification, polish_zeros
+from .essential import polish_zeros
 from .geometry import Chart, FieldData, FieldSpec, field_data, field_norm, frame_svd
 
 __all__ = [
@@ -102,13 +102,13 @@ class SubmanifoldPatch:
         return float(self.field_norms.max())
 
 
-def trace_component(chart: Chart, xi: FieldSpec, zero: ZeroClassification) -> SubmanifoldPatch:
-    """Patch of the zero set component through a classified zero.
+def trace_component(chart: Chart, xi: FieldSpec, x, frame, k: int) -> SubmanifoldPatch:
+    """Patch of the zero set component through the zero x.
 
-    ``zero`` is the :func:`~confield.essential.classify_zero` result at
-    the zero x; tracing needs its verdict to be Killing after rescaling
-    and reads x and the g-orthonormal bases of the kernel of the derivative
-    2-form and of its complement from it.  The parameter t is a coordinate
+    ``frame`` and ``k`` are x's rows of ``frames`` and ``kernel_dim`` in
+    the :func:`~confield.essential.classify_zero` record: the last k rows
+    of the frame span the kernel of the derivative 2-form, the rest its
+    complement.  No verdict is read.  The parameter t is a coordinate
     in the frame of that kernel, on a grid of ``TRACE_GRID`` nodes per axis
     with side ``2 TRACE_RADIUS``.  The node for t is the predictor
     x + t.kernel corrected onto xi = 0 along the normal space at x (the
@@ -123,13 +123,8 @@ def trace_component(chart: Chart, xi: FieldSpec, zero: ZeroClassification) -> Su
     :class:`OffZeroSetError` reports the first one off the zero set in
     ``np.ndindex`` order.
     """
-    if zero.verdict != VERDICT_KILLING:
-        raise PatchError(
-            "zero set tracing requires a zero that is Killing for a "
-            f"rescaled metric, got verdict {zero.verdict!r}"
-        )
-    x, kernel = zero.point, zero.kernel_basis
-    k = kernel.shape[0]
+    n = chart.dim
+    kernel = frame[n - k:]
     axis = np.linspace(-TRACE_RADIUS, TRACE_RADIUS, TRACE_GRID)
     params = np.array(list(product(axis, repeat=k))).reshape(TRACE_GRID**k, k)
     predicted = x + params @ kernel
@@ -138,7 +133,7 @@ def trace_component(chart: Chart, xi: FieldSpec, zero: ZeroClassification) -> Su
         raise PatchError("the predictor x + t.kernel leaves the chart at "
                          f"t = {params[np.argmin(inside)]}")
     # lanes cut off by the iteration cap are left to the verification
-    samples = polish_zeros(chart, xi, predicted, zero.normal_basis)[0]
+    samples = polish_zeros(chart, xi, predicted, frame[:n - k])[0]
     norms = field_norm(chart, xi, samples)
     off = np.flatnonzero(~(norms < _VERIFY_TOL))
     if off.size:
@@ -148,10 +143,10 @@ def trace_component(chart: Chart, xi: FieldSpec, zero: ZeroClassification) -> Su
         )
     shape = (TRACE_GRID,) * k
     return SubmanifoldPatch(
-        base=x.copy(),
-        samples=samples.reshape(shape + (chart.dim,)),
+        base=np.array(x, dtype=float),
+        samples=samples.reshape(shape + (n,)),
         field_norms=norms.reshape(shape),
-        codim=chart.dim - k,
+        codim=n - k,
     )
 
 

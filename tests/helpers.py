@@ -22,12 +22,12 @@ covariant derivative and the conformal residual built on it, which the
 1-jet formula replaced, and the report writer ``json.dumps`` of plain
 values, which the one-pass writer replaced, byte for byte.
 
-Besides these: ``classify_zero`` at points given as coordinates, the
-reports of the benchmark's manifests, a Gram-Schmidt frame, the conformal
-connection-change identity, the symbolic pushforward of a field under the
-unit inversion, a recorder of the calls of a function through every
-confield binding, a counter of the steps of each geodesic integration, and
-the conformal fields of a flat chart as elements of the Moebius algebra
+Besides these: ``classify_zero`` and ``trace_component`` at points given
+as coordinates, the reports of the benchmark's manifests, a Gram-Schmidt
+frame, the conformal connection-change identity, the symbolic pushforward
+of a field under the unit inversion, a recorder of the calls of a function
+through every confield binding, a counter of the steps of each geodesic
+integration, and the conformal fields of a flat chart as elements of the Moebius algebra
 so(n+1, 1), with their zeros and verdicts read off the matrix.
 """
 from __future__ import annotations
@@ -432,14 +432,14 @@ def map_patch(chart, xi, mapping, param_axes):
     )
 
 
-def corrector(chart, xi, cls):
-    """The map ``trace_component`` samples at the zero ``cls`` classifies:
-    an (m, k) array of t to x + t.kernel corrected onto xi = 0 along the
-    normal space at x."""
+def corrector(chart, xi, x, frame, k):
+    """The map ``trace_component`` samples at the zero x with ``frame``,
+    whose last k rows span the kernel: an (m, k) array of t to
+    x + t.kernel corrected onto xi = 0 along the normal space at x."""
     from confield.essential import polish_zeros
 
-    return lambda t: polish_zeros(chart, xi, cls.point + t @ cls.kernel_basis,
-                                  cls.normal_basis)[0]
+    n = chart.dim
+    return lambda t: polish_zeros(chart, xi, x + t @ frame[n - k:], frame[:n - k])[0]
 
 
 def connection_change_residual(chart, f, p):
@@ -542,14 +542,25 @@ def pushforward_under_inversion(xi):
 
 
 def classify_at(chart, xi, x, rng=None):
-    """``classify_zero`` on the ``field_data`` record at x, its
-    neighbourhood samples drawn from ``rng`` or else a generator seeded 0:
-    the ``ZeroClassification`` of one point, or the tuple of an (m, n)
-    stack."""
-    points = np.asarray(x, dtype=float)
+    """The ``classify_zero`` record of the ``field_data`` record at x, one
+    point or an (m, n) stack, its neighbourhood samples drawn from ``rng``
+    or else a generator seeded 0."""
     rng = np.random.default_rng(0) if rng is None else rng
-    classes = classify_zero(chart, xi, field_data(chart, xi, np.atleast_2d(points)), rng)
-    return classes[0] if points.ndim == 1 else classes
+    return classify_zero(chart, xi, field_data(chart, xi, np.atleast_2d(x)), rng)
+
+
+def zero_frame(chart, xi, x):
+    """x, and its frame and kernel dimension in its ``classify_at`` record:
+    the arguments of ``trace_component`` after the chart and the field."""
+    cls = classify_at(chart, xi, x)
+    return np.asarray(x, dtype=float), cls.frames[0], cls.kernel_dim[0]
+
+
+def trace_at(chart, xi, x):
+    """``trace_component`` at the zero x, from its ``zero_frame``."""
+    from confield.zeroset import trace_component
+
+    return trace_component(chart, xi, *zero_frame(chart, xi, x))
 
 
 def trace_geometry(monkeypatch, radius, grid):

@@ -758,6 +758,25 @@ def test_surface_zero_where_nabla_xi_vanishes_is_skipped(tmp_path):
     assert "got verdict None" in skipped["reason"]
 
 
+@pytest.mark.parametrize("dim,field,verdict", [(3, "special_conformal", "essential"),
+                                               (3, "euler", "homothetic_nonkilling"),
+                                               (2, "euler", None)])
+def test_trace_skips_a_zero_that_is_not_killing_type(tmp_path, dim, field, verdict):
+    """Only a zero that is Killing for a rescaled metric is traced: the
+    isolated origin zero of special_conformal(1) or of the Euler field, on
+    a surface too, is listed as skipped, with its verdict, and the trace
+    passes."""
+    manifest = {"chart": {"name": "euclidean", "dim": dim}, "field": {"name": field},
+                "analyses": ["trace"], "seed": 1}
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0
+    trace = report["analyses"]["trace"]
+    assert trace["passed"] is True and trace["patches"] == [] and "inconclusive" not in trace
+    assert trace["skipped"] == [{"zero": [0.0] * dim, "reason": (
+        "zero set tracing requires a zero that is Killing for a rescaled metric, "
+        f"got verdict {verdict!r}")}]
+
+
 def test_each_zero_is_classified_once(tmp_path, monkeypatch):
     """classify, trace and umbilicity read the classifications of one
     classify_zero call on all the zeros; calls are counted in every confield

@@ -11,7 +11,7 @@ from confield.conformal import conformal_factor_gradient, conformal_residual
 from confield.expr import eval_jet, eval_jets, parse
 from confield.essential import classify_zero
 from confield.geodesic import dxi_identity_residual, taylor_checks
-from confield.zeroset import SubmanifoldPatch, trace_component, umbilicity_report
+from confield.zeroset import SubmanifoldPatch, umbilicity_report
 from confield.geometry import (
     Chart,
     ChartDomainError,
@@ -43,6 +43,7 @@ from helpers import (
     reference_lie_derivative,
     reference_riemann,
     reference_riemann_lowered,
+    trace_at,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -70,6 +71,15 @@ def test_chart_rejects_bad_shapes():
     with pytest.raises(ChartError):
         Chart(dim=2, lower=-np.ones(2), upper=np.ones(2),
               metric=(("1", "0"), ("0", "1")))
+
+
+@pytest.mark.parametrize("lower,upper", [([-1e308, -1.0], [1e308, 1.0]),
+                                         ([-np.inf, -1.0], [1.0, 1.0])])
+def test_chart_refuses_a_box_whose_extent_overflows(lower, upper):
+    """upper - lower is inf along x1: the grid and the samples of such a box
+    are rows of inf, on which the zero line of rotation(1, 2) is missed."""
+    with pytest.raises(ChartError, match="'lower'/'upper' span a box whose extent"):
+        Chart(dim=2, lower=np.array(lower), upper=np.array(upper), metric=FLAT2.metric)
 
 
 def test_domain_membership_and_margin():
@@ -293,8 +303,7 @@ def test_field_data_refuses_a_point_outside_the_box():
         field_data(FLAT3, xi, pts)
     with pytest.raises(ChartDomainError, match=r"point \[9\.0, 0\.0, 0\.0\] outside"):
         conformal_factor_gradient(FLAT3, xi, pts[2])
-    patch = trace_component(FLAT3, xi, classify_zero(
-        FLAT3, xi, field_data(FLAT3, xi, pts[:1]), np.random.default_rng(0))[0])
+    patch = trace_at(FLAT3, xi, pts[0])
     moved = SubmanifoldPatch(patch.base, patch.samples + [0.0, 0.0, 9.0], patch.field_norms,
                              patch.codim)
     with pytest.raises(ChartDomainError, match=r"point \[0\.0, 0\.0, 8\.85\] outside"):

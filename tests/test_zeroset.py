@@ -1,6 +1,8 @@
 """Zero set tracing, second fundamental form, and umbilicity reports."""
+import ast
 import itertools
 import math
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,13 +24,14 @@ from confield.zeroset import (
     umbilicity_report,
 )
 from helpers import (
-    classify_at,
     corrector,
     fd_second_fundamental_form,
     map_patch,
     recording_calls,
     rowwise,
+    trace_at,
     trace_geometry,
+    zero_frame,
 )
 
 FLAT3 = models.euclidean(3)
@@ -49,7 +52,7 @@ def _sff(chart, xi, points, k):
 
 def test_rotation_axis_patch():
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
+    patch = trace_at(FLAT3, xi, np.zeros(3))
     assert patch.k == 1
     assert patch.codim == 2
     assert patch.samples.shape == (5, 3)
@@ -66,7 +69,7 @@ def test_circle_component_patch_on_round_chart(monkeypatch):
     xi = models.sphere_killing(SPHERE, 3, 4)
     base = np.array([1.0, 0.0, 0.0])
     trace_geometry(monkeypatch, 0.4, 7)
-    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, base))
+    patch = trace_at(SPHERE, xi, base)
     assert patch.k == 1
     assert patch.codim == 2
     flat = patch.samples.reshape(-1, 3)
@@ -79,7 +82,7 @@ def test_plane_component_in_four_dimensions(monkeypatch):
     flat4 = models.euclidean(4)
     xi = models.rotation(flat4, 1, 2)
     trace_geometry(monkeypatch, 0.25, 5)
-    patch = trace_component(flat4, xi, classify_at(flat4, xi, np.zeros(4)))
+    patch = trace_at(flat4, xi, np.zeros(4))
     assert patch.k == 2
     assert patch.codim == 2
     assert patch.samples.shape == (5, 5, 4)
@@ -89,35 +92,16 @@ def test_plane_component_in_four_dimensions(monkeypatch):
     assert patch.max_field_norm < 1e-10
 
 
-def test_tracing_refuses_essential_zero():
-    xi = models.special_conformal(FLAT3, 1)
-    with pytest.raises(PatchError):
-        trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
-
-
-def test_tracing_refuses_homothetic_zero():
-    xi = models.euler(FLAT3)
-    with pytest.raises(PatchError):
-        trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
-
-
 def test_two_dimensional_point_component():
     flat2 = models.euclidean(2)
     xi = models.rotation(flat2, 1, 2)
-    patch = trace_component(flat2, xi, classify_at(flat2, xi, np.zeros(2)))
+    patch = trace_at(flat2, xi, np.zeros(2))
     assert patch.k == 0
     assert patch.codim == 2
     assert patch.samples.shape == (2,)
     report = umbilicity_report(flat2, xi, [patch])[0]
     assert report.verdict == "point"
     assert report.max_residual == 0.0 and report.mean_curvature_norms.shape == (0,)
-
-
-def test_two_dimensional_scaling_zero_refused():
-    flat2 = models.euclidean(2)
-    xi = models.euler(flat2)
-    with pytest.raises(PatchError):
-        trace_component(flat2, xi, classify_at(flat2, xi, np.zeros(2)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -128,7 +112,7 @@ def test_two_dimensional_nan_zero_refused():
     flat2 = models.euclidean(2)
     xi = FieldSpec(flat2, (Mul(Const(math.inf), Var(0)), Var(1)))
     with pytest.raises(ValueError, match="expects a zero"):
-        trace_component(flat2, xi, classify_at(flat2, xi, np.zeros(2)))
+        trace_at(flat2, xi, np.zeros(2))
 
 
 def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
@@ -138,14 +122,14 @@ def test_patch_off_the_zero_set_is_its_own_error(monkeypatch):
     the same field evaluations as the passing one."""
     calls = recording_calls(monkeypatch, geometry.field_jets, lambda result: 1)
     xi = models.sphere_killing(FLAT3, 1, 4)
-    zero = classify_at(FLAT3, xi, np.array([0.0, 1.0, 0.0]))
+    zero = zero_frame(FLAT3, xi, [0.0, 1.0, 0.0])
     calls.clear()
-    trace_component(FLAT3, xi, zero)
+    trace_component(FLAT3, xi, *zero)
     passing = len(calls)
     calls.clear()
     monkeypatch.setattr(zeroset, "_VERIFY_TOL", 0.0)
     with pytest.raises(OffZeroSetError, match=r"leaves the zero set: .* at t = \[-0\.3\]"):
-        trace_component(FLAT3, xi, zero)
+        trace_component(FLAT3, xi, *zero)
     assert len(calls) == passing > 1
 
 
@@ -157,12 +141,12 @@ def test_a_patch_past_the_end_of_its_graph_is_off_the_zero_set(monkeypatch):
     misses the circle, the corrector settles where |xi|_g = 0.0202, and the
     verification refuses the patch at its first node."""
     xi = models.sphere_killing(FLAT3, 1, 4)
-    zero = classify_at(FLAT3, xi, np.array([0.0, 1.0, 0.0]))
+    zero = zero_frame(FLAT3, xi, [0.0, 1.0, 0.0])
     trace_geometry(monkeypatch, 0.99, 5)
-    assert trace_component(FLAT3, xi, zero).max_field_norm < 1e-12
+    assert trace_component(FLAT3, xi, *zero).max_field_norm < 1e-12
     trace_geometry(monkeypatch, 1.02, 5)
     with pytest.raises(OffZeroSetError, match=r"\|xi\|_g = 2\.020e-02 at t = \[-1\.02\]"):
-        trace_component(FLAT3, xi, zero)
+        trace_component(FLAT3, xi, *zero)
 
 
 def test_predictor_outside_the_chart_is_a_skip_not_a_failure(monkeypatch):
@@ -170,29 +154,41 @@ def test_predictor_outside_the_chart_is_a_skip_not_a_failure(monkeypatch):
     at x3 = 1.9 the predictor x + t.kernel reaches x3 = 2.2 and the trace is
     refused with a plain PatchError, not as a patch off the zero set."""
     xi = models.rotation(FLAT3, 1, 2)
-    zero = classify_at(FLAT3, xi, np.array([0.0, 0.0, 1.9]))
+    zero = zero_frame(FLAT3, xi, [0.0, 0.0, 1.9])
     with pytest.raises(PatchError, match="predictor") as refused:
-        trace_component(FLAT3, xi, zero)
+        trace_component(FLAT3, xi, *zero)
     assert not isinstance(refused.value, OffZeroSetError)
     trace_geometry(monkeypatch, 0.05, 5)
-    assert trace_component(FLAT3, xi, zero).max_field_norm == 0.0
+    assert trace_component(FLAT3, xi, *zero).max_field_norm == 0.0
+
+
+def test_zeroset_imports_only_the_solver_from_essential():
+    """Tracing is handed a zero's frame and reads no verdict: which zeros
+    to trace is decided by its caller, so zeroset takes nothing from
+    essential but polish_zeros."""
+    tree = ast.parse(Path(zeroset.__file__).read_text(encoding="utf-8"))
+    taken = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module in ("essential", "confield.essential") for alias in node.names]
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names]
+    assert taken == ["polish_zeros"]
+    assert not {"essential", "confield.essential"} & set(modules)
 
 
 def test_corrector_moves_g_orthogonally_to_the_tangent_space(monkeypatch):
-    """The corrector's normals, the classification's normal_basis, are
-    g-orthonormal and g-orthogonal to its kernel_basis, and tracing decomposes
-    nothing more.  Under g = e^{2f} flat with e^{2f} != 1 at the base (so
+    """The corrector's normals, the complement rows of the classification's
+    frame, are g-orthonormal and g-orthogonal to its kernel rows, and
+    tracing decomposes nothing more.  Under g = e^{2f} flat with e^{2f} != 1 at the base (so
     Euclidean-orthonormal rows would fail), every sample of the unit-circle
     zero set lies on x + t.kernel plus a g-normal displacement."""
     chart = rescale_metric(FLAT3, parse("0.3*x2 + 0.2", 3))
     xi = models.sphere_killing(chart, 1, 4)
     base = np.array([0.0, 0.6, 0.8])
-    zero = classify_at(chart, xi, base)
+    _, frame, k = zero = zero_frame(chart, xi, base)
     calls = recording_calls(monkeypatch, geometry.frame_svd, lambda out: 1)
-    patch = trace_component(chart, xi, zero)
+    patch = trace_component(chart, xi, *zero)
     assert calls == []
-    g, normals = metric_value(chart, base[None])[0], zero.normal_basis
-    tangent = zero.kernel_basis
+    g, normals, tangent = metric_value(chart, base[None])[0], frame[:3 - k], frame[3 - k:]
     assert abs(g[0, 0] - 1.0) > 0.1
     assert normals.shape == (2, 3)
     assert np.abs(normals @ g @ normals.T - np.eye(2)).max() < 1e-12
@@ -433,11 +429,11 @@ def test_jet_path_on_traced_hyperbolic_patches(base, monkeypatch):
     runs small."""
     xi = models.rotation(HYP4, 1, 2)
     trace_geometry(monkeypatch, 0.2, 5)
-    zero = classify_at(HYP4, xi, base)
-    traced = trace_component(HYP4, xi, zero)
+    zero = zero_frame(HYP4, xi, base)
+    traced = trace_component(HYP4, xi, *zero)
     assert traced.k == 2
     axis = np.linspace(-0.2, 0.2, 5)[0:3]
-    sub = _known(HYP4, xi, corrector(HYP4, xi, zero), (axis, axis))
+    sub = _known(HYP4, xi, corrector(HYP4, xi, *zero), (axis, axis))
     assert np.array_equal(sub.patch.samples, traced.samples[0:3, 0:3])
     _assert_jet_path_matches_fd(HYP4, sub)
     report = umbilicity_report(HYP4, xi, [traced])[0]
@@ -456,7 +452,7 @@ def test_traced_umbilicity_integrates_no_geodesic(monkeypatch):
     monkeypatch.setattr(geodesic, "integrate_geodesic", refuse)
     xi = models.sphere_killing(SPHERE, 3, 4)
     trace_geometry(monkeypatch, 0.4, 7)
-    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO))
+    patch = trace_at(SPHERE, xi, SPHERE_ZERO)
     report = umbilicity_report(SPHERE, xi, [patch])[0]
     assert report.verdict == "totally_umbilical"
     rescaled = rescale_metric(SPHERE, parse("0.3*sin(x1)", 3))
@@ -500,7 +496,7 @@ def test_umbilicity_report_makes_one_field_data_call(monkeypatch):
 
     xi = models.rotation(FLAT4, 1, 2)
     trace_geometry(monkeypatch, 0.3, 9)
-    patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)))
+    patch = trace_at(FLAT4, xi, np.zeros(4))
     monkeypatch.setattr(zeroset, "field_data", counting)
     report = umbilicity_report(FLAT4, xi, [patch])[0]
     assert [p.shape for p in calls] == [(49, 4)]
@@ -513,7 +509,7 @@ def test_umbilicity_report_makes_one_frame_svd_call(monkeypatch):
     """The kernels and pseudo-inverses of nabla xi at all 9 interior nodes
     come from one stacked frame_svd call."""
     xi = models.rotation(FLAT4, 1, 2)
-    patch = trace_component(FLAT4, xi, classify_at(FLAT4, xi, np.zeros(4)))
+    patch = trace_at(FLAT4, xi, np.zeros(4))
     calls = recording_calls(monkeypatch, geometry.frame_svd,
                             lambda out, factor, tensor, kind: (kind, np.shape(tensor)),
                             arguments=True)
@@ -585,14 +581,14 @@ def test_wrong_kernel_dimension_names_the_first_such_row():
 def test_second_fundamental_form_refusals(monkeypatch):
     flat2 = models.euclidean(2)
     rot2 = models.rotation(flat2, 1, 2)
-    point_patch = trace_component(flat2, rot2, classify_at(flat2, rot2, np.zeros(2)))
+    point_patch = trace_at(flat2, rot2, np.zeros(2))
     with pytest.raises(PatchError):
         _sff(flat2, rot2, point_patch.samples[None], 0)
 
     # the x3 axis is a 1-dimensional zero set, not a 2-dimensional one
     xi = models.rotation(FLAT3, 1, 2)
     trace_geometry(monkeypatch, 0.2, 5)
-    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
+    patch = trace_at(FLAT3, xi, np.zeros(3))
     with pytest.raises(PatchError, match="1-dimensional kernel"):
         _sff(FLAT3, xi, patch.samples[2][None], 2)
 
@@ -613,7 +609,7 @@ def test_second_fundamental_form_refusals(monkeypatch):
 
 def test_traced_axis_report_is_umbilical_with_even_codim():
     xi = models.rotation(FLAT3, 1, 2)
-    patch = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
+    patch = trace_at(FLAT3, xi, np.zeros(3))
     report = umbilicity_report(FLAT3, xi, [patch])[0]
     assert report.verdict == "totally_umbilical"
     assert patch.codim == 2
@@ -624,7 +620,7 @@ def test_traced_axis_report_is_umbilical_with_even_codim():
 def test_circle_component_report_on_round_chart(monkeypatch):
     xi = models.sphere_killing(SPHERE, 3, 4)
     trace_geometry(monkeypatch, 0.4, 7)
-    patch = trace_component(SPHERE, xi, classify_at(SPHERE, xi, SPHERE_ZERO))
+    patch = trace_at(SPHERE, xi, SPHERE_ZERO)
     report = umbilicity_report(SPHERE, xi, [patch])[0]
     assert report.verdict == "totally_umbilical"
     assert patch.codim == 2
@@ -640,7 +636,7 @@ def test_umbilicity_verdicts_stable_under_rescaling():
     for every metric in the conformal class."""
     rescaled = rescale_metric(FLAT3, parse("0.3*sin(x1)", 3))
     xi = models.rotation(FLAT3, 1, 2)
-    traced = trace_component(FLAT3, xi, classify_at(FLAT3, xi, np.zeros(3)))
+    traced = trace_at(FLAT3, xi, np.zeros(3))
     cylinder = _cylinder()
     for field, patch, verdict in ((xi, traced, "totally_umbilical"),
                                   (cylinder.xi, cylinder.patch, "not_umbilical")):

@@ -167,9 +167,18 @@ MUTANTS = (
            "the record refuses a point outside the box, by name, for every check "
            "that reads it"),
     Mutant("audit-essential-as-homothetic", "src/confield/essential.py",
-           "cls.verdict == VERDICT_ESSENTIAL for cls",
-           "cls.verdict == VERDICT_HOMOTHETIC for cls",
+           "verdicts == VERDICT_ESSENTIAL",
+           "verdicts == VERDICT_HOMOTHETIC",
            "an essential zero 0.02 from a Killing zero fails the isolation assertion"),
+    # tracing from a zero's frame, which zeros to trace decided by the session
+    Mutant("trace-kernel-rows", "src/confield/zeroset.py",
+           "kernel = frame[n - k:]",
+           "kernel = frame[:k]",
+           "the kernel is the last k rows of a zero's frame, the complement the rows before"),
+    Mutant("trace-any-verdict", CLI,
+           "if verdict != VERDICT_KILLING:",
+           "if False:",
+           "only a zero that is Killing for a rescaled metric is traced; any other is skipped"),
 )
 
 
