@@ -30,7 +30,8 @@ samples and one conformality check over them, into one
 ``find_zeros`` locates zeros by a grid scan, in blocks of bounded size,
 whose seeds ``polish_zeros`` moves onto xi = 0 all at once, as the lanes of
 one damped Gauss-Newton iteration; tracing in :mod:`confield.zeroset`
-corrects its patch nodes with the same routine.  Essential zeros are
+corrects its patch nodes with the same routine, and both test for a zero
+on the |xi|_g it returns at the points it reached.  Essential zeros are
 singular, where Newton converges only linearly, with rate 1/2 (Decker,
 Keller & Kelley 1983), so a lane whose step is about half its last one
 first tries the doubled step, the Richardson limit of that tail (Griewank
@@ -54,8 +55,9 @@ from .geometry import (
     FieldData,
     FieldSpec,
     field_jets,
-    field_norm,
     frame_svd,
+    metric_jets,
+    norm_vector,
     require_zeros,
     sample_ball,
 )
@@ -152,6 +154,7 @@ def _local_minima_mask(norms: np.ndarray, shape) -> np.ndarray:
     return mask.ravel()
 
 
+@np.errstate(over="ignore")
 def polish_zeros(chart: Chart, xi: FieldSpec, points, normals) -> tuple:
     """Damped least-squares Gauss-Newton onto xi = 0 from every row of ``points``.
 
@@ -179,8 +182,12 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals) -> tuple:
     monotone in l, so no smaller step could move it.  Lanes never mix.
     The iteration runs to machine precision, not to an acceptance
     tolerance: a singular zero stopped at a rounding-level residual can
-    sit near |x| = 1e-7.  Returns the points and a mask of the lanes that
-    converged: a lane still moving after ``_NEWTON_ITERATIONS`` has not.
+    sit near |x| = 1e-7.  Overflow in the solver's own arithmetic makes a
+    residual inf, which any finite candidate beats (``field_jets`` still
+    refuses a field value that overflows).  Returns the points, a mask of
+    the lanes that converged (a lane still moving after
+    ``_NEWTON_ITERATIONS`` has not), and |xi|_g at each returned point from
+    its lane's last field value and one order-0 metric evaluation.
     """
     x = np.array(points, dtype=float)
     val, jac, _ = field_jets(xi, x, 1)
@@ -220,7 +227,8 @@ def polish_zeros(chart: Chart, xi: FieldSpec, points, normals) -> tuple:
             # rounds to its lane's point does so at every smaller lam
             pending[todo] = ~down & (cand != base).any(axis=-1)
             lam *= 0.5
-    return x, ~live
+    g, _, _ = metric_jets(chart, x, 0)
+    return x, ~live, norm_vector(g, val)
 
 
 def find_zeros(chart: Chart, xi: FieldSpec, grid_resolution: int = GRID_RESOLUTION) -> np.ndarray:
@@ -232,8 +240,8 @@ def find_zeros(chart: Chart, xi: FieldSpec, grid_resolution: int = GRID_RESOLUTI
     Grid points that are axis-direction local minima of |xi|_g, the lowest
     ``_MAX_SEEDS`` of them, are polished together as the lanes of one
     :func:`polish_zeros` call.  Polished points are kept when they sit at
-    least ``_BOUNDARY_MARGIN`` inside the box and their metric norm, from
-    one batched evaluation, is below ``ZERO_TOL``.  Duplicates closer than
+    least ``_BOUNDARY_MARGIN`` inside the box and the |xi|_g the solver
+    returns for them is below ``ZERO_TOL``.  Duplicates closer than
     ``_DEDUPE_DISTANCE`` collapse to the best residual, converged lanes
     first: one pairwise distance matrix, read greedily.  A lane the cap
     stopped is also dropped within ``ISOLATION_RADIUS`` of a converged one,
@@ -251,8 +259,7 @@ def find_zeros(chart: Chart, xi: FieldSpec, grid_resolution: int = GRID_RESOLUTI
     order = np.argsort(norms[mask], kind="stable")
     seeds = seeds[order[:_MAX_SEEDS]]
 
-    polished, converged = polish_zeros(chart, xi, seeds, np.eye(chart.dim))
-    residuals = field_norm(chart, xi, polished) if len(polished) else np.empty(0)
+    polished, converged, residuals = polish_zeros(chart, xi, seeds, np.eye(chart.dim))
     accepted = chart._inside(polished, _BOUNDARY_MARGIN) & (residuals < ZERO_TOL)
     polished, residuals, converged = polished[accepted], residuals[accepted], converged[accepted]
     if not len(polished):

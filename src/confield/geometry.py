@@ -18,10 +18,10 @@ Index conventions used throughout (and relied on by the test oracles):
   come from are :func:`field_jets` and :func:`metric_jets`.
 
 Stacks: every evaluation here (``metric_jets``, ``metric_value``,
-``connection_data``, ``field_jets``, ``field_value``, ``field_data`` and
-``field_norm``) takes an (m, n) array of points, and a 1-d point raises
-``ValueError``; ``metric_factor``, ``spd_inverse``, ``norm_vector``,
-``norm_2form`` and ``frame_svd`` take (m, n, n) stacks of matrices, and
+``connection_data``, ``field_jets`` and ``field_data``) takes an (m, n)
+array of points, and a 1-d point raises ``ValueError``;
+``metric_factor``, ``spd_inverse``, ``norm_vector``, ``norm_2form`` and
+``frame_svd`` take (m, n, n) stacks of matrices, and
 ``complete_orthonormal_frame`` and ``sample_ball`` (m, n) stacks of
 vectors.  Every array has a leading axis of length m, with the index
 layout above after it; the jets of all m points come from one walk of
@@ -359,10 +359,6 @@ def field_jets(xi: FieldSpec, p, order: int):
     return val, jac, hess
 
 
-def field_value(xi: FieldSpec, p) -> np.ndarray:
-    return field_jets(xi, p, 0)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class FieldData:
     """A vector field's value at ``points`` and the covariant tensors of its 2-jet.
@@ -434,12 +430,6 @@ def norm_2form(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
     """|T| in the metric with inverse ginv, one per row of stacked inputs."""
     # |T|^2 = sum_kl (g^-1 T g^-1)_kl T_kl
     return np.sqrt(np.maximum(((ginv @ T @ ginv) * T).sum(axis=(-2, -1)), 0.0))
-
-
-def field_norm(chart: Chart, xi: FieldSpec, p) -> np.ndarray:
-    """|xi|_g at an (m, n) array of points."""
-    g, _, _ = metric_jets(chart, p, 0)
-    return norm_vector(g, field_value(xi, p))
 
 
 def require_zeros(jets: FieldData, caller: str) -> None:

@@ -40,7 +40,7 @@ from itertools import product
 import numpy as np
 
 from .essential import polish_zeros
-from .geometry import Chart, FieldData, FieldSpec, field_data, field_norm, frame_svd
+from .geometry import Chart, FieldData, FieldSpec, field_data, frame_svd
 
 __all__ = [
     "PatchError",
@@ -119,7 +119,8 @@ def trace_component(chart: Chart, xi: FieldSpec, x, frame, k: int) -> Submanifol
     kernel (every Killing-type zero on a surface) the patch is that one
     point.
 
-    Every sample is verified to be a zero within ``_VERIFY_TOL``;
+    Every sample is verified to be a zero by the |xi|_g that the solver
+    returns for it, kept as ``field_norms``, below ``_VERIFY_TOL``;
     :class:`OffZeroSetError` reports the first one off the zero set in
     ``np.ndindex`` order.
     """
@@ -133,8 +134,7 @@ def trace_component(chart: Chart, xi: FieldSpec, x, frame, k: int) -> Submanifol
         raise PatchError("the predictor x + t.kernel leaves the chart at "
                          f"t = {params[np.argmin(inside)]}")
     # lanes cut off by the iteration cap are left to the verification
-    samples = polish_zeros(chart, xi, predicted, frame[:n - k])[0]
-    norms = field_norm(chart, xi, samples)
+    samples, _, norms = polish_zeros(chart, xi, predicted, frame[:n - k])
     off = np.flatnonzero(~(norms < _VERIFY_TOL))
     if off.size:
         raise OffZeroSetError(

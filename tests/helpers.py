@@ -22,8 +22,9 @@ covariant derivative and the conformal residual built on it, which the
 1-jet formula replaced, and the report writer ``json.dumps`` of plain
 values, which the one-pass writer replaced, byte for byte.
 
-Besides these: ``classify_zero`` and ``trace_component`` at points given
-as coordinates, the reports of the benchmark's manifests, a Gram-Schmidt
+Besides these: |xi|_g from the order-0 jets of the metric and the field,
+``classify_zero`` and ``trace_component`` at points given as
+coordinates, the reports of the benchmark's manifests, a Gram-Schmidt
 frame, the conformal connection-change identity, the symbolic pushforward
 of a field under the unit inversion, a recorder of the calls of a function
 through every confield binding, a counter of the steps of each geodesic
@@ -410,6 +411,15 @@ def fd_second_fundamental_form(chart, mapping, t, h=0.01):
     return p, dP, B, H
 
 
+def xi_norm(chart, xi, p):
+    """|xi|_g at an (m, n) array of points, from one order-0 evaluation of
+    the metric and of the field: the oracle for the norms that the solver
+    returns at the points it reached."""
+    from confield.geometry import field_jets, metric_jets, norm_vector
+
+    return norm_vector(metric_jets(chart, p, 0)[0], field_jets(xi, p, 0)[0])
+
+
 def map_patch(chart, xi, mapping, param_axes):
     """Patch of a known zero set of xi, built from its parametrization
     ``mapping``, which takes an (m, k) array of parameters.
@@ -417,7 +427,6 @@ def map_patch(chart, xi, mapping, param_axes):
     The grid nodes are one call of ``mapping``, in ``np.ndindex`` order;
     the base is the centre node.
     """
-    from confield.geometry import field_norm
     from confield.zeroset import SubmanifoldPatch
 
     shape = tuple(len(a) for a in param_axes)
@@ -427,7 +436,7 @@ def map_patch(chart, xi, mapping, param_axes):
     return SubmanifoldPatch(
         base=samples[tuple(size // 2 for size in shape)].copy(),
         samples=samples,
-        field_norms=field_norm(chart, xi, samples.reshape(-1, chart.dim)).reshape(shape),
+        field_norms=xi_norm(chart, xi, samples.reshape(-1, chart.dim)).reshape(shape),
         codim=chart.dim - len(shape),
     )
 
@@ -622,7 +631,7 @@ def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
     and its frame kept.
     """
     from confield.geodesic import integrate_geodesic
-    from confield.geometry import (complete_orthonormal_frame, field_value,
+    from confield.geometry import (complete_orthonormal_frame, field_jets,
                                    metric_factor, metric_value, norm_vector)
 
     x = np.asarray(x, dtype=float)
@@ -637,7 +646,7 @@ def rk4_taylor_derivatives(chart, xi, x, v, h=1e-3, steps=32):
         for t, state in ((0.0, states[0]), (sign * h, states[-1]),
                          (sign * h / 2, states[steps // 2])):
             position = state.position[None]
-            gp, xi_t = metric_value(chart, position)[0], field_value(xi, position)[0]
+            gp, xi_t = metric_value(chart, position)[0], field_jets(xi, position, 0)[0][0]
             f[t] = float(xi_t @ gp @ (sign * state.velocity))
             a[t] = state.frame @ gp @ xi_t
 

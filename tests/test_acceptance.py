@@ -25,14 +25,14 @@ from confield.expr import eval_jet, parse
 from confield.geodesic import dxi_identity_residual, taylor_checks
 from confield.geometry import (
     field_data,
-    field_norm,
     metric_value,
     norm_2form,
     sample_interior,
     spd_inverse,
 )
 from confield.zeroset import umbilicity_report
-from helpers import classify_at, connection_change_residual, fd_partial, fd_partial2, trace_at
+from helpers import (classify_at, connection_change_residual, fd_partial, fd_partial2, trace_at,
+                     xi_norm)
 
 FLAT3 = models.euclidean(3)
 SPHERE = models.sphere_stereographic(3)
@@ -52,7 +52,7 @@ def test_essential_zero_example_is_reproduced(capsys):
     P = np.zeros((1, 3))
     ginv = spd_inverse(metric_value(SPHERE, P))
 
-    n_xi = field_norm(SPHERE, xi, P)[0]
+    n_xi = xi_norm(SPHERE, xi, P)[0]
     n_dxi = norm_2form(ginv, field_data(SPHERE, xi, P).M)[0]
     phi = field_data(SPHERE, xi, P).phi[0]
     dphi = conformal_factor_gradient(SPHERE, xi, P[0])

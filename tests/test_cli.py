@@ -651,6 +651,26 @@ def test_zeros_reports_a_grid_overflow_as_a_domain_error(tmp_path):
                                 "range in subexpression 'x1^300'")
 
 
+def test_a_residual_past_the_float_range_is_no_warning(tmp_path):
+    """On a box of extent 2e300 in x1 the grid seeds of -x2 d1 + x1 d2 have
+    |xi|^2 past the float range, which the solver's residual must read as
+    inf, not as a RuntimeWarning that this suite turns into an error: the
+    zeros and their verdicts come out as without the warnings filter."""
+    manifest = {"chart": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                          "lower": [-1e300, -1, -1], "upper": [1e300, 1, 1]},
+                "field": {"components": ["-x2", "x1", "0"]},
+                "analyses": ["zeros", "classify"], "seed": 1}
+    code, report = _run_to_report(tmp_path, manifest)
+    assert code == 0
+    zeros = report["analyses"]["zeros"]
+    assert zeros["passed"] is True and zeros["count"] == 12
+    points = np.array(zeros["points"])
+    assert np.abs(points[:, :2]).max() == 0.0 and len(set(points[:, 2])) == 12
+    classify = report["analyses"]["classify"]
+    assert classify["passed"] is True
+    assert {entry["verdict"] for entry in classify["entries"]} == {"killing_inessential"}
+
+
 def test_same_seed_runs_are_byte_identical(tmp_path):
     mpath = _write_manifest(tmp_path, ROTATION_MANIFEST)
     out1 = tmp_path / "r1.json"

@@ -15,7 +15,7 @@ from confield.geometry import (
     Chart,
     FieldSpec,
     field_data,
-    field_value,
+    field_jets,
     metric_value,
     sample_interior,
 )
@@ -198,7 +198,7 @@ def test_factor_shifts_by_derivative_along_field():
     pts = np.array([[0.2, 0.5, -0.3], [0.8, -0.6, 0.4]])
     phi = field_data(FLAT3, xi, pts).phi
     phi_new = field_data(rescaled, xi, pts).phi
-    shift = [eval_jet(f, p, 1).d1 @ value for p, value in zip(pts, field_value(xi, pts))]
+    shift = [eval_jet(f, p, 1).d1 @ value for p, value in zip(pts, field_jets(xi, pts, 0)[0])]
     assert phi_new == pytest.approx(phi + shift, rel=1e-12, abs=1e-13)
     # so the field stays conformal for the rescaled metric
     assert conformal_residual(rescaled, xi, pts).max() < 1e-12

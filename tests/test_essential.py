@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import confield.essential as essential
+import confield.expr as expr
 import confield.geometry as geometry
 import confield.models as models
 import confield.zeroset as zeroset
@@ -21,7 +22,7 @@ from confield.essential import (
     polish_zeros,
 )
 from confield.expr import Const, Fun, Mul, Var, parse
-from confield.geometry import FieldSpec, field_data, field_norm, metric_value, sample_ball
+from confield.geometry import FieldSpec, field_data, metric_value, sample_ball, sample_interior
 from confield.zeroset import trace_component
 from helpers import (
     classify_at,
@@ -31,6 +32,7 @@ from helpers import (
     mobius_parts,
     mobius_zero_verdict,
     recording_calls,
+    xi_norm,
     zero_frame,
 )
 
@@ -59,8 +61,8 @@ def test_a_field_bounded_away_from_zero_has_no_zeros():
     grid's best seed to the minimum |xi| = 1e-8 at the origin, and that
     point is no zero."""
     xi = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2 + 1e-8", "x2", "x3")))
-    polished, converged = polish_zeros(FLAT3, xi, np.full((1, 3), 0.1), np.eye(3))
-    assert converged[0] and field_norm(FLAT3, xi, polished)[0] == pytest.approx(1e-8, rel=1e-3)
+    polished, converged, norms = polish_zeros(FLAT3, xi, np.full((1, 3), 0.1), np.eye(3))
+    assert converged[0] and norms[0] == pytest.approx(1e-8, rel=1e-3)
     assert find_zeros(FLAT3, xi).shape == (0, 3)
 
 
@@ -95,7 +97,7 @@ def test_circle_zero_set_on_round_chart():
     assert np.abs(zeros[:, 2]).max() < 1e-10
     radii = np.linalg.norm(zeros[:, :2], axis=1)
     assert np.abs(radii - 1.0).max() < 1e-8
-    assert field_norm(SPHERE, xi, zeros).max() < 1e-10
+    assert xi_norm(SPHERE, xi, zeros).max() < 1e-10
 
 
 def test_zero_near_boundary_is_filtered():
@@ -119,7 +121,7 @@ def test_found_zeros_are_machine_precision_zeros():
         (SPHERE, models.sphere_translation(SPHERE, 1)),
     ]:
         zeros = find_zeros(chart, xi)
-        assert len(zeros) and field_norm(chart, xi, zeros).max() < 1e-12
+        assert len(zeros) and xi_norm(chart, xi, zeros).max() < 1e-12
 
 
 # -- classification ---------------------------------------------------------------
@@ -153,11 +155,35 @@ def test_classify_refuses_a_nan_zero():
 
 
 def test_find_zeros_refuses_a_nan_residual(monkeypatch):
+    """A point whose residual from the solver is NaN is no zero, though
+    the point itself is one."""
     xi = models.rotation(FLAT3, 1, 2)
     assert len(find_zeros(FLAT3, xi)) > 0
-    monkeypatch.setattr(essential, "field_norm",
-                        lambda chart, xi, points: np.full(len(points), math.nan))
+    polish = essential.polish_zeros
+
+    def nan_norms(chart, xi, points, normals):
+        out, converged, norms = polish(chart, xi, points, normals)
+        return out, converged, np.full(len(norms), math.nan)
+
+    monkeypatch.setattr(essential, "polish_zeros", nan_norms)
     assert find_zeros(FLAT3, xi).shape == (0, 3)
+
+
+def test_a_field_with_no_seed_has_no_zeros(monkeypatch):
+    """|xi|_g is NaN at every grid point of nan * x1 d1, so no grid point is
+    a local minimum: the solver gets no lane, returns three empty arrays,
+    and find_zeros no zero."""
+    xi = FieldSpec(FLAT3, (Mul(Const(math.nan), Var(0)), Var(1), Var(2)))
+    polish, runs = essential.polish_zeros, []
+
+    def recording(chart, xi, points, normals):
+        runs.append(polish(chart, xi, points, normals))
+        return runs[-1]
+
+    monkeypatch.setattr(essential, "polish_zeros", recording)
+    assert find_zeros(FLAT3, xi).shape == (0, 3)
+    ((points, converged, norms),) = runs
+    assert points.shape == (0, 3) and converged.shape == norms.shape == (0,)
 
 
 def test_zero_order_ignores_rounding_noise(monkeypatch):
@@ -168,9 +194,9 @@ def test_zero_order_ignores_rounding_noise(monkeypatch):
 
     def zeros_with_noise(sign):
         def noisy(chart, xi, points, normals):
-            out, converged = polish(chart, xi, points, normals)
+            out, converged, norms = polish(chart, xi, points, normals)
             out[:, 0] = sign * 1e-30 * (-1.0) ** np.arange(len(out))
-            return out, converged
+            return out, converged, norms
 
         monkeypatch.setattr(essential, "polish_zeros", noisy)
         return find_zeros(FLAT3, xi)
@@ -195,7 +221,7 @@ def test_polished_lanes_do_not_mix(monkeypatch):
 
     monkeypatch.setattr(essential, "polish_zeros", recording)
     assert len(find_zeros(HYPER, xi)) == 1
-    (seeds, (stacked, converged)), = runs
+    (seeds, (stacked, converged, _)), = runs
     assert len(seeds) > 1 and converged.all()
     for seed, row in zip(seeds, stacked):
         assert np.array_equal(polish(HYPER, xi, seed[None], np.eye(3))[0][0], row)
@@ -228,10 +254,9 @@ def test_dedupe_keeps_what_the_pairwise_loop_keeps(monkeypatch, chart, xi):
 
     monkeypatch.setattr(essential, "polish_zeros", recording)
     zeros = find_zeros(chart, xi)
-    ((polished, converged),) = runs
+    ((polished, converged, residuals),) = runs
     inside = chart._inside(polished, essential._BOUNDARY_MARGIN)
-    polished, converged = polished[inside], converged[inside]
-    residuals = field_norm(chart, xi, polished)
+    polished, converged, residuals = polished[inside], converged[inside], residuals[inside]
     kept, kept_converged = [], []
     for idx in sorted(range(len(polished)), key=lambda i: (not converged[i], residuals[i])):
         x = polished[idx]
@@ -294,6 +319,70 @@ def test_polish_carries_its_jets(monkeypatch):
     calls.clear()
     assert len(find_zeros(HYPER, models.sphere_killing(HYPER, 1, 4))) == 0
     assert calls and 0 not in calls
+
+
+def test_polish_norms_are_the_norms_at_its_points():
+    """The norms the solver returns are |xi|_g at the points it returns,
+    bit for bit: the field values its lanes carry are the order-0 values
+    there, and a row's bits do not depend on its batch."""
+    for chart, xi in [(FLAT3, models.rotation(FLAT3, 1, 2)),
+                      (SPHERE, models.sphere_killing(SPHERE, 3, 4)),
+                      (HYPER, models.special_conformal(HYPER, 1))]:
+        seeds = sample_interior(chart, 24, np.random.default_rng(3))
+        points, _, norms = polish_zeros(chart, xi, seeds, np.eye(3))
+        assert not np.array_equal(points, seeds)
+        assert np.array_equal(norms, xi_norm(chart, xi, points)), chart.name
+
+
+def test_polish_evaluates_the_metric_once_after_its_loop(monkeypatch):
+    """The loop evaluates only the field; the norms take the metric from
+    one order-0 metric_jets call at the returned points, after the last
+    field evaluation."""
+    events = []
+    recording_calls(monkeypatch, geometry.field_jets,
+                    lambda out, xi, p, order: events.append(("field_jets", order, None)),
+                    arguments=True)
+    recording_calls(monkeypatch, geometry.metric_jets,
+                    lambda out, chart, p, order: events.append(("metric_jets", order, np.array(p))),
+                    arguments=True)
+    xi = models.special_conformal(HYPER, 1)
+    seeds = sample_interior(HYPER, 8, np.random.default_rng(5))
+    points, _, _ = polish_zeros(HYPER, xi, seeds, np.eye(3))
+    names = [name for name, _, _ in events]
+    assert names.count("field_jets") > 1 and names.count("metric_jets") == 1
+    assert names[-1] == "metric_jets"
+    _, order, at = events[-1]
+    assert order == 0 and np.array_equal(at, points)
+
+
+@pytest.mark.parametrize("caller", ["find_zeros", "trace_component"])
+def test_no_field_evaluation_after_the_solver(monkeypatch, caller):
+    """find_zeros and trace_component test for a zero on the norms that
+    polish_zeros returns: once it has returned, neither evaluates the
+    field again, where each evaluated it at the solver's points before."""
+    flat4 = models.euclidean(4)
+    xi = models.sphere_killing(flat4, 1, 5)
+    zero = zero_frame(flat4, xi, find_zeros(flat4, xi)[0])
+    tapes = recording_calls(monkeypatch, expr.eval_jets,
+                            lambda out, tape, *args, **kwargs: tape, arguments=True)
+    tapes_many = recording_calls(monkeypatch, expr.eval_values_many,
+                                 lambda out, tape, *args, **kwargs: tape, arguments=True)
+    polish, returned = essential.polish_zeros, []
+
+    def polishing(*args):
+        out = polish(*args)
+        returned.append((len(tapes), len(tapes_many)))
+        return out
+
+    module = essential if caller == "find_zeros" else zeroset
+    monkeypatch.setattr(module, "polish_zeros", polishing)
+    if caller == "find_zeros":
+        assert len(find_zeros(flat4, xi)) == 47
+    else:
+        trace_component(flat4, xi, *zero)
+    ((jets, many),) = returned
+    assert xi.tape in tapes[:jets]
+    assert xi.tape not in tapes[jets:] + tapes_many[many:]
 
 
 @pytest.mark.parametrize("field", ["special_conformal", "sphere_translation"])
@@ -596,7 +685,7 @@ def test_triple_zero_is_found_once():
     iteration cap stops it; the zero is kept all the same, once."""
     flat2 = models.euclidean(2)
     z_cubed = FieldSpec(flat2, (parse("x1^3 - 3*x1*x2^2", 2), parse("3*x1^2*x2 - x2^3", 2)))
-    _, converged = polish_zeros(flat2, z_cubed, np.array([[0.25, 0.25], [-0.25, 0.25]]),
+    _, converged, _ = polish_zeros(flat2, z_cubed, np.array([[0.25, 0.25], [-0.25, 0.25]]),
                                 np.eye(2))
     assert not converged.any()
     for grid in (8, 12, 16, 20):
@@ -614,9 +703,10 @@ def test_dedupe_keeps_converged_zeros_microns_apart(monkeypatch):
     b = 0.5 + 2.0 ** -17
     xi = FieldSpec(FLAT3, (parse(f"(x1 - 0.5)*(x1 - {b!r})", 3), parse("x2", 3), parse("x3", 3)))
     both = np.array([[0.5, 0.0, 0.0], [b, 0.0, 0.0]])
-    assert field_norm(FLAT3, xi, both).tolist() == [0.0, 0.0]
+    norms = xi_norm(FLAT3, xi, both)
+    assert norms.tolist() == [0.0, 0.0]
     monkeypatch.setattr(essential, "polish_zeros",
-                        lambda chart, xi, points, normals: (both, np.ones(2, dtype=bool)))
+                        lambda chart, xi, points, normals: (both, np.ones(2, dtype=bool), norms))
     assert np.array_equal(find_zeros(FLAT3, xi), both)
 
 

@@ -23,7 +23,6 @@ from confield.geometry import (
     connection_data,
     field_data,
     field_jets,
-    field_norm,
     frame_svd,
     metric_factor,
     metric_jets,
@@ -44,6 +43,7 @@ from helpers import (
     reference_riemann,
     reference_riemann_lowered,
     trace_at,
+    xi_norm,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -771,4 +771,4 @@ def test_sample_ball_draws_one_normal_and_one_uniform_block():
 def test_field_norm_of_quadratic_field_is_r_squared_flat():
     K = models.special_conformal(FLAT3, 1)
     pts = np.array([[0.3, 0.4, 0.0], [1.0, -1.0, 0.5]])
-    assert field_norm(FLAT3, K, pts) == pytest.approx((pts * pts).sum(axis=1), rel=1e-12)
+    assert xi_norm(FLAT3, K, pts) == pytest.approx((pts * pts).sum(axis=1), rel=1e-12)

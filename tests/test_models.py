@@ -8,7 +8,7 @@ from confield.conformal import conformal_residual, is_conformal
 from confield.expr import eval_values_many
 from confield.geometry import (
     field_data,
-    field_value,
+    field_jets,
     metric_value,
     sample_interior,
 )
@@ -120,11 +120,11 @@ def test_sphere_translation_matches_quadratic_generator():
 def test_quadratic_generator_zero_and_values():
     chart = models.euclidean(3)
     K = models.special_conformal(chart, 1)
-    assert np.abs(field_value(K, np.zeros((1, 3)))).max() == 0.0
+    assert np.abs(field_jets(K, np.zeros((1, 3)), 0)[0]).max() == 0.0
     p = np.array([0.5, -1.0, 0.25])
     e1 = np.array([1.0, 0.0, 0.0])
     expected = (p @ p) * e1 - 2.0 * p[0] * p
-    assert np.abs(field_value(K, p[None])[0] - expected).max() < 1e-15
+    assert np.abs(field_jets(K, p[None], 0)[0][0] - expected).max() < 1e-15
 
 
 # -- inversion ----------------------------------------------------------------
@@ -168,8 +168,8 @@ def test_pushforward_against_jacobian_oracle():
             e = np.zeros(3)
             e[k] = h
             J[:, k] = (sigma(p + e) - sigma(p - e)) / (2 * h)
-        lhs = field_value(push, sigma(p)[None])[0]
-        rhs = J @ field_value(xi, p[None])[0]
+        lhs = field_jets(push, sigma(p)[None], 0)[0][0]
+        rhs = J @ field_jets(xi, p[None], 0)[0][0]
         assert np.abs(lhs - rhs).max() < 1e-8
 
 

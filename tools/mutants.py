@@ -95,6 +95,13 @@ MUTANTS = (
            "lam = np.where((0.4 * dd < sd) & (sd < 0.6 * dd), 2.0, 1.0)",
            "lam = np.where((0.4 * dd < sd) & (sd < 0.6 * dd), 1.0, 1.0)",
            "a degenerate zero converges only linearly without the doubled step"),
+    Mutant("solver-norms-at-start", "src/confield/essential.py",
+           "    g, _, _ = metric_jets(chart, x, 0)\n    return x, ~live, norm_vector(g, val)",
+           "    start = np.array(points, dtype=float)\n"
+           "    g, _, _ = metric_jets(chart, start, 0)\n"
+           "    return x, ~live, norm_vector(g, field_jets(xi, start, 0)[0])",
+           "the solver's norms are |xi|_g at the points it returns: at its starting "
+           "rows find_zeros rejects every seed and a patch's nodes are not checked"),
     Mutant("newton-cap", "src/confield/essential.py",
            "_NEWTON_ITERATIONS = 50",
            "_NEWTON_ITERATIONS = 45",
