@@ -44,7 +44,7 @@ from .essential import (
     find_zeros,
     limit_point_audit,
 )
-from .expr import ExprSyntaxError, parse
+from .expr import EvalDomainError, ExprSyntaxError, parse
 from .geodesic import dxi_identity_residual, taylor_checks
 from .geometry import (Chart, ChartError, FieldSpec, MetricError, field_data, metric_value,
                        sample_interior)
@@ -245,7 +245,7 @@ def _build_chart(spec: dict) -> Chart:
         metric_value(chart, sample_interior(chart, 10, np.random.default_rng(0)))
     except RecursionError:
         raise ManifestError("bad metric expression: nested too deeply to compile") from None
-    except (ChartError, MetricError, ValueError) as exc:
+    except (ChartError, EvalDomainError, MetricError, ValueError) as exc:
         raise ManifestError(f"unusable chart: {exc}") from exc
     return chart
 

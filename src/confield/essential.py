@@ -6,7 +6,8 @@ criterion is that grad phi at x lies in the image of nabla xi at x, and the
 zero is Killing for a rescaled metric iff moreover phi(x) = 0.  At a zero,
 nabla xi = A + phi(x) I in a g-orthonormal frame, with A skew and ker A the
 kernel of d(xi^flat).  So the verdict needs only the SVD of that one skew
-form, from :func:`~confield.geometry.frame_svd`:
+form, from :func:`~confield.geometry.frame_svd`, whose rows of ``Vt @ Linv``
+from ``rank`` on span that kernel:
 
 * phi(x) != 0 makes nabla xi invertible: the zero is homothetic;
 * phi(x) = 0 leaves image nabla xi = (ker A)^perp: the zero is Killing for
@@ -318,7 +319,8 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> ZeroClas
     stacked :func:`~confield.geometry.sample_ball` call and checked in one
     :func:`~confield.conformal.is_conformal` call, and a zero whose ball
     reaches ``CONFORMAL_TOL`` gets the ``invalid_not_conformal`` verdict.
-    The frames are the one stacked product of the SVD factors.
+    The frames are the one stacked product ``Vt @ Linv`` of the SVD's Vt
+    and the metric factor's Linv.
 
     On a surface the image criterion does not apply.  A zero with |phi| <
     ``CLASSIFICATION_TOL`` and a trivial kernel of d(xi^flat) is a simple
@@ -335,13 +337,14 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> ZeroClas
     # each zero's worst residual over its own ball; a NaN stays NaN
     neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)
 
-    dxi_svd = frame_svd(jets.conn.factor, jets.M, "skew_form")
-    kernel_dim = n - dxi_svd.rank
+    Linv = jets.conn.factor[1]
+    _, _, Vt, rank = frame_svd(jets.conn.factor, jets.M, "skew_form")
+    kernel_dim = n - rank
     # in the frame nabla xi = A + phi I with A skew and ker A = ker M: it is
     # invertible for phi != 0, else its image is the complement of ker M
-    b_frame = (dxi_svd.Linv @ jets.dphi[:, :, None])[:, :, 0]
-    along = (dxi_svd.Vt @ b_frame[:, :, None])[:, :, 0]
-    along[np.arange(n) < dxi_svd.rank[:, None]] = 0.0
+    b_frame = (Linv @ jets.dphi[:, :, None])[:, :, 0]
+    along = (Vt @ b_frame[:, :, None])[:, :, 0]
+    along[np.arange(n) < rank[:, None]] = 0.0
     image_residual = np.where(np.abs(jets.phi) >= CLASSIFICATION_TOL, 0.0,
                               np.linalg.norm(along, axis=1))
     small_phi = np.abs(jets.phi) < CLASSIFICATION_TOL  # False for a NaN phi
@@ -356,8 +359,7 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> ZeroClas
                      for ok, kill, other in zip(neighborhood < conformal.CONFORMAL_TOL,
                                                 killing, otherwise))
     # row a of frames[i] is Vt[i, a] in chart coordinates
-    return ZeroClassification(verdicts, image_residual, kernel_dim,
-                              dxi_svd.Vt @ dxi_svd.Linv, neighborhood)
+    return ZeroClassification(verdicts, image_residual, kernel_dim, Vt @ Linv, neighborhood)
 
 
 @dataclass(frozen=True, eq=False)

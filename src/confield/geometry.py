@@ -38,8 +38,9 @@ Each metric is factored once, by :func:`metric_factor`, into g = L L^T
 and Linv = L^-1 (Golub & Van Loan, *Matrix Computations*, 4th ed., 4.2),
 which ``ConnectionData.factor`` keeps: g^-1 is Linv^T Linv, and the rows of
 Linv are the g-orthonormal frame u_a = L^{-T} e_a in which
-:func:`frame_svd` builds every frame (the kernels of nabla xi and
-d(xi^flat), their complements, the completion of a direction).  A metric
+:func:`frame_svd` takes its SVDs.  It returns plain arrays (U, sigma, Vt,
+rank), and every frame is rows of ``Vt @ Linv`` (the kernels of nabla xi
+and d(xi^flat), their complements, the completion of a direction).  A metric
 that is not positive definite or is badly conditioned (above 1e12) raises
 :class:`MetricError` there, for a batch if any of its matrices does.
 """
@@ -450,66 +451,20 @@ def _numerical_rank(sigma: np.ndarray) -> np.ndarray:
     return np.count_nonzero(sigma > cut, axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class FrameSVD:
-    """SVD of a stack of m tensors, each taken in a g-orthonormal frame.
+def frame_svd(factor: tuple, tensor: np.ndarray, kind: str) -> tuple:
+    """``(U, sigma, Vt, rank)``, the SVD of an ``"endomorphism"`` or a
+    ``"skew_form"`` in the g-orthonormal frame u_a = L^{-T} e_a.
 
-    The frame is u_a = L^{-T} e_a from g = L L^T.  Vectors map into it by
-    L^T, covectors by L^{-1}, endomorphisms by conjugation and 2-forms by
-    congruence.  Every array has a leading axis of length m, and ``rank``,
-    an int array, counts each row's singular values above the cut of
-    ``_numerical_rank``; row i of each array is the stack of one holding
-    row i.  ``kernel`` and ``solve`` need the same rank in every row.
-    """
-
-    L: np.ndarray
-    Linv: np.ndarray
-    U: np.ndarray
-    sigma: np.ndarray
-    Vt: np.ndarray
-    rank: np.ndarray
-
-    def _common_rank(self) -> int:
-        ranks = set(self.rank.tolist())  # np.unique would import numpy.ma
-        if len(ranks) > 1:
-            raise ValueError(f"the stack has ranks {sorted(ranks)}, not one")
-        return ranks.pop() if ranks else 0  # an empty stack has no rank to agree on
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """g-orthonormal basis of the numerical kernel, one row per vector."""
-        return self.Vt[..., self._common_rank():, :] @ self.Linv
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares x with A x = rhs, for endomorphisms A.
-
-        ``rhs`` holds chart vectors in its last axis, in an array of shape
-        (m, ..., k, n) whose row i meets row i of each factor; the
-        pseudo-inverse drops the singular values below the rank cut, so x
-        is g-orthogonal to the kernel.
-        """
-        if rhs.ndim < 3:
-            raise ValueError("a stack solves rhs arrays of shape (m, ..., k, n)")
-        r = self._common_rank()
-        middle = tuple(range(1, rhs.ndim - 2))
-        L, U, Vt, Linv = (np.expand_dims(a, middle) for a in
-                          (self.L, self.U[..., :r], self.Vt[..., :r, :], self.Linv))
-        sigma = np.expand_dims(self.sigma[..., :r], middle + (rhs.ndim - 2,))
-        frame_x = ((rhs @ L) @ U) / sigma @ Vt
-        return frame_x @ Linv
-
-
-def frame_svd(factor: tuple, tensor: np.ndarray, kind: str) -> FrameSVD:
-    """SVD of an ``"endomorphism"`` or a ``"skew_form"`` in a g-orthonormal frame.
-
-    ``factor`` is g's :func:`metric_factor` pair over a stack, as
-    ``ConnectionData.factor`` holds it, so no metric is factored here.
-    ``tensor`` is an (m, n, n) stack, which costs one matmul chain and one
-    SVD call; row i of the result equals the call on the stack of one
-    holding row i.  A skew form is skew-symmetrized after the change of
-    frame, so its singular values come in honest pairs.  This is the one place that
-    builds g-orthonormal frames: every other frame is the ``kernel`` of
-    some tensor here.
+    ``factor`` is g's :func:`metric_factor` pair (L, Linv), as
+    ``ConnectionData.factor`` holds it; vectors map into the frame by L^T,
+    covectors by Linv, so row a of ``Vt @ Linv`` is singular vector a in
+    chart coordinates, and its rows ``rank`` on span the numerical kernel
+    (``rank`` counts the singular values above the cut of
+    ``_numerical_rank``).  ``tensor`` is an (m, n, n) stack, which costs
+    one matmul chain and one SVD call; row i of each array equals the call
+    on the stack of one holding row i.  A skew form is skew-symmetrized
+    after the change of frame, so its singular values come in honest
+    pairs.  This is the one place that builds g-orthonormal frames.
     """
     L, Linv = factor
     if kind == "endomorphism":
@@ -520,7 +475,7 @@ def frame_svd(factor: tuple, tensor: np.ndarray, kind: str) -> FrameSVD:
     else:
         raise ValueError(f"unknown tensor kind {kind!r}")
     U, sigma, Vt = np.linalg.svd(A)
-    return FrameSVD(L, Linv, U, sigma, Vt, _numerical_rank(sigma))
+    return U, sigma, Vt, _numerical_rank(sigma)
 
 
 def complete_orthonormal_frame(factor: tuple, v: np.ndarray) -> np.ndarray:
@@ -532,7 +487,7 @@ def complete_orthonormal_frame(factor: tuple, v: np.ndarray) -> np.ndarray:
     (m, n, n) stack of frames whose row i is the call on row i, bit for bit.
     A zero or non-finite v raises :class:`MetricError`.
     """
-    L = factor[0]
+    L, Linv = factor
     v = np.asarray(v, dtype=float)
     # |v|_g = |L^T v| and g u = L L^T u; a non-finite v enters no product
     Lt_v = matvec(L.swapaxes(-1, -2), v) if np.isfinite(v).all() else v + math.nan
@@ -541,8 +496,9 @@ def complete_orthonormal_frame(factor: tuple, v: np.ndarray) -> np.ndarray:
         raise MetricError(f"cannot complete a frame from the vector {v.tolist()}")
     u = v / length
     gu = matvec(L, Lt_v / length)
-    rest = frame_svd(factor, u[..., :, None] * gu[..., None, :], "endomorphism").kernel
-    return np.concatenate([u[..., None, :], rest], axis=-2)
+    # u (g u)^T has rank 1 for a g-unit u: rows 1 on of Vt are its kernel
+    Vt = frame_svd(factor, u[..., :, None] * gu[..., None, :], "endomorphism")[2]
+    return np.concatenate([u[..., None, :], Vt[..., 1:, :] @ Linv], axis=-2)
 
 
 def sample_interior(chart: Chart, count: int, rng) -> np.ndarray:

@@ -25,6 +25,12 @@ invertible on the normal space, and one more derivative along N gives
 
     B(X, Y) = -(nabla xi|_{TN^perp})^{-1} (nabla^2 xi)(X, Y).
 
+Both factors come from the one :func:`~confield.geometry.frame_svd` of
+nabla xi: the last k rows of ``Vt @ Linv`` are the tangent frame, and the
+inverse on the normal space is the SVD's pseudo-inverse with its k kernel
+singular values dropped (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+5.5), applied in the g-orthonormal frame.
+
 At a zero, nabla xi is the same for every metric in a conformal class, so a
 patch traced under g serves a rescaled chart as well: the metric and the
 field are explicit arguments of ``umbilicity_report`` rather than being
@@ -180,17 +186,22 @@ def second_fundamental_form(jets: FieldData, k: int) -> SecondFundamentalData:
     """
     if k == 0:
         raise PatchError("a point patch has no second fundamental form")
-    n = jets.N.shape[-1]
-    nabla_svd = frame_svd(jets.conn.factor, jets.N, "endomorphism")
-    wrong = np.flatnonzero(nabla_svd.rank != n - k)
+    n, (L, Linv) = jets.N.shape[-1], jets.conn.factor
+    U, sigma, Vt, rank = frame_svd(jets.conn.factor, jets.N, "endomorphism")
+    wrong = np.flatnonzero(rank != n - k)
     if wrong.size:
         i = wrong[0]
         raise PatchError(
-            f"nabla xi has a {n - nabla_svd.rank[i]}-dimensional kernel at "
+            f"nabla xi has a {n - rank[i]}-dimensional kernel at "
             f"{jets.points[i].tolist()}, on a {k}-dimensional zero set"
         )
-    frames = nabla_svd.Vt[:, n - k:] @ nabla_svd.Linv  # the kernels, k rows each
-    B = -nabla_svd.solve(np.einsum("mijk,maj,mbk->mabi", jets.H, frames, frames))
+    frames = Vt[:, n - k:] @ Linv  # the kernels, k rows each
+    rhs = np.einsum("mijk,maj,mbk->mabi", jets.H, frames, frames)
+    # the pseudo-inverse in the frame: rows of rhs map in by L, the k
+    # kernel singular values are dropped, and the rows map back by Linv
+    r = n - k
+    B = -(((rhs @ L[:, None]) @ U[:, None, :, :r]) / sigma[:, None, None, :r]
+          @ Vt[:, None, :r]) @ Linv[:, None]
     # Symmetric up to the curvature term R(X, Y) xi, which vanishes on the
     # zero set; keep B exactly symmetric.
     B = 0.5 * (B + B.swapaxes(1, 2))

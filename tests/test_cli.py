@@ -244,7 +244,10 @@ BUILDER_NEEDLES = {"components", "metric", "axis_i", "exponent", "out of range",
                    "'lower'/'upper'", "bad field expression", "bad metric expression",
                    "'grid_resolution' 10000 in dimension 3",
                    f"needs dimension <= {cli._MAX_SCAN_DIM}",
-                   "chart 'lower'[0] must be a finite number"}
+                   "chart 'lower'[0] must be a finite number",
+                   "unusable chart: log of a non-positive value",
+                   "unusable chart: division by zero",
+                   "unusable chart: value beyond the floating-point range"}
 
 
 
@@ -363,6 +366,13 @@ BUILDER_NEEDLES = {"components", "metric", "axis_i", "exponent", "out of range",
         ({"chart": {"metric": [["1", "0"], ["0", "1"]], "lower": [-1e400, -1], "upper": [1, 1]},
           "field": {"components": ["x2", "-x1"]}, "analyses": ["zeros"]},
          "chart 'lower'[0] must be a finite number"),
+        # a metric that fails to evaluate at the chart's check points
+        *[({"chart": {"metric": [[entry, "0"], ["0", "1"]], "lower": [lo, -1], "upper": [hi, 1]},
+            "field": {"components": ["x2", "-x1"]}, "analyses": ["zeros"]},
+           f"unusable chart: {needle}") for entry, lo, hi, needle in [
+               ("log(x1)", -1, 1, "log of a non-positive value"),
+               ("1 + 0/0", -1, 1, "division by zero"),
+               ("x1*1e300*1e10", 1, 2, "value beyond the floating-point range")]],
     ],
 )
 def test_malformed_manifests_exit_two(tmp_path, capsys, manifest, needle):

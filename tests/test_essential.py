@@ -594,7 +594,7 @@ def test_classification_takes_one_frame_svd_per_stack(monkeypatch):
     stacked SVD of the skew forms d(xi^flat); nabla xi itself is never
     decomposed."""
     calls = recording_calls(monkeypatch, geometry.frame_svd,
-                            lambda out, factor, tensor, kind: (kind, out.rank.tolist()),
+                            lambda out, factor, tensor, kind: (kind, out[3].tolist()),
                             arguments=True)
     zeros = np.array([[0.0, 0.0, -0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
     classes = classify_at(FLAT3, models.rotation(FLAT3, 1, 2), zeros)
@@ -724,6 +724,23 @@ def test_two_zeros_microns_apart_are_both_found():
         zeros = find_zeros(FLAT3, xi, grid)
         assert zeros.shape == (2, 3), (grid, zeros)
         assert np.abs(zeros - both).max() < 1e-12, (grid, zeros)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="x1^2 swamps |xi|_g^2, so 288 grid points tie as minima and the "
+                          "seed cap keeps them in row-major order (ROADMAP item 23(c))")
+def test_both_zeros_are_found_on_a_box_wide_in_one_axis():
+    """x1 d1 + (x2^2 - 0.81) d2 + (x3 - 0.5) d3 vanishes at (0, -0.9, 0.5)
+    and (0, 0.9, 0.5).  On [-1, 1]^3 find_zeros returns both; with x1 in
+    [-1e150, 1e150] it should too, but returns only the first."""
+    both = np.array([[0.0, -0.9, 0.5], [0.0, 0.9, 0.5]])
+    for wide in (1.0, 1e150):
+        box = geometry.Chart(dim=3, lower=np.array([-wide, -1.0, -1.0]),
+                             upper=np.array([wide, 1.0, 1.0]), metric=FLAT3.metric)
+        xi = FieldSpec(box, tuple(parse(e, 3) for e in ("x1", "x2^2 - 0.81", "x3 - 0.5")))
+        zeros = find_zeros(box, xi)
+        assert zeros.shape == (2, 3), (wide, zeros)
+        assert np.abs(zeros - both).max() < 1e-12, (wide, zeros)
 
 
 @pytest.mark.parametrize("rank_rel", [1e-10, 1e-4])

@@ -566,7 +566,9 @@ def test_frame_svd_kernel_is_g_orthonormal_and_annihilated(n):
         N = _tensor_of_rank(rng, n, n - k, "endomorphism")
         M = _tensor_of_rank(rng, n, skew_rank, "skew_form")
         for tensor, kind, dim in ((N, "endomorphism", k), (M, "skew_form", n - skew_rank)):
-            kernel = frame_svd(metric_factor(g[None]), tensor[None], kind).kernel[0]
+            factor = metric_factor(g[None])
+            _, _, Vt, rank = frame_svd(factor, tensor[None], kind)
+            kernel = (Vt @ factor[1])[0, rank[0]:]
             assert kernel.shape == (dim, n)
             assert np.abs(kernel @ g @ kernel.T - np.eye(dim)).max() < 1e-12
             assert np.abs(kernel @ tensor.T).max() < 1e-10 * (1 + np.abs(tensor).max())
@@ -591,39 +593,17 @@ def test_stacked_frame_svd_rows_are_the_one_matrix_calls(n, kind):
     g = np.stack([_random_spd(rng, n) for _ in ranks])
     T = np.stack([_tensor_of_rank(rng, n, r, kind) for r in ranks])
     T[4] *= 1e-8
-    svd = frame_svd(metric_factor(g), T, kind)
-    assert svd.rank.tolist() == ranks
-    frame_rows = svd.Vt @ svd.Linv
+    factor = metric_factor(g)
+    svd = frame_svd(factor, T, kind)
+    assert svd[3].tolist() == ranks
+    frame_rows = svd[2] @ factor[1]
     for i in range(len(ranks)):
-        one = frame_svd(metric_factor(g[i:i + 1]), T[i:i + 1], kind)
-        assert one.rank.tolist() == [ranks[i]]
-        for name in ("L", "Linv", "U", "sigma", "Vt"):
-            assert _bits(getattr(svd, name)[i]) == _bits(getattr(one, name)[0]), (i, name)
-        assert _bits(frame_rows[i, ranks[i]:]) == _bits(one.kernel[0]), i
-
-
-def test_stacked_kernel_and_solve_need_one_rank():
-    """Over a stack of one rank, kernel and solve give in each row the
-    result of the stack of one holding it, bit for bit; over mixed ranks
-    they refuse."""
-    rng = np.random.default_rng(17)
-    n, k = 4, 2
-    g = np.stack([_random_spd(rng, n) for _ in range(6)])
-    N = np.stack([_tensor_of_rank(rng, n, n - k, "endomorphism") for _ in range(6)])
-    rhs = rng.normal(size=(6, k, k, n))
-    svd = frame_svd(metric_factor(g), N, "endomorphism")
-    kernel, x = svd.kernel, svd.solve(rhs)
-    assert kernel.shape == (6, k, n) and x.shape == rhs.shape
-    for i in range(6):
-        one = frame_svd(metric_factor(g[i:i + 1]), N[i:i + 1], "endomorphism")
-        assert _bits(kernel[i]) == _bits(one.kernel[0])
-        assert _bits(x[i]) == _bits(one.solve(rhs[i:i + 1])[0])
-    N[3] = _tensor_of_rank(rng, n, n, "endomorphism")
-    mixed = frame_svd(metric_factor(g), N, "endomorphism")
-    with pytest.raises(ValueError, match="ranks"):
-        mixed.kernel
-    with pytest.raises(ValueError, match="ranks"):
-        mixed.solve(rhs)
+        one_factor = metric_factor(g[i:i + 1])
+        one = frame_svd(one_factor, T[i:i + 1], kind)
+        assert one[3].tolist() == [ranks[i]]
+        for name, a, b in zip(("L", "Linv", "U", "sigma", "Vt"), factor + svd, one_factor + one):
+            assert _bits(a[i]) == _bits(b[0]), (i, name)
+        assert _bits(frame_rows[i, ranks[i]:]) == _bits((one[2] @ one_factor[1])[0, ranks[i]:]), i
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -649,7 +629,9 @@ def test_factor_inverts_and_frames_metrics_that_are_not_diagonal(n):
         assert np.abs(gram - np.eye(n)).max() < 1e-12
         T = rng.normal(size=(len(g), n, n))
         T[:, :, 0] = 0.0  # a kernel of dimension 1 in every row
-        kernel = frame_svd(factor, T, "endomorphism").kernel
+        Vt, rank = frame_svd(factor, T, "endomorphism")[2:]
+        assert (rank == n - 1).all()
+        kernel = Vt[:, n - 1:] @ factor[1]
         assert np.abs(kernel @ g @ kernel.swapaxes(-1, -2) - 1.0).max() < 1e-12
 
 

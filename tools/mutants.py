@@ -186,6 +186,15 @@ MUTANTS = (
            "if verdict != VERDICT_KILLING:",
            "if False:",
            "only a zero that is Killing for a rescaled metric is traced; any other is skipped"),
+    # the frame SVD as arrays, read by each caller
+    Mutant("pinv-keeps-kernel", "src/confield/zeroset.py",
+           "r = n - k",
+           "r = n",
+           "the pseudo-inverse drops the k kernel singular values: a hyperplane has B = 0"),
+    Mutant("frame-completion-rows", "src/confield/geometry.py",
+           "Vt[..., 1:, :]",
+           "Vt[..., :-1, :]",
+           "the completion of u is the kernel of u (g u)^T, the rows of Vt after the first"),
 )
 
 
