@@ -9,8 +9,9 @@ nabla^2 xi(v, v) = 2 dphi(v) v - |v|^2 grad phi, which are the first two
 derivatives of xi along a geodesic, and tracing of zero-set components
 together with umbilicity verification of the traced submanifolds.
 
-All operations are pure functions of their inputs; any sampling is driven by
-an explicit seeded generator, so results are reproducible bit for bit.
+All operations are pure functions of their inputs; any sampling draws from
+an explicit :class:`Stream`, the package's seeded SplitMix64 generator, so
+results are reproducible bit for bit, and numpy's random module is never loaded.
 """
 
 from .expr import (
@@ -26,6 +27,7 @@ from .geometry import (
     ChartDomainError,
     FieldSpec,
     MetricError,
+    Stream,
     sample_interior,
 )
 from .conformal import (

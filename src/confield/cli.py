@@ -2,10 +2,10 @@
 
 ``confield run manifest.json`` reads a JSON manifest describing a chart, a
 field, and a list of analyses, executes them in the declared order, each
-with its own seeded random stream, and emits a JSON report.  Reports are
-byte-identical across runs for the same manifest and seed:
-``render_report`` writes each float as its shortest round-trip repr, and
-non-finite values become strings.
+with its own seeded random stream (``geometry.Stream(seed, index)``), and
+emits a JSON report.  Reports are byte-identical across runs for the same
+manifest and seed: ``render_report`` writes each float as its shortest
+round-trip repr, and non-finite values become strings.
 
 One table, ``MANIFEST``, gives the manifest's shape as a JSON schema:
 ``confield schema`` prints it and ``run`` checks every value against it.
@@ -46,8 +46,8 @@ from .essential import (
 )
 from .expr import EvalDomainError, ExprSyntaxError, parse
 from .geodesic import dxi_identity_residual, taylor_checks
-from .geometry import (Chart, ChartError, FieldSpec, MetricError, field_data, metric_value,
-                       sample_interior)
+from .geometry import (Chart, ChartError, FieldSpec, MetricError, Stream, field_data,
+                       metric_value, sample_interior)
 from .models import CHART_BUILDERS, FIELD_BUILDERS, field_params, make_chart, make_field
 from .zeroset import (
     VERDICT_POINT,
@@ -242,7 +242,7 @@ def _build_chart(spec: dict) -> Chart:
         chart = Chart(dim=dim, lower=np.asarray(lower, dtype=float),
                       upper=np.asarray(upper, dtype=float), metric=rows,
                       name=spec.get("name", "inline_chart"))
-        metric_value(chart, sample_interior(chart, 10, np.random.default_rng(0)))
+        metric_value(chart, sample_interior(chart, 10, Stream(0)))
     except RecursionError:
         raise ManifestError("bad metric expression: nested too deeply to compile") from None
     except (ChartError, EvalDomainError, MetricError, ValueError) as exc:
@@ -288,10 +288,11 @@ class _Session:
         self.xi = xi
         self.cfg = cfg
 
-    def stream(self, analysis: str) -> np.random.Generator:
-        """A fresh generator of the analysis' own stream: its numbers do not
+    def stream(self, analysis: str) -> Stream:
+        """A fresh :class:`~confield.geometry.Stream` keyed by the manifest's
+        seed and the analysis' index in ``ANALYSES``: its numbers do not
         depend on which other analyses run."""
-        return np.random.default_rng([self.cfg["seed"], ANALYSES.index(analysis)])
+        return Stream(self.cfg["seed"], ANALYSES.index(analysis))
 
     @cached_property
     def zeros(self):

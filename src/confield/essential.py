@@ -315,10 +315,12 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> ZeroClas
     ``essential`` when it reaches ``CLASSIFICATION_TOL`` relative to the
     gradient size, and ``killing_inessential`` when it does not.
     Conformality of xi is first verified on a ``_NEIGHBORHOOD`` sample ball
-    around each zero, the balls of all zeros drawn from ``rng`` in one
-    stacked :func:`~confield.geometry.sample_ball` call and checked in one
-    :func:`~confield.conformal.is_conformal` call, and a zero whose ball
-    reaches ``CONFORMAL_TOL`` gets the ``invalid_not_conformal`` verdict.
+    around each zero, the balls of all zeros drawn from ``rng`` (a
+    :class:`~confield.geometry.Stream`, or anything with its ``uniform``
+    and ``normal``) in one stacked :func:`~confield.geometry.sample_ball`
+    call and checked in one :func:`~confield.conformal.is_conformal` call,
+    and a zero whose ball reaches ``CONFORMAL_TOL`` gets the
+    ``invalid_not_conformal`` verdict.
     The frames are the one stacked product ``Vt @ Linv`` of the SVD's Vt
     and the metric factor's Linv.
 

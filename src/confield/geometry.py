@@ -47,6 +47,7 @@ that is not positive definite or is badly conditioned (above 1e12) raises
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ from .expr import Expr, Tape, eval_jets
 __all__ = [
     "Chart", "FieldSpec",
     "ChartError", "ChartDomainError", "MetricError",
-    "sample_interior",
+    "Stream", "sample_interior",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -76,6 +77,15 @@ AT_ZERO_TOL = 1e-6
 
 # The share of the box's extent that sample_interior keeps clear on each side.
 _SAMPLE_MARGIN = 0.05
+
+# SplitMix64's increment (the odd integer nearest 2^64 over the golden ratio),
+# the multipliers and shifts of its output mix, and the shift that keeps an
+# output's top 53 bits, all np.uint64 so that the arithmetic stays in uint64
+# and wraps modulo 2^64.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_SHIFT = (np.uint64(30), np.uint64(27), np.uint64(31))
+_TOP53 = np.uint64(11)
 
 
 class ChartError(ValueError):
@@ -427,8 +437,11 @@ def norm_or_nan(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return norm_vector(g, v) if np.isfinite(v).all() else np.full(len(v), math.nan)
 
 
+@np.errstate(over="ignore")
 def norm_2form(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """|T| in the metric with inverse ginv, one per row of stacked inputs."""
+    """|T| in the metric with inverse ginv, one per row of stacked inputs;
+    a norm past the float range is inf, whatever the warnings filter, and
+    fails the gate that reads it."""
     # |T|^2 = sum_kl (g^-1 T g^-1)_kl T_kl
     return np.sqrt(np.maximum(((ginv @ T @ ginv) * T).sum(axis=(-2, -1)), 0.0))
 
@@ -501,16 +514,82 @@ def complete_orthonormal_frame(factor: tuple, v: np.ndarray) -> np.ndarray:
     return np.concatenate([u[..., None, :], Vt[..., 1:, :] @ Linv], axis=-2)
 
 
+def _mix64(z):
+    """SplitMix64's output function on a uint64 array, whose products wrap
+    silently, or on a np.uint64 scalar, whose overflow warns unless
+    silenced."""
+    z = (z ^ (z >> _SHIFT[0])) * _MIX[0]
+    z = (z ^ (z >> _SHIFT[1])) * _MIX[1]
+    return z ^ (z >> _SHIFT[2])
+
+
+def _count(size) -> int:
+    """The number of values in an array of shape ``size``, an int or a
+    tuple (math.prod, since np.prod costs microseconds)."""
+    return math.prod(size) if np.iterable(size) else size
+
+
+class Stream:
+    """The seeded random stream every sample of the package is drawn from.
+
+    SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+    generators", OOPSLA 2014) in counter form: draw i is the output mix of
+    ``key + (i + 1) * _GAMMA``, modulo 2^64, and a counter moves on past
+    each block, so successive blocks are disjoint.  ``key`` folds the
+    non-negative ints of ``Stream(*key)``, each as its count of 64-bit
+    words and the words, so a seed of any size works and ``Stream(1, 0)``
+    and ``Stream(1, 1)`` are unrelated streams.  Its two methods are the
+    two that the samplers call on a numpy ``Generator``.
+    """
+
+    def __init__(self, *key: int):
+        words = []
+        for value in map(operator.index, key):
+            if value < 0:
+                raise ValueError(f"a stream key must be non-negative, got {value}")
+            limbs = [value >> s & 2 ** 64 - 1 for s in range(0, max(value.bit_length(), 1), 64)]
+            words += [len(limbs), *limbs]
+        state = np.uint64(0)
+        # np.uint64 scalars wrap like arrays, but warn unless told not to
+        with np.errstate(over="ignore"):
+            for word in words:
+                state = _mix64((state ^ np.uint64(word)) + _GAMMA)
+        self._key = state
+        self._drawn = 0
+
+    def _unit(self, size) -> np.ndarray:
+        """The next prod(size) draws as floats in [0, 1), of shape ``size``:
+        the top 53 bits of each output times 2^-53."""
+        count = _count(size)
+        i = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
+        self._drawn += count
+        bits = _mix64(i * _GAMMA + self._key)
+        return ((bits >> _TOP53) * 2.0 ** -53).reshape(size)
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """Uniform draws in [low, high) of shape ``size``."""
+        return low + (high - low) * self._unit(size)
+
+    def normal(self, size) -> np.ndarray:
+        """Standard normal draws of shape ``size``, by Box-Muller from two
+        uniform blocks u1, u2: sqrt(-2 log(1 - u1)) cos(2 pi u2)."""
+        u1, u2 = self._unit((2, _count(size)))
+        return (np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)).reshape(size)
+
+
 def sample_interior(chart: Chart, count: int, rng) -> np.ndarray:
-    """Seeded uniform samples in the domain box, shrunk on every side by
-    ``_SAMPLE_MARGIN`` of its extent."""
+    """Uniform samples in the domain box, shrunk on every side by
+    ``_SAMPLE_MARGIN`` of its extent, as one ``rng.uniform`` block of
+    shape (count, n); ``rng`` is a :class:`Stream` (a numpy ``Generator``
+    has the same method)."""
     u = rng.uniform(_SAMPLE_MARGIN, 1.0 - _SAMPLE_MARGIN, size=(count, chart.dim))
     return chart.lower + u * (chart.upper - chart.lower)
 
 
 def sample_ball(chart: Chart, x, radius: float, count: int, rng) -> np.ndarray:
-    """Seeded samples around each row of an (m, n) stack of centres x,
-    within ``radius`` and half the centre's distance to the box.
+    """Samples around each row of an (m, n) stack of centres x, within
+    ``radius`` and half the centre's distance to the box, drawn from
+    ``rng``, a :class:`Stream` (or a numpy ``Generator``).
 
     With r_eff the smaller of the two, sample k of centre i is x_i + r_eff
     s_ik u_ik for a direction u_ik uniform on the sphere and s_ik uniform

@@ -4,8 +4,12 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -18,7 +22,7 @@ import confield.models as models
 import confield.zeroset as zeroset
 from confield.cli import SETTINGS, main, render_report
 from confield.geodesic import taylor_checks
-from confield.geometry import field_data, sample_interior
+from confield.geometry import Stream, field_data, sample_interior
 from helpers import (counting_steps, mobius_conjugate, mobius_field, mobius_matrix,
                      mobius_parts, recording_calls, reference_render_report,
                      workload_manifests, workload_reports)
@@ -681,6 +685,65 @@ def test_a_residual_past_the_float_range_is_no_warning(tmp_path):
     assert {entry["verdict"] for entry in classify["entries"]} == {"killing_inessential"}
 
 
+@pytest.mark.parametrize("chart", ["euclidean", "sphere_stereographic"])
+@pytest.mark.parametrize("components,analysis,key", [
+    (["1e200*x1", "0", "0"], "check-conformal", "max_residual"),
+    (["1e160*x1*x2", "1e160*x3", "0"], "verify-identities", "max_identity_residual"),
+], ids=["check-conformal", "verify-identities"])
+def test_an_overflowing_residual_is_inf_under_either_warnings_filter(chart, components,
+                                                                     analysis, key):
+    """The field's values fit a float but the norm of its residual does not:
+    the residual reads inf and fails its gate, with exit 1 and no warning,
+    and the report is the same whether RuntimeWarnings are errors or are
+    shown."""
+    manifest = {"chart": {"name": chart, "dim": 3}, "field": {"components": components},
+                "analyses": [analysis], "seed": 1}
+    renders = []
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            report, code = cli.run_manifest(manifest)
+        assert code == 1 and caught == []
+        result = report["analyses"][analysis]
+        assert result[key] == math.inf and result["passed"] is False
+        renders.append(render_report(report))
+    assert renders[0] == renders[1]
+
+
+def test_each_analysis_draws_from_its_keyed_stream():
+    """check-conformal samples one block of Stream(seed, its index in
+    ANALYSES): its worst point is a row of that block, at a seed past 64
+    bits too."""
+    chart = models.euclidean(3)
+    index = cli.ANALYSES.index("check-conformal")
+    for seed in (1, 2 ** 70):
+        report, code = cli.run_manifest({
+            "chart": {"name": "euclidean", "dim": 3}, "field": {"name": "special_conformal"},
+            "analyses": ["check-conformal"], "seed": seed})
+        worst = report["analyses"]["check-conformal"]["worst_point"]
+        pts = sample_interior(chart, cli._CONFORMAL_POINTS, Stream(seed, index))
+        assert code == 0 and any(np.array_equal(row, worst) for row in pts), seed
+
+
+def test_a_run_never_imports_numpy_random(tmp_path):
+    """Every draw of every analysis comes from geometry.Stream, so a run of
+    all of them in a fresh interpreter leaves numpy.random unloaded."""
+    manifest = _write_manifest(tmp_path, {
+        "chart": {"name": "euclidean", "dim": 3}, "field": {"name": "special_conformal"},
+        "analyses": ["all"], "seed": 1})
+    out = str(tmp_path / "report.json")
+    script = ("import sys\n"
+              "from confield.cli import main\n"
+              f"code = main(['run', {manifest!r}, '--out', {out!r}])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert list(json.loads(Path(out).read_text())["analyses"]) == list(cli.ANALYSES)
+
+
 def test_same_seed_runs_are_byte_identical(tmp_path):
     mpath = _write_manifest(tmp_path, ROTATION_MANIFEST)
     out1 = tmp_path / "r1.json"
@@ -893,7 +956,7 @@ def test_taylor_rows_follow_their_zeros(name, params, build):
     assert code == 0 and len(zeros) > cli._TAYLOR_ZEROS == len(taylor)
     chart = models.euclidean(3)
     xi = build(chart)
-    rng = np.random.default_rng([1, cli.ANALYSES.index("verify-identities")])
+    rng = Stream(1, cli.ANALYSES.index("verify-identities"))
     sample_interior(chart, cli._IDENTITY_PAIRS, rng)
     rng.normal(size=(cli._IDENTITY_PAIRS, 3))
     dirs = rng.normal(size=zeros.shape)

@@ -1,5 +1,7 @@
-"""Metric jets, connection, curvature, field derivative operators and frames."""
+"""Metric jets, connection, curvature, field derivative operators, frames
+and the seeded stream."""
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from confield.geometry import (
     ChartError,
     FieldSpec,
     MetricError,
+    Stream,
     christoffel_matrix,
     complete_orthonormal_frame,
     connection_data,
@@ -748,6 +751,80 @@ def test_sample_ball_draws_one_normal_and_one_uniform_block():
     assert np.allclose(pts, x + r_eff * radii[:, None] * u / np.linalg.norm(u, axis=1)[:, None],
                        rtol=0, atol=1e-15)
     assert rng.random() == by_hand.random()
+
+
+def _splitmix64_reference(key: tuple, count: int) -> list:
+    """The first ``count`` outputs of SplitMix64 in Python integers, one at
+    a time: the state starts at the fold of ``key`` (each int as its count
+    of 64-bit words and the words, each folded in by one step of the
+    generator) and moves on by gamma before each output."""
+    mask, gamma = 2 ** 64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return z ^ (z >> 31)
+
+    state = 0
+    for value in key:
+        words = [value >> s & mask for s in range(0, max(value.bit_length(), 1), 64)]
+        for word in (len(words), *words):
+            state = mix((state ^ word) + gamma & mask)
+    return [mix(state + (i + 1) * gamma & mask) for i in range(count)]
+
+
+def test_stream_draws_are_splitmix64():
+    """A stream's uniforms are the top 53 bits of the reference generator's
+    outputs times 2^-53, bit for bit, and its normals the Box-Muller
+    transform of its next two blocks of uniforms; the reference gives
+    SplitMix64's published first output from the state 0."""
+    assert _splitmix64_reference((), 1) == [0xE220A8397B1DCDAF]
+    key = (7, 2 ** 70 + 3)
+    bits = _splitmix64_reference(key, 30)
+    units = [(b >> 11) * 2.0 ** -53 for b in bits]
+    stream = Stream(*key)
+    assert stream.uniform(0.0, 1.0, (2, 5)).ravel().tolist() == units[:10]
+    normal = stream.normal(10)
+    by_hand = [math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2)
+               for u1, u2 in zip(units[10:20], units[20:30])]
+    assert normal == pytest.approx(by_hand, rel=1e-14, abs=1e-15)
+
+
+def test_a_stream_is_a_function_of_its_key():
+    """The same key gives the same draws; keys that differ only in the
+    analysis index, or in a seed past 64 bits, give unrelated ones; a
+    negative key is refused."""
+    def draws(*key):
+        return Stream(*key).uniform(0.0, 1.0, 64)
+
+    assert np.array_equal(draws(1, 2), draws(1, 2))
+    blocks = [draws(*key) for key in ((1, 0), (1, 1), (1, 2), (2 ** 64 + 1, 0), (2 ** 70, 0))]
+    for a, b in itertools.combinations(blocks, 2):
+        assert not np.isin(a, b).any()
+    with pytest.raises(ValueError, match="non-negative"):
+        Stream(1, -1)
+
+
+def test_successive_blocks_of_a_stream_are_disjoint():
+    """The counter moves on past every block, normal ones taking two draws
+    per value: two calls read what one call of both sizes reads."""
+    stream = Stream(3, 1)
+    first, second = stream.uniform(0.0, 1.0, 100), stream.uniform(0.0, 1.0, 100)
+    assert not np.isin(first, second).any()
+    assert np.array_equal(np.concatenate([first, second]), Stream(3, 1).uniform(0.0, 1.0, 200))
+    stream.normal((4, 5))
+    assert np.array_equal(stream.uniform(0.0, 1.0, 3), Stream(3, 1).uniform(0.0, 1.0, 243)[240:])
+
+
+def test_stream_draws_have_their_laws():
+    """Uniform draws fill [low, high) in the shape asked for; 10^5 normal
+    draws have mean and variance within 0.02 of 0 and 1."""
+    u = Stream(5).uniform(-2.0, 3.0, (1000, 3))
+    assert u.shape == (1000, 3) and u.min() >= -2.0 and u.max() < 3.0
+    assert u.min() < -1.9 and u.max() > 2.9
+    z = Stream(5, 1).normal(100_000)
+    assert z.shape == (100_000,) and np.isfinite(z).all()
+    assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.02
 
 
 def test_field_norm_of_quadratic_field_is_r_squared_flat():

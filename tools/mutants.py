@@ -195,6 +195,15 @@ MUTANTS = (
            "Vt[..., 1:, :]",
            "Vt[..., :-1, :]",
            "the completion of u is the kernel of u (g u)^T, the rows of Vt after the first"),
+    # the one seeded stream, keyed by seed and analysis
+    Mutant("stream-counter-stuck", "src/confield/geometry.py",
+           "self._drawn += count",
+           "self._drawn += 0",
+           "the counter moves on past each block: successive blocks of a stream are disjoint"),
+    Mutant("stream-without-analysis-index", CLI,
+           'return Stream(self.cfg["seed"], ANALYSES.index(analysis))',
+           'return Stream(self.cfg["seed"])',
+           "each analysis draws from the stream keyed by the seed and its index in ANALYSES"),
 )
 
 
