@@ -347,14 +347,16 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> ZeroClas
     b_frame = (Linv @ jets.dphi[:, :, None])[:, :, 0]
     along = (Vt @ b_frame[:, :, None])[:, :, 0]
     along[np.arange(n) < rank[:, None]] = 0.0
-    image_residual = np.where(np.abs(jets.phi) >= CLASSIFICATION_TOL, 0.0,
-                              np.linalg.norm(along, axis=1))
+    # a norm past the float range is inf whatever the warnings filter, as in norm_2form
+    with np.errstate(over="ignore"):
+        along_norm, b_norm = np.linalg.norm(along, axis=1), np.linalg.norm(b_frame, axis=1)
+    image_residual = np.where(np.abs(jets.phi) >= CLASSIFICATION_TOL, 0.0, along_norm)
     small_phi = np.abs(jets.phi) < CLASSIFICATION_TOL  # False for a NaN phi
 
     if n < 3:
         killing, otherwise = small_phi & (kernel_dim == 0), [None] * len(points)
     else:
-        in_image = image_residual < CLASSIFICATION_TOL * (1.0 + np.linalg.norm(b_frame, axis=1))
+        in_image = image_residual < CLASSIFICATION_TOL * (1.0 + b_norm)
         killing = small_phi & in_image
         otherwise = np.where(in_image, VERDICT_HOMOTHETIC, VERDICT_ESSENTIAL).tolist()
     verdicts = tuple(VERDICT_INVALID if not ok else VERDICT_KILLING if kill else other

@@ -1,23 +1,22 @@
 """Geodesics, and the pointwise identities of a conformal field.
 
-``taylor_checks`` tests the expansion of a conformal field xi along the
-unit-speed geodesic c(t) = exp_x(tv) from each zero x of an (m, n) stack,
-each with its own direction v, from the zeros' one
+``taylor_checks`` tests the expansion of a conformal field xi along
+geodesics from each zero x of an (m, n) stack, from the zeros' one
 :func:`~confield.geometry.field_data` record, which zero classification
 reads too.  At a zero the covariant derivatives of xi satisfy
 
-* nabla_v xi = phi(x) v + (1/2) d(xi^flat)(v)^sharp, as nabla xi = A + phi I
-  with A = (1/2) d(xi^flat)^sharp skew;
-* nabla^2 xi(v, v) = 2 dphi_x(v) v - |v|^2 grad phi_x.
+* nabla xi = phi I + (1/2) d(xi^flat)^sharp, the second term skew;
+* nabla^2 xi(v, w) = dphi_x(v) w + dphi_x(w) v - g(v, w) grad phi_x.
 
-Both sides come from that record: the left sides are ``N v`` and
-``H(v, v)``, the right sides are formed from phi, dphi and d(xi^flat).
-Along a geodesic, nabla_t (xi o c) = nabla_{c'} xi and nabla_t^2 (xi o c)
-= nabla^2 xi(c', c') + nabla_{nabla_t c'} xi, whose last term vanishes, so
-the left sides are exactly the first two derivatives of xi o c at t = 0:
-in a parallel orthonormal frame E(t) they are the derivatives of the
-components E g xi, and f(t) = g(xi, c'(t)) has f' = g(nabla_v xi, v) and
-f'' = g(nabla^2 xi(v, v), v).
+Both sides come from that record: the left sides are ``N`` and ``H``, the
+right sides are formed from phi, dphi and d(xi^flat), and each check is
+the g-norm of the whole difference tensor, so no direction is drawn.
+Along the unit-speed geodesic c(t) = exp_x(tv), nabla_t (xi o c) =
+nabla_{c'} xi and nabla_t^2 (xi o c) = nabla^2 xi(c', c') + nabla_{nabla_t
+c'} xi, whose last term vanishes, so ``N v`` and ``H(v, v)`` are exactly
+the first two derivatives of xi o c at t = 0: in a parallel orthonormal
+frame E(t) they are the derivatives of the components E g xi, and f(t) =
+g(xi, c'(t)) has f' = g(N v, v) and f'' = g(H(v, v), v).
 
 Geodesics themselves are integrated by ``integrate_geodesic``, a fixed-step
 classical RK4 scheme on the first-order system (x, v) together with a
@@ -33,13 +32,14 @@ the benchmark's tracer.
 
 where R_{X, xi} is the 2-form (Y, Z) -> g(R(X, xi)Y, Z) and
 (dphi ^ X)(Y, Z) = dphi(Y) g(X, Z) - dphi(Z) g(X, Y), read from a
-``field_data`` record, with an (m, n) array of directions.  The left side
-is the skew part of g(nabla^2 xi(X, .), .), the record's covariant Hessian
-H.  R(X, xi) comes from Gamma and its derivatives already contracted with
-X and xi, d_X Gamma_xi - d_xi Gamma_X + [Gamma_X, Gamma_xi] with Gamma_X =
-Gamma(X, .), so the 4-index curvature tensor is never formed.  This identity pins down every
-sign convention in the package at once, so it is exercised over the whole
-model catalog in the tests.
+``field_data`` record, as the covariant 3-tensor of its defect over X = e_a.
+The left side is the skew part of g(nabla^2 xi(X, .), .), the record's
+covariant Hessian H.  R(e_a, xi) comes from Gamma and its derivatives
+already contracted with xi, d_a Gamma_xi - d_xi Gamma_a + [Gamma_a,
+Gamma_xi] with Gamma_a = Gamma(e_a, .), so the 4-index curvature tensor is
+never formed.  This identity pins down every sign convention in the
+package at once, so it is exercised over the whole model catalog in the
+tests.
 """
 from __future__ import annotations
 
@@ -59,9 +59,7 @@ from .geometry import (
     metric_jets,
     norm_2form,
     norm_or_nan,
-    norm_vector,
     require_zeros,
-    vecmat,
 )
 
 __all__ = [
@@ -181,7 +179,6 @@ def exp_map(chart: Chart, x, v) -> np.ndarray:
 class TaylorResiduals(NamedTuple):
     """The residuals of :func:`taylor_checks`, one (m,) array each."""
 
-    scalar: np.ndarray
     first: np.ndarray
     second: np.ndarray
 
@@ -192,81 +189,94 @@ def _along(T: np.ndarray, w: np.ndarray) -> np.ndarray:
     return matvec(T.reshape(w.shape[:-1] + (-1, w.shape[-1])), w).reshape(T.shape[:-1])
 
 
-def taylor_checks(jets: FieldData, v) -> TaylorResiduals:
-    """The scalar and vector Taylor residuals at an (m, n) stack of zeros
-    of xi, read from ``jets``, their :func:`~confield.geometry.field_data`
-    record, with row k of the (m, n) directions ``v`` at zero k.  A row
-    that is not a zero raises ``ValueError`` naming it
-    (:func:`~confield.geometry.require_zeros`).
+def _lowered(g: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """gT[i, j, k] = g_il T[l, j, k] over stacks of (n, n, n) tensors T."""
+    n = T.shape[-1]
+    flat = np.ascontiguousarray(T).reshape(T.shape[:-3] + (n, n * n))
+    return (np.ascontiguousarray(g) @ flat).reshape(T.shape)
 
-    The record's N v = nabla xi(v) and H(v, v) = nabla^2 xi(v, v) are
-    chart vectors at x: along the unit-speed geodesic c(t) = exp_x(tv) they
-    are nabla_t (xi o c) and nabla_t^2 (xi o c) at t = 0.  ``scalar`` is
-    |f' - phi(x)| for f(t) = g(xi, c'(t)), whose derivative is f' =
-    g(N v, v); ``first`` and ``second`` are the g-norms of N v - (phi v +
-    (1/2) d(xi^flat)(v)^sharp) and of H(v, v) - (2 dphi(v) v - grad phi).
+
+@np.errstate(over="ignore")
+def _norm_3tensor(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """|T| of a stack of covariant 3-tensors, every index raised by ginv,
+    one per row; a norm past the float range is inf, as in
+    :func:`~confield.geometry.norm_2form`."""
+    ginv = np.ascontiguousarray(ginv)
+    up = _lowered(ginv, T)
+    up = ginv[..., None, :, :] @ up @ ginv[..., None, :, :]
+    return np.sqrt(np.maximum((up * T).sum(axis=(-3, -2, -1)), 0.0))
+
+
+def taylor_checks(jets: FieldData) -> TaylorResiduals:
+    """The complete first- and second-order Taylor residuals at an (m, n)
+    stack of zeros of xi, read from ``jets``, their
+    :func:`~confield.geometry.field_data` record.  A row that is not a zero
+    raises ``ValueError`` naming it (:func:`~confield.geometry.require_zeros`).
+
+    ``first`` is |S - phi g|_g, with S the symmetric part of g nabla xi: at
+    a zero, N v - (phi v + (1/2) d(xi^flat)(v)^sharp) = g^-1 (S - phi g) v
+    for every v, and |S - phi g|_g is half the conformal residual there.
+    ``second`` is the g-norm of the tensor H - (dphi (x) I + I (x) dphi -
+    grad phi (x) g), whose value at (v, v) is H(v, v) - (2 dphi(v) v -
+    |v|^2 grad phi).  Each bounds its residual along any unit direction.
     """
     require_zeros(jets, "taylor_checks")
-    g = jets.conn.g
-    v = np.asarray(v, dtype=float)
-    speed = norm_or_nan(g, v)
-    if not np.all(np.isfinite(speed) & (speed > 0)):
-        raise ValueError(f"taylor_checks needs a finite nonzero direction, got speed {speed}")
-    v = v / speed[:, None]
-    first = matvec(jets.N, v)
-    second = matvec(_along(jets.H, v), v)
-    f1 = (first * matvec(g, v)).sum(axis=-1)
-
-    # (v -| d xi^flat)_j = v^i M[i, j] = -(M v)_j, as M is skew
-    first_target = jets.phi[:, None] * v - 0.5 * matvec(jets.conn.ginv, matvec(jets.M, v))
-    dphi_v = (jets.dphi * v).sum(axis=-1)[:, None]
-    second_target = 2.0 * dphi_v * v - matvec(jets.conn.ginv, jets.dphi)
-    return TaylorResiduals(abs(f1 - jets.phi), norm_vector(g, first - first_target),
-                           norm_vector(g, second - second_target))
+    cd = jets.conn
+    g, dphi = cd.g, jets.dphi
+    gN = np.ascontiguousarray(g) @ np.ascontiguousarray(jets.N)
+    first = 0.5 * (gN + gN.swapaxes(-1, -2)) - jets.phi[:, None, None] * g
+    # lowered by g_il on its first index, the target tensor reads
+    # dphi_j g_ik + g_ij dphi_k - dphi_i g_jk
+    target = (dphi[:, None, :, None] * g[:, :, None, :] + g[:, :, :, None] * dphi[:, None, None, :]
+              - dphi[:, :, None, None] * g[:, None, :, :])
+    return TaylorResiduals(norm_2form(cd.ginv, first),
+                           _norm_3tensor(cd.ginv, _lowered(g, jets.H) - target))
 
 
-def taylor_scalar_check(jets: FieldData, v) -> np.ndarray:
-    """The scalar residuals of :func:`taylor_checks`; bench/tracer.py wraps this name."""
-    return taylor_checks(jets, v).scalar
+def taylor_scalar_check(jets: FieldData) -> np.ndarray:
+    """The ``first`` residuals of :func:`taylor_checks`; bench/tracer.py wraps this name."""
+    return taylor_checks(jets).first
 
 
-def taylor_vector_check(jets: FieldData, v) -> tuple:
-    """The vector residuals of :func:`taylor_checks`; bench/tracer.py wraps this name."""
-    return taylor_checks(jets, v)[1:]
+def taylor_vector_check(jets: FieldData) -> TaylorResiduals:
+    """The residuals of :func:`taylor_checks`; bench/tracer.py wraps this name."""
+    return taylor_checks(jets)
 
 
-def dxi_identity_residual(jets: FieldData, X):
-    """Residual of nabla_X d(xi^flat) = 2 R_{X,xi} + 2 dphi ^ X at the
-    points of ``jets``, their :func:`~confield.geometry.field_data`
-    record, with row k of the (m, n) directions ``X`` at point k.
+def dxi_identity_residual(jets: FieldData) -> np.ndarray:
+    """|E|_g at the points of ``jets``, their
+    :func:`~confield.geometry.field_data` record, where E is the covariant
+    3-tensor
+
+        E(X, Y, Z) = (nabla_X d(xi^flat) - 2 R_{X,xi} - 2 dphi ^ X)(Y, Z),
+
+    with every index raised by g^-1 in the norm: its value along any
+    direction X is at most |X|_g |E|_g.
 
     All three terms are read from the record's exact jets; for a conformal
     field the residual is at rounding level, and this is the main
     consistency check tying the curvature sign convention to the rest of
-    the package.  Every term is contracted with X (and R with xi) while it
-    has at most three indices, so no 4-index tensor is formed beyond d
-    Gamma.
+    the package.  R is contracted with xi while it has three indices, so no
+    4-index tensor is formed beyond d Gamma.
     """
-    X = np.asarray(X, dtype=float)
     cd = jets.conn
     val, g = jets.value, np.ascontiguousarray(cd.g)
+    n, batch = val.shape[-1], val.shape[:-1]
 
-    # (nabla_X d xi^flat)(e_i, e_j) = g(nabla^2 xi(X, e_i), e_j) - (i <-> j),
-    # with G[j, i] = g_jl H[l, X, i], the derivative index of H along X
-    G = g @ vecmat(X[..., None, :], jets.H)
-    nabla_M = G.swapaxes(-1, -2) - G
+    # R(e_a, xi)^l_i = d_a Gamma^l_{i xi} - d_xi Gamma^l_{a i} + [Gam_a, Gam_xi]^l_i,
+    # with Gam_a[l, i] = Gamma^l_ai, at [l, a, i]: the d Gamma terms come from
+    # dG[l, a, i, k] = d_a Gamma^l_ik and dGam[l, a, i, k] = d_k Gamma^l_ai
+    Gam_xi = _along(cd.Gam, val)
+    Gam = np.ascontiguousarray(cd.Gam)
+    R = (_along(np.moveaxis(cd.dGam, -1, -3), val) - _along(cd.dGam, val)
+         + (Gam.reshape(batch + (n * n, n)) @ Gam_xi).reshape(Gam.shape)
+         - (Gam_xi @ Gam.reshape(batch + (n, n * n))).reshape(Gam.shape))
 
-    # R(X, xi)^i_j = (d_X Gamma^i_{xi j} - d_xi Gamma^i_{X j}) + [Gam_X, Gam_xi]^i_j,
-    # with Gam_X[l, i] = Gamma^l_ik X^k and dG[i, k, l, j] = d_k Gamma^i_lj
-    # (symmetric in l, j)
-    Gam_X, Gam_xi = _along(cd.Gam, X), _along(cd.Gam, val)
-    dG = np.moveaxis(cd.dGam, -1, -3)
-    R = (vecmat(X[..., None, :], _along(dG, val)) - vecmat(val[..., None, :], _along(dG, X))
-         + Gam_X @ Gam_xi - Gam_xi @ Gam_X)
-    # 2 R_{X,xi}(e_i, e_j) = 2 g(R(X, xi) e_i, e_j) = 2 (g R)[j, i]
-    curv = 2.0 * (g @ R).swapaxes(-1, -2)
+    # Lowered by g on the first index, at [j, a, i]: gH[j, a, i] =
+    # g(nabla^2 xi(e_a, e_i), e_j), gR[j, a, i] = g(R(e_a, xi) e_i, e_j) and
+    # o[j, a, i] = dphi_j g_ai.  With B = gH + 2 o,
+    # E(e_a, e_i, e_j) = B[j, a, i] - B[i, a, j] - 2 gR[j, a, i],
+    # held at [i, a, j]: the norm raises every index alike
+    B = _lowered(g, jets.H) + 2.0 * jets.dphi[..., :, None, None] * g[..., None, :, :]
+    return _norm_3tensor(cd.ginv, (B - 2.0 * _lowered(g, R)).swapaxes(-3, -1) - B)
 
-    outer = jets.dphi[..., :, None] * matvec(g, X)[..., None, :]
-    wedge = 2.0 * (outer - outer.swapaxes(-1, -2))
-
-    return norm_2form(cd.ginv, nabla_M - curv - wedge)

@@ -288,11 +288,6 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (np.ascontiguousarray(A) @ np.ascontiguousarray(x)[..., None])[..., 0]
 
 
-def vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """x A over stacks, with contiguous operands."""
-    return (np.ascontiguousarray(x)[..., None, :] @ np.ascontiguousarray(A))[..., 0, :]
-
-
 def _axes(a: np.ndarray, *order: int) -> np.ndarray:
     """``a`` with its trailing axes permuted by ``order``, batch axes kept."""
     lead = a.ndim - len(order)

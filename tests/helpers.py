@@ -17,7 +17,9 @@ the same jets, bit for bit.
 
 The einsum bodies that computed the connection, the field tensors, the
 curvature and the derivative identity before these became stacked matrix
-products are kept as their reference, to rounding; so are L_xi g from the
+products are kept as their reference, to rounding, and so are the Taylor
+checks and the identity along one direction, which the whole-tensor checks
+bound; so are L_xi g from the
 covariant derivative and the conformal residual built on it, which the
 1-jet formula replaced, and the report writer ``json.dumps`` of plain
 values, which the one-pass writer replaced, byte for byte.
@@ -256,15 +258,14 @@ def reference_conformal_residual(chart, xi, p):
     return norm_2form(ginv, L - trace / chart.dim * g)
 
 
-def reference_dxi_identity_residual(chart, xi, p, X):
-    """``dxi_identity_residual`` by einsum, through the lowered curvature."""
-    from confield.geometry import norm_2form
-
+def reference_dxi_identity_residual(chart, xi, p):
+    """``dxi_identity_residual`` by einsum, through the lowered curvature:
+    the tensor E[a, i, j] of the identity along X = e_a, and its norm with
+    every index raised by g^-1."""
     fd = reference_field_data(chart, xi, p, 2)
     cd = fd["conn"]
-    X = np.asarray(X, dtype=float)
     val, jac, hess = fd["value"], fd["jac"], fd["hess"]
-    g, dg, d2g = cd["g"], cd["dg"], cd["d2g"]
+    g, dg, d2g, ginv = cd["g"], cd["dg"], cd["d2g"], cd["ginv"]
     # PP[k, i, j] = d_k d_i omega_j with omega_j = g_jl xi^l
     PP = (
         np.einsum("...jlik,...l->...kij", d2g, val)
@@ -274,15 +275,61 @@ def reference_dxi_identity_residual(chart, xi, p, X):
     )
     M = fd["M"]
     dM = PP - PP.swapaxes(-1, -2)  # dM[k, i, j] = d_k M_ij
-    nabla_M = np.einsum("...k,...kij->...ij", X, dM)
-    nabla_M -= np.einsum("...k,...lki,...lj->...ij", X, cd["Gam"], M)
-    nabla_M -= np.einsum("...k,...lkj,...il->...ij", X, cd["Gam"], M)
+    nabla_M = dM - np.einsum("...lai,...lj->...aij", cd["Gam"], M)
+    nabla_M -= np.einsum("...laj,...il->...aij", cd["Gam"], M)
     Rl = reference_riemann_lowered(g, reference_riemann(cd["Gam"], cd["dGam"]))
-    curv = 2.0 * np.einsum("...a,...b,...abij->...ij", X, val, Rl)
-    Xflat = np.einsum("...ij,...j->...i", g, X)
-    outer = fd["dphi"][..., :, None] * Xflat[..., None, :]
+    curv = 2.0 * np.einsum("...b,...abij->...aij", val, Rl)
+    outer = np.einsum("...i,...aj->...aij", fd["dphi"], g)
     wedge = 2.0 * (outer - outer.swapaxes(-1, -2))
-    return norm_2form(cd["ginv"], nabla_M - curv - wedge)
+    E = nabla_M - curv - wedge
+    return np.sqrt(np.einsum("...ab,...ik,...jl,...aij,...bkl->...", ginv, ginv, ginv, E, E))
+
+
+def one_direction_identity_residual(jets, X):
+    """The derivative identity's residual along row k of the (m, n)
+    directions X at point k of the record ``jets``, as it was checked before
+    the whole tensor was: |nabla_X d(xi^flat) - 2 R_{X,xi} - 2 dphi ^ X|_g,
+    which is at most |X|_g times ``dxi_identity_residual``."""
+    from confield.geometry import norm_2form
+
+    cd, val = jets.conn, jets.value
+    X = np.asarray(X, dtype=float)
+    G = np.einsum("...jl,...lak,...a->...jk", cd.g, jets.H, X)
+    nabla_M = G.swapaxes(-1, -2) - G
+    # R(X, xi)^i_j from Gamma and its derivatives, dGam[i, l, j, k] = d_k Gamma^i_lj
+    Gam_X = np.einsum("...ijk,...k->...ij", cd.Gam, X)
+    Gam_xi = np.einsum("...ijk,...k->...ij", cd.Gam, val)
+    R = (np.einsum("...iljk,...k,...l->...ij", cd.dGam, X, val)
+         - np.einsum("...iljk,...k,...l->...ij", cd.dGam, val, X)
+         + Gam_X @ Gam_xi - Gam_xi @ Gam_X)
+    curv = 2.0 * (cd.g @ R).swapaxes(-1, -2)
+    outer = jets.dphi[..., :, None] * np.einsum("...ij,...j->...i", cd.g, X)[..., None, :]
+    wedge = 2.0 * (outer - outer.swapaxes(-1, -2))
+    return norm_2form(cd.ginv, nabla_M - curv - wedge)
+
+
+def one_direction_taylor_checks(jets, v):
+    """``(scalar, first, second)`` along row k of the (m, n) directions v,
+    normalized in g, at zero k of the record ``jets``, as the Taylor checks
+    read them before they took whole tensors: |g(N v, v) - phi| and the
+    g-norms of N v - (phi v + (1/2) d(xi^flat)(v)^sharp) and of H(v, v) -
+    (2 dphi(v) v - grad phi).  ``taylor_checks``' ``first`` bounds the
+    first two and its ``second`` the third."""
+    from confield.geometry import norm_vector
+
+    g, ginv = jets.conn.g, jets.conn.ginv
+    v = np.asarray(v, dtype=float)
+    v = v / norm_vector(g, v)[:, None]
+    first = np.einsum("...ij,...j->...i", jets.N, v)
+    second = np.einsum("...ijk,...j,...k->...i", jets.H, v, v)
+    scalar = np.abs(np.einsum("...i,...ij,...j->...", first, g, v) - jets.phi)
+    # (v -| d xi^flat)_j = v^i M[i, j] = -(M v)_j, as M is skew
+    first_target = (jets.phi[:, None] * v
+                    - 0.5 * np.einsum("...ij,...jk,...k->...i", ginv, jets.M, v))
+    dphi_v = np.einsum("...i,...i->...", jets.dphi, v)[:, None]
+    second_target = 2.0 * dphi_v * v - np.einsum("...ij,...j->...i", ginv, jets.dphi)
+    return scalar, norm_vector(g, first - first_target), norm_vector(g, second - second_target)
+
 
 def fd_partial(f, x, i, h=1e-5):
     """First partial derivative of a scalar function of a point."""

@@ -96,20 +96,19 @@ def test_catalog_fields_are_conformal(capsys):
 
 
 def test_derivative_two_form_identity_holds(capsys):
-    """nabla_X dxi = 2 R(X, xi) + 2 dphi wedge X at 50 seeded (p, X) pairs
-    for every catalog field."""
+    """nabla_X dxi = 2 R(X, xi) + 2 dphi wedge X along every X at 50 seeded
+    points for every catalog field."""
     rng = np.random.default_rng(202)
     worst = 0.0
     for chart, xi in models.standard_pairs(3):
         pts = sample_interior(chart, 50, rng)
-        dirs = rng.standard_normal((50, 3))
-        worst = max(worst, float(dxi_identity_residual(field_data(chart, xi, pts), dirs).max()))
+        worst = max(worst, float(dxi_identity_residual(field_data(chart, xi, pts)).max()))
     ok = worst < 1e-7
     _report(
         capsys,
         "derivative two-form identity",
         ok,
-        f"18 fields x 50 pairs, worst residual {worst:.2e}",
+        f"18 fields x 50 points, worst residual {worst:.2e}",
     )
 
 
@@ -208,27 +207,23 @@ def test_traced_components_are_umbilical_with_even_codim(capsys):
 
 
 def test_taylor_expansions_at_zeros(capsys):
-    """Along unit-speed geodesics through a zero, f'(0) recovers the factor
-    and nabla^2 xi(v, v) matches 2 dphi(v) v - grad phi; for the
-    quadratic generator with v = e1 that is exactly -2 e1."""
+    """Along every unit-speed geodesic through a zero, f'(0) recovers the
+    factor and nabla^2 xi(v, v) matches 2 dphi(v) v - grad phi: the complete
+    residuals bound both along every unit v.  For the quadratic generator
+    with v = e1 that is exactly -2 e1."""
     K = models.special_conformal(FLAT3, 1)
     rot = models.rotation(FLAT3, 1, 2)
     Ks = models.sphere_translation(SPHERE, 1)
     e1 = np.array([1.0, 0.0, 0.0])
-    cases = [
-        (FLAT3, K, e1),
-        (FLAT3, K, np.array([0.36, 0.48, 0.8])),
-        (FLAT3, rot, np.array([0.0, 1.0, 0.0])),
-        (SPHERE, Ks, e1),
-    ]
+    cases = [(FLAT3, K), (FLAT3, rot), (SPHERE, Ks)]
     ok = True
-    worst_scalar = 0.0
+    worst_first = 0.0
     worst_vector = 0.0
-    for chart, xi, v in cases:
-        res = taylor_checks(field_data(chart, xi, np.zeros((1, 3))), v[None])
-        worst_scalar = max(worst_scalar, res.scalar[0])
+    for chart, xi in cases:
+        res = taylor_checks(field_data(chart, xi, np.zeros((1, 3))))
+        worst_first = max(worst_first, res.first[0])
         worst_vector = max(worst_vector, res.second[0])
-        ok = ok and res.scalar[0] < 1e-6
+        ok = ok and res.first[0] < 1e-6
         ok = ok and res.second[0] < 1e-4
     # nabla^2 xi(e1, e1), the record's H(v, v)
     hand = np.einsum("ijk,j,k->i", field_data(FLAT3, K, np.zeros((1, 3))).H[0], e1, e1)
@@ -238,7 +233,7 @@ def test_taylor_expansions_at_zeros(capsys):
         capsys,
         "taylor expansions at zeros",
         ok,
-        f"worst f' residual {worst_scalar:.1e}, worst xi'' residual "
+        f"worst nabla xi residual {worst_first:.1e}, worst nabla^2 xi residual "
         f"{worst_vector:.1e}, hand value -2e off by {hand_err:.1e}",
     )
 

@@ -606,7 +606,7 @@ def test_rotation_manifest_runs_green(tmp_path):
 
 
 def test_verify_identities_makes_one_taylor_pass_per_zero(tmp_path, monkeypatch):
-    """All identity pairs share one field_data, and all 12 zeros share one
+    """All identity points share one field_data, and all 12 zeros share one
     more, made after it, whose first four rows are reported; no geodesic is
     run."""
     calls = recording_calls(monkeypatch, geometry.field_data,
@@ -686,26 +686,29 @@ def test_a_residual_past_the_float_range_is_no_warning(tmp_path):
 
 
 @pytest.mark.parametrize("chart", ["euclidean", "sphere_stereographic"])
-@pytest.mark.parametrize("components,analysis,key", [
-    (["1e200*x1", "0", "0"], "check-conformal", "max_residual"),
-    (["1e160*x1*x2", "1e160*x3", "0"], "verify-identities", "max_identity_residual"),
-], ids=["check-conformal", "verify-identities"])
+@pytest.mark.parametrize("components,analyses,key", [
+    (["1e200*x1", "0", "0"], ["check-conformal"], ("max_residual",)),
+    (["1e160*x1*x2", "1e160*x3", "0"], ["verify-identities"], ("max_identity_residual",)),
+    (["1e155*x1^2", "0", "0"], ["zeros", "classify"], ("entries", 0, "image_residual")),
+], ids=["check-conformal", "verify-identities", "classify"])
 def test_an_overflowing_residual_is_inf_under_either_warnings_filter(chart, components,
-                                                                     analysis, key):
+                                                                     analyses, key):
     """The field's values fit a float but the norm of its residual does not:
     the residual reads inf and fails its gate, with exit 1 and no warning,
     and the report is the same whether RuntimeWarnings are errors or are
-    shown."""
+    shown.  ``key`` is the residual's path in the last analysis' result."""
     manifest = {"chart": {"name": chart, "dim": 3}, "field": {"components": components},
-                "analyses": [analysis], "seed": 1}
+                "analyses": analyses, "seed": 1}
     renders = []
     for action in ("error", "always"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
             report, code = cli.run_manifest(manifest)
         assert code == 1 and caught == []
-        result = report["analyses"][analysis]
-        assert result[key] == math.inf and result["passed"] is False
+        result = value = report["analyses"][analyses[-1]]
+        for step in key:
+            value = value[step]
+        assert value == math.inf and result["passed"] is False
         renders.append(render_report(report))
     assert renders[0] == renders[1]
 
@@ -944,10 +947,10 @@ def test_no_evaluation_without_zeros(tmp_path, monkeypatch):
 def test_taylor_rows_follow_their_zeros(name, params, build):
     """Both fields have more zeros (12 and 8) than verify-identities reports.
     Reported Taylor entry k is, bit for bit, the check of a one-zero record
-    at zero k with row k of the stream's one block of directions, drawn
-    after the identity pairs.  The rotation's residuals are all 0, so it
-    pins the zeros; those of sphere_killing differ by row at rounding
-    level, so it pins the directions too."""
+    at zero k, whose first residual is also the scalar one.  The
+    rotation's residuals are all 0, so it pins the zeros; the second
+    residuals of sphere_killing differ by row at rounding level, so it
+    pins the rows too."""
     manifest = {"chart": {"name": "euclidean", "dim": 3}, "field": {"name": name, "params": params},
                 "analyses": ["zeros", "verify-identities"], "seed": 1}
     report, code = cli.run_manifest(manifest)
@@ -956,15 +959,25 @@ def test_taylor_rows_follow_their_zeros(name, params, build):
     assert code == 0 and len(zeros) > cli._TAYLOR_ZEROS == len(taylor)
     chart = models.euclidean(3)
     xi = build(chart)
-    rng = Stream(1, cli.ANALYSES.index("verify-identities"))
-    sample_interior(chart, cli._IDENTITY_PAIRS, rng)
-    rng.normal(size=(cli._IDENTITY_PAIRS, 3))
-    dirs = rng.normal(size=zeros.shape)
     for k, entry in enumerate(taylor):
-        res = taylor_checks(field_data(chart, xi, zeros[k:k + 1]), dirs[k:k + 1])
+        res = taylor_checks(field_data(chart, xi, zeros[k:k + 1]))
         assert np.array_equal(entry["zero"], zeros[k])
         assert (entry["scalar_residual"], entry["vector_first_residual"],
-                entry["vector_second_residual"]) == (res.scalar[0], res.first[0], res.second[0])
+                entry["vector_second_residual"]) == (res.first[0], res.first[0], res.second[0])
+
+
+def test_taylor_rows_are_seed_free():
+    """The Taylor rows read the zeros' record and draw nothing, so seeds 1
+    and 2 report the same rows."""
+    manifest = {"chart": {"name": "sphere_stereographic", "dim": 3},
+                "field": {"name": "sphere_killing", "params": {"axis_i": 1, "axis_j": 4}},
+                "analyses": ["zeros", "verify-identities"]}
+    rows = []
+    for seed in (1, 2):
+        report, code = cli.run_manifest({**manifest, "seed": seed})
+        assert code == 0
+        rows.append(report["analyses"]["verify-identities"]["taylor_at_zeros"])
+    assert rows[0] and render_report(rows[0]) == render_report(rows[1])
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -1159,8 +1172,8 @@ def test_analysis_list_is_deduplicated_in_request_order(tmp_path):
 def test_nan_identity_residual_fails_the_gate(tmp_path, monkeypatch):
     """NaN identity residuals must fail verify-identities, not vanish from
     its maximum."""
-    def nan_row(jets, X):
-        return np.full(len(X), math.nan)
+    def nan_row(jets):
+        return np.full(len(jets.points), math.nan)
 
     monkeypatch.setattr(cli, "dxi_identity_residual", nan_row)
     manifest = {

@@ -8,6 +8,7 @@ import confield.cli as cli
 import confield.geodesic as geodesic
 import confield.geometry as geometry
 import confield.models as models
+from confield.conformal import conformal_residual
 from confield.essential import find_zeros
 from confield.expr import Const, Mul, Var, parse
 from confield.geodesic import (
@@ -29,6 +30,7 @@ from confield.geometry import (
     sample_interior,
 )
 from helpers import (SHEARED, mobius_conjugate, mobius_field, mobius_matrix, mobius_parts,
+                     one_direction_identity_residual, one_direction_taylor_checks,
                      recording_calls, reference_dxi_identity_residual,
                      rk4_taylor_derivatives)
 
@@ -37,10 +39,10 @@ HYPER = models.hyperbolic_ball(3)
 FLAT3 = models.euclidean(3)
 
 
-def _checks_at(chart, xi, x, v):
-    """``taylor_checks`` at one zero x in direction v, on the stack of one
-    holding them: the row of each residual."""
-    res = taylor_checks(field_data(chart, xi, np.asarray(x)[None]), np.asarray(v)[None])
+def _checks_at(chart, xi, x):
+    """``taylor_checks`` at one zero x, on the stack of one holding it: the
+    row of each residual."""
+    res = taylor_checks(field_data(chart, xi, np.asarray(x, dtype=float)[None]))
     return TaylorResiduals(*(a[0] for a in res))
 
 
@@ -148,11 +150,9 @@ def test_geodesic_input_validation():
     assert np.array_equal(exp_map(FLAT3, x, np.zeros(3)), x)
 
 
-_QUADRATIC = models.special_conformal(FLAT3, 1)
 _CALLS = {
     "integrate_geodesic": lambda v: integrate_geodesic(FLAT3, np.zeros(3), v, 1.0, 64),
     "exp_map": lambda v: exp_map(FLAT3, np.zeros(3), v),
-    "taylor_checks": lambda v: _checks_at(FLAT3, _QUADRATIC, np.zeros(3), v),
 }
 _DIRECTIONS = {"inf": [np.inf, 0.0, 0.0], "-inf": [0.0, -np.inf, 0.0],
                "nan": [np.nan, 1.0, 0.0], "zero": [0.0, 0.0, 0.0]}
@@ -175,10 +175,11 @@ def test_zero_and_non_finite_directions_are_refused(call, direction):
 
 def test_scalar_expansion_at_quadratic_zero_flat():
     """f(t) = g(xi, c') along a geodesic through the zero of the quadratic
-    generator: f'(0) = phi and, for v = e1, f(t) = -t^2 exactly."""
+    generator: f'(0) = phi and, for v = e1, f(t) = -t^2 exactly.  The
+    complete first residual bounds |f'(0) - phi| along every unit v."""
     K = models.special_conformal(FLAT3, 1)
     v = np.array([1.0, 0.0, 0.0])
-    assert _checks_at(FLAT3, K, np.zeros(3), v).scalar < 1e-9
+    assert _checks_at(FLAT3, K, np.zeros(3)).first < 1e-9
     _, _, f_prime, f_second = _derivatives_at(FLAT3, K, np.zeros(3), v)
     assert f_prime == pytest.approx(0.0, abs=1e-9)
     assert f_second == pytest.approx(-2.0, abs=1e-6)
@@ -187,7 +188,7 @@ def test_scalar_expansion_at_quadratic_zero_flat():
 def test_scalar_expansion_generic_direction():
     K = models.special_conformal(FLAT3, 1)
     v = np.array([0.36, 0.48, 0.8])
-    assert _checks_at(FLAT3, K, np.zeros(3), v).scalar < 1e-9
+    assert _checks_at(FLAT3, K, np.zeros(3)).first < 1e-9
     # f''(0) = dphi(c'(0)) with phi = -2 x1, unit speed keeps v as given
     assert _derivatives_at(FLAT3, K, np.zeros(3), v)[3] == pytest.approx(-2.0 * 0.36, abs=1e-6)
 
@@ -195,19 +196,19 @@ def test_scalar_expansion_generic_direction():
 def test_scalar_expansion_rotation_zero_is_flat_function():
     rot = models.rotation(FLAT3, 1, 2)
     v = np.array([0.0, 1.0, 0.0])
-    assert _checks_at(FLAT3, rot, np.zeros(3), v).scalar < 1e-10
+    assert _checks_at(FLAT3, rot, np.zeros(3)).first < 1e-10
     assert _derivatives_at(FLAT3, rot, np.zeros(3), v)[3] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_scalar_expansion_on_curved_chart():
     K = models.sphere_translation(SPHERE, 1)
-    assert _checks_at(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8])).scalar < 1e-8
+    assert _checks_at(SPHERE, K, np.zeros(3)).first < 1e-8
 
 
 def test_scalar_check_requires_a_zero():
     K = models.special_conformal(FLAT3, 1)
     with pytest.raises(ValueError):
-        _checks_at(FLAT3, K, np.array([0.5, 0.0, 0.0]), np.ones(3))
+        _checks_at(FLAT3, K, np.array([0.5, 0.0, 0.0]))
 
 
 def test_vector_expansion_at_quadratic_zero():
@@ -215,7 +216,7 @@ def test_vector_expansion_at_quadratic_zero():
     vectors at the zero; for v = e1 this is -2 e1."""
     K = models.special_conformal(FLAT3, 1)
     v = np.array([1.0, 0.0, 0.0])
-    res = _checks_at(FLAT3, K, np.zeros(3), v)
+    res = _checks_at(FLAT3, K, np.zeros(3))
     first, second, _, _ = _derivatives_at(FLAT3, K, np.zeros(3), v)
     assert res.first < 1e-9
     assert res.second < 1e-6
@@ -228,7 +229,7 @@ def test_vector_expansion_transverse_direction():
     = 2 e1."""
     K = models.special_conformal(FLAT3, 1)
     v = np.array([0.0, 1.0, 0.0])
-    assert _checks_at(FLAT3, K, np.zeros(3), v).second < 1e-6
+    assert _checks_at(FLAT3, K, np.zeros(3)).second < 1e-6
     second = _derivatives_at(FLAT3, K, np.zeros(3), v)[1]
     assert np.abs(second - np.array([2.0, 0.0, 0.0])).max() < 1e-6
 
@@ -236,7 +237,7 @@ def test_vector_expansion_transverse_direction():
 def test_vector_expansion_rotation_first_order():
     rot = models.rotation(FLAT3, 1, 2)
     v = np.array([1.0, 0.0, 0.0])
-    res = _checks_at(FLAT3, rot, np.zeros(3), v)
+    res = _checks_at(FLAT3, rot, np.zeros(3))
     # xi'(0) = dxi(v)/2 = e2
     assert res.first < 1e-9
     assert np.abs(_derivatives_at(FLAT3, rot, np.zeros(3), v)[0]
@@ -249,14 +250,14 @@ def test_vector_expansion_at_homothetic_zero():
     phi v term of the first-order target is not zero here."""
     eu = models.euler(FLAT3)
     v = np.array([0.3, -1.0, 0.5])
-    assert _checks_at(FLAT3, eu, np.zeros(3), v).first < 1e-9
+    assert _checks_at(FLAT3, eu, np.zeros(3)).first < 1e-9
     assert np.linalg.norm(_derivatives_at(FLAT3, eu, np.zeros(3), v)[0]) == pytest.approx(
         1.0, abs=1e-9)
 
 
 def test_vector_expansion_on_curved_chart():
     K = models.sphere_translation(SPHERE, 1)
-    res = _checks_at(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    res = _checks_at(SPHERE, K, np.zeros(3))
     assert res.first < 1e-8
     assert res.second < 1e-4
 
@@ -267,7 +268,7 @@ def test_taylor_checks_refuse_a_nan_zero():
     parser refuses an infinite constant, so the node is built directly."""
     xi = FieldSpec(FLAT3, (Mul(Const(math.inf), Var(0)), Var(1), Var(2)))
     with pytest.raises(ValueError, match="taylor_checks expects a zero"):
-        _checks_at(FLAT3, xi, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        _checks_at(FLAT3, xi, np.zeros(3))
 
 
 # -- the checks read the 2-jet at the zero, and integrate no geodesic -------------
@@ -281,25 +282,26 @@ def _refuse_integration(monkeypatch):
 
 
 def test_scalar_stencil_shares_runs(monkeypatch):
-    """The scalar result on a curved chart, to rounding, with the integrator
-    refusing every call: the check runs no geodesic at all."""
+    """The first residual on a curved chart, which bounds the scalar check,
+    to rounding, with the integrator refusing every call: the check runs no
+    geodesic at all."""
     _refuse_integration(monkeypatch)
     K = models.sphere_translation(SPHERE, 1)
-    res = _checks_at(SPHERE, K, np.zeros(3), np.array([0.0, 0.6, 0.8]))
-    assert res.scalar < 1e-12
+    res = _checks_at(SPHERE, K, np.zeros(3))
     assert res.first < 1e-12
     assert res.second < 1e-12
 
 
 def test_vector_stencil_shares_runs(monkeypatch):
-    """The vector results from the transverse direction, to rounding, with
-    the integrator refusing every call."""
+    """The vector results at the zeros of a sphere Killing field on a
+    curved chart, to rounding, with the integrator refusing every call."""
     _refuse_integration(monkeypatch)
-    K = models.sphere_translation(SPHERE, 1)
-    res = _checks_at(SPHERE, K, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    assert res.first < 1e-12
-    assert res.second < 1e-12
-    assert res.scalar < 1e-12
+    K = models.sphere_killing(SPHERE, 1, 4)
+    zeros = find_zeros(SPHERE, K)
+    assert len(zeros)
+    res = taylor_checks(field_data(SPHERE, K, zeros))
+    assert res.first.max() < 1e-12
+    assert res.second.max() < 1e-12
 
 
 def test_checks_build_no_frame(monkeypatch):
@@ -310,8 +312,7 @@ def test_checks_build_no_frame(monkeypatch):
     rot = models.rotation(FLAT3, 1, 2)
     zeros = find_zeros(FLAT3, rot)[:4]
     assert len(zeros) == 4
-    taylor_checks(field_data(FLAT3, rot, zeros),
-                  np.random.default_rng(2).standard_normal(zeros.shape))
+    taylor_checks(field_data(FLAT3, rot, zeros))
     report, code = cli.run_manifest({"chart": {"name": "euclidean", "dim": 3},
                                      "field": {"name": "rotation",
                                                "params": {"axis_i": 1, "axis_j": 2}},
@@ -348,7 +349,7 @@ def test_jet_derivatives_match_rk4_differences():
     and a'' = E g H(v, v), with E the parallel frame at the zero.  The
     residuals built from the RK4 derivatives, against the targets phi v +
     (1/2) d(xi^flat)(v)^sharp and 2 dphi(v) v - grad phi taken in that
-    frame, are those of ``taylor_checks``."""
+    frame, are those of the record along v, which ``taylor_checks`` bounds."""
     rng = np.random.default_rng(16)
     # the first 4 zeros of each pair, the ones verify-identities checks
     cases = [(chart, xi, z) for dim in (3, 4) for chart, xi in models.standard_pairs(dim)
@@ -372,28 +373,31 @@ def test_jet_derivatives_match_rk4_differences():
         u = v / norm_vector(g[None], v[None])[0]
         first_target = phi * u - 0.5 * ginv @ (jets.M[0] @ u)
         second_target = 2.0 * (dphi @ u) * u - ginv @ dphi
-        res = _checks_at(chart, xi, z, v)
+        scalar, along_first, along_second = (a[0] for a in one_direction_taylor_checks(jets, v[None]))
+        res = _checks_at(chart, xi, z)
         # E is g-orthonormal, so |w|_g = |E g w| and the frame residuals
         # differ from the record's by at most |a' - E g N v| in the 2-norm
-        assert abs(abs(f1 - phi) - res.scalar) < 1e-10, label
-        assert abs(np.linalg.norm(a1 - Eg @ first_target) - res.first) < 1e-10 * math.sqrt(chart.dim), label
-        assert abs(np.linalg.norm(a2 - Eg @ second_target) - res.second) < 1e-7 * math.sqrt(chart.dim), label
+        rk4_first = np.linalg.norm(a1 - Eg @ first_target)
+        rk4_second = np.linalg.norm(a2 - Eg @ second_target)
+        assert abs(abs(f1 - phi) - scalar) < 1e-10, label
+        assert abs(rk4_first - along_first) < 1e-10 * math.sqrt(chart.dim), label
+        assert abs(rk4_second - along_second) < 1e-7 * math.sqrt(chart.dim), label
+        assert max(abs(f1 - phi), rk4_first) < res.first + 1e-10 * math.sqrt(chart.dim), label
+        assert rk4_second < res.second + 1e-7 * math.sqrt(chart.dim), label
 
 
 def test_stacked_taylor_checks_are_the_per_zero_checks():
     """One call on the checked zeros of a pair gives, row by row, the checks
     of the stack of one holding that zero, bit for bit."""
-    rng = np.random.default_rng(23)
     for dim in (3, 4):
         for chart, xi in models.standard_pairs(dim):
             zeros = find_zeros(chart, xi)[:4]
             if not len(zeros):
                 continue
-            dirs = rng.standard_normal(zeros.shape)
-            res = taylor_checks(field_data(chart, xi, zeros), dirs)
+            res = taylor_checks(field_data(chart, xi, zeros))
             assert all(np.shape(a) == (len(zeros),) for a in res)
             for i in range(len(zeros)):
-                ones = taylor_checks(field_data(chart, xi, zeros[i:i + 1]), dirs[i:i + 1])
+                ones = taylor_checks(field_data(chart, xi, zeros[i:i + 1]))
                 for stacked, one in zip(res, ones):
                     assert np.array_equal(stacked[i], one[0]), (chart.name, xi.name, i)
 
@@ -401,11 +405,8 @@ def test_stacked_taylor_checks_are_the_per_zero_checks():
 def test_stacked_taylor_checks_refuse_a_stack_with_a_non_zero():
     zeros = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
     jets = field_data(FLAT3, models.special_conformal(FLAT3, 1), zeros)
-    with pytest.raises(ValueError, match="zero"):
-        taylor_checks(jets, np.ones((2, 3)))
-    with pytest.raises(ValueError, match="direction"):
-        taylor_checks(field_data(FLAT3, models.special_conformal(FLAT3, 1), zeros[:1]),
-                      np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="row 1"):
+        taylor_checks(jets)
 
 
 def _per_point_rk4(chart, x, v, length, steps):
@@ -459,8 +460,7 @@ def test_checks_next_to_the_box_edge(height, monkeypatch):
     _refuse_integration(monkeypatch)
     rot = models.rotation(FLAT3, 1, 2)
     x = np.array([0.0, 0.0, height])
-    res = _checks_at(FLAT3, rot, x, np.array([0.0, 0.0, 1.0]))
-    assert res.scalar < 1e-12
+    res = _checks_at(FLAT3, rot, x)
     assert res.first < 1e-12
     assert res.second < 1e-12
 
@@ -473,23 +473,21 @@ def test_derivative_identity_on_catalog_fields():
     worst = 0.0
     for chart, xi in models.standard_pairs(3):
         pts = sample_interior(chart, 5, rng)
-        dirs = rng.standard_normal((5, 3))
-        worst = max(worst, dxi_identity_residual(field_data(chart, xi, pts), dirs).max())
+        worst = max(worst, dxi_identity_residual(field_data(chart, xi, pts)).max())
     assert worst < 1e-9
 
 
 def test_batched_identity_residuals_match_per_point():
-    """One call over (m, n) points and directions gives the residuals of
-    the stacks of one, for a conformal field (rounding level) and a field
-    that is not conformal (order one)."""
+    """One call over (m, n) points gives the residuals of the stacks of one,
+    for a conformal field (rounding level) and a field that is not
+    conformal (order one)."""
     rng = np.random.default_rng(9)
     bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     for chart, xi in [(SPHERE, models.sphere_translation(SPHERE, 1)), (FLAT3, bad)]:
         pts = sample_interior(chart, 12, rng)
-        dirs = rng.standard_normal((12, 3))
-        batched = dxi_identity_residual(field_data(chart, xi, pts), dirs)
-        per_point = np.array([dxi_identity_residual(field_data(chart, xi, pts[i:i + 1]),
-                                                    dirs[i:i + 1])[0] for i in range(12)])
+        batched = dxi_identity_residual(field_data(chart, xi, pts))
+        per_point = np.array([dxi_identity_residual(field_data(chart, xi, pts[i:i + 1]))[0]
+                              for i in range(12)])
         assert batched.shape == (12,)
         assert np.abs(batched - per_point).max() <= 1e-14 * max(1.0, per_point.max())
 
@@ -506,10 +504,9 @@ def test_identity_residuals_match_the_einsum_reference(dim):
     (residuals at rounding level) and a field that is not conformal on each
     chart and, in dimension 3, on the sheared chart (residuals of order
     one): the residuals agree with the einsum reference to 1e-13 of the
-    largest tensor entry the identity contracts, times |X|.  Off a zero of
-    a field on a curved chart, nabla^2 xi(X, Y) - nabla^2 xi(Y, X) =
-    R(X, Y) xi, so the reference tells the derivative index of H from its
-    argument index."""
+    largest tensor entry the identity contracts.  Off a zero of a field on a
+    curved chart, nabla^2 xi(X, Y) - nabla^2 xi(Y, X) = R(X, Y) xi, so the
+    reference tells the derivative index of H from its argument index."""
     from helpers import reference_field_data
 
     rng = np.random.default_rng(dim)
@@ -518,16 +515,15 @@ def test_identity_residuals_match_the_einsum_reference(dim):
     pairs += [(chart, _non_conformal(chart)) for chart in charts]
     for chart, xi in pairs:
         points = sample_interior(chart, 50, rng)
-        dirs = rng.standard_normal((50, dim))
         for size in (1, 7, 50):
-            p, X = points[:size], dirs[:size]
-            got = dxi_identity_residual(field_data(chart, xi, p), X)
-            ref = reference_dxi_identity_residual(chart, xi, p, X)
+            p = points[:size]
+            got = dxi_identity_residual(field_data(chart, xi, p))
+            ref = reference_dxi_identity_residual(chart, xi, p)
             assert np.shape(got) == np.shape(ref), size
             fd = reference_field_data(chart, xi, p, 2)
             tensors = [fd[k] for k in ("value", "jac", "hess", "H", "dphi")]
             tensors += [fd["conn"][k] for k in ("g", "dg", "d2g", "Gam", "dGam")]
-            scale = max(np.abs(t).max() for t in tensors) * max(1.0, np.abs(X).max())
+            scale = max(np.abs(t).max() for t in tensors)
             assert np.abs(got - ref).max() <= 1e-13 * scale, (chart.name, xi.name, size)
 
 
@@ -535,5 +531,43 @@ def test_derivative_identity_fails_for_non_conformal_field():
     bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     rng = np.random.default_rng(8)
     pts = sample_interior(FLAT3, 10, rng)
-    residuals = dxi_identity_residual(field_data(FLAT3, bad, pts), rng.standard_normal((10, 3)))
+    residuals = dxi_identity_residual(field_data(FLAT3, bad, pts))
     assert residuals.max() > 1e-3
+
+
+# -- the complete checks bound every direction -------------------------------------
+
+
+_NON_CONFORMAL_AT_ORIGIN = (("x1 + x2*x3", "2*x2 - x1^2", "x3 + x1*x2"),
+                            ("x2 + x1^2", "3*x1*x3", "sin(x2) - x3"),
+                            ("x1*x2", "x3^2", "sin(x1)"))
+
+
+@pytest.mark.parametrize("chart", [FLAT3, SPHERE, HYPER], ids=lambda c: c.name)
+def test_complete_residuals_bound_their_one_direction_values(chart):
+    """Three fields that are not conformal, each with a zero at the origin:
+    over 200 drawn directions, the residuals along one direction (the
+    scalar and first Taylor residuals, the second, and the identity's per
+    unit |X|_g) never exceed the complete ones, and the complete first
+    residual is half the conformal residual at the zero."""
+    rng = np.random.default_rng(48)
+    origin = np.zeros((1, 3))
+    for comps in _NON_CONFORMAL_AT_ORIGIN:
+        xi = FieldSpec(chart, tuple(parse(c, 3) for c in comps))
+        jets = field_data(chart, xi, origin)
+        res = taylor_checks(jets)
+        half = 0.5 * conformal_residual(chart, xi, origin)[0]
+        assert abs(res.first[0] - half) <= 1e-12 * half, comps
+        identity = dxi_identity_residual(jets)[0]
+        assert min(res.first[0], res.second[0], identity) > 1e-2, comps
+
+        stack = field_data(chart, xi, np.zeros((200, 3)))
+        dirs = rng.standard_normal((200, 3))
+        scalar, first, second = one_direction_taylor_checks(stack, dirs)
+        along = (one_direction_identity_residual(stack, dirs)
+                 / norm_vector(stack.conn.g, dirs))
+        for name, one, whole in (("scalar", scalar, res.first[0]),
+                                 ("first", first, res.first[0]),
+                                 ("second", second, res.second[0]),
+                                 ("identity", along, identity)):
+            assert one.max() <= whole, (comps, name, one.max() / whole)

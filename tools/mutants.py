@@ -154,17 +154,22 @@ MUTANTS = (
            "each row of a stack is cut at its own largest singular value"),
     # the pointwise identities
     Mutant("taylor-target-without-phi-v", "src/confield/geodesic.py",
-           "first_target = jets.phi[:, None] * v - 0.5 * matvec(",
-           "first_target = -0.5 * matvec(",
+           "first = 0.5 * (gN + gN.swapaxes(-1, -2)) - jets.phi[:, None, None] * g",
+           "first = 0.5 * (gN + gN.swapaxes(-1, -2))",
            "nabla_v xi = phi v + (1/2) d(xi^flat)(v)^sharp: a homothetic zero has phi != 0"),
+    Mutant("taylor-target-without-i-dphi", "src/confield/geodesic.py",
+           " + g[:, :, :, None] * dphi[:, None, None, :]",
+           "",
+           "nabla^2 xi(v, w) = dphi(v) w + dphi(w) v - g(v, w) grad phi: the quadratic "
+           "generator has dphi != 0 at its zero"),
     Mutant("hessian-indices-swapped", "src/confield/geodesic.py",
-           "G = g @ vecmat(X[..., None, :], jets.H)",
-           "G = g @ _along(jets.H, X)",
+           "B = _lowered(g, jets.H) + ",
+           "B = _lowered(g, jets.H.swapaxes(-2, -1)) + ",
            "nabla_X d(xi^flat) takes X in H's derivative index; off a zero on a curved "
            "chart the derivative and argument indices differ by R(X, .) xi"),
     Mutant("taylor-rows-misreported", CLI,
-           "zip(session.zeros[:_TAYLOR_ZEROS], res.scalar,",
-           "zip(session.zeros[-_TAYLOR_ZEROS:], res.scalar,",
+           "zip(session.zeros[:_TAYLOR_ZEROS], res.first, res.second)",
+           "zip(session.zeros[-_TAYLOR_ZEROS:], res.first, res.second)",
            "Taylor entry k must report the zero whose record row it checked, "
            "also when there are more zeros than entries"),
     # the one record every pointwise check reads
