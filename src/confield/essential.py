@@ -24,9 +24,10 @@ verdict for any other zero.
 ``classify_zero`` reads a stack of zeros from the one ``field_data`` record
 of their 2-jets, which the other pointwise checks take too and which
 refuses a point outside the chart, and classifies them
-from one stacked SVD of the skew forms, one draw of all the neighbourhood
-samples and one conformality check over them, into one
-``ZeroClassification`` record whose rows are the 2-jet record's rows.
+from one stacked SVD of the skew forms, one stack of neighbourhood samples
+and one conformality check over them, into one ``ZeroClassification``
+record whose rows are the 2-jet record's rows.  Nothing is drawn at random:
+the verdicts are a function of the record, the chart and the field.
 
 ``find_zeros`` locates zeros by a grid scan, in blocks of bounded size,
 whose seeds ``polish_zeros`` moves onto xi = 0 all at once, as the lanes of
@@ -297,7 +298,7 @@ class ZeroClassification:
     neighborhood_residual: np.ndarray
 
 
-def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> ZeroClassification:
+def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData) -> ZeroClassification:
     """Classify zeros as essential, homothetic, or Killing after rescaling.
 
     ``jets`` is the :func:`~confield.geometry.field_data` record of xi at an
@@ -315,12 +316,10 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> ZeroClas
     ``essential`` when it reaches ``CLASSIFICATION_TOL`` relative to the
     gradient size, and ``killing_inessential`` when it does not.
     Conformality of xi is first verified on a ``_NEIGHBORHOOD`` sample ball
-    around each zero, the balls of all zeros drawn from ``rng`` (a
-    :class:`~confield.geometry.Stream`, or anything with its ``uniform``
-    and ``normal``) in one stacked :func:`~confield.geometry.sample_ball`
-    call and checked in one :func:`~confield.conformal.is_conformal` call,
-    and a zero whose ball reaches ``CONFORMAL_TOL`` gets the
-    ``invalid_not_conformal`` verdict.
+    around each zero, the same fixed offsets around every zero, from one
+    stacked :func:`~confield.geometry.sample_ball` call checked in one
+    :func:`~confield.conformal.is_conformal` call, and a zero whose ball
+    reaches ``CONFORMAL_TOL`` gets the ``invalid_not_conformal`` verdict.
     The frames are the one stacked product ``Vt @ Linv`` of the SVD's Vt
     and the metric factor's Linv.
 
@@ -334,7 +333,7 @@ def classify_zero(chart: Chart, xi: FieldSpec, jets: FieldData, rng) -> ZeroClas
         return ZeroClassification((), np.empty(0), np.empty(0, dtype=int),
                                   np.empty((0, n, n)), np.empty(0))
     require_zeros(jets, "classify_zero")
-    samples = sample_ball(chart, points, *_NEIGHBORHOOD, rng)
+    samples = sample_ball(chart, points, *_NEIGHBORHOOD)
     report = is_conformal(chart, xi, samples.reshape(-1, n))
     # each zero's worst residual over its own ball; a NaN stays NaN
     neighborhood = report.residuals.reshape(len(points), -1).max(axis=1)

@@ -47,7 +47,6 @@ that is not positive definite or is badly conditioned (above 1e12) raises
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +56,7 @@ from .expr import Expr, Tape, eval_jets
 __all__ = [
     "Chart", "FieldSpec",
     "ChartError", "ChartDomainError", "MetricError",
-    "Stream", "sample_interior",
+    "sample_interior",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -77,15 +76,6 @@ AT_ZERO_TOL = 1e-6
 
 # The share of the box's extent that sample_interior keeps clear on each side.
 _SAMPLE_MARGIN = 0.05
-
-# SplitMix64's increment (the odd integer nearest 2^64 over the golden ratio),
-# the multipliers and shifts of its output mix, and the shift that keeps an
-# output's top 53 bits, all np.uint64 so that the arithmetic stays in uint64
-# and wraps modulo 2^64.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
-_SHIFT = (np.uint64(30), np.uint64(27), np.uint64(31))
-_TOP53 = np.uint64(11)
 
 
 class ChartError(ValueError):
@@ -509,92 +499,50 @@ def complete_orthonormal_frame(factor: tuple, v: np.ndarray) -> np.ndarray:
     return np.concatenate([u[..., None, :], Vt[..., 1:, :] @ Linv], axis=-2)
 
 
-def _mix64(z):
-    """SplitMix64's output function on a uint64 array, whose products wrap
-    silently, or on a np.uint64 scalar, whose overflow warns unless
-    silenced."""
-    z = (z ^ (z >> _SHIFT[0])) * _MIX[0]
-    z = (z ^ (z >> _SHIFT[1])) * _MIX[1]
-    return z ^ (z >> _SHIFT[2])
+def _design(count: int, dim: int, start: int) -> np.ndarray:
+    """Terms start + 1 ... start + count of the R_d sequence in ``dim``
+    dimensions, as a (count, dim) array in [0, 1).
 
-
-def _count(size) -> int:
-    """The number of values in an array of shape ``size``, an int or a
-    tuple (math.prod, since np.prod costs microseconds)."""
-    return math.prod(size) if np.iterable(size) else size
-
-
-class Stream:
-    """The seeded random stream every sample of the package is drawn from.
-
-    SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
-    generators", OOPSLA 2014) in counter form: draw i is the output mix of
-    ``key + (i + 1) * _GAMMA``, modulo 2^64, and a counter moves on past
-    each block, so successive blocks are disjoint.  ``key`` folds the
-    non-negative ints of ``Stream(*key)``, each as its count of 64-bit
-    words and the words, so a seed of any size works and ``Stream(1, 0)``
-    and ``Stream(1, 1)`` are unrelated streams.  Its two methods are the
-    two that the samplers call on a numpy ``Generator``.
+    Term i is frac(1/2 + i alpha) with alpha_j = phi_d^-(j + 1), phi_d the
+    root above 1 of x^(d + 1) = x + 1 (Roberts, "The unreasonable
+    effectiveness of quasirandom sequences", 2018).  The sum is taken in
+    uint64 fixed point, whose products wrap modulo 2^64 as frac wraps
+    modulo 1, so any ``start`` (taken modulo 2^64) loses no precision; an
+    output keeps the top 53 bits.  Term 0, 1/2 in every coordinate, is
+    skipped: its offset 2 t - 1 is zero.
     """
-
-    def __init__(self, *key: int):
-        words = []
-        for value in map(operator.index, key):
-            if value < 0:
-                raise ValueError(f"a stream key must be non-negative, got {value}")
-            limbs = [value >> s & 2 ** 64 - 1 for s in range(0, max(value.bit_length(), 1), 64)]
-            words += [len(limbs), *limbs]
-        state = np.uint64(0)
-        # np.uint64 scalars wrap like arrays, but warn unless told not to
-        with np.errstate(over="ignore"):
-            for word in words:
-                state = _mix64((state ^ np.uint64(word)) + _GAMMA)
-        self._key = state
-        self._drawn = 0
-
-    def _unit(self, size) -> np.ndarray:
-        """The next prod(size) draws as floats in [0, 1), of shape ``size``:
-        the top 53 bits of each output times 2^-53."""
-        count = _count(size)
-        i = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
-        self._drawn += count
-        bits = _mix64(i * _GAMMA + self._key)
-        return ((bits >> _TOP53) * 2.0 ** -53).reshape(size)
-
-    def uniform(self, low: float, high: float, size) -> np.ndarray:
-        """Uniform draws in [low, high) of shape ``size``."""
-        return low + (high - low) * self._unit(size)
-
-    def normal(self, size) -> np.ndarray:
-        """Standard normal draws of shape ``size``, by Box-Muller from two
-        uniform blocks u1, u2: sqrt(-2 log(1 - u1)) cos(2 pi u2)."""
-        u1, u2 = self._unit((2, _count(size)))
-        return (np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)).reshape(size)
+    phi = 2.0
+    for _ in range(64):  # a contraction by at least 1/2 per step
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    alpha = np.array([int(phi ** -(j + 1) * 2.0 ** 64) for j in range(dim)], dtype=np.uint64)
+    i = np.arange(1, count + 1, dtype=np.uint64) + np.uint64(start % 2 ** 64)
+    bits = i[:, None] * alpha + np.uint64(2 ** 63)
+    return (bits >> np.uint64(11)) * 2.0 ** -53
 
 
-def sample_interior(chart: Chart, count: int, rng) -> np.ndarray:
-    """Uniform samples in the domain box, shrunk on every side by
-    ``_SAMPLE_MARGIN`` of its extent, as one ``rng.uniform`` block of
-    shape (count, n); ``rng`` is a :class:`Stream` (a numpy ``Generator``
-    has the same method)."""
-    u = rng.uniform(_SAMPLE_MARGIN, 1.0 - _SAMPLE_MARGIN, size=(count, chart.dim))
+def sample_interior(chart: Chart, count: int, seed: int) -> np.ndarray:
+    """``count`` points of the domain box, shrunk on every side by
+    ``_SAMPLE_MARGIN`` of its extent: block ``seed`` of the box's
+    :func:`_design`, terms seed * count + 1 onward, so seeds that agree
+    modulo 2^64 / gcd(count, 2^64) read the same block."""
+    u = _SAMPLE_MARGIN + (1.0 - 2.0 * _SAMPLE_MARGIN) * _design(count, chart.dim, seed * count)
     return chart.lower + u * (chart.upper - chart.lower)
 
 
-def sample_ball(chart: Chart, x, radius: float, count: int, rng) -> np.ndarray:
-    """Samples around each row of an (m, n) stack of centres x, within
-    ``radius`` and half the centre's distance to the box, drawn from
-    ``rng``, a :class:`Stream` (or a numpy ``Generator``).
+def sample_ball(chart: Chart, x, radius: float, count: int) -> np.ndarray:
+    """``count`` points around each row of an (m, n) stack of centres x,
+    within ``radius`` and half the centre's distance to the box.
 
-    With r_eff the smaller of the two, sample k of centre i is x_i + r_eff
-    s_ik u_ik for a direction u_ik uniform on the sphere and s_ik uniform
-    in [0.2, 1]: the directions are one ``rng.normal((m, count, n))``
-    block, normalized, and the radii one ``rng.uniform(0.2, 1.0, (m,
-    count))`` block drawn after it.  The result is (m, count, n).
+    With r_eff the smaller of the two, point k of centre i is x_i + r_eff
+    s_k u_k, the same offsets around every centre, from the first
+    ``count`` terms t of the :func:`_design` in dimension n + 1: u_k is
+    the unit vector of 2 t[:n] - 1 and s_k = 0.2 + 0.8 t[n] lies in
+    [0.2, 1].  The result is (m, count, n).
     """
     x = np.asarray(x, dtype=float)
     dist = np.minimum((x - chart.lower).min(axis=1), (chart.upper - x).min(axis=1))
     r_eff = np.minimum(radius, 0.5 * dist)[:, None, None]
-    u = rng.normal(size=(len(x), count, chart.dim))
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return x[:, None, :] + r_eff * rng.uniform(0.2, 1.0, (len(x), count))[..., None] * u
+    t = _design(count, chart.dim + 1, 0)
+    u = 2.0 * t[:, :-1] - 1.0
+    offsets = (0.2 + 0.8 * t[:, -1:]) * u / np.linalg.norm(u, axis=-1, keepdims=True)
+    return x[:, None, :] + r_eff * offsets

@@ -24,7 +24,9 @@ covariant derivative and the conformal residual built on it, which the
 1-jet formula replaced, and the report writer ``json.dumps`` of plain
 values, which the one-pass writer replaced, byte for byte.
 
-Besides these: |xi|_g from the order-0 jets of the metric and the field,
+Besides these: uniform random points of a chart's box, which the tests
+draw from a numpy generator of their own, |xi|_g from the order-0 jets of
+the metric and the field,
 ``classify_zero`` and ``trace_component`` at points given as
 coordinates, the reports of the benchmark's manifests, a Gram-Schmidt
 frame, the conformal connection-change identity, the symbolic pushforward
@@ -597,12 +599,15 @@ def pushforward_under_inversion(xi):
     return FieldSpec(xi.chart, comps, name=f"inverted_{xi.name}")
 
 
-def classify_at(chart, xi, x, rng=None):
+def uniform_interior(chart, count, rng):
+    """``count`` points from ``rng``, uniform in the box less 5% of its extent per side."""
+    return chart.lower + rng.uniform(0.05, 0.95, (count, chart.dim)) * (chart.upper - chart.lower)
+
+
+def classify_at(chart, xi, x):
     """The ``classify_zero`` record of the ``field_data`` record at x, one
-    point or an (m, n) stack, its neighbourhood samples drawn from ``rng``
-    or else a generator seeded 0."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    return classify_zero(chart, xi, field_data(chart, xi, np.atleast_2d(x)), rng)
+    point or an (m, n) stack."""
+    return classify_zero(chart, xi, field_data(chart, xi, np.atleast_2d(x)))
 
 
 def zero_frame(chart, xi, x):

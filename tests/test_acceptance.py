@@ -27,12 +27,11 @@ from confield.geometry import (
     field_data,
     metric_value,
     norm_2form,
-    sample_interior,
     spd_inverse,
 )
 from confield.zeroset import umbilicity_report
 from helpers import (classify_at, connection_change_residual, fd_partial, fd_partial2, trace_at,
-                     xi_norm)
+                     uniform_interior, xi_norm)
 
 FLAT3 = models.euclidean(3)
 SPHERE = models.sphere_stereographic(3)
@@ -81,7 +80,7 @@ def test_catalog_fields_are_conformal(capsys):
     worst = 0.0
     worst_pair = ""
     for chart, xi in models.standard_pairs(3):
-        pts = sample_interior(chart, 100, np.random.default_rng(101))
+        pts = uniform_interior(chart, 100, np.random.default_rng(101))
         rep = is_conformal(chart, xi, pts)
         if rep.max_residual > worst:
             worst = rep.max_residual
@@ -101,7 +100,7 @@ def test_derivative_two_form_identity_holds(capsys):
     rng = np.random.default_rng(202)
     worst = 0.0
     for chart, xi in models.standard_pairs(3):
-        pts = sample_interior(chart, 50, rng)
+        pts = uniform_interior(chart, 50, rng)
         worst = max(worst, float(dxi_identity_residual(field_data(chart, xi, pts)).max()))
     ok = worst < 1e-7
     _report(
@@ -127,7 +126,7 @@ def test_non_isolated_zeros_classify_as_killing_type(capsys):
     for chart, xi, res in scenarios:
         zeros = find_zeros(chart, xi, grid_resolution=res)
         ok = ok and len(zeros) > 0
-        cls = classify_at(chart, xi, zeros, rng=np.random.default_rng(303))
+        cls = classify_at(chart, xi, zeros)
         phi = np.abs(field_data(chart, xi, zeros).phi)
         count += len(zeros)
         worst_phi = max(worst_phi, phi.max(initial=0.0))
@@ -161,7 +160,7 @@ def test_essential_zeros_are_isolated(capsys):
                 if len(others)
                 else math.inf
             )
-            cls = classify_at(chart, xi, z, rng=np.random.default_rng(404))
+            cls = classify_at(chart, xi, z)
             if cls.verdicts == (VERDICT_ESSENTIAL,):
                 if nearest < 0.05:
                     ok = False
@@ -249,7 +248,7 @@ def test_conformal_rescaling_invariance(capsys):
     rng = np.random.default_rng(505)
     worst = 0.0
     for chart, f in pairs:
-        for p in sample_interior(chart, 10, rng):
+        for p in uniform_interior(chart, 10, rng):
             worst = max(worst, connection_change_residual(chart, f, p))
     ok = worst < 1e-8
 

@@ -22,7 +22,7 @@ import confield.models as models
 import confield.zeroset as zeroset
 from confield.cli import SETTINGS, main, render_report
 from confield.geodesic import taylor_checks
-from confield.geometry import Stream, field_data, sample_interior
+from confield.geometry import field_data, sample_interior
 from helpers import (counting_steps, mobius_conjugate, mobius_field, mobius_matrix,
                      mobius_parts, recording_calls, reference_render_report,
                      workload_manifests, workload_reports)
@@ -713,24 +713,28 @@ def test_an_overflowing_residual_is_inf_under_either_warnings_filter(chart, comp
     assert renders[0] == renders[1]
 
 
-def test_each_analysis_draws_from_its_keyed_stream():
-    """check-conformal samples one block of Stream(seed, its index in
-    ANALYSES): its worst point is a row of that block, at a seed past 64
-    bits too."""
+def test_check_conformal_reads_block_seed_of_the_design(monkeypatch):
+    """check-conformal samples block ``seed`` of the fixed design: its worst
+    point is a row of that block, at a seed past 64 bits too, and seeds 0,
+    1, 2 and 2**40 check pairwise different points."""
     chart = models.euclidean(3)
-    index = cli.ANALYSES.index("check-conformal")
-    for seed in (1, 2 ** 70):
+    checked = recording_calls(monkeypatch, cli.is_conformal, lambda out: out.points)
+    seeds = (0, 1, 2, 2 ** 40, 2 ** 70)
+    for seed in seeds:
         report, code = cli.run_manifest({
             "chart": {"name": "euclidean", "dim": 3}, "field": {"name": "special_conformal"},
             "analyses": ["check-conformal"], "seed": seed})
         worst = report["analyses"]["check-conformal"]["worst_point"]
-        pts = sample_interior(chart, cli._CONFORMAL_POINTS, Stream(seed, index))
+        pts = sample_interior(chart, cli._CONFORMAL_POINTS, seed)
         assert code == 0 and any(np.array_equal(row, worst) for row in pts), seed
+    assert len(checked) == len(seeds)
+    for a, b in itertools.combinations(checked[:4], 2):
+        assert not (a[:, None, :] == b[None, :, :]).all(axis=-1).any()
 
 
 def test_a_run_never_imports_numpy_random(tmp_path):
-    """Every draw of every analysis comes from geometry.Stream, so a run of
-    all of them in a fresh interpreter leaves numpy.random unloaded."""
+    """Nothing in the package is drawn at random, so a run of every
+    analysis in a fresh interpreter leaves numpy.random unloaded."""
     manifest = _write_manifest(tmp_path, {
         "chart": {"name": "euclidean", "dim": 3}, "field": {"name": "special_conformal"},
         "analyses": ["all"], "seed": 1})
@@ -880,9 +884,9 @@ def test_each_zero_is_classified_once(tmp_path, monkeypatch):
     calls = []
     classify_zero = essential.classify_zero
 
-    def counting(chart, xi, jets, *args, **kwargs):
+    def counting(chart, xi, jets):
         calls.append(jets.points)
-        return classify_zero(chart, xi, jets, *args, **kwargs)
+        return classify_zero(chart, xi, jets)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("confield") and vars(module).get("classify_zero") is classify_zero:
@@ -964,6 +968,41 @@ def test_taylor_rows_follow_their_zeros(name, params, build):
         assert np.array_equal(entry["zero"], zeros[k])
         assert (entry["scalar_residual"], entry["vector_first_residual"],
                 entry["vector_second_residual"]) == (res.first[0], res.first[0], res.second[0])
+
+
+def test_classify_reports_are_seed_free():
+    """classify reads no seed: its balls are fixed offsets around each zero,
+    so seeds 1 and 2 give byte-identical reports, neighbourhood residuals
+    included."""
+    manifest = {"chart": {"name": "sphere_stereographic", "dim": 3},
+                "field": {"name": "special_conformal", "params": {"axis": 2}},
+                "analyses": ["zeros", "classify"]}
+    renders = []
+    for seed in (1, 2):
+        report, code = cli.run_manifest({**manifest, "seed": seed})
+        assert code == 0 and report["analyses"]["classify"]["entries"]
+        renders.append(render_report(report["analyses"]))
+    assert renders[0] == renders[1]
+
+
+def test_every_taylor_row_is_gated(monkeypatch):
+    """Only four Taylor rows are reported, but every zero's row is gated:
+    a second residual of 1.0 at the fifth zero on fails verify-identities."""
+    def failing_past_the_report(jets):
+        res = taylor_checks(jets)
+        res.second[cli._TAYLOR_ZEROS:] = 1.0
+        return res
+
+    monkeypatch.setattr(cli, "taylor_checks", failing_past_the_report)
+    report, code = cli.run_manifest({
+        "chart": {"name": "euclidean", "dim": 3},
+        "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
+        "analyses": ["zeros", "verify-identities"], "seed": 1})
+    identities = report["analyses"]["verify-identities"]
+    assert report["analyses"]["zeros"]["count"] > cli._TAYLOR_ZEROS
+    assert code == 1 and identities["passed"] is False
+    assert len(identities["taylor_at_zeros"]) == cli._TAYLOR_ZEROS
+    assert all(entry["passed"] for entry in identities["taylor_at_zeros"])
 
 
 def test_taylor_rows_are_seed_free():
@@ -1189,7 +1228,7 @@ def test_nan_identity_residual_fails_the_gate(tmp_path, monkeypatch):
 
 
 def test_classify_numbers_do_not_depend_on_other_analyses(tmp_path):
-    """Each analysis draws from its own random stream."""
+    """No analysis changes another's numbers."""
     base = {
         "chart": {"name": "euclidean", "dim": 4},
         "field": {"name": "rotation", "params": {"axis_i": 1, "axis_j": 2}},
@@ -1200,8 +1239,7 @@ def test_classify_numbers_do_not_depend_on_other_analyses(tmp_path):
         tmp_path, {**base, "analyses": ["check-conformal", "classify"]}, name="b.json"
     )
     assert alone["analyses"]["classify"] == after["analyses"]["classify"]
-    # Tracing reads the classify stream's verdicts whether or not classify
-    # runs.
+    # Tracing reads classify's verdicts whether or not classify runs.
     traced = ["trace", "umbilicity"]
     _, without = _run_to_report(tmp_path, {**base, "analyses": traced}, name="c.json")
     _, with_classify = _run_to_report(

@@ -17,10 +17,9 @@ from confield.geometry import (
     field_data,
     field_jets,
     metric_value,
-    sample_interior,
 )
 from helpers import (SHEARED, connection_change_residual, fd_gradient, fd_lie_derivative,
-                     reference_conformal_residual)
+                     reference_conformal_residual, uniform_interior)
 
 FLAT2 = models.euclidean(2)
 FLAT3 = models.euclidean(3)
@@ -68,7 +67,7 @@ def test_one_jet_residual_matches_the_covariant_residual(chart, xi):
     L = g N + (g N)^T through the connection to 1e-13, relative to the
     residual where it exceeds 1 (on the conformal pairs it is rounding
     noise of order-one jets), on the catalog charts and a sheared one."""
-    pts = sample_interior(chart, 20, np.random.default_rng([chart.dim, len(xi.name)]))
+    pts = uniform_interior(chart, 20, np.random.default_rng([chart.dim, len(xi.name)]))
     got = conformal_residual(chart, xi, pts)
     want = reference_conformal_residual(chart, xi, pts)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1.0))
@@ -107,7 +106,7 @@ def test_factor_gradient_matches_finite_differences():
 
 def test_report_structure_and_conformal_flag():
     rng = np.random.default_rng(11)
-    pts = sample_interior(SPHERE, 40, rng)
+    pts = uniform_interior(SPHERE, 40, rng)
     xi = models.sphere_killing(SPHERE, 2, 4)
     rep = is_conformal(SPHERE, xi, pts)
     assert isinstance(rep, ConformalReport)
@@ -119,7 +118,7 @@ def test_report_structure_and_conformal_flag():
     assert np.array_equal(rep.worst_point, pts[idx])
 
     bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
-    rep2 = is_conformal(FLAT3, bad, sample_interior(FLAT3, 25, rng))
+    rep2 = is_conformal(FLAT3, bad, uniform_interior(FLAT3, 25, rng))
     assert not rep2.conformal
     assert rep2.max_residual > 1e-3
 
@@ -130,7 +129,7 @@ def test_a_rotation_sheared_by_1e_5_is_not_conformal():
     over most of the box and far above rounding, so is_conformal refuses
     the field."""
     xi = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("-x2 + 1e-5*x1*x2", "x1", "0")))
-    pts = sample_interior(FLAT3, 100, np.random.default_rng(1))
+    pts = uniform_interior(FLAT3, 100, np.random.default_rng(1))
     rep = is_conformal(FLAT3, xi, pts)
     exact = 1e-5 * np.sqrt(8.0 / 3.0 * pts[:, 1] ** 2 + 2.0 * pts[:, 0] ** 2)
     np.testing.assert_allclose(rep.residuals, exact, rtol=1e-9)
@@ -211,5 +210,5 @@ def test_connection_change_identity():
     ]
     rng = np.random.default_rng(5)
     for chart, f in pairs:
-        for p in sample_interior(chart, 10, rng):
+        for p in uniform_interior(chart, 10, rng):
             assert connection_change_residual(chart, f, p) < 1e-8

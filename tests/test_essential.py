@@ -22,7 +22,7 @@ from confield.essential import (
     polish_zeros,
 )
 from confield.expr import Const, Fun, Mul, Var, parse
-from confield.geometry import FieldSpec, field_data, metric_value, sample_ball, sample_interior
+from confield.geometry import FieldSpec, field_data, metric_value, sample_ball
 from confield.zeroset import trace_component
 from helpers import (
     classify_at,
@@ -32,6 +32,7 @@ from helpers import (
     mobius_parts,
     mobius_zero_verdict,
     recording_calls,
+    uniform_interior,
     xi_norm,
     zero_frame,
 )
@@ -328,7 +329,7 @@ def test_polish_norms_are_the_norms_at_its_points():
     for chart, xi in [(FLAT3, models.rotation(FLAT3, 1, 2)),
                       (SPHERE, models.sphere_killing(SPHERE, 3, 4)),
                       (HYPER, models.special_conformal(HYPER, 1))]:
-        seeds = sample_interior(chart, 24, np.random.default_rng(3))
+        seeds = uniform_interior(chart, 24, np.random.default_rng(3))
         points, _, norms = polish_zeros(chart, xi, seeds, np.eye(3))
         assert not np.array_equal(points, seeds)
         assert np.array_equal(norms, xi_norm(chart, xi, points)), chart.name
@@ -346,7 +347,7 @@ def test_polish_evaluates_the_metric_once_after_its_loop(monkeypatch):
                     lambda out, chart, p, order: events.append(("metric_jets", order, np.array(p))),
                     arguments=True)
     xi = models.special_conformal(HYPER, 1)
-    seeds = sample_interior(HYPER, 8, np.random.default_rng(5))
+    seeds = uniform_interior(HYPER, 8, np.random.default_rng(5))
     points, _, _ = polish_zeros(HYPER, xi, seeds, np.eye(3))
     names = [name for name, _, _ in events]
     assert names.count("field_jets") > 1 and names.count("metric_jets") == 1
@@ -483,7 +484,7 @@ def test_classification_carries_the_metric_at_the_zero():
     z = np.array([0.0, 0.0, 0.4])
     xi = models.sphere_killing(SPHERE, 1, 2)
     jets = field_data(SPHERE, xi, z[None])
-    cls = essential.classify_zero(SPHERE, xi, jets, np.random.default_rng(0))
+    cls = essential.classify_zero(SPHERE, xi, jets)
     assert np.array_equal(jets.points, z[None])
     assert len(cls.verdicts) == len(cls.kernel_dim) == len(cls.frames) == 1
     assert np.array_equal(jets.conn.g, metric_value(SPHERE, z[None]))
@@ -498,19 +499,18 @@ CLASSIFY_CASES = models.standard_pairs(3) + [
                          ids=lambda case: getattr(case, "name", None))
 def test_stacked_classification_matches_per_zero_calls(chart, xi):
     """One call on all zeros equals one call per zero, row by row in every
-    field, except the neighbourhood residual: its balls are one stacked
-    draw, so each zero's residual is the worst conformal residual over its
-    own rows of that draw."""
+    field: each zero's ball holds the same offsets whatever else is
+    classified, and its neighbourhood residual is the worst conformal
+    residual over its own ball."""
     zeros = find_zeros(chart, xi)
-    stacked = classify_at(chart, xi, zeros, rng=np.random.default_rng(0))
-    singles = [classify_at(chart, xi, z, rng=np.random.default_rng(0)) for z in zeros]
-    balls = sample_ball(chart, zeros, *essential._NEIGHBORHOOD, np.random.default_rng(0))
+    stacked = classify_at(chart, xi, zeros)
+    singles = [classify_at(chart, xi, z) for z in zeros]
+    balls = sample_ball(chart, zeros, *essential._NEIGHBORHOOD)
     for name in ZeroClassification.__dataclass_fields__:
         assert len(getattr(stacked, name)) == len(zeros), name
     for i, (single, ball) in enumerate(zip(singles, balls)):
         for name in ZeroClassification.__dataclass_fields__:
-            if name != "neighborhood_residual":
-                assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)[0]), name
+            assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)[0]), name
         assert stacked.neighborhood_residual[i] == conformal_residual(chart, xi, ball).max()
 
 
@@ -545,7 +545,7 @@ def test_empty_stack_classifies_to_nothing():
     shape and kind of a record of m rows at m = 0."""
     xi = models.rotation(FLAT3)
     empty = field_data(FLAT3, xi, np.empty((0, 3)))
-    cls = essential.classify_zero(FLAT3, xi, empty, np.random.default_rng(0))
+    cls = essential.classify_zero(FLAT3, xi, empty)
     assert isinstance(cls, ZeroClassification) and cls.verdicts == ()
     assert cls.frames.shape == (0, 3, 3) and cls.kernel_dim.dtype.kind == "i"
     assert cls.image_residual.shape == cls.kernel_dim.shape == cls.neighborhood_residual.shape == (0,)
@@ -805,6 +805,7 @@ def test_verdicts_survive_conformal_rescaling():
 
 
 def test_classification_deterministic_with_default_rng():
+    """Classification draws nothing: two calls on one zero agree bit for bit."""
     xi = models.special_conformal(SPHERE, 1)
     a = classify_at(SPHERE, xi, np.zeros(3))
     b = classify_at(SPHERE, xi, np.zeros(3))

@@ -27,8 +27,7 @@ from confield.expr import (
     eval_values_many,
     parse,
 )
-from confield.geometry import sample_interior
-from helpers import fd_partial, fd_partial2, reference_jets, substitute
+from helpers import fd_partial, fd_partial2, reference_jets, substitute, uniform_interior
 
 SAMPLE_SOURCES = [
     "x1*x2 - x2^3/(1 + x1^2)",
@@ -263,7 +262,7 @@ def test_eval_values_matches_eval_jet():
     catalog metric and field tree and for Div, a negative Pow, sqrt/log/exp
     and constant entries."""
     rng = np.random.default_rng(3)
-    cases = [(chart.metric_entries() + field.components, sample_interior(chart, 7, rng))
+    cases = [(chart.metric_entries() + field.components, uniform_interior(chart, 7, rng))
              for chart, field in models.standard_pairs(3)]
     extra = tuple(parse(s, 3) for s in [
         "x1/(2 - x2) + x3", "(1 + x1^2)^(-2)", "sqrt(2 + x1)*log(3 + x2)",
@@ -352,7 +351,7 @@ def test_tape_jets_are_the_reference_jets_bitwise(dim):
     orders 0-2."""
     rng = np.random.default_rng(dim)
     for chart, xi in models.standard_pairs(dim):
-        points = np.vstack([np.zeros(dim), sample_interior(chart, 4, rng)])
+        points = np.vstack([np.zeros(dim), uniform_interior(chart, 4, rng)])
         for exprs, tape in ((chart.metric_entries(), chart.tape), (xi.components, xi.tape)):
             for order in range(3):
                 _assert_tape_matches_reference(exprs, points, order)

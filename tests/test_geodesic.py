@@ -27,12 +27,11 @@ from confield.geometry import (
     metric_factor,
     metric_value,
     norm_vector,
-    sample_interior,
 )
 from helpers import (SHEARED, mobius_conjugate, mobius_field, mobius_matrix, mobius_parts,
                      one_direction_identity_residual, one_direction_taylor_checks,
                      recording_calls, reference_dxi_identity_residual,
-                     rk4_taylor_derivatives)
+                     rk4_taylor_derivatives, uniform_interior)
 
 SPHERE = models.sphere_stereographic(3)
 HYPER = models.hyperbolic_ball(3)
@@ -472,7 +471,7 @@ def test_derivative_identity_on_catalog_fields():
     rng = np.random.default_rng(31)
     worst = 0.0
     for chart, xi in models.standard_pairs(3):
-        pts = sample_interior(chart, 5, rng)
+        pts = uniform_interior(chart, 5, rng)
         worst = max(worst, dxi_identity_residual(field_data(chart, xi, pts)).max())
     assert worst < 1e-9
 
@@ -484,7 +483,7 @@ def test_batched_identity_residuals_match_per_point():
     rng = np.random.default_rng(9)
     bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     for chart, xi in [(SPHERE, models.sphere_translation(SPHERE, 1)), (FLAT3, bad)]:
-        pts = sample_interior(chart, 12, rng)
+        pts = uniform_interior(chart, 12, rng)
         batched = dxi_identity_residual(field_data(chart, xi, pts))
         per_point = np.array([dxi_identity_residual(field_data(chart, xi, pts[i:i + 1]))[0]
                               for i in range(12)])
@@ -514,7 +513,7 @@ def test_identity_residuals_match_the_einsum_reference(dim):
     charts = list({c.name: c for c, _ in pairs}.values()) + ([SHEARED] if dim == 3 else [])
     pairs += [(chart, _non_conformal(chart)) for chart in charts]
     for chart, xi in pairs:
-        points = sample_interior(chart, 50, rng)
+        points = uniform_interior(chart, 50, rng)
         for size in (1, 7, 50):
             p = points[:size]
             got = dxi_identity_residual(field_data(chart, xi, p))
@@ -530,7 +529,7 @@ def test_identity_residuals_match_the_einsum_reference(dim):
 def test_derivative_identity_fails_for_non_conformal_field():
     bad = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("x1^2", "0", "0")))
     rng = np.random.default_rng(8)
-    pts = sample_interior(FLAT3, 10, rng)
+    pts = uniform_interior(FLAT3, 10, rng)
     residuals = dxi_identity_residual(field_data(FLAT3, bad, pts))
     assert residuals.max() > 1e-3
 

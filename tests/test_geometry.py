@@ -1,5 +1,5 @@
 """Metric jets, connection, curvature, field derivative operators, frames
-and the seeded stream."""
+and the sample design."""
 import ast
 import itertools
 import math
@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import confield.geometry as geometry
 import confield.models as models
 from confield.conformal import conformal_factor_gradient, conformal_residual
 from confield.expr import eval_jet, eval_jets, parse
@@ -20,7 +21,6 @@ from confield.geometry import (
     ChartError,
     FieldSpec,
     MetricError,
-    Stream,
     christoffel_matrix,
     complete_orthonormal_frame,
     connection_data,
@@ -46,6 +46,7 @@ from helpers import (
     reference_riemann,
     reference_riemann_lowered,
     trace_at,
+    uniform_interior,
     xi_norm,
 )
 
@@ -110,7 +111,7 @@ def test_non_spd_metric_raises():
     with pytest.raises(MetricError):
         metric_value(bad, np.array([[-0.5, 0.0]]))
     with pytest.raises(MetricError):
-        metric_value(bad, sample_interior(bad, 25, np.random.default_rng(0)))
+        metric_value(bad, uniform_interior(bad, 25, np.random.default_rng(0)))
 
 
 # -- metric jets against finite differences ---------------------------------
@@ -188,7 +189,7 @@ def test_batched_jets_and_bundles_match_per_point():
     bit."""
     rng = np.random.default_rng(13)
     for chart, xi in models.standard_pairs(3):
-        pts = sample_interior(chart, 64, rng)
+        pts = uniform_interior(chart, 64, rng)
         exact = chart.name.startswith("euclidean")
         trees = chart.metric_entries() + xi.components
         for tree, batch in zip(trees, eval_jets(trees, pts, 2)):
@@ -240,7 +241,7 @@ def test_order2_kernels_match_the_einsum_reference(chart, xi):
     reference to 1e-13 of the largest reference entry, on stacks of one and
     more points.  phi and dphi of a Killing field are rounding noise, so every
     array is measured on the scale of all of them."""
-    points = sample_interior(chart, 50, np.random.default_rng([chart.dim, len(xi.name)]))
+    points = uniform_interior(chart, 50, np.random.default_rng([chart.dim, len(xi.name)]))
     for size in STACKS:
         p = points[:size]
         got = _order2_arrays(chart, xi, p)
@@ -259,7 +260,7 @@ def test_stack_rows_are_the_batch_of_one_bit_for_bit(chart, xi):
     i, bit for bit; so are the conformal and the d(xi^flat) identity
     residuals."""
     rng = np.random.default_rng([chart.dim, len(xi.name)])
-    points = sample_interior(chart, 50, rng)
+    points = uniform_interior(chart, 50, rng)
     ones = [_order2_arrays(chart, xi, points[i:i + 1]) for i in range(50)]
     for size in STACKS[1:]:
         stack = _order2_arrays(chart, xi, points[:size])
@@ -319,7 +320,7 @@ def test_classify_and_taylor_checks_share_one_zero_gate():
     for c, accepted in ((5e-7, True), (2e-6, False)):
         xi = FieldSpec(FLAT3, tuple(parse(s, 3) for s in ("-x2", "x1", repr(c))))
         jets = field_data(FLAT3, xi, np.zeros((1, 3)))
-        checks = (lambda: classify_zero(FLAT3, xi, jets, np.random.default_rng(0)),
+        checks = (lambda: classify_zero(FLAT3, xi, jets),
                   lambda: taylor_checks(jets))
         for name, check in zip(("classify_zero", "taylor_checks"), checks):
             if accepted:
@@ -335,7 +336,7 @@ def test_field_data_orders_agree_bitwise():
     bit for bit."""
     rng = np.random.default_rng(31)
     for chart, xi in models.standard_pairs(3):
-        pts = sample_interior(chart, 5, rng)
+        pts = uniform_interior(chart, 5, rng)
         one, two = connection_data(chart, pts, 1), field_data(chart, xi, pts).conn
         for name in ("g", "ginv", "Gam"):
             assert np.array_equal(getattr(one, name), getattr(two, name))
@@ -619,7 +620,7 @@ def test_factor_inverts_and_frames_metrics_that_are_not_diagonal(n):
     g = np.stack([_random_spd(rng, n) for _ in range(10)])
     checks = [(g, metric_factor(g), spd_inverse(g))]
     if n == 3:
-        c = connection_data(SHEARED, sample_interior(SHEARED, 10, rng), 1)
+        c = connection_data(SHEARED, uniform_interior(SHEARED, 10, rng), 1)
         checks.append((c.g, c.factor, c.ginv))
     for g, factor, ginv in checks:
         L = factor[0]
@@ -658,7 +659,7 @@ def test_stacked_frames_are_the_one_vector_calls(n):
     stack of one holding that row, bit for bit."""
     rng = np.random.default_rng(40 + n)
     chart = models.hyperbolic_ball(n)
-    g = connection_data(chart, sample_interior(chart, 7, rng), 1).g
+    g = connection_data(chart, uniform_interior(chart, 7, rng), 1).g
     g = np.concatenate([g, np.stack([_random_spd(rng, n) for _ in range(7)])])
     v = rng.normal(size=(14, n))
     frames = complete_orthonormal_frame(metric_factor(g), v)
@@ -722,7 +723,7 @@ def test_metric_factor_is_the_one_factorization():
 def test_sample_interior_respects_margin():
     """Samples keep 5% of the box's extent clear on every side, and reach
     past 7.5% of it on every side."""
-    pts = sample_interior(FLAT2, 200, np.random.default_rng(3))
+    pts = sample_interior(FLAT2, 200, 3)
     width = FLAT2.upper - FLAT2.lower
     assert np.all(pts >= FLAT2.lower + 0.05 * width)
     assert np.all(pts <= FLAT2.upper - 0.05 * width)
@@ -730,100 +731,59 @@ def test_sample_interior_respects_margin():
     assert np.all(pts.max(axis=0) > FLAT2.upper - 0.075 * width)
 
 
-def test_sample_ball_draws_one_normal_and_one_uniform_block():
-    """Around a stack of one centre x, rows lie at distance 0.2 r_eff to
-    r_eff from x, r_eff here half the distance to the box face x3 = 2; the
-    draws are one (count, n) normal block and then one uniform block of
-    count radii."""
-    x = np.array([0.3, -0.2, 1.5])
-    count = 20
-    rng = np.random.default_rng(7)
-    (pts,) = sample_ball(FLAT3, x[None], 0.4, count, rng)
-    r_eff = 0.25
-    assert pts.shape == (count, 3)
-    dist = np.linalg.norm(pts - x, axis=1)
-    assert np.all(dist >= 0.2 * r_eff * (1 - 1e-12))
-    assert np.all(dist <= r_eff * (1 + 1e-12))
-    by_hand = np.random.default_rng(7)
-    u = by_hand.normal(size=(count, 3))
-    radii = by_hand.uniform(0.2, 1.0, count)
-    assert np.allclose(pts, x + r_eff * radii[:, None] * u / np.linalg.norm(u, axis=1)[:, None],
-                       rtol=0, atol=1e-15)
-    assert rng.random() == by_hand.random()
+def test_design_is_the_r_d_sequence_in_the_unit_cube():
+    """Term i of the design is frac(1/2 + i alpha), alpha_j = phi^-(j + 1)
+    with phi^(d + 1) = phi + 1, to rounding; terms start from 1, a call
+    gives the same bits again, a start is read modulo 2^64, and 1000 terms
+    in the plane put 10 +- 3 in each cell of a 10 x 10 grid."""
+    for dim in (1, 2, 3, 4, 9):
+        roots = np.roots([1.0] + [0.0] * (dim - 1) + [-1.0, -1.0])
+        phi = max(r.real for r in roots if abs(r.imag) < 1e-12)
+        alpha = phi ** -np.arange(1.0, dim + 1)
+        terms = geometry._design(50, dim, 7)
+        i = np.arange(8, 58)[:, None]
+        assert terms.shape == (50, dim)
+        assert np.all((terms >= 0.0) & (terms < 1.0))
+        wrapped = np.abs(terms - (0.5 + i * alpha) % 1.0)
+        assert np.minimum(wrapped, 1.0 - wrapped).max() < 1e-12, dim
+        assert np.array_equal(terms, geometry._design(50, dim, 7))
+        assert np.array_equal(terms, geometry._design(50, dim, 2 ** 64 + 7))
+        assert np.array_equal(terms[3:], geometry._design(47, dim, 10))
+    cells = np.floor(10 * geometry._design(1000, 2, 0)).astype(int)
+    counts = np.bincount(10 * cells[:, 0] + cells[:, 1], minlength=100)
+    assert counts.min() >= 7 and counts.max() <= 13
 
 
-def _splitmix64_reference(key: tuple, count: int) -> list:
-    """The first ``count`` outputs of SplitMix64 in Python integers, one at
-    a time: the state starts at the fold of ``key`` (each int as its count
-    of 64-bit words and the words, each folded in by one step of the
-    generator) and moves on by gamma before each output."""
-    mask, gamma = 2 ** 64 - 1, 0x9E3779B97F4A7C15
-
-    def mix(z):
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-        return z ^ (z >> 31)
-
-    state = 0
-    for value in key:
-        words = [value >> s & mask for s in range(0, max(value.bit_length(), 1), 64)]
-        for word in (len(words), *words):
-            state = mix((state ^ word) + gamma & mask)
-    return [mix(state + (i + 1) * gamma & mask) for i in range(count)]
-
-
-def test_stream_draws_are_splitmix64():
-    """A stream's uniforms are the top 53 bits of the reference generator's
-    outputs times 2^-53, bit for bit, and its normals the Box-Muller
-    transform of its next two blocks of uniforms; the reference gives
-    SplitMix64's published first output from the state 0."""
-    assert _splitmix64_reference((), 1) == [0xE220A8397B1DCDAF]
-    key = (7, 2 ** 70 + 3)
-    bits = _splitmix64_reference(key, 30)
-    units = [(b >> 11) * 2.0 ** -53 for b in bits]
-    stream = Stream(*key)
-    assert stream.uniform(0.0, 1.0, (2, 5)).ravel().tolist() == units[:10]
-    normal = stream.normal(10)
-    by_hand = [math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2)
-               for u1, u2 in zip(units[10:20], units[20:30])]
-    assert normal == pytest.approx(by_hand, rel=1e-14, abs=1e-15)
-
-
-def test_a_stream_is_a_function_of_its_key():
-    """The same key gives the same draws; keys that differ only in the
-    analysis index, or in a seed past 64 bits, give unrelated ones; a
-    negative key is refused."""
-    def draws(*key):
-        return Stream(*key).uniform(0.0, 1.0, 64)
-
-    assert np.array_equal(draws(1, 2), draws(1, 2))
-    blocks = [draws(*key) for key in ((1, 0), (1, 1), (1, 2), (2 ** 64 + 1, 0), (2 ** 70, 0))]
+def test_sample_interior_blocks_follow_the_seed():
+    """Block ``seed`` is terms seed * count + 1 onward: blocks 0, 1, 2 and
+    2**40 hold no point in common, block 2 continues where one long block
+    of 0 leaves off, and seeds 2**62 apart read the same block of 100."""
+    blocks = [sample_interior(FLAT3, 100, seed) for seed in (0, 1, 2, 2 ** 40)]
     for a, b in itertools.combinations(blocks, 2):
-        assert not np.isin(a, b).any()
-    with pytest.raises(ValueError, match="non-negative"):
-        Stream(1, -1)
+        assert not (a[:, None, :] == b[None, :, :]).all(axis=-1).any()
+    assert np.array_equal(blocks[2], sample_interior(FLAT3, 300, 0)[200:])
+    assert np.array_equal(blocks[1], sample_interior(FLAT3, 100, 1 + 2 ** 62))
 
 
-def test_successive_blocks_of_a_stream_are_disjoint():
-    """The counter moves on past every block, normal ones taking two draws
-    per value: two calls read what one call of both sizes reads."""
-    stream = Stream(3, 1)
-    first, second = stream.uniform(0.0, 1.0, 100), stream.uniform(0.0, 1.0, 100)
-    assert not np.isin(first, second).any()
-    assert np.array_equal(np.concatenate([first, second]), Stream(3, 1).uniform(0.0, 1.0, 200))
-    stream.normal((4, 5))
-    assert np.array_equal(stream.uniform(0.0, 1.0, 3), Stream(3, 1).uniform(0.0, 1.0, 243)[240:])
-
-
-def test_stream_draws_have_their_laws():
-    """Uniform draws fill [low, high) in the shape asked for; 10^5 normal
-    draws have mean and variance within 0.02 of 0 and 1."""
-    u = Stream(5).uniform(-2.0, 3.0, (1000, 3))
-    assert u.shape == (1000, 3) and u.min() >= -2.0 and u.max() < 3.0
-    assert u.min() < -1.9 and u.max() > 2.9
-    z = Stream(5, 1).normal(100_000)
-    assert z.shape == (100_000,) and np.isfinite(z).all()
-    assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.02
+def test_sample_ball_stays_in_the_box_and_its_shell():
+    """Around centres deep inside the box and near its faces every point is
+    inside the box, at distance 0.2 r_eff to r_eff from its centre, r_eff
+    the smaller of the radius and half the distance to the box; the offsets
+    over r_eff are the same around every centre, and point directions
+    spread over the whole sphere."""
+    x = np.array([[0.3, -0.2, 1.5], [0.0, 0.0, 0.0], [-1.99, 1.9, 0.0], [1.0, 1.0, -1.999]])
+    count, radius = 200, 0.4
+    pts = sample_ball(FLAT3, x, radius, count)
+    r_eff = np.minimum(radius, 0.5 * np.minimum(x - FLAT3.lower, FLAT3.upper - x).min(axis=1))
+    assert pts.shape == (len(x), count, 3)
+    assert FLAT3.contains(pts.reshape(-1, 3))
+    offsets = (pts - x[:, None, :]) / r_eff[:, None, None]
+    dist = np.linalg.norm(offsets, axis=-1)
+    assert np.all(dist >= 0.2 * (1 - 1e-9)) and np.all(dist <= 1 + 1e-9)
+    assert np.allclose(offsets, offsets[1], rtol=0, atol=1e-9)
+    directions = offsets[1] / dist[1][:, None]
+    assert np.abs(directions.mean(axis=0)).max() < 0.1
+    assert np.all(directions.max(axis=0) > 0.9) and np.all(directions.min(axis=0) < -0.9)
 
 
 def test_field_norm_of_quadratic_field_is_r_squared_flat():

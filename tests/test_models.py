@@ -10,10 +10,9 @@ from confield.geometry import (
     field_data,
     field_jets,
     metric_value,
-    sample_interior,
 )
 from helpers import (inversion_transition, pushforward_under_inversion,
-                     reference_lie_derivative)
+                     reference_lie_derivative, uniform_interior)
 
 RNG = np.random.default_rng(77)
 
@@ -65,7 +64,7 @@ def test_every_standard_pair_is_conformal():
     pairs = models.standard_pairs(3)
     assert len(pairs) == 18
     for chart, xi in pairs:
-        pts = sample_interior(chart, 30, np.random.default_rng(4))
+        pts = uniform_interior(chart, 30, np.random.default_rng(4))
         rep = is_conformal(chart, xi, pts)
         assert rep.conformal, f"{chart.name} / {xi.name}: {rep.max_residual:.2e}"
 
@@ -74,7 +73,7 @@ def test_rotations_are_killing_for_all_catalog_metrics():
     for builder in (models.euclidean, models.sphere_stereographic, models.hyperbolic_ball):
         chart = builder(3)
         xi = models.rotation(chart, 1, 2)
-        pts = sample_interior(chart, 10, np.random.default_rng(9))
+        pts = uniform_interior(chart, 10, np.random.default_rng(9))
         assert np.abs(reference_lie_derivative(chart, xi, pts)).max() < 1e-12
         assert np.abs(field_data(chart, xi, pts).phi).max() < 1e-13
 
@@ -90,7 +89,7 @@ def test_scaling_field_lie_derivative_flat():
 def test_mixed_sphere_generator_is_killing_on_round_chart():
     chart = models.sphere_stereographic(3)
     xi = models.sphere_killing(chart, 2, 4)
-    pts = sample_interior(chart, 15, np.random.default_rng(2))
+    pts = uniform_interior(chart, 15, np.random.default_rng(2))
     assert np.abs(reference_lie_derivative(chart, xi, pts)).max() < 1e-12
     assert np.abs(field_data(chart, xi, pts).phi).max() < 1e-13
 

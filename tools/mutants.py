@@ -168,8 +168,8 @@ MUTANTS = (
            "nabla_X d(xi^flat) takes X in H's derivative index; off a zero on a curved "
            "chart the derivative and argument indices differ by R(X, .) xi"),
     Mutant("taylor-rows-misreported", CLI,
-           "zip(session.zeros[:_TAYLOR_ZEROS], res.first, res.second)",
-           "zip(session.zeros[-_TAYLOR_ZEROS:], res.first, res.second)",
+           "zip(session.zeros[:_TAYLOR_ZEROS], res.first,",
+           "zip(session.zeros[-_TAYLOR_ZEROS:], res.first,",
            "Taylor entry k must report the zero whose record row it checked, "
            "also when there are more zeros than entries"),
     # the one record every pointwise check reads
@@ -200,15 +200,19 @@ MUTANTS = (
            "Vt[..., 1:, :]",
            "Vt[..., :-1, :]",
            "the completion of u is the kernel of u (g u)^T, the rows of Vt after the first"),
-    # the one seeded stream, keyed by seed and analysis
-    Mutant("stream-counter-stuck", "src/confield/geometry.py",
-           "self._drawn += count",
-           "self._drawn += 0",
-           "the counter moves on past each block: successive blocks of a stream are disjoint"),
-    Mutant("stream-without-analysis-index", CLI,
-           'return Stream(self.cfg["seed"], ANALYSES.index(analysis))',
-           'return Stream(self.cfg["seed"])',
-           "each analysis draws from the stream keyed by the seed and its index in ANALYSES"),
+    Mutant("taylor-gate-first-four", CLI,
+           "passed = passed and bool(ok.all())",
+           "passed = passed and bool(ok[:_TAYLOR_ZEROS].all())",
+           "every zero's Taylor row is gated, not only the reported ones"),
+    # the fixed sample design
+    Mutant("design-start-ignored", "src/confield/geometry.py",
+           "_design(count, chart.dim, seed * count)",
+           "_design(count, chart.dim, 0)",
+           "the seed selects the block of the design that check-conformal reads"),
+    Mutant("ball-radius-unscaled", "src/confield/geometry.py",
+           "return x[:, None, :] + r_eff * offsets",
+           "return x[:, None, :] + offsets",
+           "a ball stays within the radius and half the distance to the box"),
 )
 
 
